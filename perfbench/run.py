@@ -4,10 +4,12 @@
 
 One client in a closed loop: each request is one in-process
 `skewcodes.cli.main(argv)` call, issued when the previous one has returned.
-A run generates its inputs from --seed, times the set-up in fresh
-processes, then runs whole rounds of the workload's requests in a fresh
-worker process until --seconds have passed and at least MIN_REQUESTS
-requests were made. Every output is checked (see checks.py).
+A run generates its inputs from --seed, then runs whole rounds of the
+workload's requests in a fresh worker process until --seconds have passed
+and at least MIN_ROUNDS rounds were made. Each round has its own inputs.
+Set-up is timed in fresh processes before and after the worker.
+Every output is checked (see checks.py). Every time is divided by how slow
+the shared machine ran around it, measured with calibrate.probe().
 
 With --trace 0 the last stdout line holds the end-to-end metrics; with
 --trace 1 it holds the per-layer metrics of a traced run (see tracer.py and
@@ -18,6 +20,7 @@ sample counts, failed_ratio and the first failure reasons.
 from __future__ import annotations
 
 import argparse
+import bisect
 import compileall
 import hashlib
 import json
@@ -30,6 +33,7 @@ import sys
 import time
 from pathlib import Path
 
+import calibrate
 import tracer
 import workloads
 
@@ -39,8 +43,11 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 DEFAULT_SEED = 0
-SETUP_PROBES = 4  # fresh processes that only set up; the worker's set-up is one more sample
-MIN_REQUESTS = 100  # so that p90 has at least ten samples above it
+# fresh processes that only set up, before and after the worker; the
+# worker's own set-up is one more sample
+SETUP_PROCESSES = (2, 2)
+MIN_ROUNDS = 5  # every stratum is timed at least this often
+MIN_WINDOW_S = 0.03  # see slowdowns()
 DEADLINE_S = 170  # every process this run starts is done by then
 
 END_TO_END = (
@@ -96,8 +103,8 @@ def environment():
     }
 
 
-def digest_inputs(requests):
-    return hashlib.sha256(json.dumps([r["argv"] for r in requests]).encode()).hexdigest()
+def digest_inputs(rounds):
+    return hashlib.sha256(json.dumps([[r["argv"] for r in reqs] for reqs in rounds]).encode()).hexdigest()
 
 
 def load_json(name):
@@ -105,32 +112,47 @@ def load_json(name):
         return json.load(fh)
 
 
-def reference_for(workload, seed, requests):
-    """The recorded stdout digests for this workload at the default seed."""
+def reference_for(workload, seed, rounds):
+    """The recorded stdout digests, per round and request, at the default seed."""
     if seed != DEFAULT_SEED:
         return None
     ref = load_json("reference.json")["workloads"][workload]
-    if ref["inputs_sha256"] != digest_inputs(requests):
+    if ref["inputs_sha256"] != digest_inputs(rounds):
         raise BenchError("generated inputs differ from the ones reference.json was recorded on")
-    return ref["stdout_sha256"]
+    return ref["stdout_digests"]
 
 
-def end_to_end(result, setup_samples):
-    """Latency and throughput from each request's best round.
+def slowdowns(result):
+    """How slow the machine ran during each request: the mean time of the
+    calibration probes near it, over calibrate.REFERENCE_S. A probe is near
+    when it started at most max(latency, MIN_WINDOW_S) before the request
+    started or after it ended, so the probes just before and just after it
+    always count."""
+    at = [t for t, _ in result["probes_s"]]
+    out = []
+    for start, latency in zip(result["started_s"], result["latencies_s"]):
+        window = max(latency, MIN_WINDOW_S)
+        lo = bisect.bisect_left(at, start - window)
+        hi = bisect.bisect_right(at, start + latency + window)
+        out.append(statistics.fmean(p for _, p in result["probes_s"][lo:hi]) / calibrate.REFERENCE_S)
+    return out
 
-    Every round repeats the same requests, so a request's fastest round is
-    its service time with the least interference from the rest of the
-    machine; on a shared VM whose speed drifts by tens of percent this is
-    far steadier from run to run than the raw samples.
-    """
-    n = len(result["latencies_s"]) // len(result["round_s"])
-    best = sorted(min(result["latencies_s"][i::n]) for i in range(n))
+
+def per_stratum(rounds, latencies):
+    """The median latency of each stratum over the rounds that ran, sorted."""
+    by_stratum = {}
+    requests = (req for reqs in rounds for req in reqs)
+    for req, latency in zip(requests, latencies):
+        if req["stratum"] is not None:
+            by_stratum.setdefault(req["stratum"], []).append(latency)
+    return sorted(statistics.median(v) for v in by_stratum.values())
+
+
+def timings(strata):
     return {
-        "throughput_rps": n / sum(best),
-        "latency_p50_ms": statistics.median(best) * 1e3,
-        "latency_p90_ms": statistics.quantiles(best, n=10)[8] * 1e3,
-        "setup_s": statistics.median(setup_samples),
-        "peak_rss_mb": result["peak_rss_mb"],
+        "throughput_rps": len(strata) / sum(strata),
+        "latency_p50_ms": statistics.median(strata) * 1e3,
+        "latency_p90_ms": statistics.quantiles(strata, n=10)[8] * 1e3,
     }
 
 
@@ -143,27 +165,34 @@ def run(args):
         raise BenchError("src/ does not byte-compile")
     sys.path.insert(0, str(SRC))
     start = time.perf_counter()
-    requests, warmups = workloads.generate(args.workload, args.seed, load_json("decomposition_seeds.json")["band"])
+    rounds, warmups = workloads.generate(args.workload, args.seed, load_json("decomposition_seeds.json")["band"])
     generation_s = time.perf_counter() - start
     job = {
-        "workload": args.workload, "src": str(SRC), "warmups": warmups, "requests": requests,
-        "seconds": args.seconds, "min_requests": MIN_REQUESTS, "trace": bool(args.trace),
-        "reference": reference_for(args.workload, args.seed, requests),
+        "workload": args.workload, "src": str(SRC), "warmups": warmups, "rounds": rounds,
+        "seconds": args.seconds, "min_rounds": MIN_ROUNDS, "trace": bool(args.trace),
+        "reference": reference_for(args.workload, args.seed, rounds),
     }
-    setup_samples = [spawn(job, deadline, "--setup-only")["setup_s"] for _ in range(SETUP_PROBES)]
+    before, after = (0, 0) if args.trace else SETUP_PROCESSES
+    setups = [spawn(job, deadline, "--setup-only") for _ in range(before)]
     result = spawn(job, deadline)
-    setup_samples.append(result["setup_s"])
+    setups.append(result)
+    setups += [spawn(job, deadline, "--setup-only") for _ in range(after)]
+    setup_samples = [s["setup_s"] for s in setups]
 
     attempted, failed = result["attempted"], result["failed"]
     reasons = list(result["failures"])
+    raw = per_stratum(rounds, result["latencies_s"])
     info = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
         **environment(),
         "generation_s": generation_s,
         "setup_samples_s": setup_samples,
-        "requests_per_round": len(requests),
         "rounds": len(result["round_s"]),
+        "rounds_generated": len(rounds),
+        "rounds_exhausted": result["rounds_exhausted"],
         "latency_samples": len(result["latencies_s"]),
+        "strata": len(raw),
+        "strata_above_p90": sum(x > statistics.quantiles(raw, n=10)[8] for x in raw),
         "failed_ratio": failed / attempted,
     }
     OUT.mkdir(exist_ok=True)
@@ -176,12 +205,26 @@ def run(args):
         table.write_text(json.dumps(result["trace_table"], indent=1))
         info["trace_table"] = str(table.relative_to(ROOT))
     else:
+        slow = slowdowns(result)
+        setup_slowdowns = [s["setup_probe_s"] / calibrate.REFERENCE_S for s in setups]
+        values = {
+            **timings(per_stratum(rounds, [x / f for x, f in zip(result["latencies_s"], slow)])),
+            "setup_s": statistics.median(x / f for x, f in zip(setup_samples, setup_slowdowns)),
+            "peak_rss_mb": result["peak_rss_mb"],
+        }
         units = dict(END_TO_END)
-        metrics = {k: {"value": v, "unit": units[k]} for k, v in end_to_end(result, setup_samples).items()}
+        metrics = {k: {"value": v, "unit": units[k]} for k, v in values.items()}
+        info["slowdown_median"] = statistics.median(slow)
+        info["setup_slowdowns"] = setup_slowdowns
+        info["uncorrected"] = {**timings(raw), "setup_s": statistics.median(setup_samples)}
     info["failures"] = reasons
     samples = OUT / f"samples-{args.workload}-seed{args.seed}-trace{args.trace}.json"
-    samples.write_text(json.dumps({"setup_s": setup_samples, "round_s": result["round_s"],
-                                   "latencies_s": result["latencies_s"]}))
+    samples.write_text(json.dumps({
+        "setup_s": setup_samples, "setup_probe_s": [s.get("setup_probe_s") for s in setups],
+        "round_s": result["round_s"], "started_s": result["started_s"],
+        "latencies_s": result["latencies_s"], "probes_s": result["probes_s"],
+        "strata": [[req["stratum"] for req in reqs] for reqs in rounds[:len(result["round_s"])]],
+    }))
     print(json.dumps({"info": info}))
     print(json.dumps({"correct": not reasons, "attempted": attempted, "failed": failed, "metrics": metrics}))
 

@@ -71,8 +71,7 @@ def main():
     corrupt = copy_bench("smoke-corrupt", with_src=True)
     ref_path = corrupt / "perfbench" / "reference.json"
     ref = json.loads(ref_path.read_text())
-    digests = ref["workloads"]["audit"]["stdout_sha256"]
-    digests[0] = "0" * 64
+    ref["workloads"]["audit"]["stdout_digests"][0][0] = "0" * 16
     ref_path.write_text(json.dumps(ref))
     rc, result, lines, err = bench(corrupt, "audit", 0)
     info = json.loads(lines[-2])["info"] if len(lines) > 1 else {}

@@ -12,6 +12,7 @@ Each call is a span. Spans are folded into per-function totals as they
 close (calls, inclusive time, self time = duration minus child spans), so a
 run that makes millions of field operations keeps a table of a few hundred
 rows in memory; the table is written out once, at the end of the run.
+`Tracer.uninstall()` puts every original back.
 
 Properties (`is_zero`, `degree`, ...) and generator functions are not
 wrapped: their time is charged to the calling span.
@@ -63,14 +64,16 @@ ALL = WORKLOADS
 # name, unit, better, value, workloads on which every function behind the
 # value (except OPTIONAL ones) must record a call. A value is ("self",
 # layer): the layer's self time; ("calls", labels); ("time", labels):
-# inclusive time; or the name of a value computed in Tracer._derived.
+# inclusive time; ("setup", labels): inclusive time during the set-up's
+# warm-ups, which build each field's tables cold; or the name of a value
+# computed in Tracer._derived.
 METRICS = (
     ("gf.self_s", "s", "lower", ("self", "gf"), ALL),
     ("gf.mul_calls", "count", "lower", ("calls", ("gf.FieldElement.__mul__", "gf.FieldElement.__rmul__")), ALL),
     ("gf.add_calls", "count", "lower", ("calls", ("gf.FieldElement.__add__", "gf.FieldElement.__radd__")), ALL),
     ("gf.frob_calls", "count", "lower", ("calls", ("gf.FieldElement.frob",)), ALL),
     ("gf.inverse_calls", "count", "lower", ("calls", ("gf.FieldElement.inverse",)), ALL),
-    ("gf.make_field_s", "s", "lower", ("time", ("gf.make_field",)), ALL),
+    ("gf.make_field_s", "s", "lower", ("setup", ("gf.make_field",)), ALL),
     ("ring4.self_s", "s", "lower", ("self", "ring4"), ALL),
     ("ring4.mul_calls", "count", "lower", ("calls", ("ring4.RingElement.__mul__", "ring4.RingElement.__rmul__")), ALL),
     ("ring4.crt_calls", "count", "lower", ("calls", ("ring4.RingElement.crt",)), ALL),
@@ -82,7 +85,7 @@ METRICS = (
     ("skewpoly.divisor_hit_ratio", "ratio", "higher", "divisor_hit_ratio", ("search", "verify")),
     ("distance.self_s", "s", "lower", ("self", "distance"), ("audit",)),
     ("distance.sweep_s", "s", "lower", ("time", ("distance._bounded_weight_sweep",)), ("audit",)),
-    ("distance.field_tables_s", "s", "lower", ("time", ("distance.field_tables",)), ("audit",)),
+    ("distance.field_tables_s", "s", "lower", ("setup", ("distance.field_tables",)), ALL),
     ("distance.candidates_swept", "count", "lower", "candidates_swept", ("audit",)),
     ("linalg.self_s", "s", "lower", ("self", "linalg"), ALL),
     ("linalg.rref_calls", "count", "lower", ("calls", ("linalg.rref",)), ALL),
@@ -97,6 +100,10 @@ METRICS = (
 OVERHEAD = ("trace.overhead_ratio", "ratio", "lower")
 
 
+def _is_setup(value):
+    return not isinstance(value, str) and value[0] == "setup"
+
+
 class Tracer:
     def __init__(self):
         self.stats = {}  # label -> [calls, inclusive s, self s]
@@ -104,6 +111,7 @@ class Tracer:
         self.results = collections.Counter()  # label -> sum of RESULT_MEASURES
         self._stack = []  # open spans: [label, child s]
         self._originals = {}  # id(original) -> wrapper; the wrapper keeps the original alive
+        self._patches = []  # (owner, name, previous value), in the order they were made
 
     # --- wrapping ---
 
@@ -148,9 +156,9 @@ class Tracer:
                 fn = raw.__func__
                 if inspect.isgeneratorfunction(fn):
                     continue
-                setattr(cls, name, type(raw)(self._wrap(label, fn)))
+                self._patch(cls, name, type(raw)(self._wrap(label, fn)))
             elif inspect.isfunction(raw) and not inspect.isgeneratorfunction(raw):
-                setattr(cls, name, self._wrap(label, raw))
+                self._patch(cls, name, self._wrap(label, raw))
 
     def install(self):
         """Wrap the layer modules, then rebind every copied name."""
@@ -167,15 +175,25 @@ class Tracer:
                 if inspect.isclass(obj):
                     self._wrap_class(layer, obj)
                 elif inspect.isfunction(obj) and not inspect.isgeneratorfunction(obj):
-                    setattr(mod, name, self._wrap(f"{layer}.{name}", obj))
+                    self._patch(mod, name, self._wrap(f"{layer}.{name}", obj))
                 elif hasattr(obj, "cache_info"):  # functools.lru_cache
-                    setattr(mod, name, self._wrap(f"{layer}.{name}", obj))
+                    self._patch(mod, name, self._wrap(f"{layer}.{name}", obj))
         for mod in self._package_modules():
             for name, obj in list(vars(mod).items()):
                 wrapper = self._originals.get(id(obj))
-                if wrapper is not None:
-                    setattr(mod, name, wrapper)
+                if wrapper is not None and wrapper is not obj:
+                    self._patch(mod, name, wrapper)
         return self
+
+    def _patch(self, owner, name, value):
+        self._patches.append((owner, name, vars(owner)[name]))
+        setattr(owner, name, value)
+
+    def uninstall(self):
+        """Put back every original that install() replaced."""
+        while self._patches:
+            owner, name, previous = self._patches.pop()
+            setattr(owner, name, previous)
 
     @staticmethod
     def _package_modules():
@@ -189,6 +207,13 @@ class Tracer:
                 if id(obj) in self._originals and obj is not self._originals[id(obj)]:
                     left.append(f"{mod.__name__}.{name}")
         return left
+
+    def reset(self):
+        """Start every count and time again from zero."""
+        for stat in self.stats.values():
+            stat[:] = [0, 0.0, 0.0]
+        self.candidates.clear()
+        self.results.clear()
 
     # --- results ---
 
@@ -209,9 +234,14 @@ class Tracer:
         return found / tried if tried else 0.0
 
     def metrics(self, rounds):
-        """Every METRICS value; counts and times per round."""
+        """Every METRICS value but the set-up ones; counts and times per round."""
         return {name: self._value(value) / (1 if unit == "ratio" else rounds)
-                for name, unit, _better, value, _on in METRICS}
+                for name, unit, _better, value, _on in METRICS if not _is_setup(value)}
+
+    def setup_metrics(self):
+        """The set-up METRICS values, from a tracer installed before the warm-ups."""
+        return {name: sum(self.stats[label][1] for label in value[1])
+                for name, _unit, _better, value, _on in METRICS if _is_setup(value)}
 
     def _value(self, value):
         if isinstance(value, str):
@@ -223,11 +253,18 @@ class Tracer:
             return self._calls(arg)
         return sum(self.stats[label][1] for label in arg)
 
+    def missing_setup(self, workload):
+        """Set-up functions that recorded no call on `workload`."""
+        return [f"{name}: {label} recorded no call during set-up"
+                for name, _unit, _better, value, on in METRICS
+                if _is_setup(value) and workload in on
+                for label in value[1] if not self.stats.get(label, [0])[0]]
+
     def missing(self, workload):
         """What the run should have traced on `workload` but did not."""
         gaps = [f"unwrapped copy {name}" for name in self.unbound_copies()]
         for name, _unit, _better, value, on in METRICS:
-            if workload not in on:
+            if workload not in on or _is_setup(value):
                 continue
             if isinstance(value, str):
                 labels = {

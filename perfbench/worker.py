@@ -11,6 +11,7 @@ workload's own.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -19,7 +20,11 @@ import resource
 import sys
 import time
 
+import checks
+
 clock = time.perf_counter
+SETUP_PROBES = 20
+PROBE_SHARE = 0.1  # calibration time after a request, as a share of its latency
 
 
 def call(main, argv):
@@ -33,103 +38,151 @@ def call(main, argv):
     return rc, buf.getvalue(), None
 
 
-def setup(src, warmups):
+def digest(stdout):
+    """The stdout fingerprint that reference.json records."""
+    return hashlib.sha256(stdout.encode()).hexdigest()[:16]
+
+
+def setup(src, warmups, before_warmups=None):
     """Import skewcodes from `src` and run the warm-ups; (cli.main, seconds)."""
     start = clock()
     sys.path.insert(0, src)
     import skewcodes.cli
 
+    if before_warmups is not None:
+        before_warmups()
+    main = sys.modules["skewcodes.cli"].main  # the traced binding, if any
     for argv in warmups:
-        rc, _, err = call(skewcodes.cli.main, argv)
+        rc, _, err = call(main, argv)
         if rc != 0:
             raise RuntimeError(f"warm-up {argv[0]} failed: rc={rc} {err or ''}")
     elapsed = clock() - start
     if os.path.dirname(os.path.dirname(skewcodes.__file__)) != src:
         raise RuntimeError(f"skewcodes was imported from {skewcodes.__file__}, not {src}")
-    return skewcodes.cli.main, elapsed
+    return main, elapsed
 
 
-def one_round(main, requests, records):
-    for i, req in enumerate(requests):
-        start = clock()
-        rc, out, err = call(main, req["argv"])
-        latency = clock() - start
-        records.append((i, latency, rc, out, err))
+def setup_probe():
+    """The mean time of SETUP_PROBES calibration probes, run right after a
+    set-up. calibrate imports numpy, so it is imported only once the set-up,
+    which imports numpy itself, has been timed."""
+    import calibrate
+
+    return sum(calibrate.probe() for _ in range(SETUP_PROBES)) / SETUP_PROBES
 
 
-def closed_loop(main, requests, seconds, min_requests):
-    """Whole rounds, one request at a time, until both limits are reached.
+class Loop:
+    """The closed loop: one request at a time, each checked once it returns.
 
-    Returns the records and the duration of each round.
+    Before each request the garbage left by the earlier ones is collected,
+    outside the timing: a CLI invocation starts in a fresh process, and
+    otherwise a request would pay for collecting the garbage of whichever
+    requests happened to run before it.
+
+    Only each request's start and latency and the failures are kept, so
+    memory does not grow with the number of rounds. With a probe, the loop
+    also runs calibration probes before the first request and after every
+    request, for PROBE_SHARE of its latency, and keeps each probe's start
+    and duration.
     """
-    records = []
-    round_s = []
-    start = clock()
-    while True:
-        round_start = clock()
-        one_round(main, requests, records)
-        round_s.append(clock() - round_start)
-        if clock() - start >= seconds and len(records) >= min_requests:
-            return records, round_s
 
+    def __init__(self, rounds, reference, probe=None):
+        self.rounds = rounds
+        self.reference = reference  # per round, per request: stdout digest, or None
+        self.probe = probe  # calibrate.probe, or None
+        self.next_round = 0
+        self.started = []
+        self.latencies = []
+        self.probes = []  # [start, seconds] of each probe
+        self.round_s = []
+        self.failed = 0
+        self.reasons = []
 
-def judge(requests, records, reference):
-    """Failed record count and the first few reasons."""
-    import checks
-
-    first = {}
-    reasons = []
-    failed = 0
-    for i, _latency, rc, out, err in records:
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        if i not in first:
-            reason = err or checks.check(requests[i], rc, out)
-            if reason is None and reference is not None and reference[i] != digest:
+    def run_round(self, main):
+        r = self.next_round
+        self.next_round += 1
+        round_s = 0.0
+        for i, req in enumerate(self.rounds[r]):
+            gc.collect()
+            start = clock()
+            rc, out, err = call(main, req["argv"])
+            self.started.append(start)
+            self.latencies.append(clock() - start)
+            round_s += self.latencies[-1]
+            reason = err or checks.check(req, rc, out)
+            if reason is None and self.reference is not None and self.reference[r][i] != digest(out):
                 reason = "stdout differs from the reference digest"
-            first[i] = (digest, reason)
-        else:
-            reason = err or first[i][1]
-            if reason is None and digest != first[i][0]:
-                reason = "stdout differs from the same request's earlier output"
-        if reason is not None:
-            failed += 1
-            if len(reasons) < 5:
-                reasons.append(f"request {i} ({requests[i]['kind']}): {reason}")
-    return failed, reasons
+            if reason is not None:
+                self.failed += 1
+                if len(self.reasons) < 5:
+                    self.reasons.append(f"round {r} request {i} ({req['kind']}): {reason}")
+            if self.probe is not None:
+                self.calibrate(PROBE_SHARE * self.latencies[-1])
+        self.round_s.append(round_s)
+
+    def calibrate(self, seconds):
+        """Probes for at least `seconds`, and at least once."""
+        end = clock() + seconds
+        self.probes.append([clock(), self.probe()])
+        while clock() < end:
+            self.probes.append([clock(), self.probe()])
+
+    def until(self, main, seconds, min_rounds, spare=0):
+        """Whole rounds until both limits are reached or only `spare` rounds
+        are left; True when the rounds ran out first."""
+        start = clock()
+        while self.next_round < len(self.rounds) - spare:
+            self.run_round(main)
+            if clock() - start >= seconds and self.next_round >= min_rounds:
+                return False
+        return True
 
 
 def main():
     job = json.load(sys.stdin)
-    main_fn, setup_s = setup(job["src"], job["warmups"])
     if "--setup-only" in sys.argv[1:]:
-        print(json.dumps({"setup_s": setup_s}))
+        setup_s = setup(job["src"], job["warmups"])[1]
+        print(json.dumps({"setup_s": setup_s, "setup_probe_s": setup_probe()}))
         return 0
-    requests = job["requests"]
-    result = {"setup_s": setup_s}
+    loop = Loop(job["rounds"], job["reference"])
+    result = {}
     if job["trace"]:
-        plain = []
-        start = clock()
-        one_round(main_fn, requests, plain)
-        untraced = clock() - start
         from tracer import OVERHEAD, Tracer
 
-        tracer = Tracer().install()
-        main_fn = sys.modules["skewcodes.cli"].main  # the traced binding
-        records, round_s = closed_loop(main_fn, requests, job["seconds"], 1)
-        rounds = len(round_s)
-        result["per_layer"] = {**tracer.metrics(rounds), OVERHEAD[0]: sum(round_s) / rounds / untraced}
-        result["trace_gaps"] = tracer.missing(job["workload"])
+        # The tracer goes in before the warm-ups, so that the set-up's cold
+        # builds (field_tables, make_field) are measured; then its counts
+        # start again for the rounds.
+        tracer = Tracer()
+        _, result["setup_s"] = setup(job["src"], job["warmups"], tracer.install)
+        setup_layers = tracer.setup_metrics()
+        gaps = tracer.missing_setup(job["workload"])
+        tracer.reset()
+        exhausted = loop.until(sys.modules["skewcodes.cli"].main, job["seconds"], 2, spare=1)
+        rounds = len(loop.round_s)
+        result["per_layer"] = {**tracer.metrics(rounds), **setup_layers}
+        result["trace_gaps"] = gaps + tracer.missing(job["workload"])
         result["trace_table"] = tracer.table(rounds)
-        records, round_s = plain + records, [untraced, *round_s]
+        # One more round, untraced, against the traced rounds of the same
+        # shape (the first audit round also holds the examples).
+        tracer.uninstall()
+        loop.run_round(sys.modules["skewcodes.cli"].main)
+        traced = loop.round_s[1:-1]
+        result["per_layer"][OVERHEAD[0]] = sum(traced) / len(traced) / loop.round_s[-1]
     else:
-        records, round_s = closed_loop(main_fn, requests, job["seconds"], job["min_requests"])
-    failed, reasons = judge(requests, records, job["reference"])
+        main_fn, result["setup_s"] = setup(job["src"], job["warmups"])
+        result["setup_probe_s"] = setup_probe()
+        loop.probe = sys.modules["calibrate"].probe
+        loop.calibrate(0)
+        exhausted = loop.until(main_fn, job["seconds"], job["min_rounds"])
     result.update(
-        attempted=len(records),
-        failed=failed,
-        failures=reasons,
-        round_s=round_s,
-        latencies_s=[r[1] for r in records],
+        attempted=len(loop.latencies),
+        failed=loop.failed,
+        failures=loop.reasons,
+        rounds_exhausted=exhausted,
+        round_s=loop.round_s,
+        started_s=loop.started,
+        latencies_s=loop.latencies,
+        probes_s=loop.probes,
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
     print(json.dumps(result))

@@ -1,13 +1,17 @@
 """Seeded request lists for the three benchmark workloads.
 
-A workload is one *round*: a fixed list of CLI requests that the timed
-closed loop repeats. Every request carries its full argv (with --budget,
---seed and --trials pinned) and the facts its correctness check needs.
+A workload is a list of *rounds*. A round holds one CLI request per
+(command, field, length, degree) stratum of the workload; the timed closed
+loop runs the rounds in order. The concrete inputs of round r (the codes,
+shift constants, suite seeds and trial counts) are drawn from (workload,
+seed, r), so no two rounds repeat a request and a per-input cache in the
+program cannot serve a later round. Every request carries its full argv
+(with --budget, --seed and --trials pinned) and the facts its correctness
+check needs.
 
-Inputs are drawn from the benchmark seed, but each round has a fixed
-*shape*: the same number of requests per (command, field, length) stratum.
-The seed picks the concrete codes, shift constants, suite seeds and trial
-counts inside each stratum, so runs with different seeds do comparable work.
+The strata span the ranges each workload is meant to cover, one request
+each. Their proportions are a choice, not a measurement of real traffic:
+no trace of how skewcodes is used exists to take them from.
 
 Generation calls the library (to find right divisors and to certify
 distance properties); that time goes into no metric.
@@ -15,6 +19,7 @@ distance properties); that time goes into no metric.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from math import comb
@@ -48,6 +53,7 @@ def field_json(name):
     return {"p": p, "m": m, "modulus": list(modulus), "t": t}
 
 
+@functools.lru_cache(maxsize=None)
 def _field(name):
     from skewcodes.gf import make_field
 
@@ -68,6 +74,9 @@ def _request(kind, argv, **expect):
 
 # --- right divisors by peeling linear factors ---
 
+_ROOTS = {}  # (field, cofactor codes) -> linear right roots; generation only
+
+
 def _linear_right_roots(cofactor, field):
     """Codes a with (x - a) a right factor of `cofactor`.
 
@@ -76,6 +85,9 @@ def _linear_right_roots(cofactor, field):
     field operations instead of one full division.
     """
     coeffs = cofactor.coeffs
+    key = (field, tuple(c.to_int() for c in coeffs))
+    if key in _ROOTS:
+        return _ROOTS[key]
     roots = []
     for code in range(field.q):
         a = field.from_int(code)
@@ -85,6 +97,7 @@ def _linear_right_roots(cofactor, field):
             acc = acc + coeffs[i] * norm
         if acc.is_zero:
             roots.append(code)
+    _ROOTS[key] = roots
     return roots
 
 
@@ -166,10 +179,10 @@ def _deep_code(rng):
     raise RuntimeError("no code with a weight-3 sweep found in 1000 draws")
 
 
-# (field, length, component generator degrees) for the ordinary params /
-# dual / gray-image codes; PER_STRATUM of each per round and command. Fixed
-# lengths and degrees keep the cost of a stratum the same for every seed.
-AUDIT_STRATA = (
+# (field, length, component generator degrees) of the codes that params,
+# dual and gray-image each get one of per round. Fixed lengths and degrees
+# keep the cost of a stratum the same for every seed.
+AUDIT_CODES = (
     ("F9", 6, (1, 2, 2, 3)),
     ("F25", 5, (1, 1, 2, 2)),
     ("F27", 5, (1, 2, 2, 3)),
@@ -177,9 +190,9 @@ AUDIT_STRATA = (
     ("F81t2", 4, (1, 2, 2, 3)),
     ("F243", 4, (1, 1, 1, 2)),
 )
-PER_STRATUM = 2
-DEEP_PARAMS = 6  # a third of the 18 params requests
+DEEP_PARAMS = 2  # a quarter of a round's 8 params requests
 DEEP_LENGTH = 6
+EXAMPLES = (1, 2, 3, 4)
 
 
 def sweep_floor(n):
@@ -187,59 +200,52 @@ def sweep_floor(n):
     return comb(4 * n, 1) * 8 + comb(4 * n, 2) * 64
 
 
-def audit(rng):
-    reqs = [_request("example", cli_argv("example", extra=(str(k),)), number=k) for k in (1, 2, 3, 4)]
+def audit(rng, first):
+    """One audit round. The bundled examples have no inputs to vary, so they
+    are only in the first round: a repeat could be served from a cache."""
+    reqs = []
     for _ in range(DEEP_PARAMS):
         spec, degs = _deep_code(rng)
         reqs.append(_request("params", cli_argv("params", spec), q=9, n=spec["n"], degrees=degs, deep=True))
     for command in ("params", "dual", "gray-image"):
-        for name, n, degrees in AUDIT_STRATA * PER_STRATUM:
+        for name, n, degrees in AUDIT_CODES:
             spec, degs = _random_code(name, n, rng, degrees)
             q = FIELDS[name][0] ** FIELDS[name][1]
             reqs.append(_request(command, cli_argv(command, spec), q=q, n=n, degrees=degs, deep=False))
+    if first:
+        reqs += [_request("example", cli_argv("example", extra=(str(k),)), number=k) for k in EXAMPLES]
     return reqs
 
 
 # --- search ---
 
-# (field, degree, lengths) for divisor-search over F_q: one request per
-# length. Fixed lengths keep a stratum's cost the same for every seed. The
-# five F81 searches fill the middle of the latency distribution and the
-# three R searches over F5 its top decile, so that p50 and p90 each fall
-# inside a block of like requests. A short round gives each request many
-# rounds to be timed in.
+# (field, degree, length) of each divisor-search over F_q, each at most
+# about 1 s on a quiet machine. Degree 3 is searched over F9 only, degree 2
+# not over F125, and F81 t=2 at degree 2 with n = 3: the others take
+# 1.2-100 s each, and one of them would set the whole run.
 FQ_SEARCH = (
-    ("F9", 1, (5,)),
-    ("F25", 1, (5,)),
-    ("F27", 1, (5,)),
-    ("F49", 1, (5,)),
-    ("F81t2", 1, (5,) * 5),
-    ("F125", 1, (5,)),
-    ("F9", 2, (4,)),
-    ("F25", 2, (4,)),
-    ("F27", 2, (4,)),
-    ("F49", 2, (4,)),
-    ("F9", 3, (4,)),
+    ("F9", 1, 5), ("F25", 1, 5), ("F27", 1, 5), ("F49", 1, 5), ("F81t2", 1, 5), ("F125", 1, 5),
+    ("F9", 2, 6), ("F25", 2, 5), ("F27", 2, 5), ("F49", 2, 4), ("F81t2", 2, 3),
+    ("F9", 3, 4), ("F9", 3, 6),
 )
-# (field, lengths) for degree-1 divisor-search over R: one request per length.
-R_SEARCH = (("F3", (2, 4, 6)), ("F5", (4,) * 3))
+# (field, length) of each degree-1 divisor-search over R. Over F5 the cost
+# doubles from n = 2 to n = 4 (0.3-0.7 s) and passes 1.2 s from n = 6 on.
+R_SEARCH = (("F3", 2), ("F3", 4), ("F3", 6), ("F3", 8), ("F5", 2), ("F5", 3), ("F5", 4))
 # (field, admissible lengths) for idempotent requests: gcd(n, k) = gcd(n, q) = 1.
 IDEMPOTENT = (("F9", (5, 7)), ("F25", (3, 7)), ("F27", (2, 4, 5)), ("F49", (3, 5)))
 
 
 def search(rng):
     reqs = []
-    for name, degree, lengths in FQ_SEARCH:
+    for name, degree, n in FQ_SEARCH:
         q = FIELDS[name][0] ** FIELDS[name][1]
-        for n in lengths:
-            payload = {"field": field_json(name), "n": n, "alpha": rng.randrange(1, q), "degree": degree}
-            reqs.append(_request("divisor-search", cli_argv("divisor-search", payload), ring="fq", degree=degree))
-    for name, lengths in R_SEARCH:
+        payload = {"field": field_json(name), "n": n, "alpha": rng.randrange(1, q), "degree": degree}
+        reqs.append(_request("divisor-search", cli_argv("divisor-search", payload), ring="fq", degree=degree))
+    for name, n in R_SEARCH:
         p = FIELDS[name][0]
-        for n in lengths:
-            crt = [c % p for c in rng.choice(PLUS_MINUS_ONE)]
-            payload = {"field": field_json(name), "n": n, "alpha": {"crt": crt}, "degree": 1}
-            reqs.append(_request("divisor-search", cli_argv("divisor-search", payload), ring="R", degree=1))
+        crt = [c % p for c in rng.choice(PLUS_MINUS_ONE)]
+        payload = {"field": field_json(name), "n": n, "alpha": {"crt": crt}, "degree": 1}
+        reqs.append(_request("divisor-search", cli_argv("divisor-search", payload), ring="R", degree=1))
     for name, lengths in IDEMPOTENT:
         field = _field(name)
         n = rng.choice(lengths)
@@ -252,11 +258,8 @@ def search(rng):
 
 # --- verify ---
 
-GRAY_TRIAL_BANDS = (20, 40, 60, 80, 96)  # one request per band [b, b+4)
-DECOMPOSITIONS = 1
-# the four dual-contract requests fill the middle of the latency
-# distribution, the decomposition and the largest gray-commutation its top
-CHEAP_SUITES = (("ret1", 3), ("ret2", 3), ("dual-contract", 4))
+GRAY_TRIAL_BANDS = (20, 40, 60, 80, 96)  # one gray-commutation request per band [b, b+4)
+SUITES = ("decomposition", "dual-contract", "ret1", "ret2")  # one request each at 20 trials
 
 
 def verify(rng, decomposition_seeds):
@@ -265,23 +268,19 @@ def verify(rng, decomposition_seeds):
         trials = band + rng.randrange(4)
         argv = cli_argv("verify", seed=rng.randrange(2**31), trials=trials, extra=("gray-commutation",))
         reqs.append(_request("verify", argv, suite="gray-commutation"))
-    # The suite's cost varies fivefold with its own seed, so suite seeds are
-    # drawn from the seeds whose library-call count is near the median
-    # (decomposition_seeds.json): a round's cost does not swing with the
-    # benchmark seed.
-    for seed in rng.sample(decomposition_seeds, DECOMPOSITIONS):
-        argv = cli_argv("verify", seed=seed, trials=20, extra=("decomposition",))
-        reqs.append(_request("verify", argv, suite="decomposition"))
-    for suite, count in CHEAP_SUITES:
-        for _ in range(count):
-            argv = cli_argv("verify", seed=rng.randrange(2**31), trials=20, extra=(suite,))
-            reqs.append(_request("verify", argv, suite=suite))
+    for suite in SUITES:
+        # The decomposition suite's cost varies fivefold with its own seed,
+        # so its seeds come from those whose library-call count is near the
+        # median (decomposition_seeds.json): a round's cost does not swing
+        # with the benchmark seed.
+        seed = rng.choice(decomposition_seeds) if suite == "decomposition" else rng.randrange(2**31)
+        reqs.append(_request("verify", cli_argv("verify", seed=seed, trials=20, extra=(suite,)), suite=suite))
     return reqs
 
 
 def warmup_fields(name):
     return {
-        "audit": sorted(set(EXAMPLE_FIELDS) | {s[0] for s in AUDIT_STRATA}),
+        "audit": sorted(set(EXAMPLE_FIELDS) | {s[0] for s in AUDIT_CODES}),
         "search": sorted({s[0] for s in FQ_SEARCH} | {s[0] for s in R_SEARCH} | {s[0] for s in IDEMPOTENT}),
         "verify": sorted(SUITE_FIELDS),
     }[name]
@@ -294,17 +293,32 @@ def warmup_argv(name):
     return cli_argv("params", spec)
 
 
-def generate(name, seed, decomposition_seeds):
-    """(requests, warm-up argvs) of one round of workload `name`."""
-    rng = random.Random(f"{name}:{seed}")
-    if name == "audit":
-        reqs = audit(rng)
-    elif name == "search":
-        reqs = search(rng)
-    else:
-        reqs = verify(rng, decomposition_seeds)
-    rng.shuffle(reqs)
-    return reqs, [warmup_argv(f) for f in warmup_fields(name)]
+# Rounds generated per run: more than the timed loop gets through in
+# run_seconds. The loop stops early, and says so, if it runs out.
+ROUNDS = {"audit": 48, "search": 12, "verify": 24}
+
+
+def generate(name, seed, decomposition_seeds, rounds=None):
+    """(rounds of requests, warm-up argvs) of workload `name`.
+
+    A request's "stratum" is its place in the round before shuffling: the
+    same in every round. The examples, issued once per run, have none: one
+    sample is too noisy to time them by.
+    """
+    rounds_out = []
+    for r in range(ROUNDS[name] if rounds is None else rounds):
+        rng = random.Random(f"{name}:{seed}:{r}")
+        if name == "audit":
+            reqs = audit(rng, r == 0)
+        elif name == "search":
+            reqs = search(rng)
+        else:
+            reqs = verify(rng, decomposition_seeds)
+        for stratum, req in enumerate(reqs):
+            req["stratum"] = None if req["kind"] == "example" else stratum
+        rng.shuffle(reqs)
+        rounds_out.append(reqs)
+    return rounds_out, [warmup_argv(f) for f in warmup_fields(name)]
 
 
 WORKLOADS = ("audit", "search", "verify")
