@@ -51,8 +51,10 @@ from .linalg import inner_product
 from .ring4 import RingElement, ring_one, unit_check
 from .serial import (
     code_from_json,
+    element_from_json,
     field_from_json,
     field_to_json,
+    json_int,
     load_input,
     poly_from_json,
     poly_to_json,
@@ -186,13 +188,13 @@ def cmd_gray_image(args):
 def cmd_divisor_search(args):
     obj = _require_input(args)
     field = field_from_json(obj["field"])
-    n = int(obj["n"])
+    n = json_int(obj["n"], "n", 1)
     raw_alpha = obj["alpha"]
-    degree = int(obj["degree"])
+    degree = json_int(obj["degree"], "degree", 0)
     if isinstance(raw_alpha, dict):
         alpha = ring_from_json(field, raw_alpha)
     else:
-        alpha = field.from_int(int(raw_alpha))
+        alpha = element_from_json(field, raw_alpha)
     divisors = right_divisor_search(ModulusSpec(n, alpha), degree, budget=args.budget)
     result = {
         "field": field_to_json(field),
@@ -207,7 +209,7 @@ def cmd_divisor_search(args):
 def cmd_idempotent(args):
     obj = _require_input(args)
     field = field_from_json(obj["field"])
-    n = int(obj["n"])
+    n = json_int(obj["n"], "n", 1)
     if "gens" in obj:
         _, n, alpha, gens = code_from_json(obj)
         consts = alpha.crt()
@@ -223,7 +225,7 @@ def cmd_idempotent(args):
             "component_idempotents": [poly_to_json(x) for x in es],
         }
         return result, [], []
-    alpha = field.from_int(int(obj.get("alpha", 1)))
+    alpha = element_from_json(field, obj.get("alpha", 1))
     f = poly_from_json(field, obj["f"])
     mod = ModulusSpec(n, alpha)
     e = idempotent_generator(f, mod)
@@ -499,6 +501,18 @@ def render_table(report) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
+def _budget_default():
+    """SKEWCODES_BUDGET if set, else DEFAULT_BUDGET; None when the variable
+    is not an integer, which main reports as an input error."""
+    raw = os.environ.get("SKEWCODES_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewcodes",
@@ -508,11 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="path to a JSON file, or inline JSON")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=int(os.environ.get("SKEWCODES_BUDGET", DEFAULT_BUDGET)),
-    )
+    common.add_argument("--budget", type=int, default=_budget_default())
     common.add_argument("--trials", type=int, default=1000)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="table", action="store_false", default=False)
@@ -556,6 +566,10 @@ def emit(report: dict, table: bool):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget is None:
+            raise ParseError(
+                f"SKEWCODES_BUDGET must be an integer, got {os.environ.get('SKEWCODES_BUDGET')!r}"
+            )
         if args.budget <= 0:
             raise ParseError(f"budget must be positive, got {args.budget}")
         result, warnings, discrepancies = args.handler(args)

@@ -17,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .gf import FieldSpec
 from .linalg import nullspace, rref
 
@@ -24,17 +25,36 @@ DEFAULT_BUDGET = 20_000_000
 ENUM_CAP = 200_000
 
 
+def field_tables(spec: FieldSpec, budget: int = DEFAULT_BUDGET):
+    """(add, mul) tables over integer element codes, dtype int16.
+
+    The two q x q tables count against the budget like candidates do, and
+    are refused before anything is allocated when q^2 exceeds it.
+    """
+    if spec.q ** 2 > budget:
+        raise BudgetExceededError(
+            f"field tables need q^2 = {spec.q ** 2} entries, over the budget of {budget}"
+        )
+    return _field_tables(spec)
+
+
 @functools.lru_cache(maxsize=None)
-def field_tables(spec: FieldSpec):
-    """(add, mul) tables over integer element codes, dtype int16."""
+def _field_tables(spec: FieldSpec):
+    # From the kernel's log/Zech tables: for nonzero x, y,
+    # x*y = exp[log x + log y] and x+y = exp[log x + zech[log y - log x]].
     q = spec.q
-    elems = [spec.from_int(i) for i in range(q)]
-    add = np.zeros((q, q), dtype=np.int16)
-    mul = np.zeros((q, q), dtype=np.int16)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            add[i, j] = (x + y).to_int()
-            mul[i, j] = (x * y).to_int()
+    exp = np.array([x.code for x in spec.exp] + [0] * (q - 1), dtype=np.int16)
+    zero_sum = len(spec.exp)  # any index from here on reads code 0
+    log = np.array([0] + spec.log[1:], dtype=np.int32)[:, None]
+    zech = np.array([zero_sum if z is None else z for z in spec.zech], dtype=np.int32)
+    mul = exp[log + log.T]
+    idx = (log.T - log) % (q - 1)
+    idx = zech[idx]
+    idx += log
+    add = exp[idx]
+    codes = np.arange(q, dtype=np.int16)
+    mul[0, :] = mul[:, 0] = 0
+    add[0, :] = add[:, 0] = codes
     return add, mul
 
 
@@ -87,12 +107,12 @@ def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> Distanc
         witness[0] = spec.one
         return DistanceResult(1, None, tuple(witness), 0, "full-space")
     if q ** k <= min(budget, ENUM_CAP):
-        return _enumerate_messages(basis, spec, n, k)
+        return _enumerate_messages(basis, spec, n, k, budget)
     return _bounded_weight_sweep(rows, basis, spec, n, k, budget)
 
 
-def _enumerate_messages(basis, spec, n, k) -> DistanceResult:
-    add, mul = field_tables(spec)
+def _enumerate_messages(basis, spec, n, k, budget) -> DistanceResult:
+    add, mul = field_tables(spec, budget)
     G = words_to_array(basis)
     words = np.zeros((1, n), dtype=np.int16)
     for r in range(k):
@@ -106,7 +126,6 @@ def _enumerate_messages(basis, spec, n, k) -> DistanceResult:
 
 
 def _bounded_weight_sweep(rows, basis, spec, n, k, budget) -> DistanceResult:
-    add, mul = field_tables(spec)
     q = spec.q
     # upper bound and witness candidate from the presented rows
     best_w, best_row = None, None
@@ -114,17 +133,18 @@ def _bounded_weight_sweep(rows, basis, spec, n, k, budget) -> DistanceResult:
         wt = sum(0 if c.is_zero else 1 for c in w)
         if wt > 0 and (best_w is None or wt < best_w):
             best_w, best_row = wt, tuple(w)
-    dual_rows = nullspace(basis, n, spec)
-    H = words_to_array(dual_rows)          # (n-k, n)
-    cols = [H[:, j] for j in range(n)]
-    nzcoef = np.arange(1, q, dtype=np.int16)
-    scaled_cols = [mul[nzcoef[:, None], col[None, :]] for col in cols]  # each (q-1, n-k)
+    scaled_cols = None  # built once the first level fits the budget
 
     swept = 0
     for w in range(1, best_w):
         level = comb(n, w) * (q - 1) ** w
         if swept + level > budget:
             return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
+        if scaled_cols is None:
+            add, mul = field_tables(spec, budget)
+            H = words_to_array(nullspace(basis, n, spec))  # (n-k, n)
+            nzcoef = np.arange(1, q, dtype=np.int16)
+            scaled_cols = [mul[nzcoef[:, None], H[:, j][None, :]] for j in range(n)]  # each (q-1, n-k)
         for support in combinations(range(n), w):
             T = scaled_cols[support[0]]
             for j in support[1:]:

@@ -9,6 +9,10 @@ class NonPrimeError(SkewcodesError):
     """The field characteristic is not an odd prime."""
 
 
+class FieldTooLargeError(SkewcodesError):
+    """q = p^m exceeds gf.MAX_Q, the largest field whose tables are built."""
+
+
 class ReducibleModulusError(SkewcodesError):
     """The supplied modulus polynomial is not irreducible."""
 

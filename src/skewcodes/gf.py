@@ -1,8 +1,24 @@
 """Arithmetic in F_{p^m} for odd p, with the power-of-Frobenius twist x -> x^(p^t).
 
-Elements are digit vectors in the power basis of a user-supplied monic
-irreducible modulus. The canonical integer encoding of an element is
-sum(digits[i] * p**i), least-significant digit first.
+An element is its integer code: the power-basis coordinates of its residue
+modulo a user-supplied monic irreducible polynomial, read as base-p digits
+with the constant coefficient least significant. make_field builds, once per
+field, tables over g, the smallest code that generates the multiplicative
+group (Huber 1990, "Some comments on Zech's logarithms"):
+
+    exp[k] = g^k (stored twice over, so a sum of two logarithms needs no
+             reduction), log[exp[k]] = k,
+    zech[k] = log(1 + g^k) (None where 1 + g^k = 0), neg[c] = code of -c,
+
+plus one FieldElement per code. Every operation is then a few list lookups
+on codes and allocates nothing: x*y = exp[log x + log y] and
+x + y = exp[log x + zech[log y - log x]]. Inverses, powers and the twist
+x -> x^(p^(t*i)) multiply logarithms modulo q - 1.
+
+make_field interns fields: equal (p, m, modulus, t) give the same FieldSpec,
+so a same-field check is an identity test (FieldSpec.__eq__ stays the
+structural fallback). The tables take O(q) memory, so make_field refuses
+q = p^m above MAX_Q before it builds anything.
 """
 
 from __future__ import annotations
@@ -10,13 +26,20 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .errors import (
     BadTwistError,
     DivisionByZeroError,
+    FieldTooLargeError,
     MixedRingsError,
     NonPrimeError,
     ReducibleModulusError,
 )
+
+# The largest field make_field builds: 3^11. Building its tables takes about
+# 0.5 s and keeps about 40 MB (70 MB at the peak of the build).
+MAX_Q = 3 ** 11
 
 
 def _is_prime(n: int) -> bool:
@@ -30,6 +53,20 @@ def _is_prime(n: int) -> bool:
             return False
         i += 2
     return True
+
+
+def _prime_factors(n: int):
+    out = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # --- dense polynomial helpers over F_p (coefficient lists, ascending) ---
@@ -74,10 +111,9 @@ def _pp_gcd(f, g, p):
     return f
 
 
-def _pp_powmod_x(e, mod, p):
-    # x^e mod (mod) by square and multiply; deg mod >= 2 here
+def _pp_powmod(base, e, mod, p):
+    # base^e mod (mod) by square and multiply
     result = [1]
-    base = [0, 1]
     while e:
         if e & 1:
             result = _pp_mulmod(result, base, mod, p)
@@ -100,22 +136,11 @@ def _is_irreducible(modulus, p) -> bool:
                 return False
         return True
     # Rabin: x^(p^m) == x mod f, and gcd(x^(p^(m/r)) - x, f) = 1 for prime r | m
-    xq = _pp_powmod_x(p ** m, modulus, p)
+    xq = _pp_powmod([0, 1], p ** m, modulus, p)
     if _pp_trim([(a - b) % p for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)]):
         return False
-    r = 2
-    mm = m
-    seen = set()
-    while r * r <= mm:
-        if mm % r == 0:
-            seen.add(r)
-            while mm % r == 0:
-                mm //= r
-        r += 1
-    if mm > 1:
-        seen.add(mm)
-    for r in seen:
-        xe = _pp_powmod_x(p ** (m // r), modulus, p)
+    for r in _prime_factors(m):
+        xe = _pp_powmod([0, 1], p ** (m // r), modulus, p)
         diff = _pp_trim([(a - b) % p for a, b in itertools.zip_longest(xe, [0, 1], fillvalue=0)])
         g = _pp_gcd(list(modulus), diff, p)
         if len(g) - 1 != 0:
@@ -123,10 +148,22 @@ def _is_irreducible(modulus, p) -> bool:
     return True
 
 
-class FieldSpec:
-    """Immutable description of F_{p^m} with twist x -> x^(p^t)."""
+def _digits(code: int, p: int, m: int):
+    out = []
+    for _ in range(m):
+        code, r = divmod(code, p)
+        out.append(r)
+    return out
 
-    __slots__ = ("p", "m", "modulus", "t", "q", "k", "_reduction", "_frob_table")
+
+class FieldSpec:
+    """Immutable description of F_{p^m} with twist x -> x^(p^t).
+
+    Build it with make_field. Its tables (see the module docstring) are
+    `exp` (FieldElements, length 2(q-1)), `log`, `zech` and `neg` (codes).
+    """
+
+    __slots__ = ("p", "m", "modulus", "t", "q", "k", "exp", "log", "zech", "neg", "_elems", "_frob_mult")
 
     def __init__(self, p: int, m: int, modulus, t: int):
         self.p = p
@@ -135,78 +172,97 @@ class FieldSpec:
         self.t = t
         self.q = p ** m
         self.k = m // t
-        self._reduction = self._reduction_rows()
-        self._frob_table = None
+        self._build_tables()
 
-    def _reduction_rows(self):
-        # rows[e - m] = digits of x^e reduced by modulus, for e = m .. 2m-2
-        p, m = self.p, self.m
+    def _primitive_code(self) -> int:
+        """Smallest code whose powers give every nonzero element."""
+        p, m, q = self.p, self.m, self.q
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        for code in range(2, q):
+            base = _pp_trim(_digits(code, p, m))
+            if all(_pp_powmod(base, e, self.modulus, p) != [1] for e in cofactors):
+                return code
+        raise AssertionError("the multiplicative group of a finite field is cyclic")
+
+    def _build_tables(self):
+        p, m, q = self.p, self.m, self.q
+        g = _digits(self._primitive_code(), p, m)
+        # times_g[c] = code of c * g, via the matrix of y -> g*y (row i: g*x^i)
         rows = []
-        cur = [(-c) % p for c in self.modulus[:m]]
-        rows.append(tuple(cur))
-        for _ in range(m + 1, 2 * m - 1):
-            carry = cur[m - 1]
-            cur = [0] + cur[: m - 1]
-            if carry:
-                cur = [(cur[i] + carry * rows[0][i]) % p for i in range(m)]
-            rows.append(tuple(cur))
-        return tuple(rows)
+        row = g
+        for _ in range(m):
+            rows.append(row + [0] * (m - len(row)))
+            row = _pp_mulmod(row, [0, 1], self.modulus, p)
+        weights = p ** np.arange(m, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+        times_g = ((digits @ np.array(rows, dtype=np.int64)) % p @ weights).tolist()
+        exp = [0] * (q - 1)
+        c = 1
+        for i in range(q - 1):
+            exp[i] = c
+            c = times_g[c]
+        exp_codes = np.array(exp, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp_codes] = np.arange(q - 1)
+        # adding 1 changes only the constant digit
+        one_plus = np.where(exp_codes % p == p - 1, exp_codes + 1 - p, exp_codes + 1)
+        self.zech = log[one_plus].tolist()
+        self.zech[(q - 1) // 2] = None  # 1 + g^k = 0 exactly when g^k = -1
+        self.log = log.tolist()
+        self.log[0] = None
+        self.neg = ((-digits) % p @ weights).tolist()
+        self._elems = [FieldElement(self, c) for c in range(q)]
+        powers = [self._elems[c] for c in exp]
+        self.exp = powers + powers
+        self._frob_mult = [pow(p, self.t * i, q - 1) for i in range(self.k)]
 
     # --- element constructors ---
 
     def element(self, digits) -> "FieldElement":
-        digits = tuple(int(d) % self.p for d in digits)
+        digits = [int(d) % self.p for d in digits]
         if len(digits) != self.m:
             raise ValueError(f"expected {self.m} digits, got {len(digits)}")
-        return FieldElement(self, digits)
+        code = 0
+        for d in reversed(digits):
+            code = code * self.p + d
+        return self._elems[code]
 
     def constant(self, c: int) -> "FieldElement":
         """The prime-subfield constant c (an integer mod p)."""
-        return FieldElement(self, (c % self.p,) + (0,) * (self.m - 1))
+        return self._elems[c % self.p]
 
     def from_int(self, code: int) -> "FieldElement":
         if not 0 <= code < self.q:
             raise ValueError(f"element code {code} out of range [0, {self.q})")
-        digits = []
-        for _ in range(self.m):
-            code, r = divmod(code, self.p)
-            digits.append(r)
-        return FieldElement(self, tuple(digits))
+        return self._elems[code]
 
     def root(self) -> "FieldElement":
         """The residue class of x, i.e. the adjoined root of the modulus."""
         if self.m == 1:
             return self.constant(-self.modulus[0])
-        return FieldElement(self, (0, 1) + (0,) * (self.m - 2))
+        return self._elems[self.p]
 
     @property
     def zero(self) -> "FieldElement":
-        return self.constant(0)
+        return self._elems[0]
 
     @property
     def one(self) -> "FieldElement":
-        return self.constant(1)
+        return self._elems[1]
 
     def elements(self):
         """All q elements in integer-code order."""
-        for code in range(self.q):
-            yield self.from_int(code)
+        yield from self._elems
 
     def random_element(self, rng: random.Random) -> "FieldElement":
-        return self.from_int(rng.randrange(self.q))
+        return self._elems[rng.randrange(self.q)]
 
     def frob_code(self, code: int) -> int:
         """Image of the element with the given code under x -> x^(p^t)."""
-        if self._frob_table is None:
-            table = []
-            e = self.p ** self.t
-            for c in range(self.q):
-                table.append(self.from_int(c).pow_int(e).to_int())
-            self._frob_table = table
-        return self._frob_table[code]
+        return self.from_int(code).frob().code
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and (self.p, self.m, self.modulus, self.t)
             == (other.p, other.m, other.modulus, other.t)
@@ -219,42 +275,60 @@ class FieldSpec:
         return f"GF({self.p}^{self.m}; t={self.t})"
 
 
+_FIELDS = {}  # (p, m, modulus, t) -> the one FieldSpec built for it
+
+
 def make_field(p: int, m: int, modulus, t: int = 1) -> FieldSpec:
-    """Validate and build a FieldSpec.
+    """Validate and build a FieldSpec, or return the one already built.
 
     modulus is the coefficient list of a monic degree-m polynomial over F_p,
-    ascending (constant term first).
+    ascending (constant term first). q = p^m may be at most MAX_Q.
     """
-    if not _is_prime(p) or p == 2:
+    if p < 3 or p % 2 == 0:
         raise NonPrimeError(f"p = {p} is not an odd prime")
     if m < 1:
         raise ValueError("extension degree m must be positive")
+    q = 1
+    for _ in range(m):  # at most log_3(MAX_Q) + 1 steps, whatever m is
+        q *= p
+        if q > MAX_Q:
+            raise FieldTooLargeError(f"q = {p}^{m} exceeds MAX_Q = {MAX_Q}")
+    if not _is_prime(p):
+        raise NonPrimeError(f"p = {p} is not an odd prime")
     modulus = [int(c) % p for c in modulus]
     if len(modulus) != m + 1 or modulus[-1] != 1:
         raise ReducibleModulusError(
             f"modulus must be monic of degree {m}, got {modulus}"
         )
+    key = (p, m, tuple(modulus), t)
+    spec = _FIELDS.get(key)
+    if spec is not None:
+        return spec
     if not _is_irreducible(modulus, p):
         raise ReducibleModulusError(f"modulus {modulus} is reducible over F_{p}")
     if t < 1 or m % t != 0:
         raise BadTwistError(f"t = {t} does not divide m = {m}")
-    return FieldSpec(p, m, modulus, t)
+    spec = _FIELDS[key] = FieldSpec(p, m, modulus, t)
+    return spec
 
 
 class FieldElement:
-    """Element of F_{p^m} as a digit vector in the power basis."""
+    """Element of F_{p^m}, held as its integer code.
 
-    __slots__ = ("spec", "digits")
+    make_field builds one element per code; operations return those.
+    """
 
-    def __init__(self, spec: FieldSpec, digits: tuple):
+    __slots__ = ("spec", "code")
+
+    def __init__(self, spec: FieldSpec, code: int):
         self.spec = spec
-        self.digits = digits
+        self.code = code
 
     # --- helpers ---
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise MixedRingsError("field elements from different fields")
             return other
         if isinstance(other, int):
@@ -263,69 +337,62 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.digits)
+        return not self.code
+
+    @property
+    def digits(self) -> tuple:
+        """Power-basis coordinates, constant coefficient first."""
+        return tuple(_digits(self.code, self.spec.p, self.spec.m))
 
     def to_int(self) -> int:
-        code = 0
-        for d in reversed(self.digits):
-            code = code * self.spec.p + d
-        return code
+        return self.code
 
     # --- ring operations ---
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.digits, other.digits))
-        )
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(spec, self.code, other.code)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.digits, other.digits))
-        )
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(spec, self.code, spec.neg[other.code])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.digits))
+        spec = self.spec
+        return spec._elems[spec.neg[self.code]]
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         spec = self.spec
-        p, m = spec.p, spec.m
-        conv = [0] * (2 * m - 1)
-        for i, a in enumerate(self.digits):
-            if a:
-                for j, b in enumerate(other.digits):
-                    conv[i + j] = (conv[i + j] + a * b) % p
-        out = conv[:m]
-        for e in range(m, 2 * m - 1):
-            c = conv[e]
-            if c:
-                row = spec._reduction[e - m]
-                for i in range(m):
-                    out[i] = (out[i] + c * row[i]) % p
-        return FieldElement(spec, tuple(out))
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.code, other.code
+        if a and b:
+            log = spec.log
+            return spec.exp[log[a] + log[b]]
+        return spec._elems[0]
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
+        if not self.code:
             raise DivisionByZeroError("zero has no multiplicative inverse")
-        return self.pow_int(self.spec.q - 2)
+        spec = self.spec
+        return spec.exp[spec.q - 1 - spec.log[self.code]]
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -334,43 +401,40 @@ class FieldElement:
         return self * other.inverse()
 
     def pow_int(self, e: int) -> "FieldElement":
+        spec = self.spec
+        if self.code:
+            return spec.exp[spec.log[self.code] * e % (spec.q - 1)]
         if e < 0:
-            return self.inverse().pow_int(-e)
-        result = self.spec.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            raise DivisionByZeroError("zero has no multiplicative inverse")
+        return spec._elems[0 if e else 1]
 
     __pow__ = pow_int
 
     def frob(self, i: int = 1) -> "FieldElement":
-        """Apply x -> x^(p^t) i times (i may be any non-negative integer)."""
-        i %= self.spec.k
-        code = self.to_int()
-        for _ in range(i):
-            code = self.spec.frob_code(code)
-        return self.spec.from_int(code)
+        """Apply x -> x^(p^t) i times (i may be any integer)."""
+        spec = self.spec
+        i %= spec.k
+        if not (i and self.code):
+            return self
+        return spec.exp[spec.log[self.code] * spec._frob_mult[i] % (spec.q - 1)]
 
     # --- comparisons / display ---
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.digits == other.digits
+            return self.code == other.code and (self.spec is other.spec or self.spec == other.spec)
         if isinstance(other, int):
             return self == self.spec.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec.q, self.digits))
+        return hash(self.code)
 
     def __repr__(self):
         terms = []
+        digits = self.digits
         for i in range(self.spec.m - 1, -1, -1):
-            d = self.digits[i]
+            d = digits[i]
             if d == 0:
                 continue
             if i == 0:
@@ -380,3 +444,18 @@ class FieldElement:
                 var = "a" if i == 1 else f"a^{i}"
                 terms.append(coef + var)
         return "+".join(terms) if terms else "0"
+
+
+def _sum(spec: FieldSpec, a: int, b: int) -> FieldElement:
+    """The element with code a plus the element with code b."""
+    if not a:
+        return spec._elems[b]
+    if not b:
+        return spec._elems[a]
+    log = spec.log
+    la = log[a]
+    # a negative index wraps: zech has q - 1 entries
+    z = spec.zech[log[b] - la]
+    if z is None:
+        return spec._elems[0]
+    return spec.exp[la + z]

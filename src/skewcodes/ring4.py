@@ -56,11 +56,11 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise MixedRingsError("ring elements over different fields")
             return other
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise MixedRingsError("ring elements over different fields")
             return RingElement.from_field(other)
         if isinstance(other, int):

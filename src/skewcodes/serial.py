@@ -31,13 +31,27 @@ def load_input(source: str) -> dict:
         raise ParseError(f"malformed JSON input: {exc}") from exc
 
 
+def json_int(obj, what: str, minimum: int | None = None) -> int:
+    """An integer read from JSON input: booleans, floats and strings are refused."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ParseError(f"{what} must be an integer, got {json.dumps(obj)}")
+    if minimum is not None and obj < minimum:
+        raise ParseError(f"{what} must be at least {minimum}, got {obj}")
+    return obj
+
+
 def field_to_json(spec: FieldSpec) -> dict:
     return {"p": spec.p, "m": spec.m, "modulus": list(spec.modulus), "t": spec.t}
 
 
 def field_from_json(obj) -> FieldSpec:
     try:
-        return make_field(int(obj["p"]), int(obj["m"]), list(obj["modulus"]), int(obj.get("t", 1)))
+        return make_field(
+            json_int(obj["p"], "p"),
+            json_int(obj["m"], "m"),
+            [json_int(c, "modulus coefficient") for c in obj["modulus"]],
+            json_int(obj.get("t", 1), "t"),
+        )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad field spec: {exc}") from exc
 
@@ -47,7 +61,7 @@ def element_to_json(x: FieldElement) -> int:
 
 
 def element_from_json(spec: FieldSpec, obj) -> FieldElement:
-    if not isinstance(obj, int):
+    if isinstance(obj, bool) or not isinstance(obj, int):
         raise ParseError(f"field element must be an integer code, got {obj!r}")
     try:
         return spec.from_int(obj)
@@ -110,7 +124,7 @@ def code_from_json(obj):
     """(field, n, alpha, gens) from a {field, n, alpha, gens} object."""
     try:
         field = field_from_json(obj["field"])
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n", 1)
         alpha = ring_from_json(field, obj["alpha"])
         gens = obj["gens"]
     except (KeyError, TypeError) as exc:

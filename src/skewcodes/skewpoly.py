@@ -98,7 +98,7 @@ class SkewPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._zero_coeff()
 
     def _check_compatible(self, other: "SkewPoly"):
-        if self.spec != other.spec or self.ring != other.ring:
+        if (self.spec is not other.spec and self.spec != other.spec) or self.ring != other.ring:
             raise MixedRingsError(
                 f"polynomials over different rings: {self.spec}/{self.ring}"
                 f" vs {other.spec}/{other.ring}"
@@ -160,7 +160,11 @@ class SkewPoly:
     def __eq__(self, other):
         if not isinstance(other, SkewPoly):
             return NotImplemented
-        return self.spec == other.spec and self.ring == other.ring and self.coeffs == other.coeffs
+        return (
+            (self.spec is other.spec or self.spec == other.spec)
+            and self.ring == other.ring
+            and self.coeffs == other.coeffs
+        )
 
     def __hash__(self):
         return hash((self.spec, self.ring, self.coeffs))

@@ -1,4 +1,7 @@
+import copy
 import json
+
+import pytest
 
 from skewcodes.cli import build_parser, main
 
@@ -253,3 +256,73 @@ def test_seed_recorded_in_report(capsys):
     code, report = run_cli(capsys, "verify", "ret2", "--seed", "99", "--trials", "10")
     assert code == 0
     assert report["seed"] == 99
+
+
+def test_budget_env_not_an_integer_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("SKEWCODES_BUDGET", "abc")
+    code, report = run_cli(capsys, "example", "1")
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert "SKEWCODES_BUDGET" in report["result"]["error"]
+
+
+SEARCH_F3 = {"field": {"p": 3, "m": 1, "modulus": [0, 1], "t": 1}, "n": 4, "alpha": 1, "degree": 1}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("n",), ("degree",), ("alpha",), ("field", "p"), ("field", "m"), ("field", "t"), ("field", "modulus", 1)],
+)
+def test_json_booleans_are_not_integers(capsys, path):
+    obj = copy.deepcopy(SEARCH_F3)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = True
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj))
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert "must be an integer" in report["result"]["error"]
+
+
+def test_json_boolean_coefficient_is_not_an_element_code(capsys):
+    obj = json.loads(CODESPEC)
+    obj["gens"] = [{"ring": "fq", "coeffs": [True, 1]}] * 4
+    code, report = run_cli(capsys, "build", "--input", json.dumps(obj))
+    assert code == 2
+    assert report["result"]["error"] == "field element must be an integer code, got True"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("degree", -1, "degree must be at least 0, got -1"),
+    ("n", 0, "n must be at least 1, got 0"),
+])
+def test_divisor_search_rejects_out_of_range_sizes(capsys, key, value, message):
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps({**SEARCH_F3, key: value}))
+    assert code == 2
+    assert report["result"]["error"] == message
+
+
+F243_CODE = {
+    "field": {"p": 3, "m": 5, "modulus": [1, 2, 0, 0, 0, 1], "t": 1},
+    "n": 2,
+    "alpha": 1,
+    "gens": [{"ring": "fq", "coeffs": [2, 1]}] * 4,
+}
+
+
+def test_field_tables_over_the_budget_are_refused(capsys):
+    # the weight-1 sweep (8 * 242 candidates) fits; the 243^2 tables do not
+    code, report = run_cli(capsys, "params", "--input", json.dumps(F243_CODE), "--budget", "50000")
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert "q^2 = 59049" in report["result"]["error"]
+    code, report = run_cli(capsys, "params", "--input", json.dumps(F243_CODE), "--budget", "59049")
+    assert code == 0
+
+
+def test_field_above_max_q_is_an_input_error(capsys):
+    obj = {**SEARCH_F3, "field": {"p": 3, "m": 12, "modulus": [2] + [0] * 10 + [1, 1], "t": 1}}
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj))
+    assert code == 2
+    assert report["result"]["error"] == "q = 3^12 exceeds MAX_Q = 177147"

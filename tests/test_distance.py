@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
 from skewcodes.catalog import get_example
 from skewcodes.codes import build_code
 from skewcodes.distance import field_tables, min_distance
+from skewcodes.errors import BudgetExceededError
+from skewcodes.gf import make_field
 from skewcodes.gray import gray_image_code, hamming_weight
 from skewcodes.linalg import Span
 
@@ -12,11 +16,30 @@ def random_rows(spec, rng, k, n):
 
 
 def test_tables_are_exact(f9):
-    add, mul = field_tables(f9)
-    for i in range(f9.q):
-        for j in range(f9.q):
-            assert add[i, j] == (f9.from_int(i) + f9.from_int(j)).to_int()
-            assert mul[i, j] == (f9.from_int(i) * f9.from_int(j)).to_int()
+    # the element-by-element loop is the reference for the vectorized build;
+    # F81 has the twist t = 2, F7 is a prime field
+    f81, f7 = make_field(3, 4, [2, 0, 0, 1, 1], 2), make_field(7, 1, [0, 1])
+    f243 = make_field(3, 5, [1, 2, 0, 0, 0, 1])
+    for spec in (f9, f81, f7, f243):
+        add, mul = field_tables(spec)
+        for i in range(spec.q):
+            for j in range(spec.q):
+                assert add[i, j] == (spec.from_int(i) + spec.from_int(j)).to_int()
+                assert mul[i, j] == (spec.from_int(i) * spec.from_int(j)).to_int()
+
+
+def test_tables_are_bounded_by_the_budget(f25):
+    with pytest.raises(BudgetExceededError):
+        field_tables(f25, budget=25 ** 2 - 1)
+    add, mul = field_tables(f25, budget=25 ** 2)
+    assert add.shape == mul.shape == (25, 25)
+
+
+def test_distance_refuses_tables_over_the_budget(f25):
+    rng = random.Random(2)
+    rows = random_rows(f25, rng, 1, 4)  # 25 messages, within the budget
+    with pytest.raises(BudgetExceededError):
+        min_distance(rows, f25, budget=600)
 
 
 def test_zero_code_distance_undefined(f9):
