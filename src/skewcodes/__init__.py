@@ -5,7 +5,7 @@ R = F_q + uF_q + vF_q + uvF_q (odd characteristic, u^2 = u, v^2 = v, uv = vu).
 __version__ = "0.1.0"
 
 from .gf import FieldElement, FieldSpec, make_field
-from .ring4 import RingElement, crt_join, crt_split, idempotents, ring_one, ring_zero
+from .ring4 import RingElement, idempotents, ring_one, ring_zero
 from .skewpoly import (
     ModulusSpec,
     SkewPoly,
@@ -45,8 +45,6 @@ __all__ = [
     "FieldSpec",
     "make_field",
     "RingElement",
-    "crt_join",
-    "crt_split",
     "idempotents",
     "ring_one",
     "ring_zero",

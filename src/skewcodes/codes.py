@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec
 from .linalg import inner_product
-from .ring4 import RingElement, idempotents
+from .ring4 import RingElement, idempotents, split_word
 from .skewpoly import (
     ModulusSpec,
     SkewPoly,
@@ -162,15 +162,6 @@ def apply_shift(shift: ShiftKind, word):
 
 
 # --- the code object ---
-
-def split_word(word):
-    """CRT component words of a word over R."""
-    comps = [[], [], [], []]
-    for entry in word:
-        for i, part in enumerate(entry.crt()):
-            comps[i].append(part)
-    return tuple(tuple(c) for c in comps)
-
 
 @dataclass(frozen=True)
 class SkewCode:

@@ -16,12 +16,11 @@ from .codes import (
     ShiftKind,
     apply_shift,
     build_code,
-    split_word,
 )
 from .errors import InconsistentError, NotAUnitError, VerificationError
 from .gf import FieldElement, FieldSpec
 from .linalg import Span, rref
-from .ring4 import RingElement
+from .ring4 import RingElement, split_word
 from .skewpoly import (
     ModulusSpec,
     SkewPoly,

@@ -22,16 +22,12 @@ from .codes import (
 from .errors import HypothesisViolatedError, LengthMismatchError, VerificationError
 from .gf import FieldSpec
 from .linalg import Span
-from .ring4 import RingElement, random_ring_element
+from .ring4 import RingElement, random_ring_element, split_word
 
 
 def gray_map(word):
     """Concatenated CRT component blocks of an R-word."""
-    comps = [[], [], [], []]
-    for entry in word:
-        for i, part in enumerate(entry.crt()):
-            comps[i].append(part)
-    return tuple(comps[0] + comps[1] + comps[2] + comps[3])
+    return sum(split_word(word), ())
 
 
 def gray_inverse(vec, spec: FieldSpec):

@@ -163,12 +163,10 @@ def idempotents(spec: FieldSpec):
     )
 
 
-def crt_split(r: RingElement):
-    return r.crt()
-
-
-def crt_join(spec: FieldSpec, r1, r2, r3, r4) -> RingElement:
-    return RingElement.from_crt(spec, r1, r2, r3, r4)
+def split_word(word):
+    """The four CRT component words of a word over R."""
+    crts = [entry.crt() for entry in word]
+    return tuple(zip(*crts)) if crts else ((), (), (), ())
 
 
 def random_ring_element(spec: FieldSpec, rng: random.Random) -> RingElement:

@@ -28,17 +28,11 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec
 from .linalg import Span
-from .ring4 import RingElement, ring_elements, ring_one, ring_zero
+from .ring4 import RingElement, ring_elements, ring_one, ring_zero, split_word
 
 
 def _is_unit_coeff(c) -> bool:
     return c.is_unit if isinstance(c, RingElement) else not c.is_zero
-
-
-def _coeff_code(c):
-    if isinstance(c, RingElement):
-        return (c.a.to_int(), c.b.to_int(), c.c.to_int(), c.d.to_int())
-    return c.to_int()
 
 
 def is_theta_fixed(c) -> bool:
@@ -240,8 +234,9 @@ class ModulusSpec:
 
 # --- division ---
 
-def right_divmod(f: SkewPoly, g: SkewPoly):
-    """(quot, rem) with f = quot * g + rem and deg rem < deg g."""
+def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
+    """(quot, rem) with f = quot * g + rem and deg rem < deg g, for the
+    twisted product or, with twisted=False, the commutative one."""
     f._check_compatible(g)
     if g.is_zero:
         raise DivisionByZeroPolyError("division by the zero polynomial")
@@ -255,11 +250,16 @@ def right_divmod(f: SkewPoly, g: SkewPoly):
     glead = g.lead
     while not rem.is_zero and rem.degree >= dg:
         d = rem.degree - dg
-        c = rem.lead * glead.frob(d).inverse()
+        c = rem.lead * (glead.frob(d) if twisted else glead).inverse()
         term = SkewPoly(f.spec, f.ring, [f._zero_coeff()] * d + [c])
         quot = quot + term
-        rem = rem - term * g
+        rem = rem - (term * g if twisted else c_mul(term, g))
     return quot, rem
+
+
+def right_divmod(f: SkewPoly, g: SkewPoly):
+    """(quot, rem) with f = quot * g + rem and deg rem < deg g."""
+    return _divmod(f, g, twisted=True)
 
 
 def reduce_mod(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
@@ -273,10 +273,15 @@ def is_right_divisor(g: SkewPoly, mod: ModulusSpec) -> bool:
 
 
 def _monic_right_factors(f: SkewPoly, degree: int):
-    """All monic degree-`degree` right divisors of an arbitrary polynomial f."""
+    """All monic degree-`degree` right divisors of an arbitrary polynomial f.
+
+    Plain exhaustive enumeration over code-ordered coefficients, so the
+    divisors come out in lexicographic coefficient order (ascending powers,
+    integer element codes).
+    """
     spec = f.spec
     elems = list(ring_elements(spec)) if f.ring == "R" else list(spec.elements())
-    lead = ring_one(spec) if f.ring == "R" else spec.one
+    lead = f._one_coeff()
     out = []
     for lower in itertools.product(elems, repeat=degree):
         g = SkewPoly(spec, f.ring, list(lower) + [lead])
@@ -293,10 +298,8 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     factor. The chain x^n - alpha = cofactor * divisor makes every
     intermediate divisor a genuine right divisor.
     """
-    spec = mod.spec
-    one = ring_one(spec) if mod.ring == "R" else spec.one
-    divisor = SkewPoly(spec, mod.ring, [one])
     cofactor = mod.poly()
+    divisor = SkewPoly(mod.spec, mod.ring, [cofactor._one_coeff()])
     while (divisor.degree or 0) < degree and cofactor.degree > 0:
         remaining = degree - divisor.degree
         candidates = []
@@ -315,30 +318,19 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
 
 
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = 10**7):
-    """All monic right divisors of x^n - alpha of the given degree.
+    """All monic right divisors of x^n - alpha of the given degree, in the
+    order of _monic_right_factors.
 
-    Plain exhaustive enumeration, returned in lexicographic coefficient order
-    (ascending powers, integer element codes).
+    The candidate count is checked against the budget before anything is
+    enumerated.
     """
-    spec = mod.spec
-    if mod.ring == "R":
-        elems = list(ring_elements(spec))
-    else:
-        elems = list(spec.elements())
-    count = len(elems) ** degree
+    q = mod.spec.q
+    count = (q ** 4 if mod.ring == "R" else q) ** degree
     if count > budget:
         raise BudgetExceededError(
             f"{count} candidates exceed the budget of {budget}"
         )
-    lead = ring_one(spec) if mod.ring == "R" else spec.one
-    modulus_poly = mod.poly()
-    out = []
-    for lower in itertools.product(elems, repeat=degree):
-        g = SkewPoly(spec, mod.ring, list(lower) + [lead])
-        if right_divmod(modulus_poly, g)[1].is_zero:
-            out.append(g)
-    out.sort(key=lambda h: tuple(_coeff_code(c) for c in h.coeffs))
-    return out
+    return _monic_right_factors(mod.poly(), degree)
 
 
 # --- word <-> polynomial ---
@@ -393,22 +385,8 @@ def c_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
 
 
 def c_divmod(f: SkewPoly, g: SkewPoly):
-    f._check_compatible(g)
-    if g.is_zero:
-        raise DivisionByZeroPolyError("division by the zero polynomial")
-    if not _is_unit_coeff(g.lead):
-        raise NonUnitLeadingCoeffError("divisor leading coefficient is not a unit")
-    quot = SkewPoly.zero(f.spec, f.ring)
-    rem = f
-    dg = g.degree
-    ginv = g.lead.inverse()
-    while not rem.is_zero and rem.degree >= dg:
-        d = rem.degree - dg
-        c = rem.lead * ginv
-        term = SkewPoly(f.spec, f.ring, [f._zero_coeff()] * d + [c])
-        quot = quot + term
-        rem = rem - c_mul(term, g)
-    return quot, rem
+    """(quot, rem) with f = quot g + rem under the commutative product."""
+    return _divmod(f, g, twisted=False)
 
 
 def c_xgcd(a: SkewPoly, b: SkewPoly):
@@ -508,8 +486,4 @@ def component_polys(f: SkewPoly):
     """The four CRT component polynomials of an R-polynomial."""
     if f.ring != "R":
         raise MixedRingsError("expected a polynomial over R")
-    comps = [[], [], [], []]
-    for c in f.coeffs:
-        for i, part in enumerate(c.crt()):
-            comps[i].append(part)
-    return tuple(SkewPoly(f.spec, "fq", comp) for comp in comps)
+    return tuple(SkewPoly(f.spec, "fq", comp) for comp in split_word(f.coeffs))

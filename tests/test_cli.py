@@ -95,6 +95,14 @@ def test_verify_empty_is_ok(capsys):
     assert report["result"] == {"suites": {}, "pass": True}
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_needs_at_least_one_trial(capsys, trials):
+    code, report = run_cli(capsys, "verify", "gray-commutation", "--trials", trials)
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert report["result"] == {"error": f"trials must be at least 1, got {trials}"}
+
+
 def test_verify_unknown_suite(capsys):
     code, report = run_cli(capsys, "verify", "nonsense")
     assert code == 2

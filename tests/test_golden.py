@@ -75,6 +75,14 @@ CASES = {
     "verify_gray_decomposition": [
         "verify", "gray-commutation", "decomposition", "--seed", "7", "--trials", "20",
     ],
+    "verify_ret_dual_contract": ["verify", "ret1", "ret2", "dual-contract"],
+    "build_f25": _with_input("build", CODE_F25),
+    "idempotent_gens_f9": _with_input(
+        "idempotent",
+        {"field": F9, "n": 5, "alpha": 1, "gens": [{"ring": "fq", "coeffs": [2, 1]}] * 4},
+    ),
+    "params_f25_table": _with_input("params", CODE_F25) + ["--table"],
+    "example4_table": ["example", "4", "--table"],
 }
 
 

@@ -193,6 +193,16 @@ def test_divisor_search_budget(f25):
         right_divisor_search(ModulusSpec(4, f25.one), 3, budget=100)
 
 
+def test_divisor_search_over_r_checks_budget_before_enumerating(f27, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("ring elements listed before the budget check")
+
+    monkeypatch.setattr("skewcodes.skewpoly.ring_elements", refuse)
+    alpha = RingElement.from_ints(f27, 1)
+    with pytest.raises(BudgetExceededError, match="531441 candidates"):
+        right_divisor_search(ModulusSpec(4, alpha), 1, budget=10)
+
+
 def test_divisor_search_is_sorted(f9):
     found = right_divisor_search(ModulusSpec(4, f9.one), 2)
     keys = [tuple(c.to_int() for c in g.coeffs) for g in found]
