@@ -4,7 +4,7 @@ R splits as F_q^4 through the orthogonal idempotents
     e1 = 1 - u - v + uv,  e2 = u - uv,  e3 = v - uv,  e4 = uv,
 and every r = a + ub + vc + uvd satisfies
     r = e1*a + e2*(a+b) + e3*(a+c) + e4*(a+b+c+d).
-The 4-tuple (a, a+b, a+c, a+b+c+d) is the CRT view used throughout.
+The 4-tuple (a, a+b, a+c, a+b+c+d) is the CRT view; RingElement stores it.
 """
 
 from __future__ import annotations
@@ -17,16 +17,40 @@ from .gf import FieldElement, FieldSpec
 
 
 class RingElement:
-    """Element of R in the standard basis (a, b, c, d)."""
+    """Element of R, held as its CRT view (r1, r2, r3, r4) = (a, a+b, a+c, a+b+c+d).
 
-    __slots__ = ("a", "b", "c", "d")
+    Arithmetic is componentwise on the view, four field operations each. The
+    e_i have prime-field coefficients, so the twist fixes them and acts on
+    each component separately. The constructor takes the standard-basis
+    coordinates (a, b, c, d); the properties a, b, c, d compute them back.
+    """
+
+    __slots__ = ("_crt",)
 
     def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
-        self.a, self.b, self.c, self.d = a, b, c, d
+        ab = a + b
+        self._crt = (a, ab, a + c, ab + c + d)
 
     @property
     def spec(self) -> FieldSpec:
-        return self.a.spec
+        return self._crt[0].spec
+
+    @property
+    def a(self) -> FieldElement:
+        return self._crt[0]
+
+    @property
+    def b(self) -> FieldElement:
+        return self._crt[1] - self._crt[0]
+
+    @property
+    def c(self) -> FieldElement:
+        return self._crt[2] - self._crt[0]
+
+    @property
+    def d(self) -> FieldElement:
+        r1, r2, r3, r4 = self._crt
+        return r4 - r2 - r3 + r1
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, a=0, b=0, c=0, d=0) -> "RingElement":
@@ -35,22 +59,16 @@ class RingElement:
 
     @classmethod
     def from_field(cls, x: FieldElement) -> "RingElement":
-        z = x.spec.zero
-        return cls(x, z, z, z)
+        return _of((x, x, x, x))
 
     @classmethod
     def from_crt(cls, spec: FieldSpec, r1, r2, r3, r4) -> "RingElement":
         conv = lambda x: x if isinstance(x, FieldElement) else spec.constant(x)
-        r1, r2, r3, r4 = conv(r1), conv(r2), conv(r3), conv(r4)
-        a = r1
-        b = r2 - r1
-        c = r3 - r1
-        d = r4 - r2 - r3 + r1
-        return cls(a, b, c, d)
+        return _of((conv(r1), conv(r2), conv(r3), conv(r4)))
 
     def crt(self):
         """CRT view (a, a+b, a+c, a+b+c+d)."""
-        return (self.a, self.a + self.b, self.a + self.c, self.a + self.b + self.c + self.d)
+        return self._crt
 
     # --- arithmetic ---
 
@@ -68,70 +86,76 @@ class RingElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RingElement(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        if other.__class__ is not RingElement or other._crt[0].spec is not self._crt[0].spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        s1, s2, s3, s4 = self._crt
+        o1, o2, o3, o4 = other._crt
+        return _of((s1 + o1, s2 + o2, s3 + o3, s4 + o4))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RingElement(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        if other.__class__ is not RingElement or other._crt[0].spec is not self._crt[0].spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        s1, s2, s3, s4 = self._crt
+        o1, o2, o3, o4 = other._crt
+        return _of((s1 - o1, s2 - o2, s3 - o3, s4 - o4))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return RingElement(-self.a, -self.b, -self.c, -self.d)
+        s1, s2, s3, s4 = self._crt
+        return _of((-s1, -s2, -s3, -s4))
 
     def __mul__(self, other):
-        # componentwise in the CRT view; direct-expansion cross-check lives in tests
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        s, o = self.crt(), other.crt()
-        return RingElement.from_crt(self.spec, s[0] * o[0], s[1] * o[1], s[2] * o[2], s[3] * o[3])
+        if other.__class__ is not RingElement or other._crt[0].spec is not self._crt[0].spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        s1, s2, s3, s4 = self._crt
+        o1, o2, o3, o4 = other._crt
+        return _of((s1 * o1, s2 * o2, s3 * o3, s4 * o4))
 
     __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
-        return self.a.is_zero and self.b.is_zero and self.c.is_zero and self.d.is_zero
+        r1, r2, r3, r4 = self._crt
+        return r1.is_zero and r2.is_zero and r3.is_zero and r4.is_zero
 
     @property
     def is_unit(self) -> bool:
-        return all(not comp.is_zero for comp in self.crt())
+        return not any(comp.is_zero for comp in self._crt)
 
     def inverse(self) -> "RingElement":
-        comps = self.crt()
-        if any(comp.is_zero for comp in comps):
+        if not self.is_unit:
             raise NotAUnitError(f"{self!r} is not a unit: CRT view {self.crt_ints()}")
-        return RingElement.from_crt(self.spec, *(comp.inverse() for comp in comps))
+        return _of(tuple(comp.inverse() for comp in self._crt))
 
     def frob(self, i: int = 1) -> "RingElement":
-        return RingElement(self.a.frob(i), self.b.frob(i), self.c.frob(i), self.d.frob(i))
+        s1, s2, s3, s4 = self._crt
+        return _of((s1.frob(i), s2.frob(i), s3.frob(i), s4.frob(i)))
 
     def crt_ints(self):
-        return tuple(comp.to_int() for comp in self.crt())
+        return tuple(comp.to_int() for comp in self._crt)
 
     # --- comparisons / display ---
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
-            return (
-                self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d
-            )
+            return self._crt == other._crt
         if isinstance(other, (FieldElement, int)):
             other = self._coerce(other)
             return self == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self._crt)
 
     def __repr__(self):
         parts = []
@@ -143,6 +167,13 @@ class RingElement:
                 s = sym if s == "1" else (f"({s}){sym}" if "+" in s else f"{s}{sym}")
             parts.append(s)
         return " + ".join(parts) if parts else "0"
+
+
+def _of(view) -> RingElement:
+    """The element whose CRT view is the 4-tuple `view`, stored as given."""
+    r = object.__new__(RingElement)
+    r._crt = view
+    return r
 
 
 def ring_zero(spec: FieldSpec) -> RingElement:

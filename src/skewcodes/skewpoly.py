@@ -28,7 +28,9 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec
 from .linalg import Span
-from .ring4 import RingElement, ring_elements, ring_one, ring_zero, split_word
+from .ring4 import RingElement, ring_one, ring_zero, split_word
+# No search here lists R; the name stays bound so that tests can patch it.
+from .ring4 import ring_elements  # noqa: F401
 
 
 def _is_unit_coeff(c) -> bool:
@@ -273,18 +275,30 @@ def is_right_divisor(g: SkewPoly, mod: ModulusSpec) -> bool:
 
 
 def _monic_right_factors(f: SkewPoly, degree: int):
-    """All monic degree-`degree` right divisors of an arbitrary polynomial f.
+    """All monic degree-`degree` right divisors of an arbitrary polynomial f,
+    in lexicographic coefficient order: ascending powers, each coefficient
+    by its integer element code, or over R by its (a, b, c, d) codes.
 
-    Plain exhaustive enumeration over code-ordered coefficients, so the
-    divisors come out in lexicographic coefficient order (ascending powers,
-    integer element codes).
+    Over F_q this is exhaustive enumeration. Over R it is four searches over
+    F_q, one per CRT component, since a monic g right-divides f exactly when
+    each component g_i right-divides f_i. Every combination of component
+    divisors is then certified by one right division over R.
     """
+    if f.ring == "R":
+        out = []
+        found = [_monic_right_factors(fi, degree) for fi in component_polys(f)]
+        for parts in itertools.product(*found):
+            g = from_components(*parts)
+            if not right_divmod(f, g)[1].is_zero:
+                raise VerificationError(f"assembled divisor {g!r} does not right-divide {f!r}")
+            out.append(g)
+        out.sort(key=lambda g: [(c.a.code, c.b.code, c.c.code, c.d.code) for c in g.coeffs])
+        return out
     spec = f.spec
-    elems = list(ring_elements(spec)) if f.ring == "R" else list(spec.elements())
-    lead = f._one_coeff()
+    elems = list(spec.elements())
     out = []
     for lower in itertools.product(elems, repeat=degree):
-        g = SkewPoly(spec, f.ring, list(lower) + [lead])
+        g = SkewPoly(spec, "fq", list(lower) + [spec.one])
         if right_divmod(f, g)[1].is_zero:
             out.append(g)
     return out
@@ -317,19 +331,27 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     return divisor
 
 
+# Python's default limit on the digits of an int converted to str: a larger
+# candidate count is printed as a power.
+_PRINTED_DIGITS = 4300
+
+
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = 10**7):
     """All monic right divisors of x^n - alpha of the given degree, in the
     order of _monic_right_factors.
 
-    The candidate count is checked against the budget before anything is
+    None exists above degree n. Otherwise the candidate count, q^degree or
+    q^(4*degree) over R, is checked against the budget before anything is
     enumerated.
     """
+    if degree > mod.n:
+        return []
     q = mod.spec.q
-    count = (q ** 4 if mod.ring == "R" else q) ** degree
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} candidates exceed the budget of {budget}"
-        )
+    exponent = 4 * degree if mod.ring == "R" else degree
+    # q >= 3, so q**exponent > budget once exponent reaches budget's bit length
+    if exponent >= budget.bit_length() or q ** exponent > budget:
+        count = q ** exponent if exponent * math.log10(q) < _PRINTED_DIGITS else f"{q}^{exponent}"
+        raise BudgetExceededError(f"{count} candidates exceed the budget of {budget}")
     return _monic_right_factors(mod.poly(), degree)
 
 

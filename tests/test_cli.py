@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 
@@ -309,6 +310,26 @@ def test_divisor_search_rejects_out_of_range_sizes(capsys, key, value, message):
     code, report = run_cli(capsys, "divisor-search", "--input", json.dumps({**SEARCH_F3, key: value}))
     assert code == 2
     assert report["result"]["error"] == message
+
+
+@pytest.mark.parametrize("alpha", [1, {"crt": [1, 1, 1, 1]}])
+def test_divisor_search_above_degree_n_is_empty(capsys, alpha):
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, "divisor-search", "--input", json.dumps({**SEARCH_F3, "alpha": alpha, "degree": 3000000})
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert report["result"]["count"] == 0
+
+
+def test_divisor_search_count_too_long_to_print_is_refused(capsys):
+    obj = {**SEARCH_F3, "n": 10000, "degree": 10000}
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj), "--budget", "10000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert report["result"]["error"] == "3^10000 candidates exceed the budget of 10000000"
 
 
 F243_CODE = {

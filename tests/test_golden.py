@@ -27,6 +27,7 @@ F81T2 = {"p": 3, "m": 4, "modulus": [2, 0, 0, 1, 1], "t": 2}
 F27 = {"p": 3, "m": 3, "modulus": [1, 2, 0, 1], "t": 1}
 F9 = {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1}
 F3 = {"p": 3, "m": 1, "modulus": [0, 1], "t": 1}
+F5 = {"p": 5, "m": 1, "modulus": [0, 1], "t": 1}
 
 CODE_F25 = {
     "field": F25,
@@ -68,6 +69,12 @@ CASES = {
     ),
     "divisor_search_r_f3": _with_input(
         "divisor-search", {"field": F3, "n": 4, "alpha": {"crt": [1, 1, 1, 1]}, "degree": 1}
+    ),
+    "divisor_search_r_f9": _with_input(
+        "divisor-search", {"field": F9, "n": 3, "alpha": {"crt": [1, 2, 2, 1]}, "degree": 1}
+    ),
+    "divisor_search_r_f5": _with_input(
+        "divisor-search", {"field": F5, "n": 2, "alpha": {"crt": [1, 4, 1, 4]}, "degree": 1}
     ),
     "idempotent_f9": _with_input(
         "idempotent", {"field": F9, "n": 5, "alpha": 1, "f": {"ring": "fq", "coeffs": [2, 1]}}

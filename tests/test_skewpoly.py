@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -201,6 +202,81 @@ def test_divisor_search_over_r_checks_budget_before_enumerating(f27, monkeypatch
     alpha = RingElement.from_ints(f27, 1)
     with pytest.raises(BudgetExceededError, match="531441 candidates"):
         right_divisor_search(ModulusSpec(4, alpha), 1, budget=10)
+
+
+def test_divisor_search_budget_refusals_print_the_count(f3):
+    """Counts of up to 4300 digits print in full; larger ones as a power."""
+    assert len(str(3 ** 9012)) == 4300
+    with pytest.raises(BudgetExceededError) as refusal:
+        right_divisor_search(ModulusSpec(9012, f3.one), 9012)
+    assert str(refusal.value) == f"{3 ** 9012} candidates exceed the budget of {10 ** 7}"
+    with pytest.raises(BudgetExceededError, match=r"^3\^9013 candidates exceed the budget of 10000000$"):
+        right_divisor_search(ModulusSpec(9013, f3.one), 9013)
+    with pytest.raises(BudgetExceededError, match=r"^3\^40000 candidates"):
+        right_divisor_search(ModulusSpec(10000, RingElement.from_ints(f3, 1)), 10000)
+
+
+def test_divisor_search_above_degree_n_is_empty_whatever_the_budget(f3):
+    for alpha in (f3.one, RingElement.from_ints(f3, 1)):
+        assert right_divisor_search(ModulusSpec(2, alpha), 3, budget=1) == []
+        with pytest.raises(BudgetExceededError):
+            right_divisor_search(ModulusSpec(2, alpha), 2, budget=1)
+
+
+def linear_right_divisors_by_norm(spec, n, alpha):
+    """Every monic x + r over R that right-divides x^n - alpha, r in (a, b, c, d)
+    code order, by brute force over all q^4 values of r.
+
+    On right division by x - s, x^n leaves the remainder
+    N_n(s) = theta^(n-1)(s) ... theta(s) s, so x - s right-divides x^n - alpha
+    exactly when N_n(s) = alpha.
+    """
+    out = []
+    for abcd in itertools.product(list(spec.elements()), repeat=4):
+        r = RingElement(*abcd)
+        norm = -r
+        for _ in range(n - 1):
+            norm = norm.frob(1) * -r
+        if norm == alpha:
+            out.append(r_poly(spec, [r, 1]))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_divisor_search_over_r_matches_brute_force(p):
+    spec = make_field(p, 1, [0, 1])
+    for n in (2, 3, 4):
+        for signs in itertools.product((1, -1), repeat=4):
+            mod = ModulusSpec(n, RingElement.from_crt(spec, *signs))
+            assert right_divisor_search(mod, 1) == linear_right_divisors_by_norm(spec, n, mod.alpha)
+
+
+def test_random_right_divisor_over_r(f3, f9):
+    rng = random.Random(11)
+    for spec, lengths in ((f3, (2, 3, 4)), (make_field(5, 1, [0, 1]), (2, 3, 4)), (f9, (2, 3))):
+        for n in lengths:
+            for signs in ((1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, -1, -1)):
+                mod = ModulusSpec(n, RingElement.from_crt(spec, *signs))
+                g = random_right_divisor(mod, rng, rng.randint(1, n))
+                assert g.ring == "R" and g.is_monic
+                assert is_right_divisor(g, mod)
+
+
+def test_divisor_search_over_r_never_lists_r(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("all of R listed")
+
+    monkeypatch.setattr("skewcodes.ring4.ring_elements", refuse)
+    monkeypatch.setattr("skewcodes.skewpoly.ring_elements", refuse)
+    f5 = make_field(5, 1, [0, 1])
+    constants = [f5.constant(c) for c in (1, 2, 3, 4)]
+    # cubing is a bijection of F_5, so each x^3 - c has exactly one root rho,
+    # and x^3 - c = (x^2 + rho x + rho^2)(x - rho)
+    roots = [next(x for x in f5.elements() if x ** 3 == c) for c in constants]
+    rho = RingElement.from_crt(f5, *roots)
+    mod = ModulusSpec(3, RingElement.from_crt(f5, *constants))
+    assert right_divisor_search(mod, 1) == [r_poly(f5, [-rho, 1])]
+    assert right_divisor_search(mod, 2) == [r_poly(f5, [rho * rho, rho, 1])]
 
 
 def test_divisor_search_is_sorted(f9):
