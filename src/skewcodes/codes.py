@@ -29,7 +29,6 @@ from .skewpoly import (
     ModulusSpec,
     SkewPoly,
     dual_generator,
-    from_components,
     generator_basis_words,
     right_divmod,
     word_to_poly,
@@ -208,9 +207,6 @@ class SkewCode:
             if not rem.is_zero:
                 return False
         return True
-
-    def assembled_generator(self) -> SkewPoly:
-        return from_components(*self.gens)
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.gens)

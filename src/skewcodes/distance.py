@@ -40,21 +40,13 @@ def field_tables(spec: FieldSpec, budget: int = DEFAULT_BUDGET):
 
 @functools.lru_cache(maxsize=None)
 def _field_tables(spec: FieldSpec):
-    # From the kernel's log/Zech tables: for nonzero x, y,
-    # x*y = exp[log x + log y] and x+y = exp[log x + zech[log y - log x]].
-    q = spec.q
-    exp = np.array([x.code for x in spec.exp] + [0] * (q - 1), dtype=np.int16)
-    zero_sum = len(spec.exp)  # any index from here on reads code 0
-    log = np.array([0] + spec.log[1:], dtype=np.int32)[:, None]
-    zech = np.array([zero_sum if z is None else z for z in spec.zech], dtype=np.int32)
+    # From the kernel's arrays (gf.FieldArrays), which cover zero too:
+    # x*y = exp[log x + log y] and x+y = exp[log x + plus[log y - log x + zero]].
+    arrays = spec.arrays()
+    exp = arrays.exp.astype(np.int16)
+    log = arrays.log[:, None]
     mul = exp[log + log.T]
-    idx = (log.T - log) % (q - 1)
-    idx = zech[idx]
-    idx += log
-    add = exp[idx]
-    codes = np.arange(q, dtype=np.int16)
-    mul[0, :] = mul[:, 0] = 0
-    add[0, :] = add[:, 0] = codes
+    add = exp[log + arrays.plus[(log.T + arrays.zero) - log]]
     return add, mul
 
 
@@ -88,10 +80,6 @@ class DistanceResult:
         if self.witness is not None:
             out["witness"] = [c.to_int() for c in self.witness]
         return out
-
-
-def _weight(row) -> int:
-    return int(np.count_nonzero(row))
 
 
 def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> DistanceResult:

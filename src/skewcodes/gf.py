@@ -18,7 +18,9 @@ x -> x^(p^(t*i)) multiply logarithms modulo q - 1.
 make_field interns fields: equal (p, m, modulus, t) give the same FieldSpec,
 so a same-field check is an identity test (FieldSpec.__eq__ stays the
 structural fallback). The tables take O(q) memory, so make_field refuses
-q = p^m above MAX_Q before it builds anything.
+q = p^m above MAX_Q before it builds anything. FieldSpec.arrays() gives the
+same tables as numpy arrays (FieldArrays), built on first use, for
+arithmetic on many elements at once.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ class FieldSpec:
     `exp` (FieldElements, length 2(q-1)), `log`, `zech` and `neg` (codes).
     """
 
-    __slots__ = ("p", "m", "modulus", "t", "q", "k", "exp", "log", "zech", "neg", "_elems", "_frob_mult")
+    __slots__ = (
+        "p", "m", "modulus", "t", "q", "k", "exp", "log", "zech", "neg", "_elems", "_frob_mult", "_arrays",
+    )
 
     def __init__(self, p: int, m: int, modulus, t: int):
         self.p = p
@@ -172,6 +176,7 @@ class FieldSpec:
         self.t = t
         self.q = p ** m
         self.k = m // t
+        self._arrays = None
         self._build_tables()
 
     def _primitive_code(self) -> int:
@@ -215,6 +220,12 @@ class FieldSpec:
         powers = [self._elems[c] for c in exp]
         self.exp = powers + powers
         self._frob_mult = [pow(p, self.t * i, q - 1) for i in range(self.k)]
+
+    def arrays(self) -> "FieldArrays":
+        """The tables as numpy arrays, built on first use."""
+        if self._arrays is None:
+            self._arrays = FieldArrays(self)
+        return self._arrays
 
     # --- element constructors ---
 
@@ -273,6 +284,48 @@ class FieldSpec:
 
     def __repr__(self):
         return f"GF({self.p}^{self.m}; t={self.t})"
+
+
+class FieldArrays:
+    """A field's tables as int32 numpy arrays, for batched arithmetic.
+
+    Arithmetic runs on logarithms, with zero = 2(q-1) standing for the
+    logarithm of 0, so that no table needs a special case for zero:
+
+        log[c]           logarithm of the element with code c (log[0] = zero)
+        exp[k]           code of g^k for k < 2(q-1), code 0 up to k = 4(q-1):
+                         exp[log x + log y] is the code of x*y
+        wrap[k]          k mod (q-1) for k < 2(q-1), zero up to k = 4(q-1):
+                         wrap[log x + log y] = log(x*y)
+        plus[k + zero]   for k = log y - log x:
+                         wrap[log x + plus[log y - log x + zero]] = log(x+y)
+        frob[l]          logarithm of the twist x -> x^(p^t) of the element
+                         with logarithm l (frob[zero] = zero)
+
+    and half = (q-1)/2, the logarithm of -1: wrap[l + half] = log(-x).
+    """
+
+    __slots__ = ("zero", "half", "log", "exp", "wrap", "plus", "frob")
+
+    def __init__(self, spec: FieldSpec):
+        q = spec.q
+        zero = self.zero = 2 * (q - 1)
+        self.half = (q - 1) // 2
+        top = 2 * zero + 1  # log x + log y <= 4(q-1)
+        log = self.log = np.array([zero] + spec.log[1:], dtype=np.int32)
+        exp = self.exp = np.zeros(top, dtype=np.int32)
+        exp[log[1:]] = np.arange(1, q)
+        exp[q - 1:zero] = exp[:q - 1]
+        wrap = self.wrap = np.arange(top, dtype=np.int32)
+        wrap[:zero] %= q - 1
+        wrap[zero:] = zero
+        zech = np.array([zero if z is None else z for z in spec.zech], dtype=np.int32)
+        # index k + zero: k < -(q-2) means x = 0, k > q-2 means y = 0
+        plus = self.plus = np.zeros(top, dtype=np.int32)
+        plus[:q - 1] = np.arange(q - 1) - zero
+        plus[q:3 * q - 3] = zech[np.arange(2 - q, q - 1) % (q - 1)]
+        frob = self.frob = np.full(zero + 1, zero, dtype=np.int32)
+        frob[:q - 1] = np.arange(q - 1, dtype=np.int64) * pow(spec.p, spec.t, q - 1) % (q - 1)
 
 
 _FIELDS = {}  # (p, m, modulus, t) -> the one FieldSpec built for it

@@ -56,10 +56,6 @@ def field_from_json(obj) -> FieldSpec:
         raise ParseError(f"bad field spec: {exc}") from exc
 
 
-def element_to_json(x: FieldElement) -> int:
-    return x.to_int()
-
-
 def element_from_json(spec: FieldSpec, obj) -> FieldElement:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ParseError(f"field element must be an integer code, got {obj!r}")

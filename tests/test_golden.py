@@ -28,6 +28,7 @@ F27 = {"p": 3, "m": 3, "modulus": [1, 2, 0, 1], "t": 1}
 F9 = {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1}
 F3 = {"p": 3, "m": 1, "modulus": [0, 1], "t": 1}
 F5 = {"p": 5, "m": 1, "modulus": [0, 1], "t": 1}
+F125 = {"p": 5, "m": 3, "modulus": [3, 3, 0, 1], "t": 1}
 
 CODE_F25 = {
     "field": F25,
@@ -66,6 +67,15 @@ CASES = {
     },
     "divisor_search_f27": _with_input(
         "divisor-search", {"field": F27, "n": 6, "alpha": 1, "degree": 2}
+    ),
+    "divisor_search_f81t2": _with_input(
+        "divisor-search", {"field": F81T2, "n": 3, "alpha": 5, "degree": 2}
+    ),
+    "divisor_search_f125": _with_input(
+        "divisor-search", {"field": F125, "n": 5, "alpha": 7, "degree": 2}
+    ),
+    "divisor_search_f9_degree3": _with_input(
+        "divisor-search", {"field": F9, "n": 6, "alpha": 2, "degree": 3}
     ),
     "divisor_search_r_f3": _with_input(
         "divisor-search", {"field": F3, "n": 4, "alpha": {"crt": [1, 1, 1, 1]}, "degree": 1}
