@@ -20,9 +20,7 @@ from .skewpoly import (
     right_divmod,
 )
 from .codes import (
-    ShiftKind,
     SkewCode,
-    apply_shift,
     build_code,
     dual_code,
     is_closed_under,
@@ -31,9 +29,6 @@ from .codes import (
 )
 from .gray import gray_image_code, gray_map, gray_permuted, lee_weight
 from .decomp import (
-    ComponentCode,
-    ComponentQuadruple,
-    assemble,
     components_from_words,
     extract_components,
     verify_decomposition_theorem,
@@ -59,9 +54,7 @@ __all__ = [
     "r_poly",
     "right_divisor_search",
     "right_divmod",
-    "ShiftKind",
     "SkewCode",
-    "apply_shift",
     "build_code",
     "dual_code",
     "is_closed_under",
@@ -71,9 +64,6 @@ __all__ = [
     "gray_map",
     "gray_permuted",
     "lee_weight",
-    "ComponentCode",
-    "ComponentQuadruple",
-    "assemble",
     "components_from_words",
     "extract_components",
     "verify_decomposition_theorem",

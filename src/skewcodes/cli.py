@@ -18,12 +18,13 @@ import sys
 from . import __version__
 from .catalog import field_f9, field_f25, field_f27, get_example
 from .codes import (
-    ShiftKind,
     build_code,
     constacyclic_shift,
     dual_code,
     is_closed_under,
+    quasi_twist_shift,
     self_dual_report,
+    skew_constacyclic_shift,
 )
 from .decomp import (
     ModuleSpan,
@@ -68,8 +69,6 @@ from .skewpoly import (
 
 INPUT_ERRORS = (SkewcodesError, KeyError, ValueError)
 
-SUITE_NAMES = ("gray-commutation", "ret1", "ret2", "decomposition", "dual-contract")
-
 
 def _require_input(args):
     if not args.input:
@@ -101,10 +100,10 @@ def _closures(code):
     """Closure under tau_alpha and under the quasi-twist of index gcd(n, k)."""
     l = math.gcd(code.n, code.field.k)
     return {
-        "tau": is_closed_under(code, ShiftKind.tau(code.alpha)),
+        "tau": is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha)),
         "quasi_twist": {
             "index": l,
-            "closed": is_closed_under(code, ShiftKind.quasi_twist(code.alpha, l)),
+            "closed": is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, l)),
         },
     }
 
@@ -152,7 +151,9 @@ def _untwisted_closure(gen, n, alpha, field):
 def cmd_build(args):
     code = _input_code(args)
     result = _code_summary(code)
-    result["closures"] = {"tau": is_closed_under(code, ShiftKind.tau(code.alpha))}
+    result["closures"] = {
+        "tau": is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+    }
     return result, list(code.warnings), []
 
 
@@ -162,7 +163,9 @@ def cmd_params(args):
     _gray_params(result, code, args.budget)
     closures = _closures(code)
     if math.gcd(code.n, code.field.k) == 1:
-        closures["untwisted_constacyclic"] = is_closed_under(code, ShiftKind.consta(code.alpha))
+        closures["untwisted_constacyclic"] = is_closed_under(
+            code, lambda w: constacyclic_shift(w, code.alpha)
+        )
     else:
         closures["untwisted_constacyclic"] = None
     result["closures"] = closures
@@ -292,7 +295,7 @@ def _suite_ret1(trials, seed):
     details.append({"instance": "length-7 audit module", "gcd": 1, "closed": closed})
     field = field_f9()
     code = build_code(field, 5, ring_one(field), [fq_poly(field, [-1, 1])] * 4)
-    closed5 = is_closed_under(code, ShiftKind.consta(code.alpha))
+    closed5 = is_closed_under(code, lambda w: constacyclic_shift(w, code.alpha))
     details.append({"instance": "length-5 cyclic over F9", "gcd": 1, "closed": closed5})
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
@@ -303,7 +306,7 @@ def _suite_ret2(trials, seed):
         ex = get_example(num)
         code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
         l = math.gcd(ex["n"], ex["field"].k)
-        closed = is_closed_under(code, ShiftKind.quasi_twist(code.alpha, l))
+        closed = is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, l))
         details.append({"instance": f"example {num}", "index": l, "closed": closed})
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
@@ -322,8 +325,8 @@ def _suite_decomposition(trials, seed):
             for j in range(4)
         ]
         code = build_code(field, n, alpha, gens)
-        quad = components_from_words(code.basis_words(), n, alpha)
-        round_trip = tuple(c.gen for c in quad.components) == code.gens
+        back = components_from_words(code.basis_words(), n, alpha)
+        round_trip = back.gens == code.gens
         report = verify_decomposition_theorem(code)
         runs.append(
             {
@@ -359,7 +362,7 @@ def cmd_verify(args):
     names = args.suites
     for name in names:
         if name not in SUITES:
-            raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+            raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     if args.trials < 1:
         raise ParseError(f"trials must be at least 1, got {args.trials}")
     results = {}

@@ -108,58 +108,6 @@ def blockwise_constacyclic_shift(word, blocks: int, alpha):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ShiftKind:
-    """Tagged shift choice: sigma | tau | pi | omega | consta | qt."""
-
-    kind: str
-    alpha: object = None
-    block: int | None = None
-
-    @classmethod
-    def sigma(cls):
-        return cls("sigma")
-
-    @classmethod
-    def tau(cls, alpha):
-        return cls("tau", alpha=alpha)
-
-    @classmethod
-    def pi(cls, block):
-        return cls("pi", block=block)
-
-    @classmethod
-    def omega(cls, block, alpha):
-        return cls("omega", alpha=alpha, block=block)
-
-    @classmethod
-    def consta(cls, alpha):
-        return cls("consta", alpha=alpha)
-
-    @classmethod
-    def quasi_twist(cls, alpha, block):
-        return cls("qt", alpha=alpha, block=block)
-
-
-def apply_shift(shift: ShiftKind, word):
-    word = tuple(word)
-    if shift.kind in ("tau", "omega", "consta", "qt") and shift.alpha is None:
-        raise ValueError(f"shift kind {shift.kind!r} requires a constant")
-    if shift.kind == "sigma":
-        return skew_cyclic_shift(word)
-    if shift.kind == "tau":
-        return skew_constacyclic_shift(word, shift.alpha)
-    if shift.kind == "pi":
-        return blockwise_cyclic_shift(word, shift.block)
-    if shift.kind == "omega":
-        return blockwise_constacyclic_shift(word, shift.block, shift.alpha)
-    if shift.kind == "consta":
-        return constacyclic_shift(word, shift.alpha)
-    if shift.kind == "qt":
-        return quasi_twist_shift(word, shift.alpha, shift.block)
-    raise ValueError(f"unknown shift kind {shift.kind!r}")
-
-
 # --- the code object ---
 
 @dataclass(frozen=True)
@@ -255,9 +203,9 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens, strict: bool 
     return SkewCode(field, n, alpha, gens, tuple(warnings), tuple(ok))
 
 
-def is_closed_under(code: SkewCode, shift: ShiftKind) -> bool:
-    """Check the shift image of every basis word for membership."""
-    return all(code.contains(apply_shift(shift, w)) for w in code.basis_words())
+def is_closed_under(code: SkewCode, shift) -> bool:
+    """Check the image shift(w) of every basis word w for membership."""
+    return all(code.contains(shift(w)) for w in code.basis_words())
 
 
 # --- duals ---

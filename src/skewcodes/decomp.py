@@ -1,102 +1,22 @@
-"""Assembling codes over R from four component codes over F_q and back.
+"""The decomposition of codes over R into four component codes over F_q.
 
 Component i of a linear code C over R is the set of i-th CRT components of
-its codewords; C is recovered as e1*C1 + e2*C2 + e3*C3 + e4*C4. Spanning
-sets, not canonical generators, come out of extraction; minimal_generator
-recovers the monic minimal-degree generator when the span really is a
-single-generator constacyclic module.
+its codewords; C is recovered as e1*C1 + e2*C2 + e3*C3 + e4*C4, which is how
+a SkewCode stores it. Spanning sets, not canonical generators, come out of
+extraction; minimal_generator recovers the monic minimal-degree generator
+when the span really is a single-generator constacyclic module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import (
-    SkewCode,
-    ShiftKind,
-    apply_shift,
-    build_code,
-)
-from .errors import InconsistentError, NotAUnitError, VerificationError
+from .codes import SkewCode, is_closed_under, skew_constacyclic_shift
+from .errors import VerificationError
 from .gf import FieldElement, FieldSpec
 from .linalg import Span, rref
 from .ring4 import RingElement, split_word
-from .skewpoly import (
-    ModulusSpec,
-    SkewPoly,
-    generator_basis_words,
-    right_divmod,
-    span_words,
-)
-
-
-@dataclass(frozen=True)
-class ComponentCode:
-    """A component code <gen> in F_q[x; theta]/(x^n - constant)."""
-
-    gen: SkewPoly
-    n: int
-    constant: FieldElement
-
-    @property
-    def dim(self) -> int:
-        return self.n - self.gen.degree
-
-    def modulus(self) -> ModulusSpec:
-        return ModulusSpec(self.n, self.constant)
-
-    def basis_words(self):
-        return generator_basis_words(self.gen, self.modulus())
-
-    def span(self) -> Span:
-        return Span(span_words(self.gen, self.modulus()), self.n, self.gen.spec)
-
-
-@dataclass(frozen=True)
-class ComponentQuadruple:
-    components: tuple
-
-    def __post_init__(self):
-        comps = self.components
-        if len(comps) != 4:
-            raise InconsistentError("expected exactly four component codes")
-        n = comps[0].n
-        spec = comps[0].gen.spec
-        if any(c.n != n or c.gen.spec != spec for c in comps):
-            raise InconsistentError("component codes disagree on length or field")
-
-    @property
-    def n(self) -> int:
-        return self.components[0].n
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.components[0].gen.spec
-
-    def ring_constant(self) -> RingElement:
-        return RingElement.from_crt(self.field, *(c.constant for c in self.components))
-
-    @property
-    def cardinality(self) -> int:
-        return self.field.q ** sum(c.dim for c in self.components)
-
-
-def assemble(quad: ComponentQuadruple, strict: bool = True) -> SkewCode:
-    """SkewCode whose CRT components are the four given codes."""
-    return build_code(
-        quad.field,
-        quad.n,
-        quad.ring_constant(),
-        tuple(c.gen for c in quad.components),
-        strict=strict,
-    )
-
-
-def quadruple_of(code: SkewCode) -> ComponentQuadruple:
-    consts = code.component_constants
-    return ComponentQuadruple(
-        tuple(ComponentCode(code.gens[i], code.n, consts[i]) for i in range(4))
-    )
+from .skewpoly import ModulusSpec, SkewPoly, right_divmod, span_words
 
 
 def extract_components(words):
@@ -145,14 +65,14 @@ def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     right-divides x^n - constant; raises VerificationError otherwise.
     """
     spec = constant.spec
+    mod = ModulusSpec(n, constant)
     target = Span(span_vectors, n, spec)
     if target.dim == 0:
-        gen = ModulusSpec(n, constant).poly()
+        gen = mod.poly()
     else:
         reversed_rows, _ = rref([tuple(reversed(v)) for v in target.rows])
         least = reversed_rows[-1]
         gen = SkewPoly(spec, "fq", list(reversed(least))).monic()
-    mod = ModulusSpec(n, constant)
     regenerated = Span(span_words(gen, mod), n, spec)
     if regenerated != target:
         raise VerificationError(
@@ -165,15 +85,16 @@ def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     return gen
 
 
-def components_from_words(words, n: int, alpha: RingElement) -> ComponentQuadruple:
-    """Canonical quadruple spanned by a set of R-words."""
+def components_from_words(words, n: int, alpha: RingElement) -> SkewCode:
+    """The code spanned by a set of R-words, with canonical generators.
+
+    Each component generator comes from minimal_generator, which has checked
+    that it regenerates its span and right-divides its modulus.
+    """
     consts = alpha.crt()
     spans = extract_components(words)
-    comps = tuple(
-        ComponentCode(minimal_generator(spans[i], n, consts[i]), n, consts[i])
-        for i in range(4)
-    )
-    return ComponentQuadruple(comps)
+    gens = tuple(minimal_generator(spans[i], n, consts[i]) for i in range(4))
+    return SkewCode(alpha.spec, n, alpha, gens)
 
 
 @dataclass(frozen=True)
@@ -191,22 +112,6 @@ class DecompositionReport:
     equivalence_holds: bool
     hypothesis_notes: tuple
 
-    def as_dict(self):
-        return {
-            "closed": self.closed,
-            "components": [
-                {
-                    "constant": c.constant,
-                    "degree": c.degree,
-                    "divisor_ok": c.divisor_ok,
-                    "closed": c.closed,
-                }
-                for c in self.components
-            ],
-            "equivalence_holds": self.equivalence_holds,
-            "hypothesis_notes": list(self.hypothesis_notes),
-        }
-
 
 def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
     """Check, on basis words, that the code is closed under its defining shift
@@ -221,10 +126,8 @@ def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
     verdicts = []
     for i in range(4):
         basis = code.component_basis(i)
-        nominal = Span(basis, code.n, code.field) if basis else Span([], code.n, code.field)
-        closed = all(
-            nominal.contains(apply_shift(ShiftKind.tau(consts[i]), w)) for w in basis
-        )
+        nominal = Span(basis, code.n, code.field)
+        closed = all(nominal.contains(skew_constacyclic_shift(w, consts[i])) for w in basis)
         verdicts.append(
             ComponentVerdict(
                 constant=repr(consts[i]),
@@ -233,23 +136,13 @@ def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
                 closed=closed,
             )
         )
-    overall = all(
-        code.contains(apply_shift(ShiftKind.tau(code.alpha), w))
-        for w in code.basis_words()
-    )
+    overall = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
     notes = []
     if not code.alpha.is_unit:
         notes.append("shift constant is not a unit; theorem hypotheses not met")
     return DecompositionReport(
         overall, tuple(verdicts), overall == all(v.closed for v in verdicts), tuple(notes)
     )
-
-
-def dual_constant(alpha: RingElement) -> RingElement:
-    """alpha^{-1}; its CRT components are the inverses of alpha's."""
-    if not alpha.is_unit:
-        raise NotAUnitError(f"{alpha!r} is not a unit")
-    return alpha.inverse()
 
 
 def dual_hypothesis_note(code: SkewCode) -> str | None:

@@ -93,12 +93,6 @@ class CommutationReport:
     passed: bool
     counterexample: tuple | None
 
-    def as_dict(self):
-        out = {"identity": self.identity, "trials": self.trials, "pass": self.passed}
-        if self.counterexample is not None:
-            out["counterexample"] = [repr(c) for c in self.counterexample]
-        return out
-
 
 def check_commutation(
     which: str,

@@ -18,7 +18,8 @@ from .skewpoly import SkewPoly
 
 
 def load_input(source: str) -> dict:
-    """Parse inline JSON (starts with '{') or read a JSON file."""
+    """Parse inline JSON (starts with '{') or read a JSON file; either must
+    hold a JSON object."""
     try:
         text = source if source.lstrip().startswith("{") else None
         if text is None:
@@ -26,9 +27,12 @@ def load_input(source: str) -> dict:
                 raise ParseError(f"input file not found: {source}")
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON input: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"input must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def json_int(obj, what: str, minimum: int | None = None) -> int:
@@ -81,18 +85,13 @@ def ring_from_json(spec: FieldSpec, obj) -> RingElement:
         raise ParseError(f"ring element must be an object or integer, got {obj!r}")
     if "crt" in obj:
         comps = obj["crt"]
-        if len(comps) != 4:
-            raise ParseError("crt form needs exactly four components")
+        if len(obj) != 1 or not isinstance(comps, list) or len(comps) != 4:
+            raise ParseError(f"crt form needs exactly four components and no other key, got {obj!r}")
         return RingElement.from_crt(spec, *(element_from_json(spec, c) for c in comps))
-    try:
-        return RingElement(
-            element_from_json(spec, obj.get("a", 0)),
-            element_from_json(spec, obj.get("b", 0)),
-            element_from_json(spec, obj.get("c", 0)),
-            element_from_json(spec, obj.get("d", 0)),
-        )
-    except KeyError as exc:
-        raise ParseError(f"bad ring element: {exc}") from exc
+    unknown = sorted(set(obj) - set("abcd"))
+    if unknown:
+        raise ParseError(f"ring element keys must be a, b, c, d or crt, got {unknown}")
+    return RingElement(*(element_from_json(spec, obj.get(k, 0)) for k in "abcd"))
 
 
 def poly_to_json(f: SkewPoly) -> dict:
@@ -108,12 +107,14 @@ def poly_from_json(spec: FieldSpec, obj) -> SkewPoly:
         raise ParseError(f"polynomial must be {{ring, coeffs}}, got {obj!r}")
     ring = obj.get("ring", "fq")
     if ring == "R":
-        coeffs = [ring_from_json(spec, c) for c in obj["coeffs"]]
+        parse = ring_from_json
     elif ring == "fq":
-        coeffs = [element_from_json(spec, c) for c in obj["coeffs"]]
+        parse = element_from_json
     else:
         raise ParseError(f"unknown coefficient ring tag {ring!r}")
-    return SkewPoly(spec, ring, coeffs)
+    if not isinstance(obj["coeffs"], list):
+        raise ParseError(f"polynomial coeffs must be a list, got {obj['coeffs']!r}")
+    return SkewPoly(spec, ring, [parse(spec, c) for c in obj["coeffs"]])
 
 
 def code_from_json(obj):

@@ -209,14 +209,6 @@ def r_poly(spec: FieldSpec, coeffs) -> SkewPoly:
     return SkewPoly(spec, "R", [conv(c) for c in coeffs])
 
 
-def x_power_minus(spec: FieldSpec, ring: str, n: int, alpha) -> SkewPoly:
-    """x^n - alpha in the requested coefficient ring."""
-    zero = ring_zero(spec) if ring == "R" else spec.zero
-    one = ring_one(spec) if ring == "R" else spec.one
-    coeffs = [-alpha] + [zero] * (n - 1) + [one]
-    return SkewPoly(spec, ring, coeffs)
-
-
 @dataclass(frozen=True)
 class ModulusSpec:
     """Quotient modulus x^n - alpha; alpha is a FieldElement or RingElement."""
@@ -233,7 +225,11 @@ class ModulusSpec:
         return self.alpha.spec
 
     def poly(self) -> SkewPoly:
-        return x_power_minus(self.spec, self.ring, self.n, self.alpha)
+        """x^n - alpha in the coefficient ring of alpha."""
+        spec, ring = self.spec, self.ring
+        zero = ring_zero(spec) if ring == "R" else spec.zero
+        one = ring_one(spec) if ring == "R" else spec.one
+        return SkewPoly(spec, ring, [-self.alpha] + [zero] * (self.n - 1) + [one])
 
 
 # --- division ---

@@ -15,12 +15,13 @@ import pytest
 
 from skewcodes.catalog import get_example
 from skewcodes.codes import (
-    ShiftKind,
     build_code,
     constacyclic_shift,
     dual_code,
     is_closed_under,
+    quasi_twist_shift,
     self_dual_report,
+    skew_constacyclic_shift,
 )
 from skewcodes.decomp import ModuleSpan, components_from_words
 from skewcodes.distance import min_distance
@@ -180,10 +181,10 @@ def test_criterion_5_decomposition_round_trips():
         if all(g.degree == 0 for g in gens):
             continue  # need a corruptible component
         code = build_code(spec, n, alpha, gens)
-        quad = components_from_words(code.basis_words(), n, alpha)
-        assert tuple(c.gen for c in quad.components) == code.gens
-        assert quad.cardinality == code.cardinality
-        assert is_closed_under(code, ShiftKind.tau(alpha))
+        back = components_from_words(code.basis_words(), n, alpha)
+        assert back.gens == code.gens
+        assert back.cardinality == code.cardinality
+        assert is_closed_under(code, lambda w: skew_constacyclic_shift(w, alpha))
 
         target = rng.choice([i for i in range(4) if gens[i].degree >= 1])
         corrupted = None
@@ -266,8 +267,8 @@ def test_criterion_7_idempotent_generator():
 def test_criterion_8a_f49_audit():
     start = time.perf_counter()
     code = built_example(3)
-    tau_closed = is_closed_under(code, ShiftKind.tau(code.alpha))
-    qt_closed = is_closed_under(code, ShiftKind.quasi_twist(code.alpha, math.gcd(4, F49.k)))
+    tau_closed = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+    qt_closed = is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, math.gcd(4, F49.k)))
     report = self_dual_report(code)
     elapsed = time.perf_counter() - start
     ok = tau_closed and qt_closed and not report.verdict and report.dims == (3, 3, 3, 2)

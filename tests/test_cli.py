@@ -108,6 +108,9 @@ def test_verify_unknown_suite(capsys):
     code, report = run_cli(capsys, "verify", "nonsense")
     assert code == 2
     assert report["status"] == "input_error"
+    assert report["result"]["error"] == (
+        "unknown suite 'nonsense'; known: gray-commutation, ret1, ret2, decomposition, dual-contract"
+    )
 
 
 def test_verify_suites_pass(capsys):
@@ -330,6 +333,36 @@ def test_divisor_search_count_too_long_to_print_is_refused(capsys):
     assert time.perf_counter() - start < 0.5
     assert code == 2
     assert report["result"]["error"] == "3^10000 candidates exceed the budget of 10000000"
+
+
+F9 = {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1}
+IDEMPOTENT_F9 = {"field": F9, "n": 5, "alpha": 1, "f": {"ring": "fq", "coeffs": [2, 1]}}
+PARAMS_F9 = {"field": F9, "n": 5, "alpha": 1, "gens": [{"ring": "fq", "coeffs": [2, 1]}] * 4}
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("idempotent", {**IDEMPOTENT_F9, "f": {"ring": "fq", "coeffs": 5}}),
+    ("idempotent", {**IDEMPOTENT_F9, "f": {"ring": "fq", "coeffs": None}}),
+    ("params", {**PARAMS_F9, "gens": [{"ring": "fq", "coeffs": 5}] * 4}),
+    ("params", {**PARAMS_F9, "gens": [{"ring": "fq", "coeffs": None}] * 4}),
+    ("divisor-search", {**SEARCH_F3, "alpha": {"crt": None}}),
+    ("divisor-search", {**SEARCH_F3, "alpha": {"a": 1, "uv": 1}}),
+    ("divisor-search", {**SEARCH_F3, "alpha": {"a": 1, "crt": [1, 1, 1, 1]}}),
+    ("params", {**PARAMS_F9, "alpha": {"crt": [1, 1, 1, 1], "b": 0}}),
+])
+def test_malformed_json_is_an_input_error(capsys, command, obj):
+    code, report = run_cli(capsys, command, "--input", json.dumps(obj))
+    assert code == 2
+    assert report["status"] == "input_error"
+
+
+def test_input_that_is_not_a_json_object_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    for command in ("divisor-search", "idempotent", "params"):
+        code, report = run_cli(capsys, command, "--input", str(path))
+        assert code == 2
+        assert report["result"]["error"] == "input must be a JSON object, got list"
 
 
 F243_CODE = {

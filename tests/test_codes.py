@@ -4,9 +4,8 @@ import pytest
 
 from skewcodes.catalog import get_example
 from skewcodes.codes import (
-    ShiftKind,
-    apply_shift,
     blockwise_constacyclic_shift,
+    blockwise_cyclic_shift,
     build_code,
     constacyclic_shift,
     dual_code,
@@ -159,13 +158,11 @@ def test_quasi_twist_rotates_by_block(f9):
         quasi_twist_shift(w, alpha, 3)
 
 
-def test_apply_shift_dispatch(f9):
+def test_blockwise_shift_needs_dividing_block_count(f9):
     rng = random.Random(14)
     w = tuple(random_ring_element(f9, rng) for _ in range(4))
-    assert apply_shift(ShiftKind.sigma(), w) == skew_cyclic_shift(w)
-    assert apply_shift(ShiftKind.consta(ring_one(f9)), w) == constacyclic_shift(w, ring_one(f9))
     with pytest.raises(BadIndexError):
-        apply_shift(ShiftKind.pi(3), w)
+        blockwise_cyclic_shift(w, 3)
 
 
 # --- closure ---
@@ -173,21 +170,21 @@ def test_apply_shift_dispatch(f9):
 def test_every_valid_code_is_tau_closed(f9, f25, f49):
     for num in (1, 2, 3):
         code = example_code(num)
-        assert is_closed_under(code, ShiftKind.tau(code.alpha))
+        assert is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
 
 
 def test_untwisted_closure_when_gcd_is_one(f9):
     # gcd(5, 2) = 1: the skew cyclic code is plainly cyclic
     code = build_code(f9, 5, ring_one(f9), [fq_poly(f9, [-1, 1])] * 4)
-    assert is_closed_under(code, ShiftKind.consta(code.alpha))
+    assert is_closed_under(code, lambda w: constacyclic_shift(w, code.alpha))
 
 
 def test_quasi_twist_closure_index_two(f49):
     # gcd(4, 2) = 2
     code = example_code(3)
-    assert is_closed_under(code, ShiftKind.quasi_twist(code.alpha, 2))
+    assert is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, 2))
     code1 = example_code(1)
-    assert is_closed_under(code1, ShiftKind.quasi_twist(code1.alpha, 2))
+    assert is_closed_under(code1, lambda w: quasi_twist_shift(w, code1.alpha, 2))
 
 
 # --- duals ---

@@ -5,19 +5,14 @@ import pytest
 from skewcodes.catalog import get_example
 from skewcodes.codes import build_code, constacyclic_shift, dual_code
 from skewcodes.decomp import (
-    ComponentCode,
-    ComponentQuadruple,
     ModuleSpan,
-    assemble,
     components_from_words,
-    dual_constant,
     dual_hypothesis_note,
     extract_components,
     minimal_generator,
-    quadruple_of,
     verify_decomposition_theorem,
 )
-from skewcodes.errors import InconsistentError, NotAUnitError, VerificationError
+from skewcodes.errors import MixedRingsError, NotAUnitError, VerificationError
 from skewcodes.linalg import Span, nullspace
 from skewcodes.ring4 import RingElement, ring_one
 from skewcodes.skewpoly import (
@@ -33,38 +28,28 @@ def example_code(num):
     return build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
 
 
-def quad(field, n, constants, gens):
-    return ComponentQuadruple(
-        tuple(
-            ComponentCode(g, n, field.constant(c)) for g, c in zip(gens, constants)
-        )
-    )
-
-
 def test_assemble_whole_and_zero(f9):
+    alpha = RingElement.from_crt(f9, 1, 1, 1, 1)
     one = fq_poly(f9, [1])
-    whole = assemble(quad(f9, 3, (1, 1, 1, 1), [one] * 4))
+    whole = build_code(f9, 3, alpha, [one] * 4)
     assert whole.cardinality == f9.q ** 12
     mod = ModulusSpec(3, f9.one).poly()
-    zero = assemble(quad(f9, 3, (1, 1, 1, 1), [mod] * 4))
+    zero = build_code(f9, 3, alpha, [mod] * 4)
     assert zero.cardinality == 1
 
 
 def test_assemble_example_two_cardinality(f9):
     code = example_code(2)
-    rebuilt = assemble(quadruple_of(code))
+    rebuilt = build_code(code.field, code.n, code.alpha, code.gens)
     assert rebuilt.cardinality == 9 ** (2 + 2 + 2 + 3)
     assert rebuilt.gens == code.gens
 
 
 def test_quadruple_consistency_enforced(f9, f25):
-    good = ComponentCode(fq_poly(f9, [-1, 1]), 4, f9.one)
-    other_field = ComponentCode(fq_poly(f25, [-1, 1]), 4, f25.one)
-    with pytest.raises(InconsistentError):
-        ComponentQuadruple((good, good, good, other_field))
-    other_n = ComponentCode(fq_poly(f9, [-1, 1]), 5, f9.one)
-    with pytest.raises(InconsistentError):
-        ComponentQuadruple((good, good, other_n, good))
+    good = fq_poly(f9, [-1, 1])
+    other_field = fq_poly(f25, [-1, 1])
+    with pytest.raises(MixedRingsError):
+        build_code(f9, 4, ring_one(f9), (good, good, good, other_field))
 
 
 def test_extract_single_scaled_word(f9):
@@ -88,8 +73,8 @@ def test_extract_empty(f9):
 def test_round_trip_examples(num):
     code = example_code(num)
     back = components_from_words(code.basis_words(), code.n, code.alpha)
-    assert tuple(c.gen for c in back.components) == code.gens
-    assert assemble(back).cardinality == code.cardinality
+    assert back.gens == code.gens
+    assert back.cardinality == code.cardinality
 
 
 def test_module_span_membership(f9):
@@ -127,12 +112,12 @@ def test_verify_decomposition_pinpoints_corruption(f9):
 
 
 def test_dual_constant_examples(f9, f49):
-    assert dual_constant(ring_one(f9)) == ring_one(f9)
-    assert dual_constant(-ring_one(f9)) == -ring_one(f9)
+    assert ring_one(f9).inverse() == ring_one(f9)
+    assert (-ring_one(f9)).inverse() == -ring_one(f9)
     alpha = RingElement.from_ints(f49, 1, 0, 0, -2)
-    assert dual_constant(alpha) == alpha
+    assert alpha.inverse() == alpha
     with pytest.raises(NotAUnitError):
-        dual_constant(RingElement.from_ints(f9, 0, 1, 0, 0))
+        RingElement.from_ints(f9, 0, 1, 0, 0).inverse()
 
 
 def test_dual_constant_components_are_inverses(f9):
@@ -142,7 +127,7 @@ def test_dual_constant_components_are_inverses(f9):
         if any(c.is_zero for c in comps):
             continue
         alpha = RingElement.from_crt(f9, *comps)
-        inv = dual_constant(alpha)
+        inv = alpha.inverse()
         assert inv.crt() == tuple(c.inverse() for c in comps)
 
 

@@ -20,7 +20,6 @@ from skewcodes.skewpoly import (
     _monic_right_factors,
     right_divisor_search,
     right_divmod,
-    x_power_minus,
 )
 
 # candidate counts up to which the whole list is compared with the loop
@@ -53,7 +52,7 @@ def dividends(spec, rng, n, degree):
     with a non-monic lead, and h * g for a random monic g of the searched
     degree and a random h with a non-monic lead."""
     alpha = spec.from_int(rng.randrange(1, spec.q))
-    out = [(x_power_minus(spec, "fq", n, alpha), None), (random_poly(spec, rng, n), None)]
+    out = [(ModulusSpec(n, alpha).poly(), None), (random_poly(spec, rng, n), None)]
     if degree <= n:
         g = random_poly(spec, rng, degree, monic=True)
         out.append((random_poly(spec, rng, n - degree) * g, g))

@@ -4,8 +4,8 @@ import pytest
 
 from skewcodes.catalog import get_example
 from skewcodes.codes import (
-    ShiftKind,
-    apply_shift,
+    blockwise_constacyclic_shift,
+    blockwise_cyclic_shift,
     build_code,
     skew_constacyclic_shift,
     skew_cyclic_shift,
@@ -145,12 +145,12 @@ def test_image_closed_under_block_shift():
     img = gray_image_code(code)
     span = Span(img.rows, img.length, code.field)
     for row in img.rows:
-        assert span.contains(apply_shift(ShiftKind.pi(4), row))
+        assert span.contains(blockwise_cyclic_shift(row, 4))
     code3 = example_code(3)
     img3 = gray_image_code(code3)
     span3 = Span(img3.rows, img3.length, code3.field)
     for row in img3.rows:
-        assert span3.contains(apply_shift(ShiftKind.omega(4, code3.alpha), row))
+        assert span3.contains(blockwise_constacyclic_shift(row, 4, code3.alpha))
 
 
 def test_permuted_image_closed_under_fourfold_shift(f27):
@@ -169,19 +169,12 @@ def test_permuted_image_closed_under_fourfold_shift(f27):
         assert span.contains(image)
 
 
-def test_apply_shift_requires_constant(f9):
-    rng = random.Random(1)
-    w = tuple(random_ring_element(f9, rng) for _ in range(4))
-    with pytest.raises(ValueError):
-        apply_shift(ShiftKind("tau"), w)
-
-
 def test_gray_intertwines_shifts_on_words(f9):
     rng = random.Random(23)
     alpha = RingElement.from_ints(f9, 1, 0, 0, -2)
     for _ in range(100):
         w = tuple(random_ring_element(f9, rng) for _ in range(4))
-        assert gray_map(skew_cyclic_shift(w)) == apply_shift(ShiftKind.pi(4), gray_map(w))
-        assert gray_map(skew_constacyclic_shift(w, alpha)) == apply_shift(
-            ShiftKind.omega(4, alpha), gray_map(w)
+        assert gray_map(skew_cyclic_shift(w)) == blockwise_cyclic_shift(gray_map(w), 4)
+        assert gray_map(skew_constacyclic_shift(w, alpha)) == blockwise_constacyclic_shift(
+            gray_map(w), 4, alpha
         )

@@ -1,18 +1,29 @@
-"""Property tests of the ring R, the division routine, the CRT word split and
-the Gray map.
+"""Property tests of the ring R, the division routine, the CRT word split,
+the Gray map and the decomposition of codes over R.
 
 Polynomials and words are drawn over the fields of test_kernel.py, which
 include twists strictly between the identity and the full Frobenius.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel import FIELDS
 
+from skewcodes.codes import build_code
+from skewcodes.decomp import components_from_words, verify_decomposition_theorem
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_map, hamming_weight, lee_weight
 from skewcodes.ring4 import RingElement, ring_one, ring_zero, split_word
-from skewcodes.skewpoly import SkewPoly, c_divmod, c_mul, right_divmod
+from skewcodes.skewpoly import (
+    ModulusSpec,
+    SkewPoly,
+    c_divmod,
+    c_mul,
+    random_right_divisor,
+    right_divmod,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -159,3 +170,31 @@ def r_poly_triples(draw):
 def test_twisted_product_is_associative(polys):
     f, g, h = polys
     assert (f * g) * h == f * (g * h)
+
+
+# --- decomposition round trips ---
+
+@st.composite
+def plus_minus_one_codes(draw):
+    """A code with alpha in {1, -1}^4 (CRT view) and random right-divisor
+    generators of random degrees."""
+    spec = draw(fields())
+    n = draw(st.integers(1, 6))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gens = [
+        random_right_divisor(ModulusSpec(n, spec.constant(s)), rng, draw(st.integers(0, n)))
+        for s in signs
+    ]
+    return build_code(spec, n, RingElement.from_crt(spec, *signs), gens)
+
+
+@SETTINGS
+@given(plus_minus_one_codes())
+def test_decomposition_round_trip(code):
+    back = components_from_words(code.basis_words(), code.n, code.alpha)
+    assert back.gens == code.gens
+    assert back.cardinality == code.cardinality
+    report = verify_decomposition_theorem(code)
+    assert report.closed
+    assert report.equivalence_holds

@@ -10,6 +10,47 @@ import skewcodes
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
+# Changing the public API is deliberate: edit this list and README.md together.
+PUBLIC_API = [
+    "FieldElement",
+    "FieldSpec",
+    "ModulusSpec",
+    "RingElement",
+    "SkewCode",
+    "SkewPoly",
+    "build_code",
+    "components_from_words",
+    "dual_code",
+    "dual_generator",
+    "dual_idempotent",
+    "extract_components",
+    "fq_poly",
+    "from_components",
+    "gray_image_code",
+    "gray_map",
+    "gray_permuted",
+    "idempotent_generator",
+    "idempotents",
+    "is_closed_under",
+    "is_right_divisor",
+    "is_self_dual",
+    "lee_weight",
+    "make_field",
+    "min_distance",
+    "r_poly",
+    "right_divisor_search",
+    "right_divmod",
+    "ring_one",
+    "ring_zero",
+    "self_dual_constant_check",
+    "verify_decomposition_theorem",
+]
+
+
+def test_public_api_is_the_listed_names():
+    assert sorted(skewcodes.__all__) == PUBLIC_API
+
+
 def test_every_public_name_resolves():
     missing = [name for name in skewcodes.__all__ if not hasattr(skewcodes, name)]
     assert missing == []
