@@ -96,14 +96,14 @@ def _code_summary(code):
 
 # --- analysis stages shared by commands, suites and example audits ---
 
-def _closures(code):
+def _closures(code, budget):
     """Closure under tau_alpha and under the quasi-twist of index gcd(n, k)."""
     l = math.gcd(code.n, code.field.k)
     return {
-        "tau": is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha)),
+        "tau": is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha), budget),
         "quasi_twist": {
             "index": l,
-            "closed": is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, l)),
+            "closed": is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, l), budget),
         },
     }
 
@@ -152,7 +152,7 @@ def cmd_build(args):
     code = _input_code(args)
     result = _code_summary(code)
     result["closures"] = {
-        "tau": is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+        "tau": is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha), args.budget)
     }
     return result, list(code.warnings), []
 
@@ -160,15 +160,15 @@ def cmd_build(args):
 def cmd_params(args):
     code = _input_code(args)
     result = _code_summary(code)
-    _gray_params(result, code, args.budget)
-    closures = _closures(code)
+    closures = _closures(code, args.budget)
     if math.gcd(code.n, code.field.k) == 1:
         closures["untwisted_constacyclic"] = is_closed_under(
-            code, lambda w: constacyclic_shift(w, code.alpha)
+            code, lambda w: constacyclic_shift(w, code.alpha), args.budget
         )
     else:
         closures["untwisted_constacyclic"] = None
     result["closures"] = closures
+    _gray_params(result, code, args.budget)
     _self_dual(result, code)
     return result, list(code.warnings), []
 
@@ -387,7 +387,7 @@ def _audit_standard_example(ex, budget):
     discrepancies = []
     code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
     result = _code_summary(code)
-    result["closures"] = _closures(code)
+    result["closures"] = _closures(code, budget)
     _gray_params(result, code, budget)
     claimed = ex["claims"].get("gray_params")
     if claimed is not None:

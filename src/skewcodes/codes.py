@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .distance import DEFAULT_BUDGET
 from .errors import (
     BadIndexError,
+    BudgetExceededError,
     EvenLengthError,
     HypothesisViolatedError,
     InconsistentError,
@@ -203,8 +205,19 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens, strict: bool 
     return SkewCode(field, n, alpha, gens, tuple(warnings), tuple(ok))
 
 
-def is_closed_under(code: SkewCode, shift) -> bool:
-    """Check the image shift(w) of every basis word w for membership."""
+def is_closed_under(code: SkewCode, shift, budget: int = DEFAULT_BUDGET) -> bool:
+    """Check the image shift(w) of every basis word w for membership.
+
+    Each of the sum(dims) basis words is tested by four right divisions of
+    length n, so the check counts sum(dims) * 4n against the budget, and is
+    refused before the first membership test when that is over it.
+    """
+    words = sum(code.dims)
+    steps = words * 4 * code.n
+    if steps > budget:
+        raise BudgetExceededError(
+            f"closure check needs {words} basis words * 4n = {steps} steps, over the budget of {budget}"
+        )
     return all(code.contains(shift(w)) for w in code.basis_words())
 
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from skewcodes.cli import build_parser, main
+from skewcodes.codes import SkewCode
 
 
 def run_cli(capsys, *argv):
@@ -381,6 +382,32 @@ def test_field_tables_over_the_budget_are_refused(capsys):
     assert "q^2 = 59049" in report["result"]["error"]
     code, report = run_cli(capsys, "params", "--input", json.dumps(F243_CODE), "--budget", "59049")
     assert code == 0
+
+
+def cyclic_f3(n):
+    """Four x - 1 generators over F3: sum(dims) * 4n = 16 n (n - 1) closure steps."""
+    return json.dumps({
+        "field": {"p": 3, "m": 1, "modulus": [0, 1], "t": 1},
+        "n": n,
+        "alpha": {"a": 1},
+        "gens": [{"ring": "fq", "coeffs": [2, 1]}] * 4,
+    })
+
+
+def test_closure_checks_are_bounded_by_the_budget(capsys, monkeypatch):
+    code, report = run_cli(capsys, "build", "--input", cyclic_f3(50))
+    assert code == 0
+    assert report["result"]["closures"]["tau"] is True
+    calls = []
+    monkeypatch.setattr(SkewCode, "contains", lambda self, word: calls.append(word))
+    for command in ("build", "params"):
+        code, report = run_cli(capsys, command, "--input", cyclic_f3(200), "--budget", "600000")
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert report["result"]["error"] == (
+            "closure check needs 796 basis words * 4n = 636800 steps, over the budget of 600000"
+        )
+    assert calls == []
 
 
 def test_field_above_max_q_is_an_input_error(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from skewcodes.catalog import get_example
 from skewcodes.codes import (
+    SkewCode,
     blockwise_constacyclic_shift,
     blockwise_cyclic_shift,
     build_code,
@@ -22,6 +23,7 @@ from skewcodes.codes import (
 )
 from skewcodes.errors import (
     BadIndexError,
+    BudgetExceededError,
     EvenLengthError,
     HypothesisViolatedError,
     LengthMismatchError,
@@ -185,6 +187,23 @@ def test_quasi_twist_closure_index_two(f49):
     assert is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, 2))
     code1 = example_code(1)
     assert is_closed_under(code1, lambda w: quasi_twist_shift(w, code1.alpha, 2))
+
+
+def test_closure_check_is_refused_over_the_budget(f3, monkeypatch):
+    """sum(dims) * 4n is charged before the first membership test."""
+    def no_membership_test(self, word):
+        raise AssertionError("membership tested before the budget check")
+
+    monkeypatch.setattr(SkewCode, "contains", no_membership_test)
+    n = 5000  # four x - 1 generators: 4 * 4999 basis words
+    code = SkewCode(f3, n, ring_one(f3), (fq_poly(f3, [-1, 1]),) * 4)
+    with pytest.raises(BudgetExceededError, match=r"^closure check needs 19996 basis words \* 4n = 399920000 steps"):
+        is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+    small = SkewCode(f3, 5, ring_one(f3), (fq_poly(f3, [-1, 1]),) * 4)  # 16 * 20 = 320 steps
+    with pytest.raises(BudgetExceededError):
+        is_closed_under(small, lambda w: skew_constacyclic_shift(w, small.alpha), budget=319)
+    with pytest.raises(AssertionError, match="membership tested"):
+        is_closed_under(small, lambda w: skew_constacyclic_shift(w, small.alpha), budget=320)
 
 
 # --- duals ---

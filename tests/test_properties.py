@@ -1,5 +1,5 @@
 """Property tests of the ring R, the division routine, the CRT word split,
-the Gray map and the decomposition of codes over R.
+the Gray map, and the decomposition and duals of codes over R.
 
 Polynomials and words are drawn over the fields of test_kernel.py, which
 include twists strictly between the identity and the full Frobenius.
@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel import FIELDS
 
-from skewcodes.codes import build_code
+from skewcodes.codes import build_code, dual_code
 from skewcodes.decomp import components_from_words, verify_decomposition_theorem
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_map, hamming_weight, lee_weight
+from skewcodes.linalg import Span, nullspace
 from skewcodes.ring4 import RingElement, ring_one, ring_zero, split_word
 from skewcodes.skewpoly import (
     ModulusSpec,
@@ -23,6 +24,7 @@ from skewcodes.skewpoly import (
     c_mul,
     random_right_divisor,
     right_divmod,
+    span_words,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -198,3 +200,41 @@ def test_decomposition_round_trip(code):
     report = verify_decomposition_theorem(code)
     assert report.closed
     assert report.equivalence_holds
+
+
+# --- duals ---
+
+@st.composite
+def unit_constant_codes(draw):
+    """A code with any unit alpha, at a length n that the order k of the
+    twist divides: the hypothesis under which the dual's constant is
+    alpha^{-1} (see decomp.dual_hypothesis_note)."""
+    spec = draw(fields())
+    n = spec.k * draw(st.integers(1, max(1, 6 // spec.k)))
+    betas = draw(st.tuples(*[field_values(spec, nonzero=True)] * 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gens = [random_right_divisor(ModulusSpec(n, b), rng, draw(st.integers(0, n))) for b in betas]
+    return build_code(spec, n, RingElement.from_crt(spec, *betas), gens)
+
+
+dual_cases = st.one_of(plus_minus_one_codes(), unit_constant_codes())
+
+
+@SETTINGS
+@given(dual_cases)
+def test_dual_cardinality_product(code):
+    dual = dual_code(code)
+    assert code.cardinality * dual.cardinality == code.field.q ** (4 * code.n)
+
+
+@SETTINGS
+@given(dual_cases)
+def test_dual_generators_span_the_nullspaces(code):
+    """Each component generator of dual_code spans the classical dual of that
+    component of C, computed as a nullspace."""
+    n, spec = code.n, code.field
+    dual = dual_code(code)
+    for i in range(4):
+        oracle = nullspace(span_words(code.gens[i], code.modulus(i)), n, spec)
+        got = span_words(dual.gens[i], dual.modulus(i))
+        assert Span(got, n, spec) == Span(oracle, n, spec)

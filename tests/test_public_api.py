@@ -1,13 +1,18 @@
-"""The public API in skewcodes.__all__ and the README's library example."""
+"""The public API in skewcodes.__all__, the README's library example and its
+plain `python -m pytest` from a checkout."""
 
 import contextlib
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import skewcodes
 
-README = pathlib.Path(__file__).parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 # Changing the public API is deliberate: edit this list and README.md together.
@@ -64,3 +69,14 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue() == "16 12 2\nTrue\n"
+
+
+def test_plain_pytest_collects_from_a_checkout():
+    """pyproject.toml puts src on the path, so no PYTHONPATH is needed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "tests/test_distance.py::test_lookup_sweep_matches_the_per_support_loop" in proc.stdout
