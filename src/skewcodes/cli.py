@@ -34,13 +34,14 @@ from .decomp import (
 )
 from .distance import DEFAULT_BUDGET, min_distance
 from .errors import (
+    BudgetExceededError,
     NotADivisorError,
     ParseError,
     SkewcodesError,
     UnknownSuiteError,
     VerificationError,
 )
-from .gray import check_commutation, gray_image_code
+from .gray import check_commutation, gray_image_code, permuted_sigma4, sigma_pi4, tau_omega4
 from .linalg import inner_product
 from .ring4 import RingElement, ring_one, unit_check
 from .serial import (
@@ -108,9 +109,22 @@ def _closures(code, budget):
     }
 
 
+def _gray_image(code, budget):
+    """gray_image_code, refused before its row reduction when that is over the
+    budget: k^2 * 4n steps for the k = sum(dims) image rows of length 4n."""
+    k = sum(code.dims)
+    steps = k * k * 4 * code.n
+    if steps > budget:
+        raise BudgetExceededError(
+            f"Gray image needs k^2 * 4n = {k}^2 * {4 * code.n} = {steps} steps,"
+            f" over the budget of {budget}"
+        )
+    return gray_image_code(code)
+
+
 def _gray_params(result, code, budget):
     """Record the Gray image parameters [4n, k, d] and the distance report."""
-    image = gray_image_code(code)
+    image = _gray_image(code, budget)
     dist = min_distance(image.rows, code.field, budget=budget)
     result["gray_params"] = [image.length, image.dimension, dist.exact]
     result["distance"] = dist.as_dict()
@@ -140,11 +154,11 @@ def _dual_contract(code):
     return dual, product_ok, orthogonal
 
 
-def _untwisted_closure(gen, n, alpha, field):
+def _untwisted_closure(gen, n, alpha):
     """(R-span of <gen> mod x^n - alpha, its closure under the untwisted
     constacyclic shift)."""
     words = span_words(gen, ModulusSpec(n, alpha))
-    span = ModuleSpan(words, n, field)
+    span = ModuleSpan(words, alpha.spec)
     return span, all(span.contains(constacyclic_shift(w, alpha)) for w in words)
 
 
@@ -193,7 +207,7 @@ def cmd_dual(args):
 
 def cmd_gray_image(args):
     code = _input_code(args)
-    image = gray_image_code(code)
+    image = _gray_image(code, args.budget)
     result = {
         "field": field_to_json(code.field),
         "length": image.length,
@@ -265,25 +279,25 @@ def _suite_gray_commutation(trials, seed):
     runs = []
     for field in (field_f9(), field_f25()):
         for n in (3, 4, 6):
-            rep = check_commutation("sigma_pi4", field, n, trials, seed=seed)
-            runs.append({"identity": "sigma_pi4", "field": field_to_json(field), "n": n, "pass": rep.passed})
+            passed = check_commutation(*sigma_pi4(), field, n, trials, seed=seed) is None
+            runs.append({"identity": "sigma_pi4", "field": field_to_json(field), "n": n, "pass": passed})
             for alpha in (
                 ring_one(field),
                 RingElement.from_ints(field, -1),
                 RingElement.from_ints(field, 1, 0, 0, -2),
             ):
-                rep = check_commutation("tau_omega4", field, n, trials, seed=seed, alpha=alpha)
+                passed = check_commutation(*tau_omega4(alpha), field, n, trials, seed=seed) is None
                 runs.append(
                     {
                         "identity": "tau_omega4",
                         "field": field_to_json(field),
                         "n": n,
                         "alpha": ring_to_json(alpha),
-                        "pass": rep.passed,
+                        "pass": passed,
                     }
                 )
-    rep = check_commutation("permuted_sigma4", field_f27(), 5, trials, seed=seed)
-    runs.append({"identity": "permuted_sigma4", "field": field_to_json(field_f27()), "n": 5, "pass": rep.passed})
+    passed = check_commutation(*permuted_sigma4(), field_f27(), 5, trials, seed=seed) is None
+    runs.append({"identity": "permuted_sigma4", "field": field_to_json(field_f27()), "n": 5, "pass": passed})
     return {"runs": runs, "pass": all(r["pass"] for r in runs)}
 
 
@@ -291,7 +305,7 @@ def _suite_ret1(trials, seed):
     # gcd(n, k) = 1 instances: closure under the untwisted constacyclic shift
     details = []
     ex4 = get_example(4)
-    _, closed = _untwisted_closure(ex4["generator"], ex4["n"], ex4["alpha"], ex4["field"])
+    _, closed = _untwisted_closure(ex4["generator"], ex4["n"], ex4["alpha"])
     details.append({"instance": "length-7 audit module", "gcd": 1, "closed": closed})
     field = field_f9()
     code = build_code(field, 5, ring_one(field), [fq_poly(field, [-1, 1])] * 4)
@@ -458,7 +472,7 @@ def _audit_example_four(ex):
                 },
             }
         )
-    span, closed = _untwisted_closure(gen, n, alpha, field)
+    span, closed = _untwisted_closure(gen, n, alpha)
     result["submodule_component_dims"] = list(span.dims)
     result["closures"] = {
         "untwisted_constacyclic": closed,

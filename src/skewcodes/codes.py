@@ -24,7 +24,7 @@ from .errors import (
     NotAUnitError,
     VerificationError,
 )
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 from .linalg import inner_product
 from .ring4 import RingElement, idempotents, split_word
 from .skewpoly import (
@@ -69,16 +69,6 @@ def quasi_twist_shift(word, alpha, block: int):
     return tuple(alpha * c for c in word[n - block:]) + word[: n - block]
 
 
-def _block_constants(alpha, blocks: int, sample_entry):
-    # alpha may be a single scalar or, for 4 blocks over F_q, an R constant
-    # whose CRT components drive the individual blocks.
-    if isinstance(alpha, RingElement) and isinstance(sample_entry, FieldElement):
-        if blocks != 4:
-            raise BadIndexError("an R constant drives exactly 4 base-field blocks")
-        return alpha.crt()
-    return (alpha,) * blocks
-
-
 def blockwise_cyclic_shift(word, blocks: int):
     """Split into `blocks` equal chunks and apply the skew cyclic shift to each."""
     word = tuple(word)
@@ -92,21 +82,18 @@ def blockwise_cyclic_shift(word, blocks: int):
     return tuple(out)
 
 
-def blockwise_constacyclic_shift(word, blocks: int, alpha):
-    """Apply the skew constacyclic shift blockwise.
-
-    When alpha is an R constant and the entries are base-field elements,
-    block i uses the i-th CRT component of alpha.
-    """
+def blockwise_constacyclic_shift(word, constants):
+    """Split into len(constants) equal chunks; chunk b gets the skew
+    constacyclic shift with constants[b]."""
     word = tuple(word)
     n = len(word)
+    blocks = len(constants)
     if blocks < 1 or n % blocks != 0:
         raise BadIndexError(f"{blocks} blocks do not divide length {n}")
     size = n // blocks
-    consts = _block_constants(alpha, blocks, word[0])
     out = []
-    for b in range(blocks):
-        out.extend(skew_constacyclic_shift(word[b * size:(b + 1) * size], consts[b]))
+    for b, c in enumerate(constants):
+        out.extend(skew_constacyclic_shift(word[b * size:(b + 1) * size], c))
     return tuple(out)
 
 
@@ -119,7 +106,6 @@ class SkewCode:
     alpha: RingElement
     gens: tuple
     warnings: tuple = ()
-    component_ok: tuple = (True, True, True, True)
 
     @property
     def component_constants(self):
@@ -163,13 +149,11 @@ class SkewCode:
         return f"SkewCode(n={self.n}, alpha={self.alpha!r}, gens=[{gens}])"
 
 
-def build_code(field: FieldSpec, n: int, alpha: RingElement, gens, strict: bool = True) -> SkewCode:
+def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
     """Validate and build a SkewCode.
 
     Every generator must be monic; each must right-divide x^n - beta_i for
-    its CRT component constant. With strict=False a divisibility failure is
-    recorded as a warning instead of raised, so stated-but-broken inputs can
-    still be audited.
+    its CRT component constant, or NotADivisorError names the component.
     """
     gens = tuple(gens)
     if len(gens) != 4:
@@ -188,21 +172,16 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens, strict: bool 
             raise LengthMismatchError(f"generator degree {f.degree} exceeds length {n}")
     if not alpha.is_unit:
         warnings.append(f"shift constant is not a unit: crt={alpha.crt_ints()}")
-    ok = []
     constants = alpha.crt()
     for i, f in enumerate(gens):
         rem = right_divmod(ModulusSpec(n, constants[i]).poly(), f)[1]
-        good = rem.is_zero
-        ok.append(good)
-        if not good:
-            msg = (
+        if not rem.is_zero:
+            raise NotADivisorError(
                 f"component {i + 1}: {f!r} does not right-divide"
-                f" x^{n} - ({constants[i]!r}); remainder {rem!r}"
+                f" x^{n} - ({constants[i]!r}); remainder {rem!r}",
+                component=i + 1,
             )
-            if strict:
-                raise NotADivisorError(msg, component=i + 1)
-            warnings.append(msg)
-    return SkewCode(field, n, alpha, gens, tuple(warnings), tuple(ok))
+    return SkewCode(field, n, alpha, gens, tuple(warnings))
 
 
 def is_closed_under(code: SkewCode, shift, budget: int = DEFAULT_BUDGET) -> bool:

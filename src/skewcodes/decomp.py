@@ -31,11 +31,9 @@ def extract_components(words):
 class ModuleSpan:
     """R-span of a set of R-words, represented by its four component spans."""
 
-    def __init__(self, words, n: int, spec: FieldSpec):
-        comps = extract_components(words)
-        self.n = n
+    def __init__(self, words, spec: FieldSpec):
         self.spec = spec
-        self.component_spans = tuple(Span(c, n, spec) for c in comps)
+        self.component_spans = tuple(Span(c) for c in extract_components(words))
 
     @property
     def dims(self):
@@ -66,14 +64,14 @@ def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     """
     spec = constant.spec
     mod = ModulusSpec(n, constant)
-    target = Span(span_vectors, n, spec)
+    target = Span(span_vectors)
     if target.dim == 0:
         gen = mod.poly()
     else:
         reversed_rows, _ = rref([tuple(reversed(v)) for v in target.rows])
         least = reversed_rows[-1]
         gen = SkewPoly(spec, "fq", list(reversed(least))).monic()
-    regenerated = Span(span_words(gen, mod), n, spec)
+    regenerated = Span(span_words(gen, mod))
     if regenerated != target:
         raise VerificationError(
             "spanning set is not the single-generator module of its minimal element"
@@ -98,19 +96,10 @@ def components_from_words(words, n: int, alpha: RingElement) -> SkewCode:
 
 
 @dataclass(frozen=True)
-class ComponentVerdict:
-    constant: str
-    degree: int
-    divisor_ok: bool
-    closed: bool
-
-
-@dataclass(frozen=True)
 class DecompositionReport:
     closed: bool
     components: tuple
     equivalence_holds: bool
-    hypothesis_notes: tuple
 
 
 def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
@@ -118,31 +107,17 @@ def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
     exactly when each component is closed under its component shift.
 
     Component closure is judged on the nominal basis span, which pinpoints a
-    corrupted (non-divisor) component generator. `closed` is the direct
-    whole-code verdict; `equivalence_holds` records that it agrees with the
-    conjunction of the component verdicts.
+    corrupted (non-divisor) component generator. `components` holds the four
+    component verdicts, `closed` the direct whole-code verdict, and
+    `equivalence_holds` records that it agrees with their conjunction.
     """
-    consts = code.component_constants
-    verdicts = []
-    for i in range(4):
+    components = []
+    for i, const in enumerate(code.component_constants):
         basis = code.component_basis(i)
-        nominal = Span(basis, code.n, code.field)
-        closed = all(nominal.contains(skew_constacyclic_shift(w, consts[i])) for w in basis)
-        verdicts.append(
-            ComponentVerdict(
-                constant=repr(consts[i]),
-                degree=code.gens[i].degree,
-                divisor_ok=code.component_ok[i],
-                closed=closed,
-            )
-        )
+        nominal = Span(basis)
+        components.append(all(nominal.contains(skew_constacyclic_shift(w, const)) for w in basis))
     overall = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
-    notes = []
-    if not code.alpha.is_unit:
-        notes.append("shift constant is not a unit; theorem hypotheses not met")
-    return DecompositionReport(
-        overall, tuple(verdicts), overall == all(v.closed for v in verdicts), tuple(notes)
-    )
+    return DecompositionReport(overall, tuple(components), overall == all(components))
 
 
 def dual_hypothesis_note(code: SkewCode) -> str | None:

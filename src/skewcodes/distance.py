@@ -100,7 +100,7 @@ def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> Distanc
         return DistanceResult(1, None, tuple(witness), 0, "full-space")
     if q ** k <= min(budget, ENUM_CAP):
         return _enumerate_messages(basis, spec, n, k, budget)
-    return _bounded_weight_sweep(rows, basis, spec, n, k, budget)
+    return _bounded_weight_sweep(rows, basis, spec, n, budget)
 
 
 def _enumerate_messages(basis, spec, n, k, budget) -> DistanceResult:
@@ -144,7 +144,7 @@ def _has_completion(sums, start, table) -> bool:
     return bool(np.any((keys[pos] == wanted) & (last[pos] >= start)))
 
 
-def _bounded_weight_sweep(rows, basis, spec, n, k, budget) -> DistanceResult:
+def _bounded_weight_sweep(rows, basis, spec, n, budget) -> DistanceResult:
     """Sweep weights 1, 2, .. below the lightest presented row for a codeword.
 
     A word with support P + (j,), j > max(P), and nonzero coefficients is a

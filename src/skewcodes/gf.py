@@ -125,19 +125,12 @@ def _pp_powmod(base, e, mod, p):
 
 
 def _is_irreducible(modulus, p) -> bool:
+    """Rabin's test: x^(p^m) == x mod f, and gcd(x^(p^(m/r)) - x, f) = 1 for
+    every prime r | m. A linear modulus is irreducible outright (x^p would be
+    compared against x unreduced)."""
     m = len(modulus) - 1
     if m == 1:
         return True
-    if m <= 3:
-        # quadratics and cubics are reducible exactly when they have a root
-        for c in range(p):
-            acc = 0
-            for coef in reversed(modulus):
-                acc = (acc * c + coef) % p
-            if acc == 0:
-                return False
-        return True
-    # Rabin: x^(p^m) == x mod f, and gcd(x^(p^(m/r)) - x, f) = 1 for prime r | m
     xq = _pp_powmod([0, 1], p ** m, modulus, p)
     if _pp_trim([(a - b) % p for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)]):
         return False
@@ -268,10 +261,6 @@ class FieldSpec:
     def random_element(self, rng: random.Random) -> "FieldElement":
         return self._elems[rng.randrange(self.q)]
 
-    def frob_code(self, code: int) -> int:
-        """Image of the element with the given code under x -> x^(p^t)."""
-        return self.from_int(code).frob().code
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, FieldSpec)
@@ -391,6 +380,10 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return not self.code
+
+    @property
+    def is_unit(self) -> bool:
+        return bool(self.code)
 
     @property
     def digits(self) -> tuple:

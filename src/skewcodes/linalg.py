@@ -37,39 +37,24 @@ def rref(rows):
     return [tuple(r) for r in rows[:rank]], pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
-def reduce_vector(vec, reduced_rows, pivots):
-    """Residual of vec after elimination against an RREF basis."""
-    vec = list(vec)
-    for row, col in zip(reduced_rows, pivots):
-        if not vec[col].is_zero:
-            factor = vec[col]
-            vec = [x - factor * y for x, y in zip(vec, row)]
-    return tuple(vec)
-
-
-def in_span(vec, reduced_rows, pivots) -> bool:
-    return all(x.is_zero for x in reduce_vector(vec, reduced_rows, pivots))
-
-
 class Span:
     """Row space of a set of vectors with membership queries."""
 
-    def __init__(self, rows, ncols=None, spec: FieldSpec | None = None):
-        rows = [tuple(r) for r in rows]
+    def __init__(self, rows):
         self.rows, self.pivots = rref(rows)
-        self.ncols = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-        self.spec = spec if spec is not None else (rows[0][0].spec if rows else None)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
-        return in_span(vec, self.rows, self.pivots)
+        """Whether vec reduces to zero against the RREF basis."""
+        vec = list(vec)
+        for row, col in zip(self.rows, self.pivots):
+            if not vec[col].is_zero:
+                factor = vec[col]
+                vec = [x - factor * y for x, y in zip(vec, row)]
+        return all(x.is_zero for x in vec)
 
     def contains_all(self, vecs) -> bool:
         return all(self.contains(v) for v in vecs)

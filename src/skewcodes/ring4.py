@@ -57,12 +57,12 @@ class RingElement:
         conv = lambda x: x if isinstance(x, FieldElement) else spec.constant(x)
         return cls(conv(a), conv(b), conv(c), conv(d))
 
-    @classmethod
-    def from_field(cls, x: FieldElement) -> "RingElement":
+    @staticmethod
+    def from_field(x: FieldElement) -> "RingElement":
         return _of((x, x, x, x))
 
-    @classmethod
-    def from_crt(cls, spec: FieldSpec, r1, r2, r3, r4) -> "RingElement":
+    @staticmethod
+    def from_crt(spec: FieldSpec, r1, r2, r3, r4) -> "RingElement":
         conv = lambda x: x if isinstance(x, FieldElement) else spec.constant(x)
         return _of((conv(r1), conv(r2), conv(r3), conv(r4)))
 

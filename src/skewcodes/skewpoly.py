@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distance import DEFAULT_BUDGET
 from .errors import (
     BudgetExceededError,
     DivisionByZeroPolyError,
@@ -33,10 +34,6 @@ from .linalg import Span
 from .ring4 import RingElement, ring_one, ring_zero, split_word
 # No search here lists R; the name stays bound so that tests can patch it.
 from .ring4 import ring_elements  # noqa: F401
-
-
-def _is_unit_coeff(c) -> bool:
-    return c.is_unit if isinstance(c, RingElement) else not c.is_zero
 
 
 def is_theta_fixed(c) -> bool:
@@ -149,7 +146,7 @@ class SkewPoly:
     def monic(self) -> "SkewPoly":
         if self.is_zero:
             raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        if not _is_unit_coeff(self.lead):
+        if not self.lead.is_unit:
             raise NonUnitLeadingCoeffError(f"leading coefficient {self.lead!r} is not a unit")
         return self.scale_left(self.lead.inverse())
 
@@ -240,7 +237,7 @@ def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
     f._check_compatible(g)
     if g.is_zero:
         raise DivisionByZeroPolyError("division by the zero polynomial")
-    if not _is_unit_coeff(g.lead):
+    if not g.lead.is_unit:
         raise NonUnitLeadingCoeffError(
             f"leading coefficient {g.lead!r} of the divisor is not a unit"
         )
@@ -384,7 +381,7 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
 _PRINTED_DIGITS = 4300
 
 
-def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = 10**7):
+def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BUDGET):
     """All monic right divisors of x^n - alpha of the given degree, in the
     order of _monic_right_factors.
 
@@ -516,7 +513,7 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
 def dual_idempotent(e: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     """1 - e(x^{-1}) reduced mod x^n - alpha (alpha a theta-fixed unit)."""
     alpha = mod.alpha
-    if not _is_unit_coeff(alpha):
+    if not alpha.is_unit:
         raise NotAUnitError(f"shift constant {alpha!r} is not a unit")
     if not is_theta_fixed(alpha):
         raise HypothesisViolatedError("shift constant must be fixed by the twist")

@@ -410,6 +410,38 @@ def test_closure_checks_are_bounded_by_the_budget(capsys, monkeypatch):
     assert calls == []
 
 
+def test_gray_image_is_bounded_by_the_budget(capsys, monkeypatch):
+    """k^2 * 4n for the k = sum(dims) image rows is charged before any row
+    reduction: n = 68 passes at the default budget, n = 70 is refused."""
+    code, report = run_cli(capsys, "params", "--input", cyclic_f3(40))
+    assert code == 0
+    assert report["result"]["gray_params"] == [160, 156, 2]
+    code, report = run_cli(capsys, "gray-image", "--input", cyclic_f3(68))
+    assert code == 0
+    assert report["result"]["dimension"] == 268
+    code, _ = run_cli(capsys, "gray-image", "--input", cyclic_f3(40), "--budget", str(156 ** 2 * 160))
+    assert code == 0
+    calls = []
+    refuse = lambda *args, **kwargs: calls.append(args)
+    monkeypatch.setattr("skewcodes.linalg.rref", refuse)
+    monkeypatch.setattr("skewcodes.distance.rref", refuse)
+    for command, n, message in (
+        ("params", 100, "396^2 * 400 = 62726400"),
+        ("gray-image", 100, "396^2 * 400 = 62726400"),
+        ("gray-image", 70, "276^2 * 280 = 21329280"),
+    ):
+        code, report = run_cli(capsys, command, "--input", cyclic_f3(n))
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert report["result"]["error"] == (
+            f"Gray image needs k^2 * 4n = {message} steps, over the budget of 20000000"
+        )
+    code, report = run_cli(capsys, "gray-image", "--input", cyclic_f3(40), "--budget", str(156 ** 2 * 160 - 1))
+    assert code == 2
+    assert report["result"]["error"].startswith("Gray image needs k^2 * 4n = 156^2 * 160 = 3893760 steps")
+    assert calls == []
+
+
 def test_field_above_max_q_is_an_input_error(capsys):
     obj = {**SEARCH_F3, "field": {"p": 3, "m": 12, "modulus": [2] + [0] * 10 + [1, 1], "t": 1}}
     code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj))

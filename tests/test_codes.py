@@ -77,14 +77,6 @@ def test_build_rejects_non_divisor(f9):
     assert err.value.component == 2
 
 
-def test_build_non_strict_collects_warning(f9):
-    bad = fq_poly(f9, [1, 1, 1, 1])
-    good = fq_poly(f9, [2, f9.root(), 0, 2 * f9.root(), 1])
-    code = build_code(f9, 6, ring_one(f9), [good, bad, good, good], strict=False)
-    assert code.component_ok == (True, False, True, True)
-    assert any("component 2" in w for w in code.warnings)
-
-
 def test_build_warns_on_non_unit_constant(f9):
     # x - 1 right-divides x^7 - beta for every CRT component of this constant
     stated = RingElement.from_ints(f9, 1, 0, -2, -2)
@@ -143,7 +135,7 @@ def test_omega_is_blockwise_tau(f25):
     for _ in range(50):
         blocks = [tuple(f25.random_element(rng) for _ in range(4)) for _ in range(4)]
         flat = tuple(c for b in blocks for c in b)
-        shifted = blockwise_constacyclic_shift(flat, 4, alpha)
+        shifted = blockwise_constacyclic_shift(flat, (alpha,) * 4)
         expected = tuple(
             c for b in blocks for c in skew_constacyclic_shift(b, alpha)
         )
@@ -165,6 +157,10 @@ def test_blockwise_shift_needs_dividing_block_count(f9):
     w = tuple(random_ring_element(f9, rng) for _ in range(4))
     with pytest.raises(BadIndexError):
         blockwise_cyclic_shift(w, 3)
+    with pytest.raises(BadIndexError):
+        blockwise_constacyclic_shift(w, (ring_one(f9),) * 3)
+    with pytest.raises(BadIndexError):
+        blockwise_constacyclic_shift(w, ())
 
 
 # --- closure ---
@@ -250,10 +246,8 @@ def test_dual_matches_classical_component_oracle(f9):
             code = build_code(f9, n, alpha, gens)
             dual = dual_code(code)
             for i in range(4):
-                oracle = Span(
-                    nullspace(span_words(code.gens[i], code.modulus(i)), n, f9), n, f9
-                )
-                got = Span(span_words(dual.gens[i], dual.modulus(i)), n, f9)
+                oracle = Span(nullspace(span_words(code.gens[i], code.modulus(i)), n, f9))
+                got = Span(span_words(dual.gens[i], dual.modulus(i)))
                 assert got == oracle
 
 
@@ -340,7 +334,7 @@ def test_power_scale_poly_carries_divisors(f9):
         image = power_scale_poly(f, minus_one, 3).monic()
         assert right_divmod(mod_neg.poly(), image)[1].is_zero
         # the image module is closed under the skew constacyclic shift
-        span = Span(span_words(image, mod_neg), 3, f9)
+        span = Span(span_words(image, mod_neg))
         for w in span_words(image, mod_neg):
             assert span.contains(skew_constacyclic_shift(w, minus_one))
 

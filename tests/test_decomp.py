@@ -3,7 +3,7 @@ import random
 import pytest
 
 from skewcodes.catalog import get_example
-from skewcodes.codes import build_code, constacyclic_shift, dual_code
+from skewcodes.codes import SkewCode, build_code, constacyclic_shift, dual_code
 from skewcodes.decomp import (
     ModuleSpan,
     components_from_words,
@@ -79,7 +79,7 @@ def test_round_trip_examples(num):
 
 def test_module_span_membership(f9):
     code = example_code(2)
-    span = ModuleSpan(code.basis_words(), code.n, f9)
+    span = ModuleSpan(code.basis_words(), f9)
     assert span.cardinality == code.cardinality
     for w in code.basis_words():
         assert span.contains(w)
@@ -97,18 +97,17 @@ def test_verify_decomposition_on_examples():
         report = verify_decomposition_theorem(example_code(num))
         assert report.closed
         assert report.equivalence_holds
-        assert all(v.closed and v.divisor_ok for v in report.components)
+        assert report.components == (True, True, True, True)
 
 
 def test_verify_decomposition_pinpoints_corruption(f9):
     good = fq_poly(f9, [2, f9.root(), 0, 2 * f9.root(), 1])
     bad = fq_poly(f9, [1, 1, 1, 1])
-    code = build_code(f9, 6, ring_one(f9), [good, bad, good, good], strict=False)
+    code = SkewCode(f9, 6, ring_one(f9), (good, bad, good, good))
     report = verify_decomposition_theorem(code)
     assert not report.closed
     assert report.equivalence_holds
-    flags = [v.closed for v in report.components]
-    assert flags == [True, False, True, True]
+    assert report.components == (True, False, True, True)
 
 
 def test_dual_constant_examples(f9, f49):
@@ -145,10 +144,8 @@ def test_dual_components_equal_component_duals(f9, f25):
         dual = dual_code(code)
         assert code.cardinality * dual.cardinality == spec.q ** (4 * n)
         for i in range(4):
-            oracle = Span(
-                nullspace(span_words(code.gens[i], code.modulus(i)), n, spec), n, spec
-            )
-            got = Span(span_words(dual.gens[i], dual.modulus(i)), n, spec)
+            oracle = Span(nullspace(span_words(code.gens[i], code.modulus(i)), n, spec))
+            got = Span(span_words(dual.gens[i], dual.modulus(i)))
             assert got == oracle
 
 
@@ -164,7 +161,7 @@ def test_stated_length_seven_module_audit(f9):
     ex = get_example(4)
     mod = ModulusSpec(ex["n"], ex["alpha"])
     words = span_words(ex["generator"], mod)
-    span = ModuleSpan(words, ex["n"], f9)
+    span = ModuleSpan(words, f9)
     assert span.dims == (1, 1, 1, 7)
     for w in words:
         assert span.contains(constacyclic_shift(w, ex["alpha"]))

@@ -71,7 +71,7 @@ def test_enumeration_and_sweep_agree(f9, f25):
             n = rng.randint(4, 8)
             k = rng.randint(1, 2 if spec is f81 else 3)  # q^k within ENUM_CAP
             rows = random_rows(spec, rng, k, n)
-            if Span(rows, n, spec).dim == 0:
+            if Span(rows).dim == 0:
                 continue
             by_enum = min_distance(rows, spec, budget=10**6)
             # force the sweep path by denying the enumeration cap
@@ -100,7 +100,7 @@ def test_witness_is_a_codeword(f9):
     rng = random.Random(5)
     rows = random_rows(f9, rng, 2, 6)
     res = min_distance(rows, f9)
-    span = Span(rows, 6, f9)
+    span = Span(rows)
     assert span.contains(res.witness)
 
 
@@ -151,7 +151,7 @@ SWEEP_FIELDS = {
 }
 
 
-def reference_sweep(rows, basis, spec, n, k, budget):
+def reference_sweep(rows, basis, spec, n, budget):
     """The per-support loop: every support of each weight, and every nonzero
     coefficient vector on it, summed column by column."""
     q = spec.q
@@ -201,16 +201,15 @@ def sweep_outcome(sweep, rows, spec, budget, reduced):
     which holds every unit vector of the code and so never leaves a zero
     column in H to be found at weight 1."""
     basis = rref(rows)[0] if reduced else rows
-    dim = Span(rows, len(rows[0]), spec).dim
     try:
-        return sweep(rows, basis, spec, len(rows[0]), dim, budget)
+        return sweep(rows, basis, spec, len(rows[0]), budget)
     except BudgetExceededError as refusal:
         return ("refused", str(refusal))
 
 
-def sweep_applies(rows, spec):
+def sweep_applies(rows):
     """The sweep runs on codes that are neither zero nor the full space."""
-    return 0 < Span(rows, len(rows[0]), spec).dim < len(rows[0])
+    return 0 < Span(rows).dim < len(rows[0])
 
 
 @st.composite
@@ -229,7 +228,7 @@ def planted_codes(draw):
 @given(planted_codes())
 def test_lookup_sweep_matches_the_per_support_loop(case):
     spec, rows, budget, reduced = case
-    if not sweep_applies(rows, spec):
+    if not sweep_applies(rows):
         return
     ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
     assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
@@ -251,7 +250,7 @@ def test_lookup_sweep_meets_every_outcome():
                 planted = [rng.randint(1, spec.q - 1) if i in support else 0 for i in range(n)]
                 masks = [[rng.randrange(spec.q) for _ in range(n)] for _ in range(rng.randint(1, 2))]
                 rows = planted_rows(spec, planted, masks)
-                if not sweep_applies(rows, spec):
+                if not sweep_applies(rows):
                     continue
                 first_two = n * (spec.q - 1) + comb(n, 2) * (spec.q - 1) ** 2
                 for budget, reduced in product((n * (spec.q - 1), first_two - 1, 400_000), (True, False)):

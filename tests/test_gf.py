@@ -42,7 +42,7 @@ def test_make_field_rejects_non_monic():
 
 
 def test_quintic_irreducibility_path():
-    # exercises the gcd-based test (m > 3): x^5 + x + 1 has the factor x + 2
+    # Rabin's gcd step for the prime r = 5 | m: x^5 + x + 1 has the factor x + 2
     # over F_3, x^5 - x + 1 has no factor of degree <= 2
     with pytest.raises(ReducibleModulusError):
         make_field(3, 5, [1, 1, 0, 0, 0, 1])

@@ -10,7 +10,6 @@ from skewcodes.codes import (
     skew_constacyclic_shift,
     skew_cyclic_shift,
 )
-from skewcodes.errors import HypothesisViolatedError
 from skewcodes.gray import (
     check_commutation,
     gray_image_code,
@@ -20,6 +19,9 @@ from skewcodes.gray import (
     hamming_weight,
     interleave_permutation,
     lee_weight,
+    permuted_sigma4,
+    sigma_pi4,
+    tau_omega4,
 )
 from skewcodes.linalg import Span
 from skewcodes.ring4 import RingElement, random_ring_element, ring_one, ring_zero
@@ -116,41 +118,49 @@ def test_gray_image_of_zero_code(f9):
 
 
 def test_commutation_sigma_pi4(f9):
-    report = check_commutation("sigma_pi4", f9, 3, 1000, seed=17)
-    assert report.passed
-    assert report.counterexample is None
+    assert check_commutation(*sigma_pi4(), f9, 3, 1000, seed=17) is None
 
 
 def test_commutation_tau_omega4(f25, f9):
-    rep = check_commutation("tau_omega4", f25, 4, 1000, seed=18, alpha=-ring_one(f25))
-    assert rep.passed
+    assert check_commutation(*tau_omega4(-ring_one(f25)), f25, 4, 1000, seed=18) is None
     mixed = RingElement.from_ints(f9, 1, 0, 0, -2)
-    rep = check_commutation("tau_omega4", f9, 6, 1000, seed=19, alpha=mixed)
-    assert rep.passed
+    assert check_commutation(*tau_omega4(mixed), f9, 6, 1000, seed=19) is None
 
 
 def test_commutation_permuted_sigma4(f27):
-    rep = check_commutation("permuted_sigma4", f27, 5, 1000, seed=20)
-    assert rep.passed
+    assert check_commutation(*permuted_sigma4(), f27, 5, 1000, seed=20) is None
 
 
-def test_permuted_identity_needs_order_three(f9):
-    with pytest.raises(HypothesisViolatedError):
-        check_commutation("permuted_sigma4", f9, 4, 10)
+def test_permuted_identity_needs_order_three(f9, f25):
+    """With a twist of order 2 the interleaved identity fails, and the
+    returned word is a counterexample."""
+    lhs, rhs = permuted_sigma4()
+    for field in (f9, f25):
+        w = check_commutation(lhs, rhs, field, 4, 10)
+        assert w is not None and len(w) == 4
+        assert lhs(w) != rhs(w)
+
+
+def test_commutation_returns_the_first_counterexample(f9):
+    """A failing pair of maps gives back the first word drawn from the seed."""
+    rng = random.Random(5)
+    first = tuple(random_ring_element(f9, rng) for _ in range(3))
+    assert check_commutation(lambda w: w, lambda w: None, f9, 3, 10, seed=5) == first
+    assert check_commutation(lambda w: w, lambda w: w, f9, 3, 10, seed=5) is None
 
 
 def test_image_closed_under_block_shift():
     """Skew closure of the code transfers to its Gray image."""
     code = example_code(1)
     img = gray_image_code(code)
-    span = Span(img.rows, img.length, code.field)
+    span = Span(img.rows)
     for row in img.rows:
         assert span.contains(blockwise_cyclic_shift(row, 4))
     code3 = example_code(3)
     img3 = gray_image_code(code3)
-    span3 = Span(img3.rows, img3.length, code3.field)
+    span3 = Span(img3.rows)
     for row in img3.rows:
-        assert span3.contains(blockwise_constacyclic_shift(row, 4, code3.alpha))
+        assert span3.contains(blockwise_constacyclic_shift(row, code3.alpha.crt()))
 
 
 def test_permuted_image_closed_under_fourfold_shift(f27):
@@ -161,7 +171,7 @@ def test_permuted_image_closed_under_fourfold_shift(f27):
 
     code = build_code(f27, 5, ring_one(f27), [fq_poly(f27, [-1, 1])] * 4)
     rows = [gray_permuted(w) for w in code.basis_words()]
-    span = Span(rows, 20, f27)
+    span = Span(rows)
     for row in rows:
         image = row
         for _ in range(4):
@@ -176,5 +186,5 @@ def test_gray_intertwines_shifts_on_words(f9):
         w = tuple(random_ring_element(f9, rng) for _ in range(4))
         assert gray_map(skew_cyclic_shift(w)) == blockwise_cyclic_shift(gray_map(w), 4)
         assert gray_map(skew_constacyclic_shift(w, alpha)) == blockwise_constacyclic_shift(
-            gray_map(w), 4, alpha
+            gray_map(w), alpha.crt()
         )

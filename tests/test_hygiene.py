@@ -1,0 +1,84 @@
+"""Source hygiene of src/skewcodes, checked with the standard library's ast
+(no linter is a dependency): no unused import, and no unread parameter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "skewcodes"
+MODULES = sorted(SRC.glob("*.py"))
+
+# Bound on purpose and never read in its module: tests patch it.
+KEPT_IMPORTS = {("skewpoly", "ring_elements")}
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def names_read(tree):
+    """Every name used anywhere in tree, and the strings listed in __all__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def suite_functions():
+    """The cli.SUITES entries: the dispatch calls each with (trials, seed)."""
+    for node in parse(SRC / "cli.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SUITES" for t in node.targets
+        ):
+            return {v.id for v in node.value.values}
+    raise AssertionError("cli.SUITES not found")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_import(path):
+    tree = parse(path)
+    read = names_read(tree)
+    unused = [
+        name for name in imported_names(tree)
+        if name not in read and (path.stem, name) not in KEPT_IMPORTS
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    tree = parse(path)
+    exempt = suite_functions() if path.stem == "cli" else set()
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if getattr(node, "name", None) in exempt:
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}({p}) at line {node.lineno}" for p in params if p not in loaded]
+    assert unread == []

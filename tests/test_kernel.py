@@ -5,6 +5,7 @@ polynomials, over fields that include a twist strictly between the identity
 and the full Frobenius (1 < t < m).
 """
 
+import itertools
 import time
 import tracemalloc
 
@@ -104,7 +105,6 @@ def test_frobenius_is_a_power_and_a_field_automorphism(args, i):
     assert (x + y).frob(i) == x.frob(i) + y.frob(i)
     assert (x * y).frob(i) == x.frob(i) * y.frob(i)
     assert x.frob(spec.k) == x
-    assert spec.frob_code(x.code) == x.frob().code
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -124,6 +124,7 @@ def test_tables_are_consistent(name):
     assert all(spec.exp[spec.log[c]].code == c for c in range(1, q))
     assert [x.code for x in spec.elements()] == list(range(q))
     assert all(spec.from_int(c).code == c for c in range(q))
+    assert [x.is_unit for x in spec.elements()] == [False] + [True] * (q - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,6 +132,17 @@ def test_tables_are_consistent(name):
 def test_irreducibility_matches_galoistools(p, low):
     mod = [c % p for c in low] + [1]
     assert _is_irreducible(mod, p) == gf_irreducible_p([ZZ(c) for c in reversed(mod)], p, ZZ)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_irreducibility_matches_galoistools_on_every_low_degree(p):
+    """Every monic polynomial of degree 2 and 3 over F_p."""
+    for m in (2, 3):
+        for low in itertools.product(range(p), repeat=m):
+            mod = list(low) + [1]
+            assert _is_irreducible(mod, p) == gf_irreducible_p(
+                [ZZ(c) for c in reversed(mod)], p, ZZ
+            ), mod
 
 
 def test_make_field_interns_equal_specs():

@@ -15,7 +15,7 @@ from skewcodes.codes import build_code, dual_code
 from skewcodes.decomp import components_from_words, verify_decomposition_theorem
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_map, hamming_weight, lee_weight
-from skewcodes.linalg import Span, nullspace
+from skewcodes.linalg import Span, inner_product, nullspace
 from skewcodes.ring4 import RingElement, ring_one, ring_zero, split_word
 from skewcodes.skewpoly import (
     ModulusSpec,
@@ -69,6 +69,30 @@ def test_division_contract(pair, twisted):
     product = quot * g if twisted else c_mul(quot, g)
     assert product + rem == f
     assert rem.is_zero or rem.degree < g.degree
+
+
+@st.composite
+def rows_and_vector(draw):
+    """Up to 4 rows of length n over F_q, and a vector that is either random
+    or a random combination of the rows."""
+    spec = draw(fields())
+    n = draw(st.integers(1, 6))
+    vec = st.tuples(*[field_values(spec)] * n)
+    rows = draw(st.lists(vec, max_size=4))
+    if rows and draw(st.booleans()):
+        coefs = draw(st.tuples(*[field_values(spec)] * len(rows)))
+        v = tuple(sum((c * r[j] for c, r in zip(coefs, rows)), spec.zero) for j in range(n))
+    else:
+        v = draw(vec)
+    return spec, n, rows, v
+
+
+@SETTINGS
+@given(rows_and_vector())
+def test_span_membership_is_orthogonality_to_the_nullspace(args):
+    spec, n, rows, v = args
+    dual = nullspace(rows, n, spec)
+    assert Span(rows).contains(v) == all(inner_product(v, h).is_zero for h in dual)
 
 
 @SETTINGS
@@ -237,4 +261,4 @@ def test_dual_generators_span_the_nullspaces(code):
     for i in range(4):
         oracle = nullspace(span_words(code.gens[i], code.modulus(i)), n, spec)
         got = span_words(dual.gens[i], dual.modulus(i))
-        assert Span(got, n, spec) == Span(oracle, n, spec)
+        assert Span(got) == Span(oracle)
