@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codes import (
     SkewCode,
     blockwise_constacyclic_shift,
@@ -19,10 +21,10 @@ from .codes import (
     skew_constacyclic_shift,
     skew_cyclic_shift,
 )
-from .errors import LengthMismatchError, VerificationError
-from .gf import FieldSpec
+from .errors import LengthMismatchError, MixedRingsError, VerificationError
+from .gf import FieldElement, FieldSpec
 from .linalg import Span
-from .ring4 import RingElement, random_ring_element, split_word
+from .ring4 import RingElement, _random_codes, split_word
 
 
 def gray_map(word):
@@ -120,12 +122,88 @@ def permuted_sigma4():
     )
 
 
+# Trials a check evaluates at once: bounds its arrays whatever `trials` is.
+_CHUNK = 1 << 10
+
+
+class _Column:
+    """Entry i of every trial word of a check, as logarithms on
+    gf.FieldArrays: a (4, T) array of CRT components for an entry in R, a
+    (T,) array for an entry in F_q.
+
+    It has only what the word maps use: frob, left multiplication by a
+    FieldElement or RingElement constant (whose __mul__ returns
+    NotImplemented for a column) and crt.
+    """
+
+    __slots__ = ("spec", "logs")
+
+    def __init__(self, spec: FieldSpec, logs):
+        self.spec = spec
+        self.logs = logs
+
+    def frob(self, i: int = 1) -> "_Column":
+        logs, frob = self.logs, self.spec.arrays().frob
+        for _ in range(i % self.spec.k):
+            logs = frob[logs]
+        return _Column(self.spec, logs)
+
+    def __rmul__(self, const):
+        if not isinstance(const, (FieldElement, RingElement)):
+            return NotImplemented
+        if const.spec != self.spec:
+            raise MixedRingsError("constant and word over different fields")
+        arrays = self.spec.arrays()
+        if isinstance(const, RingElement):
+            logs = arrays.log[[c.code for c in const.crt()]][:, None]
+        else:
+            logs = arrays.log[const.code]
+        return _Column(self.spec, arrays.wrap[self.logs + logs])
+
+    def crt(self):
+        return tuple(_Column(self.spec, logs) for logs in self.logs)
+
+
+def _log_sum(arrays, x, y):
+    """Logarithms of the sums of the elements with logarithms x and y."""
+    return arrays.wrap[x + arrays.plus[y - x + arrays.zero]]
+
+
+def _differing(left, right, count: int):
+    """For each of `count` trials, whether the word-map outputs left and right
+    (tuples of _Columns) differ there. Outputs of different shapes differ on
+    every trial."""
+    if len(left) != len(right) or any(x.logs.shape != y.logs.shape for x, y in zip(left, right)):
+        return np.ones(count, dtype=bool)
+    stacked = lambda out: np.concatenate([x.logs.reshape(-1, count) for x in out])
+    return (stacked(left) != stacked(right)).any(axis=0)
+
+
 def check_commutation(lhs, rhs, field: FieldSpec, n: int, trials: int, seed: int = 0):
     """The first of `trials` random R-words w of length n with
-    lhs(w) != rhs(w), or None when the two word maps agree on all of them."""
+    lhs(w) != rhs(w), or None when the two word maps agree on all of them.
+
+    The words are those that successive random_ring_element(field, rng) calls
+    draw from rng = random.Random(seed). Up to _CHUNK of them are evaluated
+    at once: lhs and rhs each run once on a word of n _Columns, so they must
+    be built from frob, multiplication by a constant, crt() and tuple slicing
+    or concatenation.
+    """
     rng = random.Random(seed)
-    for _ in range(trials):
-        w = tuple(random_ring_element(field, rng) for _ in range(n))
-        if lhs(w) != rhs(w):
-            return w
+    arrays = field.arrays()
+    spare = ()
+    for start in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - start)
+        codes, spare = _random_codes(field.q, rng, 4 * n * count, spare)
+        codes = codes.reshape(count, n, 4)
+        a, b, c, d = arrays.log[codes.transpose(2, 1, 0)]  # (n, count) each
+        ab = _log_sum(arrays, a, b)
+        crt = (a, ab, _log_sum(arrays, a, c), _log_sum(arrays, _log_sum(arrays, ab, c), d))
+        word = tuple(_Column(field, logs) for logs in np.stack(crt, axis=1))
+        differ = _differing(lhs(word), rhs(word), count)
+        if differ.any():
+            return tuple(
+                RingElement(*(field.from_int(int(x)) for x in entry))
+                for entry in codes[differ.argmax()]
+            )
     return None

@@ -142,10 +142,12 @@ def test_permuted_identity_needs_order_three(f9, f25):
 
 
 def test_commutation_returns_the_first_counterexample(f9):
-    """A failing pair of maps gives back the first word drawn from the seed."""
+    """A pair of word maps that differ on the first draw gives back the first
+    word drawn from the seed."""
     rng = random.Random(5)
     first = tuple(random_ring_element(f9, rng) for _ in range(3))
-    assert check_commutation(lambda w: w, lambda w: None, f9, 3, 10, seed=5) == first
+    assert skew_cyclic_shift(first) != first
+    assert check_commutation(lambda w: w, skew_cyclic_shift, f9, 3, 10, seed=5) == first
     assert check_commutation(lambda w: w, lambda w: w, f9, 3, 10, seed=5) is None
 
 
