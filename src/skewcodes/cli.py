@@ -275,18 +275,18 @@ def cmd_idempotent(args):
 
 # --- verification suites ---
 
-def _suite_gray_commutation(trials, seed):
+def _suite_gray_commutation(seed):
     runs = []
     for field in (field_f9(), field_f25()):
         for n in (3, 4, 6):
-            passed = check_commutation(*sigma_pi4(), field, n, trials, seed=seed) is None
+            passed = check_commutation(*sigma_pi4(), field, n) is None
             runs.append({"identity": "sigma_pi4", "field": field_to_json(field), "n": n, "pass": passed})
             for alpha in (
                 ring_one(field),
                 RingElement.from_ints(field, -1),
                 RingElement.from_ints(field, 1, 0, 0, -2),
             ):
-                passed = check_commutation(*tau_omega4(alpha), field, n, trials, seed=seed) is None
+                passed = check_commutation(*tau_omega4(alpha), field, n) is None
                 runs.append(
                     {
                         "identity": "tau_omega4",
@@ -296,12 +296,12 @@ def _suite_gray_commutation(trials, seed):
                         "pass": passed,
                     }
                 )
-    passed = check_commutation(*permuted_sigma4(), field_f27(), 5, trials, seed=seed) is None
+    passed = check_commutation(*permuted_sigma4(), field_f27(), 5) is None
     runs.append({"identity": "permuted_sigma4", "field": field_to_json(field_f27()), "n": 5, "pass": passed})
     return {"runs": runs, "pass": all(r["pass"] for r in runs)}
 
 
-def _suite_ret1(trials, seed):
+def _suite_ret1(seed):
     # gcd(n, k) = 1 instances: closure under the untwisted constacyclic shift
     details = []
     ex4 = get_example(4)
@@ -314,7 +314,7 @@ def _suite_ret1(trials, seed):
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
 
-def _suite_ret2(trials, seed):
+def _suite_ret2(seed):
     details = []
     for num in (1, 3):
         ex = get_example(num)
@@ -325,7 +325,7 @@ def _suite_ret2(trials, seed):
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
 
-def _suite_decomposition(trials, seed):
+def _suite_decomposition(seed):
     rng = random.Random(seed)
     runs = []
     fields = [field_f9(), field_f25()]
@@ -353,7 +353,7 @@ def _suite_decomposition(trials, seed):
     return {"runs": runs, "pass": all(r["round_trip"] and r["closed"] for r in runs)}
 
 
-def _suite_dual_contract(trials, seed):
+def _suite_dual_contract(seed):
     details = []
     for num in (1, 2, 3):
         ex = get_example(num)
@@ -381,7 +381,7 @@ def cmd_verify(args):
         raise ParseError(f"trials must be at least 1, got {args.trials}")
     results = {}
     for name in names:
-        results[name] = SUITES[name](args.trials, args.seed)
+        results[name] = SUITES[name](args.seed)
     all_pass = all(r["pass"] for r in results.values())
     result = {"suites": results, "pass": all_pass}
     if not all_pass:

@@ -9,7 +9,6 @@ the image equals Lee weight of the preimage.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .codes import (
 from .errors import LengthMismatchError, MixedRingsError, VerificationError
 from .gf import FieldElement, FieldSpec
 from .linalg import Span
-from .ring4 import RingElement, _random_codes, split_word
+from .ring4 import RingElement, split_word
 
 
 def gray_map(word):
@@ -122,12 +121,8 @@ def permuted_sigma4():
     )
 
 
-# Trials a check evaluates at once: bounds its arrays whatever `trials` is.
-_CHUNK = 1 << 10
-
-
 class _Column:
-    """Entry i of every trial word of a check, as logarithms on
+    """Entry i of every basis word of a check, as logarithms on
     gf.FieldArrays: a (4, T) array of CRT components for an entry in R, a
     (T,) array for an entry in F_q.
 
@@ -164,46 +159,36 @@ class _Column:
         return tuple(_Column(self.spec, logs) for logs in self.logs)
 
 
-def _log_sum(arrays, x, y):
-    """Logarithms of the sums of the elements with logarithms x and y."""
-    return arrays.wrap[x + arrays.plus[y - x + arrays.zero]]
-
-
 def _differing(left, right, count: int):
-    """For each of `count` trials, whether the word-map outputs left and right
-    (tuples of _Columns) differ there. Outputs of different shapes differ on
-    every trial."""
+    """For each of `count` basis words, whether the word-map outputs left and
+    right (tuples of _Columns) differ there. Outputs of different shapes
+    differ on every basis word."""
     if len(left) != len(right) or any(x.logs.shape != y.logs.shape for x, y in zip(left, right)):
         return np.ones(count, dtype=bool)
     stacked = lambda out: np.concatenate([x.logs.reshape(-1, count) for x in out])
     return (stacked(left) != stacked(right)).any(axis=0)
 
 
-def check_commutation(lhs, rhs, field: FieldSpec, n: int, trials: int, seed: int = 0):
-    """The first of `trials` random R-words w of length n with
-    lhs(w) != rhs(w), or None when the two word maps agree on all of them.
+def check_commutation(lhs, rhs, field: FieldSpec, n: int):
+    """The first word w of an F_p-basis of R^n with lhs(w) != rhs(w), or
+    None when lhs and rhs agree on all of R^n.
 
-    The words are those that successive random_ring_element(field, rng) calls
-    draw from rng = random.Random(seed). Up to _CHUNK of them are evaluated
-    at once: lhs and rhs each run once on a word of n _Columns, so they must
-    be built from frob, multiplication by a constant, crt() and tuple slicing
-    or concatenation.
+    lhs and rhs each run once, on a word of n _Columns that holds every
+    basis word, so they must be built from frob, multiplication by a
+    constant, crt() and tuple slicing or concatenation. Each of these is
+    F_p-linear, so lhs - rhs vanishes on R^n iff it vanishes on the basis.
+    The basis is the 4nm words with one nonzero CRT component, component c
+    of entry i equal to xi^j (code p^j), ordered by (i, c, j).
     """
-    rng = random.Random(seed)
-    arrays = field.arrays()
-    spare = ()
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        codes, spare = _random_codes(field.q, rng, 4 * n * count, spare)
-        codes = codes.reshape(count, n, 4)
-        a, b, c, d = arrays.log[codes.transpose(2, 1, 0)]  # (n, count) each
-        ab = _log_sum(arrays, a, b)
-        crt = (a, ab, _log_sum(arrays, a, c), _log_sum(arrays, _log_sum(arrays, ab, c), d))
-        word = tuple(_Column(field, logs) for logs in np.stack(crt, axis=1))
-        differ = _differing(lhs(word), rhs(word), count)
-        if differ.any():
-            return tuple(
-                RingElement(*(field.from_int(int(x)) for x in entry))
-                for entry in codes[differ.argmax()]
-            )
-    return None
+    count = 4 * n * field.m
+    t = np.arange(count)
+    codes = np.zeros((count, 4 * n), dtype=np.int64)
+    codes[t, t // field.m] = field.p ** (t % field.m)
+    word = tuple(_Column(field, logs) for logs in field.arrays().log[codes.T.reshape(n, 4, count)])
+    differ = _differing(lhs(word), rhs(word), count)
+    if not differ.any():
+        return None
+    return tuple(
+        RingElement.from_crt(field, *(field.from_int(int(x)) for x in entry))
+        for entry in codes[differ.argmax()].reshape(n, 4)
+    )

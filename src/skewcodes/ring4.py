@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MixedRingsError, NotAUnitError
 from .gf import FieldElement, FieldSpec
 
@@ -207,31 +205,6 @@ def random_ring_element(spec: FieldSpec, rng: random.Random) -> RingElement:
         spec.random_element(rng), spec.random_element(rng),
         spec.random_element(rng), spec.random_element(rng),
     )
-
-
-def _random_codes(q: int, rng: random.Random, count: int, spare):
-    """(codes, spare): `count` element codes equal to what `count` successive
-    rng.randrange(q) calls return, and the codes drawn past them.
-
-    `spare` is the spare of the previous draw on rng (or ()), and comes first.
-    randrange(q) keeps the top k = q.bit_length() bits of one 32-bit Mersenne
-    Twister output and draws again while they are >= q; getrandbits(32 * N)
-    gives N such outputs, the first least significant. k <= 32 since
-    q <= MAX_Q.
-    """
-    k = q.bit_length()
-    parts = [np.asarray(spare, dtype=np.uint32)]
-    have = len(spare)
-    while have < count:
-        # q / 2^k > 1/2 of the outputs are kept
-        words = 2 * (count - have) + 8
-        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
-        kept = raw >> (32 - k)
-        kept = kept[kept < q]
-        parts.append(kept)
-        have += len(kept)
-    codes = np.concatenate(parts)
-    return codes[:count], codes[count:]
 
 
 def ring_elements(spec: FieldSpec):

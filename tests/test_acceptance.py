@@ -147,7 +147,6 @@ def test_criterion_3_factorization_identities():
 
 def test_criterion_4_operator_identities():
     start = time.perf_counter()
-    trials = 1000
     runs = []
     for spec in (F9, F25):
         alphas = [
@@ -156,13 +155,13 @@ def test_criterion_4_operator_identities():
             RingElement.from_ints(spec, 1, 0, 0, -2),
         ]
         for n in (3, 4, 6):
-            runs.append(check_commutation(*sigma_pi4(), spec, n, trials, seed=101) is None)
+            runs.append(check_commutation(*sigma_pi4(), spec, n) is None)
             for alpha in alphas:
-                runs.append(check_commutation(*tau_omega4(alpha), spec, n, trials, seed=102) is None)
-    runs.append(check_commutation(*permuted_sigma4(), F27, 5, trials, seed=103) is None)
+                runs.append(check_commutation(*tau_omega4(alpha), spec, n) is None)
+    runs.append(check_commutation(*permuted_sigma4(), F27, 5) is None)
     elapsed = time.perf_counter() - start
     ok = all(runs) and elapsed < 10.0
-    emit(4, ok, f"{len(runs)} operator-identity batteries x {trials} trials", elapsed)
+    emit(4, ok, f"{len(runs)} operator identities proved on an F_p-basis of R^n", elapsed)
     assert all(runs)
     assert elapsed < 10.0
 

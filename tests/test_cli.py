@@ -122,6 +122,19 @@ def test_verify_suites_pass(capsys):
     assert report["result"]["pass"] is True
 
 
+def test_gray_commutation_result_reads_neither_trials_nor_seed(capsys):
+    """The suite proves its identities on a basis, so --trials and --seed
+    leave its result unchanged."""
+    results = []
+    for trials, seed in (("1", "0"), ("20", "7"), ("1000", "123")):
+        code, report = run_cli(capsys, "verify", "gray-commutation", "--trials", trials, "--seed", seed)
+        assert code == 0
+        results.append(report["result"])
+    assert results[0]["pass"] is True
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
 def test_verify_decomposition_and_dual_suites(capsys):
     code, report = run_cli(
         capsys, "verify", "decomposition", "dual-contract", "--trials", "10"

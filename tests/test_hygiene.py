@@ -41,7 +41,7 @@ def imported_names(tree):
 
 
 def suite_functions():
-    """The cli.SUITES entries: the dispatch calls each with (trials, seed)."""
+    """The cli.SUITES entries: the dispatch calls each with (seed,)."""
     for node in parse(SRC / "cli.py").body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "SUITES" for t in node.targets

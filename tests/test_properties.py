@@ -5,13 +5,23 @@ Polynomials and words are drawn over the fields of test_kernel.py, which
 include twists strictly between the identity and the full Frobenius.
 """
 
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_commutation_kernel import CHECK_FIELDS
 from test_kernel import FIELDS
 
-from skewcodes.codes import build_code, dual_code
+from skewcodes.codes import (
+    build_code,
+    constacyclic_shift,
+    dual_code,
+    is_closed_under,
+    quasi_twist_shift,
+    skew_constacyclic_shift,
+)
 from skewcodes.decomp import components_from_words, verify_decomposition_theorem
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_map, hamming_weight, lee_weight
@@ -262,3 +272,52 @@ def test_dual_generators_span_the_nullspaces(code):
         oracle = nullspace(span_words(code.gens[i], code.modulus(i)), n, spec)
         got = span_words(dual.gens[i], dual.modulus(i))
         assert Span(got) == Span(oracle)
+
+
+# --- equivalence of skew constacyclic codes with untwisted ones ---
+
+def closed_as_the_theorems_state(code):
+    """Closure under the untwisted alpha-constacyclic shift when
+    gcd(n, k) = 1, else under the alpha-quasi-twist of index gcd(n, k)."""
+    index = math.gcd(code.n, code.field.k)
+    if index == 1:
+        return is_closed_under(code, lambda w: constacyclic_shift(w, code.alpha))
+    return is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, index))
+
+
+def random_code(spec, n, betas, rng):
+    """A code with CRT constants betas and random right-divisor generators."""
+    gens = [random_right_divisor(ModulusSpec(n, b), rng, rng.randint(0, n)) for b in betas]
+    return build_code(spec, n, RingElement.from_crt(spec, *betas), gens)
+
+
+@st.composite
+def fixed_constant_codes(draw):
+    """A code whose constant is a unit the twist fixes, theta(alpha) = alpha:
+    each CRT component lies in the fixed field F_{p^t}."""
+    spec = make_field(*CHECK_FIELDS[draw(st.sampled_from(sorted(CHECK_FIELDS)))])
+    fixed = [x for x in spec.elements() if not x.is_zero and x.frob(1) == x]
+    betas = draw(st.tuples(*[st.sampled_from(fixed)] * 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_code(spec, draw(st.integers(1, 6)), betas, rng)
+
+
+@SETTINGS
+@given(fixed_constant_codes())
+def test_fixed_constant_codes_are_equivalent_to_untwisted_ones(code):
+    assert closed_as_the_theorems_state(code)
+
+
+@pytest.mark.parametrize("name", ["F9", "F25", "F27", "F81t2"])
+def test_equivalence_needs_a_constant_the_twist_fixes(name):
+    """With every CRT constant moved by the twist, the codes are still closed
+    under their skew shift, but some fail the closure the theorems state."""
+    spec = make_field(*CHECK_FIELDS[name])
+    rng = random.Random(name)
+    moved = [x for x in spec.elements() if x.frob(1) != x]
+    failures = 0
+    for _ in range(12):
+        code = random_code(spec, rng.randint(1, 6), [rng.choice(moved) for _ in range(4)], rng)
+        assert is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+        failures += not closed_as_the_theorems_state(code)
+    assert failures > 0
