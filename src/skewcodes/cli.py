@@ -9,6 +9,7 @@ failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -521,6 +522,7 @@ def _budget_default():
         return None
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewcodes",
@@ -530,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="path to a JSON file, or inline JSON")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=_budget_default())
+    common.add_argument("--budget", type=int)
     common.add_argument("--trials", type=int, default=1000)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="table", action="store_false", default=False)
@@ -574,6 +576,8 @@ def emit(report: dict, table: bool):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget is None:
+            args.budget = _budget_default()
         if args.budget is None:
             raise ParseError(
                 f"SKEWCODES_BUDGET must be an integer, got {os.environ.get('SKEWCODES_BUDGET')!r}"

@@ -241,17 +241,20 @@ def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
         raise NonUnitLeadingCoeffError(
             f"leading coefficient {g.lead!r} of the divisor is not a unit"
         )
-    quot = SkewPoly.zero(f.spec, f.ring)
-    rem = f
+    # In place: step d subtracts (c x^d) * g = x^d * (c * theta^d(g)) from
+    # rem[d:], so it costs O(deg g) and not O(deg f).
     dg = g.degree
-    glead = g.lead
-    while not rem.is_zero and rem.degree >= dg:
-        d = rem.degree - dg
-        c = rem.lead * (glead.frob(d) if twisted else glead).inverse()
-        term = SkewPoly(f.spec, f.ring, [f._zero_coeff()] * d + [c])
-        quot = quot + term
-        rem = rem - (term * g if twisted else c_mul(term, g))
-    return quot, rem
+    rem = list(f.coeffs)
+    quot = [f._zero_coeff()] * max(len(rem) - dg, 0)
+    while len(rem) > dg:
+        d = len(rem) - 1 - dg
+        gd = SkewPoly(g.spec, g.ring, [b.frob(d) for b in g.coeffs]) if twisted else g
+        c = quot[d] = rem[-1] * gd.lead.inverse()
+        for j, s in enumerate((SkewPoly(f.spec, f.ring, [c]) * gd).coeffs, d):
+            rem[j] = rem[j] - s
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    return SkewPoly(f.spec, f.ring, quot), SkewPoly(f.spec, f.ring, rem)
 
 
 def right_divmod(f: SkewPoly, g: SkewPoly):

@@ -6,6 +6,7 @@ import pytest
 
 from skewcodes.cli import build_parser, main
 from skewcodes.codes import SkewCode
+from skewcodes.distance import DEFAULT_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -265,11 +266,30 @@ def test_table_rendering(capsys):
     assert "{" not in out.splitlines()[0]
 
 
-def test_budget_env_override(monkeypatch):
+def test_budget_env_override(monkeypatch, capsys):
     monkeypatch.setenv("SKEWCODES_BUDGET", "123")
-    parser = build_parser()
-    args = parser.parse_args(["build"])
-    assert args.budget == 123
+    code, report = run_cli(capsys, "verify")
+    assert code == 0
+    assert report["budget"] == 123
+
+
+def test_budget_env_is_read_on_every_call(monkeypatch, capsys):
+    for value in (123, 456):
+        monkeypatch.setenv("SKEWCODES_BUDGET", str(value))
+        code, report = run_cli(capsys, "verify")
+        assert (code, report["budget"]) == (0, value)
+    monkeypatch.delenv("SKEWCODES_BUDGET")
+    assert run_cli(capsys, "verify")[1]["budget"] == DEFAULT_BUDGET
+
+
+def test_explicit_budget_beats_an_invalid_env(monkeypatch, capsys):
+    monkeypatch.setenv("SKEWCODES_BUDGET", "abc")
+    code, report = run_cli(capsys, "verify", "--budget", "77")
+    assert (code, report["status"], report["budget"]) == (0, "ok", 77)
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_non_positive_budget_rejected(capsys):
@@ -421,6 +441,18 @@ def test_closure_checks_are_bounded_by_the_budget(capsys, monkeypatch):
             "closure check needs 796 basis words * 4n = 636800 steps, over the budget of 600000"
         )
     assert calls == []
+
+
+def test_build_divisions_are_linear_before_the_closure_refusal(capsys):
+    """build_code divides x^1200 - 1 by each generator before the closure
+    check refuses the code; with quadratic divisions this took seconds."""
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "build", "--input", cyclic_f3(1200), "--budget", "200000")
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert report["result"]["error"] == (
+        "closure check needs 4796 basis words * 4n = 23020800 steps, over the budget of 200000"
+    )
 
 
 def test_gray_image_is_bounded_by_the_budget(capsys, monkeypatch):

@@ -3,6 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_kernel import FIELDS
 
 from skewcodes.errors import (
     BudgetExceededError,
@@ -14,7 +17,7 @@ from skewcodes.errors import (
     NotAUnitError,
     ZeroPolynomialError,
 )
-from skewcodes.gf import make_field
+from skewcodes.gf import FieldElement, make_field
 from skewcodes.linalg import Span, inner_product, nullspace
 from skewcodes.ring4 import RingElement
 from skewcodes.skewpoly import (
@@ -137,6 +140,90 @@ def test_divmod_examples(f25, f9):
     q, r = right_divmod(x6m1, fq_poly(f9, [1, a9, 1]))
     assert r.is_zero
     assert q == fq_poly(f9, [2, a9, 0, 2 * a9, 1])
+
+
+def reference_divmod(f, g, twisted):
+    """The allocating loop that _divmod replaced: every quotient term is a
+    full-length SkewPoly, and every step rebuilds quot and rem."""
+    quot = SkewPoly.zero(f.spec, f.ring)
+    rem = f
+    dg = g.degree
+    glead = g.lead
+    while not rem.is_zero and rem.degree >= dg:
+        d = rem.degree - dg
+        c = rem.lead * (glead.frob(d) if twisted else glead).inverse()
+        term = SkewPoly(f.spec, f.ring, [f._zero_coeff()] * d + [c])
+        quot = quot + term
+        rem = rem - (term * g if twisted else c_mul(term, g))
+    return quot, rem
+
+
+DIVISION_FIELDS = {**FIELDS, "F3": (3, 1, [0, 1], 1), "F9": (3, 2, [1, 0, 1], 1)}
+
+
+@st.composite
+def division_cases(draw):
+    """(f, g, twisted) over F_q or R; g has a unit leading coefficient."""
+    spec = make_field(*DIVISION_FIELDS[draw(st.sampled_from(sorted(DIVISION_FIELDS)))])
+    ring = draw(st.sampled_from(("fq", "R")))
+    value = st.integers(0, spec.q - 1).map(spec.from_int)
+    unit = st.integers(1, spec.q - 1).map(spec.from_int)
+    if ring == "R":
+        value = st.tuples(value, value, value, value).map(lambda crt: RingElement.from_crt(spec, *crt))
+        unit = st.tuples(unit, unit, unit, unit).map(lambda crt: RingElement.from_crt(spec, *crt))
+    f = draw(st.lists(value, max_size=14))
+    g = draw(st.lists(value, max_size=5)) + [draw(unit)]
+    return SkewPoly(spec, ring, f), SkewPoly(spec, ring, g), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_division_matches_the_allocating_loop(case):
+    f, g, twisted = case
+    got = right_divmod(f, g) if twisted else c_divmod(f, g)
+    assert got == reference_divmod(f, g, twisted)
+
+
+@pytest.mark.parametrize("twisted", [True, False])
+def test_division_edge_cases(f9, twisted):
+    divide = right_divmod if twisted else c_divmod
+    a = f9.root()
+    g = fq_poly(f9, [1, a, 0, 1])
+    # deg f < deg g: the quotient is zero and f is the remainder
+    f = fq_poly(f9, [a, 0, 1])
+    assert divide(f, g) == (SkewPoly.zero(f9), f) == reference_divmod(f, g, twisted)
+    # f = 0
+    zero = SkewPoly.zero(f9, "R")
+    assert divide(zero, r_poly(f9, [1, 1])) == (zero, zero)
+    # a degree-0 divisor over R: a unit constant divides everything
+    unit = RingElement.from_crt(f9, f9.one, a, a + 1, 2 * a)
+    f = r_poly(f9, [RingElement.from_ints(f9, 1, 2, 0, 1), 0, a, unit])
+    quot, rem = divide(f, r_poly(f9, [unit]))
+    assert rem.is_zero
+    assert (quot * r_poly(f9, [unit]) if twisted else c_mul(quot, r_poly(f9, [unit]))) == f
+    assert (quot, rem) == reference_divmod(f, r_poly(f9, [unit]), twisted)
+
+
+def test_division_cost_is_linear_in_the_dividend(f3, monkeypatch):
+    """x^n - 1 by x - 1 takes n steps of O(deg g) field operations each. The
+    allocating loop made the same number of products but O(n) additions
+    per step, so all three operators are counted."""
+    counts = {"ops": 0}
+    for name in ("__add__", "__sub__", "__mul__"):
+        original = getattr(FieldElement, name)
+
+        def counted(self, other, original=original):
+            counts["ops"] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(FieldElement, name, counted)
+    ops = []
+    for n in (500, 1000):
+        counts["ops"] = 0
+        quot, rem = right_divmod(ModulusSpec(n, f3.one).poly(), fq_poly(f3, [-1, 1]))
+        assert rem.is_zero and quot.degree == n - 1
+        ops.append(counts["ops"])
+    assert ops[1] <= 2.2 * ops[0]
 
 
 def test_division_errors(f9):
