@@ -3,8 +3,8 @@
 A SkewCode of length n is stored by its four CRT component generators
 f1..f4 over F_q. Component i is the left submodule <f_i> of
 F_q[x; theta]/(x^n - beta_i), where (beta_1..beta_4) is the CRT view of the
-shift constant alpha. Membership, duals, and closure checks all run in CRT
-coordinates.
+shift constant alpha. Membership, duals, orthogonality and closure checks
+all run in CRT coordinates.
 """
 
 from __future__ import annotations
@@ -235,22 +235,23 @@ class SelfDualReport:
     gram_zero: tuple
 
 
+def component_orthogonality(code: SkewCode, other: SkewCode):
+    """Per CRT component i, whether the bases of code's C_i and other's C_i
+    are orthogonal over F_q. C and other are orthogonal over R iff all four
+    are, since <e_i u, e_j v> = e_i e_j <u, v>."""
+    return tuple(
+        all(inner_product(x, y).is_zero for x in code.component_basis(i) for y in theirs)
+        for i, theirs in enumerate(map(other.component_basis, range(4)))
+    )
+
+
 def self_dual_report(code: SkewCode) -> SelfDualReport:
     """Componentwise self-duality: dim = n/2 and all basis inner products 0."""
     dims = code.dims
     half = code.n / 2
-    gram = []
-    for i in range(4):
-        basis = code.component_basis(i)
-        gram.append(
-            all(
-                inner_product(x, y).is_zero
-                for xi, x in enumerate(basis)
-                for y in basis[xi:]
-            )
-        )
+    gram = component_orthogonality(code, code)
     verdict = all(d == half for d in dims) and all(gram)
-    return SelfDualReport(verdict, dims, half, tuple(gram))
+    return SelfDualReport(verdict, dims, half, gram)
 
 
 def is_self_dual(code: SkewCode) -> bool:

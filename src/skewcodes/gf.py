@@ -222,15 +222,6 @@ class FieldSpec:
 
     # --- element constructors ---
 
-    def element(self, digits) -> "FieldElement":
-        digits = [int(d) % self.p for d in digits]
-        if len(digits) != self.m:
-            raise ValueError(f"expected {self.m} digits, got {len(digits)}")
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return self._elems[code]
-
     def constant(self, c: int) -> "FieldElement":
         """The prime-subfield constant c (an integer mod p)."""
         return self._elems[c % self.p]

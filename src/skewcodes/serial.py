@@ -9,7 +9,6 @@ objects (a {crt: [r1..r4]} form is accepted on input). Polynomials are
 from __future__ import annotations
 
 import json
-import os
 
 from .errors import ParseError
 from .gf import FieldElement, FieldSpec, make_field
@@ -23,11 +22,11 @@ def load_input(source: str) -> dict:
     try:
         text = source if source.lstrip().startswith("{") else None
         if text is None:
-            if not os.path.exists(source):
-                raise ParseError(f"input file not found: {source}")
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         obj = json.loads(text)
+    except (OSError, RecursionError) as exc:
+        raise ParseError(f"cannot read input: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON input: {exc}") from exc
     if not isinstance(obj, dict):

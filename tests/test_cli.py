@@ -7,6 +7,7 @@ import pytest
 from skewcodes.cli import build_parser, main
 from skewcodes.codes import SkewCode
 from skewcodes.distance import DEFAULT_BUDGET
+from skewcodes.gf import FieldElement
 
 
 def run_cli(capsys, *argv):
@@ -399,6 +400,21 @@ def test_input_that_is_not_a_json_object_is_an_input_error(capsys, tmp_path):
         assert report["result"]["error"] == "input must be a JSON object, got list"
 
 
+def test_unreadable_input_is_an_input_error(capsys, tmp_path):
+    for source in (str(tmp_path), str(tmp_path / "missing.json")):
+        code, report = run_cli(capsys, "dual", "--input", source)
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert report["result"]["error"].startswith("cannot read input: ")
+
+
+def test_deeply_nested_input_is_an_input_error(capsys):
+    code, report = run_cli(capsys, "params", "--input", '{"gens": ' + "[" * 100000 + "}")
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert report["result"]["error"].startswith("cannot read input: ")
+
+
 F243_CODE = {
     "field": {"p": 3, "m": 5, "modulus": [1, 2, 0, 0, 0, 1], "t": 1},
     "n": 2,
@@ -485,6 +501,69 @@ def test_gray_image_is_bounded_by_the_budget(capsys, monkeypatch):
     assert code == 2
     assert report["result"]["error"].startswith("Gray image needs k^2 * 4n = 156^2 * 160 = 3893760 steps")
     assert calls == []
+
+
+def test_gray_image_makes_no_row_reduction(capsys, monkeypatch):
+    """The image rows are independent by construction, so gray-image never
+    calls rref."""
+    def refuse(*args):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr("skewcodes.linalg.rref", refuse)
+    code, report = run_cli(capsys, "gray-image", "--input", CODESPEC)
+    assert code == 0
+    assert report["result"]["dimension"] == 12
+
+
+def dual_f25(n):
+    """Four x + (1 + xi) generators over F25 with alpha = 1: each dims n - 1,
+    so the orthogonality check makes 4 (n - 1) n products."""
+    return json.dumps({**json.loads(CODESPEC), "n": n})
+
+
+def test_dual_is_bounded_by_the_budget(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("skewcodes.codes.inner_product", lambda x, y: calls.append(x))
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "dual", "--input", dual_f25(500), "--budget", "200000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert report["result"]["error"] == (
+        "orthogonality check needs sum k_i * (n - k_i) * n = 998000 steps, over the budget of 200000"
+    )
+    assert calls == []
+
+
+def test_dual_budget_is_exact(capsys):
+    code, report = run_cli(capsys, "dual", "--input", CODESPEC, "--budget", "48")
+    assert code == 0
+    assert report["result"]["orthogonal"] is True
+    code, report = run_cli(capsys, "dual", "--input", CODESPEC, "--budget", "47")
+    assert code == 2
+    assert report["result"]["error"] == (
+        "orthogonality check needs sum k_i * (n - k_i) * n = 48 steps, over the budget of 47"
+    )
+
+
+def test_dual_takes_inner_products_over_the_base_field(capsys, monkeypatch):
+    """Orthogonality is decided per CRT component: every inner product is of
+    two F_q words, none of two R-words."""
+    import skewcodes.codes
+
+    seen = []
+    inner = skewcodes.codes.inner_product
+
+    def spy(x, y):
+        seen.append({type(c) for c in x + y})
+        return inner(x, y)
+
+    monkeypatch.setattr("skewcodes.codes.inner_product", spy)
+    code, report = run_cli(capsys, "dual", "--input", dual_f25(6))
+    assert code == 0
+    assert report["result"]["orthogonal"] is True
+    assert len(seen) == 4 * 5 * 1
+    assert all(types == {FieldElement} for types in seen)
 
 
 def test_field_above_max_q_is_an_input_error(capsys):

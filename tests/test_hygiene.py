@@ -1,5 +1,6 @@
 """Source hygiene of src/skewcodes, checked with the standard library's ast
-(no linter is a dependency): no unused import, and no unread parameter."""
+(no linter is a dependency): no unused import, no unread parameter, and no
+function, method or class that nothing references."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,34 @@ def test_every_parameter_is_read(path):
         name = getattr(node, "name", "<lambda>")
         unread += [f"{name}({p}) at line {node.lineno}" for p in params if p not in loaded]
     assert unread == []
+
+
+def references(tree):
+    """Every name, attribute and dotted-string part used anywhere in tree."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs |= set(node.value.split("."))
+    return refs
+
+
+def test_every_definition_is_referenced():
+    """No function, method or class in src/skewcodes is dead: each is used
+    somewhere in src/, tests/ or perfbench/ (a test or a benchmark call
+    counts)."""
+    root = SRC.parent.parent
+    files = [p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")]
+    refs = set().union(*(references(parse(p)) for p in files))
+    dead = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in refs
+    ]
+    assert dead == []

@@ -9,13 +9,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_commutation_kernel import CHECK_FIELDS
 from test_kernel import FIELDS
 
 from skewcodes.codes import (
     build_code,
+    component_orthogonality,
     constacyclic_shift,
     dual_code,
     is_closed_under,
@@ -24,7 +25,7 @@ from skewcodes.codes import (
 )
 from skewcodes.decomp import components_from_words, verify_decomposition_theorem
 from skewcodes.gf import make_field
-from skewcodes.gray import gray_map, hamming_weight, lee_weight
+from skewcodes.gray import gray_image_code, gray_map, hamming_weight, lee_weight
 from skewcodes.linalg import Span, inner_product, nullspace
 from skewcodes.ring4 import RingElement, ring_one, ring_zero, split_word
 from skewcodes.skewpoly import (
@@ -32,6 +33,7 @@ from skewcodes.skewpoly import (
     SkewPoly,
     c_divmod,
     c_mul,
+    fq_poly,
     random_right_divisor,
     right_divmod,
     span_words,
@@ -272,6 +274,99 @@ def test_dual_generators_span_the_nullspaces(code):
         oracle = nullspace(span_words(code.gens[i], code.modulus(i)), n, spec)
         got = span_words(dual.gens[i], dual.modulus(i))
         assert Span(got) == Span(oracle)
+
+
+ORTHOGONALITY_FIELDS = {
+    "F9": CHECK_FIELDS["F9"],
+    "F25": CHECK_FIELDS["F25"],
+    **FIELDS,
+}
+
+
+@st.composite
+def dual_lengths(draw):
+    """(field, n) with the twist's order k dividing n: the dual's hypothesis."""
+    spec = make_field(*ORTHOGONALITY_FIELDS[draw(st.sampled_from(sorted(ORTHOGONALITY_FIELDS)))])
+    return spec, spec.k * draw(st.integers(1, max(1, 6 // spec.k)))
+
+
+@st.composite
+def extreme_codes(draw, length=None):
+    """A code whose components are each zero (generator x^n - beta), full
+    (generator 1) or generated by a random right divisor."""
+    spec, n = length or draw(dual_lengths())
+    betas = draw(st.tuples(*[field_values(spec, nonzero=True)] * 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gens = []
+    for beta in betas:
+        mod = ModulusSpec(n, beta)
+        kind = draw(st.sampled_from(("zero", "full", "random")))
+        if kind == "zero":
+            gens.append(mod.poly())
+        elif kind == "full":
+            gens.append(fq_poly(spec, [1]))
+        else:
+            gens.append(random_right_divisor(mod, rng, draw(st.integers(0, n))))
+    return build_code(spec, n, RingElement.from_crt(spec, *betas), gens)
+
+
+@st.composite
+def extreme_code_pairs(draw):
+    length = draw(dual_lengths())
+    return draw(extreme_codes(length)), draw(extreme_codes(length))
+
+
+def r_orthogonality(code, other):
+    """The all-pairs reference over R: component i is False when some pair
+    of R basis words has an inner product whose i-th CRT component is
+    nonzero."""
+    theirs = other.basis_words()
+    bad = set()
+    for x in code.basis_words():
+        for y in theirs:
+            bad |= {i for i, c in enumerate(inner_product(x, y).crt()) if not c.is_zero}
+    return tuple(i not in bad for i in range(4))
+
+
+@SETTINGS
+@given(extreme_codes())
+def test_component_orthogonality_matches_the_r_reference(code):
+    dual = dual_code(code)
+    assert component_orthogonality(code, dual) == r_orthogonality(code, dual) == (True,) * 4
+    gram = component_orthogonality(code, code)
+    assert gram == r_orthogonality(code, code)
+    for i, g in enumerate(code.gens):
+        if g.degree == 0:
+            assert not gram[i]  # e_0 of the full space has <e_0, e_0> = 1
+
+
+@SETTINGS
+@given(extreme_code_pairs())
+def test_component_orthogonality_of_unrelated_codes(pair):
+    code, other = pair
+    assert component_orthogonality(code, other) == r_orthogonality(code, other)
+
+
+@SETTINGS
+@given(extreme_codes(), st.data())
+def test_component_orthogonality_finds_a_swapped_dual_generator(code, data):
+    """With dual generator i replaced by 1, exactly component i fails."""
+    nonzero = [i for i, k in enumerate(code.dims) if k]
+    assume(nonzero)
+    i = data.draw(st.sampled_from(nonzero))
+    dual = dual_code(code)
+    gens = list(dual.gens)
+    gens[i] = fq_poly(code.field, [1])
+    swapped = build_code(code.field, code.n, dual.alpha, gens)
+    expected = tuple(j != i for j in range(4))
+    assert component_orthogonality(code, swapped) == r_orthogonality(code, swapped) == expected
+
+
+@SETTINGS
+@given(extreme_codes())
+def test_gray_image_rows_are_independent(code):
+    """The rows gray_image_code returns without row reduction have full rank."""
+    assert Span(gray_image_code(code).rows).dim == sum(code.dims)
 
 
 # --- equivalence of skew constacyclic codes with untwisted ones ---
