@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gf import FieldSpec
 from .linalg import inner_product
-from .ring4 import RingElement, idempotents, split_word
+from .ring4 import RingElement, split_word
 from .skewpoly import (
     ModulusSpec,
     SkewPoly,
@@ -126,12 +126,15 @@ class SkewCode:
         return generator_basis_words(self.gens[i], self.modulus(i))
 
     def basis_words(self):
-        """R-words e_i * (x^j * f_i), ordered by component then by j."""
-        es = idempotents(self.field)
+        """R-words e_i * (x^j * f_i), ordered by component then by j: each
+        coefficient c of a component-i word is the element whose CRT view
+        has c in place i and zero elsewhere."""
+        spec = self.field
+        pad = (spec.zero,) * 3
         out = []
         for i in range(4):
             for w in self.component_basis(i):
-                out.append(tuple(es[i] * c for c in w))
+                out.append(tuple(RingElement.from_crt(spec, *pad[:i], c, *pad[i:]) for c in w))
         return out
 
     def contains(self, word) -> bool:

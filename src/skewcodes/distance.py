@@ -6,17 +6,17 @@ Exact answers come from one of two certificates:
     of weight < d exists) together with an exhibited weight-d codeword.
 Otherwise the result degrades to bounds. The sweep decides each weight w by
 lookup: it sums the scaled columns of H over every (w-1)-position prefix and
-looks each sum up in a sorted table of the scaled columns c*h_j, by the
-exact bytes of its integer codes. A level still counts all of its
-C(n, w) (q-1)^w candidates. Everything runs in numpy over integer element
-codes, with exact arithmetic tables.
+looks the sums up in a sorted table of the scaled columns c*h_j, by the
+exact bytes of their integer codes, a batch of _CHUNK sums per numpy pass.
+A level still counts all of its C(n, w) (q-1)^w candidates. Everything runs
+in numpy over integer element codes, with exact arithmetic tables.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -27,6 +27,10 @@ from .linalg import nullspace, rref
 
 DEFAULT_BUDGET = 20_000_000
 ENUM_CAP = 200_000
+# Prefix sums tested per numpy batch of the distance sweep. A batch's
+# working memory is about 18 bytes per sum and parity check (traced), so
+# this bounds it whatever the number of prefixes in a level.
+_CHUNK = 1 << 12
 
 
 def field_tables(spec: FieldSpec, budget: int = DEFAULT_BUDGET):
@@ -125,23 +129,53 @@ def _row_keys(rows) -> np.ndarray:
     return rows.reshape(-1, width).view(np.dtype((np.void, 2 * width))).ravel()
 
 
-def _column_table(scaled_cols):
-    """(keys, last): the distinct keys of the scaled columns c*h_j, sorted,
-    and for each key the largest j that gives it."""
-    per_col = len(scaled_cols[0])
-    keys = _row_keys(np.concatenate(scaled_cols))  # column j's rows come j-th
+def _column_table(scaled):
+    """(keys, last): the distinct keys of the scaled columns c*h_j of the
+    (n, q-1, n-k) array `scaled`, sorted, and for each key the largest j
+    that gives it."""
+    keys = _row_keys(scaled)  # column j's rows come j-th
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     run_end = np.append(keys[1:] != keys[:-1], True)
-    return keys[run_end], order[run_end] // per_col
+    return keys[run_end], order[run_end] // scaled.shape[1]
 
 
-def _has_completion(sums, start, table) -> bool:
-    """Whether some prefix sum equals c*h_j for a c != 0 and a j >= start."""
+def _prefix_sums(scaled, add, prefixes):
+    """(P, (q-1)^(w-1), n-k) sums: for each of the P prefixes (rows of w-1
+    positions), the sums of its scaled columns over every coefficient
+    vector, in product order."""
+    # add[x, y] is taken as flat[x*q + y]: numpy takes by one intp index
+    # several times faster than by a pair of int16 ones
+    flat, q = add.ravel(), len(add)
+    sums = scaled[prefixes[:, 0]]
+    for i in range(1, prefixes.shape[1]):
+        sums = flat[sums[:, :, None, :].astype(np.intp) * q + scaled[prefixes[:, i]][:, None]]
+        sums = sums.reshape(len(prefixes), -1, sums.shape[-1])
+    return sums
+
+
+def _first_completable_prefix(scaled, add, table, w):
+    """The first (w-1)-position prefix P, in combinations order, with a sum
+    over P equal to some c*h_j with j > max(P); None when there is none.
+
+    Whole prefixes are tested a batch at a time, _CHUNK sums per batch, or
+    one prefix when its (q-1)^(w-1) sums are more: one key per sum and one
+    searchsorted against the column table per batch.
+    """
     keys, last = table
-    wanted = _row_keys(sums)
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    return bool(np.any((keys[pos] == wanted) & (last[pos] >= start)))
+    count = scaled.shape[1] ** (w - 1)
+    prefixes = combinations(range(len(scaled) - 1), w - 1)
+    per_batch = max(1, _CHUNK // count)
+    while True:
+        batch = np.fromiter(chain.from_iterable(islice(prefixes, per_batch)), dtype=np.intp)
+        if not batch.size:
+            return None
+        batch = batch.reshape(-1, w - 1)
+        wanted = _row_keys(_prefix_sums(scaled, add, batch))
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
+        if hit.any():
+            return tuple(int(j) for j in batch[hit.argmax() // count])
 
 
 def _bounded_weight_sweep(rows, basis, spec, n, budget) -> DistanceResult:
@@ -152,48 +186,44 @@ def _bounded_weight_sweep(rows, basis, spec, n, budget) -> DistanceResult:
     the parity-check matrix H equals -c_j h_j. The scaled columns
     {c*h_j : c != 0} are closed under negation, so each prefix P of w - 1
     positions has a weight-w completion iff one of its (q-1)^(w-1) sums is a
-    scaled column c*h_j with j > max(P): one lookup in a sorted table of the
-    n(q-1) scaled columns per sum, instead of adding every last column.
+    scaled column c*h_j with j > max(P). A level's sums are looked up in a
+    sorted table of the n(q-1) scaled columns, one searchsorted per batch of
+    about _CHUNK sums, instead of adding every last column.
     Supports in combinations order are ordered by (prefix, last column), so
     enumerating the completions of the first prefix that has one gives the
     word a full enumeration meets first. Each level still counts its
     C(n, w) (q-1)^w candidates, against the budget and in candidates_swept.
     """
     q = spec.q
-    # upper bound and witness candidate from the presented rows
-    best_w, best_row = None, None
-    for w in list(rows) + list(basis):
-        wt = sum(0 if c.is_zero else 1 for c in w)
-        if wt > 0 and (best_w is None or wt < best_w):
-            best_w, best_row = wt, tuple(w)
-    scaled_cols = None  # built once the first level fits the budget
+    # upper bound and witness candidate: the first lightest presented row
+    presented = list(rows) + list(basis)
+    weights = np.count_nonzero(words_to_array(presented), axis=1)
+    best_w = int(weights[weights > 0].min())
+    best_row = tuple(presented[int(np.argmax(weights == best_w))])
+    scaled = None  # built once the first level fits the budget
 
     swept = 0
     for w in range(1, best_w):
         level = comb(n, w) * (q - 1) ** w
         if swept + level > budget:
             return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
-        if scaled_cols is None:
+        if scaled is None:
             add, mul = field_tables(spec, budget)
             H = words_to_array(nullspace(basis, n, spec))  # (n-k, n)
-            nzcoef = np.arange(1, q, dtype=np.int16)
-            scaled_cols = [mul[nzcoef[:, None], H[:, j][None, :]] for j in range(n)]  # each (q-1, n-k)
-        if w == 2:  # weight 1 needs no table
-            table = _column_table(scaled_cols)
-        for prefix in combinations(range(n - 1), w - 1):
-            start = prefix[-1] + 1 if prefix else 0
-            if prefix:
-                T = scaled_cols[prefix[0]]  # sums over the prefix, (q-1,)*(w-1) + (n-k,)
-                for j in prefix[1:]:
-                    T = add[T[..., None, :], scaled_cols[j]]
-                if not _has_completion(T, start, table):
-                    continue
-            else:  # weight 1: T = 0, which is c*h_j only for a zero column h_j
-                T = np.zeros(len(H), dtype=np.int16)
-                if H.any(axis=0).all():
-                    continue
-            for j in range(start, n):
-                hits = ~np.any(add[T[..., None, :], scaled_cols[j]], axis=-1)
+            scaled = mul[np.arange(1, q)[None, :, None], H.T[:, None, :]]  # (n, q-1, n-k): c*h_j
+        if w == 1:  # T = 0, which is c*h_j only for a zero column h_j
+            prefix = None if H.any(axis=0).all() else ()
+            T = np.zeros(len(H), dtype=np.int16)
+        else:
+            if w == 2:
+                table = _column_table(scaled)
+            prefix = _first_completable_prefix(scaled, add, table, w)
+            if prefix is not None:  # its sums, shaped (q-1,)*(w-1) + (n-k,)
+                T = _prefix_sums(scaled, add, np.array([prefix]))
+                T = T.reshape((q - 1,) * (w - 1) + (-1,))
+        if prefix is not None:
+            for j in range(prefix[-1] + 1 if prefix else 0, n):
+                hits = ~np.any(add[T[..., None, :], scaled[j]], axis=-1)
                 if hits.any():
                     coef = np.argwhere(hits)[0]
                     word = [spec.zero] * n

@@ -242,14 +242,20 @@ def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
             f"leading coefficient {g.lead!r} of the divisor is not a unit"
         )
     # In place: step d subtracts (c x^d) * g = x^d * (c * theta^d(g)) from
-    # rem[d:], so it costs O(deg g) and not O(deg f).
+    # rem[d:], so it costs O(deg g) and not O(deg f). theta^d depends only on
+    # d mod k, so each twisted divisor and its lead's inverse is built once.
     dg = g.degree
     rem = list(f.coeffs)
     quot = [f._zero_coeff()] * max(len(rem) - dg, 0)
+    twists = {}
     while len(rem) > dg:
         d = len(rem) - 1 - dg
-        gd = SkewPoly(g.spec, g.ring, [b.frob(d) for b in g.coeffs]) if twisted else g
-        c = quot[d] = rem[-1] * gd.lead.inverse()
+        r = d % g.spec.k if twisted else 0
+        if r not in twists:
+            gd = SkewPoly(g.spec, g.ring, [b.frob(r) for b in g.coeffs]) if r else g
+            twists[r] = gd, gd.lead.inverse()
+        gd, lead_inv = twists[r]
+        c = quot[d] = rem[-1] * lead_inv
         for j, s in enumerate((SkewPoly(f.spec, f.ring, [c]) * gd).coeffs, d):
             rem[j] = rem[j] - s
         while rem and rem[-1].is_zero:

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations, product
 from math import comb
 
@@ -234,13 +236,11 @@ def test_lookup_sweep_matches_the_per_support_loop(case):
     assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
 
 
-def test_lookup_sweep_meets_every_outcome():
-    """Seeded planted codes reach each outcome of the sweep, and the lookup
-    agrees with the loop on all of them: a zero column of H (weight 1),
-    proportional columns (weight 2), a lighter word at weight 3 or more, a
-    certificate, and a budget that runs out after the first level."""
+def seeded_sweep_cases():
+    """(spec, rows, budget, reduced) of seeded planted codes: weights 1 to 4
+    planted over every field of SWEEP_FIELDS, each with a budget of one
+    level, one that runs out in the second level and a large one."""
     rng = random.Random(8)
-    seen = set()
     for name in sorted(SWEEP_FIELDS):
         spec = make_field(*SWEEP_FIELDS[name])
         for weight in (1, 2, 3, 4):
@@ -254,11 +254,21 @@ def test_lookup_sweep_meets_every_outcome():
                     continue
                 first_two = n * (spec.q - 1) + comb(n, 2) * (spec.q - 1) ** 2
                 for budget, reduced in product((n * (spec.q - 1), first_two - 1, 400_000), (True, False)):
-                    ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
-                    assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
-                    if isinstance(ours, DistanceResult):
-                        lighter = ours.method == "sweep-found-lighter"
-                        seen.add((ours.method, min(ours.exact, 3) if lighter else None))
+                    yield spec, rows, budget, reduced
+
+
+def test_lookup_sweep_meets_every_outcome():
+    """Seeded planted codes reach each outcome of the sweep, and the lookup
+    agrees with the loop on all of them: a zero column of H (weight 1),
+    proportional columns (weight 2), a lighter word at weight 3 or more, a
+    certificate, and a budget that runs out after the first level."""
+    seen = set()
+    for spec, rows, budget, reduced in seeded_sweep_cases():
+        ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
+        assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+        if isinstance(ours, DistanceResult):
+            lighter = ours.method == "sweep-found-lighter"
+            seen.add((ours.method, min(ours.exact, 3) if lighter else None))
     assert seen >= {
         ("sweep-found-lighter", 1),
         ("sweep-found-lighter", 2),
@@ -266,3 +276,97 @@ def test_lookup_sweep_meets_every_outcome():
         ("sweep-certified", None),
         ("sweep-budget-exhausted", None),
     }
+
+
+# --- batch boundaries: the lookup in batches of a few sums ---
+
+# One prefix per batch, and 20 sums: whole levels over F3, two prefixes per
+# batch at weight 2 over F9, one over the larger fields.
+SMALL_CHUNKS = (1, 20)
+
+
+@contextmanager
+def batches_of(chunk):
+    original = distance._CHUNK
+    distance._CHUNK = chunk
+    try:
+        yield
+    finally:
+        distance._CHUNK = original
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@settings(max_examples=100, deadline=None)
+@given(planted_codes())
+def test_small_batches_match_the_per_support_loop(chunk, case):
+    spec, rows, budget, reduced = case
+    if not sweep_applies(rows):
+        return
+    with batches_of(chunk):
+        ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
+    assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_small_batches_meet_every_seeded_outcome(chunk):
+    with batches_of(chunk):
+        for spec, rows, budget, reduced in seeded_sweep_cases():
+            ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
+            assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+
+
+@pytest.mark.parametrize("chunk", (1, 2 * 2, 5 * 2))
+def test_witness_prefix_in_a_later_batch(f3, chunk):
+    """The only weight-2 words of span{planted, all-ones} over F3 lie on
+    {5, 7}, so the prefix (5,) holds the witness: with one, two or five
+    prefixes per batch it comes after the first batch."""
+    planted = [0, 0, 0, 0, 0, 1, 0, 2]
+    rows = planted_rows(f3, planted, [[1] * 8])
+    with batches_of(chunk):
+        ours = sweep_outcome(distance._bounded_weight_sweep, rows, f3, 10_000, False)
+    assert ours == sweep_outcome(reference_sweep, rows, f3, 10_000, False)
+    assert ours.method == "sweep-found-lighter"
+    assert [pos for pos, c in enumerate(ours.witness) if not c.is_zero] == [5, 7]
+    assert list(combinations(range(7), 1)).index((5,)) >= max(1, chunk // (f3.q - 1))
+
+
+def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
+    """On the example-2 image (distance 4, certified by sweeping weights 1
+    to 3) the sweep makes one key lookup per batch and one for the column
+    table, where the per-prefix form made one per prefix."""
+    ex = get_example(2)
+    code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
+    rows = gray_image_code(code).rows
+    calls = []
+    row_keys = distance._row_keys
+    monkeypatch.setattr(distance, "_row_keys", lambda r: calls.append(1) or row_keys(r))
+    res = min_distance(rows, ex["field"])
+    assert (res.exact, res.method) == (4, "sweep-certified")
+    n, q = len(rows[0]), ex["field"].q
+    prefixes = {w: comb(n - 1, w - 1) for w in (2, 3)}
+    batches = {w: -(-count // max(1, distance._CHUNK // (q - 1) ** (w - 1))) for w, count in prefixes.items()}
+    assert len(calls) <= sum(batches.values()) + 1
+    assert len(calls) < sum(prefixes.values())
+
+
+def test_sweep_memory_is_bounded_by_the_batch(f3):
+    """A random [48, 24] code over F3 has no word of weight 4 or less; its
+    sweep finishes weight 4, C(47, 3) * 2^3 = 129720 prefix sums, before the
+    budget stops it at weight 5. The traced peak stays within a bound set
+    by one batch of _CHUNK sums, which the whole level is 30 times over."""
+    rng = random.Random(48)
+    n, k = 48, 24
+    rows = random_rows(f3, rng, k, n)
+    basis = rref(rows)[0]
+    assert len(basis) == k
+    assert comb(n - 1, 3) * 2 ** 3 >= 10 ** 5
+    field_tables(f3)
+    tracemalloc.start()
+    try:
+        res = distance._bounded_weight_sweep(rows, basis, f3, n, distance.DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.method == "sweep-budget-exhausted"
+    assert res.bounds[0] == 5
+    assert peak < 32 * distance._CHUNK * (n - k)
