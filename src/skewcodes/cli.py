@@ -26,7 +26,7 @@ from .codes import (
     is_closed_under,
     quasi_twist_shift,
     self_dual_report,
-    skew_constacyclic_shift,
+    shift_closures,
 )
 from .decomp import (
     ModuleSpan,
@@ -79,7 +79,17 @@ def _require_input(args):
 
 
 def _input_code(args):
+    """The input code, refused before build_code's right division of
+    x^n - beta_i by each g_i when the sum of their costs,
+    (n - deg g_i + 1)(deg g_i + 1), is over the budget."""
     field, n, alpha, gens = code_from_json(_require_input(args))
+    degrees = [g.degree or 0 for g in gens]  # build_code refuses a zero generator
+    steps = sum(max(n - d + 1, 0) * (d + 1) for d in degrees)
+    if steps > args.budget:
+        raise BudgetExceededError(
+            f"building the code needs sum (n - deg g_i + 1)(deg g_i + 1) = {steps}"
+            f" division steps, over the budget of {args.budget}"
+        )
     return build_code(field, n, alpha, gens)
 
 
@@ -100,14 +110,8 @@ def _code_summary(code):
 
 def _closures(code, budget):
     """Closure under tau_alpha and under the quasi-twist of index gcd(n, k)."""
-    l = math.gcd(code.n, code.field.k)
-    return {
-        "tau": is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha), budget),
-        "quasi_twist": {
-            "index": l,
-            "closed": is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, l), budget),
-        },
-    }
+    tau, l, closed = shift_closures(code, budget)
+    return {"tau": tau, "quasi_twist": {"index": l, "closed": closed}}
 
 
 def _gray_image(code, budget):
@@ -172,9 +176,7 @@ def _untwisted_closure(gen, n, alpha):
 def cmd_build(args):
     code = _input_code(args)
     result = _code_summary(code)
-    result["closures"] = {
-        "tau": is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha), args.budget)
-    }
+    result["closures"] = {"tau": shift_closures(code, args.budget)[0]}
     return result, list(code.warnings), []
 
 
@@ -182,12 +184,9 @@ def cmd_params(args):
     code = _input_code(args)
     result = _code_summary(code)
     closures = _closures(code, args.budget)
-    if math.gcd(code.n, code.field.k) == 1:
-        closures["untwisted_constacyclic"] = is_closed_under(
-            code, lambda w: constacyclic_shift(w, code.alpha), args.budget
-        )
-    else:
-        closures["untwisted_constacyclic"] = None
+    # With index 1 the quasi-twist is the untwisted constacyclic shift.
+    quasi_twist = closures["quasi_twist"]
+    closures["untwisted_constacyclic"] = quasi_twist["closed"] if quasi_twist["index"] == 1 else None
     result["closures"] = closures
     _gray_params(result, code, args.budget)
     _self_dual(result, code)

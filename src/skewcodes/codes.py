@@ -9,6 +9,7 @@ all run in CRT coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distance import DEFAULT_BUDGET
@@ -32,6 +33,7 @@ from .skewpoly import (
     SkewPoly,
     dual_generator,
     generator_basis_words,
+    poly_to_word,
     right_divmod,
     word_to_poly,
 )
@@ -125,17 +127,16 @@ class SkewCode:
     def component_basis(self, i: int):
         return generator_basis_words(self.gens[i], self.modulus(i))
 
-    def basis_words(self):
-        """R-words e_i * (x^j * f_i), ordered by component then by j: each
-        coefficient c of a component-i word is the element whose CRT view
-        has c in place i and zero elsewhere."""
+    def lift(self, i: int, word):
+        """The R-word e_i * word of an F_q word: each coefficient c becomes
+        the element whose CRT view has c in place i and zero elsewhere."""
         spec = self.field
         pad = (spec.zero,) * 3
-        out = []
-        for i in range(4):
-            for w in self.component_basis(i):
-                out.append(tuple(RingElement.from_crt(spec, *pad[:i], c, *pad[i:]) for c in w))
-        return out
+        return tuple(RingElement.from_crt(spec, *pad[:i], c, *pad[i:]) for c in word)
+
+    def basis_words(self):
+        """R-words e_i * (x^j * f_i), ordered by component then by j."""
+        return [self.lift(i, w) for i in range(4) for w in self.component_basis(i)]
 
     def contains(self, word) -> bool:
         word = tuple(word)
@@ -187,6 +188,16 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
     return SkewCode(field, n, alpha, gens, tuple(warnings))
 
 
+def _charge_closure(code: SkewCode, budget: int):
+    """Refuse a closure check over the budget: sum(dims) * 4n, as below."""
+    words = sum(code.dims)
+    steps = words * 4 * code.n
+    if steps > budget:
+        raise BudgetExceededError(
+            f"closure check needs {words} basis words * 4n = {steps} steps, over the budget of {budget}"
+        )
+
+
 def is_closed_under(code: SkewCode, shift, budget: int = DEFAULT_BUDGET) -> bool:
     """Check the image shift(w) of every basis word w for membership.
 
@@ -194,13 +205,44 @@ def is_closed_under(code: SkewCode, shift, budget: int = DEFAULT_BUDGET) -> bool
     length n, so the check counts sum(dims) * 4n against the budget, and is
     refused before the first membership test when that is over it.
     """
-    words = sum(code.dims)
-    steps = words * 4 * code.n
-    if steps > budget:
-        raise BudgetExceededError(
-            f"closure check needs {words} basis words * 4n = {steps} steps, over the budget of {budget}"
-        )
+    _charge_closure(code, budget)
     return all(code.contains(shift(w)) for w in code.basis_words())
+
+
+def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):
+    """(tau, l, quasi_twist): whether code is closed under tau_alpha, the
+    index l = gcd(n, k), and whether it is closed under the untwisted
+    quasi-twist rho_l (the untwisted constacyclic shift when l = 1).
+
+    Decided per CRT component from generator words, with tau the skew
+    beta_i-constacyclic shift and C_i the span of the basis x^j * g_i =
+    tau^j(g_i), j < k_i:
+    - tau maps basis word j to basis word j + 1, so C_i is tau-closed iff
+      tau(x^(k_i - 1) * g_i) is in C_i: one membership test.
+    - rho_l is F_q-linear and commutes with tau when theta(beta_i) = beta_i,
+      so for a tau-closed C_i, rho_l(C_i) is in C_i iff rho_l(g_i) is. Where
+      theta moves beta_i, or C_i is not tau-closed, every basis word of C_i
+      is tested, as is_closed_under does.
+    Charged and refused over the budget as is_closed_under is.
+    """
+    _charge_closure(code, budget)
+    n, alpha = code.n, code.alpha
+    l = math.gcd(n, code.field.k)
+    tau = rho = True
+    for i, (g, k, beta) in enumerate(zip(code.gens, code.dims, code.component_constants)):
+        if k == 0:
+            continue
+        last = code.lift(i, poly_to_word(g.times_x_power(k - 1), n))
+        tau_i = code.contains(skew_constacyclic_shift(last, alpha))
+        tau = tau and tau_i
+        if not rho:
+            continue
+        if tau_i and beta.frob(1) == beta:
+            words = [code.lift(i, poly_to_word(g, n))]
+        else:
+            words = (code.lift(i, w) for w in code.component_basis(i))
+        rho = all(code.contains(quasi_twist_shift(w, alpha, l)) for w in words)
+    return tau, l, rho
 
 
 # --- duals ---
@@ -239,13 +281,31 @@ class SelfDualReport:
 
 
 def component_orthogonality(code: SkewCode, other: SkewCode):
-    """Per CRT component i, whether the bases of code's C_i and other's C_i
-    are orthogonal over F_q. C and other are orthogonal over R iff all four
-    are, since <e_i u, e_j v> = e_i e_j <u, v>."""
-    return tuple(
-        all(inner_product(x, y).is_zero for x in code.component_basis(i) for y in theirs)
-        for i, theirs in enumerate(map(other.component_basis, range(4)))
-    )
+    """Per CRT component i, whether code's C_i and other's C'_i are
+    orthogonal over F_q. C and other are orthogonal over R iff all four
+    are, since <e_i u, e_j v> = e_i e_j <u, v>.
+
+    When beta_i * beta'_i = 1, <tau u, v> = theta(<u, tau'^-1 v>) for the
+    skew beta_i- and beta'_i-constacyclic shifts, and tau' permutes the
+    submodule C'_i. So <tau^j g_i, v> = theta^j(<g_i, tau'^-j v>): g_i
+    against the basis of C'_i decides it, and symmetrically g'_i against the
+    basis of C_i. The generator of the larger side is tested against the
+    basis of the smaller, the only basis built. Otherwise every pair of
+    basis words is tested.
+    """
+    out = []
+    for i, (beta, beta2) in enumerate(zip(code.component_constants, other.component_constants)):
+        small, large = sorted((code, other), key=lambda c: c.dims[i])
+        if small.dims[i] == 0:
+            out.append(True)
+            continue
+        if beta * beta2 == code.field.one:
+            ours = [poly_to_word(large.gens[i], code.n)]
+        else:
+            ours = large.component_basis(i)
+        theirs = small.component_basis(i)
+        out.append(all(inner_product(x, y).is_zero for x in ours for y in theirs))
+    return tuple(out)
 
 
 def self_dual_report(code: SkewCode) -> SelfDualReport:

@@ -548,7 +548,8 @@ def test_dual_budget_is_exact(capsys):
 
 def test_dual_takes_inner_products_over_the_base_field(capsys, monkeypatch):
     """Orthogonality is decided per CRT component: every inner product is of
-    two F_q words, none of two R-words."""
+    two F_q words, none of two R-words, one per component (the code's
+    generator against the dual's one basis word)."""
     import skewcodes.codes
 
     seen = []
@@ -562,7 +563,7 @@ def test_dual_takes_inner_products_over_the_base_field(capsys, monkeypatch):
     code, report = run_cli(capsys, "dual", "--input", dual_f25(6))
     assert code == 0
     assert report["result"]["orthogonal"] is True
-    assert len(seen) == 4 * 5 * 1
+    assert len(seen) == 4 * 1
     assert all(types == {FieldElement} for types in seen)
 
 
@@ -571,3 +572,98 @@ def test_field_above_max_q_is_an_input_error(capsys):
     code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj))
     assert code == 2
     assert report["result"]["error"] == "q = 3^12 exceeds MAX_Q = 177147"
+
+
+def test_build_divisions_are_charged_before_they_run(capsys):
+    """n = 200000 with four x - 1 generators over F9: build_code's four
+    divisions cost 4 * 200000 * 2 steps and are refused before the first."""
+    spec = json.dumps({
+        "field": {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1},
+        "n": 200000,
+        "alpha": {"a": 1},
+        "gens": [{"ring": "fq", "coeffs": [2, 1]}] * 4,
+    })
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "build", "--input", spec, "--budget", "200000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert report["result"]["error"] == (
+        "building the code needs sum (n - deg g_i + 1)(deg g_i + 1) = 1600000 division steps,"
+        " over the budget of 200000"
+    )
+
+
+def test_build_charge_is_exact(capsys):
+    """CODESPEC's four x + (1 + xi) generators at n = 4 cost 4 * 4 * 2 = 32:
+    at 32 the code is built and the closure check is refused."""
+    code, report = run_cli(capsys, "build", "--input", CODESPEC, "--budget", "32")
+    assert code == 2
+    assert report["result"]["error"].startswith("closure check needs")
+    code, report = run_cli(capsys, "build", "--input", CODESPEC, "--budget", "31")
+    assert code == 2
+    assert report["result"]["error"] == (
+        "building the code needs sum (n - deg g_i + 1)(deg g_i + 1) = 32 division steps,"
+        " over the budget of 31"
+    )
+
+
+@pytest.mark.parametrize("coeffs, error", [([], "is not monic"), ([1] * 7, "exceeds length")])
+def test_build_charge_takes_malformed_generators(capsys, coeffs, error):
+    """A zero generator, or one of degree above n, is charged as if of degree
+    0, or not at all, and then refused by build_code."""
+    spec = json.loads(CODESPEC)
+    spec["gens"] = [{"ring": "fq", "coeffs": coeffs}] + spec["gens"][1:]
+    code, report = run_cli(capsys, "build", "--input", json.dumps(spec))
+    assert code == 2
+    assert error in report["result"]["error"]
+
+
+def deep_f9(betas):
+    """F9, n = 6, generators of degree 3 and 4 that right-divide x^6 - beta_i
+    for beta_i in {1, -1}: a params request that sweeps past weight 2."""
+    gens = {1: ([1, 1, 5, 1], [2, 1, 0, 2, 1]), -1: ([4, 1, 4, 1], [2, 4, 0, 4, 1])}
+    return json.dumps({
+        "field": {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1},
+        "n": 6,
+        "alpha": {"crt": [b % 3 for b in betas]},
+        "gens": [{"ring": "fq", "coeffs": gens[b][i % 2]} for i, b in enumerate(betas)],
+    })
+
+
+@pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
+def test_params_decides_each_closure_from_four_words(capsys, monkeypatch, betas):
+    """With every constant fixed by the twist, each of the two closures
+    makes at most one membership test per component."""
+    calls = []
+    contains = SkewCode.contains
+    monkeypatch.setattr(SkewCode, "contains", lambda self, word: calls.append(word) or contains(self, word))
+    code, report = run_cli(capsys, "params", "--input", deep_f9(betas))
+    assert code == 0
+    assert report["result"]["closures"]["tau"] is True
+    assert report["result"]["closures"]["quasi_twist"] == {"index": 2, "closed": True}
+    assert report["result"]["distance"]["method"].startswith("sweep")
+    assert len(calls) <= 2 * 4
+
+
+def test_dual_of_length_1000_takes_four_products(capsys, monkeypatch):
+    """Each component of the code has dimension 999 and the dual's has 1:
+    one product per component, and no 999-word basis is built."""
+    import skewcodes.codes
+
+    products = []
+    inner = skewcodes.codes.inner_product
+    monkeypatch.setattr(
+        "skewcodes.codes.inner_product", lambda x, y: products.append(x) or inner(x, y)
+    )
+    sizes = []
+    basis = skewcodes.codes.generator_basis_words
+    monkeypatch.setattr(
+        "skewcodes.codes.generator_basis_words",
+        lambda f, mod: sizes.append(mod.n - f.degree) or basis(f, mod),
+    )
+    code, report = run_cli(capsys, "dual", "--input", dual_f25(1000))
+    assert code == 0
+    assert report["result"]["orthogonal"] is True
+    assert len(products) <= 4
+    assert max(sizes) == 1

@@ -15,12 +15,14 @@ from test_commutation_kernel import CHECK_FIELDS
 from test_kernel import FIELDS
 
 from skewcodes.codes import (
+    SkewCode,
     build_code,
     component_orthogonality,
     constacyclic_shift,
     dual_code,
     is_closed_under,
     quasi_twist_shift,
+    shift_closures,
     skew_constacyclic_shift,
 )
 from skewcodes.decomp import components_from_words, verify_decomposition_theorem
@@ -291,11 +293,13 @@ def dual_lengths(draw):
 
 
 @st.composite
-def extreme_codes(draw, length=None):
+def extreme_codes(draw, length=None, constants=None):
     """A code whose components are each zero (generator x^n - beta), full
-    (generator 1) or generated by a random right divisor."""
+    (generator 1) or generated by a random right divisor. Its CRT constants
+    are drawn from constants(spec), by default the units."""
     spec, n = length or draw(dual_lengths())
-    betas = draw(st.tuples(*[field_values(spec, nonzero=True)] * 4))
+    values = constants(spec) if constants else field_values(spec, nonzero=True)
+    betas = draw(st.tuples(*[values] * 4))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     gens = []
     for beta in betas:
@@ -362,6 +366,95 @@ def test_component_orthogonality_finds_a_swapped_dual_generator(code, data):
     assert component_orthogonality(code, swapped) == r_orthogonality(code, swapped) == expected
 
 
+def twist_classes(spec):
+    """Zero, a unit the twist fixes or a unit it moves (when it moves any),
+    each class drawn with the same weight."""
+    units = [x for x in spec.elements() if not x.is_zero]
+    classes = [[spec.zero], [x for x in units if x.frob(1) == x], [x for x in units if x.frob(1) != x]]
+    return st.sampled_from([c for c in classes if c]).flatmap(st.sampled_from)
+
+
+def plus_minus_one(spec):
+    return st.sampled_from([spec.one, -spec.one])
+
+
+@st.composite
+def any_lengths(draw):
+    spec = make_field(*ORTHOGONALITY_FIELDS[draw(st.sampled_from(sorted(ORTHOGONALITY_FIELDS)))])
+    return spec, draw(st.integers(1, 6))
+
+
+@st.composite
+def twisted_codes(draw, length=None):
+    """An extreme code of any length 1..6 whose CRT constants are zero,
+    fixed by the twist or moved by it."""
+    return draw(extreme_codes(length or draw(any_lengths()), constants=twist_classes))
+
+
+@st.composite
+def twisted_code_pairs(draw):
+    length = draw(any_lengths())
+    return draw(twisted_codes(length)), draw(twisted_codes(length))
+
+
+@SETTINGS
+@given(twisted_codes())
+def test_shift_closures_match_the_per_word_check(code):
+    tau, l, closed = shift_closures(code)
+    assert l == math.gcd(code.n, code.field.k)
+    assert tau == is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+    assert closed == is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, l))
+    if l == 1:
+        assert closed == is_closed_under(code, lambda w: constacyclic_shift(w, code.alpha))
+
+
+def test_shift_closures_of_a_generator_that_is_not_a_divisor():
+    """x^3 + x^2 + x + 1 does not right-divide x^6 - 1 over F9: that
+    component is not tau-closed, and its quasi-twist is decided word by word."""
+    f9 = make_field(*CHECK_FIELDS["F9"])
+    good, bad = fq_poly(f9, [-1, 0, 0, 1]), fq_poly(f9, [1, 1, 1, 1])
+    code = SkewCode(f9, 6, ring_one(f9), (good, bad, good, good))
+    tau, l, closed = shift_closures(code)
+    assert not tau
+    assert closed == is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, l))
+
+
+@SETTINGS
+@given(words(), st.data())
+def test_quasi_twist_of_index_one_is_the_constacyclic_shift(spec_word, data):
+    spec, word = spec_word
+    assume(word)
+    alpha = data.draw(ring_values(spec))
+    assert quasi_twist_shift(word, alpha, 1) == constacyclic_shift(word, alpha)
+
+
+@SETTINGS
+@given(extreme_codes(constants=plus_minus_one))
+def test_self_orthogonality_matches_the_r_reference(code):
+    """beta_i in {1, -1}, so beta_i * beta_i = 1 on every component."""
+    assert component_orthogonality(code, code) == r_orthogonality(code, code)
+
+
+@SETTINGS
+@given(twisted_code_pairs())
+def test_orthogonality_of_twisted_pairs_matches_the_r_reference(pair):
+    """Zero and twist-moved constants: mostly beta_i * beta'_i != 1."""
+    code, other = pair
+    assert component_orthogonality(code, other) == r_orthogonality(code, other)
+    assert component_orthogonality(code, code) == r_orthogonality(code, code)
+
+
+def test_orthogonality_with_a_zero_constant_takes_the_full_gram():
+    """F9, n = 2, both constants 0: the generator 1 of the full space is
+    orthogonal to <x> = span(e_1), but e_1 is not, so one generator word
+    does not decide the component."""
+    f9 = make_field(*CHECK_FIELDS["F9"])
+    zero = ring_zero(f9)
+    full = build_code(f9, 2, zero, [fq_poly(f9, [1])] * 4)
+    shifted = build_code(f9, 2, zero, [fq_poly(f9, [0, 1])] * 4)
+    assert component_orthogonality(full, shifted) == r_orthogonality(full, shifted) == (False,) * 4
+
+
 @SETTINGS
 @given(extreme_codes())
 def test_gray_image_rows_are_independent(code):
@@ -414,5 +507,7 @@ def test_equivalence_needs_a_constant_the_twist_fixes(name):
     for _ in range(12):
         code = random_code(spec, rng.randint(1, 6), [rng.choice(moved) for _ in range(4)], rng)
         assert is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
-        failures += not closed_as_the_theorems_state(code)
+        closed = closed_as_the_theorems_state(code)
+        assert shift_closures(code) == (True, math.gcd(code.n, spec.k), closed)
+        failures += not closed
     assert failures > 0
