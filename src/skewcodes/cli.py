@@ -248,6 +248,14 @@ def cmd_idempotent(args):
     obj = _require_input(args)
     field = field_from_json(obj["field"])
     n = json_int(obj["n"], "n", 1)
+    # Each idempotent is checked by row-reducing the n span words of e and
+    # of its generator: about n^3 steps, refused before the first division.
+    count = 4 if "gens" in obj else 1
+    steps = count * n ** 3
+    if steps > args.budget:
+        raise BudgetExceededError(
+            f"idempotent check needs {count} * n^3 = {steps} steps, over the budget of {args.budget}"
+        )
     if "gens" in obj:
         _, n, alpha, gens = code_from_json(obj)
         consts = alpha.crt()

@@ -9,6 +9,7 @@ all run in CRT coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,6 +125,13 @@ class SkewCode:
     def cardinality(self) -> int:
         return self.field.q ** sum(self.dims)
 
+    @functools.cached_property
+    def certificate(self):
+        """(h_i, r_i) with x^n - beta_i = h_i * g_i + r_i for each component:
+        one right division each, made once per code. g_i right-divides
+        x^n - beta_i, so C_i is tau-closed, exactly when r_i is zero."""
+        return tuple(right_divmod(self.modulus(i).poly(), g) for i, g in enumerate(self.gens))
+
     def component_basis(self, i: int):
         return generator_basis_words(self.gens[i], self.modulus(i))
 
@@ -176,16 +184,15 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
             raise LengthMismatchError(f"generator degree {f.degree} exceeds length {n}")
     if not alpha.is_unit:
         warnings.append(f"shift constant is not a unit: crt={alpha.crt_ints()}")
-    constants = alpha.crt()
-    for i, f in enumerate(gens):
-        rem = right_divmod(ModulusSpec(n, constants[i]).poly(), f)[1]
+    code = SkewCode(field, n, alpha, gens, tuple(warnings))
+    for i, (f, beta, (_, rem)) in enumerate(zip(gens, code.component_constants, code.certificate)):
         if not rem.is_zero:
             raise NotADivisorError(
                 f"component {i + 1}: {f!r} does not right-divide"
-                f" x^{n} - ({constants[i]!r}); remainder {rem!r}",
+                f" x^{n} - ({beta!r}); remainder {rem!r}",
                 component=i + 1,
             )
-    return SkewCode(field, n, alpha, gens, tuple(warnings))
+    return code
 
 
 def _charge_closure(code: SkewCode, budget: int):
@@ -214,11 +221,11 @@ def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):
     index l = gcd(n, k), and whether it is closed under the untwisted
     quasi-twist rho_l (the untwisted constacyclic shift when l = 1).
 
-    Decided per CRT component from generator words, with tau the skew
-    beta_i-constacyclic shift and C_i the span of the basis x^j * g_i =
-    tau^j(g_i), j < k_i:
-    - tau maps basis word j to basis word j + 1, so C_i is tau-closed iff
-      tau(x^(k_i - 1) * g_i) is in C_i: one membership test.
+    Decided per CRT component, with tau the skew beta_i-constacyclic shift
+    and C_i the span of the basis x^j * g_i = tau^j(g_i), j < k_i:
+    - tau maps basis word j to basis word j + 1, and the last shift is
+      x^(k_i) * g_i - (x^n - beta_i), so C_i is tau-closed iff g_i
+      right-divides x^n - beta_i: the remainder of code.certificate.
     - rho_l is F_q-linear and commutes with tau when theta(beta_i) = beta_i,
       so for a tau-closed C_i, rho_l(C_i) is in C_i iff rho_l(g_i) is. Where
       theta moves beta_i, or C_i is not tau-closed, every basis word of C_i
@@ -229,11 +236,11 @@ def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):
     n, alpha = code.n, code.alpha
     l = math.gcd(n, code.field.k)
     tau = rho = True
-    for i, (g, k, beta) in enumerate(zip(code.gens, code.dims, code.component_constants)):
+    parts = zip(code.gens, code.dims, code.component_constants, code.certificate)
+    for i, (g, k, beta, (_, rem)) in enumerate(parts):
         if k == 0:
             continue
-        last = code.lift(i, poly_to_word(g.times_x_power(k - 1), n))
-        tau_i = code.contains(skew_constacyclic_shift(last, alpha))
+        tau_i = rem.is_zero
         tau = tau and tau_i
         if not rho:
             continue
@@ -248,16 +255,13 @@ def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):
 # --- duals ---
 
 def cofactors(code: SkewCode):
-    """h_i with x^n - beta_i = h_i * f_i."""
-    out = []
-    for i, f in enumerate(code.gens):
-        q, rem = right_divmod(code.modulus(i).poly(), f)
+    """h_i with x^n - beta_i = h_i * f_i, from code.certificate."""
+    for i, (_, rem) in enumerate(code.certificate):
         if not rem.is_zero:
             raise NotADivisorError(
                 f"component {i + 1} generator is not a right divisor", component=i + 1
             )
-        out.append(q)
-    return tuple(out)
+    return tuple(h for h, _ in code.certificate)
 
 
 def dual_code(code: SkewCode) -> SkewCode:

@@ -6,8 +6,8 @@ Exact answers come from one of two certificates:
     of weight < d exists) together with an exhibited weight-d codeword.
 Otherwise the result degrades to bounds. The sweep decides each weight w by
 lookup: it sums the scaled columns of H over every (w-1)-position prefix and
-looks the sums up in a sorted table of the scaled columns c*h_j, by the
-exact bytes of their integer codes, a batch of _CHUNK sums per numpy pass.
+looks the sums up in a sorted table of the scaled columns c*h_j, by exact
+keys of their integer codes, a batch of _CHUNK sums per numpy pass.
 A level still counts all of its C(n, w) (q-1)^w candidates. Everything runs
 in numpy over integer element codes, with exact arithmetic tables.
 """
@@ -92,7 +92,7 @@ class DistanceResult:
 
 def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Minimum nonzero weight of the row space of `rows` over spec."""
-    basis, _ = rref(rows)
+    basis, pivots = rref(rows)
     k = len(basis)
     if k == 0:
         return DistanceResult(None, None, None, 0, "zero-code", defined=False)
@@ -104,7 +104,7 @@ def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> Distanc
         return DistanceResult(1, None, tuple(witness), 0, "full-space")
     if q ** k <= min(budget, ENUM_CAP):
         return _enumerate_messages(basis, spec, n, k, budget)
-    return _bounded_weight_sweep(rows, basis, spec, n, budget)
+    return _bounded_weight_sweep(rows, basis, spec, n, budget, pivots)
 
 
 def _enumerate_messages(basis, spec, n, k, budget) -> DistanceResult:
@@ -121,11 +121,14 @@ def _enumerate_messages(basis, spec, n, k, budget) -> DistanceResult:
     return DistanceResult(d, None, array_to_word(words[idx], spec), int(len(words)), "message-enumeration")
 
 
-def _row_keys(rows) -> np.ndarray:
-    """One np.void key per int16 row (the last axis): its bytes, so two keys
-    are equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows, dtype=np.int16)
+def _row_keys(rows, q) -> np.ndarray:
+    """One key per row (the last axis) of element codes in [0, q), equal
+    exactly when the rows are: the row read in base q as an int64 when
+    q^width < 2^63, else an np.void of its int16 bytes."""
     width = rows.shape[-1]
+    if q ** width < 1 << 63:
+        return rows.reshape(-1, width) @ q ** np.arange(width, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=np.int16)
     return rows.reshape(-1, width).view(np.dtype((np.void, 2 * width))).ravel()
 
 
@@ -133,7 +136,7 @@ def _column_table(scaled):
     """(keys, last): the distinct keys of the scaled columns c*h_j of the
     (n, q-1, n-k) array `scaled`, sorted, and for each key the largest j
     that gives it."""
-    keys = _row_keys(scaled)  # column j's rows come j-th
+    keys = _row_keys(scaled, scaled.shape[1] + 1)  # column j's rows come j-th
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     run_end = np.append(keys[1:] != keys[:-1], True)
@@ -171,14 +174,14 @@ def _first_completable_prefix(scaled, add, table, w):
         if not batch.size:
             return None
         batch = batch.reshape(-1, w - 1)
-        wanted = _row_keys(_prefix_sums(scaled, add, batch))
+        wanted = _row_keys(_prefix_sums(scaled, add, batch), len(add))
         pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
         if hit.any():
             return tuple(int(j) for j in batch[hit.argmax() // count])
 
 
-def _bounded_weight_sweep(rows, basis, spec, n, budget) -> DistanceResult:
+def _bounded_weight_sweep(rows, basis, spec, n, budget, pivots=None) -> DistanceResult:
     """Sweep weights 1, 2, .. below the lightest presented row for a codeword.
 
     A word with support P + (j,), j > max(P), and nonzero coefficients is a
@@ -193,6 +196,8 @@ def _bounded_weight_sweep(rows, basis, spec, n, budget) -> DistanceResult:
     enumerating the completions of the first prefix that has one gives the
     word a full enumeration meets first. Each level still counts its
     C(n, w) (q-1)^w candidates, against the budget and in candidates_swept.
+    Given `pivots`, basis is taken to be in RREF, as min_distance passes it,
+    and H is read off it with no second row reduction.
     """
     q = spec.q
     # upper bound and witness candidate: the first lightest presented row
@@ -209,7 +214,7 @@ def _bounded_weight_sweep(rows, basis, spec, n, budget) -> DistanceResult:
             return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
         if scaled is None:
             add, mul = field_tables(spec, budget)
-            H = words_to_array(nullspace(basis, n, spec))  # (n-k, n)
+            H = words_to_array(nullspace(basis, n, spec, pivots))  # (n-k, n)
             scaled = mul[np.arange(1, q)[None, :, None], H.T[:, None, :]]  # (n, q-1, n-k): c*h_j
         if w == 1:  # T = 0, which is c*h_j only for a zero column h_j
             prefix = None if H.any(axis=0).all() else ()

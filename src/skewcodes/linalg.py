@@ -65,9 +65,13 @@ class Span:
         return self.dim == other.dim and self.contains_all(other.rows)
 
 
-def nullspace(rows, ncols: int, spec: FieldSpec):
-    """Basis of {x : r . x = 0 for every row r}, i.e. the classical dual."""
-    reduced, pivots = rref(rows)
+def nullspace(rows, ncols: int, spec: FieldSpec, pivots=None):
+    """Basis of {x : r . x = 0 for every row r}, i.e. the classical dual.
+
+    Given `pivots`, the rows are taken to be in RREF with those pivot
+    columns, as rref returns them, and are not reduced again.
+    """
+    reduced, pivots = rref(rows) if pivots is None else (rows, pivots)
     basis = []
     free_cols = [c for c in range(ncols) if c not in pivots]
     for fc in free_cols:

@@ -396,11 +396,14 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
 
     None exists above degree n. Otherwise the candidate count, q^degree or
     q^(4*degree) over R, is checked against the budget before anything is
-    enumerated. The F_q screen tries all q^degree candidates; over R the
-    count is still that of a search over all of R, though the four component
-    searches try 4*q^degree.
+    enumerated, and then the division steps: the count times the
+    (n - degree + 1)(degree + 1) steps of one division of x^n - alpha, the
+    cost of a certificate. The F_q screen tries all q^degree candidates;
+    over R the count is still that of a search over all of R, though the
+    four component searches try 4*q^degree.
     """
-    if degree > mod.n:
+    n = mod.n
+    if degree > n:
         return []
     q = mod.spec.q
     exponent = 4 * degree if mod.ring == "R" else degree
@@ -408,6 +411,12 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     if exponent >= budget.bit_length() or q ** exponent > budget:
         count = q ** exponent if exponent * math.log10(q) < _PRINTED_DIGITS else f"{q}^{exponent}"
         raise BudgetExceededError(f"{count} candidates exceed the budget of {budget}")
+    steps = q ** exponent * (n - degree + 1) * (degree + 1)
+    if steps > budget:
+        raise BudgetExceededError(
+            f"{q ** exponent} candidates * (n - degree + 1)(degree + 1) = {steps}"
+            f" division steps exceed the budget of {budget}"
+        )
     return _monic_right_factors(mod.poly(), degree)
 
 

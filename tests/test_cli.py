@@ -8,6 +8,8 @@ from skewcodes.cli import build_parser, main
 from skewcodes.codes import SkewCode
 from skewcodes.distance import DEFAULT_BUDGET
 from skewcodes.gf import FieldElement
+from skewcodes.serial import code_from_json
+from skewcodes.skewpoly import ModulusSpec
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +363,32 @@ def test_divisor_search_above_degree_n_is_empty(capsys, alpha):
     assert report["result"]["count"] == 0
 
 
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_divisor_search_charges_the_certificate_divisions(capsys, n):
+    """81 candidates at degree 2 over F9 pass the candidate check, but each
+    certificate divides x^n - alpha in (n - 1) * 3 steps."""
+    obj = {"field": {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1}, "n": n, "alpha": 1, "degree": 2}
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj), "--budget", "200000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["result"]["error"] == (
+        f"81 candidates * (n - degree + 1)(degree + 1) = {81 * (n - 1) * 3}"
+        " division steps exceed the budget of 200000"
+    )
+
+
+def test_divisor_search_step_charge_is_exact(capsys):
+    """SEARCH_F3 at degree 1: 3 candidates * 4 * 2 = 24 steps."""
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(SEARCH_F3), "--budget", "24")
+    assert code == 0
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(SEARCH_F3), "--budget", "23")
+    assert code == 2
+    assert report["result"]["error"] == (
+        "3 candidates * (n - degree + 1)(degree + 1) = 24 division steps exceed the budget of 23"
+    )
+
+
 def test_divisor_search_count_too_long_to_print_is_refused(capsys):
     obj = {**SEARCH_F3, "n": 10000, "degree": 10000}
     start = time.perf_counter()
@@ -373,6 +401,26 @@ def test_divisor_search_count_too_long_to_print_is_refused(capsys):
 F9 = {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1}
 IDEMPOTENT_F9 = {"field": F9, "n": 5, "alpha": 1, "f": {"ring": "fq", "coeffs": [2, 1]}}
 PARAMS_F9 = {"field": F9, "n": 5, "alpha": 1, "gens": [{"ring": "fq", "coeffs": [2, 1]}] * 4}
+
+
+@pytest.mark.parametrize("obj, count", [(IDEMPOTENT_F9, 1), (PARAMS_F9, 4)])
+def test_idempotent_is_charged_before_it_runs(capsys, obj, count):
+    """Each idempotent check costs n^3 steps: exact at n = 5, and n = 1000
+    over F7 (which meets the gcd hypotheses) is refused at once."""
+    steps = count * 125
+    code, report = run_cli(capsys, "idempotent", "--input", json.dumps(obj), "--budget", str(steps))
+    assert code == 0
+    code, report = run_cli(capsys, "idempotent", "--input", json.dumps(obj), "--budget", str(steps - 1))
+    assert code == 2
+    assert report["result"]["error"] == (
+        f"idempotent check needs {count} * n^3 = {steps} steps, over the budget of {steps - 1}"
+    )
+    big = {**obj, "field": {"p": 7, "m": 1, "modulus": [4, 1], "t": 1}, "n": 1000}
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "idempotent", "--input", json.dumps(big), "--budget", "200000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["result"]["error"].startswith(f"idempotent check needs {count} * n^3 = ")
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -633,8 +681,9 @@ def deep_f9(betas):
 
 @pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
 def test_params_decides_each_closure_from_four_words(capsys, monkeypatch, betas):
-    """With every constant fixed by the twist, each of the two closures
-    makes at most one membership test per component."""
+    """tau is read from the build certificate, with no membership test, and
+    with every constant fixed by the twist the quasi-twist makes at most one
+    membership test per component."""
     calls = []
     contains = SkewCode.contains
     monkeypatch.setattr(SkewCode, "contains", lambda self, word: calls.append(word) or contains(self, word))
@@ -643,7 +692,42 @@ def test_params_decides_each_closure_from_four_words(capsys, monkeypatch, betas)
     assert report["result"]["closures"]["tau"] is True
     assert report["result"]["closures"]["quasi_twist"] == {"index": 2, "closed": True}
     assert report["result"]["distance"]["method"].startswith("sweep")
-    assert len(calls) <= 2 * 4
+    assert len(calls) <= 4
+
+
+def spy_divisions(monkeypatch):
+    """The dividend of every right or commutative division."""
+    import skewcodes.skewpoly
+
+    dividends = []
+    divmod_ = skewcodes.skewpoly._divmod
+    monkeypatch.setattr(
+        "skewcodes.skewpoly._divmod",
+        lambda f, g, twisted: dividends.append(f) or divmod_(f, g, twisted),
+    )
+    return dividends
+
+
+@pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
+def test_params_divides_each_modulus_once(capsys, monkeypatch, betas):
+    """build_code's four divisions of x^n - beta_i are the only ones: the
+    closures read them from the code's certificate."""
+    spec = deep_f9(betas)
+    _, n, alpha, _ = code_from_json(json.loads(spec))
+    moduli = [ModulusSpec(n, beta).poly() for beta in alpha.crt()]
+    dividends = spy_divisions(monkeypatch)
+    code, report = run_cli(capsys, "params", "--input", spec)
+    assert code == 0
+    assert sum(f in moduli for f in dividends) == 4
+
+
+def test_dual_reuses_the_build_certificate(capsys, monkeypatch):
+    """Four divisions build the code and four build its dual: the cofactors
+    h_i come from the first four, not from four more."""
+    dividends = spy_divisions(monkeypatch)
+    code, report = run_cli(capsys, "dual", "--input", CODESPEC)
+    assert code == 0
+    assert len(dividends) == 8
 
 
 def test_dual_of_length_1000_takes_four_products(capsys, monkeypatch):

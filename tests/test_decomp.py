@@ -3,7 +3,16 @@ import random
 import pytest
 
 from skewcodes.catalog import get_example
-from skewcodes.codes import SkewCode, build_code, constacyclic_shift, dual_code
+from skewcodes.codes import (
+    SkewCode,
+    build_code,
+    cofactors,
+    constacyclic_shift,
+    dual_code,
+    is_closed_under,
+    shift_closures,
+    skew_constacyclic_shift,
+)
 from skewcodes.decomp import (
     ModuleSpan,
     components_from_words,
@@ -12,7 +21,7 @@ from skewcodes.decomp import (
     minimal_generator,
     verify_decomposition_theorem,
 )
-from skewcodes.errors import MixedRingsError, NotAUnitError, VerificationError
+from skewcodes.errors import MixedRingsError, NotADivisorError, NotAUnitError, VerificationError
 from skewcodes.linalg import Span, nullspace
 from skewcodes.ring4 import RingElement, ring_one
 from skewcodes.skewpoly import (
@@ -108,6 +117,21 @@ def test_verify_decomposition_pinpoints_corruption(f9):
     assert not report.closed
     assert report.equivalence_holds
     assert report.components == (True, False, True, True)
+
+
+def test_tau_closure_of_a_corrupted_code_is_its_certificate(f9):
+    """A code built without build_code computes its certificate on first
+    use: component 2 of the corrupted code does not divide x^6 - 1, so tau
+    agrees with the full per-word check, and no cofactors exist."""
+    good = fq_poly(f9, [2, f9.root(), 0, 2 * f9.root(), 1])
+    bad = fq_poly(f9, [1, 1, 1, 1])
+    code = SkewCode(f9, 6, ring_one(f9), (good, bad, good, good))
+    full = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+    assert shift_closures(code)[0] is full is False
+    assert [rem.is_zero for _, rem in code.certificate] == [True, False, True, True]
+    with pytest.raises(NotADivisorError) as refusal:
+        cofactors(code)
+    assert refusal.value.component == 2
 
 
 def test_dual_constant_examples(f9, f49):

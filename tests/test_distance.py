@@ -339,7 +339,7 @@ def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
     rows = gray_image_code(code).rows
     calls = []
     row_keys = distance._row_keys
-    monkeypatch.setattr(distance, "_row_keys", lambda r: calls.append(1) or row_keys(r))
+    monkeypatch.setattr(distance, "_row_keys", lambda r, q: calls.append(1) or row_keys(r, q))
     res = min_distance(rows, ex["field"])
     assert (res.exact, res.method) == (4, "sweep-certified")
     n, q = len(rows[0]), ex["field"].q
@@ -347,6 +347,60 @@ def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
     batches = {w: -(-count // max(1, distance._CHUNK // (q - 1) ** (w - 1))) for w, count in prefixes.items()}
     assert len(calls) <= sum(batches.values()) + 1
     assert len(calls) < sum(prefixes.values())
+
+
+def test_min_distance_row_reduces_once(monkeypatch):
+    """On the example-2 image the sweep builds H from min_distance's RREF
+    and its pivots, with no second row reduction inside nullspace."""
+    import skewcodes.linalg
+
+    ex = get_example(2)
+    rows = gray_image_code(build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])).rows
+    calls = []
+    original = skewcodes.linalg.rref
+
+    def spy(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(skewcodes.linalg, "rref", spy)
+    monkeypatch.setattr(distance, "rref", spy)
+    res = min_distance(rows, ex["field"])
+    assert (res.exact, res.method) == (4, "sweep-certified")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("weight", [2, 3])
+@pytest.mark.parametrize("n, kind", [(41, "i"), (42, "V")])
+def test_keys_are_int64_below_2_63_and_bytes_above(f3, monkeypatch, weight, n, kind):
+    """[n, 2] codes over F3 with a planted word of the given weight: n - k =
+    39 gives 3^39 < 2^63 and int64 keys, n - k = 40 gives 3^40 > 2^63 and
+    byte keys. Either way the sweep finds the word the per-support loop
+    finds, given the presented rows, and agrees with it given their RREF
+    and its pivots."""
+    assert (3 ** (n - 2) < 2 ** 63) == (kind == "i")
+    rng = random.Random(10 * n + weight)
+    support = rng.sample(range(n), weight)
+    planted = [rng.randint(1, 2) if i in support else 0 for i in range(n)]
+    rows = planted_rows(f3, planted, [[rng.randrange(3) for _ in range(n)]])
+    basis, pivots = rref(rows)
+    assert len(basis) == 2
+    kinds = set()
+    row_keys = distance._row_keys
+
+    def spy(rows, q):
+        keys = row_keys(rows, q)
+        kinds.add(keys.dtype.kind)
+        return keys
+
+    monkeypatch.setattr(distance, "_row_keys", spy)
+    budget = distance.DEFAULT_BUDGET
+    expected = reference_sweep(rows, rows, f3, n, budget)
+    assert (expected.exact, expected.method) == (weight, "sweep-found-lighter")
+    assert distance._bounded_weight_sweep(rows, rows, f3, n, budget) == expected
+    expected = reference_sweep(rows, basis, f3, n, budget)
+    assert distance._bounded_weight_sweep(rows, basis, f3, n, budget, pivots) == expected
+    assert kinds == {kind}
 
 
 def test_sweep_memory_is_bounded_by_the_batch(f3):
