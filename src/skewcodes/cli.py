@@ -34,14 +34,15 @@ from .decomp import (
     dual_hypothesis_note,
     verify_decomposition_theorem,
 )
-from .distance import DEFAULT_BUDGET, min_distance
+from .distance import min_distance
 from .errors import (
-    BudgetExceededError,
+    DEFAULT_BUDGET,
     NotADivisorError,
     ParseError,
     SkewcodesError,
     UnknownSuiteError,
     VerificationError,
+    charge,
 )
 from .gray import check_commutation, gray_image_code, permuted_sigma4, sigma_pi4, tau_omega4
 from .ring4 import RingElement, ring_one, unit_check
@@ -85,11 +86,8 @@ def _input_code(args):
     field, n, alpha, gens = code_from_json(_require_input(args))
     degrees = [g.degree or 0 for g in gens]  # build_code refuses a zero generator
     steps = sum(max(n - d + 1, 0) * (d + 1) for d in degrees)
-    if steps > args.budget:
-        raise BudgetExceededError(
-            f"building the code needs sum (n - deg g_i + 1)(deg g_i + 1) = {steps}"
-            f" division steps, over the budget of {args.budget}"
-        )
+    needs = "building the code needs sum (n - deg g_i + 1)(deg g_i + 1)"
+    charge(args.budget, steps, needs, "division steps")
     return build_code(field, n, alpha, gens)
 
 
@@ -119,12 +117,7 @@ def _gray_image(code, budget):
     k = sum(dims) image rows of length 4n: the bound of min_distance's row
     reduction of the image in params and the example audits."""
     k = sum(code.dims)
-    steps = k * k * 4 * code.n
-    if steps > budget:
-        raise BudgetExceededError(
-            f"Gray image needs k^2 * 4n = {k}^2 * {4 * code.n} = {steps} steps,"
-            f" over the budget of {budget}"
-        )
+    charge(budget, k * k * 4 * code.n, f"Gray image needs k^2 * 4n = {k}^2 * {4 * code.n}")
     return gray_image_code(code)
 
 
@@ -154,11 +147,7 @@ def _dual_contract(code, budget):
     dual component i has dimension n - k_i."""
     n = code.n
     steps = sum(k * (n - k) * n for k in code.dims)
-    if steps > budget:
-        raise BudgetExceededError(
-            f"orthogonality check needs sum k_i * (n - k_i) * n = {steps} steps,"
-            f" over the budget of {budget}"
-        )
+    charge(budget, steps, "orthogonality check needs sum k_i * (n - k_i) * n")
     dual = dual_code(code)
     product_ok = code.cardinality * dual.cardinality == code.field.q ** (4 * n)
     orthogonal = all(component_orthogonality(code, dual))
@@ -251,11 +240,7 @@ def cmd_idempotent(args):
     # Each idempotent is checked by row-reducing the n span words of e and
     # of its generator: about n^3 steps, refused before the first division.
     count = 4 if "gens" in obj else 1
-    steps = count * n ** 3
-    if steps > args.budget:
-        raise BudgetExceededError(
-            f"idempotent check needs {count} * n^3 = {steps} steps, over the budget of {args.budget}"
-        )
+    charge(args.budget, count * n ** 3, f"idempotent check needs {count} * n^3")
     if "gens" in obj:
         _, n, alpha, gens = code_from_json(obj)
         consts = alpha.crt()

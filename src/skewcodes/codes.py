@@ -13,10 +13,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .distance import DEFAULT_BUDGET
 from .errors import (
+    DEFAULT_BUDGET,
     BadIndexError,
-    BudgetExceededError,
     EvenLengthError,
     HypothesisViolatedError,
     InconsistentError,
@@ -25,6 +24,7 @@ from .errors import (
     NotADivisorError,
     NotAUnitError,
     VerificationError,
+    charge,
 )
 from .gf import FieldSpec
 from .linalg import inner_product
@@ -198,11 +198,7 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
 def _charge_closure(code: SkewCode, budget: int):
     """Refuse a closure check over the budget: sum(dims) * 4n, as below."""
     words = sum(code.dims)
-    steps = words * 4 * code.n
-    if steps > budget:
-        raise BudgetExceededError(
-            f"closure check needs {words} basis words * 4n = {steps} steps, over the budget of {budget}"
-        )
+    charge(budget, words * 4 * code.n, f"closure check needs {words} basis words * 4n")
 
 
 def is_closed_under(code: SkewCode, shift, budget: int = DEFAULT_BUDGET) -> bool:

@@ -16,7 +16,7 @@ from .errors import VerificationError
 from .gf import FieldElement, FieldSpec
 from .linalg import Span, rref
 from .ring4 import RingElement, split_word
-from .skewpoly import ModulusSpec, SkewPoly, right_divmod, span_words
+from .skewpoly import ModulusSpec, SkewPoly, right_divmod
 
 
 def extract_components(words):
@@ -58,27 +58,26 @@ class ModuleSpan:
 def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     """Monic minimal-degree generator of a spanned component code.
 
-    Eliminates with pivots at the high-degree end; the last echelon row is
-    the minimal-degree element. Verifies that it regenerates the span and
-    right-divides x^n - constant; raises VerificationError otherwise.
+    One elimination, with pivots at the high-degree end, gives the rank of
+    the span, and its last echelon row is the minimal-degree element g,
+    monic since its pivot is 1 (the empty span gives g = x^n - constant).
+    When g right-divides x^n - constant, <g> is the set of words of degree
+    < n that g right-divides, of dimension n - deg g. So the span is <g>
+    exactly when its rank is n - deg g and g right-divides every echelon
+    row. Raises VerificationError otherwise.
     """
     spec = constant.spec
     mod = ModulusSpec(n, constant)
-    target = Span(span_vectors)
-    if target.dim == 0:
-        gen = mod.poly()
-    else:
-        reversed_rows, _ = rref([tuple(reversed(v)) for v in target.rows])
-        least = reversed_rows[-1]
-        gen = SkewPoly(spec, "fq", list(reversed(least))).monic()
-    regenerated = Span(span_words(gen, mod))
-    if regenerated != target:
-        raise VerificationError(
-            "spanning set is not the single-generator module of its minimal element"
-        )
+    rows, _ = rref([tuple(reversed(v)) for v in span_vectors])
+    polys = [SkewPoly(spec, "fq", list(reversed(row))) for row in rows]
+    gen = polys[-1] if polys else mod.poly()
     if not right_divmod(mod.poly(), gen)[1].is_zero:
         raise VerificationError(
             f"minimal generator {gen!r} does not right-divide x^{n} - {constant!r}"
+        )
+    if len(polys) != n - gen.degree or any(not right_divmod(f, gen)[1].is_zero for f in polys):
+        raise VerificationError(
+            "spanning set is not the single-generator module of its minimal element"
         )
     return gen
 

@@ -21,11 +21,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, charge
 from .gf import FieldSpec
 from .linalg import nullspace, rref
 
-DEFAULT_BUDGET = 20_000_000
 ENUM_CAP = 200_000
 # Prefix sums tested per numpy batch of the distance sweep. A batch's
 # working memory is about 18 bytes per sum and parity check (traced), so
@@ -39,10 +38,7 @@ def field_tables(spec: FieldSpec, budget: int = DEFAULT_BUDGET):
     The two q x q tables count against the budget like candidates do, and
     are refused before anything is allocated when q^2 exceeds it.
     """
-    if spec.q ** 2 > budget:
-        raise BudgetExceededError(
-            f"field tables need q^2 = {spec.q ** 2} entries, over the budget of {budget}"
-        )
+    charge(budget, spec.q ** 2, "field tables need q^2", "entries")
     return _field_tables(spec)
 
 

@@ -49,6 +49,16 @@ class BudgetExceededError(SkewcodesError):
     """An exhaustive search would exceed the configured candidate budget."""
 
 
+DEFAULT_BUDGET = 20_000_000
+
+
+def charge(budget: int, steps: int, needs: str, unit: str = "steps"):
+    """Refuse work of `steps` units, described by `needs`, over the budget:
+    called before the work starts."""
+    if steps > budget:
+        raise BudgetExceededError(f"{needs} = {steps} {unit}, over the budget of {budget}")
+
+
 class HypothesisViolatedError(SkewcodesError):
     """A theorem-backed routine was called outside its hypotheses."""
 

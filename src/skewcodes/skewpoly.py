@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import DEFAULT_BUDGET
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     DivisionByZeroPolyError,
     HypothesisViolatedError,
@@ -327,35 +327,36 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
 
 
 def _monic_right_factors(f: SkewPoly, degree: int):
-    """All monic degree-`degree` right divisors of an arbitrary polynomial f,
-    in lexicographic coefficient order: ascending powers, each coefficient
-    by its integer element code, or over R by its (a, b, c, d) codes.
+    """The monic degree-`degree` right divisors of an arbitrary polynomial f
+    that the screen finds, in lexicographic coefficient order: ascending
+    powers, each coefficient by its integer element code, or over R by its
+    (a, b, c, d) codes.
 
     Over F_q the q^degree candidates are screened in numpy batches
-    (_batched_divisor_codes), and each divisor found is certified by one
-    right division. Over R it is four searches over F_q, one per CRT
-    component, since a monic g right-divides f exactly when each component
-    g_i right-divides f_i. Every combination of component divisors is then
-    certified by one right division over R.
+    (_batched_divisor_codes). Over R it is four searches over F_q, one per
+    CRT component, since a monic g right-divides f exactly when each
+    component g_i right-divides f_i; the divisors are the combinations of
+    component divisors. Nothing is certified here: a caller certifies a
+    divisor by the right division it makes with it.
     """
     if f.ring == "R":
-        out = []
         found = [_monic_right_factors(fi, degree) for fi in component_polys(f)]
-        for parts in itertools.product(*found):
-            g = from_components(*parts)
-            if not right_divmod(f, g)[1].is_zero:
-                raise VerificationError(f"assembled divisor {g!r} does not right-divide {f!r}")
-            out.append(g)
+        out = [from_components(*parts) for parts in itertools.product(*found)]
         out.sort(key=lambda g: [(c.a.code, c.b.code, c.c.code, c.d.code) for c in g.coeffs])
         return out
     spec = f.spec
-    out = []
-    for codes in _batched_divisor_codes(f, degree):
-        g = SkewPoly(spec, "fq", [spec.from_int(c) for c in codes] + [spec.one])
-        if not right_divmod(f, g)[1].is_zero:
-            raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
-        out.append(g)
-    return out
+    return [
+        SkewPoly(spec, "fq", [spec.from_int(c) for c in codes] + [spec.one])
+        for codes in _batched_divisor_codes(f, degree)
+    ]
+
+
+def _certify(f: SkewPoly, g: SkewPoly):
+    """The quotient of f by a screened divisor g; a nonzero remainder raises."""
+    quot, rem = right_divmod(f, g)
+    if not rem.is_zero:
+        raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
+    return quot
 
 
 def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
@@ -364,7 +365,8 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     Peels random factors of degree 1 (or 2 when no linear factor exists) off
     the successive cofactors; stops early if the cofactor has no small right
     factor. The chain x^n - alpha = cofactor * divisor makes every
-    intermediate divisor a genuine right divisor.
+    intermediate divisor a genuine right divisor: the division that gives
+    the next cofactor certifies the factor picked, and only that one.
     """
     cofactor = mod.poly()
     divisor = SkewPoly(mod.spec, mod.ring, [cofactor._one_coeff()])
@@ -380,8 +382,8 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
         if not candidates:
             break
         g = rng.choice(candidates)
+        cofactor = _certify(cofactor, g)
         divisor = g * divisor
-        cofactor = right_divmod(cofactor, g)[0]
     return divisor
 
 
@@ -392,7 +394,7 @@ _PRINTED_DIGITS = 4300
 
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BUDGET):
     """All monic right divisors of x^n - alpha of the given degree, in the
-    order of _monic_right_factors.
+    order of _monic_right_factors, each certified by one right division.
 
     None exists above degree n. Otherwise the candidate count, q^degree or
     q^(4*degree) over R, is checked against the budget before anything is
@@ -417,7 +419,11 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
             f"{q ** exponent} candidates * (n - degree + 1)(degree + 1) = {steps}"
             f" division steps exceed the budget of {budget}"
         )
-    return _monic_right_factors(mod.poly(), degree)
+    f = mod.poly()
+    divisors = _monic_right_factors(f, degree)
+    for g in divisors:
+        _certify(f, g)
+    return divisors
 
 
 # --- word <-> polynomial ---

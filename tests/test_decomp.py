@@ -1,7 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_kernel import FIELDS
 
+import skewcodes.decomp as decomp
+import skewcodes.linalg as linalg
+import skewcodes.skewpoly as skewpoly
 from skewcodes.catalog import get_example
 from skewcodes.codes import (
     SkewCode,
@@ -22,12 +28,16 @@ from skewcodes.decomp import (
     verify_decomposition_theorem,
 )
 from skewcodes.errors import MixedRingsError, NotADivisorError, NotAUnitError, VerificationError
-from skewcodes.linalg import Span, nullspace
+from skewcodes.gf import make_field
+from skewcodes.linalg import Span, nullspace, rref
 from skewcodes.ring4 import RingElement, ring_one
 from skewcodes.skewpoly import (
     ModulusSpec,
+    SkewPoly,
     fq_poly,
+    generator_basis_words,
     random_right_divisor,
+    right_divmod,
     span_words,
 )
 
@@ -99,6 +109,120 @@ def test_minimal_generator_rejects_non_module_span(f9):
     vec = (f9.one, f9.root(), f9.zero, f9.zero)
     with pytest.raises(VerificationError):
         minimal_generator([vec], 4, f9.one)
+
+
+def regenerated_generator(span_vectors, n, constant):
+    """The minimal generator found by regenerating its module: the span of
+    the n words x^j * g mod x^n - constant must be the given span. A
+    reference for minimal_generator's counting argument."""
+    mod = ModulusSpec(n, constant)
+    target = Span(span_vectors)
+    if target.dim == 0:
+        gen = mod.poly()
+    else:
+        reversed_rows, _ = rref([tuple(reversed(v)) for v in target.rows])
+        gen = SkewPoly(constant.spec, "fq", list(reversed(reversed_rows[-1]))).monic()
+    if Span(span_words(gen, mod)) != target:
+        raise VerificationError("spanning set is not the single-generator module of its minimal element")
+    if not right_divmod(mod.poly(), gen)[1].is_zero:
+        raise VerificationError(f"minimal generator {gen!r} does not right-divide x^{n} - {constant!r}")
+    return gen
+
+
+# F9 and F25, and the fields with m >= 3 and a twist 1 < t < m
+SPAN_FIELDS = [(3, 2, [1, 0, 1], 1), (5, 2, [1, 1, 1], 1)] + [
+    (p, m, mod, t) for p, m, mod, t in FIELDS.values() if m >= 3 and 1 < t < m
+]
+
+
+def random_word(spec, rng, n):
+    return tuple(spec.from_int(rng.randrange(spec.q)) for _ in range(n))
+
+
+def combinations_of(words, spec, rng, n, count):
+    """`count` random F_q-combinations of the length-n words."""
+    out = []
+    for _ in range(count):
+        coeffs = [spec.from_int(rng.randrange(spec.q)) for _ in words]
+        out.append(tuple(sum((c * w[i] for c, w in zip(coeffs, words)), spec.zero) for i in range(n)))
+    return out
+
+
+@st.composite
+def component_spans(draw):
+    """(span vectors, n, constant): a module span, random words, the
+    generator basis of a random monic polynomial (rarely a divisor), a
+    divisor's basis with one word dropped, added or replaced, or the empty
+    span."""
+    spec = make_field(*draw(st.sampled_from(SPAN_FIELDS)))
+    n = draw(st.integers(1, 6))
+    constant = spec.from_int(draw(st.integers(0, spec.q - 1)))
+    mod = ModulusSpec(n, constant)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["module", "words", "non-divisor", "dropped", "added", "replaced", "empty"]))
+    if kind == "empty":
+        return [], n, constant
+    if kind == "words":
+        return [random_word(spec, rng, n) for _ in range(rng.randint(1, n + 1))], n, constant
+    if kind == "non-divisor":
+        degree = rng.randrange(n)
+        g = SkewPoly(spec, "fq", [spec.from_int(rng.randrange(spec.q)) for _ in range(degree)] + [spec.one])
+        return generator_basis_words(g, mod), n, constant
+    # a quadratic screen over F729 tries q^2 = 531441 candidates: peel linear factors only
+    degree = rng.randint(0, n if spec.q < 729 else 1)
+    basis = generator_basis_words(random_right_divisor(mod, rng, degree), mod)
+    if kind == "module":
+        return combinations_of(basis, spec, rng, n, len(basis) + rng.randint(0, 2)), n, constant
+    if kind == "dropped" and basis:
+        basis.pop(rng.randrange(len(basis)))
+    elif kind == "replaced" and len(basis) > 1:
+        # word j keeps its degree and lead, so the rank and the minimal
+        # element stay: only a division by the generator can reject it
+        j = rng.randrange(1, len(basis))
+        d = n - len(basis) + j
+        basis[j] = random_word(spec, rng, d) + basis[j][d:]
+    else:
+        basis.insert(rng.randrange(len(basis) + 1), random_word(spec, rng, n))
+    return basis, n, constant
+
+
+def outcome(find, vectors, n, constant):
+    try:
+        return find(vectors, n, constant)
+    except VerificationError:
+        return "rejected"
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_spans())
+def test_minimal_generator_matches_its_regeneration(args):
+    assert outcome(minimal_generator, *args) == outcome(regenerated_generator, *args)
+
+
+def test_minimal_generator_makes_one_elimination(monkeypatch, f9, f25):
+    eliminations = []
+    original = linalg.rref
+    counted = lambda rows: eliminations.append(1) or original(rows)
+    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(decomp, "rref", counted)
+
+    def refuse(*args):
+        raise AssertionError("module regenerated")
+
+    for module in (skewpoly, decomp):
+        for name in ("span_words", "reduce_mod"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    rng = random.Random(5)
+    cases = [([], 3, f9.one), ([(f9.one, f9.root(), f9.zero, f9.zero)], 4, f9.one)]
+    for spec, n in ((f9, 4), (f25, 6), (f9, 6)):
+        mod = ModulusSpec(n, -spec.one)
+        cases.append((generator_basis_words(random_right_divisor(mod, rng, n), mod), n, -spec.one))
+    verdicts = []
+    for vectors, n, constant in cases:
+        eliminations.clear()
+        verdicts.append(outcome(minimal_generator, vectors, n, constant) != "rejected")
+        assert len(eliminations) == 1
+    assert verdicts == [True, False, True, True, True]
 
 
 def test_verify_decomposition_on_examples():

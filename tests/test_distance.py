@@ -37,7 +37,7 @@ def test_tables_are_exact(f9):
 
 
 def test_tables_are_bounded_by_the_budget(f25):
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^field tables need q\^2 = 625 entries, over the budget of 624$"):
         field_tables(f25, budget=25 ** 2 - 1)
     add, mul = field_tables(f25, budget=25 ** 2)
     assert add.shape == mul.shape == (25, 25)

@@ -12,12 +12,15 @@ import random
 import pytest
 from test_kernel import FIELDS
 
+import skewcodes.skewpoly as skewpoly
 from skewcodes.errors import VerificationError
 from skewcodes.gf import make_field
+from skewcodes.ring4 import RingElement
 from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
     _monic_right_factors,
+    random_right_divisor,
     right_divisor_search,
     right_divmod,
 )
@@ -123,19 +126,87 @@ def test_chunk_boundaries_do_not_change_the_list(chunk, monkeypatch):
         assert right_divisor_search(ModulusSpec(n, spec.from_int(a)), d) == want
 
 
-def test_a_false_hit_fails_its_certificate(monkeypatch):
-    import skewcodes.skewpoly as skewpoly
-
+def with_false_hit(monkeypatch, only=False):
+    """Make the screen report x^degree, which never right-divides x^n - alpha
+    for a unit alpha, before its true hits, or (only=True) in their place."""
     screen = skewpoly._batched_divisor_codes
 
-    def with_false_hit(f, degree):
-        yield (0,) * degree  # x^degree never right-divides x^n - alpha
-        yield from screen(f, degree)
+    def screened(f, degree):
+        yield (0,) * degree
+        if not only:
+            yield from screen(f, degree)
 
-    monkeypatch.setattr("skewcodes.skewpoly._batched_divisor_codes", with_false_hit)
+    monkeypatch.setattr("skewcodes.skewpoly._batched_divisor_codes", screened)
+
+
+def test_a_false_hit_fails_its_certificate(monkeypatch):
+    with_false_hit(monkeypatch)
     f9 = make_field(3, 2, [1, 0, 1])
     with pytest.raises(VerificationError):
         right_divisor_search(ModulusSpec(4, f9.one), 2)
+
+
+def test_a_false_hit_fails_its_certificate_over_r(monkeypatch):
+    with_false_hit(monkeypatch)
+    f3 = make_field(3, 1, [0, 1])
+    with pytest.raises(VerificationError):
+        right_divisor_search(ModulusSpec(2, RingElement.from_crt(f3, 1, -1, 1, -1)), 1)
+
+
+@pytest.mark.parametrize("ring", ["fq", "R"])
+def test_a_false_pick_fails_the_division_that_peels_it(monkeypatch, ring):
+    with_false_hit(monkeypatch, only=True)
+    f9 = make_field(3, 2, [1, 0, 1])
+    alpha = f9.one if ring == "fq" else RingElement.from_crt(f9, 1, 1, -1, 1)
+    with pytest.raises(VerificationError):
+        random_right_divisor(ModulusSpec(3, alpha), random.Random(0), 2)
+
+
+def spy_divisions(monkeypatch):
+    """The divisor of every right or commutative division, in order."""
+    calls = []
+    divmod_ = skewpoly._divmod
+    monkeypatch.setattr(
+        "skewcodes.skewpoly._divmod",
+        lambda f, g, twisted: calls.append(g) or divmod_(f, g, twisted),
+    )
+    return calls
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its choice calls: one per factor peeled."""
+
+    picks = 0
+
+    def choice(self, seq):
+        self.picks += 1
+        return super().choice(seq)
+
+
+def test_a_random_divisor_divides_once_per_factor(monkeypatch):
+    divisions = spy_divisions(monkeypatch)
+    f3, f9, f25 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1]), make_field(5, 2, [1, 1, 1])
+    cases = [(spec, n, spec.constant(s)) for spec in (f9, f25) for n in (2, 4, 6) for s in (1, -1)]
+    cases += [(f3, n, RingElement.from_crt(f3, 1, -1, -1, 1)) for n in (2, 3, 4)]
+    peeled = 0
+    for seed, (spec, n, alpha) in enumerate(cases):
+        rng = CountingRandom(seed)
+        divisions.clear()
+        g = random_right_divisor(ModulusSpec(n, alpha), rng, n)
+        assert len(divisions) == rng.picks
+        assert g.degree >= rng.picks
+        peeled += rng.picks
+    assert peeled > len(cases)
+
+
+def test_a_search_over_r_divides_once_per_divisor(monkeypatch):
+    divisions = spy_divisions(monkeypatch)
+    f3, f5 = make_field(3, 1, [0, 1]), make_field(5, 1, [0, 1])
+    for spec, n, signs, degree in ((f3, 4, (1, 1, 1, 1), 1), (f3, 4, (1, -1, -1, 1), 2), (f5, 4, (1, 1, 1, 1), 1)):
+        divisions.clear()
+        found = right_divisor_search(ModulusSpec(n, RingElement.from_crt(spec, *signs)), degree)
+        assert found
+        assert divisions == found
 
 
 def test_search_over_a_field_too_large_for_the_square_tables(monkeypatch):

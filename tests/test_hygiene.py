@@ -114,3 +114,23 @@ def test_every_definition_is_referenced():
         and node.name not in refs
     ]
     assert dead == []
+
+
+# Where BudgetExceededError may be raised: the one budget gate, and the
+# divisor search's two candidate-count refusals, which keep their wording.
+BUDGET_REFUSALS = {("errors", "charge"): 1, ("skewpoly", "right_divisor_search"): 2}
+
+
+def test_budget_refusals_go_through_charge():
+    raised = {}
+    for path in MODULES:
+        for func in ast.walk(parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                if isinstance(exc, ast.Name) and exc.id == "BudgetExceededError":
+                    key = (path.stem, func.name)
+                    raised[key] = raised.get(key, 0) + 1
+    assert raised == BUDGET_REFUSALS
