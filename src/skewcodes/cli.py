@@ -66,7 +66,7 @@ from .skewpoly import (
     idempotent_generator,
     random_right_divisor,
     right_divisor_search,
-    right_divmod,
+    right_remainder,
     span_words,
 )
 
@@ -450,12 +450,12 @@ def _audit_example_four(ex):
                 "evidence": {"crt": list(report.crt_components)},
             }
         )
-    remainder = right_divmod(ModulusSpec(n, alpha).poly(), gen)[1]
+    remainder = right_remainder(ModulusSpec(n, alpha).poly(), gen)
     divides = remainder.is_zero
     result["right_divisor"] = divides
     result["division_remainder"] = poly_to_json(remainder)
     working = ex["working_constant"]
-    divides_working = right_divmod(ModulusSpec(n, working).poly(), gen)[1].is_zero
+    divides_working = right_remainder(ModulusSpec(n, working).poly(), gen).is_zero
     result["right_divisor_of_working_constant"] = {
         "constant": ring_to_json(working),
         "divides": divides_working,

@@ -10,6 +10,7 @@ all run in CRT coordinates.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,9 @@ from .skewpoly import (
     dual_generator,
     generator_basis_words,
     poly_to_word,
+    residue_sum,
+    residues,
     right_divmod,
-    word_to_poly,
 )
 
 
@@ -142,19 +144,32 @@ class SkewCode:
         pad = (spec.zero,) * 3
         return tuple(RingElement.from_crt(spec, *pad[:i], c, *pad[i:]) for c in word)
 
+    @functools.cached_property
+    def _basis_words(self):
+        return tuple(self.lift(i, w) for i in range(4) for w in self.component_basis(i))
+
     def basis_words(self):
-        """R-words e_i * (x^j * f_i), ordered by component then by j."""
-        return [self.lift(i, w) for i in range(4) for w in self.component_basis(i)]
+        """R-words e_i * (x^j * f_i), ordered by component then by j; built
+        once per code, returned as a new list."""
+        return list(self._basis_words)
+
+    @functools.cached_property
+    def residue_rows(self):
+        """Per component, the rows x^D mod g_i for deg g_i <= D < n, built
+        once per code: (n - d_i) * d_i entries, at most sum(dims) * n in
+        all, a quarter of a closure check's charge."""
+        return tuple(list(itertools.islice(residues(g), max(self.n - g.degree, 0))) for g in self.gens)
 
     def contains(self, word) -> bool:
+        """Whether each CRT component of word is right-divisible by g_i:
+        its remainder is read off residue_rows, with no division."""
         word = tuple(word)
         if len(word) != self.n:
             raise LengthMismatchError(f"word length {len(word)} != code length {self.n}")
-        for i, comp in enumerate(split_word(word)):
-            rem = right_divmod(word_to_poly(comp, self.field, "fq"), self.gens[i])[1]
-            if not rem.is_zero:
-                return False
-        return True
+        return all(
+            residue_sum(comp, g, rows).is_zero
+            for comp, g, rows in zip(split_word(word), self.gens, self.residue_rows)
+        )
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.gens)
@@ -204,7 +219,7 @@ def _charge_closure(code: SkewCode, budget: int):
 def is_closed_under(code: SkewCode, shift, budget: int = DEFAULT_BUDGET) -> bool:
     """Check the image shift(w) of every basis word w for membership.
 
-    Each of the sum(dims) basis words is tested by four right divisions of
+    Each of the sum(dims) basis words is tested by four right remainders of
     length n, so the check counts sum(dims) * 4n against the budget, and is
     refused before the first membership test when that is over it.
     """

@@ -9,6 +9,7 @@ when the span really is a single-generator constacyclic module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .codes import SkewCode, is_closed_under, skew_constacyclic_shift
@@ -16,7 +17,7 @@ from .errors import VerificationError
 from .gf import FieldElement, FieldSpec
 from .linalg import Span, rref
 from .ring4 import RingElement, split_word
-from .skewpoly import ModulusSpec, SkewPoly, right_divmod
+from .skewpoly import ModulusSpec, SkewPoly, residue_sum, residues
 
 
 def extract_components(words):
@@ -64,18 +65,20 @@ def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     When g right-divides x^n - constant, <g> is the set of words of degree
     < n that g right-divides, of dimension n - deg g. So the span is <g>
     exactly when its rank is n - deg g and g right-divides every echelon
-    row. Raises VerificationError otherwise.
+    row. Raises VerificationError otherwise. Every remainder is read off
+    g's residues x^D mod g, D <= n, computed once: no division is made.
     """
     spec = constant.spec
     mod = ModulusSpec(n, constant)
     rows, _ = rref([tuple(reversed(v)) for v in span_vectors])
     polys = [SkewPoly(spec, "fq", list(reversed(row))) for row in rows]
     gen = polys[-1] if polys else mod.poly()
-    if not right_divmod(mod.poly(), gen)[1].is_zero:
+    parity = list(itertools.islice(residues(gen), n + 1 - gen.degree))
+    if not residue_sum(mod.poly().coeffs, gen, parity).is_zero:
         raise VerificationError(
             f"minimal generator {gen!r} does not right-divide x^{n} - {constant!r}"
         )
-    if len(polys) != n - gen.degree or any(not right_divmod(f, gen)[1].is_zero for f in polys):
+    if len(polys) != n - gen.degree or any(not residue_sum(f.coeffs, gen, parity).is_zero for f in polys):
         raise VerificationError(
             "spanning set is not the single-generator module of its minimal element"
         )

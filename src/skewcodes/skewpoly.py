@@ -231,9 +231,9 @@ class ModulusSpec:
 
 # --- division ---
 
-def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
-    """(quot, rem) with f = quot * g + rem and deg rem < deg g, for the
-    twisted product or, with twisted=False, the commutative one."""
+def _check_divisor(f: SkewPoly, g: SkewPoly):
+    """Refuse a right division of f by g: mixed rings, zero g or a lead
+    that is not a unit."""
     f._check_compatible(g)
     if g.is_zero:
         raise DivisionByZeroPolyError("division by the zero polynomial")
@@ -241,6 +241,12 @@ def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
         raise NonUnitLeadingCoeffError(
             f"leading coefficient {g.lead!r} of the divisor is not a unit"
         )
+
+
+def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
+    """(quot, rem) with f = quot * g + rem and deg rem < deg g, for the
+    twisted product or, with twisted=False, the commutative one."""
+    _check_divisor(f, g)
     # In place: step d subtracts (c x^d) * g = x^d * (c * theta^d(g)) from
     # rem[d:], so it costs O(deg g) and not O(deg f). theta^d depends only on
     # d mod k, so each twisted divisor and its lead's inverse is built once.
@@ -268,6 +274,46 @@ def right_divmod(f: SkewPoly, g: SkewPoly):
     return _divmod(f, g, twisted=True)
 
 
+def residues(g: SkewPoly):
+    """The rows x^D mod g on the right, D = deg g, deg g + 1, ..., each as
+    deg g coefficients (below deg g, x^D mod g is x^D itself).
+
+    They form the systematic parity check of <g>: right division is
+    left-linear, so f mod g = sum_D f_D * (x^D mod g). x^(D+1) mod g is
+    x * (x^D mod g): the row twisted by theta and shifted up one degree,
+    its new x^d term c reduced to c * (x^d mod g) = -c * lead^-1 * g_low.
+    """
+    lead_inv = g.lead.inverse()
+    top = [-(lead_inv * b) for b in g.coeffs[:-1]]  # x^d mod g
+    row = top
+    while True:
+        yield row
+        if top:
+            c = row[-1].frob(1)
+            row = [c * top[0]] + [r.frob(1) + c * t for r, t in zip(row, top[1:])]
+
+
+def residue_sum(coeffs, g: SkewPoly, rows) -> SkewPoly:
+    """sum_D coeffs_D * (x^D mod g), the right remainder by g of the
+    polynomial with these coefficients, given rows = residues(g) or at
+    least its first len(coeffs) - deg g rows. Zero coefficients cost no
+    arithmetic."""
+    d = g.degree
+    rem = list(coeffs[:d]) + [g._zero_coeff()] * (d - len(coeffs))
+    for c, row in zip(coeffs[d:], rows):
+        if not c.is_zero:
+            rem = [r + c * s for r, s in zip(rem, row)]
+    return SkewPoly(g.spec, g.ring, rem)
+
+
+def right_remainder(f: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """right_divmod(f, g)[1], read off the streamed residues x^D mod g:
+    O(deg f * deg g) ring operations in O(deg g) memory, and no quotient.
+    Refuses what right_divmod refuses."""
+    _check_divisor(f, g)
+    return residue_sum(f.coeffs, g, residues(g))
+
+
 def reduce_mod(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     """Canonical degree < n representative modulo x^n - alpha."""
     return right_divmod(f, mod.poly())[1]
@@ -275,7 +321,7 @@ def reduce_mod(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
 
 def is_right_divisor(g: SkewPoly, mod: ModulusSpec) -> bool:
     """True when x^n - alpha = h * g for some h."""
-    return right_divmod(mod.poly(), g)[1].is_zero
+    return right_remainder(mod.poly(), g).is_zero
 
 
 # Candidate divisors screened per numpy batch. A search's working memory is
@@ -290,12 +336,9 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
     polynomials g over F_q whose right remainder of f is zero, in
     itertools.product order (g_0 most significant).
 
-    g right-divides f exactly when f lies in the left ideal generated by g.
-    Modulo that ideal, left multiplication by x maps a residue r of degree
-    below `degree` to shift(theta(r)) - theta(r_{degree-1}) * (g_0..g_{degree-1}),
-    so stepping the residues x^j mod g from x^0 = 1 and adding up
-    f_j * (x^j mod g) gives the remainder of f for every candidate at once.
-    The arithmetic runs on logarithms (gf.FieldArrays), chunk by chunk.
+    The remainder of f is sum_k f_k * (x^k mod g) (see residues), added up
+    for every candidate at once on logarithms (gf.FieldArrays), chunk by
+    chunk; _linear_terms and _stepped_terms give its terms.
     """
     if not degree:
         yield ()
@@ -303,27 +346,59 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
     spec = f.spec
     q = spec.q
     arrays = spec.arrays()
-    zero, wrap, plus, frob = arrays.zero, arrays.wrap, arrays.plus, arrays.frob
+    zero, wrap, plus = arrays.zero, arrays.wrap, arrays.plus
     terms = [(j, spec.log[c.code]) for j, c in enumerate(f.coeffs) if not c.is_zero]
     place = q ** np.arange(degree - 1, -1, -1)
     count = q ** degree
+    summands = _linear_terms if degree == 1 else _stepped_terms
     for start in range(0, count, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, count))[:, None] // place % q
         neg_g = wrap[arrays.log[codes] + arrays.half]
         rem = np.full(codes.shape, zero, dtype=np.int32)
-        power = rem.copy()
-        power[:, 0] = 0  # x^0 = 1
-        j = 0
-        for k, log_fk in terms:
-            for _ in range(k - j):
-                twisted = frob[power]
-                power = wrap[twisted[:, -1:] + neg_g]
-                low = twisted[:, :-1]
-                power[:, 1:] = wrap[low + plus[(power[:, 1:] + zero) - low]]
-            j = k
-            term = wrap[power + log_fk]
+        for term in summands(spec, neg_g, terms):
             rem = wrap[rem + plus[(term + zero) - rem]]
         yield from map(tuple, codes[(rem == zero).all(axis=1)].tolist())
+
+
+def _stepped_terms(spec: FieldSpec, neg_g, terms):
+    """Logarithms of f_k * (x^k mod g) for each term (k, log f_k), per
+    candidate g with logarithms -g_low = neg_g. Modulo the left ideal of g,
+    left multiplication by x maps a residue r of degree below deg g to
+    shift(theta(r)) - theta(r_top) * g_low, so the residues are stepped up
+    from x^0 = 1."""
+    arrays = spec.arrays()
+    wrap, plus, frob = arrays.wrap, arrays.plus, arrays.frob
+    power = np.full(neg_g.shape, arrays.zero, dtype=np.int32)
+    power[:, 0] = 0  # x^0 = 1
+    j = 0
+    for k, log_fk in terms:
+        for _ in range(k - j):
+            twisted = frob[power]
+            power = wrap[twisted[:, -1:] + neg_g]
+            low = twisted[:, :-1]
+            power[:, 1:] = wrap[low + plus[(power[:, 1:] + arrays.zero) - low]]
+        j = k
+        yield wrap[power + log_fk]
+
+
+def _linear_terms(spec: FieldSpec, neg_g, terms):
+    """_stepped_terms for g = x - a, a = -g_0, in closed form: x^k mod g is
+    the norm N_k(a) = theta^(k-1)(a) ... theta(a) a = a^(e_k), with
+    e_k = 1 + p^t + ... + p^(t(k-1)) mod (q - 1); N_0 = 1 and N_k(0) = 0
+    for k >= 1. One exponent per term, not k steps."""
+    arrays = spec.arrays()
+    order = spec.q - 1
+    r = spec.p ** spec.t
+    log_a = neg_g.astype(np.int64)
+    a_is_zero = log_a == arrays.zero
+    for k, log_fk in terms:
+        # r^k = 1 mod (r - 1), so reducing r^k mod order * (r - 1) keeps
+        # (r^k - 1) / (r - 1) mod order exact
+        e_k = (pow(r, k, order * (r - 1)) - 1) // (r - 1)
+        term = arrays.wrap[log_a * e_k % order + log_fk]
+        if k:
+            term[a_is_zero] = arrays.zero
+        yield term
 
 
 def _monic_right_factors(f: SkewPoly, degree: int):
@@ -337,7 +412,7 @@ def _monic_right_factors(f: SkewPoly, degree: int):
     CRT component, since a monic g right-divides f exactly when each
     component g_i right-divides f_i; the divisors are the combinations of
     component divisors. Nothing is certified here: a caller certifies a
-    divisor by the right division it makes with it.
+    divisor by the right remainder or division it makes with it.
     """
     if f.ring == "R":
         found = [_monic_right_factors(fi, degree) for fi in component_polys(f)]
@@ -351,11 +426,17 @@ def _monic_right_factors(f: SkewPoly, degree: int):
     ]
 
 
+def _check_certificate(f: SkewPoly, g: SkewPoly, rem: SkewPoly):
+    """Raise VerificationError unless rem, the right remainder of f by the
+    screened divisor g, is zero."""
+    if not rem.is_zero:
+        raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
+
+
 def _certify(f: SkewPoly, g: SkewPoly):
     """The quotient of f by a screened divisor g; a nonzero remainder raises."""
     quot, rem = right_divmod(f, g)
-    if not rem.is_zero:
-        raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
+    _check_certificate(f, g, rem)
     return quot
 
 
@@ -394,15 +475,17 @@ _PRINTED_DIGITS = 4300
 
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BUDGET):
     """All monic right divisors of x^n - alpha of the given degree, in the
-    order of _monic_right_factors, each certified by one right division.
+    order of _monic_right_factors, each certified by the right remainder of
+    x^n - alpha (right_remainder: streamed residues, no division).
 
     None exists above degree n. Otherwise the candidate count, q^degree or
     q^(4*degree) over R, is checked against the budget before anything is
     enumerated, and then the division steps: the count times the
-    (n - degree + 1)(degree + 1) steps of one division of x^n - alpha, the
-    cost of a certificate. The F_q screen tries all q^degree candidates;
-    over R the count is still that of a search over all of R, though the
-    four component searches try 4*q^degree.
+    (n - degree + 1)(degree + 1) steps of one division of x^n - alpha, which
+    bound the n - degree + 1 residue steps of a certificate. The F_q screen
+    tries all q^degree candidates; over R the count is still that of a
+    search over all of R, though the four component searches try
+    4*q^degree.
     """
     n = mod.n
     if degree > n:
@@ -422,7 +505,7 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     f = mod.poly()
     divisors = _monic_right_factors(f, degree)
     for g in divisors:
-        _certify(f, g)
+        _check_certificate(f, g, right_remainder(f, g))
     return divisors
 
 
@@ -432,13 +515,6 @@ def poly_to_word(f: SkewPoly, n: int):
     if not f.is_zero and f.degree >= n:
         raise LengthMismatchError(f"degree {f.degree} polynomial in a length-{n} word")
     return tuple(f.coeff(i) for i in range(n))
-
-
-def word_to_poly(word, spec: FieldSpec, ring: str = None) -> SkewPoly:
-    word = list(word)
-    if ring is None:
-        ring = "R" if (word and isinstance(word[0], RingElement)) else "fq"
-    return SkewPoly(spec, ring, word)
 
 
 def span_words(f: SkewPoly, mod: ModulusSpec):

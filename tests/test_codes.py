@@ -114,6 +114,41 @@ def test_membership_of_all_basis_words(f9):
         assert code.contains(w)
 
 
+def test_basis_words_are_lifted_once_per_code(monkeypatch):
+    """The decomposition suite reads basis_words() and then checks closure
+    on the same words: each is lifted to an R-word once."""
+    code = example_code(2)
+    lifts = []
+    lift = SkewCode.lift
+    monkeypatch.setattr(SkewCode, "lift", lambda self, i, w: lifts.append(i) or lift(self, i, w))
+    words = code.basis_words()
+    assert len(words) == sum(code.dims) == len(lifts)
+    assert is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+    assert len(lifts) == sum(code.dims)
+    words.pop()
+    assert code.basis_words() is not words
+    assert len(code.basis_words()) == sum(code.dims)
+
+
+def test_residue_rows_are_kept_per_code(f9, monkeypatch):
+    """contains builds the rows x^D mod g_i once per code, and two codes of
+    the same length with different generators keep their own."""
+    import skewcodes.codes
+
+    built = []
+    residues = skewcodes.codes.residues
+    monkeypatch.setattr(skewcodes.codes, "residues", lambda g: built.append(g) or residues(g))
+    alpha = ring_one(f9)
+    one, x_minus_one = fq_poly(f9, [1]), fq_poly(f9, [-1, 1])
+    x_plus_one = fq_poly(f9, [1, 1])
+    first = SkewCode(f9, 4, alpha, (x_minus_one, one, one, one))
+    second = SkewCode(f9, 4, alpha, (x_plus_one, one, one, one))
+    word = tuple(RingElement.from_field(f9.constant(c)) for c in (-1, 1, 0, 0))  # x - 1
+    assert first.contains(word) and first.contains(word)
+    assert not second.contains(word)
+    assert len(built) == 8
+
+
 # --- shifts ---
 
 def test_tau_one_equals_sigma(f9):

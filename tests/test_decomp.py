@@ -225,6 +225,43 @@ def test_minimal_generator_makes_one_elimination(monkeypatch, f9, f25):
     assert verdicts == [True, False, True, True, True]
 
 
+def spy_twisted_divisions(monkeypatch):
+    """The divisor of every twisted right division, in order."""
+    divisors = []
+    divmod_ = skewpoly._divmod
+    monkeypatch.setattr(
+        skewpoly, "_divmod", lambda f, g, twisted: (twisted and divisors.append(g)) or divmod_(f, g, twisted)
+    )
+    return divisors
+
+
+def test_minimal_generator_makes_no_division(monkeypatch, f9, f25):
+    """Its remainders, of x^n - beta and of every echelon row, are read off
+    the generator's residues."""
+    divisions = spy_twisted_divisions(monkeypatch)
+    rng = random.Random(11)
+    for spec, n in ((f9, 4), (f25, 6), (f9, 6), (f25, 1)):
+        for sign in (1, -1):
+            mod = ModulusSpec(n, spec.constant(sign))
+            gen = random_right_divisor(mod, rng, n)
+            vectors = span_words(gen, mod)
+            divisions.clear()
+            assert minimal_generator(vectors, n, spec.constant(sign)) == gen
+            assert divisions == []
+
+
+def test_twenty_decomposition_runs_make_at_most_2131_divisions(monkeypatch):
+    """Seeds 0-19 of the decomposition suite: the divisions left are the
+    ones whose quotient is used, one per factor random_right_divisor peels
+    and four per code for its certificate."""
+    from skewcodes.cli import SUITES
+
+    divisions = spy_twisted_divisions(monkeypatch)
+    for seed in range(20):
+        assert SUITES["decomposition"](seed)["pass"]
+    assert 0 < len(divisions) <= 2131
+
+
 def test_verify_decomposition_on_examples():
     for num in (1, 2, 3):
         report = verify_decomposition_theorem(example_code(num))

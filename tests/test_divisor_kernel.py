@@ -199,14 +199,71 @@ def test_a_random_divisor_divides_once_per_factor(monkeypatch):
     assert peeled > len(cases)
 
 
-def test_a_search_over_r_divides_once_per_divisor(monkeypatch):
+def spy_certificates(monkeypatch):
+    """The divisor of every right_remainder certificate, in order."""
+    calls = []
+    remainder = skewpoly.right_remainder
+    monkeypatch.setattr(
+        "skewcodes.skewpoly.right_remainder",
+        lambda f, g: calls.append(g) or remainder(f, g),
+    )
+    return calls
+
+
+def test_a_search_over_r_certifies_once_per_divisor(monkeypatch):
+    """Each divisor returned has one certificate, the remainder of
+    x^n - alpha read off its residues, and no division is made."""
     divisions = spy_divisions(monkeypatch)
+    certified = spy_certificates(monkeypatch)
     f3, f5 = make_field(3, 1, [0, 1]), make_field(5, 1, [0, 1])
     for spec, n, signs, degree in ((f3, 4, (1, 1, 1, 1), 1), (f3, 4, (1, -1, -1, 1), 2), (f5, 4, (1, 1, 1, 1), 1)):
-        divisions.clear()
+        certified.clear()
         found = right_divisor_search(ModulusSpec(n, RingElement.from_crt(spec, *signs)), degree)
         assert found
-        assert divisions == found
+        assert certified == found
+    assert divisions == []
+
+
+@pytest.mark.parametrize("ring", ["fq", "R"])
+def test_a_divisor_search_makes_no_division(monkeypatch, ring):
+    divisions = spy_divisions(monkeypatch)
+    spec = make_field(3, 2, [1, 0, 1]) if ring == "fq" else make_field(3, 1, [0, 1])
+    for n, signs, degree in ((4, (1, 1, 1, 1), 1), (3, (1, 1, -1, -1), 1), (4, (-1, -1, 1, 1), 2)):
+        alpha = RingElement.from_crt(spec, *signs) if ring == "R" else spec.constant(signs[1])
+        assert right_divisor_search(ModulusSpec(n, alpha), degree)
+    assert divisions == []
+
+
+LINEAR_FIELDS = {**FIELDS, "F3": (3, 1, [0, 1], 1), "F9": (3, 2, [1, 0, 1], 1)}
+
+
+def linear_screens(spec, rng):
+    """Dividends for the degree-1 screen: x^n - beta for n <= 8 and four
+    constants beta (1, -1, a generator of the field and zero), random f
+    with f_0 = 0, and dense f with many terms and a non-monic lead."""
+    betas = [spec.one, -spec.one, spec.root() if spec.m > 1 else spec.constant(2), spec.zero]
+    out = [ModulusSpec(n, beta).poly() for n in range(1, 9) for beta in betas]
+    for degree in (1, 3, 8):
+        out.append(SkewPoly(spec, "fq", [spec.zero] + [spec.from_int(rng.randrange(spec.q)) for _ in range(degree)]
+                            + [spec.one]))
+    for degree in (5, 12):
+        coeffs = [spec.from_int(rng.randrange(1, spec.q)) for _ in range(degree + 1)]
+        out.append(SkewPoly(spec, "fq", coeffs))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_FIELDS))
+def test_the_linear_screen_is_the_division_loop(name):
+    """The closed-form norms of the degree-1 screen against one right
+    division for each of the q candidates x + c."""
+    spec = make_field(*LINEAR_FIELDS[name])
+    rng = random.Random(name)
+    hits = 0
+    for f in linear_screens(spec, rng):
+        found = _monic_right_factors(f, 1)
+        assert found == loop_divisors(f, 1)
+        hits += len(found)
+    assert hits
 
 
 def test_search_over_a_field_too_large_for_the_square_tables(monkeypatch):

@@ -134,3 +134,44 @@ def test_budget_refusals_go_through_charge():
                     key = (path.stem, func.name)
                     raised[key] = raised.get(key, 0) + 1
     assert raised == BUDGET_REFUSALS
+
+
+# Divisions whose quotient is thrown away, and why each stays a division.
+# A caller that needs only the remainder calls skewpoly.right_remainder.
+DISCARDED_QUOTIENTS = {
+    ("skewpoly", "reduce_mod"): (1, "search's traced right division, until the benchmark revision"),
+    ("skewpoly", "idempotent_generator"): (1, "search's traced right division, until the benchmark revision"),
+}
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _discarded_quotients(body, prefix=""):
+    """(qualified name, count) of each function in body with a
+    right_divmod(...)[1] or a bare _certify(...) statement."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _discarded_quotients(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count = sum(
+                1 for sub in ast.walk(node)
+                if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Call)
+                    and _callee(sub.value) == "right_divmod"
+                    and isinstance(sub.slice, ast.Constant) and sub.slice.value == 1)
+                or (isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Call)
+                    and _callee(sub.value) == "_certify")
+            )
+            if count:
+                yield prefix + node.name, count
+
+
+def test_a_division_only_where_its_quotient_is_used():
+    found = {
+        (path.stem, name): count
+        for path in MODULES
+        for name, count in _discarded_quotients(parse(path).body)
+    }
+    assert found == {key: count for key, (count, _reason) in DISCARDED_QUOTIENTS.items()}

@@ -408,6 +408,64 @@ def test_shift_closures_match_the_per_word_check(code):
         assert closed == is_closed_under(code, lambda w: constacyclic_shift(w, code.alpha))
 
 
+@st.composite
+def membership_codes(draw, length):
+    """A SkewCode built directly, with no divisibility check: each generator
+    is zero (x^n - beta), full (1), a random right divisor or a random monic
+    polynomial of degree <= n that need not divide x^n - beta."""
+    spec, n = length
+    betas = draw(st.tuples(*[field_values(spec)] * 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gens = []
+    for beta in betas:
+        mod = ModulusSpec(n, beta)
+        kind = draw(st.sampled_from(("zero", "full", "divisor", "any")))
+        if kind == "zero":
+            gens.append(mod.poly())
+        elif kind == "full":
+            gens.append(fq_poly(spec, [1]))
+        elif kind == "divisor" and beta.is_unit:
+            gens.append(random_right_divisor(mod, rng, rng.randint(0, n)))
+        else:
+            tail = [spec.from_int(rng.randrange(spec.q)) for _ in range(rng.randint(0, n))]
+            gens.append(SkewPoly(spec, "fq", tail + [spec.one]))
+    return SkewCode(spec, n, RingElement.from_crt(spec, *betas), tuple(gens))
+
+
+def divides_each_component(code, word):
+    """contains by one right division per CRT component."""
+    return all(
+        right_divmod(SkewPoly(code.field, "fq", comp), g)[1].is_zero
+        for comp, g in zip(split_word(word), code.gens)
+    )
+
+
+@SETTINGS
+@given(any_lengths().flatmap(lambda length: st.tuples(membership_codes(length), membership_codes(length))),
+       st.randoms(use_true_random=False))
+def test_contains_is_the_division_per_component(codes, rng):
+    """Words whose components are each zero, a multiple of g_i or random,
+    tested against two codes of the same field and length in turn."""
+    for code in codes:
+        spec, n = code.field, code.n
+        component_words = []
+        for i in range(4):
+            basis = code.component_basis(i)
+            multiple = [spec.zero] * n
+            for w in basis:
+                c = spec.from_int(rng.randrange(spec.q))
+                multiple = [x + c * y for x, y in zip(multiple, w)]
+            component_words.append([
+                [spec.zero] * n, multiple, [spec.from_int(rng.randrange(spec.q)) for _ in range(n)]
+            ])
+        for _ in range(6):
+            comps = [rng.choice(options) for options in component_words]
+            word = tuple(RingElement.from_crt(spec, *crt) for crt in zip(*comps))
+            assert code.contains(word) == divides_each_component(code, word)
+        members = [rng.choice(options[:2]) for options in component_words]
+        assert code.contains(tuple(RingElement.from_crt(spec, *crt) for crt in zip(*members)))
+
+
 def test_shift_closures_of_a_generator_that_is_not_a_divisor():
     """x^3 + x^2 + x + 1 does not right-divide x^6 - 1 over F9: that
     component is not tau-closed, and its quasi-twist is decided word by word."""

@@ -39,6 +39,7 @@ from skewcodes.skewpoly import (
     reduce_mod,
     right_divisor_search,
     right_divmod,
+    right_remainder,
     span_words,
 )
 
@@ -182,6 +183,44 @@ def test_division_matches_the_allocating_loop(case):
     f, g, twisted = case
     got = right_divmod(f, g) if twisted else c_divmod(f, g)
     assert got == reference_divmod(f, g, twisted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_right_remainder_is_the_division_remainder(case):
+    """Over F_q and R, with non-monic unit leads, deg g = 0, deg g >= deg f
+    and zero f among the cases."""
+    f, g, _ = case
+    assert right_remainder(f, g) == right_divmod(f, g)[1]
+
+
+def test_right_remainder_edge_cases(f9):
+    a = f9.root()
+    g = fq_poly(f9, [1, a, 0, 2 * a])
+    f = fq_poly(f9, [a, 0, 1])
+    assert right_remainder(f, g) == f
+    assert right_remainder(SkewPoly.zero(f9), g).is_zero
+    assert right_remainder(f, fq_poly(f9, [a])).is_zero
+    unit = RingElement.from_crt(f9, f9.one, a, a + 1, 2 * a)
+    f = r_poly(f9, [RingElement.from_ints(f9, 1, 2, 0, 1), 0, a, unit])
+    assert right_remainder(f, r_poly(f9, [unit])).is_zero
+    # x^n - alpha by x - 1 over F3 for a long n: the residues are streamed
+    f3 = make_field(3, 1, [0, 1])
+    assert right_remainder(ModulusSpec(10**4, f3.one).poly(), fq_poly(f3, [-1, 1])).is_zero
+    assert right_remainder(ModulusSpec(10**4, -f3.one).poly(), fq_poly(f3, [-1, 1])) == fq_poly(f3, [2])
+
+
+def test_right_remainder_errors(f9, f25):
+    f = fq_poly(f9, [1, 1])
+    with pytest.raises(DivisionByZeroPolyError):
+        right_remainder(f, SkewPoly.zero(f9))
+    u_lead = r_poly(f9, [1, RingElement.from_ints(f9, 0, 1, 0, 0)])
+    with pytest.raises(NonUnitLeadingCoeffError):
+        right_remainder(r_poly(f9, [1, 0, 1]), u_lead)
+    with pytest.raises(MixedRingsError):
+        right_remainder(f, fq_poly(f25, [1, 1]))
+    with pytest.raises(MixedRingsError):
+        right_remainder(r_poly(f9, [1, 1]), f)
 
 
 @pytest.mark.parametrize("twisted", [True, False])
@@ -577,6 +616,4 @@ def test_poly_word_round_trip(f9):
     f = fq_poly(f9, [1, 2, f9.root()])
     w = poly_to_word(f, 5)
     assert len(w) == 5
-    from skewcodes.skewpoly import word_to_poly
-
-    assert word_to_poly(w, f9) == f
+    assert SkewPoly(f9, "fq", w) == f
