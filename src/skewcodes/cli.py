@@ -114,8 +114,10 @@ def _closures(code, budget):
 
 def _gray_image(code, budget):
     """gray_image_code, refused over the budget of k^2 * 4n steps for the
-    k = sum(dims) image rows of length 4n: the bound of min_distance's row
-    reduction of the image in params and the example audits."""
+    k = sum(dims) image rows of length 4n: it bounds the rows that
+    gray-image prints and that params and the example audits build.
+    min_distance row-reduces those rows block by block, never as one
+    length-4n matrix."""
     k = sum(code.dims)
     charge(budget, k * k * 4 * code.n, f"Gray image needs k^2 * 4n = {k}^2 * {4 * code.n}")
     return gray_image_code(code)

@@ -10,11 +10,20 @@ looks the sums up in a sorted table of the scaled columns c*h_j, by exact
 keys of their integer codes, a batch of _CHUNK sums per numpy pass.
 A level still counts all of its C(n, w) (q-1)^w candidates. Everything runs
 in numpy over integer element codes, with exact arithmetic tables.
+
+The rows are split into contiguous direct summands first: a cut falls
+before a column where a row starts and no row has nonzero entries on both
+sides, as between the four CRT blocks of a Gray image. The row reduction and
+every level of the sweep are then made summand by summand, with the whole
+code's bound, budget gate and counts, so a code that splits is never
+reduced or swept as one length-n matrix; a matrix that does not split is the
+one-summand case.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
@@ -55,7 +64,7 @@ def _field_tables(spec: FieldSpec):
 
 
 def words_to_array(words) -> np.ndarray:
-    return np.array([[c.to_int() for c in w] for w in words], dtype=np.int16)
+    return np.array([[c.code for c in w] for w in words], dtype=np.int16)
 
 
 def array_to_word(row, spec: FieldSpec):
@@ -88,7 +97,7 @@ class DistanceResult:
 
 def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Minimum nonzero weight of the row space of `rows` over spec."""
-    basis, pivots = rref(rows)
+    basis, pivots = _rref_by_summand(rows, spec)
     k = len(basis)
     if k == 0:
         return DistanceResult(None, None, None, 0, "zero-code", defined=False)
@@ -101,6 +110,48 @@ def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> Distanc
     if q ** k <= min(budget, ENUM_CAP):
         return _enumerate_messages(basis, spec, n, k, budget)
     return _bounded_weight_sweep(rows, basis, spec, n, budget, pivots)
+
+
+def _summands(words):
+    """(summands, parts) of an (r, n) array of element codes: the column
+    ranges (lo, hi) of the contiguous direct summands of its row space, in
+    column order, and for each summand the indices of its rows (zero rows
+    are in none). A cut falls before column c when a row starts at c and no
+    row has nonzero entries on both sides of it. A column no row reaches
+    stays in the summand before it (leading ones in the first), so every
+    summand holds a row and the summands cover all n columns."""
+    nonzero = words != 0
+    if not nonzero.any():
+        return [], []
+    n = words.shape[1]
+    held = nonzero.any(axis=1).tolist()
+    first = nonzero.argmax(axis=1).tolist()
+    last = (n - 1 - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    starts, reach = [], -1
+    for lo, hi in sorted((f, l) for f, l, h in zip(first, last, held) if h):
+        if lo > reach:
+            starts.append(lo)
+        reach = max(reach, hi)
+    bounds = [0, *starts[1:], n]
+    parts = [[] for _ in starts]
+    for i, (f, h) in enumerate(zip(first, held)):
+        if h:
+            parts[bisect_right(bounds, f) - 1].append(i)
+    return list(zip(bounds, bounds[1:])), parts
+
+
+def _rref_by_summand(rows, spec):
+    """rref(rows), made summand by summand: the RREF is unique, so the RREF
+    of a direct sum is its summands' RREFs, placed at their columns in
+    summand order."""
+    rows = list(rows)
+    basis, pivots = [], []
+    for (lo, hi), part in zip(*_summands(words_to_array(rows))):
+        part, part_pivots = rref([rows[i][lo:hi] for i in part])
+        head, tail = (spec.zero,) * lo, (spec.zero,) * (len(rows[0]) - hi)
+        basis += [head + row + tail for row in part]
+        pivots += [lo + p for p in part_pivots]
+    return basis, pivots
 
 
 def _enumerate_messages(basis, spec, n, k, budget) -> DistanceResult:
@@ -177,6 +228,54 @@ def _first_completable_prefix(scaled, add, table, w):
             return tuple(int(j) for j in batch[hit.argmax() // count])
 
 
+class _Summand:
+    """One contiguous direct summand, columns [lo, lo + width), of a swept
+    code: the RREF of its basis rows cut to its columns, and its parity
+    checks H, scaled columns and column table, built when a level of weight
+    2 or more first asks this summand for a word."""
+
+    def __init__(self, spec, tables, lo, hi, basis, pivots):
+        self.spec, (self.add, self.mul) = spec, tables
+        self.lo, self.width = lo, hi - lo
+        basis = [row[lo:hi] for row in basis]
+        self.basis, self.pivots = rref(basis) if pivots is None else (basis, [p - lo for p in pivots])
+
+    @functools.cached_property
+    def scaled(self):
+        """(width, q-1, width-k) array of the c*h_j of the summand's own H,
+        read off its own pivots."""
+        H = words_to_array(nullspace(self.basis, self.width, self.spec, self.pivots))
+        return self.mul[np.arange(1, self.spec.q)[None, :, None], H.T[:, None, :]]
+
+    @functools.cached_property
+    def table(self):
+        return _column_table(self.scaled)
+
+    def first_word(self, w):
+        """The summand's first word of weight w in (support, coefficient)
+        order, as (column in the summand, coefficient code) pairs, or None;
+        asked for w = 1, 2, .. in turn, each only once no lighter word was
+        found."""
+        if w == 1:
+            # e_j is a codeword iff h_j = 0 iff the RREF row with pivot j is
+            # e_j. This also decides a full-space summand, where H has no
+            # rows and every lookup key would collide: its RREF is the
+            # identity, so it has e at its first column, as the sweep meets.
+            units = (p for row, p in zip(self.basis, self.pivots) if sum(not c.is_zero for c in row) == 1)
+            j = next(units, None)
+            return None if j is None else ((j, 1),)
+        scaled, add, q = self.scaled, self.add, self.spec.q
+        prefix = _first_completable_prefix(scaled, add, self.table, w)
+        if prefix is None:
+            return None
+        # the prefix's sums, shaped (q-1,)*(w-1) + (width-k,)
+        T = _prefix_sums(scaled, add, np.array([prefix])).reshape((q - 1,) * (w - 1) + (-1,))
+        for j in range(prefix[-1] + 1, self.width):
+            hits = ~np.any(add[T[..., None, :], scaled[j]], axis=-1)
+            if hits.any():
+                return tuple(zip(prefix + (j,), (int(c) + 1 for c in np.argwhere(hits)[0])))
+
+
 def _bounded_weight_sweep(rows, basis, spec, n, budget, pivots=None) -> DistanceResult:
     """Sweep weights 1, 2, .. below the lightest presented row for a codeword.
 
@@ -186,50 +285,53 @@ def _bounded_weight_sweep(rows, basis, spec, n, budget, pivots=None) -> Distance
     {c*h_j : c != 0} are closed under negation, so each prefix P of w - 1
     positions has a weight-w completion iff one of its (q-1)^(w-1) sums is a
     scaled column c*h_j with j > max(P). A level's sums are looked up in a
-    sorted table of the n(q-1) scaled columns, one searchsorted per batch of
-    about _CHUNK sums, instead of adding every last column.
+    sorted table of the summand's scaled columns, one searchsorted per batch
+    of about _CHUNK sums, instead of adding every last column.
     Supports in combinations order are ordered by (prefix, last column), so
     enumerating the completions of the first prefix that has one gives the
-    word a full enumeration meets first. Each level still counts its
-    C(n, w) (q-1)^w candidates, against the budget and in candidates_swept.
+    word a full enumeration meets first.
+
+    The code is split into the contiguous direct summands of its basis rows
+    (_summands), and each level asks each summand in column order for a
+    word of weight w, on the summand's own H. At the first level w that has
+    a word, every lighter level has none, so w is the least summand distance
+    and each weight-w word lies in one summand (two nonzero parts weigh at
+    least 2w). Every support in a summand precedes those in later ones, so
+    the first summand that has a word holds the word the whole sweep meets
+    first: its first word, placed at its columns. The bound (the first
+    lightest presented row), the budget gate and candidates_swept stay the
+    whole code's: each level still counts its C(n, w) (q-1)^w candidates.
     Given `pivots`, basis is taken to be in RREF, as min_distance passes it,
-    and H is read off it with no second row reduction.
+    and each summand's H is read off its pivots with no second row reduction.
     """
     q = spec.q
     # upper bound and witness candidate: the first lightest presented row
     presented = list(rows) + list(basis)
-    weights = np.count_nonzero(words_to_array(presented), axis=1)
+    words = words_to_array(presented)
+    weights = np.count_nonzero(words, axis=1)
     best_w = int(weights[weights > 0].min())
     best_row = tuple(presented[int(np.argmax(weights == best_w))])
-    scaled = None  # built once the first level fits the budget
+    parts = None  # built once the first level fits the budget
 
     swept = 0
     for w in range(1, best_w):
         level = comb(n, w) * (q - 1) ** w
         if swept + level > budget:
             return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
-        if scaled is None:
-            add, mul = field_tables(spec, budget)
-            H = words_to_array(nullspace(basis, n, spec, pivots))  # (n-k, n)
-            scaled = mul[np.arange(1, q)[None, :, None], H.T[:, None, :]]  # (n, q-1, n-k): c*h_j
-        if w == 1:  # T = 0, which is c*h_j only for a zero column h_j
-            prefix = None if H.any(axis=0).all() else ()
-            T = np.zeros(len(H), dtype=np.int16)
-        else:
-            if w == 2:
-                table = _column_table(scaled)
-            prefix = _first_completable_prefix(scaled, add, table, w)
-            if prefix is not None:  # its sums, shaped (q-1,)*(w-1) + (n-k,)
-                T = _prefix_sums(scaled, add, np.array([prefix]))
-                T = T.reshape((q - 1,) * (w - 1) + (-1,))
-        if prefix is not None:
-            for j in range(prefix[-1] + 1 if prefix else 0, n):
-                hits = ~np.any(add[T[..., None, :], scaled[j]], axis=-1)
-                if hits.any():
-                    coef = np.argwhere(hits)[0]
-                    word = [spec.zero] * n
-                    for pos, c in zip(prefix + (j,), coef):
-                        word[pos] = spec.from_int(int(c) + 1)
-                    return DistanceResult(w, None, tuple(word), swept, "sweep-found-lighter")
+        if parts is None:
+            tables = field_tables(spec, budget)
+            # the basis alone splits the code: its rows span it
+            parts = [
+                _Summand(spec, tables, lo, hi, [basis[i] for i in part],
+                         None if pivots is None else [pivots[i] for i in part])
+                for (lo, hi), part in zip(*_summands(words[len(presented) - len(basis):]))
+            ]
+        for part in parts:
+            found = part.first_word(w)
+            if found is not None:
+                word = [spec.zero] * n
+                for pos, c in found:
+                    word[part.lo + pos] = spec.from_int(c)
+                return DistanceResult(w, None, tuple(word), swept, "sweep-found-lighter")
         swept += level
     return DistanceResult(best_w, None, best_row, swept, "sweep-certified")

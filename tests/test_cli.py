@@ -695,6 +695,56 @@ def test_params_decides_each_closure_from_four_words(capsys, monkeypatch, betas)
     assert len(calls) <= 4
 
 
+# An F9 code of length 6 from the audit workload's deep params stratum
+# (seed 7): weights 1-3 of its length-24 image fit the default budget, and
+# level 4, C(24, 4) * 8^4 candidates, does not.
+DEEP_OVER_BUDGET = json.dumps({
+    "field": {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1},
+    "n": 6,
+    "alpha": {"crt": [1, 1, 1, 1]},
+    "gens": [
+        {"ring": "fq", "coeffs": coeffs}
+        for coeffs in ([3, 7, 8, 5, 1], [6, 5, 5, 7, 1], [3, 4, 8, 8, 1], [6, 8, 5, 4, 1])
+    ],
+})
+
+
+def test_params_past_the_budget_keeps_the_whole_sweeps_report(capsys):
+    """The report stays the whole sweep's: bounds (4, 5), the first lightest
+    presented row as witness and the candidates of weights 1-3, though the
+    sweep runs block by block."""
+    code, report = run_cli(capsys, "params", "--input", DEEP_OVER_BUDGET)
+    assert code == 0
+    assert report["result"]["gray_params"] == [24, 8, None]
+    assert report["result"]["distance"] == {
+        "defined": True,
+        "method": "sweep-budget-exhausted",
+        "candidates_swept": 1054144,
+        "bounds": [4, 5],
+        "witness": [3, 7, 8, 5, 1] + [0] * 19,
+    }
+
+
+@pytest.mark.parametrize("spec", [deep_f9((1, 1, 1, 1)), deep_f9((1, -1, -1, 1)), DEEP_OVER_BUDGET])
+def test_deep_params_reduce_and_sweep_no_row_longer_than_n(capsys, monkeypatch, spec):
+    """min_distance row-reduces and sweeps the length-24 image block by
+    block: none of its rrefs and none of its column tables sees a row longer
+    than n = 6."""
+    import skewcodes.distance
+
+    widths, tables = [], []
+    rref, column_table = skewcodes.distance.rref, skewcodes.distance._column_table
+    monkeypatch.setattr(skewcodes.distance, "rref", lambda rows: widths.append(len(rows[0])) or rref(rows))
+    monkeypatch.setattr(
+        skewcodes.distance, "_column_table", lambda scaled: tables.append(len(scaled)) or column_table(scaled)
+    )
+    code, report = run_cli(capsys, "params", "--input", spec)
+    assert code == 0
+    assert report["result"]["distance"]["candidates_swept"] >= 17856  # weights 1 and 2 swept
+    assert widths == [6, 6, 6, 6]
+    assert tables and max(tables) == 6
+
+
 def spy_divisions(monkeypatch):
     """The dividend of every right or commutative division."""
     import skewcodes.skewpoly

@@ -17,6 +17,7 @@ from skewcodes.errors import BudgetExceededError
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_image_code, hamming_weight
 from skewcodes.linalg import Span, nullspace, rref
+from skewcodes.skewpoly import SkewPoly
 
 
 def random_rows(spec, rng, k, n):
@@ -332,8 +333,9 @@ def test_witness_prefix_in_a_later_batch(f3, chunk):
 
 def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
     """On the example-2 image (distance 4, certified by sweeping weights 1
-    to 3) the sweep makes one key lookup per batch and one for the column
-    table, where the per-prefix form made one per prefix."""
+    to 3) each of the four length-6 summands makes one key lookup per batch
+    and one for its column table, where the per-prefix form made one per
+    prefix."""
     ex = get_example(2)
     code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
     rows = gray_image_code(code).rows
@@ -342,16 +344,23 @@ def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
     monkeypatch.setattr(distance, "_row_keys", lambda r, q: calls.append(1) or row_keys(r, q))
     res = min_distance(rows, ex["field"])
     assert (res.exact, res.method) == (4, "sweep-certified")
-    n, q = len(rows[0]), ex["field"].q
-    prefixes = {w: comb(n - 1, w - 1) for w in (2, 3)}
-    batches = {w: -(-count // max(1, distance._CHUNK // (q - 1) ** (w - 1))) for w, count in prefixes.items()}
-    assert len(calls) <= sum(batches.values()) + 1
+    q = ex["field"].q
+    summands = distance._summands(words_to_array(rows))[0]
+    assert summands == [(0, 6), (6, 12), (12, 18), (18, 24)]
+    prefixes = {(lo, w): comb(hi - lo - 1, w - 1) for lo, hi in summands for w in (2, 3)}
+    batches = {
+        (lo, w): -(-count // max(1, distance._CHUNK // (q - 1) ** (w - 1)))
+        for (lo, w), count in prefixes.items()
+    }
+    assert len(calls) <= sum(batches.values()) + len(summands)
     assert len(calls) < sum(prefixes.values())
 
 
 def test_min_distance_row_reduces_once(monkeypatch):
-    """On the example-2 image the sweep builds H from min_distance's RREF
-    and its pivots, with no second row reduction inside nullspace."""
+    """On the example-2 image min_distance row-reduces once per summand, each
+    of the four length-6 blocks, and the sweep builds each summand's H from
+    those RREFs and their pivots, with no second row reduction inside
+    nullspace."""
     import skewcodes.linalg
 
     ex = get_example(2)
@@ -360,14 +369,14 @@ def test_min_distance_row_reduces_once(monkeypatch):
     original = skewcodes.linalg.rref
 
     def spy(rows):
-        calls.append(1)
+        calls.append(len(rows[0]))
         return original(rows)
 
     monkeypatch.setattr(skewcodes.linalg, "rref", spy)
     monkeypatch.setattr(distance, "rref", spy)
     res = min_distance(rows, ex["field"])
     assert (res.exact, res.method) == (4, "sweep-certified")
-    assert len(calls) == 1
+    assert calls == [6, 6, 6, 6]
 
 
 @pytest.mark.parametrize("weight", [2, 3])
@@ -424,3 +433,289 @@ def test_sweep_memory_is_bounded_by_the_batch(f3):
     assert res.method == "sweep-budget-exhausted"
     assert res.bounds[0] == 5
     assert peak < 32 * distance._CHUNK * (n - k)
+
+
+# --- direct summands: the split, the merged RREF and the per-summand sweep ---
+
+
+def reference_min_distance(rows, spec, budget):
+    """min_distance made on the whole matrix: one RREF of all the rows, then
+    the same branches, with the per-support loop in place of the sweep."""
+    basis, pivots = rref(rows)
+    k, n = len(basis), len(rows[0])
+    if k == 0:
+        return DistanceResult(None, None, None, 0, "zero-code", defined=False)
+    if k == n:
+        return DistanceResult(1, None, (spec.one,) + (spec.zero,) * (n - 1), 0, "full-space")
+    if spec.q ** k <= min(budget, distance.ENUM_CAP):
+        return distance._enumerate_messages(basis, spec, n, k, budget)
+    return reference_sweep(rows, basis, spec, n, budget)
+
+
+def outcome(find, *args):
+    """find(*args), or its refusal."""
+    try:
+        return find(*args)
+    except BudgetExceededError as refusal:
+        return ("refused", str(refusal))
+
+
+@contextmanager
+def enumeration_cap(cap):
+    original = distance.ENUM_CAP
+    distance.ENUM_CAP = cap
+    try:
+        yield
+    finally:
+        distance.ENUM_CAP = original
+
+
+def laid_out(spec, blocks):
+    """The rows of the direct sum of `blocks`, (width, rows) pairs laid out
+    left to right, each row padded with zeros to the whole length."""
+    length = sum(width for width, _ in blocks)
+    out, lo = [], 0
+    for width, rows in blocks:
+        out += [(spec.zero,) * lo + tuple(row) + (spec.zero,) * (length - lo - width) for row in rows]
+        lo += width
+    return out
+
+
+def full_block(spec, width):
+    """Unreduced rows e_i + e_(i+1 mod width) spanning all of F_q^width: for
+    odd width their circulant has determinant 2, a unit in odd
+    characteristic. Every row weighs 2, so only a sweep finds the weight-1
+    words."""
+    return [tuple(spec.one if j in (i, (i + 1) % width) else spec.zero for j in range(width)) for i in range(width)]
+
+
+def straddling_row(spec, blocks, a, codes):
+    """A row with the nonzero codes `codes` on the last column of block a and
+    the first of block a + 1: it joins the two blocks into one summand."""
+    cut = sum(width for width, _ in blocks[: a + 1])
+    row = [spec.zero] * sum(width for width, _ in blocks)
+    row[cut - 1], row[cut] = spec.from_int(codes[0]), spec.from_int(codes[1])
+    return tuple(row)
+
+
+def level_boundaries(n, q):
+    """The budgets at each level boundary: the candidates of weights 1..w,
+    and one less, for w up to 3, or up to 2 when q > 9, which keeps the
+    per-support loop quick."""
+    total, out = 0, []
+    for w in range(1, min(3 if q <= 9 else 2, n) + 1):
+        total += comb(n, w) * (q - 1) ** w
+        out += [total - 1, total]
+    return out
+
+
+@st.composite
+def block_codes(draw):
+    """(spec, rows, budget, reduced, enumerate): 1-4 contiguous blocks, each
+    a planted code, an all-zero block or a full-space block, in one matrix,
+    maybe with a zero row and a row that straddles two blocks, in a drawn
+    order; the budget is drawn or sits at a level boundary."""
+    spec = make_field(*SWEEP_FIELDS[draw(st.sampled_from(sorted(SWEEP_FIELDS)))])
+    code = st.integers(0, spec.q - 1)
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(("planted", "planted", "zero", "full")), min_size=1, max_size=4)):
+        if kind == "planted":
+            n = draw(st.integers(2, 4))
+            support = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+            planted = [draw(st.integers(1, spec.q - 1)) if i in support else 0 for i in range(n)]
+            masks = draw(st.lists(st.lists(code, min_size=n, max_size=n), min_size=1, max_size=2))
+            blocks.append((n, planted_rows(spec, planted, masks)))
+        elif kind == "zero":
+            blocks.append((draw(st.integers(1, 3)), []))
+        else:
+            n = draw(st.sampled_from((1, 3)))
+            blocks.append((n, full_block(spec, n)))
+    rows = laid_out(spec, blocks)
+    length = len(rows[0]) if rows else sum(width for width, _ in blocks)
+    if not rows or draw(st.booleans()):
+        rows.append((spec.zero,) * length)
+    if len(blocks) > 1 and draw(st.booleans()):
+        a = draw(st.integers(0, len(blocks) - 2))
+        rows.append(straddling_row(spec, blocks, a, draw(st.lists(st.integers(1, spec.q - 1), min_size=2, max_size=2))))
+    rows = draw(st.permutations(rows))
+    budget = draw(st.one_of(
+        st.sampled_from(level_boundaries(length, spec.q)),
+        st.integers(0, 3000),
+        st.integers(3000, 300_000),
+    ))
+    return spec, rows, budget, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=250, deadline=None)
+@given(block_codes())
+def test_block_codes_match_the_whole_matrix(case):
+    """min_distance, with message enumeration allowed or denied, and the
+    sweep given the rows or their RREF, equal the whole-matrix forms,
+    refusals included."""
+    spec, rows, budget, reduced, enumerate_ = case
+    with enumeration_cap(distance.ENUM_CAP if enumerate_ else 0):
+        ours = outcome(min_distance, rows, spec, budget)
+        assert ours == outcome(reference_min_distance, rows, spec, budget)
+    if sweep_applies(rows):
+        ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
+        assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+
+
+def seeded_block_cases():
+    """(spec, rows, first_block) of seeded block codes over every field of
+    SWEEP_FIELDS: two or three planted blocks, with an all-zero block, a
+    full-space block, a zero row or a straddling row mixed in, and over F3,
+    F5 and F9 two blocks of one full-weight row each, in a shuffled row
+    order. first_block is the width of the leading block."""
+    rng = random.Random(20)
+    for name in sorted(SWEEP_FIELDS):
+        spec = make_field(*SWEEP_FIELDS[name])
+        for extra in ("none", "zero block", "full block", "zero row", "straddle", "heavy"):
+            if extra == "heavy" and spec.q > 9:
+                continue
+            for _ in range(3):
+                blocks = []
+                for _ in range(rng.randint(2, 3) if extra != "heavy" else 0):
+                    n = rng.randint(2, 4)
+                    weight = rng.randint(1, n)
+                    support = rng.sample(range(n), weight)
+                    planted = [rng.randint(1, spec.q - 1) if i in support else 0 for i in range(n)]
+                    masks = [[rng.randrange(spec.q) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+                    blocks.append((n, planted_rows(spec, planted, masks)))
+                if extra == "heavy":  # one row of full weight per block: d >= 4
+                    for width in (rng.randint(4, 5), rng.randint(4, 5)):
+                        blocks.append((width, [tuple(spec.from_int(rng.randint(1, spec.q - 1)) for _ in range(width))]))
+                if extra == "zero block":
+                    blocks.insert(rng.randint(0, len(blocks)), (rng.randint(1, 2), []))
+                if extra == "full block":
+                    blocks.insert(rng.randint(0, len(blocks)), (3, full_block(spec, 3)))
+                rows = laid_out(spec, blocks)
+                if extra == "zero row":
+                    rows.append((spec.zero,) * len(rows[0]))
+                if extra == "straddle":
+                    codes = [rng.randint(1, spec.q - 1) for _ in range(2)]
+                    rows.append(straddling_row(spec, blocks, rng.randrange(len(blocks) - 1), codes))
+                rng.shuffle(rows)
+                yield spec, rows, blocks[0][0]
+
+
+def test_block_codes_meet_every_outcome():
+    """Seeded block codes, at every level boundary of the budget and a large
+    budget, given the rows or their RREF: the sweep and min_distance equal
+    the whole-matrix forms, and between them they reach a witness in a later
+    block, the weight-1 word of a full-space block, a certificate, a budget
+    that runs out at each of the first three levels, a refusal of the
+    tables, and the zero-code, full-space and enumeration results."""
+    seen = set()
+    for spec, rows, first_block in seeded_block_cases():
+        length = len(rows[0])
+        for budget in level_boundaries(length, spec.q) + [400_000]:
+            for reduced in (True, False) if sweep_applies(rows) else ():
+                ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
+                assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+                if not isinstance(ours, DistanceResult):
+                    seen.add("refused")
+                elif ours.method == "sweep-found-lighter":
+                    start = next(i for i, c in enumerate(ours.witness) if not c.is_zero)
+                    seen.add(("lighter", min(ours.exact, 2), start >= first_block))
+                else:
+                    seen.add((ours.method, ours.bounds and ours.bounds[0]))
+            ours = outcome(min_distance, rows, spec, budget)
+            assert ours == outcome(reference_min_distance, rows, spec, budget)
+            if isinstance(ours, DistanceResult):
+                seen.add(ours.method)
+    for rows in ([(spec.zero,) * 3], full_block(spec, 3)):
+        ours = min_distance(rows, spec)
+        assert ours == reference_min_distance(rows, spec, distance.DEFAULT_BUDGET)
+        seen.add(ours.method)
+    assert seen >= {
+        ("lighter", 1, False), ("lighter", 1, True), ("lighter", 2, False), ("lighter", 2, True),
+        ("sweep-certified", None),
+        ("sweep-budget-exhausted", 1), ("sweep-budget-exhausted", 2), ("sweep-budget-exhausted", 3),
+        "refused", "zero-code", "full-space", "message-enumeration", "sweep-certified",
+    }
+
+
+def test_a_full_space_block_gives_e_at_its_first_column(f9):
+    """Unreduced rows of weight 2 that span F_9^3, after a planted block with
+    no word lighter than 3: the sweep finds e at the full block's first
+    column with coefficient code 1, as the per-support loop does."""
+    blocks = [(4, planted_rows(f9, [1, 2, 3, 0], [[1, 1, 1, 1]])), (3, full_block(f9, 3))]
+    rows = laid_out(f9, blocks)
+    ours = distance._bounded_weight_sweep(rows, rows, f9, 7, distance.DEFAULT_BUDGET)
+    assert ours == reference_sweep(rows, rows, f9, 7, distance.DEFAULT_BUDGET)
+    assert ours.method == "sweep-found-lighter"
+    assert [c.to_int() for c in ours.witness] == [0, 0, 0, 0, 1, 0, 0]
+
+
+def test_two_blocks_that_hit_at_the_same_level_give_the_first(f9):
+    """The same block twice, rows (1, 0, 1, 1, 1) and (0, 1, -1, -1, -1) of
+    weight 4 with the weight-2 sum (1, 1, 0, 0, 0): both copies hold the
+    lightest words, and the witness is the one the per-support loop meets
+    first, in the first copy."""
+    one, zero = f9.one, f9.zero
+    block = (5, [(one, zero, one, one, one), (zero, one, -one, -one, -one)])
+    rows = laid_out(f9, [block, block])
+    basis, pivots = rref(rows)
+    expected = reference_sweep(rows, basis, f9, 10, distance.DEFAULT_BUDGET)
+    assert (expected.exact, expected.method) == (2, "sweep-found-lighter")
+    assert [i for i, c in enumerate(expected.witness) if not c.is_zero] == [0, 1]
+    assert distance._bounded_weight_sweep(rows, basis, f9, 10, distance.DEFAULT_BUDGET, pivots) == expected
+    with enumeration_cap(0):
+        assert min_distance(rows, f9) == expected
+
+
+def test_a_straddling_row_joins_two_blocks(f9):
+    """Cuts fall only where no row crosses; zero rows are in no summand; a
+    column no row reaches stays in the summand before it, leading ones in
+    the first."""
+    el = f9.from_int
+    blocks = [(3, [(el(1), el(2), el(1))]), (3, [(el(4), el(1), el(0)), (el(0), el(1), el(1))]), (2, [])]
+    rows = laid_out(f9, blocks) + [(f9.zero,) * 8]
+    assert distance._summands(words_to_array(rows)) == ([(0, 3), (3, 8)], [[0], [1, 2]])
+    rows.append(straddling_row(f9, blocks, 0, [1, 1]))
+    assert distance._summands(words_to_array(rows)) == ([(0, 8)], [[0, 1, 2, 4]])
+    assert distance._summands(words_to_array([(f9.zero,) * 8])) == ([], [])
+    inner = laid_out(f9, [blocks[0], (2, []), (3, [(el(4), el(1), el(0))])])
+    assert distance._summands(words_to_array(inner)) == ([(0, 5), (5, 8)], [[0], [1]])
+    leading = laid_out(f9, [(2, []), blocks[0]])
+    assert distance._summands(words_to_array(leading)) == ([(0, 5)], [[0]])
+
+
+def example_and_golden_images():
+    """(rows, field) of the Gray images of examples 1-4, and of every image
+    whose distance a golden report holds, taken from their CLI runs."""
+    import skewcodes.cli
+    from test_golden import CASES, run
+
+    images = []
+    for number in (1, 2, 3, 4):
+        ex = get_example(number)
+        if number == 4:  # <g> mod x^7 - (1 - 2v), from the CRT components of g
+            g = ex["generator"]
+            gens = [SkewPoly(ex["field"], "fq", [c.crt()[i] for c in g.coeffs]) for i in range(4)]
+            code = build_code(ex["field"], ex["n"], ex["working_constant"], gens)
+        else:
+            code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
+        images.append((gray_image_code(code).rows, ex["field"]))
+    original = skewcodes.cli.min_distance
+    skewcodes.cli.min_distance = lambda rows, spec, budget: images.append((rows, spec)) or original(rows, spec, budget)
+    try:
+        for name in sorted(CASES):
+            assert run(CASES[name])[0] == 0
+    finally:
+        skewcodes.cli.min_distance = original
+    return images
+
+
+def test_merged_rref_is_the_whole_rref():
+    """The summands' RREFs placed at their columns equal rref of the whole
+    matrix, basis and pivots, on the images of examples 1-4, on the goldens'
+    codes and on seeded block matrices."""
+    images = example_and_golden_images()
+    assert len(images) == 4 + 6  # examples 1-3, params_f25 (twice) and params_f81t2 report one
+    for rows, spec in images:
+        assert distance._rref_by_summand(rows, spec) == rref(rows)
+    for spec, rows, _ in seeded_block_cases():
+        assert distance._rref_by_summand(rows, spec) == rref(rows)
+    assert distance._rref_by_summand([], make_field(3, 1, [0, 1])) == ([], [])
