@@ -80,9 +80,10 @@ def _require_input(args):
 
 
 def _input_code(args):
-    """The input code, refused before build_code's right division of
-    x^n - beta_i by each g_i when the sum of their costs,
-    (n - deg g_i + 1)(deg g_i + 1), is over the budget."""
+    """The input code, refused before build_code reads each remainder of
+    x^n - beta_i by g_i off its residue rows x^D mod g_i, deg g_i <= D <= n,
+    when the sum of (n - deg g_i + 1)(deg g_i + 1), a bound on the
+    (n + 1 - deg g_i) deg g_i entries of each table, is over the budget."""
     field, n, alpha, gens = code_from_json(_require_input(args))
     degrees = [g.degree or 0 for g in gens]  # build_code refuses a zero generator
     steps = sum(max(n - d + 1, 0) * (d + 1) for d in degrees)

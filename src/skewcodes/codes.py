@@ -127,13 +127,6 @@ class SkewCode:
     def cardinality(self) -> int:
         return self.field.q ** sum(self.dims)
 
-    @functools.cached_property
-    def certificate(self):
-        """(h_i, r_i) with x^n - beta_i = h_i * g_i + r_i for each component:
-        one right division each, made once per code. g_i right-divides
-        x^n - beta_i, so C_i is tau-closed, exactly when r_i is zero."""
-        return tuple(right_divmod(self.modulus(i).poly(), g) for i, g in enumerate(self.gens))
-
     def component_basis(self, i: int):
         return generator_basis_words(self.gens[i], self.modulus(i))
 
@@ -155,10 +148,21 @@ class SkewCode:
 
     @functools.cached_property
     def residue_rows(self):
-        """Per component, the rows x^D mod g_i for deg g_i <= D < n, built
-        once per code: (n - d_i) * d_i entries, at most sum(dims) * n in
-        all, a quarter of a closure check's charge."""
-        return tuple(list(itertools.islice(residues(g), max(self.n - g.degree, 0))) for g in self.gens)
+        """Per component, the rows x^D mod g_i for deg g_i <= D <= n, built
+        once per code: (n + 1 - d_i) * d_i entries. They are each
+        component's only source of right remainders by g_i."""
+        return tuple(list(itertools.islice(residues(g), max(self.n + 1 - g.degree, 0))) for g in self.gens)
+
+    @functools.cached_property
+    def remainders(self):
+        """r_i = (x^n - beta_i) mod g_i on the right, read off residue_rows:
+        x^n - beta_i has two nonzero coefficients, so each costs at most one
+        row combination and no division. g_i right-divides x^n - beta_i, so
+        C_i is tau-closed, exactly when r_i is zero."""
+        return tuple(
+            residue_sum(self.modulus(i).poly().coeffs, g, rows)
+            for i, (g, rows) in enumerate(zip(self.gens, self.residue_rows))
+        )
 
     def contains(self, word) -> bool:
         """Whether each CRT component of word is right-divisible by g_i:
@@ -200,7 +204,7 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
     if not alpha.is_unit:
         warnings.append(f"shift constant is not a unit: crt={alpha.crt_ints()}")
     code = SkewCode(field, n, alpha, gens, tuple(warnings))
-    for i, (f, beta, (_, rem)) in enumerate(zip(gens, code.component_constants, code.certificate)):
+    for i, (f, beta, rem) in enumerate(zip(gens, code.component_constants, code.remainders)):
         if not rem.is_zero:
             raise NotADivisorError(
                 f"component {i + 1}: {f!r} does not right-divide"
@@ -236,7 +240,7 @@ def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):
     and C_i the span of the basis x^j * g_i = tau^j(g_i), j < k_i:
     - tau maps basis word j to basis word j + 1, and the last shift is
       x^(k_i) * g_i - (x^n - beta_i), so C_i is tau-closed iff g_i
-      right-divides x^n - beta_i: the remainder of code.certificate.
+      right-divides x^n - beta_i: r_i of code.remainders is zero.
     - rho_l is F_q-linear and commutes with tau when theta(beta_i) = beta_i,
       so for a tau-closed C_i, rho_l(C_i) is in C_i iff rho_l(g_i) is. Where
       theta moves beta_i, or C_i is not tau-closed, every basis word of C_i
@@ -247,8 +251,8 @@ def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):
     n, alpha = code.n, code.alpha
     l = math.gcd(n, code.field.k)
     tau = rho = True
-    parts = zip(code.gens, code.dims, code.component_constants, code.certificate)
-    for i, (g, k, beta, (_, rem)) in enumerate(parts):
+    parts = zip(code.gens, code.dims, code.component_constants, code.remainders)
+    for i, (g, k, beta, rem) in enumerate(parts):
         if k == 0:
             continue
         tau_i = rem.is_zero
@@ -266,13 +270,17 @@ def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):
 # --- duals ---
 
 def cofactors(code: SkewCode):
-    """h_i with x^n - beta_i = h_i * f_i, from code.certificate."""
-    for i, (_, rem) in enumerate(code.certificate):
+    """h_i with x^n - beta_i = h_i * f_i: one right division per component,
+    the only one a code makes, since only a dual reads the quotients."""
+    hs = []
+    for i, f in enumerate(code.gens):
+        h, rem = right_divmod(code.modulus(i).poly(), f)
         if not rem.is_zero:
             raise NotADivisorError(
                 f"component {i + 1} generator is not a right divisor", component=i + 1
             )
-    return tuple(h for h, _ in code.certificate)
+        hs.append(h)
+    return tuple(hs)
 
 
 def dual_code(code: SkewCode) -> SkewCode:

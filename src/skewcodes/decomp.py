@@ -105,21 +105,21 @@ class DecompositionReport:
 
 
 def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
-    """Check, on basis words, that the code is closed under its defining shift
-    exactly when each component is closed under its component shift.
+    """Check that the code is closed under its defining shift exactly when
+    each component is closed under its component shift.
 
-    Component closure is judged on the nominal basis span, which pinpoints a
-    corrupted (non-divisor) component generator. `components` holds the four
-    component verdicts, `closed` the direct whole-code verdict, and
-    `equivalence_holds` records that it agrees with their conjunction.
+    C_i, the span of x^j * g_i for j < k_i, is closed under the skew
+    beta_i-constacyclic shift exactly when k_i <= 0 (C_i = {0}) or g_i
+    right-divides x^n - beta_i, that is r_i of code.remainders is zero: no
+    division and no row reduction. This pinpoints a corrupted (non-divisor)
+    component generator. `components` holds the four component verdicts,
+    `closed` the whole-code verdict, checked independently on every basis
+    word, and `equivalence_holds` records that it agrees with their
+    conjunction.
     """
-    components = []
-    for i, const in enumerate(code.component_constants):
-        basis = code.component_basis(i)
-        nominal = Span(basis)
-        components.append(all(nominal.contains(skew_constacyclic_shift(w, const)) for w in basis))
+    components = tuple(k <= 0 or r.is_zero for k, r in zip(code.dims, code.remainders))
     overall = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
-    return DecompositionReport(overall, tuple(components), overall == all(components))
+    return DecompositionReport(overall, components, overall == all(components))
 
 
 def dual_hypothesis_note(code: SkewCode) -> str | None:

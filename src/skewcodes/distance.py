@@ -97,19 +97,20 @@ class DistanceResult:
 
 def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Minimum nonzero weight of the row space of `rows` over spec."""
-    basis, pivots = _rref_by_summand(rows, spec)
-    k = len(basis)
+    rows = list(rows)
+    words, parts = _reduce_by_summand(rows, spec)
+    k = sum(len(part.basis) for part in parts)
     if k == 0:
         return DistanceResult(None, None, None, 0, "zero-code", defined=False)
-    n = len(basis[0])
+    n = len(rows[0])
     q = spec.q
     if k == n:
         witness = [spec.zero] * n
         witness[0] = spec.one
         return DistanceResult(1, None, tuple(witness), 0, "full-space")
     if q ** k <= min(budget, ENUM_CAP):
-        return _enumerate_messages(basis, spec, n, k, budget)
-    return _bounded_weight_sweep(rows, basis, spec, n, budget, pivots)
+        return _enumerate_messages(_placed(parts, n), spec, n, k, budget)
+    return _bounded_weight_sweep(rows, words, parts, spec, budget)
 
 
 def _summands(words):
@@ -140,18 +141,23 @@ def _summands(words):
     return list(zip(bounds, bounds[1:])), parts
 
 
-def _rref_by_summand(rows, spec):
-    """rref(rows), made summand by summand: the RREF is unique, so the RREF
-    of a direct sum is its summands' RREFs, placed at their columns in
-    summand order."""
-    rows = list(rows)
-    basis, pivots = [], []
-    for (lo, hi), part in zip(*_summands(words_to_array(rows))):
-        part, part_pivots = rref([rows[i][lo:hi] for i in part])
-        head, tail = (spec.zero,) * lo, (spec.zero,) * (len(rows[0]) - hi)
-        basis += [head + row + tail for row in part]
-        pivots += [lo + p for p in part_pivots]
-    return basis, pivots
+def _reduce_by_summand(rows, spec):
+    """(words, parts): the rows as an array of element codes, which the
+    sweep reuses for its bound, and a _Summand for each contiguous direct
+    summand, in column order, each holding the RREF of its rows cut to its
+    columns."""
+    words = words_to_array(rows)
+    return words, [_Summand(spec, lo, hi, [rows[i] for i in part]) for (lo, hi), part in zip(*_summands(words))]
+
+
+def _placed(parts, n):
+    """The summands' bases at their columns in length n, in summand order:
+    rref of the whole matrix, since the RREF is unique and the RREF of a
+    direct sum is its summands' RREFs side by side."""
+    return [
+        (part.spec.zero,) * part.lo + row + (part.spec.zero,) * (n - part.lo - part.width)
+        for part in parts for row in part.basis
+    ]
 
 
 def _enumerate_messages(basis, spec, n, k, budget) -> DistanceResult:
@@ -229,43 +235,31 @@ def _first_completable_prefix(scaled, add, table, w):
 
 
 class _Summand:
-    """One contiguous direct summand, columns [lo, lo + width), of a swept
-    code: the RREF of its basis rows cut to its columns, and its parity
-    checks H, scaled columns and column table, built when a level of weight
-    2 or more first asks this summand for a word."""
+    """One contiguous direct summand, columns [lo, hi), of a code: the RREF
+    of its rows cut to its columns, and its parity checks H, scaled columns
+    and column table, built when a level of the sweep first asks this
+    summand for a word."""
 
-    def __init__(self, spec, tables, lo, hi, basis, pivots):
-        self.spec, (self.add, self.mul) = spec, tables
-        self.lo, self.width = lo, hi - lo
-        basis = [row[lo:hi] for row in basis]
-        self.basis, self.pivots = rref(basis) if pivots is None else (basis, [p - lo for p in pivots])
+    def __init__(self, spec, lo, hi, rows):
+        self.spec, self.lo, self.width = spec, lo, hi - lo
+        self.basis, self.pivots = rref([row[lo:hi] for row in rows])
+        self._lookup = None
 
-    @functools.cached_property
-    def scaled(self):
-        """(width, q-1, width-k) array of the c*h_j of the summand's own H,
-        read off its own pivots."""
-        H = words_to_array(nullspace(self.basis, self.width, self.spec, self.pivots))
-        return self.mul[np.arange(1, self.spec.q)[None, :, None], H.T[:, None, :]]
-
-    @functools.cached_property
-    def table(self):
-        return _column_table(self.scaled)
-
-    def first_word(self, w):
-        """The summand's first word of weight w in (support, coefficient)
-        order, as (column in the summand, coefficient code) pairs, or None;
-        asked for w = 1, 2, .. in turn, each only once no lighter word was
-        found."""
-        if w == 1:
-            # e_j is a codeword iff h_j = 0 iff the RREF row with pivot j is
-            # e_j. This also decides a full-space summand, where H has no
-            # rows and every lookup key would collide: its RREF is the
-            # identity, so it has e at its first column, as the sweep meets.
-            units = (p for row, p in zip(self.basis, self.pivots) if sum(not c.is_zero for c in row) == 1)
-            j = next(units, None)
-            return None if j is None else ((j, 1),)
-        scaled, add, q = self.scaled, self.add, self.spec.q
-        prefix = _first_completable_prefix(scaled, add, self.table, w)
+    def first_word(self, w, tables):
+        """The summand's first word of weight w >= 2 in (support,
+        coefficient) order, as (column in the summand, coefficient code)
+        pairs, or None; asked for w = 2, 3, .. in turn, each only once no
+        lighter word was found. The summand has no weight-1 word and is not
+        the full space, or its RREF would hold a unit row."""
+        add, mul = tables
+        if self._lookup is None:
+            # the c*h_j of the summand's own H, read off its own pivots
+            H = words_to_array(nullspace(self.basis, self.width, self.spec, self.pivots))
+            scaled = mul[np.arange(1, self.spec.q)[None, :, None], H.T[:, None, :]]
+            self._lookup = scaled, _column_table(scaled)
+        scaled, table = self._lookup
+        q = self.spec.q
+        prefix = _first_completable_prefix(scaled, add, table, w)
         if prefix is None:
             return None
         # the prefix's sums, shaped (q-1,)*(w-1) + (width-k,)
@@ -276,58 +270,50 @@ class _Summand:
                 return tuple(zip(prefix + (j,), (int(c) + 1 for c in np.argwhere(hits)[0])))
 
 
-def _bounded_weight_sweep(rows, basis, spec, n, budget, pivots=None) -> DistanceResult:
+def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
     """Sweep weights 1, 2, .. below the lightest presented row for a codeword.
 
-    A word with support P + (j,), j > max(P), and nonzero coefficients is a
-    codeword iff its prefix sum T = sum_{i in P} c_i h_i over the columns of
-    the parity-check matrix H equals -c_j h_j. The scaled columns
-    {c*h_j : c != 0} are closed under negation, so each prefix P of w - 1
-    positions has a weight-w completion iff one of its (q-1)^(w-1) sums is a
-    scaled column c*h_j with j > max(P). A level's sums are looked up in a
-    sorted table of the summand's scaled columns, one searchsorted per batch
-    of about _CHUNK sums, instead of adding every last column.
+    `words` are the rows as element codes and `parts` their summands, as
+    _reduce_by_summand gives them. A word with support P + (j,), j > max(P),
+    and nonzero coefficients is a codeword iff its prefix sum
+    T = sum_{i in P} c_i h_i over the columns of the parity-check matrix H
+    equals -c_j h_j. The scaled columns {c*h_j : c != 0} are closed under
+    negation, so each prefix P of w - 1 positions has a weight-w completion
+    iff one of its (q-1)^(w-1) sums is a scaled column c*h_j with j > max(P).
+    A level's sums are looked up in a sorted table of the summand's scaled
+    columns, one searchsorted per batch of about _CHUNK sums, instead of
+    adding every last column.
     Supports in combinations order are ordered by (prefix, last column), so
     enumerating the completions of the first prefix that has one gives the
     word a full enumeration meets first.
 
-    The code is split into the contiguous direct summands of its basis rows
-    (_summands), and each level asks each summand in column order for a
-    word of weight w, on the summand's own H. At the first level w that has
-    a word, every lighter level has none, so w is the least summand distance
-    and each weight-w word lies in one summand (two nonzero parts weigh at
-    least 2w). Every support in a summand precedes those in later ones, so
-    the first summand that has a word holds the word the whole sweep meets
-    first: its first word, placed at its columns. The bound (the first
-    lightest presented row), the budget gate and candidates_swept stay the
-    whole code's: each level still counts its C(n, w) (q-1)^w candidates.
-    Given `pivots`, basis is taken to be in RREF, as min_distance passes it,
-    and each summand's H is read off its pivots with no second row reduction.
+    Each level asks each summand in column order for a word of weight w, on
+    the summand's own H. At the first level w that has a word, every lighter
+    level has none, so w is the least summand distance and each weight-w
+    word lies in one summand (two nonzero parts weigh at least 2w). Every
+    support in a summand precedes those in later ones, so the first summand
+    that has a word holds the word the whole sweep meets first: its first
+    word, placed at its columns. The bound (the first lightest presented
+    row, the rows before their RREF), the budget gate and candidates_swept
+    stay the whole code's: each level still counts its C(n, w) (q-1)^w
+    candidates. A weight-1 codeword e_j is the RREF row with pivot j, so
+    level 1, below a bound of 2 or more, has no word to find.
     """
-    q = spec.q
+    n, q = words.shape[1], spec.q
     # upper bound and witness candidate: the first lightest presented row
-    presented = list(rows) + list(basis)
-    words = words_to_array(presented)
-    weights = np.count_nonzero(words, axis=1)
+    basis = _placed(parts, n)
+    weights = np.count_nonzero(np.vstack((words, words_to_array(basis))), axis=1)
     best_w = int(weights[weights > 0].min())
-    best_row = tuple(presented[int(np.argmax(weights == best_w))])
-    parts = None  # built once the first level fits the budget
+    best_row = tuple((rows + basis)[int(np.argmax(weights == best_w))])
 
-    swept = 0
+    swept, tables = 0, None
     for w in range(1, best_w):
         level = comb(n, w) * (q - 1) ** w
         if swept + level > budget:
             return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
-        if parts is None:
-            tables = field_tables(spec, budget)
-            # the basis alone splits the code: its rows span it
-            parts = [
-                _Summand(spec, tables, lo, hi, [basis[i] for i in part],
-                         None if pivots is None else [pivots[i] for i in part])
-                for (lo, hi), part in zip(*_summands(words[len(presented) - len(basis):]))
-            ]
-        for part in parts:
-            found = part.first_word(w)
+        tables = tables or field_tables(spec, budget)
+        for part in parts if w > 1 else ():
+            found = part.first_word(w, tables)
             if found is not None:
                 word = [spec.zero] * n
                 for pos, c in found:

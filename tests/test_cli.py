@@ -681,7 +681,7 @@ def deep_f9(betas):
 
 @pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
 def test_params_decides_each_closure_from_four_words(capsys, monkeypatch, betas):
-    """tau is read from the build certificate, with no membership test, and
+    """tau is read from the code's remainders, with no membership test, and
     with every constant fixed by the twist the quasi-twist makes at most one
     membership test per component."""
     calls = []
@@ -759,25 +759,38 @@ def spy_divisions(monkeypatch):
 
 
 @pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
-def test_params_divides_each_modulus_once(capsys, monkeypatch, betas):
-    """build_code's four divisions of x^n - beta_i are the only ones: the
-    closures read them from the code's certificate."""
+def test_params_divides_no_modulus(capsys, monkeypatch, betas):
+    """build_code and the closures read each remainder of x^n - beta_i off
+    the code's residue rows: no modulus is divided."""
     spec = deep_f9(betas)
     _, n, alpha, _ = code_from_json(json.loads(spec))
     moduli = [ModulusSpec(n, beta).poly() for beta in alpha.crt()]
     dividends = spy_divisions(monkeypatch)
     code, report = run_cli(capsys, "params", "--input", spec)
     assert code == 0
-    assert sum(f in moduli for f in dividends) == 4
+    assert sum(f in moduli for f in dividends) == 0
 
 
-def test_dual_reuses_the_build_certificate(capsys, monkeypatch):
-    """Four divisions build the code and four build its dual: the cofactors
-    h_i come from the first four, not from four more."""
+def test_dual_divides_only_for_its_cofactors(capsys, monkeypatch):
+    """A dual request makes four divisions, one per cofactor h_i of
+    x^n - beta_i: building the code and its dual makes none."""
+    import skewcodes.codes
+
     dividends = spy_divisions(monkeypatch)
+    spans = []
+    cofactors = skewcodes.codes.cofactors
+
+    def spy(c):
+        before = len(dividends)
+        out = cofactors(c)
+        spans.append((before, len(dividends)))
+        return out
+
+    monkeypatch.setattr(skewcodes.codes, "cofactors", spy)
     code, report = run_cli(capsys, "dual", "--input", CODESPEC)
     assert code == 0
-    assert len(dividends) == 8
+    assert spans == [(0, 4)]
+    assert len(dividends) == 4
 
 
 def test_dual_of_length_1000_takes_four_products(capsys, monkeypatch):

@@ -250,16 +250,17 @@ def test_minimal_generator_makes_no_division(monkeypatch, f9, f25):
             assert divisions == []
 
 
-def test_twenty_decomposition_runs_make_at_most_2131_divisions(monkeypatch):
+def test_twenty_decomposition_runs_make_at_most_1331_divisions(monkeypatch):
     """Seeds 0-19 of the decomposition suite: the divisions left are the
-    ones whose quotient is used, one per factor random_right_divisor peels
-    and four per code for its certificate."""
+    ones whose quotient is used, one per factor random_right_divisor peels.
+    Building and verifying a code reads its remainders off its residue
+    rows."""
     from skewcodes.cli import SUITES
 
     divisions = spy_twisted_divisions(monkeypatch)
     for seed in range(20):
         assert SUITES["decomposition"](seed)["pass"]
-    assert 0 < len(divisions) <= 2131
+    assert 0 < len(divisions) <= 1331
 
 
 def test_verify_decomposition_on_examples():
@@ -281,7 +282,7 @@ def test_verify_decomposition_pinpoints_corruption(f9):
 
 
 def test_tau_closure_of_a_corrupted_code_is_its_certificate(f9):
-    """A code built without build_code computes its certificate on first
+    """A code built without build_code computes its remainders on first
     use: component 2 of the corrupted code does not divide x^6 - 1, so tau
     agrees with the full per-word check, and no cofactors exist."""
     good = fq_poly(f9, [2, f9.root(), 0, 2 * f9.root(), 1])
@@ -289,7 +290,7 @@ def test_tau_closure_of_a_corrupted_code_is_its_certificate(f9):
     code = SkewCode(f9, 6, ring_one(f9), (good, bad, good, good))
     full = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
     assert shift_closures(code)[0] is full is False
-    assert [rem.is_zero for _, rem in code.certificate] == [True, False, True, True]
+    assert [rem.is_zero for rem in code.remainders] == [True, False, True, True]
     with pytest.raises(NotADivisorError) as refusal:
         cofactors(code)
     assert refusal.value.component == 2

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from contextlib import contextmanager
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -198,14 +198,23 @@ def planted_rows(spec, planted, masks):
     return [hidden] + [tuple(el(b) for b in mask) for mask in masks]
 
 
-def sweep_outcome(sweep, rows, spec, budget, reduced):
-    """The sweep's result, or its refusal. With reduced=False the basis is
-    the presented rows themselves; min_distance always passes their RREF,
-    which holds every unit vector of the code and so never leaves a zero
-    column in H to be found at weight 1."""
-    basis = rref(rows)[0] if reduced else rows
+def lookup_sweep(rows, spec, budget):
+    """_bounded_weight_sweep as min_distance calls it: on the rows, their
+    codes and their summands, each row-reduced."""
+    return distance._bounded_weight_sweep(rows, *distance._reduce_by_summand(rows, spec), spec, budget)
+
+
+def loop_sweep(rows, spec, budget):
+    """The per-support loop given the rows and their RREF. The RREF holds
+    every unit vector of the code, so neither sweep has a word to find at
+    weight 1."""
+    return reference_sweep(rows, rref(rows)[0], spec, len(rows[0]), budget)
+
+
+def sweep_outcome(sweep, rows, spec, budget):
+    """The sweep's result, or its refusal."""
     try:
-        return sweep(rows, basis, spec, len(rows[0]), budget)
+        return sweep(rows, spec, budget)
     except BudgetExceededError as refusal:
         return ("refused", str(refusal))
 
@@ -224,21 +233,20 @@ def planted_codes(draw):
     code = st.integers(0, spec.q - 1)
     masks = draw(st.lists(st.lists(code, min_size=n, max_size=n), min_size=1, max_size=3))
     budget = draw(st.one_of(st.integers(0, 3000), st.integers(3000, 300_000)))
-    return spec, planted_rows(spec, planted, masks), budget, draw(st.booleans())
+    return spec, planted_rows(spec, planted, masks), budget
 
 
 @settings(max_examples=300, deadline=None)
 @given(planted_codes())
 def test_lookup_sweep_matches_the_per_support_loop(case):
-    spec, rows, budget, reduced = case
+    spec, rows, budget = case
     if not sweep_applies(rows):
         return
-    ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
-    assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+    assert sweep_outcome(lookup_sweep, rows, spec, budget) == sweep_outcome(loop_sweep, rows, spec, budget)
 
 
 def seeded_sweep_cases():
-    """(spec, rows, budget, reduced) of seeded planted codes: weights 1 to 4
+    """(spec, rows, budget) of seeded planted codes: weights 1 to 4
     planted over every field of SWEEP_FIELDS, each with a budget of one
     level, one that runs out in the second level and a large one."""
     rng = random.Random(8)
@@ -254,27 +262,28 @@ def seeded_sweep_cases():
                 if not sweep_applies(rows):
                     continue
                 first_two = n * (spec.q - 1) + comb(n, 2) * (spec.q - 1) ** 2
-                for budget, reduced in product((n * (spec.q - 1), first_two - 1, 400_000), (True, False)):
-                    yield spec, rows, budget, reduced
+                for budget in (n * (spec.q - 1), first_two - 1, 400_000):
+                    yield spec, rows, budget
 
 
 def test_lookup_sweep_meets_every_outcome():
     """Seeded planted codes reach each outcome of the sweep, and the lookup
-    agrees with the loop on all of them: a zero column of H (weight 1),
-    proportional columns (weight 2), a lighter word at weight 3 or more, a
-    certificate, and a budget that runs out after the first level."""
+    agrees with the loop on all of them: proportional columns (weight 2), a
+    lighter word at weight 3 or more, a unit row of the RREF (weight 1
+    certified with no level swept), a certificate of weight 2 or more, and
+    a budget that runs out after the first level."""
     seen = set()
-    for spec, rows, budget, reduced in seeded_sweep_cases():
-        ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
-        assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+    for spec, rows, budget in seeded_sweep_cases():
+        ours = sweep_outcome(lookup_sweep, rows, spec, budget)
+        assert ours == sweep_outcome(loop_sweep, rows, spec, budget)
         if isinstance(ours, DistanceResult):
-            lighter = ours.method == "sweep-found-lighter"
-            seen.add((ours.method, min(ours.exact, 3) if lighter else None))
+            cap = {"sweep-found-lighter": 3, "sweep-certified": 2}.get(ours.method)
+            seen.add((ours.method, cap and min(ours.exact, cap)))
     assert seen >= {
-        ("sweep-found-lighter", 1),
         ("sweep-found-lighter", 2),
         ("sweep-found-lighter", 3),
-        ("sweep-certified", None),
+        ("sweep-certified", 1),
+        ("sweep-certified", 2),
         ("sweep-budget-exhausted", None),
     }
 
@@ -300,35 +309,37 @@ def batches_of(chunk):
 @settings(max_examples=100, deadline=None)
 @given(planted_codes())
 def test_small_batches_match_the_per_support_loop(chunk, case):
-    spec, rows, budget, reduced = case
+    spec, rows, budget = case
     if not sweep_applies(rows):
         return
     with batches_of(chunk):
-        ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
-    assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+        ours = sweep_outcome(lookup_sweep, rows, spec, budget)
+    assert ours == sweep_outcome(loop_sweep, rows, spec, budget)
 
 
 @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
 def test_small_batches_meet_every_seeded_outcome(chunk):
     with batches_of(chunk):
-        for spec, rows, budget, reduced in seeded_sweep_cases():
-            ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
-            assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+        for spec, rows, budget in seeded_sweep_cases():
+            ours = sweep_outcome(lookup_sweep, rows, spec, budget)
+            assert ours == sweep_outcome(loop_sweep, rows, spec, budget)
 
 
 @pytest.mark.parametrize("chunk", (1, 2 * 2, 5 * 2))
 def test_witness_prefix_in_a_later_batch(f3, chunk):
-    """The only weight-2 words of span{planted, all-ones} over F3 lie on
-    {5, 7}, so the prefix (5,) holds the witness: with one, two or five
-    prefixes per batch it comes after the first batch."""
-    planted = [0, 0, 0, 0, 0, 1, 0, 2]
-    rows = planted_rows(f3, planted, [[1] * 8])
+    """The only weight-2 words of span{planted, all-ones, e7 + e8 + e9} over
+    F3 lie on {5, 7}, and its RREF rows, e5 + e8 + e9, e7 + e8 + e9 and one
+    with pivot 0, weigh 3 or more. So the sweep finds the witness at the
+    prefix (5,): with one, two or five prefixes per batch it comes after the
+    first batch."""
+    planted = [0, 0, 0, 0, 0, 1, 0, 2, 0, 0]
+    rows = planted_rows(f3, planted, [[1] * 10, [0] * 7 + [1] * 3])
     with batches_of(chunk):
-        ours = sweep_outcome(distance._bounded_weight_sweep, rows, f3, 10_000, False)
-    assert ours == sweep_outcome(reference_sweep, rows, f3, 10_000, False)
+        ours = sweep_outcome(lookup_sweep, rows, f3, 10_000)
+    assert ours == sweep_outcome(loop_sweep, rows, f3, 10_000)
     assert ours.method == "sweep-found-lighter"
     assert [pos for pos, c in enumerate(ours.witness) if not c.is_zero] == [5, 7]
-    assert list(combinations(range(7), 1)).index((5,)) >= max(1, chunk // (f3.q - 1))
+    assert list(combinations(range(9), 1)).index((5,)) >= max(1, chunk // (f3.q - 1))
 
 
 def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
@@ -384,16 +395,19 @@ def test_min_distance_row_reduces_once(monkeypatch):
 def test_keys_are_int64_below_2_63_and_bytes_above(f3, monkeypatch, weight, n, kind):
     """[n, 2] codes over F3 with a planted word of the given weight: n - k =
     39 gives 3^39 < 2^63 and int64 keys, n - k = 40 gives 3^40 > 2^63 and
-    byte keys. Either way the sweep finds the word the per-support loop
-    finds, given the presented rows, and agrees with it given their RREF
-    and its pivots."""
+    byte keys. The second row starts at the planted word's second column,
+    so the RREF, whose pivots are its first two, presents neither that word
+    nor anything as light. Either way the sweep finds the word the
+    per-support loop finds."""
     assert (3 ** (n - 2) < 2 ** 63) == (kind == "i")
     rng = random.Random(10 * n + weight)
-    support = rng.sample(range(n), weight)
+    support = sorted(rng.sample(range(n // 2), weight))
     planted = [rng.randint(1, 2) if i in support else 0 for i in range(n)]
-    rows = planted_rows(f3, planted, [[rng.randrange(3) for _ in range(n)]])
+    tail = [rng.randrange(3) for _ in range(n - support[1] - 1)]
+    rows = planted_rows(f3, planted, [[0] * support[1] + [rng.randint(1, 2)] + tail])
     basis, pivots = rref(rows)
-    assert len(basis) == 2
+    assert pivots == support[:2]
+    assert min(hamming_weight(row) for row in rows + basis) > weight
     kinds = set()
     row_keys = distance._row_keys
 
@@ -404,11 +418,9 @@ def test_keys_are_int64_below_2_63_and_bytes_above(f3, monkeypatch, weight, n, k
 
     monkeypatch.setattr(distance, "_row_keys", spy)
     budget = distance.DEFAULT_BUDGET
-    expected = reference_sweep(rows, rows, f3, n, budget)
-    assert (expected.exact, expected.method) == (weight, "sweep-found-lighter")
-    assert distance._bounded_weight_sweep(rows, rows, f3, n, budget) == expected
     expected = reference_sweep(rows, basis, f3, n, budget)
-    assert distance._bounded_weight_sweep(rows, basis, f3, n, budget, pivots) == expected
+    assert (expected.exact, expected.method) == (weight, "sweep-found-lighter")
+    assert lookup_sweep(rows, f3, budget) == expected
     assert kinds == {kind}
 
 
@@ -420,13 +432,13 @@ def test_sweep_memory_is_bounded_by_the_batch(f3):
     rng = random.Random(48)
     n, k = 48, 24
     rows = random_rows(f3, rng, k, n)
-    basis = rref(rows)[0]
-    assert len(basis) == k
+    words, parts = distance._reduce_by_summand(rows, f3)
+    assert sum(len(part.basis) for part in parts) == k
     assert comb(n - 1, 3) * 2 ** 3 >= 10 ** 5
     field_tables(f3)
     tracemalloc.start()
     try:
-        res = distance._bounded_weight_sweep(rows, basis, f3, n, distance.DEFAULT_BUDGET)
+        res = distance._bounded_weight_sweep(rows, words, parts, f3, distance.DEFAULT_BUDGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,7 +523,7 @@ def level_boundaries(n, q):
 
 @st.composite
 def block_codes(draw):
-    """(spec, rows, budget, reduced, enumerate): 1-4 contiguous blocks, each
+    """(spec, rows, budget, enumerate): 1-4 contiguous blocks, each
     a planted code, an all-zero block or a full-space block, in one matrix,
     maybe with a zero row and a row that straddles two blocks, in a drawn
     order; the budget is drawn or sits at a level boundary."""
@@ -543,22 +555,20 @@ def block_codes(draw):
         st.integers(0, 3000),
         st.integers(3000, 300_000),
     ))
-    return spec, rows, budget, draw(st.booleans()), draw(st.booleans())
+    return spec, rows, budget, draw(st.booleans())
 
 
 @settings(max_examples=250, deadline=None)
 @given(block_codes())
 def test_block_codes_match_the_whole_matrix(case):
     """min_distance, with message enumeration allowed or denied, and the
-    sweep given the rows or their RREF, equal the whole-matrix forms,
-    refusals included."""
-    spec, rows, budget, reduced, enumerate_ = case
+    sweep equal the whole-matrix forms, refusals included."""
+    spec, rows, budget, enumerate_ = case
     with enumeration_cap(distance.ENUM_CAP if enumerate_ else 0):
         ours = outcome(min_distance, rows, spec, budget)
         assert ours == outcome(reference_min_distance, rows, spec, budget)
     if sweep_applies(rows):
-        ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
-        assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+        assert sweep_outcome(lookup_sweep, rows, spec, budget) == sweep_outcome(loop_sweep, rows, spec, budget)
 
 
 def seeded_block_cases():
@@ -566,10 +576,19 @@ def seeded_block_cases():
     SWEEP_FIELDS: two or three planted blocks, with an all-zero block, a
     full-space block, a zero row or a straddling row mixed in, and over F3,
     F5 and F9 two blocks of one full-weight row each, in a shuffled row
-    order. first_block is the width of the leading block."""
+    order. Then over every field a block whose RREF rows weigh 4 and whose
+    weight-2 word no row presents, before and after a block of one
+    full-weight row. first_block is the width of the leading block."""
     rng = random.Random(20)
+    hidden_rng = random.Random(21)
     for name in sorted(SWEEP_FIELDS):
         spec = make_field(*SWEEP_FIELDS[name])
+        for hidden_first in (True, False):
+            a, b, c, *heavy = (spec.from_int(hidden_rng.randint(1, spec.q - 1)) for _ in range(7))
+            one, zero = spec.one, spec.zero
+            blocks = [(5, [(one, zero, a, b, c), (zero, one, -a, -b, -c)]), (4, [tuple(heavy)])]
+            blocks = blocks if hidden_first else blocks[::-1]
+            yield spec, laid_out(spec, blocks), blocks[0][0]
         for extra in ("none", "zero block", "full block", "zero row", "straddle", "heavy"):
             if extra == "heavy" and spec.q > 9:
                 continue
@@ -601,25 +620,28 @@ def seeded_block_cases():
 
 def test_block_codes_meet_every_outcome():
     """Seeded block codes, at every level boundary of the budget and a large
-    budget, given the rows or their RREF: the sweep and min_distance equal
-    the whole-matrix forms, and between them they reach a witness in a later
-    block, the weight-1 word of a full-space block, a certificate, a budget
-    that runs out at each of the first three levels, a refusal of the
-    tables, and the zero-code, full-space and enumeration results."""
+    budget: the sweep and min_distance equal the whole-matrix forms, and
+    between them they reach a witness in the first and in a later block, a
+    weight-1 certificate from a unit row of the RREF (as a full-space block
+    gives), a certificate of weight 2 or more, a budget that runs out at
+    each of the first three levels, a refusal of the tables, and the
+    zero-code, full-space and enumeration results."""
     seen = set()
     for spec, rows, first_block in seeded_block_cases():
         length = len(rows[0])
         for budget in level_boundaries(length, spec.q) + [400_000]:
-            for reduced in (True, False) if sweep_applies(rows) else ():
-                ours = sweep_outcome(distance._bounded_weight_sweep, rows, spec, budget, reduced)
-                assert ours == sweep_outcome(reference_sweep, rows, spec, budget, reduced)
+            if sweep_applies(rows):
+                ours = sweep_outcome(lookup_sweep, rows, spec, budget)
+                assert ours == sweep_outcome(loop_sweep, rows, spec, budget)
                 if not isinstance(ours, DistanceResult):
                     seen.add("refused")
                 elif ours.method == "sweep-found-lighter":
                     start = next(i for i, c in enumerate(ours.witness) if not c.is_zero)
-                    seen.add(("lighter", min(ours.exact, 2), start >= first_block))
+                    seen.add(("lighter", start >= first_block))
+                elif ours.method == "sweep-certified":
+                    seen.add((ours.method, min(ours.exact, 2)))
                 else:
-                    seen.add((ours.method, ours.bounds and ours.bounds[0]))
+                    seen.add((ours.method, ours.bounds[0]))
             ours = outcome(min_distance, rows, spec, budget)
             assert ours == outcome(reference_min_distance, rows, spec, budget)
             if isinstance(ours, DistanceResult):
@@ -629,8 +651,8 @@ def test_block_codes_meet_every_outcome():
         assert ours == reference_min_distance(rows, spec, distance.DEFAULT_BUDGET)
         seen.add(ours.method)
     assert seen >= {
-        ("lighter", 1, False), ("lighter", 1, True), ("lighter", 2, False), ("lighter", 2, True),
-        ("sweep-certified", None),
+        ("lighter", False), ("lighter", True),
+        ("sweep-certified", 1), ("sweep-certified", 2),
         ("sweep-budget-exhausted", 1), ("sweep-budget-exhausted", 2), ("sweep-budget-exhausted", 3),
         "refused", "zero-code", "full-space", "message-enumeration", "sweep-certified",
     }
@@ -638,13 +660,14 @@ def test_block_codes_meet_every_outcome():
 
 def test_a_full_space_block_gives_e_at_its_first_column(f9):
     """Unreduced rows of weight 2 that span F_9^3, after a planted block with
-    no word lighter than 3: the sweep finds e at the full block's first
-    column with coefficient code 1, as the per-support loop does."""
+    no word lighter than 3: the full block's RREF is the identity, so the
+    sweep certifies weight 1 with no level swept, by e at the full block's
+    first column with coefficient code 1, as the per-support loop does."""
     blocks = [(4, planted_rows(f9, [1, 2, 3, 0], [[1, 1, 1, 1]])), (3, full_block(f9, 3))]
     rows = laid_out(f9, blocks)
-    ours = distance._bounded_weight_sweep(rows, rows, f9, 7, distance.DEFAULT_BUDGET)
-    assert ours == reference_sweep(rows, rows, f9, 7, distance.DEFAULT_BUDGET)
-    assert ours.method == "sweep-found-lighter"
+    ours = lookup_sweep(rows, f9, distance.DEFAULT_BUDGET)
+    assert ours == loop_sweep(rows, f9, distance.DEFAULT_BUDGET)
+    assert (ours.method, ours.exact, ours.candidates_swept) == ("sweep-certified", 1, 0)
     assert [c.to_int() for c in ours.witness] == [0, 0, 0, 0, 1, 0, 0]
 
 
@@ -656,11 +679,10 @@ def test_two_blocks_that_hit_at_the_same_level_give_the_first(f9):
     one, zero = f9.one, f9.zero
     block = (5, [(one, zero, one, one, one), (zero, one, -one, -one, -one)])
     rows = laid_out(f9, [block, block])
-    basis, pivots = rref(rows)
-    expected = reference_sweep(rows, basis, f9, 10, distance.DEFAULT_BUDGET)
+    expected = loop_sweep(rows, f9, distance.DEFAULT_BUDGET)
     assert (expected.exact, expected.method) == (2, "sweep-found-lighter")
     assert [i for i, c in enumerate(expected.witness) if not c.is_zero] == [0, 1]
-    assert distance._bounded_weight_sweep(rows, basis, f9, 10, distance.DEFAULT_BUDGET, pivots) == expected
+    assert lookup_sweep(rows, f9, distance.DEFAULT_BUDGET) == expected
     with enumeration_cap(0):
         assert min_distance(rows, f9) == expected
 
@@ -708,6 +730,13 @@ def example_and_golden_images():
     return images
 
 
+def merged_rref(rows, spec):
+    """The summands' bases placed at their columns, and their pivots."""
+    _, parts = distance._reduce_by_summand(rows, spec)
+    basis = distance._placed(parts, len(rows[0]) if rows else 0)
+    return basis, [part.lo + p for part in parts for p in part.pivots]
+
+
 def test_merged_rref_is_the_whole_rref():
     """The summands' RREFs placed at their columns equal rref of the whole
     matrix, basis and pivots, on the images of examples 1-4, on the goldens'
@@ -715,7 +744,7 @@ def test_merged_rref_is_the_whole_rref():
     images = example_and_golden_images()
     assert len(images) == 4 + 6  # examples 1-3, params_f25 (twice) and params_f81t2 report one
     for rows, spec in images:
-        assert distance._rref_by_summand(rows, spec) == rref(rows)
+        assert merged_rref(rows, spec) == rref(rows)
     for spec, rows, _ in seeded_block_cases():
-        assert distance._rref_by_summand(rows, spec) == rref(rows)
-    assert distance._rref_by_summand([], make_field(3, 1, [0, 1])) == ([], [])
+        assert merged_rref(rows, spec) == rref(rows)
+    assert merged_rref([], make_field(3, 1, [0, 1])) == ([], [])

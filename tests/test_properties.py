@@ -240,6 +240,94 @@ def test_decomposition_round_trip(code):
     assert report.equivalence_holds
 
 
+def span_component_verdicts(code):
+    """The reference for verify_decomposition_theorem's components: C_i is
+    row-reduced into a Span and every basis word's skew beta_i-constacyclic
+    shift is tested against it."""
+    verdicts = []
+    for i, beta in enumerate(code.component_constants):
+        basis = code.component_basis(i)
+        span = Span(basis)
+        verdicts.append(all(span.contains(skew_constacyclic_shift(w, beta)) for w in basis))
+    return tuple(verdicts)
+
+
+@st.composite
+def monic_generators(draw, spec, n, beta):
+    """A monic g of degree 0..n over spec that right-divides x^n - beta (a
+    random right divisor, 1 or x^n - beta itself) or is drawn at random,
+    and so most likely does not; degree n included either way."""
+    kind = draw(st.sampled_from(("divisor", "one", "modulus", "random")))
+    mod = ModulusSpec(n, beta)
+    if kind == "divisor":
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        return random_right_divisor(mod, rng, draw(st.integers(0, n)))
+    if kind == "one":
+        return fq_poly(spec, [1])
+    if kind == "modulus":
+        return mod.poly()
+    low = draw(st.lists(field_values(spec), min_size=draw(st.integers(0, n)), max_size=n))
+    return SkewPoly(spec, "fq", low + [spec.one])
+
+
+@st.composite
+def corrupted_codes(draw):
+    """A SkewCode made without build_code, over the fields of test_kernel,
+    whose generators need not right-divide their x^n - beta_i."""
+    spec = draw(fields())
+    n = draw(st.integers(1, 4))
+    betas = draw(st.tuples(*[field_values(spec)] * 4))
+    gens = tuple(draw(monic_generators(spec, n, b)) for b in betas)
+    return SkewCode(spec, n, RingElement.from_crt(spec, *betas), gens)
+
+
+@SETTINGS
+@given(st.one_of(plus_minus_one_codes(), corrupted_codes()))
+def test_component_verdicts_match_the_span_reference(code):
+    report = verify_decomposition_theorem(code)
+    assert report.components == span_component_verdicts(code)
+    assert report.equivalence_holds
+
+
+def test_component_verdicts_of_corrupted_codes(f9):
+    """A generator that does not right-divide x^6 - 1 leaves its component
+    open. One of degree n other than x^n - 1 has C_i = {0}, which is closed
+    although its remainder is not zero."""
+    good = fq_poly(f9, [2, f9.root(), 0, 2 * f9.root(), 1])
+    bad = fq_poly(f9, [1, 1, 1, 1])
+    full = fq_poly(f9, [1, 0, 0, 0, 0, 0, 1])  # x^6 + 1
+    alpha = ring_one(f9)
+    for gens, verdicts in (
+        ((good, bad, good, good), (True, False, True, True)),
+        ((good, good, full, good), (True, True, True, True)),
+    ):
+        code = SkewCode(f9, 6, alpha, gens)
+        assert span_component_verdicts(code) == verdicts
+        assert verify_decomposition_theorem(code).components == verdicts
+    assert not code.remainders[2].is_zero
+
+
+@SETTINGS
+@given(corrupted_codes(), st.data())
+def test_remainders_and_membership_agree_with_division(code, data):
+    """SkewCode.remainders, read off the residue rows, are the remainders of
+    right_divmod; contains agrees with dividing each component of a word,
+    random or a multiple h * g_i of degree < n per component."""
+    spec, n = code.field, code.n
+    for i, g in enumerate(code.gens):
+        assert code.remainders[i] == right_divmod(code.modulus(i).poly(), g)[1]
+    comps = []
+    for g in code.gens:
+        if data.draw(st.booleans()) and g.degree < n:
+            h = SkewPoly(spec, "fq", data.draw(st.lists(field_values(spec), max_size=n - g.degree)))
+            comps.append(tuple((h * g).coeff(j) for j in range(n)))
+        else:
+            comps.append(data.draw(st.tuples(*[field_values(spec)] * n)))
+    word = tuple(RingElement.from_crt(spec, *column) for column in zip(*comps))
+    expected = all(right_divmod(SkewPoly(spec, "fq", c), g)[1].is_zero for c, g in zip(comps, code.gens))
+    assert code.contains(word) == expected
+
+
 # --- duals ---
 
 @st.composite
