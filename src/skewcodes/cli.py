@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -21,15 +20,11 @@ from .catalog import field_f9, field_f25, field_f27, get_example
 from .codes import (
     build_code,
     component_orthogonality,
-    constacyclic_shift,
     dual_code,
-    is_closed_under,
-    quasi_twist_shift,
     self_dual_report,
     shift_closures,
 )
 from .decomp import (
-    ModuleSpan,
     components_from_words,
     dual_hypothesis_note,
     verify_decomposition_theorem,
@@ -87,8 +82,8 @@ def _input_code(args):
     field, n, alpha, gens = code_from_json(_require_input(args))
     degrees = [g.degree or 0 for g in gens]  # build_code refuses a zero generator
     steps = sum(max(n - d + 1, 0) * (d + 1) for d in degrees)
-    needs = "building the code needs sum (n - deg g_i + 1)(deg g_i + 1)"
-    charge(args.budget, steps, needs, "division steps")
+    needs = "the code's residue tables need at most sum (n - deg g_i + 1)(deg g_i + 1)"
+    charge(args.budget, steps, needs, "entries")
     return build_code(field, n, alpha, gens)
 
 
@@ -157,12 +152,11 @@ def _dual_contract(code, budget):
     return dual, product_ok, orthogonal
 
 
-def _untwisted_closure(gen, n, alpha):
-    """(R-span of <gen> mod x^n - alpha, its closure under the untwisted
-    constacyclic shift)."""
-    words = span_words(gen, ModulusSpec(n, alpha))
-    span = ModuleSpan(words, alpha.spec)
-    return span, all(span.contains(constacyclic_shift(w, alpha)) for w in words)
+def _example_four_module(ex):
+    """Example 4's module <generator> mod x^7 - alpha as a code; gcd(7, k) = 1,
+    so shift_closures' rho_1 is the untwisted constacyclic shift."""
+    n, alpha = ex["n"], ex["alpha"]
+    return components_from_words(span_words(ex["generator"], ModulusSpec(n, alpha)), n, alpha)
 
 
 def cmd_build(args):
@@ -240,8 +234,8 @@ def cmd_idempotent(args):
     obj = _require_input(args)
     field = field_from_json(obj["field"])
     n = json_int(obj["n"], "n", 1)
-    # Each idempotent is checked by row-reducing the n span words of e and
-    # of its generator: about n^3 steps, refused before the first division.
+    # Each idempotent is checked by one remainder and one row reduction of
+    # the n span words of e: about n^3 steps, refused before the first division.
     count = 4 if "gens" in obj else 1
     charge(args.budget, count * n ** 3, f"idempotent check needs {count} * n^3")
     if "gens" in obj:
@@ -306,12 +300,11 @@ def _suite_gray_commutation(seed):
 def _suite_ret1(seed):
     # gcd(n, k) = 1 instances: closure under the untwisted constacyclic shift
     details = []
-    ex4 = get_example(4)
-    _, closed = _untwisted_closure(ex4["generator"], ex4["n"], ex4["alpha"])
+    closed = shift_closures(_example_four_module(get_example(4)))[2]
     details.append({"instance": "length-7 audit module", "gcd": 1, "closed": closed})
     field = field_f9()
     code = build_code(field, 5, ring_one(field), [fq_poly(field, [-1, 1])] * 4)
-    closed5 = is_closed_under(code, lambda w: constacyclic_shift(w, code.alpha))
+    closed5 = shift_closures(code)[2]
     details.append({"instance": "length-5 cyclic over F9", "gcd": 1, "closed": closed5})
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
@@ -321,8 +314,7 @@ def _suite_ret2(seed):
     for num in (1, 3):
         ex = get_example(num)
         code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
-        l = math.gcd(ex["n"], ex["field"].k)
-        closed = is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, l))
+        _, l, closed = shift_closures(code)
         details.append({"instance": f"example {num}", "index": l, "closed": closed})
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
@@ -474,12 +466,10 @@ def _audit_example_four(ex):
                 },
             }
         )
-    span, closed = _untwisted_closure(gen, n, alpha)
-    result["submodule_component_dims"] = list(span.dims)
-    result["closures"] = {
-        "untwisted_constacyclic": closed,
-        "gcd_n_k": math.gcd(n, field.k),
-    }
+    module = _example_four_module(ex)
+    _, l, closed = shift_closures(module)
+    result["submodule_component_dims"] = list(module.dims)
+    result["closures"] = {"untwisted_constacyclic": closed, "gcd_n_k": l}
     return result, warnings, discrepancies
 
 

@@ -112,6 +112,11 @@ class SkewCode:
     gens: tuple
     warnings: tuple = ()
 
+    def __post_init__(self):
+        for f in self.gens:
+            if f.degree > self.n:
+                raise LengthMismatchError(f"generator degree {f.degree} exceeds length {self.n}")
+
     @property
     def component_constants(self):
         return self.alpha.crt()
@@ -199,8 +204,6 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
             raise MixedRingsError("generators must be base-field polynomials over the code field")
         if f.is_zero or not f.is_monic:
             raise ValueError(f"generator {f!r} is not monic")
-        if f.degree > n:
-            raise LengthMismatchError(f"generator degree {f.degree} exceeds length {n}")
     if not alpha.is_unit:
         warnings.append(f"shift constant is not a unit: crt={alpha.crt_ints()}")
     code = SkewCode(field, n, alpha, gens, tuple(warnings))

@@ -30,7 +30,8 @@ def extract_components(words):
 
 
 class ModuleSpan:
-    """R-span of a set of R-words, represented by its four component spans."""
+    """R-span of a set of R-words, represented by its four component spans:
+    the tests' reference for components_from_words and shift_closures."""
 
     def __init__(self, words, spec: FieldSpec):
         self.spec = spec
@@ -109,7 +110,7 @@ def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
     each component is closed under its component shift.
 
     C_i, the span of x^j * g_i for j < k_i, is closed under the skew
-    beta_i-constacyclic shift exactly when k_i <= 0 (C_i = {0}) or g_i
+    beta_i-constacyclic shift exactly when k_i = 0 (C_i = {0}) or g_i
     right-divides x^n - beta_i, that is r_i of code.remainders is zero: no
     division and no row reduction. This pinpoints a corrupted (non-divisor)
     component generator. `components` holds the four component verdicts,
@@ -117,7 +118,7 @@ def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
     word, and `equivalence_holds` records that it agrees with their
     conjunction.
     """
-    components = tuple(k <= 0 or r.is_zero for k, r in zip(code.dims, code.remainders))
+    components = tuple(k == 0 or r.is_zero for k, r in zip(code.dims, code.remainders))
     overall = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
     return DecompositionReport(overall, components, overall == all(components))
 

@@ -38,7 +38,9 @@ def rref(rows):
 
 
 class Span:
-    """Row space of a set of vectors with membership queries."""
+    """Row space of a set of vectors with membership queries: the tests'
+    reference for module questions, which the package decides from
+    generators and remainders."""
 
     def __init__(self, rows):
         self.rows, self.pivots = rref(rows)

@@ -30,7 +30,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .gf import FieldElement, FieldSpec
-from .linalg import Span
+from .linalg import rref
 from .ring4 import RingElement, ring_one, ring_zero, split_word
 # No search here lists R; the name stays bound so that tests can patch it.
 from .ring4 import ring_elements  # noqa: F401
@@ -580,7 +580,9 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     Requires gcd(n, k) = 1 and gcd(n, q) = 1. Under these hypotheses the
     code is closed under the untwisted shift, so e is found by commutative
     extended Euclid on (f, h) where x^n - alpha = h f, then verified in the
-    skew ring.
+    skew ring. f right-divides x^n - alpha, so <f>, the words of degree < n
+    that f right-divides, is closed under x* and of dimension n - deg f: it
+    is <e> once f right-divides e and the n words x^j * e have that rank.
     """
     spec = f.spec
     n = mod.n
@@ -589,7 +591,7 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
             f"need gcd(n,k)=1 and gcd(n,q)=1; got n={n}, k={spec.k}, q={spec.q}"
         )
     modulus_poly = mod.poly()
-    if not right_divmod(modulus_poly, f)[1].is_zero:
+    if not right_remainder(modulus_poly, f).is_zero:
         raise NotADivisorError(f"{f!r} does not right-divide x^{n} - {mod.alpha!r}")
     h, rem = c_divmod(modulus_poly, f)
     if not rem.is_zero:
@@ -605,7 +607,7 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     square = reduce_mod(e * e, mod)
     if square != e:
         raise VerificationError(f"constructed polynomial is not skew-idempotent: e*e = {square!r}")
-    if Span(span_words(e, mod)) != Span(span_words(f, mod)):
+    if not right_remainder(e, f).is_zero or len(rref(span_words(e, mod))[0]) != n - f.degree:
         raise VerificationError("idempotent generates a different submodule than f")
     return e
 

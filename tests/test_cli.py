@@ -624,7 +624,8 @@ def test_field_above_max_q_is_an_input_error(capsys):
 
 def test_build_divisions_are_charged_before_they_run(capsys):
     """n = 200000 with four x - 1 generators over F9: build_code's four
-    divisions cost 4 * 200000 * 2 steps and are refused before the first."""
+    residue tables are charged 4 * 200000 * 2 entries and refused before
+    the first is filled."""
     spec = json.dumps({
         "field": {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1},
         "n": 200000,
@@ -637,8 +638,8 @@ def test_build_divisions_are_charged_before_they_run(capsys):
     assert code == 2
     assert report["status"] == "input_error"
     assert report["result"]["error"] == (
-        "building the code needs sum (n - deg g_i + 1)(deg g_i + 1) = 1600000 division steps,"
-        " over the budget of 200000"
+        "the code's residue tables need at most sum (n - deg g_i + 1)(deg g_i + 1)"
+        " = 1600000 entries, over the budget of 200000"
     )
 
 
@@ -651,8 +652,8 @@ def test_build_charge_is_exact(capsys):
     code, report = run_cli(capsys, "build", "--input", CODESPEC, "--budget", "31")
     assert code == 2
     assert report["result"]["error"] == (
-        "building the code needs sum (n - deg g_i + 1)(deg g_i + 1) = 32 division steps,"
-        " over the budget of 31"
+        "the code's residue tables need at most sum (n - deg g_i + 1)(deg g_i + 1)"
+        " = 32 entries, over the budget of 31"
     )
 
 

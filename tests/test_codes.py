@@ -108,6 +108,14 @@ def test_membership_examples(f25):
         code.contains(zero_word[:3])
 
 
+def test_a_generator_longer_than_the_code_is_refused(f9):
+    """Built directly, not through build_code: deg g_1 = 4 > n = 3 would
+    give component 1 the dimension -1."""
+    one = fq_poly(f9, [1])
+    with pytest.raises(LengthMismatchError, match="generator degree 4 exceeds length 3"):
+        SkewCode(f9, 3, ring_one(f9), (fq_poly(f9, [1, 0, 0, 0, 1]), one, one, one))
+
+
 def test_membership_of_all_basis_words(f9):
     code = example_code(2)
     for w in code.basis_words():

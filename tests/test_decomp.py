@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
     fq_poly,
+    from_components,
     generator_basis_words,
     random_right_divisor,
     right_divmod,
@@ -351,3 +353,40 @@ def test_stated_length_seven_module_audit(f9):
     assert span.dims == (1, 1, 1, 7)
     for w in words:
         assert span.contains(constacyclic_shift(w, ex["alpha"]))
+
+
+@st.composite
+def coprime_length_generators(draw):
+    """(n, alpha, gen) over a field of test_kernel, gcd(n, k) = 1: an
+    R-polynomial whose component i, scaled by a nonzero constant,
+    right-divides x^n - beta_i. beta_i = 0 is allowed (a non-unit alpha, as
+    in example 4); the monic right divisors of x^n are the powers of x."""
+    spec = make_field(*FIELDS[draw(st.sampled_from(sorted(FIELDS)))])
+    n = draw(st.integers(1, 5).filter(lambda n: math.gcd(n, spec.k) == 1))
+    betas = [spec.from_int(draw(st.integers(0, spec.q - 1))) for _ in range(4)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    comps = []
+    for beta in betas:
+        degree = draw(st.integers(0, n))
+        if beta.is_zero:
+            g = SkewPoly(spec, "fq", [spec.zero] * degree + [spec.one])
+        else:
+            g = random_right_divisor(ModulusSpec(n, beta), rng, degree)
+        comps.append(g.scale_left(spec.from_int(draw(st.integers(1, spec.q - 1)))))
+    return n, RingElement.from_crt(spec, *betas), from_components(*comps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_length_generators())
+def test_module_of_a_generator_matches_the_module_span_reference(args):
+    """The CLI reads the length-7 module of example 4 as a code: its
+    dimensions, and its untwisted closure from shift_closures (rho_1 at
+    gcd(n, k) = 1), agree with the row-reduced ModuleSpan of its words."""
+    n, alpha, gen = args
+    words = span_words(gen, ModulusSpec(n, alpha))
+    code = components_from_words(words, n, alpha)
+    span = ModuleSpan(words, alpha.spec)
+    _, l, closed = shift_closures(code)
+    assert code.dims == span.dims
+    assert l == 1
+    assert closed == all(span.contains(constacyclic_shift(w, alpha)) for w in words)

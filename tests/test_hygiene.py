@@ -140,7 +140,6 @@ def test_budget_refusals_go_through_charge():
 # A caller that needs only the remainder calls skewpoly.right_remainder.
 DISCARDED_QUOTIENTS = {
     ("skewpoly", "reduce_mod"): (1, "search's traced right division, until the benchmark revision"),
-    ("skewpoly", "idempotent_generator"): (1, "search's traced right division, until the benchmark revision"),
 }
 
 
@@ -149,29 +148,47 @@ def _callee(call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _discarded_quotients(body, prefix=""):
-    """(qualified name, count) of each function in body with a
-    right_divmod(...)[1] or a bare _certify(...) statement."""
+def _functions(body, prefix=""):
+    """(qualified name, node) of each function and method in body."""
     for node in body:
         if isinstance(node, ast.ClassDef):
-            yield from _discarded_quotients(node.body, f"{prefix}{node.name}.")
+            yield from _functions(node.body, f"{prefix}{node.name}.")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            count = sum(
-                1 for sub in ast.walk(node)
-                if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Call)
-                    and _callee(sub.value) == "right_divmod"
-                    and isinstance(sub.slice, ast.Constant) and sub.slice.value == 1)
-                or (isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Call)
-                    and _callee(sub.value) == "_certify")
-            )
-            if count:
-                yield prefix + node.name, count
+            yield prefix + node.name, node
+
+
+def _discarded_quotients(func):
+    """The right_divmod(...)[1] expressions and bare _certify(...)
+    statements in func."""
+    return sum(
+        1 for sub in ast.walk(func)
+        if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Call)
+            and _callee(sub.value) == "right_divmod"
+            and isinstance(sub.slice, ast.Constant) and sub.slice.value == 1)
+        or (isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Call)
+            and _callee(sub.value) == "_certify")
+    )
 
 
 def test_a_division_only_where_its_quotient_is_used():
     found = {
         (path.stem, name): count
         for path in MODULES
-        for name, count in _discarded_quotients(parse(path).body)
+        for name, func in _functions(parse(path).body)
+        if (count := _discarded_quotients(func))
     }
     assert found == {key: count for key, (count, _reason) in DISCARDED_QUOTIENTS.items()}
+
+
+def test_span_and_module_span_are_test_references():
+    """The package decides membership, closure and module equality from
+    generators and remainders; only the tests row-reduce whole spans, and
+    ModuleSpan builds its four component Spans."""
+    found = {
+        (path.stem, name)
+        for path in MODULES
+        for name, func in _functions(parse(path).body)
+        for sub in ast.walk(func)
+        if isinstance(sub, ast.Call) and _callee(sub) in ("Span", "ModuleSpan")
+    }
+    assert found == {("decomp", "ModuleSpan.__init__")}

@@ -15,6 +15,7 @@ from skewcodes.errors import (
     NonUnitLeadingCoeffError,
     NotADivisorError,
     NotAUnitError,
+    VerificationError,
     ZeroPolynomialError,
 )
 from skewcodes.gf import FieldElement, make_field
@@ -526,6 +527,43 @@ def test_idempotents_for_all_coprime_divisors(f9, f25):
             for f in right_divisor_search(mod, degree):
                 e = idempotent_generator(f, mod)
                 assert reduce_mod(e * e, mod) == e
+
+
+@pytest.mark.parametrize("wrong", ["another divisor's idempotent", "zero"])
+def test_idempotent_check_refuses_a_wrong_candidate(f49, monkeypatch, wrong):
+    """Euclid's last step is patched to hand back a wrong e for f, one of the
+    three linear right divisors of x^3 - 1 over F49. Each candidate is
+    idempotent and fails one half of the module check only: another
+    divisor's idempotent has the rank n - deg f but f does not right-divide
+    it, and f right-divides 0, of rank 0."""
+    import skewcodes.skewpoly as skewpoly
+
+    mod = ModulusSpec(3, f49.one)
+    f, other = right_divisor_search(mod, 1)[:2]
+    e = idempotent_generator(other, mod) if wrong != "zero" else SkewPoly.zero(f49)
+    assert reduce_mod(e * e, mod) == e
+    divides, rank = right_remainder(e, f).is_zero, Span(span_words(e, mod)).dim
+    assert (divides, rank) == ((False, 2) if wrong != "zero" else (True, 0))
+    real = skewpoly.c_divmod
+    monkeypatch.setattr(skewpoly, "c_divmod", lambda a, b: (None, e) if b == mod.poly() else real(a, b))
+    with pytest.raises(VerificationError, match="idempotent generates a different submodule than f"):
+        idempotent_generator(f, mod)
+
+
+def test_idempotent_check_makes_one_rref_and_no_span(f9, f49, monkeypatch):
+    import skewcodes.linalg as linalg
+    import skewcodes.skewpoly as skewpoly
+
+    calls = []
+    rref = skewpoly.rref
+    monkeypatch.setattr(skewpoly, "rref", lambda rows: calls.append("rref") or rref(rows))
+    monkeypatch.setattr(linalg.Span, "__init__", lambda self, rows: calls.append("Span"))
+    for spec, n in ((f9, 5), (f49, 3)):
+        mod = ModulusSpec(n, spec.one)
+        for f in right_divisor_search(mod, 1) + right_divisor_search(mod, 2):
+            calls.clear()
+            idempotent_generator(f, mod)
+            assert calls == ["rref"]
 
 
 def test_idempotent_assembles_over_R_with_mixed_constants(f9):
