@@ -114,6 +114,11 @@ class SkewCode:
 
     def __post_init__(self):
         for f in self.gens:
+            if f.spec != self.field or f.ring != "fq":
+                raise MixedRingsError("generators must be base-field polynomials over the code field")
+            if f.is_zero or not f.is_monic:
+                raise ValueError(f"generator {f!r} is not monic")
+        for f in self.gens:
             if f.degree > self.n:
                 raise LengthMismatchError(f"generator degree {f.degree} exceeds length {self.n}")
 
@@ -199,11 +204,6 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
     if not isinstance(alpha, RingElement) or alpha.spec != field:
         raise MixedRingsError("shift constant must be a ring element over the code field")
     warnings = []
-    for f in gens:
-        if f.spec != field or f.ring != "fq":
-            raise MixedRingsError("generators must be base-field polynomials over the code field")
-        if f.is_zero or not f.is_monic:
-            raise ValueError(f"generator {f!r} is not monic")
     if not alpha.is_unit:
         warnings.append(f"shift constant is not a unit: crt={alpha.crt_ints()}")
     code = SkewCode(field, n, alpha, gens, tuple(warnings))

@@ -336,14 +336,20 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
     polynomials g over F_q whose right remainder of f is zero, in
     itertools.product order (g_0 most significant).
 
-    The remainder of f is sum_k f_k * (x^k mod g) (see residues), added up
-    for every candidate at once on logarithms (gf.FieldArrays), chunk by
-    chunk; _linear_terms and _stepped_terms give its terms.
+    At degree 1, a binomial f = x^n - c (monic, n >= 1, no other nonzero
+    term) is solved in closed form (_binomial_root_codes), with no
+    candidate screened. Every other f is screened: the remainder of f is
+    sum_k f_k * (x^k mod g) (see residues), added up for every candidate at
+    once on logarithms (gf.FieldArrays), chunk by chunk; _linear_terms and
+    _stepped_terms give its terms.
     """
     if not degree:
         yield ()
         return
     spec = f.spec
+    if degree == 1 and f.degree and f.is_monic and all(c.is_zero for c in f.coeffs[1:-1]):
+        yield from ((code,) for code in _binomial_root_codes(spec, f.degree, -f.coeffs[0]))
+        return
     q = spec.q
     arrays = spec.arrays()
     zero, wrap, plus = arrays.zero, arrays.wrap, arrays.plus
@@ -381,24 +387,51 @@ def _stepped_terms(spec: FieldSpec, neg_g, terms):
         yield wrap[power + log_fk]
 
 
-def _linear_terms(spec: FieldSpec, neg_g, terms):
-    """_stepped_terms for g = x - a, a = -g_0, in closed form: x^k mod g is
-    the norm N_k(a) = theta^(k-1)(a) ... theta(a) a = a^(e_k), with
-    e_k = 1 + p^t + ... + p^(t(k-1)) mod (q - 1); N_0 = 1 and N_k(0) = 0
-    for k >= 1. One exponent per term, not k steps."""
-    arrays = spec.arrays()
+def _norm_exponent(spec: FieldSpec, k: int) -> int:
+    """e_k = 1 + r + ... + r^(k-1) mod (q - 1), r = p^t: the norm
+    N_k(a) = theta^(k-1)(a) ... theta(a) a of a field element is a^(e_k)."""
     order = spec.q - 1
     r = spec.p ** spec.t
+    # r^k = 1 mod (r - 1), so reducing r^k mod order * (r - 1) keeps
+    # (r^k - 1) / (r - 1) mod order exact
+    return (pow(r, k, order * (r - 1)) - 1) // (r - 1)
+
+
+def _linear_terms(spec: FieldSpec, neg_g, terms):
+    """_stepped_terms for g = x - a, a = -g_0, in closed form: x^k mod g is
+    the norm N_k(a) = a^(e_k) (_norm_exponent); N_0 = 1 and N_k(0) = 0 for
+    k >= 1. One exponent per term, not k steps. A binomial x^n - c never
+    gets here: _binomial_root_codes solves it without a screen."""
+    arrays = spec.arrays()
+    order = spec.q - 1
     log_a = neg_g.astype(np.int64)
     a_is_zero = log_a == arrays.zero
     for k, log_fk in terms:
-        # r^k = 1 mod (r - 1), so reducing r^k mod order * (r - 1) keeps
-        # (r^k - 1) / (r - 1) mod order exact
-        e_k = (pow(r, k, order * (r - 1)) - 1) // (r - 1)
-        term = arrays.wrap[log_a * e_k % order + log_fk]
+        term = arrays.wrap[log_a * _norm_exponent(spec, k) % order + log_fk]
         if k:
             term[a_is_zero] = arrays.zero
         yield term
+
+
+def _binomial_root_codes(spec: FieldSpec, n: int, c: FieldElement):
+    """Ascending codes of the g_0 for which x + g_0 right-divides x^n - c
+    (n >= 1). With a = -g_0, the remainder is N_n(a) - c, so the roots are
+    the solutions of a^(e_n) = c: a = 0 alone when c = 0; otherwise, with
+    gcd = gcd(e_n, q - 1), none unless gcd divides log c, and then the gcd
+    logarithms L_0 + j * (q - 1) / gcd, L_0 solving
+    e_n * L = log c (mod q - 1)."""
+    if c.is_zero:
+        return [0]
+    order = spec.q - 1
+    e_n = _norm_exponent(spec, n)
+    gcd = math.gcd(e_n, order)
+    log_c = spec.log[c.code]
+    if log_c % gcd:
+        return []
+    step = order // gcd
+    base = log_c // gcd * pow(e_n // gcd, -1, step) % step
+    half = order // 2  # log(-a) = log a + half
+    return sorted(spec.exp[base + j * step + half].code for j in range(gcd))
 
 
 def _monic_right_factors(f: SkewPoly, degree: int):
@@ -407,7 +440,8 @@ def _monic_right_factors(f: SkewPoly, degree: int):
     powers, each coefficient by its integer element code, or over R by its
     (a, b, c, d) codes.
 
-    Over F_q the q^degree candidates are screened in numpy batches
+    Over F_q the q^degree candidates are screened in numpy batches, or at
+    degree 1 a binomial x^n - c is solved in closed form
     (_batched_divisor_codes). Over R it is four searches over F_q, one per
     CRT component, since a monic g right-divides f exactly when each
     component g_i right-divides f_i; the divisors are the combinations of
@@ -483,9 +517,10 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     enumerated, and then the division steps: the count times the
     (n - degree + 1)(degree + 1) steps of one division of x^n - alpha, which
     bound the n - degree + 1 residue steps of a certificate. The F_q screen
-    tries all q^degree candidates; over R the count is still that of a
-    search over all of R, though the four component searches try
-    4*q^degree.
+    tries all q^degree candidates, and at degree 1 it tries none, since
+    x^n - alpha is a binomial (_binomial_root_codes); over R the count is
+    still that of a search over all of R, though the four component
+    searches try at most 4*q^degree. A closed form charges the same.
     """
     n = mod.n
     if degree > n:

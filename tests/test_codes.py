@@ -116,6 +116,19 @@ def test_a_generator_longer_than_the_code_is_refused(f9):
         SkewCode(f9, 3, ring_one(f9), (fq_poly(f9, [1, 0, 0, 0, 1]), one, one, one))
 
 
+@pytest.mark.parametrize("coeffs", [[], [1, 2], [0, 0, 2]])
+def test_a_zero_or_non_monic_generator_is_refused(f9, coeffs):
+    """Built directly, a zero generator gets build_code's refusal, not a
+    TypeError from comparing its degree None with n; so does a non-monic
+    one. build_code gives the same message."""
+    one = fq_poly(f9, [1])
+    gens = (fq_poly(f9, coeffs), one, one, one)
+    with pytest.raises(ValueError, match="is not monic"):
+        SkewCode(f9, 3, ring_one(f9), gens)
+    with pytest.raises(ValueError, match="is not monic"):
+        build_code(f9, 3, ring_one(f9), gens)
+
+
 def test_membership_of_all_basis_words(f9):
     code = example_code(2)
     for w in code.basis_words():

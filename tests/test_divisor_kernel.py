@@ -15,11 +15,13 @@ from test_kernel import FIELDS
 import skewcodes.skewpoly as skewpoly
 from skewcodes.errors import VerificationError
 from skewcodes.gf import make_field
-from skewcodes.ring4 import RingElement
+from skewcodes.ring4 import RingElement, random_ring_element
 from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
     _monic_right_factors,
+    component_polys,
+    from_components,
     random_right_divisor,
     right_divisor_search,
     right_divmod,
@@ -280,3 +282,103 @@ def test_search_over_a_field_too_large_for_the_square_tables(monkeypatch):
     expected = [SkewPoly(spec, "fq", [a, spec.one]) for a in spec.elements() if (-a) ** 4 == alpha]
     assert len(expected) == 2
     assert right_divisor_search(ModulusSpec(2, alpha), 1, budget) == expected
+
+
+BINOMIAL_FIELDS = {**LINEAR_FIELDS, "F25": (5, 2, [1, 1, 1], 1)}
+# fields small enough to run loop_divisors on every binomial
+LOOPED = 25
+
+
+def binomial_divisors(spec, n):
+    """{c: loop_divisors(x^n - c, 1)} for every c, from one right division
+    of x^n per candidate: the right remainder of x^n - c by a monic x + g_0
+    is that of x^n minus c."""
+    x_n = ModulusSpec(n, spec.zero).poly()
+    out = {c: [] for c in spec.elements()}
+    for code in range(spec.q):
+        g = SkewPoly(spec, "fq", [spec.from_int(code), spec.one])
+        out[right_divmod(x_n, g)[1].coeff(0)].append(g)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BINOMIAL_FIELDS))
+def test_the_binomial_closed_form_is_the_division_loop(name):
+    """Every x^n - c, n = 1..8, c zero included: the congruence on
+    logarithms gives the divisors of the one-division-per-candidate loop, in
+    its order."""
+    spec = make_field(*BINOMIAL_FIELDS[name])
+    counts = set()
+    for n in range(1, 9):
+        expected = binomial_divisors(spec, n)
+        for c, want in expected.items():
+            f = ModulusSpec(n, c).poly()
+            if spec.q <= LOOPED:
+                assert want == loop_divisors(f, 1)
+            assert _monic_right_factors(f, 1) == want
+            counts.add(len(want))
+    # root counts other than 0 and 1: the gcd(e_n, q - 1) solutions
+    assert max(counts) > 1 and 0 in counts
+
+
+def signs_and_random_constants(spec, rng):
+    """The 16 alpha whose CRT components are each 1 or -1, and 8 random
+    alpha, most of them non-units over F3 and F5."""
+    out = [RingElement.from_crt(spec, *signs) for signs in itertools.product((1, -1), repeat=4)]
+    return out + [random_ring_element(spec, rng) for _ in range(8)]
+
+
+@pytest.mark.parametrize("name", ["F3", "F5", "F9"])
+def test_linear_factors_over_r_are_the_combinations_of_the_component_loops(name):
+    spec = make_field(*{"F3": (3, 1, [0, 1]), "F5": (5, 1, [0, 1]), "F9": (3, 2, [1, 0, 1])}[name])
+    rng = random.Random(name)
+    combined = 0
+    for n in range(1, 7):
+        for alpha in signs_and_random_constants(spec, rng):
+            f = ModulusSpec(n, alpha).poly()
+            parts = [loop_divisors(fi, 1) for fi in component_polys(f)]
+            expected = [from_components(*gs) for gs in itertools.product(*parts)]
+            expected.sort(key=lambda g: [(c.a.code, c.b.code, c.c.code, c.d.code) for c in g.coeffs])
+            assert _monic_right_factors(f, 1) == expected
+            combined += len(expected) > 1
+    assert combined
+
+
+def test_a_false_hit_fails_its_certificate_at_degree_one(monkeypatch):
+    """The closed form sits behind the screen's seam: a false hit it is made
+    to report still meets its certificate."""
+    with_false_hit(monkeypatch)
+    f9 = make_field(3, 2, [1, 0, 1])
+    for n, alpha in ((4, f9.one), (3, -f9.one), (2, f9.root())):
+        with pytest.raises(VerificationError):
+            right_divisor_search(ModulusSpec(n, alpha), 1)
+
+
+def spy_linear_terms(monkeypatch):
+    """The dividend of every degree-1 numpy screen, in order."""
+    calls = []
+    terms = skewpoly._linear_terms
+    monkeypatch.setattr(
+        "skewcodes.skewpoly._linear_terms",
+        lambda spec, neg_g, f_terms: calls.append(f_terms) or terms(spec, neg_g, f_terms),
+    )
+    return calls
+
+
+def test_binomials_are_solved_without_a_screen(monkeypatch):
+    """A degree-1 search of x^n - c, over F_q or over R, makes no numpy
+    screen; a cofactor that is not a binomial is still screened."""
+    screens = spy_linear_terms(monkeypatch)
+    f3, f9 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1])
+    for n in range(1, 7):
+        for c in f9.elements():
+            _monic_right_factors(ModulusSpec(n, c).poly(), 1)
+        right_divisor_search(ModulusSpec(n, RingElement.from_crt(f3, 1, -1, 1, -1)), 1)
+    assert screens == []
+    dense = SkewPoly(f9, "fq", [f9.one] * 4)
+    assert _monic_right_factors(dense, 1) == loop_divisors(dense, 1)
+    assert len(screens) == 1
+    # the first peel is of x^4 - 1 itself; the second, of its cofactor of
+    # degree 3 with every coefficient nonzero, is screened
+    screens.clear()
+    assert random_right_divisor(ModulusSpec(4, f9.one), random.Random(0), 2).degree == 2
+    assert len(screens) == 1
