@@ -153,8 +153,9 @@ def _dual_contract(code, budget):
 
 
 def _example_four_module(ex):
-    """Example 4's module <generator> mod x^7 - alpha as a code; gcd(7, k) = 1,
-    so shift_closures' rho_1 is the untwisted constacyclic shift."""
+    """Example 4's module <generator> mod x^7 - alpha as a code, from its
+    seven span words (no division); gcd(7, k) = 1, so shift_closures' rho_1
+    is the untwisted constacyclic shift."""
     n, alpha = ex["n"], ex["alpha"]
     return components_from_words(span_words(ex["generator"], ModulusSpec(n, alpha)), n, alpha)
 

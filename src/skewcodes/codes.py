@@ -39,6 +39,7 @@ from .skewpoly import (
     residue_sum,
     residues,
     right_divmod,
+    skew_constacyclic_shift,
 )
 
 
@@ -48,12 +49,6 @@ def skew_cyclic_shift(word):
     """(c_0..c_{n-1}) -> (theta(c_{n-1}), theta(c_0), .., theta(c_{n-2}))."""
     word = tuple(word)
     return (word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
-
-
-def skew_constacyclic_shift(word, alpha):
-    """Like the cyclic shift but the wrapped entry is scaled by alpha."""
-    word = tuple(word)
-    return (alpha * word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
 
 
 def constacyclic_shift(word, alpha):

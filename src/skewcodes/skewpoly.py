@@ -136,13 +136,6 @@ class SkewPoly:
         """Left multiplication by a constant: c * f."""
         return SkewPoly(self.spec, self.ring, [c * x for x in self.coeffs])
 
-    def times_x_power(self, j: int) -> "SkewPoly":
-        """x^j * f: coefficients twisted by theta^j, degrees raised by j."""
-        if self.is_zero or j == 0:
-            return self if j == 0 else SkewPoly.zero(self.spec, self.ring)
-        z = self._zero_coeff()
-        return SkewPoly(self.spec, self.ring, [z] * j + [c.frob(j) for c in self.coeffs])
-
     def monic(self) -> "SkewPoly":
         if self.is_zero:
             raise ZeroPolynomialError("cannot normalize the zero polynomial")
@@ -549,22 +542,35 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
 def poly_to_word(f: SkewPoly, n: int):
     if not f.is_zero and f.degree >= n:
         raise LengthMismatchError(f"degree {f.degree} polynomial in a length-{n} word")
-    return tuple(f.coeff(i) for i in range(n))
+    return f.coeffs + (f._zero_coeff(),) * (n - len(f.coeffs))
+
+
+def skew_constacyclic_shift(word, alpha):
+    """Like the cyclic shift but the wrapped entry is scaled by alpha."""
+    word = tuple(word)
+    return (alpha * word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
+
+
+def _shift_orbit(f: SkewPoly, mod: ModulusSpec):
+    """Words of x^j * f mod (x^n - alpha), j = 0, 1, ...: f's remainder, then
+    its shifts tau_alpha, which is left multiplication by x (x^n = alpha).
+    The remainder is taken at once, so mixed rings are refused even when no
+    word is read."""
+    word = poly_to_word(right_remainder(f, mod.poly()), mod.n)
+    return itertools.accumulate(itertools.repeat(mod.alpha), skew_constacyclic_shift, initial=word)
 
 
 def span_words(f: SkewPoly, mod: ModulusSpec):
-    """Words of x^j * f mod (x^n - alpha), j = 0..n-1.
-
-    Their linear span over the coefficient ring is the left submodule <f>.
-    """
-    return [poly_to_word(reduce_mod(f.times_x_power(j), mod), mod.n) for j in range(mod.n)]
+    """The first n words of f's shift orbit, x^j * f mod (x^n - alpha), with
+    no division. Their span over the coefficient ring is the module <f>."""
+    return list(itertools.islice(_shift_orbit(f, mod), mod.n))
 
 
 def generator_basis_words(f: SkewPoly, mod: ModulusSpec):
-    """The nominal basis x^j * f, j = 0..n-deg(f)-1, for a right-divisor generator."""
-    if f.is_zero:
-        return []
-    return [poly_to_word(f.times_x_power(j), mod.n) for j in range(mod.n - f.degree)]
+    """The nominal basis x^j * f, j < n - deg f, of a right-divisor
+    generator: the head of the shift orbit, and [] for f = 0."""
+    count = 0 if f.is_zero else max(mod.n - f.degree, 0)
+    return list(itertools.islice(_shift_orbit(f, mod), count))
 
 
 # --- dual cofactor generator ---
@@ -594,17 +600,14 @@ def c_divmod(f: SkewPoly, g: SkewPoly):
 
 
 def c_xgcd(a: SkewPoly, b: SkewPoly):
-    """(g, s, t) with s*a + t*b = g, commutative products."""
-    spec, ring = a.spec, a.ring
+    """(g, s) with g = gcd(a, b) and s*a = g (mod b), commutative products."""
     r0, r1 = a, b
-    s0, s1 = SkewPoly(spec, ring, [a._one_coeff()]), SkewPoly.zero(spec, ring)
-    t0, t1 = SkewPoly.zero(spec, ring), SkewPoly(spec, ring, [a._one_coeff()])
+    s0, s1 = SkewPoly(a.spec, a.ring, [a._one_coeff()]), SkewPoly.zero(a.spec, a.ring)
     while not r1.is_zero:
         q, r = c_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - c_mul(q, s1)
-        t0, t1 = t1, t0 - c_mul(q, t1)
-    return r0, s0, t0
+    return r0, s0
 
 
 # --- idempotent generators ---
@@ -617,7 +620,7 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     extended Euclid on (f, h) where x^n - alpha = h f, then verified in the
     skew ring. f right-divides x^n - alpha, so <f>, the words of degree < n
     that f right-divides, is closed under x* and of dimension n - deg f: it
-    is <e> once f right-divides e and the n words x^j * e have that rank.
+    is <e> once f right-divides e and its n span words have that rank.
     """
     spec = f.spec
     n = mod.n
@@ -633,7 +636,7 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
         raise VerificationError(
             "right divisor is not a commutative factor despite gcd(n,k)=1"
         )
-    g, s, _ = c_xgcd(f, h)
+    g, s = c_xgcd(f, h)
     if g.is_zero or g.degree != 0:
         raise HypothesisViolatedError(
             f"x^{n} - {mod.alpha!r} is not squarefree: gcd(f, h) = {g!r}"

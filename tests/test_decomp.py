@@ -252,6 +252,28 @@ def test_minimal_generator_makes_no_division(monkeypatch, f9, f25):
             assert divisions == []
 
 
+def test_module_words_make_no_division(monkeypatch, capsys, f9, f25):
+    """span_words and generator_basis_words walk the shift orbit of one
+    remainder, so neither do example 4 and the ret1 suite, which list the
+    words of the length-7 module."""
+    from skewcodes.cli import SUITES, main
+
+    divisions = spy_twisted_divisions(monkeypatch)
+    rng = random.Random(5)
+    for spec, n in ((f9, 4), (f25, 6)):
+        mod = ModulusSpec(n, spec.constant(-1))
+        gen = random_right_divisor(mod, rng, n)
+        long = SkewPoly(spec, "fq", [spec.random_element(rng) for _ in range(n + 3)])
+        divisions.clear()
+        assert len(span_words(long, mod)) == n
+        assert len(generator_basis_words(gen, mod)) == n - gen.degree
+        assert divisions == []
+    assert main(["example", "4"]) == 0
+    capsys.readouterr()
+    assert SUITES["ret1"](0)["pass"]
+    assert divisions == []
+
+
 def test_twenty_decomposition_runs_make_at_most_1331_divisions(monkeypatch):
     """Seeds 0-19 of the decomposition suite: the divisions left are the
     ones whose quotient is used, one per factor random_right_divisor peels.

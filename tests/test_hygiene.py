@@ -192,3 +192,16 @@ def test_span_and_module_span_are_test_references():
         if isinstance(sub, ast.Call) and _callee(sub) in ("Span", "ModuleSpan")
     }
     assert found == {("decomp", "ModuleSpan.__init__")}
+
+
+def test_reduce_mod_is_called_only_by_the_idempotent_check():
+    """Module words are the shift orbit of a remainder; the one reduction
+    mod x^n - alpha left in src/ is e*e in idempotent_generator."""
+    callers = {
+        (path.stem, name)
+        for path in MODULES
+        for name, func in _functions(parse(path).body)
+        for sub in ast.walk(func)
+        if isinstance(sub, ast.Call) and _callee(sub) == "reduce_mod"
+    }
+    assert callers == {("skewpoly", "idempotent_generator")}

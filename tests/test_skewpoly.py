@@ -491,6 +491,64 @@ def test_dual_generator_orthogonality(f25):
             assert inner_product(x, y).is_zero
 
 
+# --- module words ---
+
+def reference_span_words(f, mod):
+    """x^j * f by the twisted product, reduced by right division by
+    x^n - alpha, j = 0..n-1."""
+    x = SkewPoly(f.spec, f.ring, [f._zero_coeff(), f._one_coeff()])
+    words, power = [], f
+    for _ in range(mod.n):
+        words.append(poly_to_word(right_divmod(power, mod.poly())[1], mod.n))
+        power = x * power
+    return words
+
+
+@st.composite
+def module_word_cases(draw):
+    """(f, mod) over F_q or R: alpha = 0 and, over R, constants with a zero
+    CRT component are frequent; deg f runs from 0 to n + 2, and f may be 0."""
+    spec = make_field(*DIVISION_FIELDS[draw(st.sampled_from(sorted(DIVISION_FIELDS)))])
+    ring = draw(st.sampled_from(("fq", "R")))
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.just(spec.zero), st.integers(0, spec.q - 1).map(spec.from_int))
+    nonzero = st.integers(1, spec.q - 1).map(spec.from_int)
+    if ring == "R":
+        crt = lambda part: st.tuples(part, value, value, value).map(lambda c: RingElement.from_crt(spec, *c))
+        value, nonzero = crt(value), crt(nonzero)
+    degree = draw(st.integers(-1, n + 2))
+    coeffs = [draw(value) for _ in range(degree)] + [draw(nonzero)] * (degree >= 0)
+    return SkewPoly(spec, ring, coeffs), ModulusSpec(n, draw(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(module_word_cases())
+def test_module_words_are_the_division_reference(case):
+    """span_words walks the shift orbit of f's remainder; the division
+    reference reduces each x^j * f. A basis is the head of the orbit."""
+    f, mod = case
+    words = span_words(f, mod)
+    assert words == reference_span_words(f, mod)
+    expected = [] if f.is_zero else words[: max(mod.n - f.degree, 0)]
+    assert generator_basis_words(f, mod) == expected
+
+
+def test_module_words_refuse_mixed_rings(f9, f25):
+    over_r = ModulusSpec(3, RingElement.from_ints(f9, 1, 0, 0, 0))
+    cases = [
+        (fq_poly(f9, [1, 1]), over_r),
+        (fq_poly(f9, [1, 1]), ModulusSpec(3, f25.one)),
+        (r_poly(f9, [1, 1]), ModulusSpec(3, f9.one)),
+        (fq_poly(f9, [1, 0, 0, 1]), over_r),  # deg f = n: no basis word
+        (SkewPoly.zero(f9), over_r),
+    ]
+    for f, mod in cases:
+        with pytest.raises(MixedRingsError):
+            span_words(f, mod)
+        with pytest.raises(MixedRingsError):
+            generator_basis_words(f, mod)
+
+
 # --- idempotents ---
 
 def test_idempotent_trivial_cases(f9):
