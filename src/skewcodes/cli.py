@@ -503,15 +503,15 @@ def render_table(report) -> str:
 
 
 def _budget_default():
-    """SKEWCODES_BUDGET if set, else DEFAULT_BUDGET; None when the variable
-    is not an integer, which main reports as an input error."""
+    """SKEWCODES_BUDGET if set, else DEFAULT_BUDGET; a ParseError when the
+    variable is not an integer."""
     raw = os.environ.get("SKEWCODES_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
         return int(raw)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise ParseError(f"SKEWCODES_BUDGET must be an integer, got {raw!r}") from exc
 
 
 @functools.lru_cache(maxsize=None)
@@ -570,10 +570,6 @@ def main(argv=None) -> int:
     try:
         if args.budget is None:
             args.budget = _budget_default()
-        if args.budget is None:
-            raise ParseError(
-                f"SKEWCODES_BUDGET must be an integer, got {os.environ.get('SKEWCODES_BUDGET')!r}"
-            )
         if args.budget <= 0:
             raise ParseError(f"budget must be positive, got {args.budget}")
         result, warnings, discrepancies = args.handler(args)

@@ -64,7 +64,8 @@ def _field_tables(spec: FieldSpec):
 
 
 def words_to_array(words) -> np.ndarray:
-    return np.array([[c.code for c in w] for w in words], dtype=np.int16)
+    # int32: a code of F_q reaches q - 1, which is 2^15 or more above 3^9
+    return np.array([[c.code for c in w] for w in words], dtype=np.int32)
 
 
 def array_to_word(row, spec: FieldSpec):

@@ -3,24 +3,30 @@
 An element is its integer code: the power-basis coordinates of its residue
 modulo a user-supplied monic irreducible polynomial, read as base-p digits
 with the constant coefficient least significant. make_field builds, once per
-field, tables over g, the smallest code that generates the multiplicative
-group (Huber 1990, "Some comments on Zech's logarithms"):
+field, tables on logarithms to the base g, the smallest code that generates
+the multiplicative group (Huber 1990, "Some comments on Zech's logarithms"),
+with Z = 2(q-1) standing for the logarithm of 0 so that no table needs a
+case for zero:
 
-    exp[k] = g^k (stored twice over, so a sum of two logarithms needs no
-             reduction), log[exp[k]] = k,
-    zech[k] = log(1 + g^k) (None where 1 + g^k = 0), neg[c] = code of -c,
+    log[c]          logarithm of the element with code c (log[0] = Z),
+    exp[k]          g^k for k < Z, the zero element up to k = 2Z, so
+                    exp[log x + log y] = x*y,
+    plus[k + Z]     for k = log y - log x: the Zech logarithm
+                    log(1 + g^k) when x and y are nonzero (Z where
+                    1 + g^k = 0), k when x = 0 and 0 when y = 0, so
+                    exp[log x + plus[log y - log x + Z]] = x + y,
+    neg[c]          code of -c,
 
 plus one FieldElement per code. Every operation is then a few list lookups
-on codes and allocates nothing: x*y = exp[log x + log y] and
-x + y = exp[log x + zech[log y - log x]]. Inverses, powers and the twist
-x -> x^(p^(t*i)) multiply logarithms modulo q - 1.
+on codes, with no branch on zero, and allocates nothing. Inverses, powers
+and the twist x -> x^(p^(t*i)) multiply logarithms modulo q - 1.
 
 make_field interns fields: equal (p, m, modulus, t) give the same FieldSpec,
 so a same-field check is an identity test (FieldSpec.__eq__ stays the
 structural fallback). The tables take O(q) memory, so make_field refuses
 q = p^m above MAX_Q before it builds anything. FieldSpec.arrays() gives the
-same tables as numpy arrays (FieldArrays), built on first use, for
-arithmetic on many elements at once.
+same log and plus tables as numpy arrays (FieldArrays), built on first use,
+for arithmetic on many elements at once.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from .errors import (
 )
 
 # The largest field make_field builds: 3^11. Building its tables takes about
-# 0.5 s and keeps about 40 MB (70 MB at the peak of the build).
+# 0.5 s and keeps about 52 MB (85 MB at the peak of the build, by tracemalloc;
+# the process peaks at about 120 MB).
 MAX_Q = 3 ** 11
 
 
@@ -155,11 +162,13 @@ class FieldSpec:
     """Immutable description of F_{p^m} with twist x -> x^(p^t).
 
     Build it with make_field. Its tables (see the module docstring) are
-    `exp` (FieldElements, length 2(q-1)), `log`, `zech` and `neg` (codes).
+    `exp` (FieldElements, length 4(q-1) + 1), `log`, `plus` (logarithms,
+    log_zero = 2(q-1) standing for log 0) and `neg` (codes).
     """
 
     __slots__ = (
-        "p", "m", "modulus", "t", "q", "k", "exp", "log", "zech", "neg", "_elems", "_frob_mult", "_arrays",
+        "p", "m", "modulus", "t", "q", "k", "log_zero", "exp", "log", "plus", "neg",
+        "_elems", "_frob_mult", "_arrays",
     )
 
     def __init__(self, p: int, m: int, modulus, t: int):
@@ -184,6 +193,8 @@ class FieldSpec:
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
+        order = q - 1
+        zero = self.log_zero = 2 * order
         g = _digits(self._primitive_code(), p, m)
         # times_g[c] = code of c * g, via the matrix of y -> g*y (row i: g*x^i)
         rows = []
@@ -194,24 +205,26 @@ class FieldSpec:
         weights = p ** np.arange(m, dtype=np.int64)
         digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
         times_g = ((digits @ np.array(rows, dtype=np.int64)) % p @ weights).tolist()
-        exp = [0] * (q - 1)
+        exp = [0] * order
         c = 1
-        for i in range(q - 1):
+        for i in range(order):
             exp[i] = c
             c = times_g[c]
         exp_codes = np.array(exp, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp_codes] = np.arange(q - 1)
-        # adding 1 changes only the constant digit
+        log = np.full(q, zero, dtype=np.int64)
+        log[exp_codes] = np.arange(order)
+        # adding 1 changes only the constant digit; 1 + g^k = 0 reads log 0
         one_plus = np.where(exp_codes % p == p - 1, exp_codes + 1 - p, exp_codes + 1)
-        self.zech = log[one_plus].tolist()
-        self.zech[(q - 1) // 2] = None  # 1 + g^k = 0 exactly when g^k = -1
+        zech = log[one_plus].tolist()
+        # index k + zero, k = log y - log x: k < -(q-2) means x = 0 (the sum
+        # is y), |k| <= q-2 reads zech[k mod (q-1)], k > q-2 means y = 0.
+        # Slices of one list, so the two zech copies share their ints.
+        self.plus = list(range(-zero, -order)) + [0] + zech[1:] + zech + [0] * (order + 1)
         self.log = log.tolist()
-        self.log[0] = None
         self.neg = ((-digits) % p @ weights).tolist()
         self._elems = [FieldElement(self, c) for c in range(q)]
         powers = [self._elems[c] for c in exp]
-        self.exp = powers + powers
+        self.exp = [*powers, *powers, *itertools.repeat(self._elems[0], zero + 1)]
         self._frob_mult = [pow(p, self.t * i, q - 1) for i in range(self.k)]
 
     def arrays(self) -> "FieldArrays":
@@ -270,14 +283,15 @@ class FieldArrays:
     """A field's tables as int32 numpy arrays, for batched arithmetic.
 
     Arithmetic runs on logarithms, with zero = 2(q-1) standing for the
-    logarithm of 0, so that no table needs a special case for zero:
+    logarithm of 0, as in the FieldSpec tables:
 
-        log[c]           logarithm of the element with code c (log[0] = zero)
-        exp[k]           code of g^k for k < 2(q-1), code 0 up to k = 4(q-1):
-                         exp[log x + log y] is the code of x*y
+        log[c]           the spec's log: logarithm of the element with
+                         code c (log[0] = zero)
+        exp[k]           code of the spec's exp[k]: g^k for k < 2(q-1),
+                         code 0 up to k = 4(q-1)
         wrap[k]          k mod (q-1) for k < 2(q-1), zero up to k = 4(q-1):
                          wrap[log x + log y] = log(x*y)
-        plus[k + zero]   for k = log y - log x:
+        plus[k + zero]   the spec's plus, for k = log y - log x:
                          wrap[log x + plus[log y - log x + zero]] = log(x+y)
         frob[l]          logarithm of the twist x -> x^(p^t) of the element
                          with logarithm l (frob[zero] = zero)
@@ -289,21 +303,17 @@ class FieldArrays:
 
     def __init__(self, spec: FieldSpec):
         q = spec.q
-        zero = self.zero = 2 * (q - 1)
+        zero = self.zero = spec.log_zero
         self.half = (q - 1) // 2
         top = 2 * zero + 1  # log x + log y <= 4(q-1)
-        log = self.log = np.array([zero] + spec.log[1:], dtype=np.int32)
+        log = self.log = np.array(spec.log, dtype=np.int32)
         exp = self.exp = np.zeros(top, dtype=np.int32)
         exp[log[1:]] = np.arange(1, q)
         exp[q - 1:zero] = exp[:q - 1]
         wrap = self.wrap = np.arange(top, dtype=np.int32)
         wrap[:zero] %= q - 1
         wrap[zero:] = zero
-        zech = np.array([zero if z is None else z for z in spec.zech], dtype=np.int32)
-        # index k + zero: k < -(q-2) means x = 0, k > q-2 means y = 0
-        plus = self.plus = np.zeros(top, dtype=np.int32)
-        plus[:q - 1] = np.arange(q - 1) - zero
-        plus[q:3 * q - 3] = zech[np.arange(2 - q, q - 1) % (q - 1)]
+        self.plus = np.array(spec.plus, dtype=np.int32)
         frob = self.frob = np.full(zero + 1, zero, dtype=np.int32)
         frob[:q - 1] = np.arange(q - 1, dtype=np.int64) * pow(spec.p, spec.t, q - 1) % (q - 1)
 
@@ -392,7 +402,9 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _sum(spec, self.code, other.code)
+        log = spec.log
+        la = log[self.code]
+        return spec.exp[la + spec.plus[log[other.code] - la + spec.log_zero]]
 
     __radd__ = __add__
 
@@ -402,7 +414,9 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _sum(spec, self.code, spec.neg[other.code])
+        log = spec.log
+        la = log[self.code]
+        return spec.exp[la + spec.plus[log[spec.neg[other.code]] - la + spec.log_zero]]
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -417,11 +431,8 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self.code, other.code
-        if a and b:
-            log = spec.log
-            return spec.exp[log[a] + log[b]]
-        return spec._elems[0]
+        log = spec.log
+        return spec.exp[log[self.code] + log[other.code]]
 
     __rmul__ = __mul__
 
@@ -482,17 +493,3 @@ class FieldElement:
                 terms.append(coef + var)
         return "+".join(terms) if terms else "0"
 
-
-def _sum(spec: FieldSpec, a: int, b: int) -> FieldElement:
-    """The element with code a plus the element with code b."""
-    if not a:
-        return spec._elems[b]
-    if not b:
-        return spec._elems[a]
-    log = spec.log
-    la = log[a]
-    # a negative index wraps: zech has q - 1 entries
-    z = spec.zech[log[b] - la]
-    if z is None:
-        return spec._elems[0]
-    return spec.exp[la + z]

@@ -32,8 +32,6 @@ from .errors import (
 from .gf import FieldElement, FieldSpec
 from .linalg import rref
 from .ring4 import RingElement, ring_one, ring_zero, split_word
-# No search here lists R; the name stays bound so that tests can patch it.
-from .ring4 import ring_elements  # noqa: F401
 
 
 def is_theta_fixed(c) -> bool:

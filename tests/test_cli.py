@@ -710,6 +710,27 @@ DEEP_OVER_BUDGET = json.dumps({
 })
 
 
+def f3_11_code(other_gens):
+    return json.dumps({
+        "field": {"p": 3, "m": 11, "modulus": [2, 1, 2, 1, 1, 1, 2, 2, 2, 2, 0, 1], "t": 1},
+        "n": 2,
+        "alpha": {"crt": [155881, 1, 1, 1]},
+        "gens": [{"coeffs": [138737, 1]}] + [{"coeffs": other_gens}] * 3,
+    })
+
+
+def test_params_over_f_3_11_holds_codes_past_int16(capsys):
+    """Element codes of F_{3^11} reach 3^11 - 1 > 2^15. A weight-1 row needs
+    no field table; a sweep that needs the q x q tables is refused."""
+    code, report = run_cli(capsys, "params", "--input", f3_11_code([1]))
+    assert code == 0
+    assert report["result"]["gray_params"] == [8, 7, 1]
+    assert report["result"]["distance"]["method"] == "sweep-certified"
+    code, report = run_cli(capsys, "params", "--input", f3_11_code([2, 1]))
+    assert code == 2
+    assert report["result"]["error"].startswith("field tables need q^2")
+
+
 def test_params_past_the_budget_keeps_the_whole_sweeps_report(capsys):
     """The report stays the whole sweep's: bounds (4, 5), the first lightest
     presented row as witness and the candidates of weights 1-3, though the

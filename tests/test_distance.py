@@ -65,6 +65,18 @@ def test_whole_space_distance_one(f9):
     assert res.exact == 1
 
 
+def test_codes_past_int16_are_held_exactly():
+    """Over F_{3^11} an element code reaches 3^11 - 1 > 2^15: the rows must
+    not wrap. Neither case needs the q x q tables."""
+    spec = make_field(3, 11, [2, 1, 2, 1, 1, 1, 2, 2, 2, 2, 0, 1])
+    a, b, c = (spec.from_int(code) for code in (40000, 138737, spec.q - 1))
+    full = min_distance([(a, b), (spec.zero, c)], spec)
+    assert (full.exact, full.method) == (1, "full-space")
+    res = min_distance([(a, b, c), (spec.zero, c, spec.zero)], spec)
+    assert (res.exact, res.method) == (1, "sweep-certified")
+    assert res.witness == (spec.zero, c, spec.zero)
+
+
 def test_enumeration_and_sweep_agree(f9, f25):
     """The two exact paths are independent; they must agree on small codes."""
     rng = random.Random(404)

@@ -10,9 +10,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "skewcodes"
 MODULES = sorted(SRC.glob("*.py"))
 
-# Bound on purpose and never read in its module: tests patch it.
-KEPT_IMPORTS = {("skewpoly", "ring_elements")}
-
 
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
@@ -55,10 +52,7 @@ def suite_functions():
 def test_no_unused_import(path):
     tree = parse(path)
     read = names_read(tree)
-    unused = [
-        name for name in imported_names(tree)
-        if name not in read and (path.stem, name) not in KEPT_IMPORTS
-    ]
+    unused = [name for name in imported_names(tree) if name not in read]
     assert unused == []
 
 

@@ -119,12 +119,52 @@ def test_frobenius_has_order_k(name):
 def test_tables_are_consistent(name):
     spec = field(name)
     q = spec.q
-    assert sorted(x.code for x in spec.exp[: q - 1]) == list(range(1, q))
-    assert spec.exp[: q - 1] == spec.exp[q - 1:]
+    zero = 2 * (q - 1)  # the logarithm of 0
+    powers = spec.exp[: q - 1]
+    assert sorted(x.code for x in powers) == list(range(1, q))
+    assert spec.exp == powers + powers + [spec.zero] * (zero + 1)
+    assert spec.log_zero == spec.log[0] == zero
     assert all(spec.exp[spec.log[c]].code == c for c in range(1, q))
+    assert len(spec.log) == q and len(spec.plus) == 2 * zero + 1
+    assert None not in spec.log + spec.plus + spec.neg
+    arrays = spec.arrays()
+    assert arrays.log.tolist() == spec.log and arrays.plus.tolist() == spec.plus
+    assert arrays.exp.tolist() == [x.code for x in spec.exp]
     assert [x.code for x in spec.elements()] == list(range(q))
     assert all(spec.from_int(c).code == c for c in range(q))
     assert [x.is_unit for x in spec.elements()] == [False] + [True] * (q - 1)
+
+
+# (p, m, modulus ascending, t): every pair of elements is checked
+SMALL_FIELDS = {
+    "F3": (3, 1, [0, 1], 1),
+    "F9": (3, 2, [1, 0, 1], 1),
+    "F25": (5, 2, [1, 1, 1], 1),
+    "F27": (3, 3, [1, 2, 0, 1], 1),
+    "F81t2": FIELDS["F81t2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_FIELDS))
+def test_every_pair_matches_galoistools(name):
+    """+, -, * and unary - on every pair (x, y), zeros and y = -x included,
+    against the digit polynomials: an oracle that reads no table of gf."""
+    spec = make_field(*SMALL_FIELDS[name])
+    p, mod = spec.p, modulus(spec)
+    elems = list(spec.elements())
+    polys = [poly(x) for x in elems]
+    for x, fx in zip(elems, polys):
+        assert poly(-x) == gf_sub([], fx, p, ZZ)
+        for y, fy in zip(elems, polys):
+            assert poly(x + y) == gf_add(fx, fy, p, ZZ)
+            assert poly(x - y) == gf_sub(fx, fy, p, ZZ)
+            assert poly(x * y) == gf_rem(gf_mul(fx, fy, p, ZZ), mod, p, ZZ)
+
+
+def test_field_arrays_are_built_on_first_use():
+    spec = FieldSpec(*SMALL_FIELDS["F9"])
+    assert spec._arrays is None
+    assert spec.arrays() is spec.arrays()
 
 
 @settings(max_examples=200, deadline=None)
