@@ -8,12 +8,11 @@ failure, 2 input error.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import random
 import sys
+from dataclasses import dataclass
 
 from . import __version__
 from .catalog import field_f9, field_f25, field_f27, get_example
@@ -514,35 +513,117 @@ def _budget_default():
         raise ParseError(f"SKEWCODES_BUDGET must be an integer, got {raw!r}") from exc
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skewcodes",
-        description="Construct and verify skew constacyclic codes over F_q + uF_q + vF_q + uvF_q.",
-    )
-    parser.add_argument("--version", action="version", version=f"skewcodes {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="path to a JSON file, or inline JSON")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int)
-    common.add_argument("--trials", type=int, default=1000)
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="table", action="store_false", default=False)
-    fmt.add_argument("--table", dest="table", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("build", parents=[common]).set_defaults(handler=cmd_build)
-    sub.add_parser("params", parents=[common]).set_defaults(handler=cmd_params)
-    sub.add_parser("dual", parents=[common]).set_defaults(handler=cmd_dual)
-    sub.add_parser("gray-image", parents=[common]).set_defaults(handler=cmd_gray_image)
-    sub.add_parser("divisor-search", parents=[common]).set_defaults(handler=cmd_divisor_search)
-    sub.add_parser("idempotent", parents=[common]).set_defaults(handler=cmd_idempotent)
-    p_verify = sub.add_parser("verify", parents=[common])
-    p_verify.add_argument("suites", nargs="*", default=[])
-    p_verify.set_defaults(handler=cmd_verify)
-    p_example = sub.add_parser("example", parents=[common])
-    p_example.add_argument("number", type=int, choices=(1, 2, 3, 4))
-    p_example.set_defaults(handler=cmd_example)
-    return parser
+COMMANDS = {
+    "build": cmd_build,
+    "params": cmd_params,
+    "dual": cmd_dual,
+    "gray-image": cmd_gray_image,
+    "divisor-search": cmd_divisor_search,
+    "idempotent": cmd_idempotent,
+    "verify": cmd_verify,
+    "example": cmd_example,
+}
+VALUE_OPTIONS = ("--input", "--seed", "--budget", "--trials")
+FORMATS = {"--json": False, "--table": True}
+USAGE = f"""\
+usage: skewcodes COMMAND [OPERAND ...] [--input X] [--seed N] [--budget N] [--trials N] [--json | --table]
+       skewcodes --help | --version
+
+Construct and verify skew constacyclic codes over F_q + uF_q + vF_q + uvF_q.
+
+commands:
+  build, params, dual, gray-image    analyze the code spec given by --input
+  divisor-search, idempotent         search right divisors, idempotent generators (--input)
+  verify [SUITE ...]                 run suites: {' '.join(SUITES)}
+  example N                          audit bundled construction N, 1 to 4
+
+Options go before or after the operands, as --opt value or --opt=value;
+the last of a repeated option wins.
+  --input X    path to a JSON file, or inline JSON
+  --seed N     seed of the decomposition suite (default 0)
+  --budget N   work cap (default SKEWCODES_BUDGET, else {DEFAULT_BUDGET})
+  --trials N   at least 1; no suite reads it (default 1000)
+  --json       print the report as JSON (the default)
+  --table      print the report as aligned text"""
+
+
+@dataclass
+class Args:
+    """A parsed command line; each default is what a left-out option means."""
+
+    command: str | None = None
+    input: str | None = None
+    seed: int = 0
+    budget: int | None = None  # None: SKEWCODES_BUDGET, else DEFAULT_BUDGET (main reads it)
+    trials: int = 1000
+    table: bool = False
+    suites: tuple = ()
+    number: int | None = None
+
+
+def _int(value: str, what: str) -> int:
+    """int(value), signs, surrounding spaces and '_' included; a ParseError otherwise."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {value!r}") from None
+
+
+def parse_argv(argv, args: Args) -> str | None:
+    """Fill `args` from argv in one pass, for the grammar of USAGE.
+
+    Raises ParseError at the first malformed token, with what was parsed
+    before it left in `args` for the report. --help and --version end the
+    parse and return the text to print in place of a report; otherwise the
+    result is None. As with getopt, the token after an option that takes a
+    value is its value, whatever it looks like.
+    """
+    operands, fmt = [], None
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return USAGE
+        if token == "--version":
+            return f"skewcodes {__version__}"
+        if args.command is None:
+            if token not in COMMANDS:
+                raise ParseError(f"unknown command {token!r}; known: {', '.join(COMMANDS)}")
+            args.command = token
+            continue
+        if not token.startswith("--"):
+            operands.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name in FORMATS:
+            if eq:
+                raise ParseError(f"{name} takes no value")
+            if fmt not in (None, name):
+                raise ParseError("--json and --table cannot be combined")
+            fmt, args.table = name, FORMATS[name]
+            continue
+        if name not in VALUE_OPTIONS:
+            raise ParseError(f"unknown option {name!r}; known: {', '.join((*VALUE_OPTIONS, *FORMATS))}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ParseError(f"{name} needs a value")
+        if name == "--input":
+            args.input = value
+        else:
+            setattr(args, name[2:], _int(value, name))
+    if args.command is None:
+        raise ParseError(f"missing command; known: {', '.join(COMMANDS)}")
+    if args.command == "verify":
+        args.suites = tuple(operands)
+    elif args.command == "example":
+        if len(operands) != 1:
+            raise ParseError(f"example takes one operand, the example number, got {len(operands)}")
+        args.number = _int(operands[0], "the example number")
+        if args.number not in (1, 2, 3, 4):
+            raise ParseError(f"the example number must be 1 to 4, got {args.number}")
+    elif operands:
+        raise ParseError(f"{args.command} takes no operands, got {' '.join(operands)!r}")
+    return None
 
 
 def make_report(args, result, warnings, discrepancies, status) -> dict:
@@ -566,13 +647,17 @@ def emit(report: dict, table: bool):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = Args()
     try:
+        text = parse_argv(sys.argv[1:] if argv is None else argv, args)
+        if text is not None:
+            print(text)
+            return 0
         if args.budget is None:
             args.budget = _budget_default()
         if args.budget <= 0:
             raise ParseError(f"budget must be positive, got {args.budget}")
-        result, warnings, discrepancies = args.handler(args)
+        result, warnings, discrepancies = COMMANDS[args.command](args)
     except SuiteFailure as exc:
         emit(make_report(args, exc.result, [], [], "verification_failed"), args.table)
         return 1
@@ -584,7 +669,6 @@ def main(argv=None) -> int:
         return 2
     emit(make_report(args, result, warnings, discrepancies, "ok"), args.table)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -30,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, charge
+from .errors import DEFAULT_BUDGET, FieldTooLargeError, charge
 from .gf import FieldSpec
 from .linalg import nullspace, rref
 
@@ -39,15 +39,21 @@ ENUM_CAP = 200_000
 # working memory is about 18 bytes per sum and parity check (traced), so
 # this bounds it whatever the number of prefixes in a level.
 _CHUNK = 1 << 12
+# Element codes the int16 field tables and words hold: 0 .. 2^15 - 1.
+_INT16_CODES = 1 << 15
 
 
 def field_tables(spec: FieldSpec, budget: int = DEFAULT_BUDGET):
     """(add, mul) tables over integer element codes, dtype int16.
 
     The two q x q tables count against the budget like candidates do, and
-    are refused before anything is allocated when q^2 exceeds it.
+    are refused before anything is allocated when q^2 exceeds it. They are
+    also refused for q > 2^15, whatever the budget: an int16 code, and so
+    every word built from the tables, would wrap there.
     """
     charge(budget, spec.q ** 2, "field tables need q^2", "entries")
+    if spec.q > _INT16_CODES:
+        raise FieldTooLargeError(f"field tables hold int16 codes, so q <= 2^15 = {_INT16_CODES}, got q = {spec.q}")
     return _field_tables(spec)
 
 

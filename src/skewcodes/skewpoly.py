@@ -552,9 +552,12 @@ def skew_constacyclic_shift(word, alpha):
 def _shift_orbit(f: SkewPoly, mod: ModulusSpec):
     """Words of x^j * f mod (x^n - alpha), j = 0, 1, ...: f's remainder, then
     its shifts tau_alpha, which is left multiplication by x (x^n = alpha).
-    The remainder is taken at once, so mixed rings are refused even when no
-    word is read."""
-    word = poly_to_word(right_remainder(f, mod.poly()), mod.n)
+    Mixed rings are refused at once, even when no word is read; f of degree
+    below n is its own remainder, so only a longer f is divided."""
+    f._check_compatible(mod)  # reads only .spec and .ring, which mod has
+    if not f.is_zero and f.degree >= mod.n:
+        f = right_remainder(f, mod.poly())
+    word = poly_to_word(f, mod.n)
     return itertools.accumulate(itertools.repeat(mod.alpha), skew_constacyclic_shift, initial=word)
 
 

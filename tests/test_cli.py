@@ -1,10 +1,14 @@
 import copy
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from skewcodes.cli import build_parser, main
+import skewcodes
+from skewcodes.cli import main
 from skewcodes.codes import SkewCode
 from skewcodes.distance import DEFAULT_BUDGET
 from skewcodes.gf import FieldElement
@@ -291,8 +295,20 @@ def test_explicit_budget_beats_an_invalid_env(monkeypatch, capsys):
     assert (code, report["status"], report["budget"]) == (0, "ok", 77)
 
 
-def test_parser_is_built_once_per_process():
-    assert build_parser() is build_parser()
+def test_cli_main_does_not_import_argparse():
+    """The command line is parsed by cli.parse_argv, in one pass: a request
+    in a fresh interpreter never imports argparse."""
+    src = Path(skewcodes.__file__).resolve().parents[1]
+    probe = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from skewcodes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['verify', 'ret2', '--seed', '3'])\n"
+        "print(rc, 'argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.split()) == (0, ["0", "False"]), proc.stderr
 
 
 def test_non_positive_budget_rejected(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
@@ -13,7 +14,7 @@ from skewcodes import distance
 from skewcodes.catalog import get_example
 from skewcodes.codes import build_code
 from skewcodes.distance import DistanceResult, field_tables, min_distance, words_to_array
-from skewcodes.errors import BudgetExceededError
+from skewcodes.errors import BudgetExceededError, FieldTooLargeError
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_image_code, hamming_weight
 from skewcodes.linalg import Span, nullspace, rref
@@ -75,6 +76,19 @@ def test_codes_past_int16_are_held_exactly():
     res = min_distance([(a, b, c), (spec.zero, c, spec.zero)], spec)
     assert (res.exact, res.method) == (1, "sweep-certified")
     assert res.witness == (spec.zero, c, spec.zero)
+
+
+def test_tables_past_int16_are_refused_whatever_the_budget():
+    """Over F_{3^11} an int16 table code would wrap: a budget of q^2 or more
+    must not reach the allocation of the q x q tables."""
+    spec = make_field(3, 11, [1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1])
+    a, b, c = (spec.from_int(code) for code in (40000, 138737, spec.q - 1))
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLargeError, match=r"q <= 2\^15 = 32768, got q = 177147$"):
+        field_tables(spec, budget=10 ** 12)
+    with pytest.raises(FieldTooLargeError):
+        min_distance([(a, b, c)], spec, budget=10 ** 12)  # level 1 fits, so the sweep asks for the tables
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumeration_and_sweep_agree(f9, f25):
