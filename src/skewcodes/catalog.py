@@ -8,6 +8,7 @@ run time; mismatches surface as report discrepancies, never as silent fixes.
 
 from __future__ import annotations
 
+from .codes import SkewCode, build_code
 from .gf import FieldSpec, make_field
 from .ring4 import RingElement, ring_one
 from .skewpoly import fq_poly, r_poly
@@ -107,3 +108,10 @@ def get_example(number: int):
     if number not in EXAMPLES:
         raise KeyError(f"no example {number}; choose from {sorted(EXAMPLES)}")
     return EXAMPLES[number]()
+
+
+def example_code(number: int) -> SkewCode:
+    """The code of example 1, 2 or 3; example 4's stated generator is
+    audited, not built."""
+    ex = get_example(number)
+    return build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .catalog import field_f9, field_f25, field_f27, get_example
+from .catalog import example_code, field_f9, field_f25, field_f27, get_example
 from .codes import (
     build_code,
     component_orthogonality,
@@ -312,9 +312,7 @@ def _suite_ret1(seed):
 def _suite_ret2(seed):
     details = []
     for num in (1, 3):
-        ex = get_example(num)
-        code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
-        _, l, closed = shift_closures(code)
+        _, l, closed = shift_closures(example_code(num))
         details.append({"instance": f"example {num}", "index": l, "closed": closed})
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
@@ -350,9 +348,7 @@ def _suite_decomposition(seed):
 def _suite_dual_contract(seed):
     details = []
     for num in (1, 2, 3):
-        ex = get_example(num)
-        code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
-        _, product_ok, orthogonal = _dual_contract(code, DEFAULT_BUDGET)
+        _, product_ok, orthogonal = _dual_contract(example_code(num), DEFAULT_BUDGET)
         details.append({"instance": f"example {num}", "product_ok": product_ok, "orthogonal": orthogonal})
     return {"details": details, "pass": all(d["product_ok"] and d["orthogonal"] for d in details)}
 

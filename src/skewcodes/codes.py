@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from .errors import (
     DEFAULT_BUDGET,
     BadIndexError,
-    EvenLengthError,
-    HypothesisViolatedError,
     InconsistentError,
     LengthMismatchError,
     MixedRingsError,
@@ -32,7 +30,6 @@ from .linalg import inner_product
 from .ring4 import RingElement, split_word
 from .skewpoly import (
     ModulusSpec,
-    SkewPoly,
     dual_generator,
     generator_basis_words,
     poly_to_word,
@@ -49,12 +46,6 @@ def skew_cyclic_shift(word):
     """(c_0..c_{n-1}) -> (theta(c_{n-1}), theta(c_0), .., theta(c_{n-2}))."""
     word = tuple(word)
     return (word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
-
-
-def constacyclic_shift(word, alpha):
-    """Untwisted constacyclic shift: no automorphism, alpha on the wrap."""
-    word = tuple(word)
-    return (alpha * word[-1],) + word[:-1]
 
 
 def quasi_twist_shift(word, alpha, block: int):
@@ -371,38 +362,3 @@ def self_dual_constant_check(alpha: RingElement) -> bool:
             "componentwise +-1 test disagrees with the 16-element constant list"
         )
     return by_components
-
-
-# --- constacyclic equivalence maps ---
-
-def power_scale_word(word, alpha):
-    """Scale position i by alpha^i."""
-    out = []
-    acc = None
-    for i, c in enumerate(word):
-        if i == 0:
-            out.append(c)
-            acc = alpha
-        else:
-            out.append(acc * c)
-            acc = acc * alpha
-    return tuple(out)
-
-
-def power_scale_poly(f: SkewPoly, alpha, n: int) -> SkewPoly:
-    """Substitute (alpha x) for x: coefficient j picks up alpha theta(alpha)..theta^{j-1}(alpha).
-
-    Defined for odd n and alpha with alpha^2 = 1, where it carries submodules
-    of the cyclic quotient to submodules of the alpha-constacyclic quotient.
-    """
-    if n % 2 == 0:
-        raise EvenLengthError("variable scaling requires odd length")
-    one = f._one_coeff()
-    if not (isinstance(alpha, type(one)) and alpha * alpha == one):
-        raise HypothesisViolatedError("shift constant must square to 1")
-    coeffs = []
-    norm = one  # running product alpha * theta(alpha) * .. * theta^{j-1}(alpha)
-    for j, c in enumerate(f.coeffs):
-        coeffs.append(c * norm)
-        norm = norm * alpha.frob(j)
-    return SkewPoly(f.spec, f.ring, coeffs)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .codes import SkewCode, is_closed_under, skew_constacyclic_shift
 from .errors import VerificationError
-from .gf import FieldElement, FieldSpec
-from .linalg import Span, rref
+from .gf import FieldElement
+from .linalg import rref
 from .ring4 import RingElement, split_word
 from .skewpoly import ModulusSpec, SkewPoly, residue_sum, residues
 
@@ -27,34 +27,6 @@ def extract_components(words):
         for i, comp in enumerate(split_word(w)):
             spans[i].append(comp)
     return spans
-
-
-class ModuleSpan:
-    """R-span of a set of R-words, represented by its four component spans:
-    the tests' reference for components_from_words and shift_closures."""
-
-    def __init__(self, words, spec: FieldSpec):
-        self.spec = spec
-        self.component_spans = tuple(Span(c) for c in extract_components(words))
-
-    @property
-    def dims(self):
-        return tuple(s.dim for s in self.component_spans)
-
-    @property
-    def cardinality(self) -> int:
-        return self.spec.q ** sum(self.dims)
-
-    def contains(self, word) -> bool:
-        return all(
-            self.component_spans[i].contains(comp)
-            for i, comp in enumerate(split_word(word))
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleSpan):
-            return NotImplemented
-        return self.component_spans == other.component_spans
 
 
 def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:

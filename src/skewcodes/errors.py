@@ -83,10 +83,6 @@ class BadIndexError(SkewcodesError):
     """Block index does not divide the vector length."""
 
 
-class EvenLengthError(SkewcodesError):
-    """The variable-substitution map requires odd length."""
-
-
 class InconsistentError(SkewcodesError):
     """Component codes disagree on length, field, or shift constants."""
 

@@ -20,7 +20,7 @@ from .codes import (
     skew_constacyclic_shift,
     skew_cyclic_shift,
 )
-from .errors import LengthMismatchError, MixedRingsError
+from .errors import MixedRingsError
 from .gf import FieldElement, FieldSpec
 from .ring4 import RingElement, split_word
 
@@ -28,17 +28,6 @@ from .ring4 import RingElement, split_word
 def gray_map(word):
     """Concatenated CRT component blocks of an R-word."""
     return sum(split_word(word), ())
-
-
-def gray_inverse(vec, spec: FieldSpec):
-    vec = tuple(vec)
-    if len(vec) % 4 != 0:
-        raise LengthMismatchError("image length must be a multiple of 4")
-    n = len(vec) // 4
-    return tuple(
-        RingElement.from_crt(spec, vec[i], vec[n + i], vec[2 * n + i], vec[3 * n + i])
-        for i in range(n)
-    )
 
 
 def gray_permuted(word):
@@ -49,20 +38,11 @@ def gray_permuted(word):
     return tuple(out)
 
 
-def interleave_permutation(n: int):
-    """Positions p with gray_permuted(w)[i] = gray_map(w)[p[i]]."""
-    return [(i % 4) * n + i // 4 for i in range(4 * n)]
-
-
 def lee_weight(x) -> int:
     """Number of nonzero CRT components; extended additively to words."""
     if isinstance(x, RingElement):
         return sum(0 if c.is_zero else 1 for c in x.crt())
     return sum(lee_weight(entry) for entry in x)
-
-
-def hamming_weight(word) -> int:
-    return sum(0 if c.is_zero else 1 for c in word)
 
 
 @dataclass(frozen=True)

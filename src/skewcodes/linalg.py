@@ -37,36 +37,6 @@ def rref(rows):
     return [tuple(r) for r in rows[:rank]], pivots
 
 
-class Span:
-    """Row space of a set of vectors with membership queries: the tests'
-    reference for module questions, which the package decides from
-    generators and remainders."""
-
-    def __init__(self, rows):
-        self.rows, self.pivots = rref(rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, vec) -> bool:
-        """Whether vec reduces to zero against the RREF basis."""
-        vec = list(vec)
-        for row, col in zip(self.rows, self.pivots):
-            if not vec[col].is_zero:
-                factor = vec[col]
-                vec = [x - factor * y for x, y in zip(vec, row)]
-        return all(x.is_zero for x in vec)
-
-    def contains_all(self, vecs) -> bool:
-        return all(self.contains(v) for v in vecs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Span):
-            return NotImplemented
-        return self.dim == other.dim and self.contains_all(other.rows)
-
-
 def nullspace(rows, ncols: int, spec: FieldSpec, pivots=None):
     """Basis of {x : r . x = 0 for every row r}, i.e. the classical dual.
 

@@ -9,7 +9,6 @@ The 4-tuple (a, a+b, a+c, a+b+c+d) is the CRT view; RingElement stores it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import MixedRingsError, NotAUnitError
@@ -198,22 +197,6 @@ def split_word(word):
     """The four CRT component words of a word over R."""
     crts = [entry.crt() for entry in word]
     return tuple(zip(*crts)) if crts else ((), (), (), ())
-
-
-def random_ring_element(spec: FieldSpec, rng: random.Random) -> RingElement:
-    return RingElement(
-        spec.random_element(rng), spec.random_element(rng),
-        spec.random_element(rng), spec.random_element(rng),
-    )
-
-
-def ring_elements(spec: FieldSpec):
-    """All q^4 elements; intended for desk-scale exhaustive checks."""
-    for a in spec.elements():
-        for b in spec.elements():
-            for c in spec.elements():
-                for d in spec.elements():
-                    yield RingElement(a, b, c, d)
 
 
 @dataclass(frozen=True)

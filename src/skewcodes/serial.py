@@ -128,12 +128,3 @@ def code_from_json(obj):
     if not isinstance(gens, list) or len(gens) != 4:
         raise ParseError("code spec needs exactly four generators")
     return field, n, alpha, [poly_from_json(field, g) for g in gens]
-
-
-def code_to_json(code) -> dict:
-    return {
-        "field": field_to_json(code.field),
-        "n": code.n,
-        "alpha": ring_to_json(code.alpha),
-        "gens": [poly_to_json(g) for g in code.gens],
-    }

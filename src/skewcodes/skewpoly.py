@@ -28,6 +28,7 @@ from .errors import (
     NotAUnitError,
     VerificationError,
     ZeroPolynomialError,
+    charge,
 )
 from .gf import FieldElement, FieldSpec
 from .linalg import rref
@@ -505,13 +506,16 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
 
     None exists above degree n. Otherwise the candidate count, q^degree or
     q^(4*degree) over R, is checked against the budget before anything is
-    enumerated, and then the division steps: the count times the
-    (n - degree + 1)(degree + 1) steps of one division of x^n - alpha, which
-    bound the n - degree + 1 residue steps of a certificate. The F_q screen
-    tries all q^degree candidates, and at degree 1 it tries none, since
-    x^n - alpha is a binomial (_binomial_root_codes); over R the count is
+    enumerated. Each certificate is charged the (n - degree + 1)(degree + 1)
+    steps of one division of x^n - alpha, which bound its n - degree + 1
+    residue steps. At degree 1 over F_q, the roots of x^n - alpha come in
+    closed form from (n, alpha) (_binomial_root_codes), which tries no
+    candidate, so only the divisors found are charged, before x^n - alpha is
+    built: a search with none returns at once, whatever n. Every other
+    search is charged for its whole candidate count before it starts:
+    the F_q screen tries all q^degree candidates, and over R the count is
     still that of a search over all of R, though the four component
-    searches try at most 4*q^degree. A closed form charges the same.
+    searches try at most 4*q^degree.
     """
     n = mod.n
     if degree > n:
@@ -522,14 +526,25 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     if exponent >= budget.bit_length() or q ** exponent > budget:
         count = q ** exponent if exponent * math.log10(q) < _PRINTED_DIGITS else f"{q}^{exponent}"
         raise BudgetExceededError(f"{count} candidates exceed the budget of {budget}")
-    steps = q ** exponent * (n - degree + 1) * (degree + 1)
-    if steps > budget:
-        raise BudgetExceededError(
-            f"{q ** exponent} candidates * (n - degree + 1)(degree + 1) = {steps}"
-            f" division steps exceed the budget of {budget}"
-        )
-    f = mod.poly()
-    divisors = _monic_right_factors(f, degree)
+    certificate = (n - degree + 1) * (degree + 1)
+    if mod.ring == "fq" and degree == 1:
+        spec = mod.spec
+        codes = _binomial_root_codes(spec, n, mod.alpha)
+        charge(budget, len(codes) * certificate,
+               f"{len(codes)} divisors * (n - degree + 1)(degree + 1)", "division steps")
+        if not codes:
+            return []
+        f = mod.poly()
+        divisors = [SkewPoly(spec, "fq", [spec.from_int(c), spec.one]) for c in codes]
+    else:
+        steps = q ** exponent * certificate
+        if steps > budget:
+            raise BudgetExceededError(
+                f"{q ** exponent} candidates * (n - degree + 1)(degree + 1) = {steps}"
+                f" division steps exceed the budget of {budget}"
+            )
+        f = mod.poly()
+        divisors = _monic_right_factors(f, degree)
     for g in divisors:
         _check_certificate(f, g, right_remainder(f, g))
     return divisors

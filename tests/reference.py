@@ -1,0 +1,186 @@
+"""Reference definitions the tests check the package against, and the
+helpers that several test files share.
+
+The package decides membership, closure and module equality from
+generators and remainders; here whole spans are row-reduced instead
+(Span, ModuleSpan), R is listed element by element, and the maps the
+package has no use for (the untwisted shift, variable scaling, the inverse
+Gray map) are written out. Nothing in src/ imports this module.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+
+from skewcodes.cli import main
+from skewcodes.decomp import extract_components
+from skewcodes.errors import HypothesisViolatedError, LengthMismatchError, SkewcodesError
+from skewcodes.gf import FieldSpec
+from skewcodes.linalg import rref
+from skewcodes.ring4 import RingElement, split_word
+from skewcodes.serial import field_to_json, poly_to_json, ring_to_json
+from skewcodes.skewpoly import SkewPoly
+
+
+def run_main(argv):
+    """(exit code, stdout) of one in-process CLI request."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(list(argv))
+    return rc, out.getvalue()
+
+
+# --- words and shifts ---
+
+def constacyclic_shift(word, alpha):
+    """Untwisted constacyclic shift: no automorphism, alpha on the wrap."""
+    word = tuple(word)
+    return (alpha * word[-1],) + word[:-1]
+
+
+def hamming_weight(word) -> int:
+    return sum(0 if c.is_zero else 1 for c in word)
+
+
+def gray_inverse(vec, spec: FieldSpec):
+    vec = tuple(vec)
+    if len(vec) % 4 != 0:
+        raise LengthMismatchError("image length must be a multiple of 4")
+    n = len(vec) // 4
+    return tuple(
+        RingElement.from_crt(spec, vec[i], vec[n + i], vec[2 * n + i], vec[3 * n + i])
+        for i in range(n)
+    )
+
+
+def interleave_permutation(n: int):
+    """Positions p with gray_permuted(w)[i] = gray_map(w)[p[i]]."""
+    return [(i % 4) * n + i // 4 for i in range(4 * n)]
+
+
+# --- elements of R ---
+
+def random_ring_element(spec: FieldSpec, rng: random.Random) -> RingElement:
+    return RingElement(
+        spec.random_element(rng), spec.random_element(rng),
+        spec.random_element(rng), spec.random_element(rng),
+    )
+
+
+def ring_elements(spec: FieldSpec):
+    """All q^4 elements; intended for desk-scale exhaustive checks."""
+    for a in spec.elements():
+        for b in spec.elements():
+            for c in spec.elements():
+                for d in spec.elements():
+                    yield RingElement(a, b, c, d)
+
+
+# --- constacyclic equivalence maps ---
+
+class EvenLengthError(SkewcodesError):
+    """The variable-substitution map requires odd length."""
+
+
+def power_scale_word(word, alpha):
+    """Scale position i by alpha^i."""
+    out = []
+    acc = None
+    for i, c in enumerate(word):
+        if i == 0:
+            out.append(c)
+            acc = alpha
+        else:
+            out.append(acc * c)
+            acc = acc * alpha
+    return tuple(out)
+
+
+def power_scale_poly(f: SkewPoly, alpha, n: int) -> SkewPoly:
+    """Substitute (alpha x) for x: coefficient j picks up alpha theta(alpha)..theta^{j-1}(alpha).
+
+    Defined for odd n and alpha with alpha^2 = 1, where it carries submodules
+    of the cyclic quotient to submodules of the alpha-constacyclic quotient.
+    """
+    if n % 2 == 0:
+        raise EvenLengthError("variable scaling requires odd length")
+    one = f._one_coeff()
+    if not (isinstance(alpha, type(one)) and alpha * alpha == one):
+        raise HypothesisViolatedError("shift constant must square to 1")
+    coeffs = []
+    norm = one  # running product alpha * theta(alpha) * .. * theta^{j-1}(alpha)
+    for j, c in enumerate(f.coeffs):
+        coeffs.append(c * norm)
+        norm = norm * alpha.frob(j)
+    return SkewPoly(f.spec, f.ring, coeffs)
+
+
+# --- spans by row reduction ---
+
+class Span:
+    """Row space of a set of vectors with membership queries."""
+
+    def __init__(self, rows):
+        self.rows, self.pivots = rref(rows)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def contains(self, vec) -> bool:
+        """Whether vec reduces to zero against the RREF basis."""
+        vec = list(vec)
+        for row, col in zip(self.rows, self.pivots):
+            if not vec[col].is_zero:
+                factor = vec[col]
+                vec = [x - factor * y for x, y in zip(vec, row)]
+        return all(x.is_zero for x in vec)
+
+    def contains_all(self, vecs) -> bool:
+        return all(self.contains(v) for v in vecs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self.dim == other.dim and self.contains_all(other.rows)
+
+
+class ModuleSpan:
+    """R-span of a set of R-words, represented by its four component spans:
+    the reference for components_from_words and shift_closures."""
+
+    def __init__(self, words, spec: FieldSpec):
+        self.spec = spec
+        self.component_spans = tuple(Span(c) for c in extract_components(words))
+
+    @property
+    def dims(self):
+        return tuple(s.dim for s in self.component_spans)
+
+    @property
+    def cardinality(self) -> int:
+        return self.spec.q ** sum(self.dims)
+
+    def contains(self, word) -> bool:
+        return all(
+            self.component_spans[i].contains(comp)
+            for i, comp in enumerate(split_word(word))
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, ModuleSpan):
+            return NotImplemented
+        return self.component_spans == other.component_spans
+
+
+# --- serialisation ---
+
+def code_to_json(code) -> dict:
+    return {
+        "field": field_to_json(code.field),
+        "n": code.n,
+        "alpha": ring_to_json(code.alpha),
+        "gens": [poly_to_json(g) for g in code.gens],
+    }

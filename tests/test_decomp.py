@@ -4,24 +4,23 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import ModuleSpan, Span, constacyclic_shift
 from test_kernel import FIELDS
 
 import skewcodes.decomp as decomp
 import skewcodes.linalg as linalg
 import skewcodes.skewpoly as skewpoly
-from skewcodes.catalog import get_example
+from skewcodes.catalog import example_code, get_example
 from skewcodes.codes import (
     SkewCode,
     build_code,
     cofactors,
-    constacyclic_shift,
     dual_code,
     is_closed_under,
     shift_closures,
     skew_constacyclic_shift,
 )
 from skewcodes.decomp import (
-    ModuleSpan,
     components_from_words,
     dual_hypothesis_note,
     extract_components,
@@ -30,7 +29,7 @@ from skewcodes.decomp import (
 )
 from skewcodes.errors import MixedRingsError, NotADivisorError, NotAUnitError, VerificationError
 from skewcodes.gf import make_field
-from skewcodes.linalg import Span, nullspace, rref
+from skewcodes.linalg import nullspace, rref
 from skewcodes.ring4 import RingElement, ring_one
 from skewcodes.skewpoly import (
     ModulusSpec,
@@ -42,11 +41,6 @@ from skewcodes.skewpoly import (
     right_divmod,
     span_words,
 )
-
-
-def example_code(num):
-    ex = get_example(num)
-    return build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
 
 
 def test_assemble_whole_and_zero(f9):

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import Span, hamming_weight
 
 from skewcodes import distance
-from skewcodes.catalog import get_example
+from skewcodes.catalog import example_code, get_example
 from skewcodes.codes import build_code
 from skewcodes.distance import DistanceResult, field_tables, min_distance, words_to_array
 from skewcodes.errors import BudgetExceededError, FieldTooLargeError
 from skewcodes.gf import make_field
-from skewcodes.gray import gray_image_code, hamming_weight
-from skewcodes.linalg import Span, nullspace, rref
+from skewcodes.gray import gray_image_code
+from skewcodes.linalg import nullspace, rref
 from skewcodes.skewpoly import SkewPoly
 
 
@@ -134,12 +135,7 @@ def test_witness_is_a_codeword(f9):
 
 
 def test_budget_exhaustion_returns_bounds(f25):
-    code = build_code(
-        get_example(1)["field"],
-        get_example(1)["n"],
-        get_example(1)["alpha"],
-        get_example(1)["gens"],
-    )
+    code = example_code(1)
     rows = gray_image_code(code).rows
     res = min_distance(rows, code.field, budget=10)
     assert res.exact is None
@@ -147,10 +143,9 @@ def test_budget_exhaustion_returns_bounds(f25):
 
 
 def test_example_one_distance_certificate(f25):
-    ex = get_example(1)
-    code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
+    code = example_code(1)
     rows = gray_image_code(code).rows
-    res = min_distance(rows, ex["field"])
+    res = min_distance(rows, code.field)
     assert res.exact == 2
     assert res.method == "sweep-certified"
     assert res.candidates_swept == 16 * 24  # all weight-1 candidates
@@ -158,10 +153,9 @@ def test_example_one_distance_certificate(f25):
 
 
 def test_counter_counts_all_lower_weights(f9):
-    ex = get_example(2)
-    code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
+    code = example_code(2)
     rows = gray_image_code(code).rows
-    res = min_distance(rows, ex["field"])
+    res = min_distance(rows, code.field)
     from math import comb
 
     expected = sum(comb(24, w) * 8 ** w for w in (1, 2, 3))
@@ -373,15 +367,14 @@ def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
     to 3) each of the four length-6 summands makes one key lookup per batch
     and one for its column table, where the per-prefix form made one per
     prefix."""
-    ex = get_example(2)
-    code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
+    code = example_code(2)
     rows = gray_image_code(code).rows
     calls = []
     row_keys = distance._row_keys
     monkeypatch.setattr(distance, "_row_keys", lambda r, q: calls.append(1) or row_keys(r, q))
-    res = min_distance(rows, ex["field"])
+    res = min_distance(rows, code.field)
     assert (res.exact, res.method) == (4, "sweep-certified")
-    q = ex["field"].q
+    q = code.field.q
     summands = distance._summands(words_to_array(rows))[0]
     assert summands == [(0, 6), (6, 12), (12, 18), (18, 24)]
     prefixes = {(lo, w): comb(hi - lo - 1, w - 1) for lo, hi in summands for w in (2, 3)}
@@ -400,8 +393,8 @@ def test_min_distance_row_reduces_once(monkeypatch):
     nullspace."""
     import skewcodes.linalg
 
-    ex = get_example(2)
-    rows = gray_image_code(build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])).rows
+    code = example_code(2)
+    rows = gray_image_code(code).rows
     calls = []
     original = skewcodes.linalg.rref
 
@@ -411,7 +404,7 @@ def test_min_distance_row_reduces_once(monkeypatch):
 
     monkeypatch.setattr(skewcodes.linalg, "rref", spy)
     monkeypatch.setattr(distance, "rref", spy)
-    res = min_distance(rows, ex["field"])
+    res = min_distance(rows, code.field)
     assert (res.exact, res.method) == (4, "sweep-certified")
     assert calls == [6, 6, 6, 6]
 
@@ -744,7 +737,7 @@ def example_and_golden_images():
             gens = [SkewPoly(ex["field"], "fq", [c.crt()[i] for c in g.coeffs]) for i in range(4)]
             code = build_code(ex["field"], ex["n"], ex["working_constant"], gens)
         else:
-            code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
+            code = example_code(number)
         images.append((gray_image_code(code).rows, ex["field"]))
     original = skewcodes.cli.min_distance
     skewcodes.cli.min_distance = lambda rows, spec, budget: images.append((rows, spec)) or original(rows, spec, budget)

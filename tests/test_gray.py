@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from reference import Span, gray_inverse, hamming_weight, interleave_permutation, random_ring_element
 
-from skewcodes.catalog import get_example
+from skewcodes.catalog import example_code
 from skewcodes.codes import (
     blockwise_constacyclic_shift,
     blockwise_cyclic_shift,
@@ -13,23 +14,14 @@ from skewcodes.codes import (
 from skewcodes.gray import (
     check_commutation,
     gray_image_code,
-    gray_inverse,
     gray_map,
     gray_permuted,
-    hamming_weight,
-    interleave_permutation,
     lee_weight,
     permuted_sigma4,
     sigma_pi4,
     tau_omega4,
 )
-from skewcodes.linalg import Span
-from skewcodes.ring4 import RingElement, random_ring_element, ring_one, ring_zero
-
-
-def example_code(num):
-    ex = get_example(num)
-    return build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
+from skewcodes.ring4 import RingElement, ring_one, ring_zero
 
 
 def test_gray_of_zero(f9):

@@ -1,6 +1,7 @@
 """Source hygiene of src/skewcodes, checked with the standard library's ast
-(no linter is a dependency): no unused import, no unread parameter, and no
-function, method or class that nothing references."""
+(no linter is a dependency): no unused import, no unread parameter, no
+function, method or class that nothing references, and no top-level
+definition that the package neither runs nor exports."""
 
 import ast
 from pathlib import Path
@@ -15,17 +16,19 @@ def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def listed_in_all(tree):
+    """The strings listed in the module's __all__, if it has one."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
 def names_read(tree):
     """Every name used anywhere in tree, and the strings listed in __all__."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            names |= {elt.value for elt in node.value.elts}
-    return names
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | listed_in_all(tree)
 
 
 def imported_names(tree):
@@ -79,16 +82,22 @@ def test_every_parameter_is_read(path):
     assert unread == []
 
 
-def references(tree):
-    """Every name, attribute and dotted-string part used anywhere in tree."""
+def references(tree, skip=None):
+    """Every name, attribute and dotted-string part used in tree, outside
+    the subtree skip."""
     refs = set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             refs |= set(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
     return refs
 
 
@@ -108,6 +117,33 @@ def test_every_definition_is_referenced():
         and node.name not in refs
     ]
     assert dead == []
+
+
+def test_every_top_level_definition_runs_or_is_exported():
+    """src/ holds only what the package runs or exports: each module-level
+    function and class is used in src/ outside its own body, or is in
+    __all__. The tests' references live in tests/reference.py, which no
+    module of the package imports."""
+    trees = {path.stem: parse(path) for path in MODULES}
+    exports = listed_in_all(trees["__init__"])
+    unused = [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exports
+        and not any(node.name in references(other, node) for other in trees.values())
+    ]
+    assert unused == []
+    imports = [
+        f"{stem}: {name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+        if {"reference", "tests"} & set(name.split("."))
+    ]
+    assert imports == []
 
 
 # Where BudgetExceededError may be raised: the one budget gate, and the
@@ -176,8 +212,8 @@ def test_a_division_only_where_its_quotient_is_used():
 
 def test_span_and_module_span_are_test_references():
     """The package decides membership, closure and module equality from
-    generators and remainders; only the tests row-reduce whole spans, and
-    ModuleSpan builds its four component Spans."""
+    generators and remainders; only the tests row-reduce whole spans
+    (tests/reference.py)."""
     found = {
         (path.stem, name)
         for path in MODULES
@@ -185,7 +221,7 @@ def test_span_and_module_span_are_test_references():
         for sub in ast.walk(func)
         if isinstance(sub, ast.Call) and _callee(sub) in ("Span", "ModuleSpan")
     }
-    assert found == {("decomp", "ModuleSpan.__init__")}
+    assert found == set()
 
 
 def test_reduce_mod_is_called_only_by_the_idempotent_check():

