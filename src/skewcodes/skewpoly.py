@@ -426,30 +426,34 @@ def _binomial_root_codes(spec: FieldSpec, n: int, c: FieldElement):
     return sorted(spec.exp[base + j * step + half].code for j in range(gcd))
 
 
+def _monic_divisors(spec: FieldSpec, found):
+    """The monic polynomials whose CRT components have the low coefficient
+    codes listed in `found`, one list per component: over F_q (one list)
+    in its order, over R (four lists) every combination, in lexicographic
+    coefficient order by the (a, b, c, d) codes of ascending powers."""
+    polys = [[SkewPoly(spec, "fq", [spec.from_int(c) for c in codes] + [spec.one]) for codes in part]
+             for part in found]
+    if len(polys) == 1:
+        return polys[0]
+    out = [from_components(*parts) for parts in itertools.product(*polys)]
+    out.sort(key=lambda g: [(c.a.code, c.b.code, c.c.code, c.d.code) for c in g.coeffs])
+    return out
+
+
 def _monic_right_factors(f: SkewPoly, degree: int):
     """The monic degree-`degree` right divisors of an arbitrary polynomial f
-    that the screen finds, in lexicographic coefficient order: ascending
+    that the screen finds, in the order of _monic_divisors: ascending
     powers, each coefficient by its integer element code, or over R by its
     (a, b, c, d) codes.
 
-    Over F_q the q^degree candidates are screened in numpy batches, or at
-    degree 1 a binomial x^n - c is solved in closed form
-    (_batched_divisor_codes). Over R it is four searches over F_q, one per
-    CRT component, since a monic g right-divides f exactly when each
-    component g_i right-divides f_i; the divisors are the combinations of
-    component divisors. Nothing is certified here: a caller certifies a
-    divisor by the right remainder or division it makes with it.
+    Each CRT component f_i (f itself over F_q) is screened on its own
+    (_batched_divisor_codes), since a monic g right-divides f exactly when
+    each component g_i right-divides f_i. Nothing is certified here: a
+    caller certifies a divisor by the right remainder or division it makes
+    with it.
     """
-    if f.ring == "R":
-        found = [_monic_right_factors(fi, degree) for fi in component_polys(f)]
-        out = [from_components(*parts) for parts in itertools.product(*found)]
-        out.sort(key=lambda g: [(c.a.code, c.b.code, c.c.code, c.d.code) for c in g.coeffs])
-        return out
-    spec = f.spec
-    return [
-        SkewPoly(spec, "fq", [spec.from_int(c) for c in codes] + [spec.one])
-        for codes in _batched_divisor_codes(f, degree)
-    ]
+    parts = component_polys(f) if f.ring == "R" else (f,)
+    return _monic_divisors(f.spec, [list(_batched_divisor_codes(fi, degree)) for fi in parts])
 
 
 def _check_certificate(f: SkewPoly, g: SkewPoly, rem: SkewPoly):
@@ -494,57 +498,50 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     return divisor
 
 
-# Python's default limit on the digits of an int converted to str: a larger
-# candidate count is printed as a power.
-_PRINTED_DIGITS = 4300
-
-
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BUDGET):
     """All monic right divisors of x^n - alpha of the given degree, in the
-    order of _monic_right_factors, each certified by the right remainder of
+    order of _monic_divisors, each certified by the right remainder of
     x^n - alpha (right_remainder: streamed residues, no division).
 
-    None exists above degree n. Otherwise the candidate count, q^degree or
-    q^(4*degree) over R, is checked against the budget before anything is
-    enumerated. Each certificate is charged the (n - degree + 1)(degree + 1)
-    steps of one division of x^n - alpha, which bound its n - degree + 1
-    residue steps. At degree 1 over F_q, the roots of x^n - alpha come in
-    closed form from (n, alpha) (_binomial_root_codes), which tries no
-    candidate, so only the divisors found are charged, before x^n - alpha is
-    built: a search with none returns at once, whatever n. Every other
-    search is charged for its whole candidate count before it starts:
-    the F_q screen tries all q^degree candidates, and over R the count is
-    still that of a search over all of R, though the four component
-    searches try at most 4*q^degree.
+    A monic g right-divides x^n - alpha exactly when each CRT component g_i
+    right-divides x^n - beta_i, (beta_1, ..., beta_4) = alpha.crt(); over
+    F_q the one component is alpha. At degree 1 each component's roots
+    come in closed form from (n, beta_i) (_binomial_root_codes), with no
+    candidate tried; at any other degree each x^n - beta_i is screened over
+    its q^degree candidates. None exists above degree n.
+
+    Work is charged in (n - degree + 1)(degree + 1) steps, those of one
+    division of x^n - alpha: once per candidate screened, before the first
+    screen, then once more per divisor certificate, cumulatively, before
+    x^n - alpha is built. A search with no divisor returns at once,
+    whatever n. A screen of more candidates per component than the budget
+    is refused first, its count written as a power, so that no refusal
+    prints a count much longer than the budget.
     """
     n = mod.n
     if degree > n:
         return []
-    q = mod.spec.q
-    exponent = 4 * degree if mod.ring == "R" else degree
-    # q >= 3, so q**exponent > budget once exponent reaches budget's bit length
-    if exponent >= budget.bit_length() or q ** exponent > budget:
-        count = q ** exponent if exponent * math.log10(q) < _PRINTED_DIGITS else f"{q}^{exponent}"
-        raise BudgetExceededError(f"{count} candidates exceed the budget of {budget}")
+    spec, q = mod.spec, mod.spec.q
+    betas = mod.alpha.crt() if mod.ring == "R" else (mod.alpha,)
     certificate = (n - degree + 1) * (degree + 1)
-    if mod.ring == "fq" and degree == 1:
-        spec = mod.spec
-        codes = _binomial_root_codes(spec, n, mod.alpha)
-        charge(budget, len(codes) * certificate,
-               f"{len(codes)} divisors * (n - degree + 1)(degree + 1)", "division steps")
-        if not codes:
-            return []
-        f = mod.poly()
-        divisors = [SkewPoly(spec, "fq", [spec.from_int(c), spec.one]) for c in codes]
+    screened = 0
+    if degree == 1:
+        found = [[(c,) for c in _binomial_root_codes(spec, n, beta)] for beta in betas]
     else:
-        steps = q ** exponent * certificate
-        if steps > budget:
-            raise BudgetExceededError(
-                f"{q ** exponent} candidates * (n - degree + 1)(degree + 1) = {steps}"
-                f" division steps exceed the budget of {budget}"
-            )
-        f = mod.poly()
-        divisors = _monic_right_factors(f, degree)
+        # q >= 3, so q^degree > budget once degree reaches budget's bit length
+        if degree >= budget.bit_length() or q ** degree > budget:
+            raise BudgetExceededError(f"{q}^{degree} candidates per component exceed the budget of {budget}")
+        candidates = len(betas) * q ** degree
+        screened = candidates * certificate
+        charge(budget, screened, f"{candidates} candidates * (n - degree + 1)(degree + 1)", "division steps")
+        found = [list(_batched_divisor_codes(ModulusSpec(n, beta).poly(), degree)) for beta in betas]
+    count = math.prod(map(len, found))
+    needs = f"{count} divisors * (n - degree + 1)(degree + 1)"
+    charge(budget, screened + count * certificate, f"{screened} + {needs}" if screened else needs, "division steps")
+    if not count:
+        return []
+    f = mod.poly()
+    divisors = _monic_divisors(spec, found)
     for g in divisors:
         _check_certificate(f, g, right_remainder(f, g))
     return divisors

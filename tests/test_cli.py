@@ -381,8 +381,9 @@ def test_divisor_search_above_degree_n_is_empty(capsys, alpha):
 
 @pytest.mark.parametrize("n", [10**4, 10**5])
 def test_divisor_search_charges_the_certificate_divisions(capsys, n):
-    """81 candidates at degree 2 over F9 pass the candidate check, but each
-    certificate divides x^n - alpha in (n - 1) * 3 steps."""
+    """81 candidates at degree 2 over F9 are within the budget, but each is
+    charged the (n - 1) * 3 steps of one division of x^n - alpha before the
+    screen starts."""
     obj = {"field": {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1}, "n": n, "alpha": 1, "degree": 2}
     start = time.perf_counter()
     code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj), "--budget", "200000")
@@ -390,7 +391,7 @@ def test_divisor_search_charges_the_certificate_divisions(capsys, n):
     assert code == 2
     assert report["result"]["error"] == (
         f"81 candidates * (n - degree + 1)(degree + 1) = {81 * (n - 1) * 3}"
-        " division steps exceed the budget of 200000"
+        " division steps, over the budget of 200000"
     )
 
 
@@ -413,6 +414,27 @@ def test_degree_one_search_over_f_q_is_bounded_in_n(capsys):
     )
 
 
+def test_degree_one_search_over_r_is_bounded_in_n(capsys):
+    """R over F3 with n = 10^9: each component's roots come from (n, beta_i).
+    CRT view (1, 2, 1, 2) has none in components 2 and 4 and returns at once;
+    (1, 1, 1, 1) has 2^4 = 16 divisors, whose certificates are refused
+    before x^n - alpha is built."""
+    obj = {**SEARCH_F3, "n": 10**9, "alpha": {"crt": [1, 2, 1, 2]}}
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert report["result"]["count"] == 0
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps({**obj, "alpha": {"crt": [1, 1, 1, 1]}}))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert report["result"]["error"] == (
+        f"16 divisors * (n - degree + 1)(degree + 1) = {16 * 10**9 * 2} division steps,"
+        f" over the budget of {DEFAULT_BUDGET}"
+    )
+
+
 def test_divisor_search_step_charge_is_exact(capsys):
     """SEARCH_F3 at degree 1, solved in closed form: its 2 divisors are
     charged 2 * 4 * 2 = 16 certificate steps."""
@@ -431,7 +453,7 @@ def test_divisor_search_count_too_long_to_print_is_refused(capsys):
     code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj), "--budget", "10000000")
     assert time.perf_counter() - start < 0.5
     assert code == 2
-    assert report["result"]["error"] == "3^10000 candidates exceed the budget of 10000000"
+    assert report["result"]["error"] == "3^10000 candidates per component exceed the budget of 10000000"
 
 
 F9 = {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1}

@@ -150,10 +150,16 @@ def test_a_false_hit_fails_its_certificate(monkeypatch):
 
 
 def test_a_false_hit_fails_its_certificate_over_r(monkeypatch):
-    with_false_hit(monkeypatch)
+    """A false hit x in each component's closed-form roots (degree 1), and
+    x^2 in each component's screen (degree 2), meets its R certificate."""
+    roots = skewpoly._binomial_root_codes
+    monkeypatch.setattr("skewcodes.skewpoly._binomial_root_codes", lambda spec, n, c: [0] + roots(spec, n, c))
     f3 = make_field(3, 1, [0, 1])
     with pytest.raises(VerificationError):
         right_divisor_search(ModulusSpec(2, RingElement.from_crt(f3, 1, -1, 1, -1)), 1)
+    with_false_hit(monkeypatch)
+    with pytest.raises(VerificationError):
+        right_divisor_search(ModulusSpec(4, RingElement.from_crt(f3, 1, -1, 1, -1)), 2)
 
 
 @pytest.mark.parametrize("ring", ["fq", "R"])

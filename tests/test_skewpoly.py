@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -326,24 +327,51 @@ def test_divisor_search_budget(f25):
 def test_degree_one_search_over_f_q_is_charged_for_its_divisors():
     """x^57 - 1 over F_{3^11}: the closed form returns one divisor, charged
     the 57 * 2 = 114 steps of its certificate; all 3^11 candidates would be
-    20194758 steps, over the default budget. A budget of 113 is refused
-    first by the candidate count, which is still checked."""
+    20194758 steps, over the default budget. A budget of 113 is refused by
+    that certificate, since no candidate is tried."""
     spec = make_field(3, 11, [1, 0, 0, 2] + [0] * 7 + [1])
     mod = ModulusSpec(57, spec.one)
-    assert right_divisor_search(mod, 1) == [fq_poly(spec, [-1, 1])]
-    with pytest.raises(BudgetExceededError, match=r"^177147 candidates exceed the budget of 113$"):
-        right_divisor_search(mod, 1, budget=113)
-
-
-def test_degree_one_search_over_r_is_charged_for_all_of_r(f3):
-    """x^4 - 1 over R over F3 has 16 linear right divisors, but the R search
-    is still charged 3^4 candidates * 4 * 2 = 648 steps."""
-    mod = ModulusSpec(4, RingElement.from_ints(f3, 1))
-    assert len(right_divisor_search(mod, 1, budget=648)) == 16
+    assert right_divisor_search(mod, 1, budget=114) == [fq_poly(spec, [-1, 1])]
     with pytest.raises(BudgetExceededError) as refusal:
-        right_divisor_search(mod, 1, budget=647)
+        right_divisor_search(mod, 1, budget=113)
     assert str(refusal.value) == (
-        "81 candidates * (n - degree + 1)(degree + 1) = 648 division steps exceed the budget of 647"
+        "1 divisors * (n - degree + 1)(degree + 1) = 114 division steps, over the budget of 113"
+    )
+
+
+def test_degree_one_search_over_r_is_charged_for_its_divisors(f3):
+    """x^4 - 1 over R over F3 has 16 linear right divisors, whose component
+    roots come in closed form: the search is charged their certificates,
+    16 * 4 * 2 = 128 steps."""
+    mod = ModulusSpec(4, RingElement.from_ints(f3, 1))
+    assert len(right_divisor_search(mod, 1, budget=128)) == 16
+    with pytest.raises(BudgetExceededError) as refusal:
+        right_divisor_search(mod, 1, budget=127)
+    assert str(refusal.value) == (
+        "16 divisors * (n - degree + 1)(degree + 1) = 128 division steps, over the budget of 127"
+    )
+
+
+def test_divisor_search_over_r_is_charged_per_component(f9):
+    """R over F9 at degree 2: four component screens of 81 candidates, each
+    charged (n - 1) * 3 steps, then 3 * (n - 1) steps per certificate.
+    x^2 - alpha with CRT view (1, 2, 1, 0) has one divisor, itself:
+    4 * 81 * 3 + 1 * 3 = 975 steps. x^4 - 1 has 18 divisors per component,
+    18^4 = 104976 in all: 4 * 81 * 9 + 104976 * 9 = 947700 steps, within the
+    default budget, and refused at one less before any is built."""
+    mod = ModulusSpec(2, RingElement.from_crt(f9, 1, 2, 1, 0))
+    assert right_divisor_search(mod, 2, budget=975) == [mod.poly()]
+    with pytest.raises(BudgetExceededError) as refusal:
+        right_divisor_search(mod, 2, budget=974)
+    assert str(refusal.value) == (
+        "972 + 1 divisors * (n - degree + 1)(degree + 1) = 975 division steps, over the budget of 974"
+    )
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as refusal:
+        right_divisor_search(ModulusSpec(4, RingElement.from_ints(f9, 1)), 2, budget=947699)
+    assert time.perf_counter() - start < 1
+    assert str(refusal.value) == (
+        "2916 + 104976 divisors * (n - degree + 1)(degree + 1) = 947700 division steps, over the budget of 947699"
     )
 
 
@@ -351,24 +379,30 @@ def test_divisor_search_over_r_checks_budget_before_enumerating(f27, monkeypatch
     import skewcodes.skewpoly as skewpoly
 
     calls = []
-    factors = skewpoly._monic_right_factors
-    monkeypatch.setattr(skewpoly, "_monic_right_factors", lambda f, degree: calls.append(f) or factors(f, degree))
+    divisors = skewpoly._monic_divisors
+    monkeypatch.setattr(skewpoly, "_monic_divisors", lambda spec, found: calls.append(found) or divisors(spec, found))
     alpha = RingElement.from_ints(f27, 1)
-    with pytest.raises(BudgetExceededError, match="531441 candidates"):
+    with pytest.raises(BudgetExceededError, match=r"^16 divisors \* \(n - degree \+ 1\)\(degree \+ 1\) = 128 "):
         right_divisor_search(ModulusSpec(4, alpha), 1, budget=10)
     assert calls == []
 
 
 def test_divisor_search_budget_refusals_print_the_count(f3):
-    """Counts of up to 4300 digits print in full; larger ones as a power."""
-    assert len(str(3 ** 9012)) == 4300
+    """Candidates within the budget are charged in full; more candidates per
+    component than the budget are written as a power, also under a budget
+    of 2^9100, where 3^9050 candidates would print more than 4300 digits."""
     with pytest.raises(BudgetExceededError) as refusal:
-        right_divisor_search(ModulusSpec(9012, f3.one), 9012)
-    assert str(refusal.value) == f"{3 ** 9012} candidates exceed the budget of {2 * 10 ** 7}"
-    with pytest.raises(BudgetExceededError, match=r"^3\^9013 candidates exceed the budget of 20000000$"):
+        right_divisor_search(ModulusSpec(9012, f3.one), 2, budget=10)
+    assert str(refusal.value) == (
+        f"9 candidates * (n - degree + 1)(degree + 1) = {9 * 9011 * 3} division steps, over the budget of 10"
+    )
+    with pytest.raises(BudgetExceededError, match=r"^3\^9013 candidates per component exceed the budget of 20000000$"):
         right_divisor_search(ModulusSpec(9013, f3.one), 9013)
-    with pytest.raises(BudgetExceededError, match=r"^3\^40000 candidates"):
+    with pytest.raises(BudgetExceededError, match=r"^3\^10000 candidates per component"):
         right_divisor_search(ModulusSpec(10000, RingElement.from_ints(f3, 1)), 10000)
+    with pytest.raises(BudgetExceededError) as refusal:
+        right_divisor_search(ModulusSpec(9100, f3.one), 9050, budget=2 ** 9100)
+    assert str(refusal.value) == f"3^9050 candidates per component exceed the budget of {2 ** 9100}"
 
 
 def test_divisor_search_above_degree_n_is_empty_whatever_the_budget(f3):
@@ -418,7 +452,8 @@ def test_random_right_divisor_over_r(f3, f9):
 
 
 def test_divisor_search_over_r_never_lists_r(monkeypatch):
-    """The R search is four F_q screens, one per CRT component."""
+    """The R search is one search per CRT component: four F_q screens at
+    degree 2, and none at degree 1, where the roots come in closed form."""
     import skewcodes.skewpoly as skewpoly
 
     screens = []
@@ -434,8 +469,7 @@ def test_divisor_search_over_r_never_lists_r(monkeypatch):
     rho = RingElement.from_crt(f5, *roots)
     mod = ModulusSpec(3, RingElement.from_crt(f5, *constants))
     assert right_divisor_search(mod, 1) == [r_poly(f5, [-rho, 1])]
-    assert screens == ["fq"] * 4
-    screens.clear()
+    assert screens == []
     assert right_divisor_search(mod, 2) == [r_poly(f5, [rho * rho, rho, 1])]
     assert screens == ["fq"] * 4
 
