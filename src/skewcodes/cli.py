@@ -271,7 +271,7 @@ def cmd_idempotent(args):
 
 # --- verification suites ---
 
-def _suite_gray_commutation(seed):
+def _suite_gray_commutation(seed, budget):
     runs = []
     for field in (field_f9(), field_f25()):
         for n in (3, 4, 6):
@@ -297,27 +297,27 @@ def _suite_gray_commutation(seed):
     return {"runs": runs, "pass": all(r["pass"] for r in runs)}
 
 
-def _suite_ret1(seed):
+def _suite_ret1(seed, budget):
     # gcd(n, k) = 1 instances: closure under the untwisted constacyclic shift
     details = []
-    closed = shift_closures(_example_four_module(get_example(4)))[2]
+    closed = shift_closures(_example_four_module(get_example(4)), budget)[2]
     details.append({"instance": "length-7 audit module", "gcd": 1, "closed": closed})
     field = field_f9()
     code = build_code(field, 5, ring_one(field), [fq_poly(field, [-1, 1])] * 4)
-    closed5 = shift_closures(code)[2]
+    closed5 = shift_closures(code, budget)[2]
     details.append({"instance": "length-5 cyclic over F9", "gcd": 1, "closed": closed5})
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
 
-def _suite_ret2(seed):
+def _suite_ret2(seed, budget):
     details = []
     for num in (1, 3):
-        _, l, closed = shift_closures(example_code(num))
+        _, l, closed = shift_closures(example_code(num), budget)
         details.append({"instance": f"example {num}", "index": l, "closed": closed})
     return {"details": details, "pass": all(d["closed"] for d in details)}
 
 
-def _suite_decomposition(seed):
+def _suite_decomposition(seed, budget):
     rng = random.Random(seed)
     runs = []
     fields = [field_f9(), field_f25()]
@@ -333,7 +333,7 @@ def _suite_decomposition(seed):
         code = build_code(field, n, alpha, gens)
         back = components_from_words(code.basis_words(), n, alpha)
         round_trip = back.gens == code.gens
-        report = verify_decomposition_theorem(code)
+        report = verify_decomposition_theorem(code, budget)
         runs.append(
             {
                 "field": field_to_json(field),
@@ -345,10 +345,10 @@ def _suite_decomposition(seed):
     return {"runs": runs, "pass": all(r["round_trip"] and r["closed"] for r in runs)}
 
 
-def _suite_dual_contract(seed):
+def _suite_dual_contract(seed, budget):
     details = []
     for num in (1, 2, 3):
-        _, product_ok, orthogonal = _dual_contract(example_code(num), DEFAULT_BUDGET)
+        _, product_ok, orthogonal = _dual_contract(example_code(num), budget)
         details.append({"instance": f"example {num}", "product_ok": product_ok, "orthogonal": orthogonal})
     return {"details": details, "pass": all(d["product_ok"] and d["orthogonal"] for d in details)}
 
@@ -371,7 +371,7 @@ def cmd_verify(args):
         raise ParseError(f"trials must be at least 1, got {args.trials}")
     results = {}
     for name in names:
-        results[name] = SUITES[name](args.seed)
+        results[name] = SUITES[name](args.seed, args.budget)
     all_pass = all(r["pass"] for r in results.values())
     result = {"suites": results, "pass": all_pass}
     if not all_pass:

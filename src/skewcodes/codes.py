@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gf import FieldSpec
 from .linalg import inner_product
-from .ring4 import RingElement, split_word
+from .ring4 import RingElement, join_word, split_word
 from .skewpoly import (
     ModulusSpec,
     dual_generator,
@@ -60,32 +60,25 @@ def quasi_twist_shift(word, alpha, block: int):
     return tuple(alpha * c for c in word[n - block:]) + word[: n - block]
 
 
-def blockwise_cyclic_shift(word, blocks: int):
-    """Split into `blocks` equal chunks and apply the skew cyclic shift to each."""
+def _blocks(word, count: int):
+    """`word` cut into `count` equal chunks."""
     word = tuple(word)
     n = len(word)
-    if blocks < 1 or n % blocks != 0:
-        raise BadIndexError(f"{blocks} blocks do not divide length {n}")
-    size = n // blocks
-    out = []
-    for b in range(blocks):
-        out.extend(skew_cyclic_shift(word[b * size:(b + 1) * size]))
-    return tuple(out)
+    if count < 1 or n % count != 0:
+        raise BadIndexError(f"{count} blocks do not divide length {n}")
+    size = n // count
+    return [word[b * size:(b + 1) * size] for b in range(count)]
+
+
+def blockwise_cyclic_shift(word, blocks: int):
+    """Split into `blocks` equal chunks and apply the skew cyclic shift to each."""
+    return sum(map(skew_cyclic_shift, _blocks(word, blocks)), ())
 
 
 def blockwise_constacyclic_shift(word, constants):
     """Split into len(constants) equal chunks; chunk b gets the skew
     constacyclic shift with constants[b]."""
-    word = tuple(word)
-    n = len(word)
-    blocks = len(constants)
-    if blocks < 1 or n % blocks != 0:
-        raise BadIndexError(f"{blocks} blocks do not divide length {n}")
-    size = n // blocks
-    out = []
-    for b, c in enumerate(constants):
-        out.extend(skew_constacyclic_shift(word[b * size:(b + 1) * size], c))
-    return tuple(out)
+    return sum(map(skew_constacyclic_shift, _blocks(word, len(constants)), constants), ())
 
 
 # --- the code object ---
@@ -127,11 +120,10 @@ class SkewCode:
         return generator_basis_words(self.gens[i], self.modulus(i))
 
     def lift(self, i: int, word):
-        """The R-word e_i * word of an F_q word: each coefficient c becomes
-        the element whose CRT view has c in place i and zero elsewhere."""
-        spec = self.field
-        pad = (spec.zero,) * 3
-        return tuple(RingElement.from_crt(spec, *pad[:i], c, *pad[i:]) for c in word)
+        """The R-word e_i * word of an F_q word: word in CRT place i and
+        zero words in the other three."""
+        zeros = (self.field.zero,) * len(word)
+        return join_word(word if j == i else zeros for j in range(4))
 
     @functools.cached_property
     def _basis_words(self):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .codes import SkewCode, is_closed_under, skew_constacyclic_shift
-from .errors import VerificationError
+from .errors import DEFAULT_BUDGET, VerificationError
 from .gf import FieldElement
 from .linalg import rref
 from .ring4 import RingElement, split_word
@@ -21,12 +21,10 @@ from .skewpoly import ModulusSpec, SkewPoly, residue_sum, residues
 
 
 def extract_components(words):
-    """Four spanning sets: the i-th CRT components of the given R-words."""
-    spans = ([], [], [], [])
-    for w in words:
-        for i, comp in enumerate(split_word(w)):
-            spans[i].append(comp)
-    return spans
+    """Four spanning sets: the i-th CRT components of the given R-words,
+    the transpose of their split_words."""
+    splits = [split_word(w) for w in words]
+    return tuple(map(list, zip(*splits))) if splits else ([], [], [], [])
 
 
 def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
@@ -77,7 +75,7 @@ class DecompositionReport:
     equivalence_holds: bool
 
 
-def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
+def verify_decomposition_theorem(code: SkewCode, budget: int = DEFAULT_BUDGET) -> DecompositionReport:
     """Check that the code is closed under its defining shift exactly when
     each component is closed under its component shift.
 
@@ -87,11 +85,11 @@ def verify_decomposition_theorem(code: SkewCode) -> DecompositionReport:
     division and no row reduction. This pinpoints a corrupted (non-divisor)
     component generator. `components` holds the four component verdicts,
     `closed` the whole-code verdict, checked independently on every basis
-    word, and `equivalence_holds` records that it agrees with their
-    conjunction.
+    word and charged against the budget as is_closed_under is, and
+    `equivalence_holds` records that it agrees with their conjunction.
     """
     components = tuple(k == 0 or r.is_zero for k, r in zip(code.dims, code.remainders))
-    overall = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+    overall = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha), budget)
     return DecompositionReport(overall, components, overall == all(components))
 
 

@@ -22,7 +22,7 @@ from .codes import (
 )
 from .errors import MixedRingsError
 from .gf import FieldElement, FieldSpec
-from .ring4 import RingElement, split_word
+from .ring4 import RingElement, join_word, split_word
 
 
 def gray_map(word):
@@ -167,7 +167,5 @@ def check_commutation(lhs, rhs, field: FieldSpec, n: int):
     differ = _differing(lhs(word), rhs(word), count)
     if not differ.any():
         return None
-    return tuple(
-        RingElement.from_crt(field, *(field.from_int(int(x)) for x in entry))
-        for entry in codes[differ.argmax()].reshape(n, 4)
-    )
+    witness = codes[differ.argmax()].reshape(n, 4).T
+    return join_word([field.from_int(int(x)) for x in part] for part in witness)

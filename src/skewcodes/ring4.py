@@ -199,6 +199,12 @@ def split_word(word):
     return tuple(zip(*crts)) if crts else ((), (), (), ())
 
 
+def join_word(parts):
+    """The word over R whose four CRT component words, of one length, are
+    `parts`: the inverse of split_word."""
+    return tuple(map(_of, zip(*parts, strict=True)))
+
+
 @dataclass(frozen=True)
 class UnitReport:
     is_unit: bool

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec
 from .linalg import rref
-from .ring4 import RingElement, ring_one, ring_zero, split_word
+from .ring4 import RingElement, join_word, ring_one, ring_zero, split_word
 
 
 def is_theta_fixed(c) -> bool:
@@ -690,18 +690,11 @@ def dual_idempotent(e: SkewPoly, mod: ModulusSpec) -> SkewPoly:
 
 def from_components(f1: SkewPoly, f2: SkewPoly, f3: SkewPoly, f4: SkewPoly) -> SkewPoly:
     """The R-polynomial whose CRT component polynomials are f1..f4."""
-    spec = f1.spec
-    for f in (f2, f3, f4):
-        if f.spec != spec or f.ring != "fq":
-            raise MixedRingsError("components must share one base field")
-    if f1.ring != "fq":
-        raise MixedRingsError("components must be base-field polynomials")
-    top = max(len(f.coeffs) for f in (f1, f2, f3, f4))
-    coeffs = [
-        RingElement.from_crt(spec, f1.coeff(i), f2.coeff(i), f3.coeff(i), f4.coeff(i))
-        for i in range(top)
-    ]
-    return SkewPoly(spec, "R", coeffs)
+    parts = (f1, f2, f3, f4)
+    if any(f.spec != f1.spec or f.ring != "fq" for f in parts):
+        raise MixedRingsError("components must be base-field polynomials over one field")
+    top = max(len(f.coeffs) for f in parts)
+    return SkewPoly(f1.spec, "R", join_word(poly_to_word(f, top) for f in parts))
 
 
 def component_polys(f: SkewPoly):

@@ -1,6 +1,14 @@
-"""A definition-level oracle for `skewcodes divisor-search`: every monic
-right divisor of x^n - alpha of one degree, found by trying each candidate
-with a right long division written here from the definitions.
+"""A definition-level oracle for `skewcodes divisor-search`, `params`,
+`dual` and `gray-image`, written here from the definitions:
+
+- right_divisors: every monic right divisor of x^n - alpha of one degree,
+  found by trying each candidate with a right long division;
+- code_words: a code over R as the F_q-span of (r x^j) * g mod (x^n - alpha)
+  for r in {1, u, v, uv} and j < n, where g = e1 g1 + e2 g2 + e3 g3 + e4 g4,
+  and what the CLI reports of it: component dimensions from e_i * C, the
+  Gray image by the blocks (a, a+b, a+c, a+b+c+d), the minimum distance and
+  the shift closures by listing every codeword, and the dual by the
+  Euclidean inner product.
 
 Nothing here imports skewcodes, so the oracle shares no table, shortcut or
 code with the package:
@@ -12,7 +20,10 @@ code with the package:
 - theta(a) = a^(p^t), the twist.
 - R = F_q + uF_q + vF_q + uvF_q. An element (a, b, c, d) is
   a + bu + cv + duv, multiplied out in that basis with u^2 = u, v^2 = v and
-  uv = vu. theta fixes u and v, so it acts on each coordinate. No CRT.
+  uv = vu. theta fixes u and v, so it acts on each coordinate. No product
+  goes through the CRT; the components (a, a+b, a+c, a+b+c+d) of x = sum
+  e_i x_i are read only for the Gray blocks and for each x^n - beta_i
+  whose divisors the tests draw.
 - A skew polynomial is its list of coefficients, lowest power first,
   multiplied by (a x^i)(b x^j) = a theta^i(b) x^(i+j), which is x b = theta(b) x.
 """
@@ -25,7 +36,8 @@ import itertools
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_pow_mod, gf_rem
 
-# the most candidates right_divisors tries
+# the most candidates right_divisors tries, and the most words codewords
+# and orthogonal_words list
 MAX_CANDIDATES = 10 ** 5
 
 
@@ -59,6 +71,7 @@ class Fq:
         self._mul = [[_code(gf_rem(gf_mul(x, y, p, ZZ), mod, p, ZZ), p) for y in polys] for x in polys]
         self._neg = [_code(gf_neg(x, p, ZZ), p) for x in polys]
         self._theta = [_code(gf_pow_mod(x, p ** t, mod, p, ZZ), p) for x in polys]
+        self._inv = {x: y for x in range(1, q) for y in range(1, q) if self._mul[x][y] == 1}
         self.zero, self.one = 0, 1
 
     def elements(self):
@@ -75,6 +88,9 @@ class Fq:
 
     def theta(self, x):
         return self._theta[x]
+
+    def inv(self, x):
+        return self._inv[x]
 
     def to_json(self, x):
         return x
@@ -172,3 +188,150 @@ def right_divisors(ring, n: int, alpha, degree: int):
         if all(r == ring.zero for r in right_remainder(ring, f, g)):
             out.append({"ring": ring.tag, "coeffs": [ring.to_json(c) for c in g]})
     return out
+
+
+# --- codes over R ---
+
+def basis(ring):
+    """1, u, v, uv."""
+    one, zero = ring.field.one, ring.field.zero
+    return [tuple(one if i == j else zero for j in range(4)) for i in range(4)]
+
+
+def idempotents(ring):
+    """e1 = 1 - u - v + uv, e2 = u - uv, e3 = v - uv, e4 = uv."""
+    one, minus = ring.field.one, ring.field.neg(ring.field.one)
+    zero = ring.field.zero
+    return [(one, minus, minus, one), (zero, one, zero, minus), (zero, zero, one, minus), (zero, zero, zero, one)]
+
+
+def components(ring, x):
+    """(a, a+b, a+c, a+b+c+d) of x = a + bu + cv + duv: x = sum e_i x_i."""
+    add = ring.field.add
+    a, b, c, d = x
+    return a, add(a, b), add(a, c), add(add(add(a, b), c), d)
+
+
+def from_components(ring, betas):
+    """The x = a + bu + cv + duv with components(x) = betas."""
+    add, neg = ring.field.add, ring.field.neg
+    b1, b2, b3, b4 = betas
+    return b1, add(b2, neg(b1)), add(b3, neg(b1)), add(add(b4, neg(b2)), add(neg(b3), b1))
+
+
+def code_words(ring, n: int, alpha, gens):
+    """An F_q spanning set of the code over R with component generators
+    gens (F_q coefficient lists): the words of (r x^j) * g mod (x^n - alpha),
+    r in {1, u, v, uv}, j < n, for g = e1 g1 + e2 g2 + e3 g3 + e4 g4."""
+    field, zero = ring.field, ring.zero
+    g = [zero] * max(map(len, gens))
+    for e, gi in zip(idempotents(ring), gens):
+        for k, c in enumerate(gi):
+            g[k] = ring.add(g[k], ring.mul(e, (c, field.zero, field.zero, field.zero)))
+    f = [ring.neg(alpha)] + [zero] * (n - 1) + [ring.one]
+    words = []
+    for r in basis(ring):
+        for j in range(n):
+            rem = right_remainder(ring, skew_mul(ring, [zero] * j + [r], g), f)
+            words.append(tuple(rem) + (zero,) * (n - len(rem)))
+    return words
+
+
+def flat(word):
+    """A word over R as F_q coordinates: a, b, c, d of each entry in turn."""
+    return tuple(c for entry in word for c in entry)
+
+
+def unflat(vector):
+    return tuple(tuple(vector[i:i + 4]) for i in range(0, len(vector), 4))
+
+
+def rref(field, rows):
+    """The nonzero rows of the reduced row echelon form of F_q vectors."""
+    rows = [list(r) for r in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col] != field.zero), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = field.inv(pivot[col])
+        pivot = [field.mul(inv, x) for x in pivot]
+        for r in rows + out:
+            c = field.neg(r[col])
+            r[:] = [field.add(x, field.mul(c, y)) for x, y in zip(r, pivot)]
+        out.append(pivot)
+    return [tuple(r) for r in out]
+
+
+def span(field, rows, length: int):
+    """Every F_q-linear combination of rows of the length, as a set."""
+    rows = rref(field, rows)
+    if field.q ** len(rows) > MAX_CANDIDATES:
+        raise ValueError(f"{field.q}^{len(rows)} words are more than {MAX_CANDIDATES}")
+    words = {(field.zero,) * length}
+    for row in rows:
+        words = {tuple(field.add(x, field.mul(c, y)) for x, y in zip(w, row)) for w in words for c in field.elements()}
+    return words
+
+
+def component_dims(ring, words):
+    """The F_q dimensions of e_i * C."""
+    return [len(rref(ring.field, [flat(ring.mul(e, x) for x in w) for w in words])) for e in idempotents(ring)]
+
+
+def gray(ring, word):
+    """(a | a+b | a+c | a+b+c+d), each block over the n entries."""
+    return tuple(c for i in range(4) for c in (components(ring, x)[i] for x in word))
+
+
+def min_distance(ring, codewords):
+    """The least Hamming weight of the Gray image of a nonzero codeword
+    (flat), or None for the zero code."""
+    weights = [sum(c != ring.field.zero for c in gray(ring, unflat(w))) for w in codewords if any(w)]
+    return min(weights, default=None)
+
+
+def tau(ring, word, alpha):
+    """(alpha theta(c_{n-1}), theta(c_0), .., theta(c_{n-2}))."""
+    return (ring.mul(alpha, ring.theta(word[-1])),) + tuple(map(ring.theta, word[:-1]))
+
+
+def rho(ring, word, alpha, index: int):
+    """The last `index` entries, scaled by alpha, moved to the front."""
+    n = len(word)
+    return tuple(ring.mul(alpha, c) for c in word[n - index:]) + word[:n - index]
+
+
+def theta_order(field) -> int:
+    """The least k >= 1 with theta^k the identity."""
+    k, images = 1, list(field.elements())
+    while True:
+        images = [field.theta(x) for x in images]
+        if images == list(field.elements()):
+            return k
+        k += 1
+
+
+def inner(ring, w, c):
+    """sum w_i c_i, in R."""
+    return functools.reduce(ring.add, (ring.mul(x, y) for x, y in zip(w, c)), ring.zero)
+
+
+def dual_dimension(ring, n: int, words) -> int:
+    """dim over F_q of {w in R^n : <w, c> = 0 for every c in words}: 4n less
+    the rank of the F_q-linear conditions, one per (c, coordinate of <w, c>),
+    on the coordinates of w."""
+    units = basis(ring)
+    rows = [[ring.mul(t, c[i])[r] for i in range(n) for t in units] for c in words for r in range(4)]
+    return 4 * n - len(rref(ring.field, rows))
+
+
+def orthogonal_words(ring, n: int, words):
+    """{w in R^n : <w, c> = 0 for every c in words}, flat, by trying every w."""
+    if ring.field.q ** (4 * n) > MAX_CANDIDATES:
+        raise ValueError(f"{ring.field.q}^{4 * n} words are more than {MAX_CANDIDATES}")
+    return {
+        flat(w) for w in itertools.product(ring.elements(), repeat=n)
+        if all(inner(ring, w, c) == ring.zero for c in words)
+    }

@@ -273,6 +273,26 @@ def test_table_rendering(capsys):
     assert "{" not in out.splitlines()[0]
 
 
+@pytest.mark.parametrize(
+    "suite, needs",
+    [
+        ("ret1", "closure check needs 10 basis words * 4n = 280 steps"),
+        ("ret2", "closure check needs 12 basis words * 4n = 192 steps"),
+        ("decomposition", "closure check needs 16 basis words * 4n = 320 steps"),
+        ("dual-contract", "orthogonality check needs sum k_i * (n - k_i) * n = 48 steps"),
+    ],
+)
+def test_verify_suites_are_charged_against_the_budget(capsys, suite, needs):
+    code, report = run_cli(capsys, "verify", suite, "--budget", "10")
+    assert (code, report["status"], report["budget"]) == (2, "input_error", 10)
+    assert report["result"]["error"] == f"{needs}, over the budget of 10"
+
+
+def test_gray_commutation_charges_nothing(capsys):
+    code, report = run_cli(capsys, "verify", "gray-commutation", "--budget", "1")
+    assert (code, report["result"]["pass"]) == (0, True)
+
+
 def test_budget_env_override(monkeypatch, capsys):
     monkeypatch.setenv("SKEWCODES_BUDGET", "123")
     code, report = run_cli(capsys, "verify")

@@ -27,7 +27,13 @@ from skewcodes.decomp import (
     minimal_generator,
     verify_decomposition_theorem,
 )
-from skewcodes.errors import MixedRingsError, NotADivisorError, NotAUnitError, VerificationError
+from skewcodes.errors import (
+    DEFAULT_BUDGET,
+    MixedRingsError,
+    NotADivisorError,
+    NotAUnitError,
+    VerificationError,
+)
 from skewcodes.gf import make_field
 from skewcodes.linalg import nullspace, rref
 from skewcodes.ring4 import RingElement, ring_one
@@ -80,8 +86,7 @@ def test_extract_single_scaled_word(f9):
 
 
 def test_extract_empty(f9):
-    spans = extract_components([])
-    assert all(s == [] for s in spans)
+    assert list(extract_components([])) == [[], [], [], []]
 
 
 @pytest.mark.parametrize("num", [1, 2, 3])
@@ -264,7 +269,7 @@ def test_module_words_make_no_division(monkeypatch, capsys, f9, f25):
         assert divisions == []
     assert main(["example", "4"]) == 0
     capsys.readouterr()
-    assert SUITES["ret1"](0)["pass"]
+    assert SUITES["ret1"](0, DEFAULT_BUDGET)["pass"]
     assert divisions == []
 
 
@@ -277,7 +282,7 @@ def test_twenty_decomposition_runs_make_at_most_1331_divisions(monkeypatch):
 
     divisions = spy_twisted_divisions(monkeypatch)
     for seed in range(20):
-        assert SUITES["decomposition"](seed)["pass"]
+        assert SUITES["decomposition"](seed, DEFAULT_BUDGET)["pass"]
     assert 0 < len(divisions) <= 1331
 
 

@@ -42,7 +42,7 @@ def imported_names(tree):
 
 
 def suite_functions():
-    """The cli.SUITES entries: the dispatch calls each with (seed,)."""
+    """The cli.SUITES entries: the dispatch calls each with (seed, budget)."""
     for node in parse(SRC / "cli.py").body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "SUITES" for t in node.targets
@@ -229,11 +229,35 @@ def test_span_and_module_span_are_test_references():
 def test_reduce_mod_is_called_only_by_the_idempotent_check():
     """Module words are the shift orbit of a remainder; the one reduction
     mod x^n - alpha left in src/ is e*e in idempotent_generator."""
-    callers = {
+    assert _callers("reduce_mod") == {("skewpoly", "idempotent_generator")}
+
+
+def _callers(callee):
+    """(module, qualified function) of each function in src/ that calls
+    `callee`, by name or as an attribute."""
+    return {
         (path.stem, name)
         for path in MODULES
         for name, func in _functions(parse(path).body)
         for sub in ast.walk(func)
-        if isinstance(sub, ast.Call) and _callee(sub) == "reduce_mod"
+        if isinstance(sub, ast.Call) and _callee(sub) == callee
     }
-    assert callers == {("skewpoly", "idempotent_generator")}
+
+
+def test_r_words_are_joined_from_their_components_in_one_place():
+    """ring4.join_word builds every R-word from its CRT component words;
+    RingElement.from_crt is left for scalars given as ints or elements."""
+    assert _callers("from_crt") == {("serial", "ring_from_json"), ("cli", "_suite_decomposition")}
+
+
+def test_words_are_cut_into_blocks_in_one_place():
+    """codes._blocks cuts a word into a number of blocks; quasi_twist_shift
+    checks a block size of its own."""
+    raisers = {
+        (path.stem, name)
+        for path in MODULES
+        for name, func in _functions(parse(path).body)
+        for sub in ast.walk(func)
+        if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and _callee(sub.exc) == "BadIndexError"
+    }
+    assert raisers == {("codes", "_blocks"), ("codes", "quasi_twist_shift")}

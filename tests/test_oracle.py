@@ -6,7 +6,9 @@ order.
 """
 
 import ast
+import functools
 import json
+import math
 from pathlib import Path
 
 import oracle
@@ -91,3 +93,151 @@ def test_the_oracle_imports_no_skewcodes_module():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not any(name.split(".")[0] == "skewcodes" for name in imported), imported
+
+
+# --- params, gray-image and dual ---
+
+# the longest code drawn over each field: every right divisor of x^n - beta
+# is listed, at most 6561 candidates of the top degree
+CODE_LENGTHS = {"F3": 5, "F9": 3, "F27": 2, "F81t2": 2}
+# the most codewords listed for one drawn code
+MAX_WORDS = 6561
+
+
+@functools.lru_cache(maxsize=None)
+def ring(name):
+    return oracle.R(oracle.field(*FIELDS[name]))
+
+
+@functools.lru_cache(maxsize=None)
+def divisors(name, n, beta):
+    """Every monic right divisor of x^n - beta over the named field, lowest
+    degree first, as coefficient lists."""
+    field = ring(name).field
+    return [g["coeffs"] for d in range(n + 1) for g in oracle.right_divisors(field, n, beta, d)]
+
+
+@st.composite
+def codes(draw, lengths, max_words=None, units=False):
+    """(field name, n, alpha as (a, b, c, d) codes, four component
+    generators), each generator g_i a right divisor of x^n - beta_i drawn
+    from the oracle's list, with at most max_words codewords. Unless units
+    is set, zero components beta_i, so non-unit alpha, are drawn too."""
+    name = draw(st.sampled_from(sorted(lengths)))
+    q = ring(name).field.q
+    n = draw(st.integers(1, lengths[name]))
+    if units:
+        alpha = oracle.from_components(ring(name), draw(st.tuples(*[st.integers(1, q - 1)] * 4)))
+    else:
+        alpha = draw(st.tuples(*[st.integers(0, q - 1)] * 4))
+    words, gens = 1, []
+    for beta in oracle.components(ring(name), alpha):
+        fits = [g for g in divisors(name, n, beta) if max_words is None or words * q ** (n + 1 - len(g)) <= max_words]
+        gens.append(draw(st.sampled_from(fits)))
+        words *= q ** (n + 1 - len(gens[-1]))
+    return name, n, alpha, gens
+
+
+def cli_code(command, code):
+    """(exit code, result) of a code command on (field name, n, alpha, gens)."""
+    name, n, alpha, gens = code
+    p, m, modulus, t = FIELDS[name]
+    obj = {
+        "field": {"p": p, "m": m, "modulus": list(modulus), "t": t},
+        "n": n,
+        "alpha": dict(zip("abcd", alpha)),
+        "gens": [{"ring": "fq", "coeffs": g} for g in gens],
+    }
+    rc, out = run_main([command, "--input", json.dumps(obj)])
+    return rc, json.loads(out)["result"]
+
+
+# (field name, n, alpha, gens) examples. Over F9, x^2 - 1 has the right
+# divisors x + c for c = 1, 2, z, 2z (codes 1, 2, 3, 6), and theta moves the
+# last two, so it shows in their shifts. alpha = u has beta = (0, 1, 0, 1).
+SKEW_F9 = ("F9", 2, (1, 0, 0, 0), [[2, 1], [3, 1], [6, 1], [1]])
+NON_UNIT_F3 = ("F3", 3, (0, 1, 0, 0), [[0, 1], [2, 1], [1], [2, 0, 0, 1]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(codes(CODE_LENGTHS, MAX_WORDS))
+@example(SKEW_F9)
+@example(NON_UNIT_F3)
+def test_params_is_the_oracle(code):
+    name, n, alpha, gens = code
+    r = ring(name)
+    field = r.field
+    words = oracle.code_words(r, n, alpha, gens)
+    rank = len(oracle.rref(field, map(oracle.flat, words)))
+    codewords = oracle.span(field, map(oracle.flat, words), 4 * n)
+    index = math.gcd(n, oracle.theta_order(field))
+
+    def closed(shift):
+        return all(oracle.flat(shift(oracle.unflat(w))) in codewords for w in codewords)
+
+    self_orthogonal = all(oracle.inner(r, w, c) == r.zero for w in words for c in words)
+    rc, result = cli_code("params", code)
+    assert rc == 0, result
+    assert result["component_dims"] == oracle.component_dims(r, words)
+    assert result["gray_params"] == [4 * n, rank, oracle.min_distance(r, codewords)]
+    assert result["closures"]["tau"] == closed(lambda w: oracle.tau(r, w, alpha))
+    quasi_twist = {"index": index, "closed": closed(lambda w: oracle.rho(r, w, alpha, index))}
+    assert result["closures"]["quasi_twist"] == quasi_twist
+    assert result["self_dual"] == (self_orthogonal and rank == oracle.dual_dimension(r, n, words))
+
+
+@settings(max_examples=40, deadline=None)
+@given(codes(CODE_LENGTHS))
+@example(SKEW_F9)
+@example(NON_UNIT_F3)
+def test_gray_image_is_the_oracle(code):
+    name, n, alpha, gens = code
+    r = ring(name)
+    rows = [oracle.gray(r, w) for w in oracle.code_words(r, n, alpha, gens)]
+    rc, result = cli_code("gray-image", code)
+    assert rc == 0, result
+    assert result["length"] == 4 * n
+    assert result["dimension"] == len(result["rows"]) == len(oracle.rref(r.field, rows))
+    assert oracle.rref(r.field, result["rows"]) == oracle.rref(r.field, rows)
+
+
+def assert_dual_is_the_oracle(code):
+    name, n, alpha, gens = code
+    r = ring(name)
+    rc, result = cli_code("dual", code)
+    if r.zero[0] in oracle.components(r, alpha):
+        assert rc == 2 and "not a unit" in result["error"], result
+        return
+    if rc == 1:
+        # the twisted reversal of the cofactor is shown to generate the
+        # dual when theta's order k divides n; past that the CLI may refuse
+        assert "does not right-divide" in result["error"], result
+        assert n % oracle.theta_order(r.field) != 0, result
+        return
+    assert rc == 0, result
+    dual_alpha = tuple(result["dual_alpha"][k] for k in "abcd")
+    dual = oracle.code_words(r, n, dual_alpha, [g["coeffs"] for g in result["dual_gens"]])
+    words = oracle.code_words(r, n, alpha, gens)
+    if r.field.q ** (4 * n) <= oracle.MAX_CANDIDATES:
+        assert oracle.span(r.field, map(oracle.flat, dual), 4 * n) == oracle.orthogonal_words(r, n, words)
+    else:
+        assert all(oracle.inner(r, d, c) == r.zero for d in dual for c in words)
+        assert len(oracle.rref(r.field, map(oracle.flat, dual))) == oracle.dual_dimension(r, n, words)
+
+
+@settings(max_examples=30, deadline=None)
+@given(codes({"F3": 2, "F9": 1}, units=True))
+@example(("F3", 2, (0, 0, 1, 0), [[0, 1], [1], [1], [1]]))  # alpha = v: not a unit
+def test_dual_is_the_orthogonal_code_of_r_n(code):
+    """The dual against every word of R^n orthogonal to the code."""
+    assert_dual_is_the_oracle(code)
+
+
+@settings(max_examples=30, deadline=None)
+@given(codes(CODE_LENGTHS, units=True))
+@example(SKEW_F9)
+@example(NON_UNIT_F3)
+def test_dual_has_the_orthogonal_dimension(code):
+    """Past the sizes R^n can be listed at: the dual is orthogonal to the
+    code and has the dimension of the solutions of <w, c> = 0."""
+    assert_dual_is_the_oracle(code)

@@ -1,16 +1,24 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference import random_ring_element, ring_elements
 
 from skewcodes.errors import NotAUnitError
+from skewcodes.gf import make_field
 from skewcodes.ring4 import (
     RingElement,
     idempotents,
+    join_word,
     ring_one,
     ring_zero,
+    split_word,
     unit_check,
 )
+
+# F3, F9 and F27, as make_field takes them
+SMALL_FIELDS = {"F3": (3, 1, [0, 1], 1), "F9": (3, 2, [1, 0, 1], 1), "F27": (3, 3, [1, 2, 0, 1], 1)}
 
 
 def reference_mul(x, y):
@@ -159,3 +167,35 @@ def test_zero_and_one(f9):
     assert ring_zero(f9).is_zero
     assert not ring_one(f9).is_zero
     assert (ring_one(f9) - ring_one(f9)).is_zero
+
+
+@st.composite
+def words_and_parts(draw):
+    """(word over R, four component words of one length) over F3, F9 or
+    F27, both possibly empty. Entries are drawn by their (a, b, c, d)
+    coordinates and components by their codes, so zero entries and
+    non-units (entries with a zero component) come up often."""
+    spec = make_field(*SMALL_FIELDS[draw(st.sampled_from(sorted(SMALL_FIELDS)))])
+    value = st.integers(0, spec.q - 1).map(spec.from_int)
+    entry = st.tuples(value, value, value, value).map(lambda abcd: RingElement(*abcd))
+    word = tuple(draw(st.lists(entry, max_size=6)))
+    length = draw(st.integers(0, 6))
+    parts = tuple(tuple(draw(st.lists(value, min_size=length, max_size=length))) for _ in range(4))
+    return word, parts
+
+
+@settings(max_examples=80, deadline=None)
+@given(words_and_parts())
+@example(((), ((), (), (), ())))
+def test_join_word_inverts_split_word(args):
+    word, parts = args
+    assert join_word(split_word(word)) == word
+    assert split_word(join_word(parts)) == parts
+
+
+def test_join_word_places_each_part_in_its_component(f9):
+    one, zero = f9.one, f9.zero
+    u = RingElement.from_ints(f9, 0, 1, 0, 0)
+    assert join_word(((zero, one), (one, one), (zero, one), (one, one))) == (u, ring_one(f9))
+    with pytest.raises(ValueError):
+        join_word(((one,), (one,), (one,), ()))

@@ -720,6 +720,16 @@ def test_dual_idempotent_generates_dual(f9):
 
 # --- component assembly ---
 
+@pytest.mark.parametrize("place", range(4))
+def test_from_components_refuses_mixed_rings_in_every_place(f9, f25, place):
+    """An R-polynomial or a second field in any of the four places."""
+    for bad in (r_poly(f9, [-1, 1]), fq_poly(f25, [-1, 1])):
+        parts = [fq_poly(f9, [-1, 1])] * 4
+        parts[place] = bad
+        with pytest.raises(MixedRingsError, match="^components must be base-field polynomials over one field$"):
+            from_components(*parts)
+
+
 def test_from_components_collapse(f9):
     f = fq_poly(f9, [2, f9.root(), 1])
     assembled = from_components(f, f, f, f)
