@@ -33,6 +33,7 @@ from .skewpoly import (
     dual_generator,
     generator_basis_words,
     poly_to_word,
+    quasi_twist_shift,
     residue_sum,
     residues,
     right_divmod,
@@ -46,18 +47,6 @@ def skew_cyclic_shift(word):
     """(c_0..c_{n-1}) -> (theta(c_{n-1}), theta(c_0), .., theta(c_{n-2}))."""
     word = tuple(word)
     return (word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
-
-
-def quasi_twist_shift(word, alpha, block: int):
-    """Rotate by one size-`block` chunk; the wrapped chunk is scaled by alpha.
-
-    This is the untwisted quasi-twisted shift of index `block`.
-    """
-    word = tuple(word)
-    n = len(word)
-    if block < 1 or n % block != 0:
-        raise BadIndexError(f"block size {block} does not divide length {n}")
-    return tuple(alpha * c for c in word[n - block:]) + word[: n - block]
 
 
 def _blocks(word, count: int):
@@ -272,7 +261,7 @@ def dual_code(code: SkewCode) -> SkewCode:
     """
     alpha_inv = code.alpha.inverse()
     hs = cofactors(code)
-    duals = tuple(dual_generator(h).monic() for h in hs)
+    duals = tuple(dual_generator(h, code.n).monic() for h in hs)
     return build_code(code.field, code.n, alpha_inv, duals)
 
 

@@ -9,8 +9,6 @@ The 4-tuple (a, a+b, a+c, a+b+c+d) is the CRT view; RingElement stores it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MixedRingsError, NotAUnitError
 from .gf import FieldElement, FieldSpec
 
@@ -203,14 +201,3 @@ def join_word(parts):
     """The word over R whose four CRT component words, of one length, are
     `parts`: the inverse of split_word."""
     return tuple(map(_of, zip(*parts, strict=True)))
-
-
-@dataclass(frozen=True)
-class UnitReport:
-    is_unit: bool
-    crt_components: tuple
-
-
-def unit_check(r: RingElement) -> UnitReport:
-    """Unit verdict together with the CRT components it was decided on."""
-    return UnitReport(r.is_unit, r.crt_ints())

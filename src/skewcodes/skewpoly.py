@@ -10,6 +10,7 @@ x^n - alpha = h(x) * f(x).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DEFAULT_BUDGET,
+    BadIndexError,
     BudgetExceededError,
     DivisionByZeroPolyError,
     HypothesisViolatedError,
@@ -31,7 +33,7 @@ from .errors import (
     charge,
 )
 from .gf import FieldElement, FieldSpec
-from .linalg import rref
+from .linalg import nullspace, rref
 from .ring4 import RingElement, join_word, ring_one, ring_zero, split_word
 
 
@@ -235,9 +237,8 @@ def _check_divisor(f: SkewPoly, g: SkewPoly):
         )
 
 
-def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
-    """(quot, rem) with f = quot * g + rem and deg rem < deg g, for the
-    twisted product or, with twisted=False, the commutative one."""
+def _divmod(f: SkewPoly, g: SkewPoly):
+    """(quot, rem) with f = quot * g + rem and deg rem < deg g."""
     _check_divisor(f, g)
     # In place: step d subtracts (c x^d) * g = x^d * (c * theta^d(g)) from
     # rem[d:], so it costs O(deg g) and not O(deg f). theta^d depends only on
@@ -248,7 +249,7 @@ def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
     twists = {}
     while len(rem) > dg:
         d = len(rem) - 1 - dg
-        r = d % g.spec.k if twisted else 0
+        r = d % g.spec.k
         if r not in twists:
             gd = SkewPoly(g.spec, g.ring, [b.frob(r) for b in g.coeffs]) if r else g
             twists[r] = gd, gd.lead.inverse()
@@ -263,7 +264,7 @@ def _divmod(f: SkewPoly, g: SkewPoly, twisted: bool):
 
 def right_divmod(f: SkewPoly, g: SkewPoly):
     """(quot, rem) with f = quot * g + rem and deg rem < deg g."""
-    return _divmod(f, g, twisted=True)
+    return _divmod(f, g)
 
 
 def residues(g: SkewPoly):
@@ -561,6 +562,19 @@ def skew_constacyclic_shift(word, alpha):
     return (alpha * word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
 
 
+def quasi_twist_shift(word, alpha, block: int):
+    """Rotate by one size-`block` chunk; the wrapped chunk is scaled by alpha.
+
+    This is the untwisted quasi-twisted shift of index `block`; index 1 is
+    the untwisted constacyclic shift, x* in F_q[x]/(x^n - alpha).
+    """
+    word = tuple(word)
+    n = len(word)
+    if block < 1 or n % block != 0:
+        raise BadIndexError(f"block size {block} does not divide length {n}")
+    return tuple(alpha * c for c in word[n - block:]) + word[: n - block]
+
+
 def _shift_orbit(f: SkewPoly, mod: ModulusSpec):
     """Words of x^j * f mod (x^n - alpha), j = 0, 1, ...: f's remainder, then
     its shifts tau_alpha, which is left multiplication by x (x^n = alpha).
@@ -588,52 +602,55 @@ def generator_basis_words(f: SkewPoly, mod: ModulusSpec):
 
 # --- dual cofactor generator ---
 
-def dual_generator(h: SkewPoly) -> SkewPoly:
-    """Coefficient reversal with iterated twist: result_i = theta^i(h_{deg-i}).
+def dual_generator(h: SkewPoly, n: int) -> SkewPoly:
+    """Coefficient reversal with iterated twist:
+    result_i = theta^(i - n)(h_{deg - i}).
 
     Applied to the cofactor h of x^n - alpha = h * f, it generates the dual
-    of <f>; the iterated-power form is validated against a brute-force dual
-    oracle in the test suite.
+    of <f>. When theta's order k divides n, theta^(i - n) is theta^i. The
+    form is validated against brute-force dual oracles in the test suite.
     """
     if h.is_zero:
         raise ZeroPolynomialError("dual generator of the zero polynomial")
     r = h.degree
-    return SkewPoly(h.spec, h.ring, [h.coeff(r - i).frob(i) for i in range(r + 1)])
-
-
-# --- commutative helpers (used by the idempotent construction) ---
-
-def c_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    return f._mul(g, twisted=False)
-
-
-def c_divmod(f: SkewPoly, g: SkewPoly):
-    """(quot, rem) with f = quot g + rem under the commutative product."""
-    return _divmod(f, g, twisted=False)
-
-
-def c_xgcd(a: SkewPoly, b: SkewPoly):
-    """(g, s) with g = gcd(a, b) and s*a = g (mod b), commutative products."""
-    r0, r1 = a, b
-    s0, s1 = SkewPoly(a.spec, a.ring, [a._one_coeff()]), SkewPoly.zero(a.spec, a.ring)
-    while not r1.is_zero:
-        q, r = c_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - c_mul(q, s1)
-    return r0, s0
+    return SkewPoly(h.spec, h.ring, [h.coeff(r - i).frob(i - n) for i in range(r + 1)])
 
 
 # --- idempotent generators ---
 
+def c_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """The commutative product f g, x b = b x."""
+    return f._mul(g, twisted=False)
+
+
+def _fold(f: SkewPoly, mod: ModulusSpec):
+    """The word of f mod (x^n - alpha) in the commutative quotient: from
+    the top, x^(n + i) = alpha x^i."""
+    n = mod.n
+    word = list(f.coeffs) + [f._zero_coeff()] * (n - len(f.coeffs))
+    for i in range(len(word) - 1, n - 1, -1):
+        word[i - n] = word[i - n] + mod.alpha * word[i]
+    return tuple(word[:n])
+
+
 def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     """Idempotent e with e*e = e mod (x^n - alpha) and <e> = <f>.
 
-    Requires gcd(n, k) = 1 and gcd(n, q) = 1. Under these hypotheses the
-    code is closed under the untwisted shift, so e is found by commutative
-    extended Euclid on (f, h) where x^n - alpha = h f, then verified in the
-    skew ring. f right-divides x^n - alpha, so <f>, the words of degree < n
-    that f right-divides, is closed under x* and of dimension n - deg f: it
-    is <e> once f right-divides e and its n span words have that rank.
+    Requires gcd(n, k) = 1 and gcd(n, q) = 1. Then, for an alpha that
+    theta fixes, <f> is closed under the untwisted shift
+    rho = quasi_twist_shift(., alpha, 1), x* in F_q[x]/(x^n - alpha), so it
+    is an ideal there with basis rho^j(f) = x^j f, j < n - deg f. In
+    that semisimple ring its idempotent is its one element that acts as the
+    identity on it (MacWilliams and Sloane, The Theory of Error-Correcting
+    Codes, ch. 8 §3), so e = sum_j a_j x^j f for the one solution of
+    e f = sum_j a_j rho^j(f f) = f: one linear solve, no quotient. No
+    unique solution means that x^n - alpha is not squarefree (alpha = 0)
+    or, for an alpha that theta moves, that <f> is no such ideal.
+
+    e is then verified in the skew ring. f right-divides x^n - alpha, so
+    <f>, the words of degree < n that f right-divides, is closed under x*
+    and of dimension n - deg f: it is <e> once f right-divides e and its n
+    span words have that rank.
     """
     spec = f.spec
     n = mod.n
@@ -641,24 +658,22 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
         raise HypothesisViolatedError(
             f"need gcd(n,k)=1 and gcd(n,q)=1; got n={n}, k={spec.k}, q={spec.q}"
         )
-    modulus_poly = mod.poly()
-    if not right_remainder(modulus_poly, f).is_zero:
+    if not right_remainder(mod.poly(), f).is_zero:
         raise NotADivisorError(f"{f!r} does not right-divide x^{n} - {mod.alpha!r}")
-    h, rem = c_divmod(modulus_poly, f)
-    if not rem.is_zero:
-        raise VerificationError(
-            "right divisor is not a commutative factor despite gcd(n,k)=1"
-        )
-    g, s = c_xgcd(f, h)
-    if g.is_zero or g.degree != 0:
+    dim = n - f.degree
+    rho = functools.partial(quasi_twist_shift, block=1)
+    columns = itertools.accumulate(itertools.repeat(mod.alpha), rho, initial=_fold(c_mul(f, f), mod))
+    solutions = nullspace(list(zip(*itertools.islice(columns, dim), _fold(f, mod))), dim + 1, spec)
+    if len(solutions) != 1 or solutions[0][dim] != spec.one:
         raise HypothesisViolatedError(
-            f"x^{n} - {mod.alpha!r} is not squarefree: gcd(f, h) = {g!r}"
+            f"<{f!r}> has no idempotent generator mod x^{n} - {mod.alpha!r}:"
+            " no unique e in it with e f = f in the commutative quotient"
         )
-    e = c_divmod(c_mul(s.scale_left(g.coeff(0).inverse()), f), modulus_poly)[1]
+    e = c_mul(SkewPoly(spec, f.ring, [-a for a in solutions[0][:dim]]), f)
     square = reduce_mod(e * e, mod)
     if square != e:
         raise VerificationError(f"constructed polynomial is not skew-idempotent: e*e = {square!r}")
-    if not right_remainder(e, f).is_zero or len(rref(span_words(e, mod))[0]) != n - f.degree:
+    if not right_remainder(e, f).is_zero or len(rref(span_words(e, mod))[0]) != dim:
         raise VerificationError("idempotent generates a different submodule than f")
     return e
 

@@ -1,5 +1,5 @@
 """A definition-level oracle for `skewcodes divisor-search`, `params`,
-`dual` and `gray-image`, written here from the definitions:
+`dual`, `gray-image` and `idempotent`, written here from the definitions:
 
 - right_divisors: every monic right divisor of x^n - alpha of one degree,
   found by trying each candidate with a right long division;
@@ -8,7 +8,9 @@
   and what the CLI reports of it: component dimensions from e_i * C, the
   Gray image by the blocks (a, a+b, a+c, a+b+c+d), the minimum distance and
   the shift closures by listing every codeword, and the dual by the
-  Euclidean inner product.
+  Euclidean inner product;
+- commutative_mul: the commutative product mod x^n - alpha, under which an
+  idempotent generator of a code over F_q is the identity on the code.
 
 Nothing here imports skewcodes, so the oracle shares no table, shortcut or
 code with the package:
@@ -219,22 +221,39 @@ def from_components(ring, betas):
     return b1, add(b2, neg(b1)), add(b3, neg(b1)), add(add(b4, neg(b2)), add(neg(b3), b1))
 
 
+def left_multiples(ring, n: int, alpha, g, r):
+    """The words of (r x^j) * g mod (x^n - alpha), j < n."""
+    f = [ring.neg(alpha)] + [ring.zero] * (n - 1) + [ring.one]
+    words = []
+    for j in range(n):
+        rem = right_remainder(ring, skew_mul(ring, [ring.zero] * j + [r], g), f)
+        words.append(tuple(rem) + (ring.zero,) * (n - len(rem)))
+    return words
+
+
 def code_words(ring, n: int, alpha, gens):
     """An F_q spanning set of the code over R with component generators
     gens (F_q coefficient lists): the words of (r x^j) * g mod (x^n - alpha),
     r in {1, u, v, uv}, j < n, for g = e1 g1 + e2 g2 + e3 g3 + e4 g4."""
-    field, zero = ring.field, ring.zero
-    g = [zero] * max(map(len, gens))
+    field = ring.field
+    g = [ring.zero] * max(map(len, gens))
     for e, gi in zip(idempotents(ring), gens):
         for k, c in enumerate(gi):
             g[k] = ring.add(g[k], ring.mul(e, (c, field.zero, field.zero, field.zero)))
-    f = [ring.neg(alpha)] + [zero] * (n - 1) + [ring.one]
-    words = []
-    for r in basis(ring):
-        for j in range(n):
-            rem = right_remainder(ring, skew_mul(ring, [zero] * j + [r], g), f)
-            words.append(tuple(rem) + (zero,) * (n - len(rem)))
-    return words
+    return [w for r in basis(ring) for w in left_multiples(ring, n, alpha, g, r)]
+
+
+def commutative_mul(ring, n: int, alpha, f, g):
+    """The word of f g mod (x^n - alpha) under the commutative product,
+    x b = b x, for coefficient lists f and g: x^(n + i) = alpha x^i."""
+    out = [ring.zero] * n
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            c = ring.mul(a, b)
+            for _ in range((i + j) // n):
+                c = ring.mul(alpha, c)
+            out[(i + j) % n] = ring.add(out[(i + j) % n], c)
+    return tuple(out)
 
 
 def flat(word):

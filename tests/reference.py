@@ -34,6 +34,19 @@ def run_main(argv):
 
 # --- words and shifts ---
 
+def commutative_remainder(f: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """f mod g under the commutative product, x b = b x, by long division;
+    g has a unit leading coefficient."""
+    rem = list(f.coeffs)
+    while len(rem) > g.degree:
+        c = rem[-1] * g.lead.inverse()
+        d = len(rem) - len(g.coeffs)
+        for j, b in enumerate(g.coeffs):
+            rem[d + j] = rem[d + j] - c * b
+        rem.pop()
+    return SkewPoly(f.spec, f.ring, rem)
+
+
 def constacyclic_shift(word, alpha):
     """Untwisted constacyclic shift: no automorphism, alpha on the wrap."""
     word = tuple(word)

@@ -35,7 +35,7 @@ from skewcodes.gray import (
     tau_omega4,
 )
 from skewcodes.linalg import inner_product, nullspace
-from skewcodes.ring4 import RingElement, ring_one, unit_check
+from skewcodes.ring4 import RingElement, ring_one
 from skewcodes.skewpoly import (
     ModulusSpec,
     dual_generator,
@@ -227,7 +227,7 @@ def test_criterion_6_dual_contract():
                     if h.is_zero:
                         continue
                     oracle = Span(nullspace(span_words(f, mod), n, F9))
-                    got = Span(span_words(dual_generator(h), mod))
+                    got = Span(span_words(dual_generator(h, n), mod))
                     assert got == oracle
                     checked += 1
     elapsed = time.perf_counter() - start
@@ -252,7 +252,7 @@ def test_criterion_7_idempotent_generator():
 
     de = dual_idempotent(e, mod)
     h = right_divmod(mod.poly(), f)[0]
-    dual_span = Span(span_words(dual_generator(h), mod))
+    dual_span = Span(span_words(dual_generator(h, mod.n), mod))
     got = Span(span_words(de, mod))
     assert got.dim == dual_span.dim
     assert got == dual_span
@@ -289,9 +289,9 @@ def test_criterion_8a_f49_audit():
 def test_criterion_8b_unit_check_and_closure():
     start = time.perf_counter()
     ex = get_example(4)
-    report = unit_check(ex["alpha"])
-    assert not report.is_unit
-    assert report.crt_components == (1, 1, 2, 0)
+    alpha = ex["alpha"]
+    assert not alpha.is_unit
+    assert alpha.crt_ints() == (1, 1, 2, 0)
 
     assert math.gcd(ex["n"], F9.k) == 1
     mod = ModulusSpec(ex["n"], ex["alpha"])
@@ -302,7 +302,7 @@ def test_criterion_8b_unit_check_and_closure():
     emit(
         "8b",
         closed and elapsed < 10.0,
-        f"unit check reports non-unit crt={list(report.crt_components)};"
+        f"unit check reports non-unit crt={list(alpha.crt_ints())};"
         f" untwisted closure evaluated: {closed} (component dims {list(span.dims)})",
         elapsed,
     )

@@ -153,6 +153,29 @@ def test_verify_decomposition_and_dual_suites(capsys):
     assert suites["dual-contract"]["pass"] is True
 
 
+def test_decomposition_suite_fails_when_the_theorem_fails(capsys, monkeypatch):
+    """A run passes only when its whole-code verdict agrees with its
+    component verdicts. Each component verdict is patched to its negation:
+    every code stays closed and round-trips, but the suite fails."""
+    import dataclasses
+
+    import skewcodes.cli as cli
+
+    verify = cli.verify_decomposition_theorem
+
+    def negated(code, budget):
+        report = verify(code, budget)
+        components = tuple(not c for c in report.components)
+        return dataclasses.replace(report, components=components, equivalence_holds=report.closed == all(components))
+
+    monkeypatch.setattr(cli, "verify_decomposition_theorem", negated)
+    code, report = run_cli(capsys, "verify", "decomposition")
+    assert code == 1
+    runs = report["result"]["suites"]["decomposition"]["runs"]
+    assert all(r["round_trip"] and r["closed"] for r in runs)
+    assert report["result"]["suites"]["decomposition"]["pass"] is False
+
+
 def test_reports_embed_field_spec(capsys):
     _, report = run_cli(capsys, "build", "--input", CODESPEC)
     assert report["result"]["field"] == {"p": 5, "m": 2, "modulus": [1, 1, 1], "t": 1}
@@ -846,14 +869,14 @@ def test_deep_params_reduce_and_sweep_no_row_longer_than_n(capsys, monkeypatch, 
 
 
 def spy_divisions(monkeypatch):
-    """The dividend of every right or commutative division."""
+    """The dividend of every right division."""
     import skewcodes.skewpoly
 
     dividends = []
     divmod_ = skewcodes.skewpoly._divmod
     monkeypatch.setattr(
         "skewcodes.skewpoly._divmod",
-        lambda f, g, twisted: dividends.append(f) or divmod_(f, g, twisted),
+        lambda f, g: dividends.append(f) or divmod_(f, g),
     )
     return dividends
 

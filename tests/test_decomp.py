@@ -226,20 +226,18 @@ def test_minimal_generator_makes_one_elimination(monkeypatch, f9, f25):
     assert verdicts == [True, False, True, True, True]
 
 
-def spy_twisted_divisions(monkeypatch):
-    """The divisor of every twisted right division, in order."""
+def spy_divisions(monkeypatch):
+    """The divisor of every right division, in order."""
     divisors = []
     divmod_ = skewpoly._divmod
-    monkeypatch.setattr(
-        skewpoly, "_divmod", lambda f, g, twisted: (twisted and divisors.append(g)) or divmod_(f, g, twisted)
-    )
+    monkeypatch.setattr(skewpoly, "_divmod", lambda f, g: divisors.append(g) or divmod_(f, g))
     return divisors
 
 
 def test_minimal_generator_makes_no_division(monkeypatch, f9, f25):
     """Its remainders, of x^n - beta and of every echelon row, are read off
     the generator's residues."""
-    divisions = spy_twisted_divisions(monkeypatch)
+    divisions = spy_divisions(monkeypatch)
     rng = random.Random(11)
     for spec, n in ((f9, 4), (f25, 6), (f9, 6), (f25, 1)):
         for sign in (1, -1):
@@ -257,7 +255,7 @@ def test_module_words_make_no_division(monkeypatch, capsys, f9, f25):
     words of the length-7 module."""
     from skewcodes.cli import SUITES, main
 
-    divisions = spy_twisted_divisions(monkeypatch)
+    divisions = spy_divisions(monkeypatch)
     rng = random.Random(5)
     for spec, n in ((f9, 4), (f25, 6)):
         mod = ModulusSpec(n, spec.constant(-1))
@@ -280,7 +278,7 @@ def test_twenty_decomposition_runs_make_at_most_1331_divisions(monkeypatch):
     rows."""
     from skewcodes.cli import SUITES
 
-    divisions = spy_twisted_divisions(monkeypatch)
+    divisions = spy_divisions(monkeypatch)
     for seed in range(20):
         assert SUITES["decomposition"](seed, DEFAULT_BUDGET)["pass"]
     assert 0 < len(divisions) <= 1331

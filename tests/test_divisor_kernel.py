@@ -172,12 +172,12 @@ def test_a_false_pick_fails_the_division_that_peels_it(monkeypatch, ring):
 
 
 def spy_divisions(monkeypatch):
-    """The divisor of every right or commutative division, in order."""
+    """The divisor of every right division, in order."""
     calls = []
     divmod_ = skewpoly._divmod
     monkeypatch.setattr(
         "skewcodes.skewpoly._divmod",
-        lambda f, g, twisted: calls.append(g) or divmod_(f, g, twisted),
+        lambda f, g: calls.append(g) or divmod_(f, g),
     )
     return calls
 

@@ -251,8 +251,8 @@ def test_r_words_are_joined_from_their_components_in_one_place():
 
 
 def test_words_are_cut_into_blocks_in_one_place():
-    """codes._blocks cuts a word into a number of blocks; quasi_twist_shift
-    checks a block size of its own."""
+    """codes._blocks cuts a word into a number of blocks;
+    skewpoly.quasi_twist_shift checks a block size of its own."""
     raisers = {
         (path.stem, name)
         for path in MODULES
@@ -260,4 +260,20 @@ def test_words_are_cut_into_blocks_in_one_place():
         for sub in ast.walk(func)
         if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and _callee(sub.exc) == "BadIndexError"
     }
-    assert raisers == {("codes", "_blocks"), ("codes", "quasi_twist_shift")}
+    assert raisers == {("codes", "_blocks"), ("skewpoly", "quasi_twist_shift")}
+
+
+def test_one_division_and_one_commutative_product():
+    """Right division is the one division: no function in src/ but
+    SkewPoly._mul takes a `twisted` parameter. The commutative product
+    c_mul serves only the idempotent's square and its e, and stays a
+    function of its own because perfbench/tracer.py counts its calls as
+    skewpoly.c_mul."""
+    twisted = {
+        (path.stem, name)
+        for path in MODULES
+        for name, func in _functions(parse(path).body)
+        if "twisted" in {a.arg for a in func.args.args + func.args.kwonlyargs}
+    }
+    assert twisted == {("skewpoly", "SkewPoly._mul")}
+    assert _callers("c_mul") == {("skewpoly", "idempotent_generator")}

@@ -208,12 +208,6 @@ def assert_dual_is_the_oracle(code):
     if r.zero[0] in oracle.components(r, alpha):
         assert rc == 2 and "not a unit" in result["error"], result
         return
-    if rc == 1:
-        # the twisted reversal of the cofactor is shown to generate the
-        # dual when theta's order k divides n; past that the CLI may refuse
-        assert "does not right-divide" in result["error"], result
-        assert n % oracle.theta_order(r.field) != 0, result
-        return
     assert rc == 0, result
     dual_alpha = tuple(result["dual_alpha"][k] for k in "abcd")
     dual = oracle.code_words(r, n, dual_alpha, [g["coeffs"] for g in result["dual_gens"]])
@@ -228,6 +222,7 @@ def assert_dual_is_the_oracle(code):
 @settings(max_examples=30, deadline=None)
 @given(codes({"F3": 2, "F9": 1}, units=True))
 @example(("F3", 2, (0, 0, 1, 0), [[0, 1], [1], [1], [1]]))  # alpha = v: not a unit
+@example(("F9", 1, (3, 0, 0, 0), [[1], [1], [1], [1]]))  # alpha = z: theta moves it and k = 2 does not divide n
 def test_dual_is_the_orthogonal_code_of_r_n(code):
     """The dual against every word of R^n orthogonal to the code."""
     assert_dual_is_the_oracle(code)
@@ -241,3 +236,73 @@ def test_dual_has_the_orthogonal_dimension(code):
     """Past the sizes R^n can be listed at: the dual is orthogonal to the
     code and has the dimension of the solutions of <w, c> = 0."""
     assert_dual_is_the_oracle(code)
+
+
+# --- idempotent ---
+
+# the lengths n drawn over each field: gcd(n, k) = gcd(n, q) = 1, the
+# hypotheses of idempotent; F_q[x]/(x^n - alpha) is semisimple for alpha != 0
+IDEMPOTENT_LENGTHS = {"F3": (1, 2, 4, 5), "F9": (1, 5), "F27": (1, 2), "F81t2": (1,)}
+
+
+@st.composite
+def idempotent_codes(draw):
+    """(field name, n, four nonzero constants beta_i, four generators g_i),
+    each g_i a right divisor of x^n - beta_i from the oracle's list with at
+    most MAX_WORDS codewords in <g_i>. theta fixes each beta_i: then a
+    right divisor of x^n - beta_i is a commutative one too, and <g_i> an
+    ideal of F_q[x]/(x^n - beta_i)."""
+    name = draw(st.sampled_from(sorted(IDEMPOTENT_LENGTHS)))
+    field = ring(name).field
+    n = draw(st.sampled_from(IDEMPOTENT_LENGTHS[name]))
+    fixed = st.sampled_from([b for b in range(1, field.q) if field.theta(b) == b])
+    betas = draw(st.tuples(*[fixed] * 4))
+    fits = [[g for g in divisors(name, n, b) if field.q ** (n + 1 - len(g)) <= MAX_WORDS] for b in betas]
+    gens = [draw(st.sampled_from(f)) for f in fits]
+    return name, n, betas, gens
+
+
+def assert_idempotent_generator(field, n, alpha, f, e):
+    """e, a coefficient list, is the idempotent generator of C = <f> in
+    F_q[x; theta]/(x^n - alpha): a word of C with e * e = e, whose left
+    multiples span C, and with e c = c for every c in C under the
+    commutative product. The last condition alone pins e: two such e, e'
+    of C give e = e' e = e e' = e'."""
+    e = tuple(e) + (field.zero,) * (n - len(e))
+    code = oracle.span(field, oracle.left_multiples(field, n, alpha, f, field.one), n)
+    multiples = oracle.left_multiples(field, n, alpha, e, field.one)
+    assert e in code
+    assert oracle.left_multiples(field, n, alpha, oracle.skew_mul(field, e, e), field.one)[0] == e
+    assert oracle.span(field, multiples, n) == code
+    assert all(oracle.commutative_mul(field, n, alpha, e, c) == c for c in code)
+
+
+def cli_idempotent(name, n, **obj):
+    p, m, modulus, t = FIELDS[name]
+    obj = {"field": {"p": p, "m": m, "modulus": list(modulus), "t": t}, "n": n, **obj}
+    rc, out = run_main(["idempotent", "--input", json.dumps(obj)])
+    result = json.loads(out)["result"]
+    assert rc == 0, result
+    return result
+
+
+@settings(max_examples=25, deadline=None)
+@given(idempotent_codes())
+@example(("F9", 5, (1, 1, 2, 2), [[2, 1], [2, 1], [1, 1], [1, 1]]))  # the idempotent goldens
+def test_idempotent_is_the_oracle(code):
+    """Both input forms: a generator f with its constant, and four
+    component generators, whose component idempotents the CLI joins into
+    one e over R."""
+    name, n, betas, gens = code
+    r = ring(name)
+    field = r.field
+    f_result = cli_idempotent(name, n, alpha=betas[0], f={"ring": "fq", "coeffs": gens[0]})
+    assert_idempotent_generator(field, n, betas[0], gens[0], f_result["e"]["coeffs"])
+    result = cli_idempotent(name, n, alpha={"crt": list(betas)}, gens=[{"ring": "fq", "coeffs": g} for g in gens])
+    es = [e["coeffs"] for e in result["component_idempotents"]]
+    assert es[0] == f_result["e"]["coeffs"]
+    for beta, g, e in zip(betas, gens, es):
+        assert_idempotent_generator(field, n, beta, g, e)
+    joined = [oracle.components(r, tuple(c[k] for k in "abcd")) for c in result["e"]["coeffs"]]
+    joined += [(field.zero,) * 4] * (n - len(joined))
+    assert [tuple(e) + (field.zero,) * (n - len(e)) for e in es] == list(zip(*joined))

@@ -14,7 +14,6 @@ from skewcodes.ring4 import (
     ring_one,
     ring_zero,
     split_word,
-    unit_check,
 )
 
 # F3, F9 and F27, as make_field takes them
@@ -109,9 +108,8 @@ def test_unit_examples(f9, f49):
     assert RingElement.from_ints(f49, 1, 0, 0, -2).is_unit
     # fourth CRT component of 1 - 2v - 2uv vanishes mod 3
     stated = RingElement.from_ints(f9, 1, 0, -2, -2)
-    report = unit_check(stated)
-    assert not report.is_unit
-    assert report.crt_components == (1, 1, 2, 0)
+    assert not stated.is_unit
+    assert stated.crt_ints() == (1, 1, 2, 0)
 
 
 def test_inverse_examples(f9, f49):

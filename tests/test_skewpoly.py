@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ModuleSpan, Span
+from reference import ModuleSpan, Span, commutative_remainder
 from test_kernel import FIELDS
 
 from skewcodes.errors import (
@@ -26,7 +26,6 @@ from skewcodes.ring4 import RingElement
 from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
-    c_divmod,
     c_mul,
     component_polys,
     dual_generator,
@@ -146,7 +145,7 @@ def test_divmod_examples(f25, f9):
     assert q == fq_poly(f9, [2, a9, 0, 2 * a9, 1])
 
 
-def reference_divmod(f, g, twisted):
+def reference_divmod(f, g):
     """The allocating loop that _divmod replaced: every quotient term is a
     full-length SkewPoly, and every step rebuilds quot and rem."""
     quot = SkewPoly.zero(f.spec, f.ring)
@@ -155,10 +154,10 @@ def reference_divmod(f, g, twisted):
     glead = g.lead
     while not rem.is_zero and rem.degree >= dg:
         d = rem.degree - dg
-        c = rem.lead * (glead.frob(d) if twisted else glead).inverse()
+        c = rem.lead * glead.frob(d).inverse()
         term = SkewPoly(f.spec, f.ring, [f._zero_coeff()] * d + [c])
         quot = quot + term
-        rem = rem - (term * g if twisted else c_mul(term, g))
+        rem = rem - term * g
     return quot, rem
 
 
@@ -167,7 +166,7 @@ DIVISION_FIELDS = {**FIELDS, "F3": (3, 1, [0, 1], 1), "F9": (3, 2, [1, 0, 1], 1)
 
 @st.composite
 def division_cases(draw):
-    """(f, g, twisted) over F_q or R; g has a unit leading coefficient."""
+    """(f, g) over F_q or R; g has a unit leading coefficient."""
     spec = make_field(*DIVISION_FIELDS[draw(st.sampled_from(sorted(DIVISION_FIELDS)))])
     ring = draw(st.sampled_from(("fq", "R")))
     value = st.integers(0, spec.q - 1).map(spec.from_int)
@@ -177,15 +176,14 @@ def division_cases(draw):
         unit = st.tuples(unit, unit, unit, unit).map(lambda crt: RingElement.from_crt(spec, *crt))
     f = draw(st.lists(value, max_size=14))
     g = draw(st.lists(value, max_size=5)) + [draw(unit)]
-    return SkewPoly(spec, ring, f), SkewPoly(spec, ring, g), draw(st.booleans())
+    return SkewPoly(spec, ring, f), SkewPoly(spec, ring, g)
 
 
 @settings(max_examples=300, deadline=None)
 @given(division_cases())
 def test_division_matches_the_allocating_loop(case):
-    f, g, twisted = case
-    got = right_divmod(f, g) if twisted else c_divmod(f, g)
-    assert got == reference_divmod(f, g, twisted)
+    f, g = case
+    assert right_divmod(f, g) == reference_divmod(f, g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,7 +191,7 @@ def test_division_matches_the_allocating_loop(case):
 def test_right_remainder_is_the_division_remainder(case):
     """Over F_q and R, with non-monic unit leads, deg g = 0, deg g >= deg f
     and zero f among the cases."""
-    f, g, _ = case
+    f, g = case
     assert right_remainder(f, g) == right_divmod(f, g)[1]
 
 
@@ -226,24 +224,22 @@ def test_right_remainder_errors(f9, f25):
         right_remainder(r_poly(f9, [1, 1]), f)
 
 
-@pytest.mark.parametrize("twisted", [True, False])
-def test_division_edge_cases(f9, twisted):
-    divide = right_divmod if twisted else c_divmod
+def test_division_edge_cases(f9):
     a = f9.root()
     g = fq_poly(f9, [1, a, 0, 1])
     # deg f < deg g: the quotient is zero and f is the remainder
     f = fq_poly(f9, [a, 0, 1])
-    assert divide(f, g) == (SkewPoly.zero(f9), f) == reference_divmod(f, g, twisted)
+    assert right_divmod(f, g) == (SkewPoly.zero(f9), f) == reference_divmod(f, g)
     # f = 0
     zero = SkewPoly.zero(f9, "R")
-    assert divide(zero, r_poly(f9, [1, 1])) == (zero, zero)
+    assert right_divmod(zero, r_poly(f9, [1, 1])) == (zero, zero)
     # a degree-0 divisor over R: a unit constant divides everything
     unit = RingElement.from_crt(f9, f9.one, a, a + 1, 2 * a)
     f = r_poly(f9, [RingElement.from_ints(f9, 1, 2, 0, 1), 0, a, unit])
-    quot, rem = divide(f, r_poly(f9, [unit]))
+    quot, rem = right_divmod(f, r_poly(f9, [unit]))
     assert rem.is_zero
-    assert (quot * r_poly(f9, [unit]) if twisted else c_mul(quot, r_poly(f9, [unit]))) == f
-    assert (quot, rem) == reference_divmod(f, r_poly(f9, [unit]), twisted)
+    assert quot * r_poly(f9, [unit]) == f
+    assert (quot, rem) == reference_divmod(f, r_poly(f9, [unit]))
 
 
 def test_division_cost_is_linear_in_the_dividend(f3, monkeypatch):
@@ -487,7 +483,7 @@ def test_coprime_length_divisors_are_commutative_factors(f9, f25):
         mod = ModulusSpec(n, spec.one)
         for degree in (1, 2):
             for g in right_divisor_search(mod, degree):
-                assert c_divmod(mod.poly(), g)[1].is_zero
+                assert commutative_remainder(mod.poly(), g).is_zero
 
 
 def test_random_right_divisor(f9, f25):
@@ -507,18 +503,32 @@ def test_random_right_divisor(f9, f25):
 
 def test_dual_generator_fixed_coeffs_is_reversal(f9):
     h = fq_poly(f9, [2, 1, 0, 1])
-    assert dual_generator(h) == fq_poly(f9, [1, 0, 1, 2])
+    for n in (3, 4):
+        assert dual_generator(h, n) == fq_poly(f9, [1, 0, 1, 2])
 
 
 def test_dual_generator_twists(f9):
     a = f9.root()
     h = fq_poly(f9, [1, a, 1])
-    assert dual_generator(h) == fq_poly(f9, [1, 2 * a, 1])
+    assert dual_generator(h, 2) == fq_poly(f9, [1, 2 * a, 1])
+    # theta^(i - n): with n odd, coefficient 1 is twisted by theta^0
+    assert dual_generator(h, 3) == fq_poly(f9, [1, a, 1])
+
+
+def test_dual_generator_when_theta_order_does_not_divide_n(f9):
+    """x - a = h * 1 over F9, n = 1: the whole space, whose dual is the zero
+    code <x - a^-1> mod x - a^-1. Twisting coefficient i by theta^i gave
+    x - theta(a)^-1, which does not right-divide x - a^-1."""
+    a = f9.root()
+    h = fq_poly(f9, [-a, 1])
+    dual = dual_generator(h, 1).monic()
+    assert dual == fq_poly(f9, [-a.inverse(), 1])
+    assert is_right_divisor(dual, ModulusSpec(1, a.inverse()))
 
 
 def test_dual_generator_zero_rejected(f9):
     with pytest.raises(ZeroPolynomialError):
-        dual_generator(SkewPoly.zero(f9))
+        dual_generator(SkewPoly.zero(f9), 1)
 
 
 def brute_force_dual_span(f, mod):
@@ -532,7 +542,7 @@ def test_dual_generator_matches_brute_force_f25(f25):
     f = fq_poly(f25, [2, 1])
     h, rem = right_divmod(mod.poly(), f)
     assert rem.is_zero
-    hhat = dual_generator(h)
+    hhat = dual_generator(h, mod.n)
     assert Span(span_words(hhat, mod)) == brute_force_dual_span(f, mod)
 
 
@@ -544,7 +554,7 @@ def test_dual_generator_matches_brute_force_f27(f27):
     for f in found:
         h, rem = right_divmod(mod.poly(), f)
         assert rem.is_zero
-        hhat = dual_generator(h)
+        hhat = dual_generator(h, mod.n)
         assert Span(span_words(hhat, mod)) == brute_force_dual_span(f, mod)
 
 
@@ -552,7 +562,7 @@ def test_dual_generator_orthogonality(f25):
     mod = ModulusSpec(4, f25.one)
     f = fq_poly(f25, [2, 1])
     h = right_divmod(mod.poly(), f)[0]
-    hhat = dual_generator(h)
+    hhat = dual_generator(h, mod.n)
     for x in generator_basis_words(f, mod):
         for y in generator_basis_words(hhat.monic(), mod):
             assert inner_product(x, y).is_zero
@@ -632,7 +642,7 @@ def test_idempotent_x_minus_one(f9):
     assert Span(span_words(e, mod)) == Span(span_words(f, mod))
 
 
-def test_idempotent_hypotheses_enforced(f9):
+def test_idempotent_hypotheses_enforced(f9, f27):
     # gcd(6, k=2) = 2
     with pytest.raises(HypothesisViolatedError):
         idempotent_generator(fq_poly(f9, [-1, 1]), ModulusSpec(6, f9.one))
@@ -641,6 +651,9 @@ def test_idempotent_hypotheses_enforced(f9):
         idempotent_generator(fq_poly(f9, [-1, 1]), ModulusSpec(3, f9.one))
     with pytest.raises(NotADivisorError):
         idempotent_generator(fq_poly(f9, [1, 1]), ModulusSpec(5, f9.one))
+    # gcd(2, k=3) = gcd(2, q=27) = 1, but x^2 is not squarefree: <x> has no idempotent
+    with pytest.raises(HypothesisViolatedError):
+        idempotent_generator(fq_poly(f27, [0, 1]), ModulusSpec(2, f27.zero))
     with pytest.raises(NotAUnitError):
         dual_idempotent(fq_poly(f9, [1]), ModulusSpec(5, f9.zero))
 
@@ -656,11 +669,12 @@ def test_idempotents_for_all_coprime_divisors(f9, f25):
 
 @pytest.mark.parametrize("wrong", ["another divisor's idempotent", "zero"])
 def test_idempotent_check_refuses_a_wrong_candidate(f49, monkeypatch, wrong):
-    """Euclid's last step is patched to hand back a wrong e for f, one of the
-    three linear right divisors of x^3 - 1 over F49. Each candidate is
-    idempotent and fails one half of the module check only: another
-    divisor's idempotent has the rank n - deg f but f does not right-divide
-    it, and f right-divides 0, of rank 0."""
+    """The product that builds e from the solve is patched to hand back a
+    wrong e for f, one of the three linear right divisors of x^3 - 1 over
+    F49 (the square f f is left alone). Each candidate is idempotent and
+    fails one half of the module check only: another divisor's idempotent
+    has the rank n - deg f but f does not right-divide it, and f
+    right-divides 0, of rank 0."""
     import skewcodes.skewpoly as skewpoly
 
     mod = ModulusSpec(3, f49.one)
@@ -669,8 +683,8 @@ def test_idempotent_check_refuses_a_wrong_candidate(f49, monkeypatch, wrong):
     assert reduce_mod(e * e, mod) == e
     divides, rank = right_remainder(e, f).is_zero, Span(span_words(e, mod)).dim
     assert (divides, rank) == ((False, 2) if wrong != "zero" else (True, 0))
-    real = skewpoly.c_divmod
-    monkeypatch.setattr(skewpoly, "c_divmod", lambda a, b: (None, e) if b == mod.poly() else real(a, b))
+    real = skewpoly.c_mul
+    monkeypatch.setattr(skewpoly, "c_mul", lambda a, b: real(a, b) if a == b else e)
     with pytest.raises(VerificationError, match="idempotent generates a different submodule than f"):
         idempotent_generator(f, mod)
 
@@ -713,7 +727,7 @@ def test_dual_idempotent_generates_dual(f9):
     e = idempotent_generator(f, mod)
     de = dual_idempotent(e, mod)
     h = right_divmod(mod.poly(), f)[0]
-    dual_span = Span(span_words(dual_generator(h), mod))
+    dual_span = Span(span_words(dual_generator(h, mod.n), mod))
     assert Span(span_words(de, mod)) == dual_span
     assert reduce_mod(de * de, mod) == reduce_mod(de, mod)
 
