@@ -5,13 +5,14 @@ gray_map lays the four CRT component words out block by block:
 gray_permuted interleaves instead, emitting the 4-tuple of coordinate i at
 positions 4i..4i+3. Both are F_q-linear bijections, and Hamming weight of
 the image equals Lee weight of the preimage.
+
+check_commutation proves an identity lhs = rhs of word maps on all of R^n
+by running both once on a symbolic word and comparing monomial terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .codes import (
     SkewCode,
@@ -87,7 +88,7 @@ def tau_omega4(alpha: RingElement):
 
 def permuted_sigma4():
     """gray_permuted(sigma(w)) = sigma^4(gray_permuted(w)), which holds when
-    the twist has order 3."""
+    the twist has order 1 or 3 (theta^4 = theta)."""
 
     def sigma4(v):
         for _ in range(4):
@@ -101,71 +102,69 @@ def permuted_sigma4():
 
 
 class _Column:
-    """Entry i of every basis word of a check, as logarithms on
-    gf.FieldArrays: a (4, T) array of CRT components for an entry in R, a
-    (T,) array for an entry in F_q.
-
-    It has only what the word maps use: frob, left multiplication by a
-    FieldElement or RingElement constant (whose __mul__ returns
-    NotImplemented for a column) and crt.
+    """Entry i of a symbolic word: each CRT place (four in R, one in F_q) is
+    0 (None) or the map x -> theta^e(a * x_s) (term (s, a)) of an input word
+    x, with x_s its CRT component s % 4 of entry s // 4; the places share e
+    mod k. frob adds to e; a constant b on the left (whose __mul__ returns
+    NotImplemented for a column) multiplies each a by theta^-e(b); crt
+    splits. Reading, adding, comparing or branching on an entry raises.
     """
 
-    __slots__ = ("spec", "logs")
+    __slots__ = ("spec", "terms", "e")
+    __bool__ = __eq__ = None
 
-    def __init__(self, spec: FieldSpec, logs):
+    def __init__(self, spec: FieldSpec, terms, e: int = 0):
         self.spec = spec
-        self.logs = logs
+        self.terms = terms
+        self.e = e
 
     def frob(self, i: int = 1) -> "_Column":
-        logs, frob = self.logs, self.spec.arrays().frob
-        for _ in range(i % self.spec.k):
-            logs = frob[logs]
-        return _Column(self.spec, logs)
+        return _Column(self.spec, self.terms, (self.e + i) % self.spec.k)
 
     def __rmul__(self, const):
         if not isinstance(const, (FieldElement, RingElement)):
             return NotImplemented
         if const.spec != self.spec:
             raise MixedRingsError("constant and word over different fields")
-        arrays = self.spec.arrays()
-        if isinstance(const, RingElement):
-            logs = arrays.log[[c.code for c in const.crt()]][:, None]
-        else:
-            logs = arrays.log[const.code]
-        return _Column(self.spec, arrays.wrap[self.logs + logs])
+        factors = const.crt() if isinstance(const, RingElement) else (const,) * len(self.terms)
+        # an R constant times an entry in F_q is in R: its one place repeats
+        terms = self.terms * (len(factors) // len(self.terms))
+        scaled = tuple([
+            None if t is None or b.is_zero else (t[0], b.frob(-self.e) * t[1])
+            for t, b in zip(terms, factors)
+        ])
+        return _Column(self.spec, scaled, self.e)
 
     def crt(self):
-        return tuple(_Column(self.spec, logs) for logs in self.logs)
-
-
-def _differing(left, right, count: int):
-    """For each of `count` basis words, whether the word-map outputs left and
-    right (tuples of _Columns) differ there. Outputs of different shapes
-    differ on every basis word."""
-    if len(left) != len(right) or any(x.logs.shape != y.logs.shape for x, y in zip(left, right)):
-        return np.ones(count, dtype=bool)
-    stacked = lambda out: np.concatenate([x.logs.reshape(-1, count) for x in out])
-    return (stacked(left) != stacked(right)).any(axis=0)
+        if len(self.terms) != 4:
+            raise TypeError("an entry in F_q has no CRT components")
+        return tuple([_Column(self.spec, (t,), self.e) for t in self.terms])
 
 
 def check_commutation(lhs, rhs, field: FieldSpec, n: int):
     """The first word w of an F_p-basis of R^n with lhs(w) != rhs(w), or
     None when lhs and rhs agree on all of R^n.
 
-    lhs and rhs each run once, on a word of n _Columns that holds every
-    basis word, so they must be built from frob, multiplication by a
-    constant, crt() and tuple slicing or concatenation. Each of these is
-    F_p-linear, so lhs - rhs vanishes on R^n iff it vanishes on the basis.
     The basis is the 4nm words with one nonzero CRT component, component c
-    of entry i equal to xi^j (code p^j), ordered by (i, c, j).
+    of entry i equal to xi^j (code p^j), ordered by (i, c, j). lhs and rhs,
+    built from frob, multiplication by a constant, crt() and tuple slicing
+    or concatenation, run once on the word of n _Columns with place s
+    x -> x_s, so each output place is 0 or theta^e(a * x_s). By Artin's
+    lemma on the independence of the characters theta^e of F_q^*, two such
+    monomials agree on all inputs iff their (s, a, e mod k) are equal. So
+    equal terms prove lhs = rhs; on a mismatch lhs and rhs run on the basis
+    words in order, and, being F_p-linear, agree on R^n if they agree there.
+    Outputs of different lengths or entry kinds differ on every basis word.
     """
-    count = 4 * n * field.m
-    t = np.arange(count)
-    codes = np.zeros((count, 4 * n), dtype=np.int64)
-    codes[t, t // field.m] = field.p ** (t % field.m)
-    word = tuple(_Column(field, logs) for logs in field.arrays().log[codes.T.reshape(n, 4, count)])
-    differ = _differing(lhs(word), rhs(word), count)
-    if not differ.any():
+    word = tuple(_Column(field, tuple((s, field.one) for s in range(4 * i, 4 * i + 4))) for i in range(n))
+    left, right = lhs(word), rhs(word)
+    basis = (  # word (s, j): CRT component s % 4 of entry s // 4 is xi^j
+        join_word([xi_j if 4 * i + c == s else field.zero for i in range(n)] for c in range(4))
+        for s in range(4 * n)
+        for xi_j in (field.from_int(field.p ** j) for j in range(field.m))
+    )
+    if [len(x.terms) for x in left] != [len(y.terms) for y in right]:
+        return next(basis)
+    if all(x.e == y.e and x.terms == y.terms for x, y in zip(left, right)):
         return None
-    witness = codes[differ.argmax()].reshape(n, 4).T
-    return join_word([field.from_int(int(x)) for x in part] for part in witness)
+    return next((w for w in basis if lhs(w) != rhs(w)), None)

@@ -650,7 +650,8 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     e is then verified in the skew ring. f right-divides x^n - alpha, so
     <f>, the words of degree < n that f right-divides, is closed under x*
     and of dimension n - deg f: it is <e> once f right-divides e and its n
-    span words have that rank.
+    span words have that rank. A failed check is a HypothesisViolatedError
+    if theta moves alpha, which the construction assumes it fixes.
     """
     spec = f.spec
     n = mod.n
@@ -670,11 +671,13 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
             " no unique e in it with e f = f in the commutative quotient"
         )
     e = c_mul(SkewPoly(spec, f.ring, [-a for a in solutions[0][:dim]]), f)
+    moved = "" if is_theta_fixed(mod.alpha) else f"theta(alpha) != alpha ({mod.alpha.frob(1)!r} != {mod.alpha!r}): "
+    error = HypothesisViolatedError if moved else VerificationError
     square = reduce_mod(e * e, mod)
     if square != e:
-        raise VerificationError(f"constructed polynomial is not skew-idempotent: e*e = {square!r}")
+        raise error(f"{moved}constructed polynomial is not skew-idempotent: e*e = {square!r}")
     if not right_remainder(e, f).is_zero or len(rref(span_words(e, mod))[0]) != dim:
-        raise VerificationError("idempotent generates a different submodule than f")
+        raise error(f"{moved}idempotent generates a different submodule than f")
     return e
 
 

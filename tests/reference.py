@@ -5,7 +5,9 @@ The package decides membership, closure and module equality from
 generators and remainders; here whole spans are row-reduced instead
 (Span, ModuleSpan), R is listed element by element, and the maps the
 package has no use for (the untwisted shift, variable scaling, the inverse
-Gray map) are written out. Nothing in src/ imports this module.
+Gray map) are written out, and the Gray-commutation proof evaluates the
+word maps on every basis word in one numpy pass. Nothing in src/ imports
+this module.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import contextlib
 import io
 import random
 
+import numpy as np
+
 from skewcodes.cli import main
 from skewcodes.decomp import extract_components
-from skewcodes.errors import HypothesisViolatedError, LengthMismatchError, SkewcodesError
-from skewcodes.gf import FieldSpec
+from skewcodes.errors import HypothesisViolatedError, LengthMismatchError, MixedRingsError, SkewcodesError
+from skewcodes.gf import FieldElement, FieldSpec
 from skewcodes.linalg import rref
-from skewcodes.ring4 import RingElement, split_word
+from skewcodes.ring4 import RingElement, join_word, split_word
 from skewcodes.serial import field_to_json, poly_to_json, ring_to_json
 from skewcodes.skewpoly import SkewPoly
 
@@ -71,6 +75,63 @@ def gray_inverse(vec, spec: FieldSpec):
 def interleave_permutation(n: int):
     """Positions p with gray_permuted(w)[i] = gray_map(w)[p[i]]."""
     return [(i % 4) * n + i // 4 for i in range(4 * n)]
+
+
+# --- the Gray-commutation proof on every basis word ---
+
+class LogColumn:
+    """Entry i of every basis word of a check, as logarithms on
+    gf.FieldArrays: a (4, T) array of CRT components for an entry in R, a
+    (T,) array for an entry in F_q. It has frob, left multiplication by a
+    FieldElement or RingElement constant, and crt."""
+
+    __slots__ = ("spec", "logs")
+
+    def __init__(self, spec: FieldSpec, logs):
+        self.spec = spec
+        self.logs = logs
+
+    def frob(self, i: int = 1) -> "LogColumn":
+        logs, frob = self.logs, self.spec.arrays().frob
+        for _ in range(i % self.spec.k):
+            logs = frob[logs]
+        return LogColumn(self.spec, logs)
+
+    def __rmul__(self, const):
+        if not isinstance(const, (FieldElement, RingElement)):
+            return NotImplemented
+        if const.spec != self.spec:
+            raise MixedRingsError("constant and word over different fields")
+        arrays = self.spec.arrays()
+        if isinstance(const, RingElement):
+            logs = arrays.log[[c.code for c in const.crt()]][:, None]
+        else:
+            logs = arrays.log[const.code]
+        return LogColumn(self.spec, arrays.wrap[self.logs + logs])
+
+    def crt(self):
+        return tuple(LogColumn(self.spec, logs) for logs in self.logs)
+
+
+def basis_commutation(lhs, rhs, field: FieldSpec, n: int):
+    """gray.check_commutation's answer, from lhs and rhs run once on all 4nm
+    basis words at once (ordered by entry i, CRT component c, then j for
+    xi^j) and compared basis word by basis word."""
+    count = 4 * n * field.m
+    t = np.arange(count)
+    codes = np.zeros((count, 4 * n), dtype=np.int64)
+    codes[t, t // field.m] = field.p ** (t % field.m)
+    word = tuple(LogColumn(field, logs) for logs in field.arrays().log[codes.T.reshape(n, 4, count)])
+    left, right = lhs(word), rhs(word)
+    if len(left) != len(right) or any(x.logs.shape != y.logs.shape for x, y in zip(left, right)):
+        differ = np.ones(count, dtype=bool)  # outputs of different shapes differ everywhere
+    else:
+        stacked = lambda out: np.concatenate([x.logs.reshape(-1, count) for x in out])
+        differ = (stacked(left) != stacked(right)).any(axis=0)
+    if not differ.any():
+        return None
+    witness = codes[differ.argmax()].reshape(n, 4).T
+    return join_word([field.from_int(int(x)) for x in part] for part in witness)
 
 
 # --- elements of R ---

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -6,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ModuleSpan, Span, commutative_remainder
+from reference import ModuleSpan, Span, commutative_remainder, run_main
 from test_kernel import FIELDS
 
 from skewcodes.errors import (
@@ -35,6 +36,7 @@ from skewcodes.skewpoly import (
     generator_basis_words,
     idempotent_generator,
     is_right_divisor,
+    is_theta_fixed,
     poly_to_word,
     r_poly,
     random_right_divisor,
@@ -656,6 +658,23 @@ def test_idempotent_hypotheses_enforced(f9, f27):
         idempotent_generator(fq_poly(f27, [0, 1]), ModulusSpec(2, f27.zero))
     with pytest.raises(NotAUnitError):
         dual_idempotent(fq_poly(f9, [1]), ModulusSpec(5, f9.zero))
+
+
+@pytest.mark.parametrize("alpha, constant", [(3, 6), (6, 3)])
+def test_idempotent_refuses_when_theta_moves_alpha_and_the_check_fails(f9, alpha, constant):
+    """Over F9 with n = 5, x + b right-divides x^5 - alpha for these alpha
+    that theta moves, and the solve gives an e with e*e != e: the
+    construction assumes theta(alpha) = alpha, so the request is outside
+    the hypotheses (exit 2), not a fault (exit 1)."""
+    mod = ModulusSpec(5, f9.from_int(alpha))
+    f = fq_poly(f9, [f9.from_int(constant), 1])
+    assert right_remainder(mod.poly(), f).is_zero and not is_theta_fixed(mod.alpha)
+    with pytest.raises(HypothesisViolatedError, match=r"theta\(alpha\) != alpha .*not skew-idempotent"):
+        idempotent_generator(f, mod)
+    field = {"p": 3, "m": 2, "modulus": [1, 0, 1], "t": 1}
+    request = {"field": field, "n": 5, "alpha": alpha, "f": {"ring": "fq", "coeffs": [constant, 1]}}
+    rc, out = run_main(["idempotent", "--input", json.dumps(request)])
+    assert rc == 2 and '"status":"input_error"' in out
 
 
 def test_idempotents_for_all_coprime_divisors(f9, f25):
