@@ -38,7 +38,7 @@ from .errors import (
     VerificationError,
     charge,
 )
-from .gray import check_commutation, gray_image_code, permuted_sigma4, sigma_pi4, tau_omega4
+from .gray import check_commutation, gray_image_code, permuted_sigma4, tau_omega4
 from .ring4 import RingElement, ring_one
 from .serial import (
     code_from_json,
@@ -276,7 +276,7 @@ def _suite_gray_commutation(seed, budget):
     runs = []
     for field in (field_f9(), field_f25()):
         for n in (3, 4, 6):
-            passed = check_commutation(*sigma_pi4(), field, n) is None
+            passed = check_commutation(*tau_omega4(ring_one(field)), field, n) is None
             runs.append({"identity": "sigma_pi4", "field": field_to_json(field), "n": n, "pass": passed})
             for alpha in (
                 ring_one(field),
@@ -293,8 +293,9 @@ def _suite_gray_commutation(seed, budget):
                         "pass": passed,
                     }
                 )
-    passed = check_commutation(*permuted_sigma4(), field_f27(), 5) is None
-    runs.append({"identity": "permuted_sigma4", "field": field_to_json(field_f27()), "n": 5, "pass": passed})
+    f27 = field_f27()
+    passed = check_commutation(*permuted_sigma4(f27), f27, 5) is None
+    runs.append({"identity": "permuted_sigma4", "field": field_to_json(f27), "n": 5, "pass": passed})
     return {"runs": runs, "pass": all(r["pass"] for r in runs)}
 
 

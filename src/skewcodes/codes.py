@@ -1,4 +1,4 @@
-"""Linear codes over R and their shift operators.
+"""Linear codes over R.
 
 A SkewCode of length n is stored by its four CRT component generators
 f1..f4 over F_q. Component i is the left submodule <f_i> of
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import (
     DEFAULT_BUDGET,
-    BadIndexError,
     InconsistentError,
     LengthMismatchError,
     MixedRingsError,
@@ -32,42 +31,13 @@ from .skewpoly import (
     ModulusSpec,
     dual_generator,
     generator_basis_words,
+    is_theta_fixed,
     poly_to_word,
     quasi_twist_shift,
     residue_sum,
     residues,
     right_divmod,
-    skew_constacyclic_shift,
 )
-
-
-# --- shift operators ---
-
-def skew_cyclic_shift(word):
-    """(c_0..c_{n-1}) -> (theta(c_{n-1}), theta(c_0), .., theta(c_{n-2}))."""
-    word = tuple(word)
-    return (word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
-
-
-def _blocks(word, count: int):
-    """`word` cut into `count` equal chunks."""
-    word = tuple(word)
-    n = len(word)
-    if count < 1 or n % count != 0:
-        raise BadIndexError(f"{count} blocks do not divide length {n}")
-    size = n // count
-    return [word[b * size:(b + 1) * size] for b in range(count)]
-
-
-def blockwise_cyclic_shift(word, blocks: int):
-    """Split into `blocks` equal chunks and apply the skew cyclic shift to each."""
-    return sum(map(skew_cyclic_shift, _blocks(word, blocks)), ())
-
-
-def blockwise_constacyclic_shift(word, constants):
-    """Split into len(constants) equal chunks; chunk b gets the skew
-    constacyclic shift with constants[b]."""
-    return sum(map(skew_constacyclic_shift, _blocks(word, len(constants)), constants), ())
 
 
 # --- the code object ---
@@ -229,7 +199,7 @@ def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):
         tau = tau and tau_i
         if not rho:
             continue
-        if tau_i and beta.frob(1) == beta:
+        if tau_i and is_theta_fixed(beta):
             words = [code.lift(i, poly_to_word(g, n))]
         else:
             words = (code.lift(i, w) for w in code.component_basis(i))

@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .codes import SkewCode, is_closed_under, skew_constacyclic_shift
+from .codes import SkewCode, is_closed_under
 from .errors import DEFAULT_BUDGET, VerificationError
 from .gf import FieldElement
 from .linalg import rref
 from .ring4 import RingElement, split_word
-from .skewpoly import ModulusSpec, SkewPoly, residue_sum, residues
+from .skewpoly import ModulusSpec, SkewPoly, residue_sum, residues, skew_constacyclic_shift
 
 
 def extract_components(words):

@@ -236,7 +236,8 @@ class FieldSpec:
     # --- element constructors ---
 
     def constant(self, c: int) -> "FieldElement":
-        """The prime-subfield constant c (an integer mod p)."""
+        """The prime-subfield constant c*1, c an integer mod p, never an
+        element code (FieldSpec.from_int reads codes)."""
         return self._elems[c % self.p]
 
     def from_int(self, code: int) -> "FieldElement":

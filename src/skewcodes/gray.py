@@ -14,16 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import (
-    SkewCode,
-    blockwise_constacyclic_shift,
-    blockwise_cyclic_shift,
-    skew_constacyclic_shift,
-    skew_cyclic_shift,
-)
+from .codes import SkewCode
 from .errors import MixedRingsError
 from .gf import FieldElement, FieldSpec
 from .ring4 import RingElement, join_word, split_word
+from .skewpoly import blockwise_constacyclic_shift, skew_constacyclic_shift
 
 
 def gray_map(word):
@@ -67,18 +62,12 @@ def gray_image_code(code: SkewCode) -> GrayImage:
     return GrayImage(code.field, 4 * code.n, rows)
 
 
-def sigma_pi4():
-    """gray(sigma(w)) = pi_4(gray(w)): the Gray image of a skew cyclic code
-    is closed under the skew cyclic shift of each of its four blocks."""
-    return (
-        lambda w: gray_map(skew_cyclic_shift(w)),
-        lambda w: blockwise_cyclic_shift(gray_map(w), 4),
-    )
-
-
 def tau_omega4(alpha: RingElement):
     """gray(tau_alpha(w)) = omega_4(gray(w)), where block i of omega_4 is the
-    skew constacyclic shift by the i-th CRT component of alpha."""
+    skew constacyclic shift by the i-th CRT component of alpha. With
+    alpha = 1 it is gray(sigma(w)) = pi_4(gray(w)): the Gray image of a skew
+    cyclic code is closed under the skew cyclic shift of each of its four
+    blocks."""
     constants = alpha.crt()
     return (
         lambda w: gray_map(skew_constacyclic_shift(w, alpha)),
@@ -86,17 +75,19 @@ def tau_omega4(alpha: RingElement):
     )
 
 
-def permuted_sigma4():
-    """gray_permuted(sigma(w)) = sigma^4(gray_permuted(w)), which holds when
-    the twist has order 1 or 3 (theta^4 = theta)."""
+def permuted_sigma4(field: FieldSpec):
+    """gray_permuted(sigma(w)) = sigma^4(gray_permuted(w)) over `field`,
+    which holds when the twist has order 1 or 3 (theta^4 = theta). sigma is
+    tau with the 1 of F_q, on words over R and over F_q alike."""
+    sigma = lambda v: skew_constacyclic_shift(v, field.one)
 
     def sigma4(v):
         for _ in range(4):
-            v = skew_cyclic_shift(v)
+            v = sigma(v)
         return v
 
     return (
-        lambda w: gray_permuted(skew_cyclic_shift(w)),
+        lambda w: gray_permuted(sigma(w)),
         lambda w: sigma4(gray_permuted(w)),
     )
 

@@ -51,6 +51,8 @@ class RingElement:
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, a=0, b=0, c=0, d=0) -> "RingElement":
+        """a + ub + vc + uvd; an int coordinate is the constant c*1 mod p,
+        never an element code."""
         conv = lambda x: x if isinstance(x, FieldElement) else spec.constant(x)
         return cls(conv(a), conv(b), conv(c), conv(d))
 
@@ -60,7 +62,20 @@ class RingElement:
 
     @staticmethod
     def from_crt(spec: FieldSpec, r1, r2, r3, r4) -> "RingElement":
-        conv = lambda x: x if isinstance(x, FieldElement) else spec.constant(x)
+        """The element with CRT view (r1, r2, r3, r4). An int component is
+        the constant c*1 mod p, never an element code, so an int >= p, which
+        reads as a code too, is refused: pass FieldSpec.from_int(code)."""
+
+        def conv(x):
+            if isinstance(x, FieldElement):
+                return x
+            if x >= spec.p:
+                raise ValueError(
+                    f"CRT component {x} >= p = {spec.p} is ambiguous:"
+                    f" pass FieldSpec.from_int({x}) for the element with that code"
+                )
+            return spec.constant(x)
+
         return _of((conv(r1), conv(r2), conv(r3), conv(r4)))
 
     def crt(self):

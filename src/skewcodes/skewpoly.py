@@ -182,13 +182,15 @@ class SkewPoly:
 # --- convenience constructors ---
 
 def fq_poly(spec: FieldSpec, coeffs) -> SkewPoly:
-    """Polynomial over F_q; integer coefficients mean prime-subfield constants."""
+    """Polynomial over F_q; an integer coefficient is the prime-subfield
+    constant c*1 mod p, never an element code."""
     conv = lambda c: c if isinstance(c, FieldElement) else spec.constant(c)
     return SkewPoly(spec, "fq", [conv(c) for c in coeffs])
 
 
 def r_poly(spec: FieldSpec, coeffs) -> SkewPoly:
-    """Polynomial over R; field or integer coefficients are promoted."""
+    """Polynomial over R; field or integer coefficients are promoted, an
+    integer being the constant c*1 mod p, never an element code."""
 
     def conv(c):
         if isinstance(c, RingElement):
@@ -557,9 +559,27 @@ def poly_to_word(f: SkewPoly, n: int):
 
 
 def skew_constacyclic_shift(word, alpha):
-    """Like the cyclic shift but the wrapped entry is scaled by alpha."""
+    """tau_alpha: (c_0..c_{n-1}) -> (alpha * theta(c_{n-1}), theta(c_0), ..,
+    theta(c_{n-2})). The skew cyclic shift sigma is tau with alpha = 1."""
     word = tuple(word)
     return (alpha * word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
+
+
+def _blocks(word, count: int):
+    """`word` cut into `count` equal chunks."""
+    word = tuple(word)
+    n = len(word)
+    if count < 1 or n % count != 0:
+        raise BadIndexError(f"{count} blocks do not divide length {n}")
+    size = n // count
+    return [word[b * size:(b + 1) * size] for b in range(count)]
+
+
+def blockwise_constacyclic_shift(word, constants):
+    """omega: split into len(constants) equal chunks; chunk b gets the skew
+    constacyclic shift with constants[b]. The blockwise skew cyclic shift
+    pi_b is omega with b unit constants."""
+    return sum(map(skew_constacyclic_shift, _blocks(word, len(constants)), constants), ())
 
 
 def quasi_twist_shift(word, alpha, block: int):
@@ -659,7 +679,7 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
         raise HypothesisViolatedError(
             f"need gcd(n,k)=1 and gcd(n,q)=1; got n={n}, k={spec.k}, q={spec.q}"
         )
-    if not right_remainder(mod.poly(), f).is_zero:
+    if not is_right_divisor(f, mod):
         raise NotADivisorError(f"{f!r} does not right-divide x^{n} - {mod.alpha!r}")
     dim = n - f.degree
     rho = functools.partial(quasi_twist_shift, block=1)

@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 from reference import basis_commutation, random_ring_element, ring_elements
 from test_kernel import FIELDS
 
-from skewcodes.codes import skew_constacyclic_shift, skew_cyclic_shift
 from skewcodes.errors import MixedRingsError
 from skewcodes.gf import make_field
-from skewcodes.gray import check_commutation, gray_map, permuted_sigma4, sigma_pi4, tau_omega4
-from skewcodes.ring4 import RingElement, idempotents
+from skewcodes.gray import check_commutation, gray_map, permuted_sigma4, tau_omega4
+from skewcodes.ring4 import RingElement, idempotents, ring_one
+from skewcodes.skewpoly import skew_constacyclic_shift
 
 CHECK_FIELDS = {
     "F9": (3, 2, [1, 0, 1], 1),
@@ -69,13 +69,13 @@ KINDS = ["sigma_pi4", "tau_omega4", "permuted_sigma4", "disagreeing", "component
 def identity_pair(spec, kind, crt_codes):
     alpha = ring_constant(spec, crt_codes)
     if kind == "sigma_pi4":
-        return sigma_pi4()
+        return tau_omega4(ring_one(spec))
     if kind == "tau_omega4":
         return tau_omega4(alpha)
     if kind == "permuted_sigma4":
-        return permuted_sigma4()
+        return permuted_sigma4(spec)
     if kind == "disagreeing":
-        return skew_cyclic_shift, lambda w: skew_constacyclic_shift(w, alpha)
+        return lambda w: skew_constacyclic_shift(w, spec.one), lambda w: skew_constacyclic_shift(w, alpha)
     return twist_of_component(spec, crt_codes[0] % 4)  # any component i
 
 
@@ -166,7 +166,7 @@ def test_a_holding_identity_is_proved_from_its_terms_alone(name):
     spec = make_field(*CHECK_FIELDS[name])
     pairs = [identity_pair(spec, kind, [1, 0, 2, 1]) for kind in ("sigma_pi4", "tau_omega4")]
     if spec.k in (1, 3):
-        pairs.append(permuted_sigma4())
+        pairs.append(permuted_sigma4(spec))
     for lhs, rhs in pairs:
         runs = []
         counted = lambda f: lambda w: runs.append(w) or f(w)
@@ -209,11 +209,14 @@ def test_scaling_before_and_after_the_twist_differ_by_the_twist(f9):
 
 
 def test_constacyclic_shift_agrees_with_the_cyclic_one_only_for_one(f9):
+    """sigma is tau with the unit of F_q, which scales an R-word as the unit
+    of R does; a constant with a zero CRT component gives another shift."""
+    sigma = lambda w: skew_constacyclic_shift(w, f9.one)
     one = ring_constant(f9, [1, 1, 1, 1])
-    pair = (skew_cyclic_shift, lambda w: skew_constacyclic_shift(w, one))
+    pair = (sigma, lambda w: skew_constacyclic_shift(w, one))
     assert check_commutation(*pair, f9, 4) is None
     half = ring_constant(f9, [1, 1, 1, 0])
-    pair = (skew_cyclic_shift, lambda w: skew_constacyclic_shift(w, half))
+    pair = (sigma, lambda w: skew_constacyclic_shift(w, half))
     assert loop_commutation(*pair, f9, 4, 200) is not None
     # the wrapped entry 3 is scaled by 0 in component 3 only
     assert check_commutation(*pair, f9, 4) == basis_word(f9, 4, 3, 3, 0)
@@ -253,7 +256,7 @@ def test_identity_word_maps_are_additive(name):
     the F_p-linearity under which agreement on a basis is agreement on R^n."""
     spec = make_field(*CHECK_FIELDS[name])
     rng = random.Random(name)
-    identities = [sigma_pi4(), tau_omega4(unfixed_constant(spec)), permuted_sigma4()]
+    identities = [tau_omega4(ring_one(spec)), tau_omega4(unfixed_constant(spec)), permuted_sigma4(spec)]
     for _ in range(20):
         n = rng.randint(1, 6)
         x, y = (tuple(random_ring_element(spec, rng) for _ in range(n)) for _ in range(2))

@@ -18,7 +18,6 @@ from skewcodes.codes import (
     dual_code,
     is_closed_under,
     shift_closures,
-    skew_constacyclic_shift,
 )
 from skewcodes.decomp import (
     components_from_words,
@@ -45,6 +44,7 @@ from skewcodes.skewpoly import (
     generator_basis_words,
     random_right_divisor,
     right_divmod,
+    skew_constacyclic_shift,
     span_words,
 )
 

@@ -4,13 +4,7 @@ import pytest
 from reference import Span, gray_inverse, hamming_weight, interleave_permutation, random_ring_element
 
 from skewcodes.catalog import example_code
-from skewcodes.codes import (
-    blockwise_constacyclic_shift,
-    blockwise_cyclic_shift,
-    build_code,
-    skew_constacyclic_shift,
-    skew_cyclic_shift,
-)
+from skewcodes.codes import build_code
 from skewcodes.gray import (
     check_commutation,
     gray_image_code,
@@ -18,10 +12,10 @@ from skewcodes.gray import (
     gray_permuted,
     lee_weight,
     permuted_sigma4,
-    sigma_pi4,
     tau_omega4,
 )
 from skewcodes.ring4 import RingElement, ring_one, ring_zero
+from skewcodes.skewpoly import blockwise_constacyclic_shift, skew_constacyclic_shift
 
 
 def test_gray_of_zero(f9):
@@ -110,7 +104,8 @@ def test_gray_image_of_zero_code(f9):
 
 
 def test_commutation_sigma_pi4(f9):
-    assert check_commutation(*sigma_pi4(), f9, 3) is None
+    """sigma is tau_1 and pi_4 is omega_4 with unit constants."""
+    assert check_commutation(*tau_omega4(ring_one(f9)), f9, 3) is None
 
 
 def test_commutation_tau_omega4(f25, f9):
@@ -120,14 +115,14 @@ def test_commutation_tau_omega4(f25, f9):
 
 
 def test_commutation_permuted_sigma4(f27):
-    assert check_commutation(*permuted_sigma4(), f27, 5) is None
+    assert check_commutation(*permuted_sigma4(f27), f27, 5) is None
 
 
 def test_permuted_identity_needs_order_three(f9, f25):
     """With a twist of order 2 the interleaved identity fails, and the
     returned word is a counterexample."""
-    lhs, rhs = permuted_sigma4()
     for field in (f9, f25):
+        lhs, rhs = permuted_sigma4(field)
         w = check_commutation(lhs, rhs, field, 4)
         assert w is not None and len(w) == 4
         assert lhs(w) != rhs(w)
@@ -137,8 +132,9 @@ def test_commutation_returns_the_first_counterexample(f9):
     """A pair of word maps that differ on the first basis word gives back
     basis word (0, 0, 0): CRT component 0 of entry 0 equal to 1."""
     first = (RingElement.from_crt(f9, 1, 0, 0, 0), ring_zero(f9), ring_zero(f9))
-    assert skew_cyclic_shift(first) != first
-    assert check_commutation(lambda w: w, skew_cyclic_shift, f9, 3) == first
+    sigma = lambda w: skew_constacyclic_shift(w, ring_one(f9))
+    assert sigma(first) != first
+    assert check_commutation(lambda w: w, sigma, f9, 3) == first
     assert check_commutation(lambda w: w, lambda w: w, f9, 3) is None
 
 
@@ -148,7 +144,7 @@ def test_image_closed_under_block_shift():
     img = gray_image_code(code)
     span = Span(img.rows)
     for row in img.rows:
-        assert span.contains(blockwise_cyclic_shift(row, 4))
+        assert span.contains(blockwise_constacyclic_shift(row, (img.field.one,) * 4))
     code3 = example_code(3)
     img3 = gray_image_code(code3)
     span3 = Span(img3.rows)
@@ -168,16 +164,16 @@ def test_permuted_image_closed_under_fourfold_shift(f27):
     for row in rows:
         image = row
         for _ in range(4):
-            image = skew_cyclic_shift(image)
+            image = skew_constacyclic_shift(image, f27.one)
         assert span.contains(image)
 
 
 def test_gray_intertwines_shifts_on_words(f9):
     rng = random.Random(23)
-    alpha = RingElement.from_ints(f9, 1, 0, 0, -2)
+    alphas = (ring_one(f9), RingElement.from_ints(f9, 1, 0, 0, -2))
     for _ in range(100):
         w = tuple(random_ring_element(f9, rng) for _ in range(4))
-        assert gray_map(skew_cyclic_shift(w)) == blockwise_cyclic_shift(gray_map(w), 4)
-        assert gray_map(skew_constacyclic_shift(w, alpha)) == blockwise_constacyclic_shift(
-            gray_map(w), alpha.crt()
-        )
+        for alpha in alphas:
+            assert gray_map(skew_constacyclic_shift(w, alpha)) == blockwise_constacyclic_shift(
+                gray_map(w), alpha.crt()
+            )

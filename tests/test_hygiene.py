@@ -251,7 +251,7 @@ def test_r_words_are_joined_from_their_components_in_one_place():
 
 
 def test_words_are_cut_into_blocks_in_one_place():
-    """codes._blocks cuts a word into a number of blocks;
+    """skewpoly._blocks cuts a word into a number of blocks;
     skewpoly.quasi_twist_shift checks a block size of its own."""
     raisers = {
         (path.stem, name)
@@ -260,7 +260,24 @@ def test_words_are_cut_into_blocks_in_one_place():
         for sub in ast.walk(func)
         if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and _callee(sub.exc) == "BadIndexError"
     }
-    assert raisers == {("codes", "_blocks"), ("skewpoly", "quasi_twist_shift")}
+    assert raisers == {("skewpoly", "_blocks"), ("skewpoly", "quasi_twist_shift")}
+
+
+def test_every_word_shift_is_defined_in_skewpoly():
+    """tau and its blockwise form omega are the skew shifts: sigma is tau
+    with the constant 1 and pi_b is omega with b unit constants, so neither
+    has a function of its own, nor has the sigma/pi_4 identity, which is
+    tau_omega4(1). Every shift, and the one cut into blocks, is in skewpoly."""
+    defined = {
+        (path.stem, node.name)
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    shifts = {(module, name) for module, name in defined if name.endswith("_shift") or name == "_blocks"}
+    assert shifts and {module for module, _ in shifts} == {"skewpoly"}
+    gone = {"skew_cyclic_shift", "blockwise_cyclic_shift", "sigma_pi4"}
+    assert {name for _, name in defined} & gone == set()
 
 
 def test_one_division_and_one_commutative_product():

@@ -159,11 +159,7 @@ SKEW_F9 = ("F9", 2, (1, 0, 0, 0), [[2, 1], [3, 1], [6, 1], [1]])
 NON_UNIT_F3 = ("F3", 3, (0, 1, 0, 0), [[0, 1], [2, 1], [1], [2, 0, 0, 1]])
 
 
-@settings(max_examples=40, deadline=None)
-@given(codes(CODE_LENGTHS, MAX_WORDS))
-@example(SKEW_F9)
-@example(NON_UNIT_F3)
-def test_params_is_the_oracle(code):
+def assert_params_is_the_oracle(code):
     name, n, alpha, gens = code
     r = ring(name)
     field = r.field
@@ -187,10 +183,14 @@ def test_params_is_the_oracle(code):
 
 
 @settings(max_examples=40, deadline=None)
-@given(codes(CODE_LENGTHS))
+@given(codes(CODE_LENGTHS, MAX_WORDS))
 @example(SKEW_F9)
 @example(NON_UNIT_F3)
-def test_gray_image_is_the_oracle(code):
+def test_params_is_the_oracle(code):
+    assert_params_is_the_oracle(code)
+
+
+def assert_gray_image_is_the_oracle(code):
     name, n, alpha, gens = code
     r = ring(name)
     rows = [oracle.gray(r, w) for w in oracle.code_words(r, n, alpha, gens)]
@@ -199,6 +199,14 @@ def test_gray_image_is_the_oracle(code):
     assert result["length"] == 4 * n
     assert result["dimension"] == len(result["rows"]) == len(oracle.rref(r.field, rows))
     assert oracle.rref(r.field, result["rows"]) == oracle.rref(r.field, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(codes(CODE_LENGTHS))
+@example(SKEW_F9)
+@example(NON_UNIT_F3)
+def test_gray_image_is_the_oracle(code):
+    assert_gray_image_is_the_oracle(code)
 
 
 def assert_dual_is_the_oracle(code):
@@ -286,6 +294,29 @@ def cli_idempotent(name, n, **obj):
     return result
 
 
+def assert_f_idempotent_is_the_oracle(name, n, beta, g):
+    """The f form: the idempotent generator of <g> mod x^n - beta, returned
+    as a coefficient list."""
+    e = cli_idempotent(name, n, alpha=beta, f={"ring": "fq", "coeffs": g})["e"]["coeffs"]
+    assert_idempotent_generator(ring(name).field, n, beta, g, e)
+    return e
+
+
+def assert_gens_idempotent_is_the_oracle(name, n, betas, gens):
+    """The gens form: four component idempotents, joined by the CLI into
+    one e over R; the component idempotents are returned."""
+    r = ring(name)
+    field = r.field
+    result = cli_idempotent(name, n, alpha={"crt": list(betas)}, gens=[{"ring": "fq", "coeffs": g} for g in gens])
+    es = [e["coeffs"] for e in result["component_idempotents"]]
+    for beta, g, e in zip(betas, gens, es):
+        assert_idempotent_generator(field, n, beta, g, e)
+    joined = [oracle.components(r, tuple(c[k] for k in "abcd")) for c in result["e"]["coeffs"]]
+    joined += [(field.zero,) * 4] * (n - len(joined))
+    assert [tuple(e) + (field.zero,) * (n - len(e)) for e in es] == list(zip(*joined))
+    return es
+
+
 @settings(max_examples=25, deadline=None)
 @given(idempotent_codes())
 @example(("F9", 5, (1, 1, 2, 2), [[2, 1], [2, 1], [1, 1], [1, 1]]))  # the idempotent goldens
@@ -294,15 +325,5 @@ def test_idempotent_is_the_oracle(code):
     component generators, whose component idempotents the CLI joins into
     one e over R."""
     name, n, betas, gens = code
-    r = ring(name)
-    field = r.field
-    f_result = cli_idempotent(name, n, alpha=betas[0], f={"ring": "fq", "coeffs": gens[0]})
-    assert_idempotent_generator(field, n, betas[0], gens[0], f_result["e"]["coeffs"])
-    result = cli_idempotent(name, n, alpha={"crt": list(betas)}, gens=[{"ring": "fq", "coeffs": g} for g in gens])
-    es = [e["coeffs"] for e in result["component_idempotents"]]
-    assert es[0] == f_result["e"]["coeffs"]
-    for beta, g, e in zip(betas, gens, es):
-        assert_idempotent_generator(field, n, beta, g, e)
-    joined = [oracle.components(r, tuple(c[k] for k in "abcd")) for c in result["e"]["coeffs"]]
-    joined += [(field.zero,) * 4] * (n - len(joined))
-    assert [tuple(e) + (field.zero,) * (n - len(e)) for e in es] == list(zip(*joined))
+    e = assert_f_idempotent_is_the_oracle(name, n, betas[0], gens[0])
+    assert assert_gens_idempotent_is_the_oracle(name, n, betas, gens)[0] == e

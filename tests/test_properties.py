@@ -21,9 +21,7 @@ from skewcodes.codes import (
     component_orthogonality,
     dual_code,
     is_closed_under,
-    quasi_twist_shift,
     shift_closures,
-    skew_constacyclic_shift,
 )
 from skewcodes.decomp import components_from_words, verify_decomposition_theorem
 from skewcodes.gf import make_field
@@ -34,8 +32,10 @@ from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
     fq_poly,
+    quasi_twist_shift,
     random_right_divisor,
     right_divmod,
+    skew_constacyclic_shift,
     span_words,
 )
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import random_ring_element, ring_elements
+from test_kernel import FIELDS
 
 from skewcodes.errors import NotAUnitError
 from skewcodes.gf import make_field
@@ -54,6 +55,26 @@ def test_crt_round_trip_random(f9, f25):
         for _ in range(500):
             r = random_ring_element(spec, rng)
             assert RingElement.from_crt(spec, *r.crt()) == r
+
+
+def test_crt_ints_at_or_above_p_are_refused(f9):
+    """An int in a CRT view is the constant c*1 mod p, so one >= p, which
+    reads as an element code too, is ambiguous and refused; below p, and
+    negative, it is the constant."""
+    with pytest.raises(ValueError, match="from_int"):
+        RingElement.from_crt(f9, 1, 1, 3, 1)
+    xi = f9.from_int(3)
+    assert RingElement.from_crt(f9, 1, 1, xi, 1).crt() == (f9.one, f9.one, xi, f9.one)
+    assert RingElement.from_crt(f9, -1, 2, 0, 1).crt_ints() == (2, 2, 0, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["F9", "F27", "F81t2"]), st.data())
+def test_crt_codes_round_trip_through_from_int(name, data):
+    spec = make_field(*{**SMALL_FIELDS, "F81t2": FIELDS["F81t2"]}[name])
+    value = st.integers(0, spec.q - 1).map(spec.from_int)
+    r = RingElement(*data.draw(st.tuples(value, value, value, value)))
+    assert RingElement.from_crt(spec, *map(spec.from_int, r.crt_ints())) == r
 
 
 def test_defining_relations(f9):
