@@ -429,6 +429,24 @@ def _binomial_root_codes(spec: FieldSpec, n: int, c: FieldElement):
     return sorted(spec.exp[base + j * step + half].code for j in range(gcd))
 
 
+def _binomial_cofactor_codes(spec: FieldSpec, n: int, c: FieldElement):
+    """Ascending code tuples (g_0, ..., g_{n-2}) of the monic degree-(n - 1)
+    right divisors g of x^n - c (n >= 2), the right cofactors of its linear
+    left factors: x^n - c = (x - b) * g. Comparing coefficients, g_{n-1} = 1,
+    g_{i-1} = theta^-1(b g_i) and b g_0 = c, so
+    c = b theta^-1(b) ... theta^-(n-1)(b) and N_n(b) = theta^(n-1)(c): the b
+    are the negated codes of _binomial_root_codes(n, theta^(n-1)(c)), b = 0
+    alone when c = 0, which gives g = x^(n-1)."""
+    out = []
+    for code in _binomial_root_codes(spec, n, c.frob(n - 1)):
+        b = -spec.from_int(code)
+        g = [spec.one]
+        for _ in range(n - 1):
+            g.append((b * g[-1]).frob(-1))
+        out.append(tuple(x.code for x in reversed(g[1:])))
+    return sorted(out)
+
+
 def _monic_divisors(spec: FieldSpec, found):
     """The monic polynomials whose CRT components have the low coefficient
     codes listed in `found`, one list per component: over F_q (one list)
@@ -509,17 +527,19 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     A monic g right-divides x^n - alpha exactly when each CRT component g_i
     right-divides x^n - beta_i, (beta_1, ..., beta_4) = alpha.crt(); over
     F_q the one component is alpha. At degree 1 each component's roots
-    come in closed form from (n, beta_i) (_binomial_root_codes), with no
-    candidate tried; at any other degree each x^n - beta_i is screened over
-    its q^degree candidates. None exists above degree n.
+    come in closed form from (n, beta_i) (_binomial_root_codes), and at
+    degree n - 1 >= 2 the cofactors of its linear left factors
+    (_binomial_cofactor_codes), with no candidate tried; at any other degree
+    each x^n - beta_i is screened over its q^degree candidates. None exists
+    above degree n.
 
     Work is charged in (n - degree + 1)(degree + 1) steps, those of one
     division of x^n - alpha: once per candidate screened, before the first
     screen, then once more per divisor certificate, cumulatively, before
-    x^n - alpha is built. A search with no divisor returns at once,
-    whatever n. A screen of more candidates per component than the budget
-    is refused first, its count written as a power, so that no refusal
-    prints a count much longer than the budget.
+    x^n - alpha or a cofactor is built. A search with no divisor returns at
+    once, whatever n. A screen of more candidates per component than the
+    budget is refused first, its count written as a power, so that no
+    refusal prints a count much longer than the budget.
     """
     n = mod.n
     if degree > n:
@@ -528,8 +548,12 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     betas = mod.alpha.crt() if mod.ring == "R" else (mod.alpha,)
     certificate = (n - degree + 1) * (degree + 1)
     screened = 0
+    cofactors = degree == n - 1 > 1
     if degree == 1:
         found = [[(c,) for c in _binomial_root_codes(spec, n, beta)] for beta in betas]
+    elif cofactors:
+        # one divisor per left root, counted here and built once charged
+        found = [_binomial_root_codes(spec, n, beta.frob(n - 1)) for beta in betas]
     else:
         # q >= 3, so q^degree > budget once degree reaches budget's bit length
         if degree >= budget.bit_length() or q ** degree > budget:
@@ -543,6 +567,8 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     charge(budget, screened + count * certificate, f"{screened} + {needs}" if screened else needs, "division steps")
     if not count:
         return []
+    if cofactors:
+        found = [_binomial_cofactor_codes(spec, n, beta) for beta in betas]
     f = mod.poly()
     divisors = _monic_divisors(spec, found)
     for g in divisors:
@@ -665,7 +691,8 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     Codes, ch. 8 §3), so e = sum_j a_j x^j f for the one solution of
     e f = sum_j a_j rho^j(f f) = f: one linear solve, no quotient. No
     unique solution means that x^n - alpha is not squarefree (alpha = 0)
-    or, for an alpha that theta moves, that <f> is no such ideal.
+    or, for an alpha that theta moves, that <f> is no such ideal; the
+    refusal then names theta(alpha) != alpha.
 
     e is then verified in the skew ring. f right-divides x^n - alpha, so
     <f>, the words of degree < n that f right-divides, is closed under x*
@@ -685,13 +712,13 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     rho = functools.partial(quasi_twist_shift, block=1)
     columns = itertools.accumulate(itertools.repeat(mod.alpha), rho, initial=_fold(c_mul(f, f), mod))
     solutions = nullspace(list(zip(*itertools.islice(columns, dim), _fold(f, mod))), dim + 1, spec)
+    moved = "" if is_theta_fixed(mod.alpha) else f"theta(alpha) != alpha ({mod.alpha.frob(1)!r} != {mod.alpha!r}): "
     if len(solutions) != 1 or solutions[0][dim] != spec.one:
         raise HypothesisViolatedError(
-            f"<{f!r}> has no idempotent generator mod x^{n} - {mod.alpha!r}:"
+            f"{moved}<{f!r}> has no idempotent generator mod x^{n} - {mod.alpha!r}:"
             " no unique e in it with e f = f in the commutative quotient"
         )
     e = c_mul(SkewPoly(spec, f.ring, [-a for a in solutions[0][:dim]]), f)
-    moved = "" if is_theta_fixed(mod.alpha) else f"theta(alpha) != alpha ({mod.alpha.frob(1)!r} != {mod.alpha!r}): "
     error = HypothesisViolatedError if moved else VerificationError
     square = reduce_mod(e * e, mod)
     if square != e:

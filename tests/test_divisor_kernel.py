@@ -8,6 +8,7 @@ the identity and the full Frobenius (1 < t < m).
 
 import itertools
 import random
+import time
 
 import pytest
 from reference import random_ring_element
@@ -296,15 +297,18 @@ BINOMIAL_FIELDS = {**LINEAR_FIELDS, "F25": (5, 2, [1, 1, 1], 1)}
 LOOPED = 25
 
 
-def binomial_divisors(spec, n):
-    """{c: loop_divisors(x^n - c, 1)} for every c, from one right division
-    of x^n per candidate: the right remainder of x^n - c by a monic x + g_0
-    is that of x^n minus c."""
+def binomial_divisors(spec, n, degree=1):
+    """{c: loop_divisors(x^n - c, degree)} for every c, from one right
+    division of x^n per candidate: the right remainder of x^n - c by a monic
+    g is that of x^n minus c, so g right-divides x^n - c for the one c that
+    is that remainder, if it is a constant."""
     x_n = ModulusSpec(n, spec.zero).poly()
     out = {c: [] for c in spec.elements()}
-    for code in range(spec.q):
-        g = SkewPoly(spec, "fq", [spec.from_int(code), spec.one])
-        out[right_divmod(x_n, g)[1].coeff(0)].append(g)
+    for codes in itertools.product(range(spec.q), repeat=degree):
+        g = SkewPoly(spec, "fq", [spec.from_int(c) for c in codes] + [spec.one])
+        rem = right_divmod(x_n, g)[1]
+        if not rem.degree:
+            out[rem.coeff(0)].append(g)
     return out
 
 
@@ -325,6 +329,36 @@ def test_the_binomial_closed_form_is_the_division_loop(name):
             counts.add(len(want))
     # root counts other than 0 and 1: the gcd(e_n, q - 1) solutions
     assert max(counts) > 1 and 0 in counts
+
+
+COFACTOR_FIELDS = {**LINEAR_FIELDS, "F27": (3, 3, [1, 2, 0, 1], 1)}
+# candidates at degree n - 1 up to which every x^n - c is compared with the
+# loop; up to SAMPLED, x^n - c for four constants c is compared with the screen
+LOOPED_COFACTORS = 10 ** 4
+
+
+@pytest.mark.parametrize("name", sorted(COFACTOR_FIELDS))
+def test_the_cofactor_closed_form_is_the_division_loop(name):
+    """Degree n - 1, n = 3..5: the cofactors of the linear left factors of
+    x^n - c are the divisors of the one-division-per-candidate loop, in its
+    order, for every c, zero included. Where the loop has too many
+    candidates, they are those of the screen, for c = 0, 1, -1 and a
+    generator."""
+    spec = make_field(*COFACTOR_FIELDS[name])
+    checked = 0
+    for n in range(3, 6):
+        candidates = spec.q ** (n - 1)
+        if candidates <= LOOPED_COFACTORS:
+            expected = binomial_divisors(spec, n, n - 1)
+        elif candidates <= SAMPLED:
+            constants = (spec.zero, spec.one, -spec.one, spec.root())
+            expected = {c: _monic_right_factors(ModulusSpec(n, c).poly(), n - 1) for c in constants}
+        else:
+            continue
+        for c, want in expected.items():
+            assert right_divisor_search(ModulusSpec(n, c), n - 1) == want
+        checked += 1
+    assert checked
 
 
 def signs_and_random_constants(spec, rng):
@@ -391,3 +425,26 @@ def test_binomials_are_solved_without_a_screen(monkeypatch):
     screens.clear()
     assert random_right_divisor(ModulusSpec(4, f9.one), random.Random(0), 2).degree == 2
     assert len(screens) == 1
+
+
+def test_degree_n_minus_one_is_solved_without_a_screen(monkeypatch):
+    """A degree-(n - 1) search of x^n - c, over F_q or over R, screens no
+    candidate and certifies each divisor by its remainder. x^6 - 1 over F27
+    at degree 5 lists its 26 divisors at the default budget, where a screen
+    of 27^5 candidates would be refused."""
+    screens = []
+    batched = skewpoly._batched_divisor_codes
+    monkeypatch.setattr(
+        "skewcodes.skewpoly._batched_divisor_codes", lambda f, degree: screens.append(degree) or batched(f, degree)
+    )
+    certified = spy_certificates(monkeypatch)
+    f3, f27 = make_field(3, 1, [0, 1]), make_field(3, 3, [1, 2, 0, 1])
+    start = time.perf_counter()
+    found = right_divisor_search(ModulusSpec(6, f27.one), 5)
+    assert time.perf_counter() - start < 1
+    assert len(found) == 26 and certified == found
+    for n in (3, 4, 5):
+        certified.clear()
+        found = right_divisor_search(ModulusSpec(n, RingElement.from_ints(f3, 1)), n - 1)
+        assert found and certified == found
+    assert screens == []

@@ -1,5 +1,5 @@
 """Every monic right divisor of x^n - alpha over F3 (n <= 4), F9 (n <= 3)
-and F27 (n <= 2), for every alpha in F_q and every degree, through every
+and F27 (n <= 3), for every alpha in F_q and every degree, through every
 command that takes one, in process through cli.main:
 
 - divisor-search itself, which lists the divisors;
@@ -32,7 +32,7 @@ from test_oracle import (
     ring,
 )
 
-LENGTHS = {"F3": 4, "F9": 3, "F27": 2}
+LENGTHS = {"F3": 4, "F9": 3, "F27": 3}
 # the phrases with which a kind of request may refuse a swept input: the
 # hypotheses of the idempotent construction and the unit constant of a dual
 REFUSALS = {
@@ -107,6 +107,22 @@ def test_every_refusal_names_the_hypothesis_it_refuses():
         assert r.rc == 2 and r.report["status"] == "input_error", r
         message = r.report["result"]["error"]
         assert any(phrase in message for phrase in REFUSALS.get(r.kind, ())), (r.kind, message)
+
+
+def test_a_refused_idempotent_names_the_twist_that_moves_alpha():
+    """No idempotent generator for an alpha that theta moves: the refusal
+    says theta(alpha) != alpha, unlike that of alpha = 0, where
+    x^n - alpha is not squarefree."""
+    refused = [
+        r for r in sweep()
+        if r.kind.startswith("idempotent") and r.rc == 2
+        and "has no idempotent generator" in r.report["result"]["error"]
+    ]
+    moved = [ring(r.name).field.theta(r.alpha) != r.alpha for r in refused]
+    assert any(moved) and not all(moved)
+    for r, alpha_moved in zip(refused, moved):
+        message = r.report["result"]["error"]
+        assert ("theta(alpha) != alpha" in message) == alpha_moved, (r.kind, r.name, r.n, r.alpha, message)
 
 
 def code(r):

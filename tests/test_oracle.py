@@ -7,6 +7,7 @@ order.
 
 import ast
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -19,13 +20,14 @@ from reference import run_main
 # (p, m, modulus ascending, t), as the CLI reads a field
 FIELDS = {
     "F3": (3, 1, (0, 1), 1),
+    "F5": (5, 1, (0, 1), 1),
     "F9": (3, 2, (1, 0, 1), 1),
     "F27": (3, 3, (1, 2, 0, 1), 1),
     "F81t2": (3, 4, (2, 0, 0, 1, 1), 2),
 }
 # the highest degree searched over each field: at most 729 candidates, and
 # 6561 over F81
-FQ_DEGREES = {"F3": 6, "F9": 3, "F27": 2, "F81t2": 2}
+FQ_DEGREES = {"F3": 6, "F5": 4, "F9": 3, "F27": 2, "F81t2": 2}
 
 
 def cli_divisors(name, n, alpha, degree):
@@ -86,6 +88,49 @@ def test_search_over_r_over_f3_is_the_oracle(search):
 @example((3, (0, 0, 0, 1), 1))  # alpha = uv: CRT components (0, 0, 0, 1)
 def test_search_over_r_over_f9_is_the_oracle(search):
     assert_search_over_r_is_the_oracle("F9", search)
+
+
+def component_divisors(name, n, alpha, degree):
+    """The monic right divisors of x^n - alpha over R of one degree, built
+    from the oracle's divisors of each component x^n - beta_i over F_q:
+    every g = e1 g1 + e2 g2 + e3 g3 + e4 g4, each checked by its right
+    remainder over R, in the oracle's candidate order. It rests on g
+    right-dividing x^n - alpha exactly when each g_i right-divides
+    x^n - beta_i, and serves R searches with more candidates than the
+    oracle tries."""
+    ring = oracle.R(oracle.field(*FIELDS[name]))
+    parts = [
+        [g["coeffs"] for g in oracle.right_divisors(ring.field, n, beta, degree)]
+        for beta in oracle.components(ring, alpha)
+    ]
+    f = [ring.neg(alpha)] + [ring.zero] * (n - 1) + [ring.one]
+    out = []
+    for gs in itertools.product(*parts):
+        g = [oracle.from_components(ring, betas) for betas in zip(*gs)]
+        assert all(r == ring.zero for r in oracle.right_remainder(ring, f, g))
+        out.append(g)
+    return [{"ring": "R", "coeffs": [ring.to_json(c) for c in g]} for g in sorted(out)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.tuples(*[st.integers(0, 2)] * 4))
+@example((1, 0, 0, 0))  # x^3 - 1
+@example((0, 1, 0, 0))  # alpha = u: CRT components (0, 1, 0, 1)
+def test_degree_n_minus_one_search_over_r_over_f3_is_the_oracle(alpha):
+    """x^3 - alpha at degree 2, the cofactors of its linear left factors,
+    against all 81^2 candidates."""
+    assert_search_over_r_is_the_oracle("F3", (3, alpha, 2))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 5), st.tuples(*[st.integers(0, 4)] * 4))
+@example(4, (1, 0, 0, 0))  # x^4 - 1: four divisors of degree 3 in every component
+@example(3, (0, 0, 0, 1))  # alpha = uv: CRT components (0, 0, 0, 1)
+def test_degree_n_minus_one_search_over_r_over_f5_is_the_oracle(n, alpha):
+    """x^n - alpha at degree n - 1 over R over F5, whose 625^(n - 1)
+    candidates are too many for the oracle to try, against its component
+    divisors."""
+    assert cli_divisors("F5", n, dict(zip("abcd", alpha)), n - 1) == component_divisors("F5", n, alpha, n - 1)
 
 
 def test_the_oracle_imports_no_skewcodes_module():

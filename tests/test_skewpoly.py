@@ -318,8 +318,12 @@ def test_divisor_search_f49(f49):
 
 
 def test_divisor_search_budget(f25):
+    """x^4 - 1 over F25: degree 2 screens 625 candidates, over a budget of
+    100; degree 3 = n - 1 tries none, and its 12 divisors are charged
+    12 * 2 * 4 = 96 steps."""
     with pytest.raises(BudgetExceededError):
-        right_divisor_search(ModulusSpec(4, f25.one), 3, budget=100)
+        right_divisor_search(ModulusSpec(4, f25.one), 2, budget=100)
+    assert len(right_divisor_search(ModulusSpec(4, f25.one), 3, budget=96)) == 12
 
 
 def test_degree_one_search_over_f_q_is_charged_for_its_divisors():
@@ -335,6 +339,24 @@ def test_degree_one_search_over_f_q_is_charged_for_its_divisors():
     assert str(refusal.value) == (
         "1 divisors * (n - degree + 1)(degree + 1) = 114 division steps, over the budget of 113"
     )
+
+
+def test_degree_n_minus_one_search_over_f_q_is_charged_for_its_divisors():
+    """x^3 - 1 over F_{3^11} at degree 2: the cofactor of its one linear
+    left factor, charged the 2 * 3 = 6 steps of its certificate, where the
+    3^22 candidates of a screen would be refused. A budget of 5 is refused
+    by that certificate, since no candidate is tried, and so is x^n - 1 for
+    n = 10^12 before any cofactor of degree n - 1 is built."""
+    spec = make_field(3, 11, [1, 0, 0, 2] + [0] * 7 + [1])
+    mod = ModulusSpec(3, spec.one)
+    assert right_divisor_search(mod, 2, budget=6) == [fq_poly(spec, [1, 1, 1])]
+    with pytest.raises(BudgetExceededError) as refusal:
+        right_divisor_search(mod, 2, budget=5)
+    assert str(refusal.value) == (
+        "1 divisors * (n - degree + 1)(degree + 1) = 6 division steps, over the budget of 5"
+    )
+    with pytest.raises(BudgetExceededError, match=r"^\d+ divisors \* \(n - degree \+ 1\)"):
+        right_divisor_search(ModulusSpec(10 ** 12, spec.one), 10 ** 12 - 1)
 
 
 def test_degree_one_search_over_r_is_charged_for_its_divisors(f3):
@@ -451,7 +473,8 @@ def test_random_right_divisor_over_r(f3, f9):
 
 def test_divisor_search_over_r_never_lists_r(monkeypatch):
     """The R search is one search per CRT component: four F_q screens at
-    degree 2, and none at degree 1, where the roots come in closed form."""
+    degree 2 of x^4 - alpha, and none at degree 1 or n - 1, where the
+    roots and the cofactors of the left roots come in closed form."""
     import skewcodes.skewpoly as skewpoly
 
     screens = []
@@ -469,6 +492,9 @@ def test_divisor_search_over_r_never_lists_r(monkeypatch):
     assert right_divisor_search(mod, 1) == [r_poly(f5, [-rho, 1])]
     assert screens == []
     assert right_divisor_search(mod, 2) == [r_poly(f5, [rho * rho, rho, 1])]
+    assert screens == []
+    # x^4 - 1 and x^4 + 1 = (x^2 + 2)(x^2 + 3) each have degree-2 divisors over F_5
+    assert right_divisor_search(ModulusSpec(4, RingElement.from_crt(f5, 1, -1, -1, 1)), 2)
     assert screens == ["fq"] * 4
 
 
