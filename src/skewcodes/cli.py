@@ -235,7 +235,7 @@ def cmd_idempotent(args):
     field = field_from_json(obj["field"])
     n = json_int(obj["n"], "n", 1)
     # Each idempotent is one linear solve of n equations, checked by one
-    # remainder and one row reduction of the n span words of e: O(n^3)
+    # remainder and one combination of e's shift-orbit words: O(n^3)
     # steps, charged as n^3 and refused before the first division.
     count = 4 if "gens" in obj else 1
     charge(args.budget, count * n ** 3, f"idempotent check needs {count} * n^3")
@@ -418,7 +418,7 @@ def _audit_standard_example(ex, budget):
     return result, list(code.warnings), discrepancies
 
 
-def _audit_example_four(ex):
+def _audit_example_four(ex, budget):
     warnings = []
     discrepancies = []
     field = ex["field"]
@@ -465,7 +465,7 @@ def _audit_example_four(ex):
             }
         )
     module = _example_four_module(ex)
-    _, l, closed = shift_closures(module)
+    _, l, closed = shift_closures(module, budget)
     result["submodule_component_dims"] = list(module.dims)
     result["closures"] = {"untwisted_constacyclic": closed, "gcd_n_k": l}
     return result, warnings, discrepancies
@@ -474,7 +474,7 @@ def _audit_example_four(ex):
 def cmd_example(args):
     ex = get_example(args.number)
     if ex["number"] == 4:
-        return _audit_example_four(ex)
+        return _audit_example_four(ex, args.budget)
     return _audit_standard_example(ex, args.budget)
 
 

@@ -21,7 +21,6 @@ from .errors import (
     MixedRingsError,
     NotADivisorError,
     NotAUnitError,
-    VerificationError,
     charge,
 )
 from .gf import FieldSpec
@@ -284,32 +283,10 @@ def is_self_dual(code: SkewCode) -> bool:
     return self_dual_report(code).verdict
 
 
-def self_dual_constant_list(field: FieldSpec):
-    """The sixteen constants whose codes can be self-dual (CRT view in {1,-1}^4)."""
-    specs = [
-        (1, 0, 0, 0), (-1, 0, 0, 0),
-        (1, -2, 0, 0), (1, 0, -2, 0), (1, 0, 0, -2),
-        (-1, 2, 0, 0), (-1, 0, 2, 0), (-1, 0, 0, 2),
-        (1, -2, 0, 2), (1, 0, -2, 2), (-1, 2, 0, -2), (-1, 0, 2, -2),
-        (1, -2, -2, 2), (-1, 2, 2, -2), (1, -2, -2, 4), (-1, 2, 2, -4),
-    ]
-    return [RingElement.from_ints(field, *s) for s in specs]
-
-
 def self_dual_constant_check(alpha: RingElement) -> bool:
-    """True when every CRT component of alpha is 1 or -1.
-
-    Cross-checked against literal membership in the explicit 16-element list;
-    the two characterizations must agree.
-    """
+    """True when every CRT component of alpha is 1 or -1: the sixteen
+    constants whose codes can be self-dual. A non-unit is refused."""
     if not alpha.is_unit:
         raise NotAUnitError(f"{alpha!r} is not a unit")
     spec = alpha.spec
-    pm = {spec.one, -spec.one}
-    by_components = all(c in pm for c in alpha.crt())
-    by_list = any(alpha == cand for cand in self_dual_constant_list(spec))
-    if by_components != by_list:
-        raise VerificationError(
-            "componentwise +-1 test disagrees with the 16-element constant list"
-        )
-    return by_components
+    return all(c in (spec.one, -spec.one) for c in alpha.crt())

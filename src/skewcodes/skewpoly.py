@@ -33,7 +33,7 @@ from .errors import (
     charge,
 )
 from .gf import FieldElement, FieldSpec
-from .linalg import nullspace, rref
+from .linalg import nullspace
 from .ring4 import RingElement, join_word, ring_one, ring_zero, split_word
 
 
@@ -429,16 +429,16 @@ def _binomial_root_codes(spec: FieldSpec, n: int, c: FieldElement):
     return sorted(spec.exp[base + j * step + half].code for j in range(gcd))
 
 
-def _binomial_cofactor_codes(spec: FieldSpec, n: int, c: FieldElement):
+def _binomial_cofactor_codes(spec: FieldSpec, n: int, roots):
     """Ascending code tuples (g_0, ..., g_{n-2}) of the monic degree-(n - 1)
     right divisors g of x^n - c (n >= 2), the right cofactors of its linear
     left factors: x^n - c = (x - b) * g. Comparing coefficients, g_{n-1} = 1,
     g_{i-1} = theta^-1(b g_i) and b g_0 = c, so
     c = b theta^-1(b) ... theta^-(n-1)(b) and N_n(b) = theta^(n-1)(c): the b
-    are the negated codes of _binomial_root_codes(n, theta^(n-1)(c)), b = 0
-    alone when c = 0, which gives g = x^(n-1)."""
+    are the negated codes `roots` = _binomial_root_codes(n, theta^(n-1)(c)),
+    b = 0 alone when c = 0, which gives g = x^(n-1)."""
     out = []
-    for code in _binomial_root_codes(spec, n, c.frob(n - 1)):
+    for code in roots:
         b = -spec.from_int(code)
         g = [spec.one]
         for _ in range(n - 1):
@@ -568,7 +568,7 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     if not count:
         return []
     if cofactors:
-        found = [_binomial_cofactor_codes(spec, n, beta) for beta in betas]
+        found = [_binomial_cofactor_codes(spec, n, roots) for roots in found]
     f = mod.poly()
     divisors = _monic_divisors(spec, found)
     for g in divisors:
@@ -694,11 +694,12 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     or, for an alpha that theta moves, that <f> is no such ideal; the
     refusal then names theta(alpha) != alpha.
 
-    e is then verified in the skew ring. f right-divides x^n - alpha, so
-    <f>, the words of degree < n that f right-divides, is closed under x*
-    and of dimension n - deg f: it is <e> once f right-divides e and its n
-    span words have that rank. A failed check is a HypothesisViolatedError
-    if theta moves alpha, which the construction assumes it fixes.
+    e is then verified in the skew ring, by two inclusions and no rank:
+    f right-dividing e puts e in <f>, and f*e = f mod (x^n - alpha) puts f
+    in <e>. f*e is sum_j f_j tau_alpha^j(e), a combination of the first
+    deg f + 1 words of e's shift orbit, with no product and no division.
+    A failed check is a HypothesisViolatedError if theta moves alpha, which
+    the construction assumes it fixes.
     """
     spec = f.spec
     n = mod.n
@@ -723,7 +724,10 @@ def idempotent_generator(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     square = reduce_mod(e * e, mod)
     if square != e:
         raise error(f"{moved}constructed polynomial is not skew-idempotent: e*e = {square!r}")
-    if not right_remainder(e, f).is_zero or len(rref(span_words(e, mod))[0]) != dim:
+    f_times_e = [e._zero_coeff()] * n
+    for c, word in zip(f.coeffs, _shift_orbit(e, mod)):
+        f_times_e = [s + c * w for s, w in zip(f_times_e, word)]
+    if not right_remainder(e, f).is_zero or tuple(f_times_e) != next(_shift_orbit(f, mod)):
         raise error(f"{moved}idempotent generates a different submodule than f")
     return e
 
@@ -739,16 +743,10 @@ def dual_idempotent(e: SkewPoly, mod: ModulusSpec) -> SkewPoly:
     if not e.is_zero and e.degree >= n:
         raise LengthMismatchError("idempotent must already be reduced")
     ainv = alpha.inverse()
-    word = [e._zero_coeff()] * n
-    for i, c in enumerate(e.coeffs):
-        if i == 0:
-            word[0] = word[0] + c
-        else:
-            # x^{-i} = alpha^{-1} x^{n-i} in the quotient
-            word[n - i] = word[n - i] + c * ainv
-    result = SkewPoly(e.spec, e.ring, word)
-    one = SkewPoly(e.spec, e.ring, [e._one_coeff()])
-    return one - result
+    # x^{-j} = alpha^{-1} x^{n-j} in the quotient, so e(x^{-1}) has the
+    # coefficient e_{n-j} alpha^{-1} at x^j, j > 0
+    word = [e.coeff(0)] + [e.coeff(n - j) * ainv for j in range(1, n)]
+    return SkewPoly(e.spec, e.ring, [e._one_coeff()]) - SkewPoly(e.spec, e.ring, word)
 
 
 # --- CRT component assembly ---

@@ -5,9 +5,10 @@ The package decides membership, closure and module equality from
 generators and remainders; here whole spans are row-reduced instead
 (Span, ModuleSpan), R is listed element by element, and the maps the
 package has no use for (the untwisted shift, variable scaling, the inverse
-Gray map) are written out, and the Gray-commutation proof evaluates the
-word maps on every basis word in one numpy pass. Nothing in src/ imports
-this module.
+Gray map) are written out. The Gray-commutation proof evaluates the word
+maps on every basis word in one numpy pass, the idempotent check is made
+by a rank, and the self-dual constants are listed one by one. Nothing in
+src/ imports this module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from skewcodes.gf import FieldElement, FieldSpec
 from skewcodes.linalg import rref
 from skewcodes.ring4 import RingElement, join_word, split_word
 from skewcodes.serial import field_to_json, poly_to_json, ring_to_json
-from skewcodes.skewpoly import SkewPoly
+from skewcodes.skewpoly import ModulusSpec, SkewPoly, reduce_mod, right_remainder, span_words
 
 
 def run_main(argv):
@@ -221,6 +222,18 @@ class Span:
         return self.dim == other.dim and self.contains_all(other.rows)
 
 
+def rank_idempotent_check(e: SkewPoly, f: SkewPoly, mod: ModulusSpec) -> bool:
+    """The idempotent check by a rank: e*e = e mod (x^n - alpha), f
+    right-divides e, and the n span words of e have rank n - deg f, the
+    dimension of <f>; skewpoly.idempotent_generator decides the same by two
+    inclusions."""
+    return (
+        reduce_mod(e * e, mod) == e
+        and right_remainder(e, f).is_zero
+        and Span(span_words(e, mod)).dim == mod.n - f.degree
+    )
+
+
 class ModuleSpan:
     """R-span of a set of R-words, represented by its four component spans:
     the reference for components_from_words and shift_closures."""
@@ -247,6 +260,21 @@ class ModuleSpan:
         if not isinstance(other, ModuleSpan):
             return NotImplemented
         return self.component_spans == other.component_spans
+
+
+# --- self-dual constants ---
+
+def self_dual_constant_list(field: FieldSpec):
+    """The sixteen constants whose codes can be self-dual (CRT view in
+    {1,-1}^4), written out in the (a, b, c, d) coordinates of a + bu + cv + duv."""
+    specs = [
+        (1, 0, 0, 0), (-1, 0, 0, 0),
+        (1, -2, 0, 0), (1, 0, -2, 0), (1, 0, 0, -2),
+        (-1, 2, 0, 0), (-1, 0, 2, 0), (-1, 0, 0, 2),
+        (1, -2, 0, 2), (1, 0, -2, 2), (-1, 2, 0, -2), (-1, 0, 2, -2),
+        (1, -2, -2, 2), (-1, 2, 2, -2), (1, -2, -2, 4), (-1, 2, 2, -4),
+    ]
+    return [RingElement.from_ints(field, *s) for s in specs]
 
 
 # --- serialisation ---

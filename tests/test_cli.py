@@ -311,6 +311,21 @@ def test_verify_suites_are_charged_against_the_budget(capsys, suite, needs):
     assert report["result"]["error"] == f"{needs}, over the budget of 10"
 
 
+def test_example_four_is_charged_against_the_budget(capsys):
+    """Example 4's closure check of its ten-word module is charged as
+    `verify ret1` charges the same module: refused below 280 steps, and at
+    280, as at the default budget, the report is the golden's bytes, the
+    budget it records aside."""
+    golden = (Path(__file__).parent / "golden" / "example4.json").read_text(encoding="utf-8")
+    code, report = run_cli(capsys, "example", "4", "--budget", "279")
+    assert (code, report["status"]) == (2, "input_error")
+    assert report["result"]["error"] == "closure check needs 10 basis words * 4n = 280 steps, over the budget of 279"
+    for argv, budget in ((["--budget", "280"], 280), ([], DEFAULT_BUDGET)):
+        assert main(["example", "4", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out == golden.replace(f'{{"budget":{DEFAULT_BUDGET},', f'{{"budget":{budget},', 1)
+
+
 def test_gray_commutation_charges_nothing(capsys):
     code, report = run_cli(capsys, "verify", "gray-commutation", "--budget", "1")
     assert (code, report["result"]["pass"]) == (0, True)

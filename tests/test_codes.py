@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from reference import (
     power_scale_poly,
     power_scale_word,
     random_ring_element,
+    ring_elements,
+    self_dual_constant_list,
 )
 
 from skewcodes.catalog import example_code
@@ -18,7 +21,6 @@ from skewcodes.codes import (
     is_closed_under,
     is_self_dual,
     self_dual_constant_check,
-    self_dual_constant_list,
     self_dual_report,
 )
 from skewcodes.errors import (
@@ -343,6 +345,25 @@ def test_self_dual_constant_check(f9, f49):
     assert not self_dual_constant_check(RingElement.from_field(f9.root()))
     with pytest.raises(NotAUnitError):
         self_dual_constant_check(RingElement.from_ints(f9, 0, 1, 0, 0))
+
+
+def test_self_dual_constant_check_is_membership_in_the_list(f9, f49):
+    """The +-1 test on the CRT components against the sixteen constants
+    written out in tests/reference.py: every unit of R over F9, and over
+    F49 every unit of F49 in each CRT place with +-1 in the others."""
+    f49_units = [
+        RingElement.from_crt(f49, *signs[:place], c, *signs[place:])
+        for place in range(4)
+        for signs in itertools.product((1, -1), repeat=3)
+        for c in f49.elements() if not c.is_zero
+    ]
+    checked = 0
+    for spec, units in ((f9, [a for a in ring_elements(f9) if a.is_unit]), (f49, f49_units)):
+        listed = set(self_dual_constant_list(spec))
+        for alpha in units:
+            assert self_dual_constant_check(alpha) == (alpha in listed), alpha
+            checked += 1
+    assert checked == 8 ** 4 + 4 * 8 * 48
 
 
 def test_constant_list_is_exactly_pm_one_crt(f9):

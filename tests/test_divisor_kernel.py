@@ -361,6 +361,20 @@ def test_the_cofactor_closed_form_is_the_division_loop(name):
     assert checked
 
 
+def test_a_cofactor_search_solves_each_component_once(monkeypatch):
+    """At degree n - 1 the left roots of each component are computed once:
+    counted for the charge, then built into their cofactors."""
+    roots, calls = skewpoly._binomial_root_codes, []
+    monkeypatch.setattr(
+        "skewcodes.skewpoly._binomial_root_codes", lambda spec, n, c: calls.append(c) or roots(spec, n, c)
+    )
+    f3, f9 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1])
+    for alpha, components in ((f9.one, 1), (RingElement.from_crt(f3, 1, 1, 1, 0), 4)):
+        calls.clear()
+        assert right_divisor_search(ModulusSpec(4, alpha), 3)
+        assert len(calls) == components
+
+
 def signs_and_random_constants(spec, rng):
     """The 16 alpha whose CRT components are each 1 or -1, and 8 random
     alpha, most of them non-units over F3 and F5."""

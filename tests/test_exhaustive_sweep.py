@@ -14,13 +14,14 @@ through the helpers of tests/test_oracle.py.
 """
 
 import functools
+import itertools
 import json
 import random
 from collections import namedtuple
 
 import oracle
 import pytest
-from reference import run_main
+from reference import rank_idempotent_check, run_main
 from test_oracle import (
     FIELDS,
     MAX_WORDS,
@@ -31,6 +32,12 @@ from test_oracle import (
     assert_params_is_the_oracle,
     ring,
 )
+
+import skewcodes.skewpoly as skewpoly
+from skewcodes.errors import HypothesisViolatedError, VerificationError
+from skewcodes.gf import make_field
+from skewcodes.serial import poly_from_json
+from skewcodes.skewpoly import ModulusSpec, SkewPoly, idempotent_generator
 
 LENGTHS = {"F3": 4, "F9": 3, "F27": 3}
 # the phrases with which a kind of request may refuse a swept input: the
@@ -158,3 +165,63 @@ def test_sampled_answers_are_the_oracle(kind):
     ]
     for r in random.Random(kind).sample(answers, min(SAMPLE, len(answers))):
         check(r)
+
+
+# the refusals of idempotent_generator's skew checks of a solved e
+CHECK_FAILURES = ("not skew-idempotent", "idempotent generates a different submodule than f")
+
+
+def test_the_idempotent_check_by_inclusions_is_the_rank_check(monkeypatch):
+    """Every swept divisor f for which the solve gives an e: the package's
+    check, e*e = e and two inclusions (f right-divides e, f*e = f), and the
+    rank reference (tests/reference.py) give the same verdict on e and on
+    wrong candidates: 0, 2e, e plus the word x*f of <f>, and the e of every
+    other divisor of the same x^n - alpha. The product that builds e from
+    the solve is patched to hand back each candidate in turn."""
+    real, built, swap = skewpoly.c_mul, [], []
+
+    def product(a, b):
+        if a is b:  # f*f, the solve's right-hand side
+            return real(a, b)
+        built.append(real(a, b))
+        return swap[0] if swap else built[-1]
+
+    monkeypatch.setattr(skewpoly, "c_mul", product)
+
+    def accepts(f, mod, e):
+        swap[:] = [e]
+        try:
+            return idempotent_generator(f, mod) == e
+        except (VerificationError, HypothesisViolatedError) as exc:
+            assert any(phrase in str(exc) for phrase in CHECK_FAILURES), exc
+            return False
+        finally:
+            swap.clear()
+
+    groups = {}
+    for r in sweep():
+        if r.kind == "divisor-search":
+            groups.setdefault((r.name, r.n, r.alpha), []).extend(g["coeffs"] for g in r.report["result"]["divisors"])
+    verdicts = []
+    for (name, n, alpha), coeffs in groups.items():
+        p, m, modulus, t = FIELDS[name]
+        spec = make_field(p, m, list(modulus), t)
+        mod = ModulusSpec(n, spec.from_int(alpha))
+        solved = {}
+        for g in coeffs:
+            f = poly_from_json(spec, {"ring": "fq", "coeffs": g})
+            built.clear()
+            try:
+                idempotent_generator(f, mod)
+            except HypothesisViolatedError:
+                pass
+            if built:
+                solved[f] = built[0]
+        for f, e in solved.items():
+            word_of_f = SkewPoly(spec, "fq", next(itertools.islice(skewpoly._shift_orbit(f, mod), 1, None)))
+            candidates = [e, SkewPoly.zero(spec), e.scale_left(spec.constant(2)), e + word_of_f]
+            for candidate in candidates + [other for g, other in solved.items() if g != f]:
+                verdict = accepts(f, mod, candidate)
+                assert verdict == rank_idempotent_check(candidate, f, mod), (name, n, alpha, f, candidate)
+                verdicts.append(verdict)
+    assert verdicts.count(True) and verdicts.count(False)

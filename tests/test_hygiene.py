@@ -232,6 +232,18 @@ def test_reduce_mod_is_called_only_by_the_idempotent_check():
     assert _callers("reduce_mod") == {("skewpoly", "idempotent_generator")}
 
 
+def test_rank_is_taken_only_by_the_solve_the_generator_and_the_sweep():
+    """No rank certifies a module: an idempotent is checked by two
+    inclusions, and rref runs only inside linalg.nullspace, the one
+    elimination of decomp.minimal_generator and each direct summand of the
+    distance sweep."""
+    assert _callers("rref") == {
+        ("linalg", "nullspace"),
+        ("decomp", "minimal_generator"),
+        ("distance", "_Summand.__init__"),
+    }
+
+
 def _callers(callee):
     """(module, qualified function) of each function in src/ that calls
     `callee`, by name or as an attribute."""

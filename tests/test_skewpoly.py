@@ -712,22 +712,29 @@ def test_idempotents_for_all_coprime_divisors(f9, f25):
                 assert reduce_mod(e * e, mod) == e
 
 
-@pytest.mark.parametrize("wrong", ["another divisor's idempotent", "zero"])
+@pytest.mark.parametrize("wrong", ["another divisor's idempotent", "zero", "one"])
 def test_idempotent_check_refuses_a_wrong_candidate(f49, monkeypatch, wrong):
     """The product that builds e from the solve is patched to hand back a
     wrong e for f, one of the three linear right divisors of x^3 - 1 over
     F49 (the square f f is left alone). Each candidate is idempotent and
-    fails one half of the module check only: another divisor's idempotent
-    has the rank n - deg f but f does not right-divide it, and f
-    right-divides 0, of rank 0."""
+    fails the module check: another divisor's idempotent fails both
+    inclusions, 1 only the first (f*1 = f, but f does not right-divide 1)
+    and 0 only the second (f right-divides 0, but f*0 = 0 is not f). The
+    rank of the n span words tells the same: 2, 3 and 0, not n - deg f = 2
+    for the first, whose span is not <f>."""
     import skewcodes.skewpoly as skewpoly
 
     mod = ModulusSpec(3, f49.one)
     f, other = right_divisor_search(mod, 1)[:2]
-    e = idempotent_generator(other, mod) if wrong != "zero" else SkewPoly.zero(f49)
+    e = {
+        "another divisor's idempotent": idempotent_generator(other, mod),
+        "zero": SkewPoly.zero(f49),
+        "one": fq_poly(f49, [1]),
+    }[wrong]
     assert reduce_mod(e * e, mod) == e
-    divides, rank = right_remainder(e, f).is_zero, Span(span_words(e, mod)).dim
-    assert (divides, rank) == ((False, 2) if wrong != "zero" else (True, 0))
+    divides, keeps_f = right_remainder(e, f).is_zero, reduce_mod(f * e, mod) == f
+    expected = {"another divisor's idempotent": (False, False, 2), "zero": (True, False, 0), "one": (False, True, 3)}
+    assert (divides, keeps_f, Span(span_words(e, mod)).dim) == expected[wrong]
     real = skewpoly.c_mul
     monkeypatch.setattr(skewpoly, "c_mul", lambda a, b: real(a, b) if a == b else e)
     with pytest.raises(VerificationError, match="idempotent generates a different submodule than f"):
@@ -735,19 +742,40 @@ def test_idempotent_check_refuses_a_wrong_candidate(f49, monkeypatch, wrong):
 
 
 def test_idempotent_check_makes_one_rref_and_no_span(f9, f49, monkeypatch):
-    """One rref per check; no Span, which only tests/reference.py defines
+    """The one row reduction of an idempotent request is its solve's, inside
+    linalg.nullspace: <e> = <f> is decided by two inclusions, and skewpoly
+    has no rref name. No Span either, which only tests/reference.py defines
     (test_hygiene keeps the package from importing it)."""
+    import skewcodes.linalg as linalg
     import skewcodes.skewpoly as skewpoly
 
+    assert not hasattr(skewpoly, "rref") and not hasattr(skewpoly, "Span")
     calls = []
-    rref = skewpoly.rref
-    monkeypatch.setattr(skewpoly, "rref", lambda rows: calls.append("rref") or rref(rows))
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append("rref") or rref(rows))
     for spec, n in ((f9, 5), (f49, 3)):
         mod = ModulusSpec(n, spec.one)
         for f in right_divisor_search(mod, 1) + right_divisor_search(mod, 2):
             calls.clear()
             idempotent_generator(f, mod)
             assert calls == ["rref"]
+
+
+@pytest.mark.parametrize("name, n", [("F3", 4), ("F9", 5), ("F27", 2), ("F49", 3)])
+def test_idempotents_of_the_zero_and_the_whole_module(name, n):
+    """f = x^n - alpha generates the zero module, with e = 0, and f = 1 the
+    whole quotient, with e = 1, for every alpha, zero and theta-moved
+    constants included; the dual idempotents are 1 and 0."""
+    spec = make_field(*{"F3": (3, 1, [0, 1]), "F9": (3, 2, [1, 0, 1]), "F27": (3, 3, [1, 2, 0, 1]),
+                        "F49": (7, 2, [3, 6, 1])}[name])
+    one = fq_poly(spec, [1])
+    for alpha in spec.elements():
+        mod = ModulusSpec(n, alpha)
+        assert idempotent_generator(mod.poly(), mod).is_zero
+        assert idempotent_generator(one, mod) == one
+        if alpha.is_unit and is_theta_fixed(alpha):
+            assert dual_idempotent(SkewPoly.zero(spec), mod) == one
+            assert dual_idempotent(one, mod).is_zero
 
 
 def test_idempotent_assembles_over_R_with_mixed_constants(f9):
