@@ -663,7 +663,9 @@ def main(argv=None) -> int:
         emit(make_report(args, {"error": str(exc)}, [], [], "verification_failed"), args.table)
         return 1
     except INPUT_ERRORS as exc:
-        emit(make_report(args, {"error": str(exc)}, [], [], "input_error"), args.table)
+        # a KeyError here is a key that divisor-search or idempotent reads
+        error = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        emit(make_report(args, {"error": error}, [], [], "input_error"), args.table)
         return 2
     emit(make_report(args, result, warnings, discrepancies, "ok"), args.table)
     return 0

@@ -7,9 +7,9 @@ Exact answers come from one of two certificates:
 Otherwise the result degrades to bounds. The sweep decides each weight w by
 lookup: it sums the scaled columns of H over every (w-1)-position prefix and
 looks the sums up in a sorted table of the scaled columns c*h_j, by exact
-keys of their integer codes, a batch of _CHUNK sums per numpy pass.
+keys of their logarithms, a batch of _CHUNK sums per numpy pass.
 A level still counts all of its C(n, w) (q-1)^w candidates. Everything runs
-in numpy over integer element codes, with exact arithmetic tables.
+in numpy on the field's logarithm arrays (gf.FieldArrays), which are exact.
 
 The rows are split into contiguous direct summands first: a cut falls
 before a column where a row starts and no row has nonzero entries on both
@@ -22,7 +22,6 @@ one-summand case.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
@@ -30,8 +29,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, FieldTooLargeError, charge
-from .gf import FieldSpec
+from .errors import DEFAULT_BUDGET, charge
+from .gf import FieldArrays, FieldSpec
 from .linalg import nullspace, rref
 
 ENUM_CAP = 200_000
@@ -39,34 +38,13 @@ ENUM_CAP = 200_000
 # working memory is about 18 bytes per sum and parity check (traced), so
 # this bounds it whatever the number of prefixes in a level.
 _CHUNK = 1 << 12
-# Element codes the int16 field tables and words hold: 0 .. 2^15 - 1.
-_INT16_CODES = 1 << 15
 
 
-def field_tables(spec: FieldSpec, budget: int = DEFAULT_BUDGET):
-    """(add, mul) tables over integer element codes, dtype int16.
-
-    The two q x q tables count against the budget like candidates do, and
-    are refused before anything is allocated when q^2 exceeds it. They are
-    also refused for q > 2^15, whatever the budget: an int16 code, and so
-    every word built from the tables, would wrap there.
-    """
-    charge(budget, spec.q ** 2, "field tables need q^2", "entries")
-    if spec.q > _INT16_CODES:
-        raise FieldTooLargeError(f"field tables hold int16 codes, so q <= 2^15 = {_INT16_CODES}, got q = {spec.q}")
-    return _field_tables(spec)
-
-
-@functools.lru_cache(maxsize=None)
-def _field_tables(spec: FieldSpec):
-    # From the kernel's arrays (gf.FieldArrays), which cover zero too:
-    # x*y = exp[log x + log y] and x+y = exp[log x + plus[log y - log x + zero]].
-    arrays = spec.arrays()
-    exp = arrays.exp.astype(np.int16)
-    log = arrays.log[:, None]
-    mul = exp[log + log.T]
-    add = exp[log + arrays.plus[(log.T + arrays.zero) - log]]
-    return add, mul
+def field_tables(spec: FieldSpec) -> FieldArrays:
+    """The field's logarithm arrays, on which every sum and product here is
+    made. The traced benchmark (perfbench/tracer.py) times this call by
+    name, until its revision (ROADMAP item 1a)."""
+    return spec.arrays()
 
 
 def words_to_array(words) -> np.ndarray:
@@ -116,7 +94,7 @@ def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> Distanc
         witness[0] = spec.one
         return DistanceResult(1, None, tuple(witness), 0, "full-space")
     if q ** k <= min(budget, ENUM_CAP):
-        return _enumerate_messages(_placed(parts, n), spec, n, k, budget)
+        return _enumerate_messages(_placed(parts, n), spec, budget)
     return _bounded_weight_sweep(rows, words, parts, spec, budget)
 
 
@@ -167,13 +145,23 @@ def _placed(parts, n):
     ]
 
 
-def _enumerate_messages(basis, spec, n, k, budget) -> DistanceResult:
-    add, mul = field_tables(spec, budget)
-    G = words_to_array(basis)
-    words = np.zeros((1, n), dtype=np.int16)
-    for r in range(k):
-        scaled = mul[np.arange(spec.q)[:, None], G[r][None, :]]
-        words = add[words[:, None, :], scaled[None, :, :]].reshape(-1, n)
+def _enumerate_messages(basis, spec, budget) -> DistanceResult:
+    """Every word of the row space of `basis`, as element codes, in the order
+    of the messages read in base q, first row most significant: q^k words of
+    n entries each, charged against the budget before the first is built."""
+    k, n, q = len(basis), len(basis[0]), spec.q
+    charge(budget, q ** k * n, f"message enumeration needs q^k * n = {q}^{k} * {n}", "entries")
+    arrays = field_tables(spec)
+    # multiples[c, r] = c*g_r for the element c with code c
+    multiples = arrays.exp[arrays.log[:, None, None] + arrays.log[words_to_array(basis)]]
+    words = multiples[:, 0]
+    if k > 1:
+        # q^2 <= ENUM_CAP, so q <= 447: one q x q table of int16 sums
+        log = arrays.log[:, None]
+        add = arrays.exp[log + arrays.plus[log.T + arrays.zero - log]].astype(np.int16)
+        words = words.astype(np.int16)
+        for r in range(1, k):
+            words = add[words[:, None, :], multiples[None, :, r]].reshape(-1, n)
     weights = np.count_nonzero(words, axis=1)
     nz = weights > 0
     d = int(weights[nz].min())
@@ -182,20 +170,22 @@ def _enumerate_messages(basis, spec, n, k, budget) -> DistanceResult:
 
 
 def _row_keys(rows, q) -> np.ndarray:
-    """One key per row (the last axis) of element codes in [0, q), equal
-    exactly when the rows are: the row read in base q as an int64 when
-    q^width < 2^63, else an np.void of its int16 bytes."""
+    """One key per row (the last axis) of logarithms, equal exactly when the
+    rows are. The logarithm of 0, 2(q-1), is folded to q - 1, so every entry
+    is in [0, q): the key is the row read in base q as an int64 when
+    q^width < 2^63, else an np.void of its int32 bytes."""
     width = rows.shape[-1]
+    rows = np.minimum(rows.reshape(-1, width), q - 1)
     if q ** width < 1 << 63:
-        return rows.reshape(-1, width) @ q ** np.arange(width, dtype=np.int64)
-    rows = np.ascontiguousarray(rows, dtype=np.int16)
-    return rows.reshape(-1, width).view(np.dtype((np.void, 2 * width))).ravel()
+        return rows @ q ** np.arange(width, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, 4 * width))).ravel()
 
 
 def _column_table(scaled):
-    """(keys, last): the distinct keys of the scaled columns c*h_j of the
-    (n, q-1, n-k) array `scaled`, sorted, and for each key the largest j
-    that gives it."""
+    """(keys, last): the distinct keys of the scaled columns c*h_j, given
+    as the (n, q-1, n-k) array `scaled` of their logarithms, sorted, and for
+    each key the largest j that gives it."""
     keys = _row_keys(scaled, scaled.shape[1] + 1)  # column j's rows come j-th
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -203,21 +193,21 @@ def _column_table(scaled):
     return keys[run_end], order[run_end] // scaled.shape[1]
 
 
-def _prefix_sums(scaled, add, prefixes):
-    """(P, (q-1)^(w-1), n-k) sums: for each of the P prefixes (rows of w-1
-    positions), the sums of its scaled columns over every coefficient
-    vector, in product order."""
-    # add[x, y] is taken as flat[x*q + y]: numpy takes by one intp index
-    # several times faster than by a pair of int16 ones
-    flat, q = add.ravel(), len(add)
+def _prefix_sums(scaled, arrays, prefixes):
+    """(P, (q-1)^(w-1), n-k) logarithms of sums: for each of the P prefixes
+    (rows of w-1 positions), the sums of its scaled columns over every
+    coefficient vector, in product order."""
+    wrap, plus, zero = arrays.wrap, arrays.plus, arrays.zero
     sums = scaled[prefixes[:, 0]]
     for i in range(1, prefixes.shape[1]):
-        sums = flat[sums[:, :, None, :].astype(np.intp) * q + scaled[prefixes[:, i]][:, None]]
+        x = sums[:, :, None, :]
+        # log(x + y) = wrap[x + plus[y - x + zero]] on logarithms x, y
+        sums = wrap[x + plus[(scaled[prefixes[:, i]][:, None] + zero) - x]]
         sums = sums.reshape(len(prefixes), -1, sums.shape[-1])
     return sums
 
 
-def _first_completable_prefix(scaled, add, table, w):
+def _first_completable_prefix(scaled, arrays, table, w):
     """The first (w-1)-position prefix P, in combinations order, with a sum
     over P equal to some c*h_j with j > max(P); None when there is none.
 
@@ -226,7 +216,8 @@ def _first_completable_prefix(scaled, add, table, w):
     searchsorted against the column table per batch.
     """
     keys, last = table
-    count = scaled.shape[1] ** (w - 1)
+    q = scaled.shape[1] + 1
+    count = (q - 1) ** (w - 1)
     prefixes = combinations(range(len(scaled) - 1), w - 1)
     per_batch = max(1, _CHUNK // count)
     while True:
@@ -234,7 +225,7 @@ def _first_completable_prefix(scaled, add, table, w):
         if not batch.size:
             return None
         batch = batch.reshape(-1, w - 1)
-        wanted = _row_keys(_prefix_sums(scaled, add, batch), len(add))
+        wanted = _row_keys(_prefix_sums(scaled, arrays, batch), q)
         pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
         if hit.any():
@@ -243,38 +234,42 @@ def _first_completable_prefix(scaled, add, table, w):
 
 class _Summand:
     """One contiguous direct summand, columns [lo, hi), of a code: the RREF
-    of its rows cut to its columns, and its parity checks H, scaled columns
-    and column table, built when a level of the sweep first asks this
-    summand for a word."""
+    of its rows cut to its columns, and its parity checks H, the logarithms
+    of its scaled columns and its column table, built when a level of the
+    sweep first asks this summand for a word."""
 
     def __init__(self, spec, lo, hi, rows):
         self.spec, self.lo, self.width = spec, lo, hi - lo
         self.basis, self.pivots = rref([row[lo:hi] for row in rows])
         self._lookup = None
 
-    def first_word(self, w, tables):
+    def first_word(self, w, arrays):
         """The summand's first word of weight w >= 2 in (support,
         coefficient) order, as (column in the summand, coefficient code)
         pairs, or None; asked for w = 2, 3, .. in turn, each only once no
         lighter word was found. The summand has no weight-1 word and is not
         the full space, or its RREF would hold a unit row."""
-        add, mul = tables
         if self._lookup is None:
-            # the c*h_j of the summand's own H, read off its own pivots
+            # log(c*h_j), c = 1 .. q-1, of the summand's own H, read off its own pivots
             H = words_to_array(nullspace(self.basis, self.width, self.spec, self.pivots))
-            scaled = mul[np.arange(1, self.spec.q)[None, :, None], H.T[:, None, :]]
+            scaled = arrays.wrap[arrays.log[1:, None] + arrays.log[H.T][:, None, :]].astype(np.intp)
             self._lookup = scaled, _column_table(scaled)
         scaled, table = self._lookup
         q = self.spec.q
-        prefix = _first_completable_prefix(scaled, add, table, w)
+        prefix = _first_completable_prefix(scaled, arrays, table, w)
         if prefix is None:
             return None
-        # the prefix's sums, shaped (q-1,)*(w-1) + (width-k,)
-        T = _prefix_sums(scaled, add, np.array([prefix])).reshape((q - 1,) * (w - 1) + (-1,))
+        # the keys of the prefix's sums, negated (log(-x) = log x + (q-1)/2),
+        # one per coefficient vector in product order
+        T = _prefix_sums(scaled, arrays, np.array([prefix]))[0]
+        wanted = _row_keys(arrays.wrap[T + arrays.half], q)
         for j in range(prefix[-1] + 1, self.width):
-            hits = ~np.any(add[T[..., None, :], scaled[j]], axis=-1)
+            column = _row_keys(scaled[j], q)
+            hits = np.isin(wanted, column)
             if hits.any():
-                return tuple(zip(prefix + (j,), (int(c) + 1 for c in np.argwhere(hits)[0])))
+                i = int(hits.argmax())
+                coefs = (*np.unravel_index(i, (q - 1,) * (w - 1)), np.flatnonzero(column == wanted[i])[0])
+                return tuple(zip(prefix + (j,), (int(c) + 1 for c in coefs)))
 
 
 def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
@@ -313,14 +308,14 @@ def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
     best_w = int(weights[weights > 0].min())
     best_row = tuple((rows + basis)[int(np.argmax(weights == best_w))])
 
-    swept, tables = 0, None
+    swept = 0
     for w in range(1, best_w):
         level = comb(n, w) * (q - 1) ** w
         if swept + level > budget:
             return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
-        tables = tables or field_tables(spec, budget)
+        arrays = field_tables(spec)
         for part in parts if w > 1 else ():
-            found = part.first_word(w, tables)
+            found = part.first_word(w, arrays)
             if found is not None:
                 word = [spec.zero] * n
                 for pos, c in found:

@@ -51,19 +51,6 @@ from .errors import (
 MAX_Q = 3 ** 11
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def _prime_factors(n: int):
     out = []
     r = 2
@@ -337,7 +324,7 @@ def make_field(p: int, m: int, modulus, t: int = 1) -> FieldSpec:
         q *= p
         if q > MAX_Q:
             raise FieldTooLargeError(f"q = {p}^{m} exceeds MAX_Q = {MAX_Q}")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise NonPrimeError(f"p = {p} is not an odd prime")
     modulus = [int(c) % p for c in modulus]
     if len(modulus) != m + 1 or modulus[-1] != 1:

@@ -7,23 +7,28 @@ generators and remainders; here whole spans are row-reduced instead
 package has no use for (the untwisted shift, variable scaling, the inverse
 Gray map) are written out. The Gray-commutation proof evaluates the word
 maps on every basis word in one numpy pass, the idempotent check is made
-by a rank, and the self-dual constants are listed one by one. Nothing in
-src/ imports this module.
+by a rank, the self-dual constants are listed one by one, and the minimum
+distance sweep tries every support on q x q tables of element codes filled
+element by element. Nothing in src/ imports this module.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import random
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from skewcodes.cli import main
 from skewcodes.decomp import extract_components
+from skewcodes.distance import DistanceResult, words_to_array
 from skewcodes.errors import HypothesisViolatedError, LengthMismatchError, MixedRingsError, SkewcodesError
 from skewcodes.gf import FieldElement, FieldSpec
-from skewcodes.linalg import rref
+from skewcodes.linalg import nullspace, rref
 from skewcodes.ring4 import RingElement, join_word, split_word
 from skewcodes.serial import field_to_json, poly_to_json, ring_to_json
 from skewcodes.skewpoly import ModulusSpec, SkewPoly, reduce_mod, right_remainder, span_words
@@ -133,6 +138,55 @@ def basis_commutation(lhs, rhs, field: FieldSpec, n: int):
         return None
     witness = codes[differ.argmax()].reshape(n, 4).T
     return join_word([field.from_int(int(x)) for x in part] for part in witness)
+
+
+# --- the minimum distance on q x q code tables ---
+
+@functools.lru_cache(maxsize=None)
+def code_tables(spec: FieldSpec):
+    """(add, mul): the q x q tables of element codes, add[x, y] = x + y and
+    mul[x, y] = x * y, filled element by element with the scalar operations."""
+    elems = list(spec.elements())
+    add = np.array([[(x + y).code for y in elems] for x in elems], dtype=np.int32)
+    mul = np.array([[(x * y).code for y in elems] for x in elems], dtype=np.int32)
+    return add, mul
+
+
+def reference_sweep(rows, basis, spec, n, budget):
+    """distance._bounded_weight_sweep as a per-support loop on code_tables:
+    every support of each weight, and every nonzero coefficient vector on
+    it, summed column by column; basis is the RREF of rows."""
+    q = spec.q
+    best_w, best_row = None, None
+    for w in list(rows) + list(basis):
+        wt = hamming_weight(w)
+        if wt > 0 and (best_w is None or wt < best_w):
+            best_w, best_row = wt, tuple(w)
+    scaled_cols = None
+
+    swept = 0
+    for w in range(1, best_w):
+        level = comb(n, w) * (q - 1) ** w
+        if swept + level > budget:
+            return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
+        if scaled_cols is None:
+            add, mul = code_tables(spec)
+            H = words_to_array(nullspace(basis, n, spec))
+            nzcoef = np.arange(1, q)
+            scaled_cols = [mul[nzcoef[:, None], H[:, j][None, :]] for j in range(n)]
+        for support in combinations(range(n), w):
+            T = scaled_cols[support[0]]
+            for j in support[1:]:
+                T = add[T[..., None, :], scaled_cols[j]]
+            hits = ~np.any(T, axis=-1)
+            if hits.any():
+                coef = np.argwhere(hits)[0]
+                word = [spec.zero] * n
+                for pos, c in zip(support, coef):
+                    word[pos] = spec.from_int(int(c) + 1)
+                return DistanceResult(w, None, tuple(word), swept, "sweep-found-lighter")
+        swept += level
+    return DistanceResult(best_w, None, best_row, swept, "sweep-certified")
 
 
 # --- elements of R ---

@@ -426,6 +426,18 @@ def test_divisor_search_rejects_out_of_range_sizes(capsys, key, value, message):
     assert report["result"]["error"] == message
 
 
+@pytest.mark.parametrize("command, key", [
+    ("divisor-search", "n"), ("divisor-search", "alpha"), ("divisor-search", "degree"), ("idempotent", "f"),
+])
+def test_a_missing_key_is_named(capsys, command, key):
+    obj = {**SEARCH_F3, "f": {"ring": "fq", "coeffs": [2, 1]}}
+    del obj[key]
+    code, report = run_cli(capsys, command, "--input", json.dumps(obj))
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert report["result"]["error"] == f"missing key '{key}'"
+
+
 @pytest.mark.parametrize("alpha", [1, {"crt": [1, 1, 1, 1]}])
 def test_divisor_search_above_degree_n_is_empty(capsys, alpha):
     start = time.perf_counter()
@@ -587,14 +599,16 @@ F243_CODE = {
 }
 
 
-def test_field_tables_over_the_budget_are_refused(capsys):
-    # the weight-1 sweep (8 * 242 candidates) fits; the 243^2 tables do not
+def test_params_over_f243_answers_below_q_squared(capsys):
+    """The weight-1 sweep, 8 * 242 candidates, fits a budget below the
+    243^2 = 59049 entries of a q x q table, and needs no such table."""
     code, report = run_cli(capsys, "params", "--input", json.dumps(F243_CODE), "--budget", "50000")
-    assert code == 2
-    assert report["status"] == "input_error"
-    assert "q^2 = 59049" in report["result"]["error"]
-    code, report = run_cli(capsys, "params", "--input", json.dumps(F243_CODE), "--budget", "59049")
     assert code == 0
+    assert report["result"]["gray_params"] == [8, 4, 2]
+    assert report["result"]["distance"] == {
+        "defined": True, "method": "sweep-certified", "candidates_swept": 8 * 242, "exact": 2,
+        "witness": [2, 1, 0, 0, 0, 0, 0, 0],
+    }
 
 
 def cyclic_f3(n):
@@ -836,15 +850,80 @@ def f3_11_code(other_gens):
 
 
 def test_params_over_f_3_11_holds_codes_past_int16(capsys):
-    """Element codes of F_{3^11} reach 3^11 - 1 > 2^15. A weight-1 row needs
-    no field table; a sweep that needs the q x q tables is refused."""
+    """Element codes of F_{3^11} reach 3^11 - 1 > 2^15. A weight-1 row
+    certifies 1; with three x + 2 generators, a sweep of weight 1 certifies
+    2, where q x q tables would need 3^22 entries."""
     code, report = run_cli(capsys, "params", "--input", f3_11_code([1]))
     assert code == 0
     assert report["result"]["gray_params"] == [8, 7, 1]
     assert report["result"]["distance"]["method"] == "sweep-certified"
     code, report = run_cli(capsys, "params", "--input", f3_11_code([2, 1]))
+    assert code == 0
+    assert report["result"]["gray_params"] == [8, 4, 2]
+    assert report["result"]["distance"] == {
+        "defined": True, "method": "sweep-certified", "candidates_swept": 8 * (3 ** 11 - 1), "exact": 2,
+        "witness": [138737, 1, 0, 0, 0, 0, 0, 0],
+    }
+
+
+def test_params_over_large_fields_answers_at_the_default_budget(capsys):
+    """No distance path needs q^2 entries: a length-2 code over F_{3^8}
+    (q^2 = 43046721, over the default budget) is swept, and a one-dimensional
+    code over F_{3^11} is enumerated as the q multiples of its row."""
+    spec = {
+        "field": {"p": 3, "m": 8, "modulus": [1, 0, 0, 0, 0, 1, 1, 0, 1], "t": 1},
+        "n": 2,
+        "alpha": 1,
+        "gens": [{"coeffs": [2, 1]}] * 4,
+    }
+    code, report = run_cli(capsys, "params", "--input", json.dumps(spec))
+    assert code == 0
+    assert report["result"]["gray_params"] == [8, 4, 2]
+    assert report["result"]["distance"]["method"] == "sweep-certified"
+    spec = json.loads(f3_11_code([2, 0, 1]))
+    spec["alpha"], spec["gens"][0] = 1, {"coeffs": [1, 1]}
+    code, report = run_cli(capsys, "params", "--input", json.dumps(spec))
+    assert code == 0
+    assert report["result"]["gray_params"] == [8, 1, 2]
+    assert report["result"]["distance"] == {
+        "defined": True, "method": "message-enumeration", "candidates_swept": 3 ** 11, "exact": 2,
+        "witness": [1, 1, 0, 0, 0, 0, 0, 0],
+    }
+
+
+def dims_4_4_2_1(n):
+    """An F3 code with alpha = 1 and generators (x^n - 1)/(x^j - 1), j = 4,
+    4, 2, 1 (n divisible by 4): component dimensions (4, 4, 2, 1), so the
+    image is enumerated, 3^11 messages of 4n entries each."""
+    gens = [{"coeffs": [1 if i % j == 0 else 0 for i in range(n - j + 1)]} for j in (4, 4, 2, 1)]
+    return json.dumps({"field": {"p": 3, "m": 1, "modulus": [0, 1], "t": 1}, "n": n, "alpha": 1, "gens": gens})
+
+
+def test_message_enumeration_is_bounded_by_the_budget(capsys):
+    """The enumeration holds q^k words of 4n entries: charged before the
+    first is built, so n = 200 (141717600 entries) is refused at the default
+    budget, and n = 20 answers at exactly its charge, with d = n / 4 from
+    a j = 4 component."""
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "params", "--input", dims_4_4_2_1(200))
+    assert time.perf_counter() - start < 2.0
     assert code == 2
-    assert report["result"]["error"].startswith("field tables need q^2")
+    assert report["status"] == "input_error"
+    assert report["result"]["error"] == (
+        "message enumeration needs q^k * n = 3^11 * 800 = 141717600 entries, over the budget of 20000000"
+    )
+    charge = 3 ** 11 * 80
+    code, report = run_cli(capsys, "params", "--input", dims_4_4_2_1(20), "--budget", str(charge - 1))
+    assert code == 2
+    assert report["result"]["error"].startswith("message enumeration needs q^k * n = 3^11 * 80 = ")
+    code, report = run_cli(capsys, "params", "--input", dims_4_4_2_1(20), "--budget", str(charge))
+    assert code == 0
+    assert report["result"]["component_dims"] == [4, 4, 2, 1]
+    assert report["result"]["gray_params"] == [80, 11, 5]
+    assert report["result"]["distance"] == {
+        "defined": True, "method": "message-enumeration", "candidates_swept": 3 ** 11, "exact": 5,
+        "witness": [0] * 20 + [0, 0, 0, 1] * 5 + [0] * 40,
+    }
 
 
 def test_params_past_the_budget_keeps_the_whole_sweeps_report(capsys):

@@ -5,20 +5,19 @@ from contextlib import contextmanager
 from itertools import combinations
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Span, hamming_weight
+from reference import Span, code_tables, hamming_weight, reference_sweep
 
 from skewcodes import distance
 from skewcodes.catalog import example_code, get_example
 from skewcodes.codes import build_code
 from skewcodes.distance import DistanceResult, field_tables, min_distance, words_to_array
-from skewcodes.errors import BudgetExceededError, FieldTooLargeError
+from skewcodes.errors import BudgetExceededError
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_image_code
-from skewcodes.linalg import nullspace, rref
+from skewcodes.linalg import rref
 from skewcodes.skewpoly import SkewPoly
 
 
@@ -27,30 +26,46 @@ def random_rows(spec, rng, k, n):
 
 
 def test_tables_are_exact(f9):
-    # the element-by-element loop is the reference for the vectorized build;
-    # F81 has the twist t = 2, F7 is a prime field
+    """The logarithm sum, product and negation that the distance computes
+    with, against the scalar field operations on every pair; F81 has the
+    twist t = 2, F3 and F7 are prime fields."""
     f81, f7 = make_field(3, 4, [2, 0, 0, 1, 1], 2), make_field(7, 1, [0, 1])
-    f243 = make_field(3, 5, [1, 2, 0, 0, 0, 1])
-    for spec in (f9, f81, f7, f243):
-        add, mul = field_tables(spec)
-        for i in range(spec.q):
-            for j in range(spec.q):
-                assert add[i, j] == (spec.from_int(i) + spec.from_int(j)).to_int()
-                assert mul[i, j] == (spec.from_int(i) * spec.from_int(j)).to_int()
+    f3, f243 = make_field(3, 1, [0, 1]), make_field(3, 5, [1, 2, 0, 0, 0, 1])
+    for spec in (f3, f7, f9, f81, f243):
+        arrays = field_tables(spec)
+        add, mul = code_tables(spec)
+        x, y = arrays.log[:, None], arrays.log[None, :]
+        assert (arrays.exp[arrays.wrap[x + arrays.plus[(y + arrays.zero) - x]]] == add).all()
+        assert (arrays.exp[arrays.wrap[x + y]] == mul).all()
+        negated = [(-c).code for c in spec.elements()]
+        assert arrays.exp[arrays.wrap[arrays.log + arrays.half]].tolist() == negated
 
 
 def test_tables_are_bounded_by_the_budget(f25):
-    with pytest.raises(BudgetExceededError, match=r"^field tables need q\^2 = 625 entries, over the budget of 624$"):
-        field_tables(f25, budget=25 ** 2 - 1)
-    add, mul = field_tables(f25, budget=25 ** 2)
-    assert add.shape == mul.shape == (25, 25)
-
-
-def test_distance_refuses_tables_over_the_budget(f25):
+    """The field tables are the field's O(q) logarithm arrays, with no
+    budget to charge. The one q x q table, the enumeration's sums, is built
+    only after its q^k * n entries, at least q^2, are charged."""
+    arrays = field_tables(f25)
+    assert arrays is f25.arrays()
+    assert arrays.log.shape == (25,) and arrays.plus.shape == arrays.wrap.shape == (4 * 24 + 1,)
     rng = random.Random(2)
-    rows = random_rows(f25, rng, 1, 4)  # 25 messages, within the budget
-    with pytest.raises(BudgetExceededError):
-        min_distance(rows, f25, budget=600)
+    rows = random_rows(f25, rng, 2, 4)
+    assert Span(rows).dim == 2
+    with pytest.raises(BudgetExceededError, match=r"^message enumeration needs q\^k \* n = 25\^2 \* 4 = 2500 entries, over the budget of 2499$"):
+        min_distance(rows, f25, budget=25 ** 2 * 4 - 1)
+    assert min_distance(rows, f25, budget=25 ** 2 * 4).method == "message-enumeration"
+
+
+def test_distance_answers_where_the_square_tables_were_over_the_budget(f25):
+    """A one-row code over F25 at a budget below q^2 = 625, the entries of a
+    q x q table: its 25 messages are the multiples of the row, which need
+    no addition."""
+    rng = random.Random(2)
+    rows = random_rows(f25, rng, 1, 4)
+    res = min_distance(rows, f25, budget=600)
+    assert (res.method, res.candidates_swept) == ("message-enumeration", 25)
+    assert res.exact == hamming_weight(rows[0]) == hamming_weight(res.witness)
+    assert Span(rows).contains(res.witness)
 
 
 def test_zero_code_distance_undefined(f9):
@@ -69,7 +84,7 @@ def test_whole_space_distance_one(f9):
 
 def test_codes_past_int16_are_held_exactly():
     """Over F_{3^11} an element code reaches 3^11 - 1 > 2^15: the rows must
-    not wrap. Neither case needs the q x q tables."""
+    not wrap. Neither case adds field elements."""
     spec = make_field(3, 11, [2, 1, 2, 1, 1, 1, 2, 2, 2, 2, 0, 1])
     a, b, c = (spec.from_int(code) for code in (40000, 138737, spec.q - 1))
     full = min_distance([(a, b), (spec.zero, c)], spec)
@@ -79,17 +94,29 @@ def test_codes_past_int16_are_held_exactly():
     assert res.witness == (spec.zero, c, spec.zero)
 
 
-def test_tables_past_int16_are_refused_whatever_the_budget():
-    """Over F_{3^11} an int16 table code would wrap: a budget of q^2 or more
-    must not reach the allocation of the q x q tables."""
+def test_codes_past_int16_are_enumerated_and_swept_on_logarithms():
+    """Over F_{3^11} an element code reaches 3^11 - 1 > 2^15, and a q x q
+    table would need 3^22 entries. A one-row code is enumerated as the q
+    multiples of its row, with no addition. The rows (1, 0, a, b) and
+    (0, 1, c, d), a, b, c, d nonzero, are their RREF and weigh 3; their
+    code has a word of weight 2 exactly when ad = bc, (1, -a/c, 0, 0), so
+    its sweep sums scaled columns on logarithms at weight 2, and finds that
+    word or certifies 3."""
     spec = make_field(3, 11, [1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1])
     a, b, c = (spec.from_int(code) for code in (40000, 138737, spec.q - 1))
     start = time.perf_counter()
-    with pytest.raises(FieldTooLargeError, match=r"q <= 2\^15 = 32768, got q = 177147$"):
-        field_tables(spec, budget=10 ** 12)
-    with pytest.raises(FieldTooLargeError):
-        min_distance([(a, b, c)], spec, budget=10 ** 12)  # level 1 fits, so the sweep asks for the tables
+    res = min_distance([(a, b, c)], spec, budget=10 ** 12)
+    expected = (3, "message-enumeration", (spec.one, b / a, c / a), spec.q)
+    assert (res.exact, res.method, res.witness, res.candidates_swept) == expected
     assert time.perf_counter() - start < 1.0
+    one, zero = spec.one, spec.zero
+    budget = 4 * (spec.q - 1) + comb(4, 2) * (spec.q - 1) ** 2
+    for d, expected in ((b * c / a, (2, "sweep-found-lighter")), (one, (3, "sweep-certified"))):
+        rows = [(one, zero, a, b), (zero, one, c, d)]
+        res = min_distance(rows, spec, budget=budget)
+        assert (res.exact, res.method) == expected
+        assert hamming_weight(res.witness) == res.exact and Span(rows).contains(res.witness)
+        assert (res.witness == (one, -a / c, zero, zero)) == (res.exact == 2)
 
 
 def test_enumeration_and_sweep_agree(f9, f25):
@@ -174,42 +201,6 @@ SWEEP_FIELDS = {
 }
 
 
-def reference_sweep(rows, basis, spec, n, budget):
-    """The per-support loop: every support of each weight, and every nonzero
-    coefficient vector on it, summed column by column."""
-    q = spec.q
-    best_w, best_row = None, None
-    for w in list(rows) + list(basis):
-        wt = sum(0 if c.is_zero else 1 for c in w)
-        if wt > 0 and (best_w is None or wt < best_w):
-            best_w, best_row = wt, tuple(w)
-    scaled_cols = None
-
-    swept = 0
-    for w in range(1, best_w):
-        level = comb(n, w) * (q - 1) ** w
-        if swept + level > budget:
-            return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
-        if scaled_cols is None:
-            add, mul = field_tables(spec, budget)
-            H = words_to_array(nullspace(basis, n, spec))
-            nzcoef = np.arange(1, q, dtype=np.int16)
-            scaled_cols = [mul[nzcoef[:, None], H[:, j][None, :]] for j in range(n)]
-        for support in combinations(range(n), w):
-            T = scaled_cols[support[0]]
-            for j in support[1:]:
-                T = add[T[..., None, :], scaled_cols[j]]
-            hits = ~np.any(T, axis=-1)
-            if hits.any():
-                coef = np.argwhere(hits)[0]
-                word = [spec.zero] * n
-                for pos, c in zip(support, coef):
-                    word[pos] = spec.from_int(int(c) + 1)
-                return DistanceResult(w, None, tuple(word), swept, "sweep-found-lighter")
-        swept += level
-    return DistanceResult(best_w, None, best_row, swept, "sweep-certified")
-
-
 def planted_rows(spec, planted, masks):
     """Rows whose span holds the word `planted` (field codes): the first row
     hides it under masks[0], and every mask is a row of its own."""
@@ -229,14 +220,6 @@ def loop_sweep(rows, spec, budget):
     every unit vector of the code, so neither sweep has a word to find at
     weight 1."""
     return reference_sweep(rows, rref(rows)[0], spec, len(rows[0]), budget)
-
-
-def sweep_outcome(sweep, rows, spec, budget):
-    """The sweep's result, or its refusal."""
-    try:
-        return sweep(rows, spec, budget)
-    except BudgetExceededError as refusal:
-        return ("refused", str(refusal))
 
 
 def sweep_applies(rows):
@@ -262,7 +245,7 @@ def test_lookup_sweep_matches_the_per_support_loop(case):
     spec, rows, budget = case
     if not sweep_applies(rows):
         return
-    assert sweep_outcome(lookup_sweep, rows, spec, budget) == sweep_outcome(loop_sweep, rows, spec, budget)
+    assert lookup_sweep(rows, spec, budget) == loop_sweep(rows, spec, budget)
 
 
 def seeded_sweep_cases():
@@ -294,8 +277,8 @@ def test_lookup_sweep_meets_every_outcome():
     a budget that runs out after the first level."""
     seen = set()
     for spec, rows, budget in seeded_sweep_cases():
-        ours = sweep_outcome(lookup_sweep, rows, spec, budget)
-        assert ours == sweep_outcome(loop_sweep, rows, spec, budget)
+        ours = lookup_sweep(rows, spec, budget)
+        assert ours == loop_sweep(rows, spec, budget)
         if isinstance(ours, DistanceResult):
             cap = {"sweep-found-lighter": 3, "sweep-certified": 2}.get(ours.method)
             seen.add((ours.method, cap and min(ours.exact, cap)))
@@ -333,16 +316,16 @@ def test_small_batches_match_the_per_support_loop(chunk, case):
     if not sweep_applies(rows):
         return
     with batches_of(chunk):
-        ours = sweep_outcome(lookup_sweep, rows, spec, budget)
-    assert ours == sweep_outcome(loop_sweep, rows, spec, budget)
+        ours = lookup_sweep(rows, spec, budget)
+    assert ours == loop_sweep(rows, spec, budget)
 
 
 @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
 def test_small_batches_meet_every_seeded_outcome(chunk):
     with batches_of(chunk):
         for spec, rows, budget in seeded_sweep_cases():
-            ours = sweep_outcome(lookup_sweep, rows, spec, budget)
-            assert ours == sweep_outcome(loop_sweep, rows, spec, budget)
+            ours = lookup_sweep(rows, spec, budget)
+            assert ours == loop_sweep(rows, spec, budget)
 
 
 @pytest.mark.parametrize("chunk", (1, 2 * 2, 5 * 2))
@@ -355,8 +338,8 @@ def test_witness_prefix_in_a_later_batch(f3, chunk):
     planted = [0, 0, 0, 0, 0, 1, 0, 2, 0, 0]
     rows = planted_rows(f3, planted, [[1] * 10, [0] * 7 + [1] * 3])
     with batches_of(chunk):
-        ours = sweep_outcome(lookup_sweep, rows, f3, 10_000)
-    assert ours == sweep_outcome(loop_sweep, rows, f3, 10_000)
+        ours = lookup_sweep(rows, f3, 10_000)
+    assert ours == loop_sweep(rows, f3, 10_000)
     assert ours.method == "sweep-found-lighter"
     assert [pos for pos, c in enumerate(ours.witness) if not c.is_zero] == [5, 7]
     assert list(combinations(range(9), 1)).index((5,)) >= max(1, chunk // (f3.q - 1))
@@ -479,7 +462,7 @@ def reference_min_distance(rows, spec, budget):
     if k == n:
         return DistanceResult(1, None, (spec.one,) + (spec.zero,) * (n - 1), 0, "full-space")
     if spec.q ** k <= min(budget, distance.ENUM_CAP):
-        return distance._enumerate_messages(basis, spec, n, k, budget)
+        return distance._enumerate_messages(basis, spec, budget)
     return reference_sweep(rows, basis, spec, n, budget)
 
 
@@ -587,7 +570,7 @@ def test_block_codes_match_the_whole_matrix(case):
         ours = outcome(min_distance, rows, spec, budget)
         assert ours == outcome(reference_min_distance, rows, spec, budget)
     if sweep_applies(rows):
-        assert sweep_outcome(lookup_sweep, rows, spec, budget) == sweep_outcome(loop_sweep, rows, spec, budget)
+        assert lookup_sweep(rows, spec, budget) == loop_sweep(rows, spec, budget)
 
 
 def seeded_block_cases():
@@ -643,18 +626,16 @@ def test_block_codes_meet_every_outcome():
     between them they reach a witness in the first and in a later block, a
     weight-1 certificate from a unit row of the RREF (as a full-space block
     gives), a certificate of weight 2 or more, a budget that runs out at
-    each of the first three levels, a refusal of the tables, and the
-    zero-code, full-space and enumeration results."""
+    each of the first three levels, an enumeration refused for its q^k * n
+    entries, and the zero-code, full-space and enumeration results."""
     seen = set()
     for spec, rows, first_block in seeded_block_cases():
         length = len(rows[0])
         for budget in level_boundaries(length, spec.q) + [400_000]:
             if sweep_applies(rows):
-                ours = sweep_outcome(lookup_sweep, rows, spec, budget)
-                assert ours == sweep_outcome(loop_sweep, rows, spec, budget)
-                if not isinstance(ours, DistanceResult):
-                    seen.add("refused")
-                elif ours.method == "sweep-found-lighter":
+                ours = lookup_sweep(rows, spec, budget)
+                assert ours == loop_sweep(rows, spec, budget)
+                if ours.method == "sweep-found-lighter":
                     start = next(i for i, c in enumerate(ours.witness) if not c.is_zero)
                     seen.add(("lighter", start >= first_block))
                 elif ours.method == "sweep-certified":
@@ -663,8 +644,7 @@ def test_block_codes_meet_every_outcome():
                     seen.add((ours.method, ours.bounds[0]))
             ours = outcome(min_distance, rows, spec, budget)
             assert ours == outcome(reference_min_distance, rows, spec, budget)
-            if isinstance(ours, DistanceResult):
-                seen.add(ours.method)
+            seen.add(ours.method if isinstance(ours, DistanceResult) else ours[0])
     for rows in ([(spec.zero,) * 3], full_block(spec, 3)):
         ours = min_distance(rows, spec)
         assert ours == reference_min_distance(rows, spec, distance.DEFAULT_BUDGET)

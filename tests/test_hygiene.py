@@ -306,3 +306,47 @@ def test_one_division_and_one_commutative_product():
     }
     assert twisted == {("skewpoly", "SkewPoly._mul")}
     assert _callers("c_mul") == {("skewpoly", "idempotent_generator")}
+
+
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
+
+
+def traced_labels():
+    """The `layer.Name[.attr]` labels that perfbench/tracer.py names: the
+    calls, time and setup labels of METRICS, and PRIVATE_SPANS, OPTIONAL,
+    RESULT_MEASURES, DIVISOR_SEARCHES and CANDIDATE_TEST."""
+    values = {
+        target.id: node.value
+        for node in parse(TRACER).body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    labels = set()
+    for metric in values["METRICS"].elts:
+        value = metric.elts[3]
+        if isinstance(value, ast.Tuple) and ast.literal_eval(value.elts[0]) in ("calls", "time", "setup"):
+            labels |= set(ast.literal_eval(value.elts[1]))
+    for layer, names in ast.literal_eval(values["PRIVATE_SPANS"]).items():
+        labels |= {f"{layer}.{name}" for name in names}
+    labels |= ast.literal_eval(values["OPTIONAL"].args[0])
+    labels |= {ast.literal_eval(key) for key in values["RESULT_MEASURES"].keys}
+    labels |= set(ast.literal_eval(values["DIVISOR_SEARCHES"]))
+    labels.add(ast.literal_eval(values["CANDIDATE_TEST"]))
+    return labels
+
+
+def test_every_name_the_traced_benchmark_names_resolves():
+    """Each label resolves in the imported package, so deleting a function
+    the traced benchmark wraps fails here and not only in its smoke run."""
+    import importlib
+
+    labels = traced_labels()
+    assert {"distance.field_tables", "skewpoly.c_mul", "skewpoly.right_divmod"} <= labels
+    unresolved = []
+    for label in sorted(labels):
+        layer, *path = label.split(".")
+        obj = importlib.import_module(f"skewcodes.{layer}")
+        for name in path:
+            obj = getattr(obj, name, None)
+        if not callable(obj):
+            unresolved.append(label)
+    assert unresolved == []
