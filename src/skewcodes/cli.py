@@ -371,9 +371,7 @@ def cmd_verify(args):
             raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     if args.trials < 1:
         raise ParseError(f"trials must be at least 1, got {args.trials}")
-    results = {}
-    for name in names:
-        results[name] = SUITES[name](args.seed, args.budget)
+    results = {name: SUITES[name](args.seed, args.budget) for name in dict.fromkeys(names)}
     all_pass = all(r["pass"] for r in results.values())
     result = {"suites": results, "pass": all_pass}
     if not all_pass:

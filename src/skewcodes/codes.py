@@ -50,11 +50,11 @@ class SkewCode:
     warnings: tuple = ()
 
     def __post_init__(self):
-        for f in self.gens:
+        for i, f in enumerate(self.gens, 1):
             if f.spec != self.field or f.ring != "fq":
                 raise MixedRingsError("generators must be base-field polynomials over the code field")
             if f.is_zero or not f.is_monic:
-                raise ValueError(f"generator {f!r} is not monic")
+                raise ValueError(f"component {i}: generator {f!r} is not monic")
         for f in self.gens:
             if f.degree > self.n:
                 raise LengthMismatchError(f"generator degree {f.degree} exceeds length {self.n}")

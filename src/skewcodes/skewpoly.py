@@ -332,18 +332,20 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
     itertools.product order (g_0 most significant).
 
     At degree 1, a binomial f = x^n - c (monic, n >= 1, no other nonzero
-    term) is solved in closed form (_binomial_root_codes), with no
-    candidate screened. Every other f is screened: the remainder of f is
-    sum_k f_k * (x^k mod g) (see residues), added up for every candidate at
-    once on logarithms (gf.FieldArrays), chunk by chunk; _linear_terms and
-    _stepped_terms give its terms.
+    term) is solved in closed form (_binomial_root_codes), and any other f
+    is screened on the spec's lists (_linear_root_codes). At higher degrees
+    the remainder of f is sum_k f_k * (x^k mod g) (see residues), added up
+    for every candidate at once on logarithms (gf.FieldArrays), chunk by
+    chunk; _stepped_terms gives its terms.
     """
     if not degree:
         yield ()
         return
     spec = f.spec
-    if degree == 1 and f.degree and f.is_monic and all(c.is_zero for c in f.coeffs[1:-1]):
-        yield from ((code,) for code in _binomial_root_codes(spec, f.degree, -f.coeffs[0]))
+    if degree == 1:
+        binomial = f.degree and f.is_monic and all(c.is_zero for c in f.coeffs[1:-1])
+        roots = _binomial_root_codes(spec, f.degree, -f.coeffs[0]) if binomial else _linear_root_codes(f)
+        yield from ((code,) for code in roots)
         return
     q = spec.q
     arrays = spec.arrays()
@@ -351,12 +353,11 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
     terms = [(j, spec.log[c.code]) for j, c in enumerate(f.coeffs) if not c.is_zero]
     place = q ** np.arange(degree - 1, -1, -1)
     count = q ** degree
-    summands = _linear_terms if degree == 1 else _stepped_terms
     for start in range(0, count, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, count))[:, None] // place % q
         neg_g = wrap[arrays.log[codes] + arrays.half]
         rem = np.full(codes.shape, zero, dtype=np.int32)
-        for term in summands(spec, neg_g, terms):
+        for term in _stepped_terms(spec, neg_g, terms):
             rem = wrap[rem + plus[(term + zero) - rem]]
         yield from map(tuple, codes[(rem == zero).all(axis=1)].tolist())
 
@@ -392,20 +393,23 @@ def _norm_exponent(spec: FieldSpec, k: int) -> int:
     return (pow(r, k, order * (r - 1)) - 1) // (r - 1)
 
 
-def _linear_terms(spec: FieldSpec, neg_g, terms):
-    """_stepped_terms for g = x - a, a = -g_0, in closed form: x^k mod g is
-    the norm N_k(a) = a^(e_k) (_norm_exponent); N_0 = 1 and N_k(0) = 0 for
-    k >= 1. One exponent per term, not k steps. A binomial x^n - c never
-    gets here: _binomial_root_codes solves it without a screen."""
-    arrays = spec.arrays()
-    order = spec.q - 1
-    log_a = neg_g.astype(np.int64)
-    a_is_zero = log_a == arrays.zero
-    for k, log_fk in terms:
-        term = arrays.wrap[log_a * _norm_exponent(spec, k) % order + log_fk]
-        if k:
-            term[a_is_zero] = arrays.zero
-        yield term
+def _linear_root_codes(f: SkewPoly):
+    """Ascending codes of the g_0 for which x + g_0 right-divides f over F_q,
+    one candidate at a time: with a = -g_0, x^k mod (x - a) is the norm
+    N_k(a) = a^(e_k) (_norm_exponent), so the remainder sum_k f_k a^(e_k) is
+    f_0 at a = 0, and otherwise one exponent and one Zech addition per term."""
+    spec = f.spec
+    order, zero, log, plus = spec.q - 1, spec.log_zero, spec.log, spec.plus
+    terms = [(_norm_exponent(spec, k), log[c.code]) for k, c in enumerate(f.coeffs) if not c.is_zero]
+    out = [0] if f.coeff(0).is_zero else []
+    for code in range(1, spec.q):
+        log_a, rem = log[spec.neg[code]], zero
+        for e_k, log_fk in terms:
+            total = rem + plus[(log_a * e_k + log_fk) % order - rem + zero]
+            rem = total % order if total < zero else zero
+        if rem == zero:
+            out.append(code)
+    return out
 
 
 def _binomial_root_codes(spec: FieldSpec, n: int, c: FieldElement):
@@ -484,9 +488,21 @@ def _check_certificate(f: SkewPoly, g: SkewPoly, rem: SkewPoly):
         raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
 
 
+def _linear_divmod(f: SkewPoly, g: SkewPoly):
+    """right_divmod(f, g) for a monic linear g = x - a, in closed form:
+    f = quot * (x - a) + rem gives, from the top, quot_(i-1) = f_i +
+    quot_i theta^i(a), and rem = f_0 + quot_0 a: no polynomial product."""
+    a = -g.coeffs[0]
+    quot = [f._zero_coeff()]
+    for i in range(f.degree, 0, -1):
+        quot.append(f.coeffs[i] + quot[-1] * a.frob(i))
+    return SkewPoly(f.spec, f.ring, quot[:0:-1]), SkewPoly(f.spec, f.ring, [f.coeffs[0] + quot[-1] * a])
+
+
 def _certify(f: SkewPoly, g: SkewPoly):
-    """The quotient of f by a screened divisor g; a nonzero remainder raises."""
-    quot, rem = right_divmod(f, g)
+    """The quotient of f by a screened monic divisor g, by _linear_divmod
+    when g is linear; a nonzero remainder raises."""
+    quot, rem = _linear_divmod(f, g) if g.degree == 1 else right_divmod(f, g)
     _check_certificate(f, g, rem)
     return quot
 
@@ -497,8 +513,9 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     Peels random factors of degree 1 (or 2 when no linear factor exists) off
     the successive cofactors; stops early if the cofactor has no small right
     factor. The chain x^n - alpha = cofactor * divisor makes every
-    intermediate divisor a genuine right divisor: the division that gives
-    the next cofactor certifies the factor picked, and only that one.
+    intermediate divisor a genuine right divisor: the remainder of the
+    next cofactor, in closed form for a linear pick and by division for a
+    degree-2 one, certifies the factor picked, and only that one.
     """
     cofactor = mod.poly()
     divisor = SkewPoly(mod.spec, mod.ring, [cofactor._one_coeff()])

@@ -153,6 +153,24 @@ def test_verify_decomposition_and_dual_suites(capsys):
     assert suites["dual-contract"]["pass"] is True
 
 
+def test_verify_runs_each_suite_once(capsys, monkeypatch):
+    """A suite named more than once runs once, in the order of its first
+    mention, and the report is that of the list without repeats, byte for
+    byte."""
+    import skewcodes.cli as cli
+
+    assert main(["verify", "decomposition", "ret1"]) == 0
+    single = capsys.readouterr().out
+    calls = []
+    for name, suite in list(cli.SUITES.items()):
+        monkeypatch.setitem(
+            cli.SUITES, name, lambda seed, budget, name=name, suite=suite: calls.append(name) or suite(seed, budget)
+        )
+    assert main(["verify", "decomposition", "ret1", "decomposition", "ret1", "decomposition"]) == 0
+    assert capsys.readouterr().out == single
+    assert calls == ["decomposition", "ret1"]
+
+
 def test_decomposition_suite_fails_when_the_theorem_fails(capsys, monkeypatch):
     """A run passes only when its whole-code verdict agrees with its
     component verdicts. Each component verdict is patched to its negation:

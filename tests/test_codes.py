@@ -128,6 +128,18 @@ def test_a_zero_or_non_monic_generator_is_refused(f9, coeffs):
         build_code(f9, 3, ring_one(f9), gens)
 
 
+@pytest.mark.parametrize("component", [1, 2, 3, 4])
+def test_a_generator_that_is_not_monic_names_its_component(f9, component):
+    one = fq_poly(f9, [1])
+    gens = [one] * 4
+    gens[component - 1] = fq_poly(f9, [1, 2])
+    with pytest.raises(ValueError, match=f"^component {component}: generator 2\\*x \\+ 1 is not monic$"):
+        SkewCode(f9, 3, ring_one(f9), tuple(gens))
+    gens[component - 1] = fq_poly(f9, [])
+    with pytest.raises(ValueError, match=f"^component {component}: generator 0 is not monic$"):
+        build_code(f9, 3, ring_one(f9), gens)
+
+
 def test_membership_of_all_basis_words(f9):
     code = example_code(2)
     for w in code.basis_words():

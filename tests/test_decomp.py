@@ -271,17 +271,18 @@ def test_module_words_make_no_division(monkeypatch, capsys, f9, f25):
     assert divisions == []
 
 
-def test_twenty_decomposition_runs_make_at_most_1331_divisions(monkeypatch):
+def test_twenty_decomposition_runs_make_at_most_108_divisions(monkeypatch):
     """Seeds 0-19 of the decomposition suite: the divisions left are the
-    ones whose quotient is used, one per factor random_right_divisor peels.
-    Building and verifying a code reads its remainders off its residue
-    rows."""
+    ones whose quotient is used, one per degree-2 factor random_right_divisor
+    peels. A linear factor's cofactor comes in closed form, and building and
+    verifying a code reads its remainders off its residue rows."""
     from skewcodes.cli import SUITES
 
     divisions = spy_divisions(monkeypatch)
     for seed in range(20):
         assert SUITES["decomposition"](seed, DEFAULT_BUDGET)["pass"]
-    assert 0 < len(divisions) <= 1331
+    assert 0 < len(divisions) <= 108
+    assert all(g.degree == 2 for g in divisions)
 
 
 def test_verify_decomposition_on_examples():

@@ -6,6 +6,7 @@ Fields are those of test_kernel.py, which include twists strictly between
 the identity and the full Frobenius (1 < t < m).
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -24,6 +25,7 @@ from skewcodes.skewpoly import (
     _monic_right_factors,
     component_polys,
     from_components,
+    r_poly,
     random_right_divisor,
     right_divisor_search,
     right_divmod,
@@ -193,20 +195,38 @@ class CountingRandom(random.Random):
         return super().choice(seq)
 
 
+def spy_certificate_checks(monkeypatch):
+    """The divisor of every certificate checked, in order."""
+    calls = []
+    check = skewpoly._check_certificate
+    monkeypatch.setattr(
+        "skewcodes.skewpoly._check_certificate",
+        lambda f, g, rem: calls.append(g) or check(f, g, rem),
+    )
+    return calls
+
+
 def test_a_random_divisor_divides_once_per_factor(monkeypatch):
+    """One certificate per factor peeled: a linear pick by the remainder of
+    its closed-form cofactor, with no right division, and a degree-2 pick by
+    the right division that gives its cofactor."""
     divisions = spy_divisions(monkeypatch)
+    certified = spy_certificate_checks(monkeypatch)
     f3, f9, f25 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1]), make_field(5, 2, [1, 1, 1])
     cases = [(spec, n, spec.constant(s)) for spec in (f9, f25) for n in (2, 4, 6) for s in (1, -1)]
     cases += [(f3, n, RingElement.from_crt(f3, 1, -1, -1, 1)) for n in (2, 3, 4)]
-    peeled = 0
+    peeled = linear = 0
     for seed, (spec, n, alpha) in enumerate(cases):
         rng = CountingRandom(seed)
         divisions.clear()
+        certified.clear()
         g = random_right_divisor(ModulusSpec(n, alpha), rng, n)
-        assert len(divisions) == rng.picks
+        assert len(certified) == rng.picks
+        assert divisions == [h for h in certified if h.degree == 2]
         assert g.degree >= rng.picks
         peeled += rng.picks
-    assert peeled > len(cases)
+        linear += rng.picks - len(divisions)
+    assert peeled > len(cases) and linear > len(cases)
 
 
 def spy_certificates(monkeypatch):
@@ -244,7 +264,9 @@ def test_a_divisor_search_makes_no_division(monkeypatch, ring):
     assert divisions == []
 
 
-LINEAR_FIELDS = {**FIELDS, "F3": (3, 1, [0, 1], 1), "F9": (3, 2, [1, 0, 1], 1)}
+LINEAR_FIELDS = {**FIELDS, "F3": (3, 1, [0, 1], 1), "F9": (3, 2, [1, 0, 1], 1), "F25": (5, 2, [1, 1, 1], 1)}
+# coefficient fields of the searches over R
+RING_FIELDS = {"F3": (3, 1, [0, 1]), "F5": (5, 1, [0, 1]), "F9": (3, 2, [1, 0, 1])}
 
 
 def linear_screens(spec, rng):
@@ -276,6 +298,63 @@ def test_the_linear_screen_is_the_division_loop(name):
     assert hits
 
 
+@pytest.mark.parametrize("name", sorted(LINEAR_FIELDS))
+def test_the_linear_cofactor_is_the_right_division(name):
+    """The closed-form quotient and remainder of a monic linear divisor
+    against right_divmod, for every candidate x + c of each dividend with
+    at most 81 candidates and for the screen's hits and a sample otherwise;
+    the hits are certified and any other candidate is refused."""
+    spec = make_field(*LINEAR_FIELDS[name])
+    rng = random.Random(name)
+    hits = 0
+    for n in (1, 2, 4, 7):
+        for f, _known in dividends(spec, rng, n, 1):
+            found = _monic_right_factors(f, 1)
+            codes = range(spec.q)
+            if spec.q > 81:
+                codes = {codes_of(g)[0] for g in found} | {rng.randrange(spec.q) for _ in range(8)}
+            for code in sorted(codes):
+                g = SkewPoly(spec, "fq", [spec.from_int(code), spec.one])
+                quot, rem = right_divmod(f, g)
+                assert skewpoly._linear_divmod(f, g) == (quot, rem)
+                if g in found:
+                    assert rem.is_zero and skewpoly._certify(f, g) == quot
+                    hits += 1
+                else:
+                    assert not rem.is_zero
+                    with pytest.raises(VerificationError):
+                        skewpoly._certify(f, g)
+    assert hits
+
+
+@pytest.mark.parametrize("name", sorted(RING_FIELDS))
+def test_the_linear_cofactor_over_r_is_the_right_division(name):
+    """x^n - alpha over R and the cofactor of its first linear right
+    factor, which is not a binomial: the linear right factors the screen
+    finds (up to 64 of each, spread through its list) give right_divmod's
+    quotient in closed form, and x, where it is no factor, is refused."""
+    spec = make_field(*RING_FIELDS[name])
+    rng = random.Random(name)
+    x = r_poly(spec, [0, 1])
+    checked = refused = 0
+    for n in range(2, 5):
+        for alpha in signs_and_random_constants(spec, rng):
+            f = ModulusSpec(n, alpha).poly()
+            for h in [f] + [right_divmod(f, g)[0] for g in _monic_right_factors(f, 1)[:1]]:
+                found = _monic_right_factors(h, 1)
+                for g in found[::max(1, len(found) // 32)]:
+                    quot, rem = right_divmod(h, g)
+                    assert rem.is_zero
+                    assert skewpoly._linear_divmod(h, g) == (quot, rem)
+                    assert skewpoly._certify(h, g) == quot
+                    checked += h is not f
+                if not right_divmod(h, x)[1].is_zero:
+                    with pytest.raises(VerificationError):
+                        skewpoly._certify(h, x)
+                    refused += 1
+    assert checked and refused
+
+
 def test_search_over_a_field_too_large_for_the_square_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("distance's field tables asked for")
@@ -291,7 +370,6 @@ def test_search_over_a_field_too_large_for_the_square_tables(monkeypatch):
     assert right_divisor_search(ModulusSpec(2, alpha), 1, budget) == expected
 
 
-BINOMIAL_FIELDS = {**LINEAR_FIELDS, "F25": (5, 2, [1, 1, 1], 1)}
 # fields small enough to run loop_divisors on every binomial
 LOOPED = 25
 
@@ -311,12 +389,12 @@ def binomial_divisors(spec, n, degree=1):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(BINOMIAL_FIELDS))
+@pytest.mark.parametrize("name", sorted(LINEAR_FIELDS))
 def test_the_binomial_closed_form_is_the_division_loop(name):
     """Every x^n - c, n = 1..8, c zero included: the congruence on
     logarithms gives the divisors of the one-division-per-candidate loop, in
     its order."""
-    spec = make_field(*BINOMIAL_FIELDS[name])
+    spec = make_field(*LINEAR_FIELDS[name])
     counts = set()
     for n in range(1, 9):
         expected = binomial_divisors(spec, n)
@@ -381,9 +459,9 @@ def signs_and_random_constants(spec, rng):
     return out + [random_ring_element(spec, rng) for _ in range(8)]
 
 
-@pytest.mark.parametrize("name", ["F3", "F5", "F9"])
+@pytest.mark.parametrize("name", sorted(RING_FIELDS))
 def test_linear_factors_over_r_are_the_combinations_of_the_component_loops(name):
-    spec = make_field(*{"F3": (3, 1, [0, 1]), "F5": (5, 1, [0, 1]), "F9": (3, 2, [1, 0, 1])}[name])
+    spec = make_field(*RING_FIELDS[name])
     rng = random.Random(name)
     combined = 0
     for n in range(1, 7):
@@ -409,21 +487,21 @@ def test_a_false_hit_fails_its_certificate_at_degree_one(monkeypatch):
             right_divisor_search(ModulusSpec(n, alpha), 1)
 
 
-def spy_linear_terms(monkeypatch):
-    """The dividend of every degree-1 numpy screen, in order."""
+def spy_linear_screens(monkeypatch):
+    """The dividend of every degree-1 screen, in order."""
     calls = []
-    terms = skewpoly._linear_terms
+    screen = skewpoly._linear_root_codes
     monkeypatch.setattr(
-        "skewcodes.skewpoly._linear_terms",
-        lambda spec, neg_g, f_terms: calls.append(f_terms) or terms(spec, neg_g, f_terms),
+        "skewcodes.skewpoly._linear_root_codes",
+        lambda f: calls.append(f) or screen(f),
     )
     return calls
 
 
 def test_binomials_are_solved_without_a_screen(monkeypatch):
-    """A degree-1 search of x^n - c, over F_q or over R, makes no numpy
-    screen; a cofactor that is not a binomial is still screened."""
-    screens = spy_linear_terms(monkeypatch)
+    """A degree-1 search of x^n - c, over F_q or over R, screens no
+    candidate; a cofactor that is not a binomial is still screened."""
+    screens = spy_linear_screens(monkeypatch)
     f3, f9 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1])
     for n in range(1, 7):
         for c in f9.elements():
@@ -461,3 +539,46 @@ def test_degree_n_minus_one_is_solved_without_a_screen(monkeypatch):
         found = right_divisor_search(ModulusSpec(n, RingElement.from_ints(f3, 1)), n - 1)
         assert found and certified == found
     assert screens == []
+
+
+STREAM_FIELDS = {name: COFACTOR_FIELDS[name] for name in ("F9", "F25", "F27", "F81t2")}
+# sha256 of random_divisor_stream's draws, recorded while linear factors were
+# still screened in numpy and peeled by right division
+RANDOM_DIVISOR_STREAM = "350555e92e09b3d9ad9b3d1dcff9589bafdc0dfb46eeed3c1529048731e0c124"
+
+
+def random_divisor_stream():
+    """(modulus, string seed) of each pinned random_right_divisor draw:
+    x^n - beta over F9, F25, F27 and F81 (t = 2) for n <= 6, beta = 1, -1 and
+    a generator, 8 seeds each; over R over F3, n <= 4, four CRT sign
+    patterns, one of them with a zero component, 4 seeds each."""
+    for name, params in STREAM_FIELDS.items():
+        spec = make_field(*params)
+        for n in range(1, 7):
+            for beta in (spec.one, -spec.one, spec.root()):
+                for seed in range(8):
+                    yield ModulusSpec(n, beta), f"{name} {n} {beta.code} {seed}"
+    f3 = make_field(3, 1, [0, 1])
+    for n in range(1, 5):
+        for signs in ((1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, -1, -1), (1, 0, -1, 1)):
+            for seed in range(4):
+                yield ModulusSpec(n, RingElement.from_crt(f3, *signs)), f"R {n} {signs} {seed}"
+
+
+def test_the_random_divisor_stream_is_pinned():
+    """Each draw's divisor, by its coefficient codes, and the next number of
+    its rng: a change in a candidate list, its order or the number of picks
+    changes the digest."""
+    digest = hashlib.sha256()
+    draws = 0
+    for mod, seed in random_divisor_stream():
+        rng = random.Random(seed)
+        g = random_right_divisor(mod, rng, rng.randint(1, mod.n))
+        if mod.ring == "fq":
+            codes = [c.code for c in g.coeffs]
+        else:
+            codes = [(c.a.code, c.b.code, c.c.code, c.d.code) for c in g.coeffs]
+        digest.update(f"{codes} {rng.random()!r};".encode())
+        draws += 1
+    assert draws == 640
+    assert digest.hexdigest() == RANDOM_DIVISOR_STREAM
