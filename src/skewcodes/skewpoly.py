@@ -319,10 +319,10 @@ def is_right_divisor(g: SkewPoly, mod: ModulusSpec) -> bool:
     return right_remainder(mod.poly(), g).is_zero
 
 
-# Candidate divisors screened per numpy batch. A search's working memory is
-# about 64 bytes per candidate and coefficient, so this bounds it whatever
-# the candidate count; batches of 2^14 rows raised the peak RSS of a
-# process running searches by about 0.4 MB.
+# Candidate divisors screened per numpy batch. A screen's working memory on
+# its intp rows peaks at 75-90 bytes per candidate and coefficient
+# (tracemalloc, degrees 2 to 5 over F9, F25 and F243), so this bounds it
+# whatever the candidate count: about 0.36 MB at degree 2.
 _CHUNK = 1 << 11
 
 
@@ -331,17 +331,34 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
     polynomials g over F_q whose right remainder of f is zero, in
     itertools.product order (g_0 most significant).
 
-    At degree 1, a binomial f = x^n - c (monic, n >= 1, no other nonzero
-    term) is solved in closed form (_binomial_root_codes), and any other f
-    is screened on the spec's lists (_linear_root_codes). At higher degrees
+    At degree deg f the one such g is lead(f)^-1 * f, with no screen. At
+    degree 1, a binomial f = x^n - c (monic, n >= 1, no other nonzero term)
+    is solved in closed form (_binomial_root_codes), and any other f is
+    screened on the spec's lists (_linear_root_codes). At other degrees d
     the remainder of f is sum_k f_k * (x^k mod g) (see residues), added up
     for every candidate at once on logarithms (gf.FieldArrays), chunk by
-    chunk; _stepped_terms gives its terms.
+    chunk, one row per coefficient; _stepped_terms gives its terms.
+
+    That screen tries one candidate per orbit of the scalings that fix f up
+    to a constant. phi_c: x -> cx (c != 0) is a ring automorphism with
+    phi_c(x^j) = N_j(c) x^j = c^(e_j) x^j (_norm_exponent). For the c of the
+    group K_f = {c : c^(e_j - e_low) = 1 over f's nonzero terms}, of order
+    G = gcd(q - 1, e_j - e_low), phi_c(f) is a constant times f, so phi_c
+    maps each monic right divisor g of f to another, g'_j = g_j c^(e_j - e_d).
+    On g_(d-1) != 0 it acts freely, g'_(d-1) = g_(d-1) theta^(d-1)(c)^-1, so
+    the screen tries only the g with g_(d-1) = 0 or log g_(d-1) < (q - 1) / G,
+    q^(d-1) (1 + (q - 1) / G) of the q^d, and adds the G - 1 other images of
+    each hit with g_(d-1) != 0 (_orbit_images). With G = 1 it tries all q^d
+    candidates, in order, and sorts nothing.
     """
     if not degree:
         yield ()
         return
     spec = f.spec
+    if degree == f.degree:
+        lead_inv = f.lead.inverse()
+        yield tuple((lead_inv * c).code for c in f.coeffs[:-1])
+        return
     if degree == 1:
         binomial = f.degree and f.is_monic and all(c.is_zero for c in f.coeffs[1:-1])
         roots = _binomial_root_codes(spec, f.degree, -f.coeffs[0]) if binomial else _linear_root_codes(f)
@@ -349,38 +366,68 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
         return
     q = spec.q
     arrays = spec.arrays()
-    zero, wrap, plus = arrays.zero, arrays.wrap, arrays.plus
+    zero = arrays.zero
+    log, wrap, plus = (table.astype(np.intp) for table in (arrays.log, arrays.wrap, arrays.plus))
     terms = [(j, spec.log[c.code]) for j, c in enumerate(f.coeffs) if not c.is_zero]
-    place = q ** np.arange(degree - 1, -1, -1)
-    count = q ** degree
+    norms = [_norm_exponent(spec, j) for j, _ in terms]
+    group = math.gcd(q - 1, *(e - norms[0] for e in norms))
+    # g_(d-1): 0, then the code of each coset of K_f with log below (q - 1) / G
+    tops = np.concatenate(([0], np.flatnonzero(log < (q - 1) // group)))
+    width = len(tops)
+    places = width * q ** np.arange(degree - 2, -1, -1)[:, None]
+    count = q ** (degree - 1) * width
+    hits = []
     for start in range(0, count, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, count))[:, None] // place % q
-        neg_g = wrap[arrays.log[codes] + arrays.half]
-        rem = np.full(codes.shape, zero, dtype=np.int32)
-        for term in _stepped_terms(spec, neg_g, terms):
+        index = np.arange(start, min(start + _CHUNK, count))
+        codes = np.empty((degree, len(index)), dtype=np.intp)
+        codes[:-1] = index // places % q
+        codes[-1] = tops[index % width]
+        rem = np.full(codes.shape, zero)
+        for term in _stepped_terms(spec, wrap[log[codes] + arrays.half], terms):
             rem = wrap[rem + plus[(term + zero) - rem]]
-        yield from map(tuple, codes[(rem == zero).all(axis=1)].tolist())
+        hits.append(codes[:, (rem == zero).all(axis=0)].T)
+    hits = np.concatenate(hits)
+    yield from map(tuple, hits.tolist()) if group == 1 else _orbit_images(spec, hits, group)
 
 
 def _stepped_terms(spec: FieldSpec, neg_g, terms):
     """Logarithms of f_k * (x^k mod g) for each term (k, log f_k), per
-    candidate g with logarithms -g_low = neg_g. Modulo the left ideal of g,
-    left multiplication by x maps a residue r of degree below deg g to
+    candidate g with logarithms -g_low = neg_g, one row per coefficient and
+    one column per candidate. Modulo the left ideal of g, left
+    multiplication by x maps a residue r of degree below deg g to
     shift(theta(r)) - theta(r_top) * g_low, so the residues are stepped up
-    from x^0 = 1."""
+    from x^0 = 1. Arrays and tables are intp, the type numpy indexes with,
+    so that no lookup converts its index."""
     arrays = spec.arrays()
-    wrap, plus, frob = arrays.wrap, arrays.plus, arrays.frob
-    power = np.full(neg_g.shape, arrays.zero, dtype=np.int32)
-    power[:, 0] = 0  # x^0 = 1
+    zero = arrays.zero
+    wrap, plus, frob = (table.astype(np.intp) for table in (arrays.wrap, arrays.plus, arrays.frob))
+    power = np.full(neg_g.shape, zero)
+    power[0] = 0  # x^0 = 1
     j = 0
     for k, log_fk in terms:
         for _ in range(k - j):
             twisted = frob[power]
-            power = wrap[twisted[:, -1:] + neg_g]
-            low = twisted[:, :-1]
-            power[:, 1:] = wrap[low + plus[(power[:, 1:] + arrays.zero) - low]]
+            power = wrap[twisted[-1] + neg_g]
+            low = twisted[:-1]
+            power[1:] = wrap[low + plus[(power[1:] + zero) - low]]
         j = k
         yield wrap[power + log_fk]
+
+
+def _orbit_images(spec: FieldSpec, hits, group: int):
+    """The screened divisors `hits` (rows of codes g_0, ..., g_(d-1)) with
+    the images g'_j = g_j c^(e_j - e_d) of each row with g_(d-1) != 0 under
+    the G - 1 scalings c != 1 of K_f (see _batched_divisor_codes), the c
+    with logarithms l (q - 1) / G, 0 < l < G; as code tuples in
+    itertools.product order."""
+    order, degree = spec.q - 1, hits.shape[1]
+    arrays = spec.arrays()
+    e_d = _norm_exponent(spec, degree)
+    shifts = np.array([(_norm_exponent(spec, j) - e_d) % order for j in range(degree)])
+    turns = np.arange(1, group)[:, None] * (order // group) * shifts % order
+    moved = arrays.log[hits[hits[:, -1] != 0]][:, None, :]
+    images = arrays.exp[arrays.wrap[moved + turns]].reshape(-1, degree)
+    return sorted(map(tuple, np.concatenate([hits, images]).tolist()))
 
 
 def _norm_exponent(spec: FieldSpec, k: int) -> int:
@@ -546,17 +593,18 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     F_q the one component is alpha. At degree 1 each component's roots
     come in closed form from (n, beta_i) (_binomial_root_codes), and at
     degree n - 1 >= 2 the cofactors of its linear left factors
-    (_binomial_cofactor_codes), with no candidate tried; at any other degree
-    each x^n - beta_i is screened over its q^degree candidates. None exists
-    above degree n.
+    (_binomial_cofactor_codes), and at degree n the one divisor x^n - alpha,
+    with no candidate tried; at any other degree each x^n - beta_i is
+    screened (_batched_divisor_codes), over at most q^degree candidates.
+    None exists above degree n.
 
     Work is charged in (n - degree + 1)(degree + 1) steps, those of one
-    division of x^n - alpha: once per candidate screened, before the first
-    screen, then once more per divisor certificate, cumulatively, before
-    x^n - alpha or a cofactor is built. A search with no divisor returns at
-    once, whatever n. A screen of more candidates per component than the
-    budget is refused first, its count written as a power, so that no
-    refusal prints a count much longer than the budget.
+    division of x^n - alpha: once per candidate of q^degree per component,
+    before the first screen, then once more per divisor certificate,
+    cumulatively, before x^n - alpha or a cofactor is built. A search with
+    no divisor returns at once, whatever n. A screen of more candidates per
+    component than the budget is refused first, its count written as a
+    power, so that no refusal prints a count much longer than the budget.
     """
     n = mod.n
     if degree > n:
@@ -572,12 +620,13 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
         # one divisor per left root, counted here and built once charged
         found = [_binomial_root_codes(spec, n, beta.frob(n - 1)) for beta in betas]
     else:
-        # q >= 3, so q^degree > budget once degree reaches budget's bit length
-        if degree >= budget.bit_length() or q ** degree > budget:
-            raise BudgetExceededError(f"{q}^{degree} candidates per component exceed the budget of {budget}")
-        candidates = len(betas) * q ** degree
-        screened = candidates * certificate
-        charge(budget, screened, f"{candidates} candidates * (n - degree + 1)(degree + 1)", "division steps")
+        if degree < n:  # at degree n, x^n - beta itself, with no screen
+            # q >= 3, so q^degree > budget once degree reaches budget's bit length
+            if degree >= budget.bit_length() or q ** degree > budget:
+                raise BudgetExceededError(f"{q}^{degree} candidates per component exceed the budget of {budget}")
+            candidates = len(betas) * q ** degree
+            screened = candidates * certificate
+            charge(budget, screened, f"{candidates} candidates * (n - degree + 1)(degree + 1)", "division steps")
         found = [list(_batched_divisor_codes(ModulusSpec(n, beta).poly(), degree)) for beta in betas]
     count = math.prod(map(len, found))
     needs = f"{count} divisors * (n - degree + 1)(degree + 1)"

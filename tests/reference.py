@@ -9,7 +9,8 @@ Gray map) are written out. The Gray-commutation proof evaluates the word
 maps on every basis word in one numpy pass, the idempotent check is made
 by a rank, the self-dual constants are listed one by one, and the minimum
 distance sweep tries every support on q x q tables of element codes filled
-element by element. Nothing in src/ imports this module.
+element by element, and the divisor screen tries all q^d candidates. Nothing
+in src/ imports this module.
 """
 
 from __future__ import annotations
@@ -205,6 +206,38 @@ def ring_elements(spec: FieldSpec):
             for c in spec.elements():
                 for d in spec.elements():
                     yield RingElement(a, b, c, d)
+
+
+# --- right divisors ---
+
+def full_divisor_screen(f: SkewPoly, degree: int):
+    """Codes (g_0, ..., g_{degree-1}) of the monic degree-`degree` right
+    divisors of f over F_q, degree >= 1, from the remainder of every one of
+    the q^degree candidates, in itertools.product order (g_0 most
+    significant): the package's screen before it tried one candidate per
+    orbit of the scalings x -> cx, on (candidates, degree) int32 blocks."""
+    spec = f.spec
+    q = spec.q
+    arrays = spec.arrays()
+    zero, wrap, plus, frob = arrays.zero, arrays.wrap, arrays.plus, arrays.frob
+    terms = [(j, spec.log[c.code]) for j, c in enumerate(f.coeffs) if not c.is_zero]
+    codes = np.arange(q ** degree)[:, None] // q ** np.arange(degree - 1, -1, -1) % q
+    neg_g = wrap[arrays.log[codes] + arrays.half]
+    # x^k mod g, stepped up from x^0 = 1: x r = shift(theta(r)) - theta(r_top) g_low
+    power = np.full(codes.shape, zero, dtype=np.int32)
+    power[:, 0] = 0
+    rem = np.full(codes.shape, zero, dtype=np.int32)
+    j = 0
+    for k, log_fk in terms:
+        for _ in range(k - j):
+            twisted = frob[power]
+            power = wrap[twisted[:, -1:] + neg_g]
+            low = twisted[:, :-1]
+            power[:, 1:] = wrap[low + plus[(power[:, 1:] + zero) - low]]
+        j = k
+        term = wrap[power + log_fk]
+        rem = wrap[rem + plus[(term + zero) - rem]]
+    return list(map(tuple, codes[(rem == zero).all(axis=1)].tolist()))
 
 
 # --- constacyclic equivalence maps ---

@@ -536,7 +536,7 @@ def test_divisor_search_step_charge_is_exact(capsys):
 
 
 def test_divisor_search_count_too_long_to_print_is_refused(capsys):
-    obj = {**SEARCH_F3, "n": 10000, "degree": 10000}
+    obj = {**SEARCH_F3, "n": 10002, "degree": 10000}
     start = time.perf_counter()
     code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj), "--budget", "10000000")
     assert time.perf_counter() - start < 0.5

@@ -1,6 +1,7 @@
 """Tests of the batched divisor search over F_q: the numpy field arrays, and
 the remainder screen of skewpoly._batched_divisor_codes against the loop it
-replaced, one right division per candidate.
+replaced, one right division per candidate, and against the screen of all
+q^d candidates that preceded its one candidate per scaling orbit.
 
 Fields are those of test_kernel.py, which include twists strictly between
 the identity and the full Frobenius (1 < t < m).
@@ -12,11 +13,11 @@ import random
 import time
 
 import pytest
-from reference import random_ring_element
+from reference import full_divisor_screen, random_ring_element
 from test_kernel import FIELDS
 
 import skewcodes.skewpoly as skewpoly
-from skewcodes.errors import VerificationError
+from skewcodes.errors import BudgetExceededError, VerificationError
 from skewcodes.gf import make_field
 from skewcodes.ring4 import RingElement
 from skewcodes.skewpoly import (
@@ -130,6 +131,137 @@ def test_chunk_boundaries_do_not_change_the_list(chunk, monkeypatch):
     monkeypatch.setattr("skewcodes.skewpoly._CHUNK", chunk)
     for (spec, n, a, d), want in zip(cases, expected):
         assert right_divisor_search(ModulusSpec(n, spec.from_int(a)), d) == want
+
+
+SCREEN_FIELDS = {
+    **FIELDS,
+    "F9": (3, 2, [1, 0, 1], 1),
+    "F25": (5, 2, [1, 1, 1], 1),
+    "F27": (3, 3, [1, 2, 0, 1], 1),
+    "F49": (7, 2, [3, 6, 1], 1),
+}
+# fields up to which every shift constant is screened; above, a sample
+EVERY_ALPHA = 49
+# candidates up to which degree 3 is compared with the full screen
+DEGREE_3 = 2 * 10 ** 4
+
+
+def scaling_group(f):
+    """|K_f|, by brute force: the c != 0 for which phi_c(f), with
+    coefficients f_j N_j(c), N_j(c) = theta^(j-1)(c) ... theta(c) c, is a
+    constant times f."""
+    spec = f.spec
+    size = 0
+    for c in list(spec.elements())[1:]:
+        norm, scaled = spec.one, []
+        for fj in f.coeffs:
+            scaled.append(fj * norm)
+            norm = norm.frob(1) * c
+        ratios = {s * fj.inverse() for s, fj in zip(scaled, f.coeffs) if not fj.is_zero}
+        size += len(ratios) <= 1
+    return size
+
+
+def screened_dividends(spec, rng, degree):
+    """x^n - alpha for every alpha and n = degree + 1 .. degree + 4, or above
+    EVERY_ALPHA for a sample of 5 alpha (zero, 1 and -1 among them) and
+    n = degree + 1, degree + 2; the dense cofactor of the first linear right
+    factor of each x^n - alpha that has one; sparse f of even degree with
+    only even powers; and f with f_0 = 0."""
+    lengths = range(degree + 1, degree + 5)
+    if spec.q <= EVERY_ALPHA:
+        alphas = list(spec.elements())
+    else:
+        alphas = [spec.zero, spec.one, -spec.one] + [spec.from_int(rng.randrange(2, spec.q)) for _ in range(2)]
+        lengths = lengths[:2]
+    out = []
+    for n in lengths:
+        for alpha in alphas:
+            f = ModulusSpec(n, alpha).poly()
+            out.append(f)
+            linear = _monic_right_factors(f, 1)[:1]
+            out += [right_divmod(f, g)[0] for g in linear if n - 1 > degree]
+    for half in (degree, degree + 1):
+        coeffs = [spec.from_int(rng.randrange(1, spec.q)) if i % 2 == 0 else spec.zero for i in range(2 * half)]
+        out.append(SkewPoly(spec, "fq", coeffs + [spec.one]))
+        low_zero = [spec.zero] + [spec.from_int(rng.randrange(spec.q)) for _ in range(2 * half - 1)]
+        out.append(SkewPoly(spec, "fq", low_zero + [spec.from_int(rng.randrange(1, spec.q))]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_FIELDS))
+def test_the_orbit_screen_is_the_full_screen(name):
+    """One candidate per orbit of the scalings x -> cx that fix f up to a
+    constant, with the other images of each hit, gives the full screen's
+    list in its order, at degree 2, and at degree 3 where q^3 <= 2 * 10^4."""
+    spec = make_field(*SCREEN_FIELDS[name])
+    rng = random.Random(name)
+    orbits = False
+    for degree in (2, 3):
+        if degree == 3 and spec.q ** 3 > DEGREE_3:
+            continue
+        for f in screened_dividends(spec, rng, degree):
+            found = list(skewpoly._batched_divisor_codes(f, degree))
+            assert found == full_divisor_screen(f, degree)
+            orbits = orbits or (any(codes[-1] for codes in found) and scaling_group(f) > 1)
+    assert orbits
+
+
+@pytest.mark.parametrize("name", ["F3", "F5"])
+def test_the_orbit_screen_over_r_is_the_full_screen(name):
+    """x^n - alpha over R at degree 2, n = 3 .. 6, for the 16 sign patterns
+    and 8 random alpha: each component's screen is the full screen."""
+    spec = make_field(*RING_FIELDS[name])
+    rng = random.Random(name)
+    hits = 0
+    for n in range(3, 7):
+        for alpha in signs_and_random_constants(spec, rng):
+            for fi in component_polys(ModulusSpec(n, alpha).poly()):
+                found = list(skewpoly._batched_divisor_codes(fi, 2))
+                assert found == full_divisor_screen(fi, 2)
+                hits += len(found)
+    assert hits
+
+
+def spy_screened_rows(monkeypatch):
+    """The number of candidates each call of the screen steps, in order."""
+    rows = []
+    stepped, screen = skewpoly._stepped_terms, skewpoly._batched_divisor_codes
+
+    def spied(spec, neg_g, terms):
+        rows[-1] += len(neg_g[0])
+        return stepped(spec, neg_g, terms)
+
+    monkeypatch.setattr("skewcodes.skewpoly._stepped_terms", spied)
+    monkeypatch.setattr("skewcodes.skewpoly._batched_divisor_codes", lambda f, degree: rows.append(0) or screen(f, degree))
+    return rows
+
+
+def test_the_screen_tries_one_candidate_per_orbit(monkeypatch):
+    """q^(d-1) (1 + (q - 1) / G) candidates: F49 x^4 - alpha (G = 16) 196 of
+    2401 at degree 2, F9 x^6 - alpha (G = 4) 243 of 729 at degree 3 and 27
+    of 81 at degree 2, F25 x^5 - alpha (G = 1) all 625 at degree 2, each
+    split into chunks of _CHUNK rows. G of a sparse and a dense f over F49
+    is that of the brute-force group."""
+    rows = spy_screened_rows(monkeypatch)
+    monkeypatch.setattr("skewcodes.skewpoly._CHUNK", 100)
+    f9, f25, f49 = (make_field(*SCREEN_FIELDS[name]) for name in ("F9", "F25", "F49"))
+    cases = [(f49, 4, 2, 196), (f9, 6, 3, 243), (f9, 6, 2, 27), (f25, 5, 2, 625)]
+    for spec, n, degree, count in cases:
+        for code in range(1, spec.q):
+            rows.clear()
+            right_divisor_search(ModulusSpec(n, spec.from_int(code)), degree)
+            assert rows == [count]
+    # x^4 + a x^2 + b: G = gcd(48, e_2, e_4) = gcd(48, 8, 400) = 8, so
+    # 49 * (1 + 6) candidates; a dense f has e_1 = 1 among its exponents
+    a, b = f49.from_int(3), f49.from_int(10)
+    sparse = SkewPoly(f49, "fq", [b, f49.zero, a, f49.zero, f49.one])
+    dense = SkewPoly(f49, "fq", [b, a, a, b, f49.one])
+    for f, group in ((sparse, 8), (dense, 1)):
+        assert scaling_group(f) == group
+        rows.clear()
+        assert _monic_right_factors(f, 2) == loop_divisors(f, 2)
+        assert rows == [49 * (1 + 48 // group)]
 
 
 def with_false_hit(monkeypatch, only=False):
@@ -539,6 +671,47 @@ def test_degree_n_minus_one_is_solved_without_a_screen(monkeypatch):
         found = right_divisor_search(ModulusSpec(n, RingElement.from_ints(f3, 1)), n - 1)
         assert found and certified == found
     assert screens == []
+
+
+def test_degree_deg_f_is_lead_inverse_times_f(monkeypatch):
+    """The one monic right divisor of f of degree deg f is lead(f)^-1 * f,
+    listed with no screen. x^n - alpha over F_q and over R at degree n is
+    certified once and charged one certificate of n + 1 steps, and refused
+    at n; x^5 - alpha over F27 and x^7 - alpha over F9 are answered at the
+    default budget, where a screen of 27^5 or 9^7 candidates was refused. A
+    non-monic f gets the same through _monic_right_factors, and a
+    random divisor of x^2 - alpha with no linear factor is x^2 - alpha."""
+    rows = spy_screened_rows(monkeypatch)
+    linear = spy_linear_screens(monkeypatch)
+    certified = spy_certificates(monkeypatch)
+    f3, f9, f27 = (make_field(*COFACTOR_FIELDS[name]) for name in ("F3", "F9", "F27"))
+    mods = [ModulusSpec(n, alpha) for n in (2, 4, 6) for alpha in (f9.zero, f9.one, f9.root())]
+    mods += [ModulusSpec(n, RingElement.from_crt(f3, 1, -1, 0, 1)) for n in (2, 3, 5)]
+    for mod in mods:
+        n = mod.n
+        certified.clear()
+        assert right_divisor_search(mod, n, budget=n + 1) == [mod.poly()] == certified
+        with pytest.raises(BudgetExceededError) as refusal:
+            right_divisor_search(mod, n, budget=n)
+        assert str(refusal.value) == (
+            f"1 divisors * (n - degree + 1)(degree + 1) = {n + 1} division steps, over the budget of {n}"
+        )
+    for spec, n in ((f27, 5), (f9, 7)):
+        for alpha in (spec.one, spec.root()):
+            start = time.perf_counter()
+            assert right_divisor_search(ModulusSpec(n, alpha), n) == [ModulusSpec(n, alpha).poly()]
+            assert time.perf_counter() - start < 1
+    rng = random.Random(0)
+    for degree in (2, 3):
+        f = random_poly(f9, rng, degree)
+        assert not f.is_monic
+        assert _monic_right_factors(f, degree) == [f.monic()] == loop_divisors(f, degree)
+        unit = RingElement.from_crt(f3, -1, 1, -1, -1)
+        f = r_poly(f3, [random_ring_element(f3, rng) for _ in range(degree)] + [unit])
+        assert _monic_right_factors(f, degree) == [f.monic()]
+    mod = ModulusSpec(2, f9.root())
+    assert random_right_divisor(mod, rng, 2) == mod.poly()
+    assert rows and not any(rows) and linear == []
 
 
 STREAM_FIELDS = {name: COFACTOR_FIELDS[name] for name in ("F9", "F25", "F27", "F81t2")}

@@ -373,18 +373,20 @@ def test_degree_one_search_over_r_is_charged_for_its_divisors(f3):
 
 
 def test_divisor_search_over_r_is_charged_per_component(f9):
-    """R over F9 at degree 2: four component screens of 81 candidates, each
-    charged (n - 1) * 3 steps, then 3 * (n - 1) steps per certificate.
-    x^2 - alpha with CRT view (1, 2, 1, 0) has one divisor, itself:
-    4 * 81 * 3 + 1 * 3 = 975 steps. x^4 - 1 has 18 divisors per component,
-    18^4 = 104976 in all: 4 * 81 * 9 + 104976 * 9 = 947700 steps, within the
-    default budget, and refused at one less before any is built."""
-    mod = ModulusSpec(2, RingElement.from_crt(f9, 1, 2, 1, 0))
-    assert right_divisor_search(mod, 2, budget=975) == [mod.poly()]
+    """R over F9 at degree 2: four component screens, each charged for its
+    81 candidates (n - 1) * 3 steps, then 3 * (n - 1) steps per certificate.
+    x^6 - alpha with CRT view (3, 4, 5, 0) by element codes has one divisor
+    of degree 2 per component: 4 * 81 * 15 + 1 * 15 = 4875 steps. x^4 - 1
+    has 18 divisors per component, 18^4 = 104976 in all:
+    4 * 81 * 9 + 104976 * 9 = 947700 steps, within the default budget, and
+    refused at one less before any is built."""
+    mod = ModulusSpec(6, RingElement.from_crt(f9, *map(f9.from_int, (3, 4, 5, 0))))
+    found = right_divisor_search(mod, 2, budget=4875)
+    assert len(found) == 1 and is_right_divisor(found[0], mod)
     with pytest.raises(BudgetExceededError) as refusal:
-        right_divisor_search(mod, 2, budget=974)
+        right_divisor_search(mod, 2, budget=4874)
     assert str(refusal.value) == (
-        "972 + 1 divisors * (n - degree + 1)(degree + 1) = 975 division steps, over the budget of 974"
+        "4860 + 1 divisors * (n - degree + 1)(degree + 1) = 4875 division steps, over the budget of 4874"
     )
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError) as refusal:
@@ -410,16 +412,17 @@ def test_divisor_search_over_r_checks_budget_before_enumerating(f27, monkeypatch
 def test_divisor_search_budget_refusals_print_the_count(f3):
     """Candidates within the budget are charged in full; more candidates per
     component than the budget are written as a power, also under a budget
-    of 2^9100, where 3^9050 candidates would print more than 4300 digits."""
+    of 2^9100, where 3^9050 candidates would print more than 4300 digits.
+    The degrees are those still screened, below n - 1."""
     with pytest.raises(BudgetExceededError) as refusal:
         right_divisor_search(ModulusSpec(9012, f3.one), 2, budget=10)
     assert str(refusal.value) == (
         f"9 candidates * (n - degree + 1)(degree + 1) = {9 * 9011 * 3} division steps, over the budget of 10"
     )
     with pytest.raises(BudgetExceededError, match=r"^3\^9013 candidates per component exceed the budget of 20000000$"):
-        right_divisor_search(ModulusSpec(9013, f3.one), 9013)
+        right_divisor_search(ModulusSpec(9015, f3.one), 9013)
     with pytest.raises(BudgetExceededError, match=r"^3\^10000 candidates per component"):
-        right_divisor_search(ModulusSpec(10000, RingElement.from_ints(f3, 1)), 10000)
+        right_divisor_search(ModulusSpec(10002, RingElement.from_ints(f3, 1)), 10000)
     with pytest.raises(BudgetExceededError) as refusal:
         right_divisor_search(ModulusSpec(9100, f3.one), 9050, budget=2 ** 9100)
     assert str(refusal.value) == f"3^9050 candidates per component exceed the budget of {2 ** 9100}"
