@@ -13,11 +13,11 @@ import itertools
 from dataclasses import dataclass
 
 from .codes import SkewCode, is_closed_under
-from .errors import DEFAULT_BUDGET, VerificationError
+from .errors import DEFAULT_BUDGET, LengthMismatchError, VerificationError
 from .gf import FieldElement
 from .linalg import rref
 from .ring4 import RingElement, split_word
-from .skewpoly import ModulusSpec, SkewPoly, residue_sum, residues, skew_constacyclic_shift
+from .skewpoly import ModulusSpec, SkewPoly, residues, skew_constacyclic_shift
 
 
 def extract_components(words):
@@ -31,25 +31,35 @@ def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     """Monic minimal-degree generator of a spanned component code.
 
     One elimination, with pivots at the high-degree end, gives the rank of
-    the span, and its last echelon row is the minimal-degree element g,
-    monic since its pivot is 1 (the empty span gives g = x^n - constant).
-    When g right-divides x^n - constant, <g> is the set of words of degree
-    < n that g right-divides, of dimension n - deg g. So the span is <g>
-    exactly when its rank is n - deg g and g right-divides every echelon
-    row. Raises VerificationError otherwise. Every remainder is read off
-    g's residues x^D mod g, D <= n, computed once: no division is made.
+    the span, and its last echelon row is the minimal-degree element g of
+    degree d, monic since its pivot is 1 (the empty span gives
+    g = x^n - constant). When g right-divides x^n - constant, <g> is the set
+    of words of degree < n that g right-divides, of dimension n - d. So the
+    span is <g> exactly when its rank is n - d and g right-divides every
+    echelon row. With rank n - d the pivots are the degrees d..n-1, so the
+    row of degree D is x^D + low, deg low < d, and g right-divides it
+    exactly when low = -(x^D mod g). Every check reads g's residues x^D mod
+    g, D <= n, computed once: x^n - constant is right-divisible exactly when
+    x^n mod g = constant. No division and no remainder sum is made. Raises
+    LengthMismatchError for a vector whose length is not n, before the
+    elimination, and VerificationError when the span is no such module.
     """
     spec = constant.spec
-    mod = ModulusSpec(n, constant)
-    rows, _ = rref([tuple(reversed(v)) for v in span_vectors])
-    polys = [SkewPoly(spec, "fq", list(reversed(row))) for row in rows]
-    gen = polys[-1] if polys else mod.poly()
-    parity = list(itertools.islice(residues(gen), n + 1 - gen.degree))
-    if not residue_sum(mod.poly().coeffs, gen, parity).is_zero:
+    lengths = {len(v) for v in span_vectors} - {n}
+    if lengths:
+        raise LengthMismatchError(f"spanning vector length {min(lengths)} != code length {n}")
+    rows, _ = rref([v[::-1] for v in span_vectors])
+    gen = SkewPoly(spec, "fq", reversed(rows[-1])) if rows else ModulusSpec(n, constant).poly()
+    d = gen.degree
+    parity = list(itertools.islice(residues(gen), n + 1 - d))
+    if parity[-1] != [constant, *[spec.zero] * d][:d]:
         raise VerificationError(
             f"minimal generator {gen!r} does not right-divide x^{n} - {constant!r}"
         )
-    if len(polys) != n - gen.degree or any(not residue_sum(f.coeffs, gen, parity).is_zero for f in polys):
+    # the row of degree D is reversed: its entries n - d .. n - 1 are low
+    if len(rows) != n - d or any(
+        list(row[:n - d - 1:-1]) != [-c for c in parity[n - 1 - k - d]] for k, row in enumerate(rows)
+    ):
         raise VerificationError(
             "spanning set is not the single-generator module of its minimal element"
         )
@@ -84,9 +94,11 @@ def verify_decomposition_theorem(code: SkewCode, budget: int = DEFAULT_BUDGET) -
     right-divides x^n - beta_i, that is r_i of code.remainders is zero: no
     division and no row reduction. This pinpoints a corrupted (non-divisor)
     component generator. `components` holds the four component verdicts,
-    `closed` the whole-code verdict, checked independently on every basis
-    word and charged against the budget as is_closed_under is, and
-    `equivalence_holds` records that it agrees with their conjunction.
+    `closed` the whole-code verdict, checked independently by
+    is_closed_under on the R-word image of every basis word, without
+    reading code.remainders, and charged against the budget as it is (an
+    upper bound), and `equivalence_holds` records that it agrees with their
+    conjunction.
     """
     components = tuple(k == 0 or r.is_zero for k, r in zip(code.dims, code.remainders))
     overall = is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha), budget)

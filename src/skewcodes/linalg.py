@@ -11,9 +11,14 @@ from .gf import FieldSpec
 def rref(rows):
     """Reduced row echelon form.
 
-    Returns (reduced_rows, pivot_columns); zero rows are dropped.
+    Returns (reduced_rows, pivot_columns); zero rows are dropped, before
+    the elimination.
     """
     rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        return [], []
+    zero = rows[0][0].spec.zero
+    rows = [r for r in rows if r.count(zero) < len(r)]
     if not rows:
         return [], []
     ncols = len(rows[0])

@@ -535,23 +535,69 @@ def _check_certificate(f: SkewPoly, g: SkewPoly, rem: SkewPoly):
         raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
 
 
-def _linear_divmod(f: SkewPoly, g: SkewPoly):
-    """right_divmod(f, g) for a monic linear g = x - a, in closed form:
-    f = quot * (x - a) + rem gives, from the top, quot_(i-1) = f_i +
-    quot_i theta^i(a), and rem = f_0 + quot_0 a: no polynomial product."""
-    a = -g.coeffs[0]
-    quot = [f._zero_coeff()]
-    for i in range(f.degree, 0, -1):
-        quot.append(f.coeffs[i] + quot[-1] * a.frob(i))
-    return SkewPoly(f.spec, f.ring, quot[:0:-1]), SkewPoly(f.spec, f.ring, [f.coeffs[0] + quot[-1] * a])
-
-
 def _certify(f: SkewPoly, g: SkewPoly):
-    """The quotient of f by a screened monic divisor g, by _linear_divmod
-    when g is linear; a nonzero remainder raises."""
-    quot, rem = _linear_divmod(f, g) if g.degree == 1 else right_divmod(f, g)
+    """The quotient of f by a screened monic divisor g, by right division;
+    a nonzero remainder raises."""
+    quot, rem = right_divmod(f, g)
     _check_certificate(f, g, rem)
     return quot
+
+
+def _part_logs(f: SkewPoly):
+    """f as logarithm lists (see gf), one per CRT component: one list over
+    F_q and four over R, ascending powers."""
+    log = f.spec.log
+    comps = split_word(f.coeffs) if f.ring == "R" else (f.coeffs,)
+    return [[log[c.code] for c in comp] for comp in comps]
+
+
+def _from_part_logs(spec: FieldSpec, ring: str, parts) -> SkewPoly:
+    """The polynomial whose CRT components have the logarithm lists `parts`,
+    all of one length: the inverse of _part_logs."""
+    exp = spec.exp
+    words = [[exp[l] for l in part] for part in parts]
+    return SkewPoly(spec, ring, join_word(words) if ring == "R" else words[0])
+
+
+def _linear_divmod(spec: FieldSpec, f, g):
+    """right_divmod(f, g) on logarithm lists, for a monic linear g = x - a,
+    in closed form: f = quot * (x - a) + rem gives, from the top,
+    quot_(i-1) = f_i + quot_i theta^i(a), and rem = f_0 + quot_0 a. Returns
+    the quotient's list and the remainder's logarithm. theta^j multiplies a
+    nonzero logarithm by p^(tj) mod (q - 1)."""
+    order, zero, plus, k = spec.q - 1, spec.log_zero, spec.plus, spec.k
+    if g[0] == zero:
+        twists = [zero] * k
+    else:
+        a = (g[0] + order // 2) % order  # log(-x) = log x + (q - 1)/2
+        twists = [a * pow(spec.p, spec.t * j, order) % order for j in range(k)]  # theta^j(a)
+    quot = [zero]
+    for i in range(len(f) - 1, -1, -1):
+        # quot_i theta^i(a): the two logarithms add up to less than 2(q - 1)
+        # exactly when neither factor is zero
+        term = quot[-1] + twists[i % k]
+        term = term % order if term < zero else zero
+        total = f[i] + plus[term - f[i] + zero]
+        quot.append(total % order if total < zero else zero)
+    return quot[-2:0:-1], quot[-1]
+
+
+def _log_product(spec: FieldSpec, f, g):
+    """The skew product f * g of two polynomials over F_q as logarithm
+    lists: sum f_i theta^i(g_j) x^(i+j), theta^i multiplying a nonzero
+    logarithm by p^(ti) mod (q - 1)."""
+    order, zero, plus = spec.q - 1, spec.log_zero, spec.plus
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, lf in enumerate(f):
+        if lf == zero:
+            continue
+        twist = pow(spec.p, spec.t * i, order)
+        for j, lg in enumerate(g, i):
+            if lg != zero:
+                term = (lf + lg * twist) % order
+                total = out[j] + plus[term - out[j] + zero]
+                out[j] = total % order if total < zero else zero
+    return out
 
 
 def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
@@ -561,13 +607,23 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     the successive cofactors; stops early if the cofactor has no small right
     factor. The chain x^n - alpha = cofactor * divisor makes every
     intermediate divisor a genuine right divisor: the remainder of the
-    next cofactor, in closed form for a linear pick and by division for a
-    degree-2 one, certifies the factor picked, and only that one.
+    next cofactor certifies the factor picked, and only that one.
+
+    The cofactor and the divisor are kept as logarithm lists, one per CRT
+    component (_part_logs). A linear pick's cofactor and remainder come in
+    closed form (_linear_divmod), a degree-2 pick's by right division
+    (_certify), and the divisor grows by one product on the lists
+    (_log_product). The candidates are _monic_right_factors' list of the
+    cofactor, from which rng picks.
     """
-    cofactor = mod.poly()
-    divisor = SkewPoly(mod.spec, mod.ring, [cofactor._one_coeff()])
-    while (divisor.degree or 0) < degree and cofactor.degree > 0:
-        remaining = degree - divisor.degree
+    spec, ring, n = mod.spec, mod.ring, mod.n
+    # x^n - beta_i for each CRT constant beta_i of alpha
+    betas = mod.alpha.crt() if ring == "R" else (mod.alpha,)
+    parts = [[spec.log[(-beta).code]] + [spec.log_zero] * (n - 1) + [0] for beta in betas]
+    divisor = [[0]] * len(parts)  # the logarithm of 1
+    while len(divisor[0]) <= degree and len(parts[0]) > 1:
+        cofactor = _from_part_logs(spec, ring, parts)
+        remaining = degree + 1 - len(divisor[0])
         candidates = []
         for d in (1, 2):
             if d > remaining or d > cofactor.degree:
@@ -578,9 +634,15 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
         if not candidates:
             break
         g = rng.choice(candidates)
-        cofactor = _certify(cofactor, g)
-        divisor = g * divisor
-    return divisor
+        factor = _part_logs(g)
+        if g.degree == 1:
+            pairs = [_linear_divmod(spec, h, gi) for h, gi in zip(parts, factor)]
+            parts = [quot for quot, _ in pairs]
+            _check_certificate(cofactor, g, _from_part_logs(spec, ring, [[rem] for _, rem in pairs]))
+        else:
+            parts = _part_logs(_certify(cofactor, g))
+        divisor = [_log_product(spec, gi, di) for gi, di in zip(factor, divisor)]
+    return _from_part_logs(spec, ring, divisor)
 
 
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BUDGET):

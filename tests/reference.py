@@ -9,8 +9,11 @@ Gray map) are written out. The Gray-commutation proof evaluates the word
 maps on every basis word in one numpy pass, the idempotent check is made
 by a rank, the self-dual constants are listed one by one, and the minimum
 distance sweep tries every support on q x q tables of element codes filled
-element by element, and the divisor screen tries all q^d candidates. Nothing
-in src/ imports this module.
+element by element, and the divisor screen tries all q^d candidates. The
+random divisor is peeled on polynomial objects, closure tests every shifted
+basis word and a minimal generator sums a remainder per echelon row, as the
+package did before it worked on logarithm lists and on what it already
+knew. Nothing in src/ imports this module.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import contextlib
 import functools
 import io
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -27,12 +30,28 @@ import numpy as np
 from skewcodes.cli import main
 from skewcodes.decomp import extract_components
 from skewcodes.distance import DistanceResult, words_to_array
-from skewcodes.errors import HypothesisViolatedError, LengthMismatchError, MixedRingsError, SkewcodesError
+from skewcodes.errors import (
+    HypothesisViolatedError,
+    LengthMismatchError,
+    MixedRingsError,
+    SkewcodesError,
+    VerificationError,
+)
 from skewcodes.gf import FieldElement, FieldSpec
 from skewcodes.linalg import nullspace, rref
 from skewcodes.ring4 import RingElement, join_word, split_word
 from skewcodes.serial import field_to_json, poly_to_json, ring_to_json
-from skewcodes.skewpoly import ModulusSpec, SkewPoly, reduce_mod, right_remainder, span_words
+from skewcodes.skewpoly import (
+    ModulusSpec,
+    SkewPoly,
+    _monic_right_factors,
+    reduce_mod,
+    residue_sum,
+    residues,
+    right_divmod,
+    right_remainder,
+    span_words,
+)
 
 
 def run_main(argv):
@@ -238,6 +257,59 @@ def full_divisor_screen(f: SkewPoly, degree: int):
         term = wrap[power + log_fk]
         rem = wrap[rem + plus[(term + zero) - rem]]
     return list(map(tuple, codes[(rem == zero).all(axis=1)].tolist()))
+
+
+def object_random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
+    """skewpoly.random_right_divisor on polynomial objects: the cofactor
+    divided by each pick, and the pick multiplied onto the divisor, with
+    the same candidate lists (_monic_right_factors) and the same picks."""
+    cofactor = mod.poly()
+    divisor = SkewPoly(mod.spec, mod.ring, [cofactor._one_coeff()])
+    while (divisor.degree or 0) < degree and cofactor.degree > 0:
+        remaining = degree - divisor.degree
+        candidates = []
+        for d in (1, 2):
+            if d > remaining or d > cofactor.degree:
+                continue
+            candidates = _monic_right_factors(cofactor, d)
+            if candidates:
+                break
+        if not candidates:
+            break
+        g = rng.choice(candidates)
+        cofactor, rem = right_divmod(cofactor, g)
+        if not rem.is_zero:
+            raise VerificationError(f"candidate divisor {g!r} does not right-divide")
+        divisor = g * divisor
+    return divisor
+
+
+# --- closure and minimal generators, remainder by remainder ---
+
+def per_word_closure(code, shift) -> bool:
+    """codes.is_closed_under testing every shifted basis word: each of its
+    four CRT components by its right remainder by g_i."""
+    return all(
+        right_remainder(SkewPoly(code.field, "fq", comp), g).is_zero
+        for w in code.basis_words()
+        for comp, g in zip(split_word(shift(w)), code.gens)
+    )
+
+
+def per_row_minimal_generator(span_vectors, n: int, constant) -> SkewPoly:
+    """decomp.minimal_generator summing the right remainder of x^n -
+    constant and of every echelon row off the generator's residues."""
+    spec = constant.spec
+    mod = ModulusSpec(n, constant)
+    rows, _ = rref([tuple(reversed(v)) for v in span_vectors])
+    polys = [SkewPoly(spec, "fq", list(reversed(row))) for row in rows]
+    gen = polys[-1] if polys else mod.poly()
+    parity = list(islice(residues(gen), n + 1 - gen.degree))
+    if not residue_sum(mod.poly().coeffs, gen, parity).is_zero:
+        raise VerificationError(f"minimal generator {gen!r} does not right-divide x^{n} - {constant!r}")
+    if len(polys) != n - gen.degree or any(not residue_sum(f.coeffs, gen, parity).is_zero for f in polys):
+        raise VerificationError("spanning set is not the single-generator module of its minimal element")
+    return gen
 
 
 # --- constacyclic equivalence maps ---

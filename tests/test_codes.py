@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from reference import (
     EvenLengthError,
     Span,
     constacyclic_shift,
+    per_word_closure,
     power_scale_poly,
     power_scale_word,
     random_ring_element,
@@ -28,6 +30,7 @@ from skewcodes.errors import (
     BudgetExceededError,
     HypothesisViolatedError,
     LengthMismatchError,
+    MixedRingsError,
     NotADivisorError,
     NotAUnitError,
 )
@@ -36,6 +39,7 @@ from skewcodes.linalg import inner_product, nullspace
 from skewcodes.ring4 import RingElement, ring_one, ring_zero
 from skewcodes.skewpoly import (
     ModulusSpec,
+    SkewPoly,
     blockwise_constacyclic_shift,
     fq_poly,
     quasi_twist_shift,
@@ -105,6 +109,21 @@ def test_membership_examples(f25):
     assert not code.contains(corrupted)
     with pytest.raises(LengthMismatchError):
         code.contains(zero_word[:3])
+
+
+def test_membership_refuses_entries_that_are_not_ring_elements_over_the_field(f9, f25):
+    """Checked before any component is read, so an all-zero word over
+    another field is refused too, not taken for a member."""
+    code = example_code(2)
+    assert code.field == f9
+    zero = ring_zero(f9)
+    for entry in (f9.zero, f9.one, 0, 1, ring_zero(f25)):
+        word = (entry,) + (zero,) * (code.n - 1)
+        with pytest.raises(MixedRingsError, match="^word entries must be ring elements over the code field$"):
+            code.contains(word)
+    with pytest.raises(MixedRingsError):
+        code.contains((ring_zero(f25),) * code.n)
+    assert code.contains((zero,) * code.n)
 
 
 def test_a_generator_longer_than_the_code_is_refused(f9):
@@ -259,6 +278,62 @@ def test_closure_check_is_refused_over_the_budget(f3, monkeypatch):
         is_closed_under(small, lambda w: skew_constacyclic_shift(w, small.alpha), budget=319)
     with pytest.raises(AssertionError, match="membership tested"):
         is_closed_under(small, lambda w: skew_constacyclic_shift(w, small.alpha), budget=320)
+
+
+def random_monic(spec, rng, degree):
+    return SkewPoly(spec, "fq", [spec.from_int(rng.randrange(spec.q)) for _ in range(degree)] + [spec.one])
+
+
+def closure_cases(rng):
+    """Codes over F9, F25 and F27 (t = 1), n = 1..6, whose CRT constants are
+    1, -1, a random element or 0: valid codes from random divisors, and the
+    same with one generator replaced by a random monic polynomial, rarely
+    a divisor (a corrupted code, built without build_code)."""
+    for spec in (make_field(3, 2, [1, 0, 1]), make_field(5, 2, [1, 1, 1]), make_field(3, 3, [1, 2, 0, 1])):
+        for n in range(1, 7):
+            for _ in range(3):
+                betas = [rng.choice((spec.one, -spec.one, spec.random_element(rng), spec.zero)) for _ in range(4)]
+                alpha = RingElement.from_crt(spec, *betas)
+                gens = [random_right_divisor(ModulusSpec(n, b), rng, rng.randint(0, n)) for b in betas]
+                yield build_code(spec, n, alpha, gens)
+                gens[rng.randrange(4)] = random_monic(spec, rng, rng.randint(0, n - 1))
+                yield SkewCode(spec, n, alpha, tuple(gens))
+
+
+def test_closure_is_the_per_word_check():
+    """is_closed_under, which tests only the images that are not the next
+    basis word, against testing every image, under tau, rho_l (l = gcd(n,
+    k)) and the untwisted constacyclic shift, on valid and corrupted
+    codes; each shift finds closed and open codes."""
+    rng = random.Random(38)
+    verdicts = {"tau": set(), "rho": set(), "untwisted": set()}
+    for code in closure_cases(rng):
+        shifts = {
+            "tau": lambda w: skew_constacyclic_shift(w, code.alpha),
+            "rho": lambda w: quasi_twist_shift(w, code.alpha, math.gcd(code.n, code.field.k)),
+            "untwisted": lambda w: constacyclic_shift(w, code.alpha),
+        }
+        for name, shift in shifts.items():
+            closed = is_closed_under(code, shift)
+            assert closed == per_word_closure(code, shift)
+            verdicts[name].add(closed)
+    assert all(found == {True, False} for found in verdicts.values())
+
+
+def test_a_tau_closed_code_tests_one_word_per_nonzero_component(monkeypatch):
+    """Word j + 1 of a component is the shift of word j, so only the last
+    word of each nonzero component is tested for membership."""
+    calls = []
+    contains = SkewCode.contains
+    monkeypatch.setattr(SkewCode, "contains", lambda self, word: calls.append(word) or contains(self, word))
+    rng = random.Random(7)
+    tested = 0
+    for code in itertools.islice(closure_cases(rng), 0, None, 2):
+        calls.clear()
+        assert is_closed_under(code, lambda w: skew_constacyclic_shift(w, code.alpha))
+        assert len(calls) <= sum(1 for k in code.dims if k)
+        tested += len(calls)
+    assert tested
 
 
 # --- duals ---

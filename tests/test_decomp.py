@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ModuleSpan, Span, constacyclic_shift
+from reference import ModuleSpan, Span, constacyclic_shift, per_row_minimal_generator
 from test_kernel import FIELDS
 
 import skewcodes.decomp as decomp
@@ -28,6 +28,7 @@ from skewcodes.decomp import (
 )
 from skewcodes.errors import (
     DEFAULT_BUDGET,
+    LengthMismatchError,
     MixedRingsError,
     NotADivisorError,
     NotAUnitError,
@@ -198,6 +199,56 @@ def outcome(find, vectors, n, constant):
 @given(component_spans())
 def test_minimal_generator_matches_its_regeneration(args):
     assert outcome(minimal_generator, *args) == outcome(regenerated_generator, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_spans())
+def test_minimal_generator_matches_the_per_row_check(args):
+    """Reading each echelon row's remainder off its low coefficients and
+    one residue row decides as summing every remainder did: the same
+    generator or the same refusal, on module spans, random words,
+    non-divisor bases and altered bases."""
+    assert outcome(minimal_generator, *args) == outcome(per_row_minimal_generator, *args)
+
+
+def test_the_round_trip_of_random_codes_matches_the_per_row_check():
+    """Every component of a random code over F9, F25 and F27, and the
+    same spans with one basis word dropped, added or altered."""
+    rng = random.Random(38)
+    rejected = 0
+    for params in SPAN_FIELDS[:2] + [(3, 3, [1, 2, 0, 1], 1)]:
+        spec = make_field(*params)
+        for n in range(1, 7):
+            for _ in range(4):
+                betas = [rng.choice((spec.one, -spec.one, spec.random_element(rng))) for _ in range(4)]
+                gens = [random_right_divisor(ModulusSpec(n, b), rng, rng.randint(0, n)) for b in betas]
+                code = build_code(spec, n, RingElement.from_crt(spec, *betas), gens)
+                for i, span in enumerate(extract_components(code.basis_words())):
+                    assert minimal_generator(span, n, betas[i]) == gens[i] == per_row_minimal_generator(span, n, betas[i])
+                    nonzero = [v for v in span if any(not c.is_zero for c in v)]
+                    altered = nonzero[:-1] + [random_word(spec, rng, n)] if nonzero else [random_word(spec, rng, n)]
+                    for vectors in (nonzero[1:], nonzero + [random_word(spec, rng, n)], altered):
+                        got = outcome(minimal_generator, vectors, n, betas[i])
+                        assert got == outcome(per_row_minimal_generator, vectors, n, betas[i])
+                        rejected += got == "rejected"
+    assert rejected
+
+
+def test_vectors_of_another_length_are_refused_before_the_elimination(monkeypatch, f9):
+    """minimal_generator and components_from_words refuse a vector whose
+    length is not n, or vectors of mixed lengths, with no elimination."""
+    def refuse(rows):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(decomp, "rref", refuse)
+    rng = random.Random(3)
+    three = [random_word(f9, rng, 3) for _ in range(2)]
+    for n, vectors in ((2, three), (4, three), (3, three + [random_word(f9, rng, 2)]), (3, [(f9.one,) * 4])):
+        with pytest.raises(LengthMismatchError):
+            minimal_generator(vectors, n, f9.one)
+        words = [tuple(RingElement.from_field(c) for c in v) for v in vectors]
+        with pytest.raises(LengthMismatchError):
+            components_from_words(words, n, ring_one(f9))
 
 
 def test_minimal_generator_makes_one_elimination(monkeypatch, f9, f25):

@@ -13,7 +13,7 @@ import random
 import time
 
 import pytest
-from reference import full_divisor_screen, random_ring_element
+from reference import full_divisor_screen, object_random_right_divisor, random_ring_element
 from test_kernel import FIELDS
 
 import skewcodes.skewpoly as skewpoly
@@ -430,12 +430,22 @@ def test_the_linear_screen_is_the_division_loop(name):
     assert hits
 
 
+def linear_divmod(f, g):
+    """skewpoly._linear_divmod on the logarithm lists of f and of a monic
+    linear g, one CRT component at a time, read back as (quot, rem)."""
+    spec = f.spec
+    pairs = [skewpoly._linear_divmod(spec, h, gi) for h, gi in zip(skewpoly._part_logs(f), skewpoly._part_logs(g))]
+    quot = skewpoly._from_part_logs(spec, f.ring, [q for q, _ in pairs])
+    return quot, skewpoly._from_part_logs(spec, f.ring, [[r] for _, r in pairs])
+
+
 @pytest.mark.parametrize("name", sorted(LINEAR_FIELDS))
 def test_the_linear_cofactor_is_the_right_division(name):
-    """The closed-form quotient and remainder of a monic linear divisor
-    against right_divmod, for every candidate x + c of each dividend with
-    at most 81 candidates and for the screen's hits and a sample otherwise;
-    the hits are certified and any other candidate is refused."""
+    """The closed-form quotient and remainder of a monic linear divisor, on
+    logarithm lists, against right_divmod, for every candidate x + c of
+    each dividend with at most 81 candidates and for the screen's hits and
+    a sample otherwise; the hits' remainders pass their certificate check
+    and any other candidate's is refused."""
     spec = make_field(*LINEAR_FIELDS[name])
     rng = random.Random(name)
     hits = 0
@@ -448,14 +458,15 @@ def test_the_linear_cofactor_is_the_right_division(name):
             for code in sorted(codes):
                 g = SkewPoly(spec, "fq", [spec.from_int(code), spec.one])
                 quot, rem = right_divmod(f, g)
-                assert skewpoly._linear_divmod(f, g) == (quot, rem)
+                assert linear_divmod(f, g) == (quot, rem)
                 if g in found:
-                    assert rem.is_zero and skewpoly._certify(f, g) == quot
+                    assert rem.is_zero
+                    skewpoly._check_certificate(f, g, linear_divmod(f, g)[1])
                     hits += 1
                 else:
                     assert not rem.is_zero
                     with pytest.raises(VerificationError):
-                        skewpoly._certify(f, g)
+                        skewpoly._check_certificate(f, g, linear_divmod(f, g)[1])
     assert hits
 
 
@@ -464,7 +475,8 @@ def test_the_linear_cofactor_over_r_is_the_right_division(name):
     """x^n - alpha over R and the cofactor of its first linear right
     factor, which is not a binomial: the linear right factors the screen
     finds (up to 64 of each, spread through its list) give right_divmod's
-    quotient in closed form, and x, where it is no factor, is refused."""
+    quotient in closed form, component by component on logarithm lists,
+    and x, where it is no factor, is refused by its remainder."""
     spec = make_field(*RING_FIELDS[name])
     rng = random.Random(name)
     x = r_poly(spec, [0, 1])
@@ -477,12 +489,14 @@ def test_the_linear_cofactor_over_r_is_the_right_division(name):
                 for g in found[::max(1, len(found) // 32)]:
                     quot, rem = right_divmod(h, g)
                     assert rem.is_zero
-                    assert skewpoly._linear_divmod(h, g) == (quot, rem)
-                    assert skewpoly._certify(h, g) == quot
+                    assert linear_divmod(h, g) == (quot, rem)
+                    skewpoly._check_certificate(h, g, linear_divmod(h, g)[1])
                     checked += h is not f
-                if not right_divmod(h, x)[1].is_zero:
+                quot, rem = right_divmod(h, x)
+                assert linear_divmod(h, x) == (quot, rem)
+                if not rem.is_zero:
                     with pytest.raises(VerificationError):
-                        skewpoly._certify(h, x)
+                        skewpoly._check_certificate(h, x, linear_divmod(h, x)[1])
                     refused += 1
     assert checked and refused
 
@@ -712,6 +726,36 @@ def test_degree_deg_f_is_lead_inverse_times_f(monkeypatch):
     mod = ModulusSpec(2, f9.root())
     assert random_right_divisor(mod, rng, 2) == mod.poly()
     assert rows and not any(rows) and linear == []
+
+
+def test_the_random_divisor_is_the_object_loop(monkeypatch):
+    """random_right_divisor on logarithm lists against the loop on
+    polynomial objects: the same divisor, and the same rng state after
+    each draw, over F9, F25, F27 and F81 (t = 2) and over R over F3 and F5,
+    with non-unit and zero constants, degrees from -1 to n + 2, and
+    degree-2 picks among them."""
+    quadratic = []
+    certify = skewpoly._certify
+    monkeypatch.setattr("skewcodes.skewpoly._certify", lambda f, g: quadratic.append(g) or certify(f, g))
+    cases = []
+    for name in STREAM_FIELDS:
+        spec = make_field(*STREAM_FIELDS[name])
+        cases += [ModulusSpec(n, beta) for n in range(1, 7)
+                  for beta in (spec.one, -spec.one, spec.root(), spec.zero)]
+    for name in ("F3", "F5"):
+        spec = make_field(*RING_FIELDS[name])
+        rng = random.Random(name)
+        alphas = signs_and_random_constants(spec, rng)[::3] + [RingElement.from_crt(spec, 0, 0, 0, 0)]
+        cases += [ModulusSpec(n, alpha) for n in range(1, 5) for alpha in alphas]
+    draws = 0
+    for i, mod in enumerate(cases):
+        ours, theirs = random.Random(i), random.Random(i)
+        for degree in range(-1, mod.n + 3):
+            assert random_right_divisor(mod, ours, degree) == object_random_right_divisor(mod, theirs, degree)
+            assert ours.getstate() == theirs.getstate()
+            draws += 1
+    assert draws > 1000
+    assert quadratic and {g.ring for g in quadratic} == {"fq", "R"}
 
 
 STREAM_FIELDS = {name: COFACTOR_FIELDS[name] for name in ("F9", "F25", "F27", "F81t2")}

@@ -9,6 +9,7 @@ re-record after a deliberate change of output, run
 and review the diff of tests/golden/ like any other change.
 """
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -115,6 +116,24 @@ def test_report_matches_golden(name):
 
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+# The decomposition suite seeds that perfbench/decomposition_seeds.json bands,
+# and the sha256 of their reports in that order, recorded before the random
+# divisors were peeled on logarithm lists.
+BAND_SEEDS = (1, 2, 10, 12, 14, 35, 55, 61)
+BAND_REPORTS = "eccd31ee46d32f787c3b389a2267e66172df7663bdb458e301f59d19f40e74b6"
+
+
+def test_the_band_seed_reports_are_pinned():
+    seeds = GOLDEN.parent.parent / "perfbench" / "decomposition_seeds.json"
+    assert tuple(json.loads(seeds.read_text())["band"]) == BAND_SEEDS
+    digest = hashlib.sha256()
+    for seed in BAND_SEEDS:
+        code, stdout = run(["verify", "decomposition", "--seed", str(seed), "--trials", "20"])
+        assert code == 0
+        digest.update(stdout.encode())
+    assert digest.hexdigest() == BAND_REPORTS
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
