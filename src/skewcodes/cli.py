@@ -275,24 +275,19 @@ def cmd_idempotent(args):
 def _suite_gray_commutation(seed, budget):
     runs = []
     for field in (field_f9(), field_f25()):
+        field_json = field_to_json(field)
+        alphas = (ring_one(field), RingElement.from_ints(field, -1), RingElement.from_ints(field, 1, 0, 0, -2))
+        pairs = [tau_omega4(alpha) for alpha in alphas]
+        alpha_json = [ring_to_json(alpha) for alpha in alphas]
         for n in (3, 4, 6):
-            alphas = (ring_one(field), RingElement.from_ints(field, -1), RingElement.from_ints(field, 1, 0, 0, -2))
-            verdicts = [check_commutation(*tau_omega4(alpha), field, n) is None for alpha in alphas]
+            verdicts = [w is None for w in check_commutation(pairs, field, n)]
             # the sigma/pi_4 identity is tau_omega4 with alpha = 1: one proof for both runs
-            runs.append({"identity": "sigma_pi4", "field": field_to_json(field), "n": n, "pass": verdicts[0]})
-            for alpha, passed in zip(alphas, verdicts):
-                runs.append(
-                    {
-                        "identity": "tau_omega4",
-                        "field": field_to_json(field),
-                        "n": n,
-                        "alpha": ring_to_json(alpha),
-                        "pass": passed,
-                    }
-                )
+            runs.append({"identity": "sigma_pi4", "field": field_json, "n": n, "pass": verdicts[0]})
+            for alpha, passed in zip(alpha_json, verdicts):
+                runs.append({"identity": "tau_omega4", "field": field_json, "n": n, "alpha": alpha, "pass": passed})
     f27 = field_f27()
-    passed = check_commutation(*permuted_sigma4(f27), f27, 5) is None
-    runs.append({"identity": "permuted_sigma4", "field": field_to_json(f27), "n": 5, "pass": passed})
+    (witness,) = check_commutation([permuted_sigma4(f27)], f27, 5)
+    runs.append({"identity": "permuted_sigma4", "field": field_to_json(f27), "n": 5, "pass": witness is None})
     return {"runs": runs, "pass": all(r["pass"] for r in runs)}
 
 

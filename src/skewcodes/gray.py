@@ -6,12 +6,14 @@ gray_permuted interleaves instead, emitting the 4-tuple of coordinate i at
 positions 4i..4i+3. Both are F_q-linear bijections, and Hamming weight of
 the image equals Lee weight of the preimage.
 
-check_commutation proves an identity lhs = rhs of word maps on all of R^n
-by running both once on a symbolic word and comparing monomial terms.
+check_commutation proves identities lhs = rhs of word maps on all of R^n
+by running every map once on one shared symbolic word and comparing
+monomial terms.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .codes import SkewCode
@@ -21,23 +23,31 @@ from .ring4 import RingElement, join_word, split_word
 from .skewpoly import blockwise_constacyclic_shift, skew_constacyclic_shift
 
 
+def _components(word):
+    """split_word(word); a word with an entry in F_q, which has no CRT
+    components, is refused with MixedRingsError."""
+    try:
+        return split_word(word)
+    except AttributeError:
+        raise MixedRingsError("the Gray map takes a word over R, not over F_q") from None
+
+
 def gray_map(word):
     """Concatenated CRT component blocks of an R-word."""
-    return sum(split_word(word), ())
+    return sum(_components(word), ())
 
 
 def gray_permuted(word):
     """Interleaved variant: coordinate i occupies positions 4i..4i+3."""
-    out = []
-    for entry in word:
-        out.extend(entry.crt())
-    return tuple(out)
+    return tuple(itertools.chain.from_iterable(zip(*_components(word))))
 
 
 def lee_weight(x) -> int:
     """Number of nonzero CRT components; extended additively to words."""
     if isinstance(x, RingElement):
         return sum(0 if c.is_zero else 1 for c in x.crt())
+    if isinstance(x, FieldElement):
+        raise MixedRingsError("Lee weight is defined on R, not on F_q")
     return sum(lee_weight(entry) for entry in x)
 
 
@@ -94,68 +104,109 @@ def permuted_sigma4(field: FieldSpec):
 
 class _Column:
     """Entry i of a symbolic word: each CRT place (four in R, one in F_q) is
-    0 (None) or the map x -> theta^e(a * x_s) (term (s, a)) of an input word
-    x, with x_s its CRT component s % 4 of entry s // 4; the places share e
-    mod k. frob adds to e; a constant b on the left (whose __mul__ returns
-    NotImplemented for a column) multiplies each a by theta^-e(b); crt
-    splits. Reading, adding, comparing or branching on an entry raises.
+    0 (None) or the map x -> theta^e(a * x_s) (term (s, log a), log on the
+    field's logarithm list) of an input word x, with x_s its CRT component
+    s % 4 of entry s // 4; the places share e mod k. frob adds to e; a
+    constant b on the left (whose __mul__ returns NotImplemented for a
+    column) adds log theta^-e(b) to each log a, and 1 returns the column;
+    crt splits. frob and crt are pure functions of the column's value,
+    which never changes, so each column keeps their results, and the split
+    of theta(x) is theta of the split of x: maps run on one word share every
+    entry they leave untouched, whichever order they twist and split in.
+    Reading, adding, comparing or branching on an entry raises.
     """
 
-    __slots__ = ("spec", "terms", "e")
+    __slots__ = ("spec", "terms", "e", "_source", "_frob", "_crt")
     __bool__ = __eq__ = None
 
-    def __init__(self, spec: FieldSpec, terms, e: int = 0):
+    def __init__(self, spec: FieldSpec, terms, e: int = 0, source=None):
         self.spec = spec
         self.terms = terms
         self.e = e
+        self._source = source  # the column this one is frob(1) of
+        self._frob = self._crt = None
 
     def frob(self, i: int = 1) -> "_Column":
-        return _Column(self.spec, self.terms, (self.e + i) % self.spec.k)
+        if i == 1 and self._frob is not None:
+            return self._frob
+        col = self
+        for _ in range(i % self.spec.k):
+            if col._frob is None:
+                col._frob = _Column(col.spec, col.terms, (col.e + 1) % col.spec.k, col)
+            col = col._frob
+        return col
 
     def __rmul__(self, const):
-        if not isinstance(const, (FieldElement, RingElement)):
+        if isinstance(const, RingElement):
+            factors = const.crt()
+        elif isinstance(const, FieldElement):
+            factors = (const,) * len(self.terms)
+        else:
             return NotImplemented
-        if const.spec != self.spec:
+        spec = self.spec
+        if factors[0].spec is not spec and factors[0].spec != spec:
             raise MixedRingsError("constant and word over different fields")
-        factors = const.crt() if isinstance(const, RingElement) else (const,) * len(self.terms)
+        codes = [b.code for b in factors]
+        if codes == [1] * len(self.terms):  # 1 * x = x
+            return self
         # an R constant times an entry in F_q is in R: its one place repeats
-        terms = self.terms * (len(factors) // len(self.terms))
+        terms = self.terms * (len(codes) // len(self.terms))
+        # theta^-e(b) = b^(p^(t(k-e))): its logarithm is log b times p^(t(k-e))
+        log, order, power = spec.log, spec.q - 1, spec._frob_mult[-self.e % spec.k]
         scaled = tuple([
-            None if t is None or b.is_zero else (t[0], b.frob(-self.e) * t[1])
-            for t, b in zip(terms, factors)
+            None if t is None or not b else (t[0], (t[1] + log[b] * power) % order)
+            for t, b in zip(terms, codes)
         ])
-        return _Column(self.spec, scaled, self.e)
+        return _Column(spec, scaled, self.e)
 
     def crt(self):
-        if len(self.terms) != 4:
-            raise TypeError("an entry in F_q has no CRT components")
-        return tuple([_Column(self.spec, (t,), self.e) for t in self.terms])
+        if self._crt is None:
+            if len(self.terms) != 4:
+                raise TypeError("an entry in F_q has no CRT components")
+            if self._source is None:
+                self._crt = tuple([_Column(self.spec, (t,), self.e) for t in self.terms])
+            else:  # the split of theta(x) is theta of the split of x
+                self._crt = tuple([part.frob(1) for part in self._source.crt()])
+        return self._crt
 
 
-def check_commutation(lhs, rhs, field: FieldSpec, n: int):
-    """The first word w of an F_p-basis of R^n with lhs(w) != rhs(w), or
-    None when lhs and rhs agree on all of R^n.
+def _basis_words(field: FieldSpec, n: int):
+    """The basis words (s, j), in order: CRT component s % 4 of entry s // 4
+    is xi^j, every other component is 0."""
+    for s in range(4 * n):
+        for j in range(field.m):
+            xi_j = field.from_int(field.p ** j)
+            yield join_word([xi_j if 4 * i + c == s else field.zero for i in range(n)] for c in range(4))
+
+
+def check_commutation(pairs, field: FieldSpec, n: int):
+    """For each pair (lhs, rhs) of word maps, in order: the first word w of
+    an F_p-basis of R^n with lhs(w) != rhs(w), or None when lhs and rhs
+    agree on all of R^n.
 
     The basis is the 4nm words with one nonzero CRT component, component c
-    of entry i equal to xi^j (code p^j), ordered by (i, c, j). lhs and rhs,
-    built from frob, multiplication by a constant, crt() and tuple slicing
-    or concatenation, run once on the word of n _Columns with place s
-    x -> x_s, so each output place is 0 or theta^e(a * x_s). By Artin's
-    lemma on the independence of the characters theta^e of F_q^*, two such
-    monomials agree on all inputs iff their (s, a, e mod k) are equal. So
-    equal terms prove lhs = rhs; on a mismatch lhs and rhs run on the basis
-    words in order, and, being F_p-linear, agree on R^n if they agree there.
-    Outputs of different lengths or entry kinds differ on every basis word.
+    of entry i equal to xi^j (code p^j), ordered by (i, c, j). Each lhs and
+    rhs, built from frob, multiplication by a constant, crt() and tuple
+    slicing or concatenation, runs once on one word of n _Columns, shared by
+    all pairs, with place s x -> x_s, so each output place is 0 or
+    theta^e(a * x_s). By Artin's lemma on the independence of the
+    characters theta^e of F_q^*, two such monomials agree on all inputs iff
+    their (s, a, e mod k) are equal. So equal terms prove lhs = rhs; on a
+    mismatch that pair's lhs and rhs run on the basis words in order, and,
+    being F_p-linear, agree on R^n if they agree there. Outputs of
+    different lengths or entry kinds differ on every basis word. The word,
+    and the frob and crt results its columns keep, live for this call only.
     """
-    word = tuple(_Column(field, tuple((s, field.one) for s in range(4 * i, 4 * i + 4))) for i in range(n))
-    left, right = lhs(word), rhs(word)
-    basis = (  # word (s, j): CRT component s % 4 of entry s // 4 is xi^j
-        join_word([xi_j if 4 * i + c == s else field.zero for i in range(n)] for c in range(4))
-        for s in range(4 * n)
-        for xi_j in (field.from_int(field.p ** j) for j in range(field.m))
-    )
-    if [len(x.terms) for x in left] != [len(y.terms) for y in right]:
-        return next(basis)
-    if all(x.e == y.e and x.terms == y.terms for x, y in zip(left, right)):
-        return None
-    return next((w for w in basis if lhs(w) != rhs(w)), None)
+    word = tuple(_Column(field, tuple((s, 0) for s in range(4 * i, 4 * i + 4))) for i in range(n))
+    witnesses = []
+    for lhs, rhs in pairs:
+        left, right = lhs(word), rhs(word)
+        # entries the two sides share are one object
+        same = (x is y or x.e == y.e and x.terms == y.terms for x, y in zip(left, right))
+        if len(left) == len(right) and all(same):
+            witnesses.append(None)
+        elif [len(x.terms) for x in left] != [len(y.terms) for y in right]:
+            witnesses.append(next(_basis_words(field, n)))
+        else:
+            witnesses.append(next((w for w in _basis_words(field, n) if lhs(w) != rhs(w)), None))
+    return witnesses

@@ -1,6 +1,7 @@
 """Tests of the Gray-commutation proof: gray.check_commutation, which runs
-two word maps once on a symbolic word and compares the monomial terms of
-their outputs, against the reference that evaluates them on every basis
+the word maps of each pair once on one shared symbolic word and compares
+the monomial terms of their outputs, against the reference that evaluates
+them on every basis
 word in one numpy pass (reference.basis_commutation) and against the loop
 that draws and maps one random word per trial; of the premise that makes
 agreement on the basis a proof, that the word maps are additive; and of
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 from reference import basis_commutation, random_ring_element, ring_elements
 from test_kernel import FIELDS
 
-from skewcodes.errors import MixedRingsError
+from skewcodes import cli, gray
+from skewcodes.errors import DEFAULT_BUDGET, MixedRingsError
 from skewcodes.gf import make_field
 from skewcodes.gray import check_commutation, gray_map, permuted_sigma4, tau_omega4
-from skewcodes.ring4 import RingElement, idempotents, ring_one
-from skewcodes.skewpoly import skew_constacyclic_shift
+from skewcodes.ring4 import RingElement, idempotents, ring_one, split_word
+from skewcodes.skewpoly import blockwise_constacyclic_shift, quasi_twist_shift, skew_constacyclic_shift
 
 CHECK_FIELDS = {
     "F9": (3, 2, [1, 0, 1], 1),
@@ -108,7 +110,7 @@ def test_batched_check_matches_the_loop(name, kind, n, trials, seed, data):
     crt_codes = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=4, max_size=4))
     lhs, rhs = identity_pair(spec, kind, crt_codes)
     found = loop_commutation(lhs, rhs, spec, n, trials, seed)
-    proved = check_commutation(lhs, rhs, spec, n)
+    proved = check_commutation([(lhs, rhs)], spec, n)[0]
     if found is not None:
         assert proved is not None
     if proved is not None:
@@ -139,7 +141,7 @@ def test_terms_give_the_verdict_and_witness_of_the_basis_pass(name, kind, n, dat
     few = sorted({0, 1, 2, spec.p % spec.q})  # xi = code p, which the twist moves if k > 1
     codes = lambda: data.draw(st.lists(st.sampled_from(few), min_size=4, max_size=4))
     lhs, rhs = identity_pair(spec, kind, codes())
-    assert check_commutation(lhs, rhs, spec, n) == basis_commutation(lhs, rhs, spec, n)
+    assert check_commutation([(lhs, rhs)], spec, n)[0] == basis_commutation(lhs, rhs, spec, n)
     size = data.draw(st.integers(1, n))
     sources = data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
     twists = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
@@ -153,9 +155,86 @@ def test_terms_give_the_verdict_and_witness_of_the_basis_pass(name, kind, n, dat
     consts[i] = codes() if change == "const" else consts[i]
     before[i] ^= change == "order"
     rhs = monomial_map(spec, sources, twists, consts, before)
-    proved = check_commutation(lhs, rhs, spec, n)
+    proved = check_commutation([(lhs, rhs)], spec, n)[0]
     assert proved == basis_commutation(lhs, rhs, spec, n)
     assert proved is None or lhs(proved) != rhs(proved)
+
+
+def swapped_gray(w):
+    """gray_map with blocks 2 and 3 swapped."""
+    a, b, c, d = split_word(w)
+    return a + c + b + d
+
+
+def mutated_pairs(alpha):
+    """tau_omega4(alpha) with one map broken: the Gray blocks 2 and 3
+    swapped on the left, theta dropped from the block shifts on the right,
+    and the wrapped entry twisted by theta^2 on the left."""
+    lhs, rhs = tau_omega4(alpha)
+    constants = alpha.crt()
+    untwisted = lambda w, c: quasi_twist_shift(w, c, 1)
+    blocks = lambda w: [w[b * (len(w) // 4):(b + 1) * (len(w) // 4)] for b in range(4)]
+    twice = lambda w: (alpha * w[-1].frob(2),) + tuple(c.frob(1) for c in w[:-1])
+    return [
+        (lambda w: swapped_gray(skew_constacyclic_shift(w, alpha)), rhs),
+        (lhs, lambda w: sum(map(untwisted, blocks(gray_map(w)), constants), ())),
+        (lambda w: gray_map(twice(w)), lambda w: blockwise_constacyclic_shift(gray_map(w), constants)),
+    ]
+
+
+def scaling_pairs(alpha):
+    """theta(alpha) * theta(x) = theta(alpha * x), which holds; alpha *
+    theta(x) against theta(alpha * x), which holds only when the twist fixes
+    alpha; and an F_q word scaled by the 1 of R, a word over R, against the
+    word itself."""
+    scaled_last = lambda w: ((alpha * w[-1]).frob(1),)
+    one = ring_one(alpha.spec)
+    return [
+        (lambda w: (alpha.frob(1) * w[-1].frob(1),), scaled_last),
+        (lambda w: (alpha * w[-1].frob(1),), scaled_last),
+        (lambda w: tuple(one * c for c in gray_map(w)), gray_map),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("name", sorted(CHECK_FIELDS))
+def test_pairs_sharing_one_word_get_the_verdicts_they_get_alone(name, n):
+    """A family of true identities and failing pairs, in random order, run
+    on one shared word: entry i of the answer is the reference's answer for
+    pair i alone, holding pairs after failing ones still get None, and
+    every holding pair is proved from its terms, its maps run once each.
+    The constants alpha have distinct CRT components, zero among them at
+    times."""
+    spec = make_field(*CHECK_FIELDS[name])
+    rng = random.Random(f"{name}-{n}")
+    pairs = [tau_omega4(ring_one(spec)), permuted_sigma4(spec)]
+    for _ in range(3):
+        codes = rng.sample(range(spec.q), 4)
+        alpha = ring_constant(spec, codes)
+        pairs += [tau_omega4(alpha), identity_pair(spec, "disagreeing", codes)]
+        pairs += [identity_pair(spec, "component_twist", codes), *mutated_pairs(alpha), *scaling_pairs(alpha)]
+    rng.shuffle(pairs)
+    expected = [basis_commutation(lhs, rhs, spec, n) for lhs, rhs in pairs]
+    assert None in expected and any(w is not None for w in expected)
+    runs = [0] * len(pairs)
+    counted = lambda i, f: lambda w: runs.__setitem__(i, runs[i] + 1) or f(w)
+    assert check_commutation([(counted(i, l), counted(i, r)) for i, (l, r) in enumerate(pairs)], spec, n) == expected
+    assert all(count == 2 for count, w in zip(runs, expected) if w is None)
+    failing_first = sorted(range(len(pairs)), key=lambda i: expected[i] is None)
+    assert check_commutation([pairs[i] for i in failing_first], spec, n) == [expected[i] for i in failing_first]
+
+
+def test_no_symbolic_state_outlives_a_call(monkeypatch):
+    """Two gray-commutation suites in a row build the same number of
+    columns and give the same report: nothing of one call serves the next."""
+    built = []
+    init = gray._Column.__init__
+    monkeypatch.setattr(gray._Column, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    first = cli._suite_gray_commutation(0, DEFAULT_BUDGET)
+    count = len(built)
+    second = cli._suite_gray_commutation(0, DEFAULT_BUDGET)
+    assert count > 0 and len(built) == 2 * count
+    assert second == first and first["pass"]
 
 
 @pytest.mark.parametrize("name", ["F9", "F27", "F81t2"])
@@ -170,7 +249,7 @@ def test_a_holding_identity_is_proved_from_its_terms_alone(name):
     for lhs, rhs in pairs:
         runs = []
         counted = lambda f: lambda w: runs.append(w) or f(w)
-        assert check_commutation(counted(lhs), counted(rhs), spec, 5) is None
+        assert check_commutation([(counted(lhs), counted(rhs))], spec, 5)[0] is None
         assert len(runs) == 2
 
 
@@ -184,16 +263,16 @@ def test_verdict_is_that_of_exhaustive_search(n, field, f3, f9):
         for crt_codes in ([1, 1, 1, 1], [1, 2, 0, 1], [2, 2, 2, 2]):
             lhs, rhs = identity_pair(spec, kind, crt_codes)
             agree = all(lhs(w) == rhs(w) for w in words)
-            assert (check_commutation(lhs, rhs, spec, n) is None) == agree
+            assert (check_commutation([(lhs, rhs)], spec, n)[0] is None) == agree
 
 
 def test_the_first_differing_basis_word_is_returned(f9):
     """Basis words are ordered by entry, then CRT component, then j."""
     # only xi^1 in component 2 of entry 1 is moved by the twist there
     pair = (lambda w: (idempotents(f9)[2] * w[1],), lambda w: (idempotents(f9)[2] * w[1].frob(1),))
-    assert check_commutation(*pair, f9, 3) == basis_word(f9, 3, 1, 2, 1)
+    assert check_commutation([pair], f9, 3)[0] == basis_word(f9, 3, 1, 2, 1)
     pair = (lambda w: (w[2],), lambda w: (f9.constant(2) * w[2],))
-    assert check_commutation(*pair, f9, 3) == basis_word(f9, 3, 2, 0, 0)
+    assert check_commutation([pair], f9, 3)[0] == basis_word(f9, 3, 2, 0, 0)
 
 
 def test_scaling_before_and_after_the_twist_differ_by_the_twist(f9):
@@ -204,8 +283,8 @@ def test_scaling_before_and_after_the_twist_differ_by_the_twist(f9):
     c = RingElement.from_crt(f9, 1, *[xi.frob(-1)] * 3)
     twisted_first = lambda const: lambda w: (const * w[1].frob(1),)
     scaled_first = lambda w: ((b * w[1]).frob(1),)
-    assert check_commutation(twisted_first(c), scaled_first, f9, 2) is None
-    assert check_commutation(twisted_first(b), scaled_first, f9, 2) == basis_word(f9, 2, 1, 1, 0)
+    assert check_commutation([(twisted_first(c), scaled_first)], f9, 2)[0] is None
+    assert check_commutation([(twisted_first(b), scaled_first)], f9, 2)[0] == basis_word(f9, 2, 1, 1, 0)
 
 
 def test_constacyclic_shift_agrees_with_the_cyclic_one_only_for_one(f9):
@@ -214,26 +293,26 @@ def test_constacyclic_shift_agrees_with_the_cyclic_one_only_for_one(f9):
     sigma = lambda w: skew_constacyclic_shift(w, f9.one)
     one = ring_constant(f9, [1, 1, 1, 1])
     pair = (sigma, lambda w: skew_constacyclic_shift(w, one))
-    assert check_commutation(*pair, f9, 4) is None
+    assert check_commutation([pair], f9, 4)[0] is None
     half = ring_constant(f9, [1, 1, 1, 0])
     pair = (sigma, lambda w: skew_constacyclic_shift(w, half))
     assert loop_commutation(*pair, f9, 4, 200) is not None
     # the wrapped entry 3 is scaled by 0 in component 3 only
-    assert check_commutation(*pair, f9, 4) == basis_word(f9, 4, 3, 3, 0)
+    assert check_commutation([pair], f9, 4)[0] == basis_word(f9, 4, 3, 3, 0)
 
 
 def test_outputs_of_different_shapes_differ_on_the_first_trial(f9):
     """Outputs of different lengths or entry kinds differ on every basis
     word, so the first one is returned."""
     first = basis_word(f9, 3, 0, 0, 0)
-    assert check_commutation(lambda w: w, gray_map, f9, 3) == first
-    assert check_commutation(lambda w: w, lambda w: w[1:], f9, 3) == first
+    assert check_commutation([(lambda w: w, gray_map)], f9, 3)[0] == first
+    assert check_commutation([(lambda w: w, lambda w: w[1:])], f9, 3)[0] == first
 
 
 def test_constants_from_another_field_are_refused(f9, f25):
     alpha = ring_constant(f25, [1, 2, 3, 4])
     with pytest.raises(MixedRingsError):
-        check_commutation(*tau_omega4(alpha), f9, 3)
+        check_commutation([tau_omega4(alpha)], f9, 3)[0]
 
 
 # --- the premise: every word map of an identity is additive ---
@@ -285,4 +364,4 @@ def test_word_maps_outside_the_contract_raise(name, f9):
     word_map = OUTSIDE_THE_CONTRACT[name]
     for pair in ((word_map, lambda w: w[:1]), (lambda w: w[:1], word_map)):
         with pytest.raises((TypeError, AttributeError)):
-            check_commutation(*pair, f9, 2)
+            check_commutation([pair], f9, 2)[0]

@@ -5,6 +5,7 @@ from reference import Span, gray_inverse, hamming_weight, interleave_permutation
 
 from skewcodes.catalog import example_code
 from skewcodes.codes import build_code
+from skewcodes.errors import MixedRingsError
 from skewcodes.gray import (
     check_commutation,
     gray_image_code,
@@ -64,6 +65,25 @@ def test_lee_weight_examples(f9):
     assert lee_weight(ring_one(f9)) == 4
 
 
+def test_gray_map_refuses_a_word_over_fq(f9):
+    with pytest.raises(MixedRingsError):
+        gray_map((f9.one, f9.from_int(3)))
+    with pytest.raises(MixedRingsError):  # an entry in F_q among entries in R
+        gray_map((ring_one(f9), f9.one))
+
+
+def test_gray_permuted_refuses_a_word_over_fq(f9):
+    with pytest.raises(MixedRingsError):
+        gray_permuted((f9.one, f9.from_int(3)))
+
+
+def test_lee_weight_refuses_elements_and_words_over_fq(f9):
+    with pytest.raises(MixedRingsError):
+        lee_weight(f9.one)
+    with pytest.raises(MixedRingsError):
+        lee_weight((ring_one(f9), f9.from_int(3)))
+
+
 def test_gray_is_lee_to_hamming_isometry(f9, f25):
     rng = random.Random(13)
     for spec in (f9, f25):
@@ -105,17 +125,17 @@ def test_gray_image_of_zero_code(f9):
 
 def test_commutation_sigma_pi4(f9):
     """sigma is tau_1 and pi_4 is omega_4 with unit constants."""
-    assert check_commutation(*tau_omega4(ring_one(f9)), f9, 3) is None
+    assert check_commutation([tau_omega4(ring_one(f9))], f9, 3)[0] is None
 
 
 def test_commutation_tau_omega4(f25, f9):
-    assert check_commutation(*tau_omega4(-ring_one(f25)), f25, 4) is None
+    assert check_commutation([tau_omega4(-ring_one(f25))], f25, 4)[0] is None
     mixed = RingElement.from_ints(f9, 1, 0, 0, -2)
-    assert check_commutation(*tau_omega4(mixed), f9, 6) is None
+    assert check_commutation([tau_omega4(mixed)], f9, 6)[0] is None
 
 
 def test_commutation_permuted_sigma4(f27):
-    assert check_commutation(*permuted_sigma4(f27), f27, 5) is None
+    assert check_commutation([permuted_sigma4(f27)], f27, 5)[0] is None
 
 
 def test_permuted_identity_needs_order_three(f9, f25):
@@ -123,7 +143,7 @@ def test_permuted_identity_needs_order_three(f9, f25):
     returned word is a counterexample."""
     for field in (f9, f25):
         lhs, rhs = permuted_sigma4(field)
-        w = check_commutation(lhs, rhs, field, 4)
+        w = check_commutation([(lhs, rhs)], field, 4)[0]
         assert w is not None and len(w) == 4
         assert lhs(w) != rhs(w)
 
@@ -134,8 +154,8 @@ def test_commutation_returns_the_first_counterexample(f9):
     first = (RingElement.from_crt(f9, 1, 0, 0, 0), ring_zero(f9), ring_zero(f9))
     sigma = lambda w: skew_constacyclic_shift(w, ring_one(f9))
     assert sigma(first) != first
-    assert check_commutation(lambda w: w, sigma, f9, 3) == first
-    assert check_commutation(lambda w: w, lambda w: w, f9, 3) is None
+    assert check_commutation([(lambda w: w, sigma)], f9, 3)[0] == first
+    assert check_commutation([(lambda w: w, lambda w: w)], f9, 3)[0] is None
 
 
 def test_image_closed_under_block_shift():
