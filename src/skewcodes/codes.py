@@ -66,8 +66,9 @@ class SkewCode:
     def modulus(self, i: int) -> ModulusSpec:
         return ModulusSpec(self.n, self.component_constants[i])
 
-    @property
+    @functools.cached_property
     def dims(self):
+        """Component dimensions n - deg g_i, computed once per code."""
         return tuple(self.n - f.degree for f in self.gens)
 
     @property

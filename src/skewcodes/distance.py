@@ -7,9 +7,14 @@ Exact answers come from one of two certificates:
 Otherwise the result degrades to bounds. The sweep decides each weight w by
 lookup: it sums the scaled columns of H over every (w-1)-position prefix and
 looks the sums up in a sorted table of the scaled columns c*h_j, by exact
-keys of their logarithms, a batch of _CHUNK sums per numpy pass.
-A level still counts all of its C(n, w) (q-1)^w candidates. Everything runs
-in numpy on the field's logarithm arrays (gf.FieldArrays), which are exact.
+keys of their logarithms, a batch of _CHUNK sums per numpy pass. It sums
+one coefficient vector per projective class, the one whose first
+coefficient is 1, (q-1)^(w-2) sums per prefix: the table is closed under
+scaling, so a vector and its multiples complete alike, and the first word
+in (support, coefficient) order has first coefficient 1 already
+(_bounded_weight_sweep). A level still counts all of its C(n, w) (q-1)^w
+candidates. The sweep runs in numpy on the field's logarithm arrays
+(gf.FieldArrays), which are exact.
 
 The rows are split into contiguous direct summands first: a cut falls
 before a column where a row starts and no row has nonzero entries on both
@@ -17,7 +22,9 @@ sides, as between the four CRT blocks of a Gray image. The row reduction and
 every level of the sweep are then made summand by summand, with the whole
 code's bound, budget gate and counts, so a code that splits is never
 reduced or swept as one length-n matrix; a matrix that does not split is the
-one-summand case.
+one-summand case. A summand keeps its RREF and parity checks as logarithm
+lists (linalg on logarithms) up to its lookup table; field elements are made
+only for a reported row.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, charge
-from .gf import FieldArrays, FieldSpec
+from .errors import DEFAULT_BUDGET, LengthMismatchError, MixedRingsError, charge
+from .gf import FieldArrays, FieldElement, FieldSpec
 from .linalg import nullspace, rref
 
 ENUM_CAP = 200_000
@@ -81,8 +88,20 @@ class DistanceResult:
 
 
 def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> DistanceResult:
-    """Minimum nonzero weight of the row space of `rows` over spec."""
+    """Minimum nonzero weight of the row space of `rows` over spec.
+
+    Raises LengthMismatchError for rows of unequal length and
+    MixedRingsError for an entry that is not an element of spec, before
+    anything is built.
+    """
     rows = list(rows)
+    if len({len(row) for row in rows}) > 1:
+        raise LengthMismatchError(f"rows of lengths {sorted({len(row) for row in rows})} in one matrix")
+    # the identity test first: make_field builds one FieldSpec per field
+    if not all(c.__class__ is FieldElement and c.spec is spec for row in rows for c in row) and not all(
+        isinstance(c, FieldElement) and c.spec == spec for row in rows for c in row
+    ):
+        raise MixedRingsError(f"rows hold an entry that is not an element of {spec!r}")
     words, parts = _reduce_by_summand(rows, spec)
     k = sum(len(part.basis) for part in parts)
     if k == 0:
@@ -129,20 +148,21 @@ def _summands(words):
 def _reduce_by_summand(rows, spec):
     """(words, parts): the rows as an array of element codes, which the
     sweep reuses for its bound, and a _Summand for each contiguous direct
-    summand, in column order, each holding the RREF of its rows cut to its
-    columns."""
+    summand, in column order, each given the logarithms of its rows cut to
+    its columns."""
     words = words_to_array(rows)
-    return words, [_Summand(spec, lo, hi, [rows[i] for i in part]) for (lo, hi), part in zip(*_summands(words))]
+    log = spec.log
+    return words, [
+        _Summand(spec, lo, hi, [[log[c.code] for c in rows[i][lo:hi]] for i in part])
+        for (lo, hi), part in zip(*_summands(words))
+    ]
 
 
 def _placed(parts, n):
-    """The summands' bases at their columns in length n, in summand order:
-    rref of the whole matrix, since the RREF is unique and the RREF of a
-    direct sum is its summands' RREFs side by side."""
-    return [
-        (part.spec.zero,) * part.lo + row + (part.spec.zero,) * (n - part.lo - part.width)
-        for part in parts for row in part.basis
-    ]
+    """The summands' bases at their columns in length n, in summand order,
+    as field elements: rref of the whole matrix, since the RREF is unique
+    and the RREF of a direct sum is its summands' RREFs side by side."""
+    return [part.placed(row, n) for part in parts for row in part.basis]
 
 
 def _enumerate_messages(basis, spec, budget) -> DistanceResult:
@@ -194,11 +214,12 @@ def _column_table(scaled):
 
 
 def _prefix_sums(scaled, arrays, prefixes):
-    """(P, (q-1)^(w-1), n-k) logarithms of sums: for each of the P prefixes
+    """(P, (q-1)^(w-2), n-k) logarithms of sums: for each of the P prefixes
     (rows of w-1 positions), the sums of its scaled columns over every
-    coefficient vector, in product order."""
+    coefficient vector whose first coefficient is 1, in product order of
+    the others."""
     wrap, plus, zero = arrays.wrap, arrays.plus, arrays.zero
-    sums = scaled[prefixes[:, 0]]
+    sums = scaled[prefixes[:, 0], :1]  # the coefficient with code 1 is the element 1
     for i in range(1, prefixes.shape[1]):
         x = sums[:, :, None, :]
         # log(x + y) = wrap[x + plus[y - x + zero]] on logarithms x, y
@@ -210,14 +231,16 @@ def _prefix_sums(scaled, arrays, prefixes):
 def _first_completable_prefix(scaled, arrays, table, w):
     """The first (w-1)-position prefix P, in combinations order, with a sum
     over P equal to some c*h_j with j > max(P); None when there is none.
+    Only sums with first coefficient 1 are tried: a multiple of a sum hits
+    the same columns (_bounded_weight_sweep).
 
     Whole prefixes are tested a batch at a time, _CHUNK sums per batch, or
-    one prefix when its (q-1)^(w-1) sums are more: one key per sum and one
+    one prefix when its (q-1)^(w-2) sums are more: one key per sum and one
     searchsorted against the column table per batch.
     """
     keys, last = table
     q = scaled.shape[1] + 1
-    count = (q - 1) ** (w - 1)
+    count = (q - 1) ** (w - 2)
     prefixes = combinations(range(len(scaled) - 1), w - 1)
     per_batch = max(1, _CHUNK // count)
     while True:
@@ -234,25 +257,33 @@ def _first_completable_prefix(scaled, arrays, table, w):
 
 class _Summand:
     """One contiguous direct summand, columns [lo, hi), of a code: the RREF
-    of its rows cut to its columns, and its parity checks H, the logarithms
-    of its scaled columns and its column table, built when a level of the
-    sweep first asks this summand for a word."""
+    of its rows cut to its columns, given and kept as logarithm lists, and
+    its parity checks H, the logarithms of its scaled columns and its
+    column table, built when a level of the sweep first asks this summand
+    for a word."""
 
     def __init__(self, spec, lo, hi, rows):
         self.spec, self.lo, self.width = spec, lo, hi - lo
-        self.basis, self.pivots = rref([row[lo:hi] for row in rows])
+        self.basis, self.pivots = rref(rows, spec)
         self._lookup = None
+
+    def placed(self, row, n):
+        """The basis row `row` (logarithms) at the summand's columns in
+        length n, as field elements."""
+        spec = self.spec
+        return (spec.zero,) * self.lo + tuple(spec.exp[x] for x in row) + (spec.zero,) * (n - self.lo - self.width)
 
     def first_word(self, w, arrays):
         """The summand's first word of weight w >= 2 in (support,
         coefficient) order, as (column in the summand, coefficient code)
         pairs, or None; asked for w = 2, 3, .. in turn, each only once no
         lighter word was found. The summand has no weight-1 word and is not
-        the full space, or its RREF would hold a unit row."""
+        the full space, or its RREF would hold a unit row. The word's first
+        coefficient is 1 (_bounded_weight_sweep)."""
         if self._lookup is None:
             # log(c*h_j), c = 1 .. q-1, of the summand's own H, read off its own pivots
-            H = words_to_array(nullspace(self.basis, self.width, self.spec, self.pivots))
-            scaled = arrays.wrap[arrays.log[1:, None] + arrays.log[H.T][:, None, :]].astype(np.intp)
+            H = np.array(nullspace(self.basis, self.width, self.spec, self.pivots, logs=True), dtype=np.intp)
+            scaled = arrays.wrap[arrays.log[1:, None] + H.T[:, None, :]].astype(np.intp)
             self._lookup = scaled, _column_table(scaled)
         scaled, table = self._lookup
         q = self.spec.q
@@ -260,7 +291,7 @@ class _Summand:
         if prefix is None:
             return None
         # the keys of the prefix's sums, negated (log(-x) = log x + (q-1)/2),
-        # one per coefficient vector in product order
+        # one per coefficient vector (1, c_2, .., c_(w-1)) in product order
         T = _prefix_sums(scaled, arrays, np.array([prefix]))[0]
         wanted = _row_keys(arrays.wrap[T + arrays.half], q)
         for j in range(prefix[-1] + 1, self.width):
@@ -268,7 +299,7 @@ class _Summand:
             hits = np.isin(wanted, column)
             if hits.any():
                 i = int(hits.argmax())
-                coefs = (*np.unravel_index(i, (q - 1,) * (w - 1)), np.flatnonzero(column == wanted[i])[0])
+                coefs = (0, *np.unravel_index(i, (q - 1,) * (w - 2)), np.flatnonzero(column == wanted[i])[0])
                 return tuple(zip(prefix + (j,), (int(c) + 1 for c in coefs)))
 
 
@@ -289,6 +320,20 @@ def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
     enumerating the completions of the first prefix that has one gives the
     word a full enumeration meets first.
 
+    Only the (q-1)^(w-2) sums whose first coefficient c_1 is 1 are tried,
+    one per projective class. The sum of the vector l*c is l times the sum
+    of c, and l*(c*h_j) = (l*c)*h_j, so the table is closed under scaling:
+    a sum is some c*h_j exactly when its multiples are, with the same
+    columns j and so the same largest one. A prefix with any completion
+    therefore has one with c_1 = 1, the multiple by c_1^(-1). Nor does the
+    word found change: the coefficient vectors of one support run in
+    product order, c_1 most significant, and coefficient code 1, the first,
+    is the element 1. If some vector completes at the first last column j,
+    so does its multiple with c_1 = 1, which comes before every vector with
+    another c_1; so the first word of the full order has c_1 = 1. Nor does
+    the count: candidates_swept is a level's C(n, w) (q-1)^w candidates,
+    all of them decided, whatever the sums made to decide them.
+
     Each level asks each summand in column order for a word of weight w, on
     the summand's own H. At the first level w that has a word, every lighter
     level has none, so w is the least summand distance and each weight-w
@@ -302,11 +347,18 @@ def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
     level 1, below a bound of 2 or more, has no word to find.
     """
     n, q = words.shape[1], spec.q
-    # upper bound and witness candidate: the first lightest presented row
-    basis = _placed(parts, n)
-    weights = np.count_nonzero(np.vstack((words, words_to_array(basis))), axis=1)
-    best_w = int(weights[weights > 0].min())
-    best_row = tuple((rows + basis)[int(np.argmax(weights == best_w))])
+    # upper bound and witness candidate: the first lightest presented row,
+    # made of field elements only if it is an RREF row
+    basis = [(part, row) for part in parts for row in part.basis]
+    zero = spec.log_zero
+    weights = np.count_nonzero(words, axis=1).tolist() + [len(row) - row.count(zero) for _, row in basis]
+    best_w = min(w for w in weights if w)
+    best = weights.index(best_w)
+    if best < len(rows):
+        best_row = tuple(rows[best])
+    else:
+        part, row = basis[best - len(rows)]
+        best_row = part.placed(row, n)
 
     swept = 0
     for w in range(1, best_w):

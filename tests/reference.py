@@ -9,7 +9,9 @@ Gray map) are written out. The Gray-commutation proof evaluates the word
 maps on every basis word in one numpy pass, the idempotent check is made
 by a rank, the self-dual constants are listed one by one, and the minimum
 distance sweep tries every support on q x q tables of element codes filled
-element by element, and the divisor screen tries all q^d candidates. The
+element by element, or every coefficient vector of each prefix, and the
+divisor screen tries all q^d candidates. Row reduction runs on field
+elements, with their arithmetic. The
 random divisor is peeled on polynomial objects, closure tests every shifted
 basis word and a minimal generator sums a remainder per echelon row, as the
 package did before it worked on logarithm lists and on what it already
@@ -27,6 +29,7 @@ from math import comb
 
 import numpy as np
 
+from skewcodes import distance
 from skewcodes.cli import main
 from skewcodes.decomp import extract_components
 from skewcodes.distance import DistanceResult, words_to_array
@@ -204,6 +207,146 @@ def reference_sweep(rows, basis, spec, n, budget):
                 word = [spec.zero] * n
                 for pos, c in zip(support, coef):
                     word[pos] = spec.from_int(int(c) + 1)
+                return DistanceResult(w, None, tuple(word), swept, "sweep-found-lighter")
+        swept += level
+    return DistanceResult(best_w, None, best_row, swept, "sweep-certified")
+
+
+# --- the minimum distance over every coefficient vector, on field elements ---
+
+def object_rref(rows):
+    """linalg.rref with FieldElement arithmetic: reduced rows and pivot
+    columns, zero rows dropped before the elimination."""
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        return [], []
+    zero = rows[0][0].spec.zero
+    rows = [r for r in rows if r.count(zero) < len(r)]
+    if not rows:
+        return [], []
+    pivots = []
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not rows[i][col].is_zero:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return [tuple(r) for r in rows[:rank]], pivots
+
+
+def object_nullspace(rows, ncols: int, spec: FieldSpec, pivots=None):
+    """linalg.nullspace on field elements: a basis of the classical dual,
+    one vector per free column; given pivots, rows are already an RREF."""
+    reduced, pivots = object_rref(rows) if pivots is None else (rows, pivots)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [spec.zero] * ncols
+        vec[fc] = spec.one
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def full_prefix_sums(scaled, arrays, prefixes):
+    """distance._prefix_sums over every coefficient vector: (P, (q-1)^(w-1),
+    n-k) logarithms of the sums of each prefix's scaled columns, in product
+    order."""
+    wrap, plus, zero = arrays.wrap, arrays.plus, arrays.zero
+    sums = scaled[prefixes[:, 0]]
+    for i in range(1, prefixes.shape[1]):
+        x = sums[:, :, None, :]
+        sums = wrap[x + plus[(scaled[prefixes[:, i]][:, None] + zero) - x]]
+        sums = sums.reshape(len(prefixes), -1, sums.shape[-1])
+    return sums
+
+
+def full_first_completable_prefix(scaled, arrays, table, w):
+    """distance._first_completable_prefix trying all (q-1)^(w-1) sums of
+    each prefix, in batches of distance._CHUNK sums."""
+    keys, last = table
+    q = scaled.shape[1] + 1
+    count = (q - 1) ** (w - 1)
+    prefixes = combinations(range(len(scaled) - 1), w - 1)
+    per_batch = max(1, distance._CHUNK // count)
+    while True:
+        batch = np.array(list(islice(prefixes, per_batch)), dtype=np.intp).reshape(-1, w - 1)
+        if not batch.size:
+            return None
+        wanted = distance._row_keys(full_prefix_sums(scaled, arrays, batch), q)
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
+        if hit.any():
+            return tuple(int(j) for j in batch[hit.argmax() // count])
+
+
+def full_first_word(basis, pivots, width, spec, w):
+    """distance._Summand.first_word over every coefficient vector, on the
+    RREF `basis` (field elements) with its pivots: the first word of weight
+    w in (support, coefficient) order, as (column, coefficient code) pairs,
+    or None."""
+    arrays = spec.arrays()
+    H = words_to_array(object_nullspace(basis, width, spec, pivots))
+    scaled = arrays.wrap[arrays.log[1:, None] + arrays.log[H.T][:, None, :]].astype(np.intp)
+    q = spec.q
+    prefix = full_first_completable_prefix(scaled, arrays, distance._column_table(scaled), w)
+    if prefix is None:
+        return None
+    T = full_prefix_sums(scaled, arrays, np.array([prefix]))[0]
+    wanted = distance._row_keys(arrays.wrap[T + arrays.half], q)
+    for j in range(prefix[-1] + 1, width):
+        column = distance._row_keys(scaled[j], q)
+        hits = np.isin(wanted, column)
+        if hits.any():
+            i = int(hits.argmax())
+            coefs = (*np.unravel_index(i, (q - 1,) * (w - 1)), np.flatnonzero(column == wanted[i])[0])
+            return tuple(zip(prefix + (j,), (int(c) + 1 for c in coefs)))
+
+
+def full_coefficient_min_distance(rows, spec, budget):
+    """distance.min_distance with each summand row-reduced on field elements
+    (object_rref) and each sweep level trying every coefficient vector of
+    every prefix (full_first_word); the split, the enumeration and the
+    budget gate are the package's."""
+    rows = list(rows)
+    words = words_to_array(rows)
+    parts = [
+        (lo, hi, *object_rref([rows[i][lo:hi] for i in members]))
+        for (lo, hi), members in zip(*distance._summands(words))
+    ]
+    k = sum(len(basis) for _, _, basis, _ in parts)
+    if k == 0:
+        return DistanceResult(None, None, None, 0, "zero-code", defined=False)
+    n, q = len(rows[0]), spec.q
+    if k == n:
+        return DistanceResult(1, None, (spec.one,) + (spec.zero,) * (n - 1), 0, "full-space")
+    placed = [(spec.zero,) * lo + row + (spec.zero,) * (n - hi) for lo, hi, basis, _ in parts for row in basis]
+    if q ** k <= min(budget, distance.ENUM_CAP):
+        return distance._enumerate_messages(placed, spec, budget)
+    weights = np.count_nonzero(np.vstack((words, words_to_array(placed))), axis=1)
+    best_w = int(weights[weights > 0].min())
+    best_row = tuple((rows + placed)[int(np.argmax(weights == best_w))])
+    swept = 0
+    for w in range(1, best_w):
+        level = comb(n, w) * (q - 1) ** w
+        if swept + level > budget:
+            return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
+        for lo, hi, basis, pivots in parts if w > 1 else ():
+            found = full_first_word(basis, pivots, hi - lo, spec, w)
+            if found is not None:
+                word = [spec.zero] * n
+                for pos, c in found:
+                    word[lo + pos] = spec.from_int(c)
                 return DistanceResult(w, None, tuple(word), swept, "sweep-found-lighter")
         swept += level
     return DistanceResult(best_w, None, best_row, swept, "sweep-certified")

@@ -969,7 +969,7 @@ def test_deep_params_reduce_and_sweep_no_row_longer_than_n(capsys, monkeypatch, 
 
     widths, tables = [], []
     rref, column_table = skewcodes.distance.rref, skewcodes.distance._column_table
-    monkeypatch.setattr(skewcodes.distance, "rref", lambda rows: widths.append(len(rows[0])) or rref(rows))
+    monkeypatch.setattr(skewcodes.distance, "rref", lambda rows, *spec: widths.append(len(rows[0])) or rref(rows, *spec))
     monkeypatch.setattr(
         skewcodes.distance, "_column_table", lambda scaled: tables.append(len(scaled)) or column_table(scaled)
     )

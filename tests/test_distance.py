@@ -8,13 +8,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Span, code_tables, hamming_weight, reference_sweep
+from reference import Span, code_tables, full_coefficient_min_distance, hamming_weight, reference_sweep
+from test_linalg import DIFFERENTIAL_FIELDS
 
 from skewcodes import distance
 from skewcodes.catalog import example_code, get_example
 from skewcodes.codes import build_code
 from skewcodes.distance import DistanceResult, field_tables, min_distance, words_to_array
-from skewcodes.errors import BudgetExceededError
+from skewcodes.errors import BudgetExceededError, LengthMismatchError, MixedRingsError
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_image_code
 from skewcodes.linalg import rref
@@ -381,9 +382,9 @@ def test_min_distance_row_reduces_once(monkeypatch):
     calls = []
     original = skewcodes.linalg.rref
 
-    def spy(rows):
+    def spy(rows, *spec):
         calls.append(len(rows[0]))
-        return original(rows)
+        return original(rows, *spec)
 
     monkeypatch.setattr(skewcodes.linalg, "rref", spy)
     monkeypatch.setattr(distance, "rref", spy)
@@ -747,3 +748,142 @@ def test_merged_rref_is_the_whole_rref():
     for spec, rows, _ in seeded_block_cases():
         assert merged_rref(rows, spec) == rref(rows)
     assert merged_rref([], make_field(3, 1, [0, 1])) == ([], [])
+
+
+# --- one coefficient vector per projective class, against every vector ---
+
+
+def hidden_block(spec, rng, weight):
+    """(width, rows) of a [weight + 3, 2] block whose rows (1, 0, x) and
+    (0, 1, y), its RREF, weigh weight + 2, where y = -x but on weight - 2
+    columns: their sum has the given weight, 2 to 4, and every word that is
+    no multiple of it weighs more (weight + 2, or at least 5)."""
+    nonzero = [spec.from_int(c) for c in range(1, spec.q)]
+    x = [rng.choice(nonzero) for _ in range(weight + 1)]
+    moved = rng.sample(range(weight + 1), weight - 2)
+    y = [rng.choice([c for c in nonzero if c != -a]) if j in moved else -a for j, a in enumerate(x)]
+    return weight + 3, [(spec.one, spec.zero, *x), (spec.zero, spec.one, *y)]
+
+
+def differential_cases():
+    """(spec, rows, unreached) of seeded block codes over every field of
+    DIFFERENTIAL_FIELDS: a hidden block of each weight 2, 3 and 4 alone,
+    then codes of one to four contiguous blocks, each a hidden block of
+    weight 2, 3 or 4 or a planted one, which hides a word of that weight
+    under one or two masks. In some a column that no row reaches
+    (unreached) follows a block, and stays in its summand."""
+    rng = random.Random(40)
+    for name in sorted(DIFFERENTIAL_FIELDS):
+        spec = make_field(*DIFFERENTIAL_FIELDS[name])
+        for weight in (2, 3, 4):
+            blocks = [hidden_block(spec, rng, weight)]
+            if weight == 3:
+                blocks.append((1, []))
+            yield spec, laid_out(spec, blocks), weight == 3
+        for _ in range(6):
+            blocks = []
+            for _ in range(rng.choice((1, 1, 2, 3, 4))):
+                weight = rng.randint(2, 4)
+                if rng.random() < 0.5:
+                    blocks.append(hidden_block(spec, rng, weight))
+                    continue
+                width = rng.randint(5, 8)
+                support = rng.sample(range(width), weight)
+                planted = [rng.randint(1, spec.q - 1) if i in support else 0 for i in range(width)]
+                masks = [[rng.randrange(spec.q) for _ in range(width)] for _ in range(rng.choice((1, 1, 2)))]
+                blocks.append((width, planted_rows(spec, planted, masks)))
+            unreached = rng.random() < 0.3
+            if unreached:
+                blocks.insert(rng.randint(1, len(blocks)), (1, []))
+            rows = laid_out(spec, blocks)
+            rng.shuffle(rows)
+            yield spec, rows, unreached
+
+
+def test_min_distance_is_the_sweep_over_every_coefficient_vector():
+    """min_distance, which sums one coefficient vector per projective class
+    and row-reduces on logarithms, gives the DistanceResult of the sweep
+    over every vector on field elements (reference), refusals included, at
+    every level boundary of the budget and the default, with the message
+    enumeration allowed and denied. Between them the cases find lighter
+    words of weight 2, 3 and 4, certify, run out of budget and hold a
+    column no row reaches."""
+    seen = set()
+    for spec, rows, unreached in differential_cases():
+        n = len(rows[0])
+        for budget in level_boundaries(n, spec.q) + [distance.DEFAULT_BUDGET]:
+            for cap in (distance.ENUM_CAP, 0):
+                with enumeration_cap(cap):
+                    ours = outcome(min_distance, rows, spec, budget)
+                    assert ours == outcome(full_coefficient_min_distance, rows, spec, budget)
+                method = ours.method if isinstance(ours, DistanceResult) else ours[0]
+                seen.add((method, ours.exact) if method == "sweep-found-lighter" else method)
+                if unreached and method.startswith("sweep"):
+                    seen.add("unreached")
+    assert seen >= {
+        ("sweep-found-lighter", 2), ("sweep-found-lighter", 3), ("sweep-found-lighter", 4),
+        "sweep-certified", "sweep-budget-exhausted", "message-enumeration", "refused", "unreached",
+    }
+
+
+def test_each_prefix_sums_one_vector_per_projective_class(f9, f25, monkeypatch):
+    """A spy on _prefix_sums sees (q-1)^(w-2) sums per prefix at w = 2, 3
+    and 4, over F9 and F25, where the sweep over every vector made
+    (q-1)^(w-1): random [8, 4] codes swept to weight 4."""
+    seen = {}
+    prefix_sums = distance._prefix_sums
+
+    def spy(scaled, arrays, prefixes):
+        sums = prefix_sums(scaled, arrays, prefixes)
+        assert sums.shape[0] == len(prefixes)
+        seen.setdefault((scaled.shape[1] + 1, prefixes.shape[1] + 1), set()).add(sums.shape[1])
+        return sums
+
+    monkeypatch.setattr(distance, "_prefix_sums", spy)
+    rng = random.Random(44)
+    with enumeration_cap(0):
+        for spec in (f9, f25):
+            while (spec.q, 4) not in seen:
+                min_distance(random_rows(spec, rng, 4, 8), spec, budget=10 ** 8)
+    assert seen == {(q, w): {(q - 1) ** (w - 2)} for q in (9, 25) for w in (2, 3, 4)}
+
+
+# --- rows that are no matrix over spec ---
+
+
+def refuse_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(distance, "words_to_array", refuse)
+    monkeypatch.setattr(distance, "_reduce_by_summand", refuse)
+
+
+def test_rows_of_another_field_are_refused(f9, f25, monkeypatch):
+    """F9 rows with the F25 spec raise MixedRingsError before anything is
+    built; they were answered as an F25 code (message enumeration over
+    15625 words)."""
+    rows = random_rows(f9, random.Random(1), 3, 6)
+    refuse_building(monkeypatch)
+    with pytest.raises(MixedRingsError, match=r"not an element of GF\(5\^2; t=1\)"):
+        min_distance(rows, f25)
+    with pytest.raises(MixedRingsError):
+        min_distance(rows[:2] + [rows[2][:5] + (f25.one,)], f9)
+
+
+def test_ragged_rows_are_refused(f9, monkeypatch):
+    """Rows of unequal length raise LengthMismatchError before anything is
+    built, where numpy raised its inhomogeneous-shape ValueError."""
+    rows = random_rows(f9, random.Random(2), 2, 6) + random_rows(f9, random.Random(3), 1, 5)
+    refuse_building(monkeypatch)
+    with pytest.raises(LengthMismatchError, match=r"^rows of lengths \[5, 6\] in one matrix$"):
+        min_distance(rows, f9)
+
+
+def test_rows_of_ints_are_refused(f9, monkeypatch):
+    """Int entries raise MixedRingsError before anything is built, where
+    reading their code raised AttributeError."""
+    refuse_building(monkeypatch)
+    for rows in ([(1, 2, 0, 1)], [(f9.one, f9.zero, 1, f9.one)]):
+        with pytest.raises(MixedRingsError):
+            min_distance(rows, f9)

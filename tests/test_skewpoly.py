@@ -755,7 +755,7 @@ def test_idempotent_check_makes_one_rref_and_no_span(f9, f49, monkeypatch):
     assert not hasattr(skewpoly, "rref") and not hasattr(skewpoly, "Span")
     calls = []
     rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append("rref") or rref(rows))
+    monkeypatch.setattr(linalg, "rref", lambda rows, *spec: calls.append("rref") or rref(rows, *spec))
     for spec, n in ((f9, 5), (f49, 3)):
         mod = ModulusSpec(n, spec.one)
         for f in right_divisor_search(mod, 1) + right_divisor_search(mod, 2):
