@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec
 from .linalg import nullspace
-from .ring4 import RingElement, join_word, ring_one, ring_zero, split_word
+from .ring4 import RingElement, join_word, ring_one, ring_zero
 
 
 def is_theta_fixed(c) -> bool:
@@ -326,10 +326,11 @@ def is_right_divisor(g: SkewPoly, mod: ModulusSpec) -> bool:
 _CHUNK = 1 << 11
 
 
-def _batched_divisor_codes(f: SkewPoly, degree: int):
+def _batched_divisor_codes(spec: FieldSpec, f, degree: int):
     """Coefficient codes (g_0, ..., g_{degree-1}) of the monic degree-`degree`
     polynomials g over F_q whose right remainder of f is zero, in
-    itertools.product order (g_0 most significant).
+    itertools.product order (g_0 most significant). f is a logarithm list
+    (see gf), ascending powers, with a nonzero top.
 
     At degree deg f the one such g is lead(f)^-1 * f, with no screen. At
     degree 1, a binomial f = x^n - c (monic, n >= 1, no other nonzero term)
@@ -352,23 +353,19 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
     candidates, in order, and sorts nothing.
     """
     if not degree:
-        yield ()
-        return
-    spec = f.spec
-    if degree == f.degree:
-        lead_inv = f.lead.inverse()
-        yield tuple((lead_inv * c).code for c in f.coeffs[:-1])
-        return
+        return [()]
+    if degree == len(f) - 1:
+        inverse = -f[-1] % (spec.q - 1)
+        return [tuple(spec.exp[l + inverse].code for l in f[:-1])]
     if degree == 1:
-        binomial = f.degree and f.is_monic and all(c.is_zero for c in f.coeffs[1:-1])
-        roots = _binomial_root_codes(spec, f.degree, -f.coeffs[0]) if binomial else _linear_root_codes(f)
-        yield from ((code,) for code in roots)
-        return
+        binomial = len(f) > 1 and f[-1] == 0 and f[1:-1] == [spec.log_zero] * (len(f) - 2)
+        roots = _binomial_root_codes(spec, len(f) - 1, -spec.exp[f[0]]) if binomial else _linear_root_codes(spec, f)
+        return [(code,) for code in roots]
     q = spec.q
     arrays = spec.arrays()
     zero = arrays.zero
     log, wrap, plus = (table.astype(np.intp) for table in (arrays.log, arrays.wrap, arrays.plus))
-    terms = [(j, spec.log[c.code]) for j, c in enumerate(f.coeffs) if not c.is_zero]
+    terms = [(j, l) for j, l in enumerate(f) if l != zero]
     norms = [_norm_exponent(spec, j) for j, _ in terms]
     group = math.gcd(q - 1, *(e - norms[0] for e in norms))
     # g_(d-1): 0, then the code of each coset of K_f with log below (q - 1) / G
@@ -387,7 +384,7 @@ def _batched_divisor_codes(f: SkewPoly, degree: int):
             rem = wrap[rem + plus[(term + zero) - rem]]
         hits.append(codes[:, (rem == zero).all(axis=0)].T)
     hits = np.concatenate(hits)
-    yield from map(tuple, hits.tolist()) if group == 1 else _orbit_images(spec, hits, group)
+    return list(map(tuple, hits.tolist())) if group == 1 else _orbit_images(spec, hits, group)
 
 
 def _stepped_terms(spec: FieldSpec, neg_g, terms):
@@ -440,15 +437,15 @@ def _norm_exponent(spec: FieldSpec, k: int) -> int:
     return (pow(r, k, order * (r - 1)) - 1) // (r - 1)
 
 
-def _linear_root_codes(f: SkewPoly):
-    """Ascending codes of the g_0 for which x + g_0 right-divides f over F_q,
-    one candidate at a time: with a = -g_0, x^k mod (x - a) is the norm
-    N_k(a) = a^(e_k) (_norm_exponent), so the remainder sum_k f_k a^(e_k) is
-    f_0 at a = 0, and otherwise one exponent and one Zech addition per term."""
-    spec = f.spec
+def _linear_root_codes(spec: FieldSpec, f):
+    """Ascending codes of the g_0 for which x + g_0 right-divides the
+    polynomial over F_q with logarithm list f, one candidate at a time: with
+    a = -g_0, x^k mod (x - a) is the norm N_k(a) = a^(e_k) (_norm_exponent),
+    so the remainder sum_k f_k a^(e_k) is f_0 at a = 0, and otherwise one
+    exponent and one Zech addition per term."""
     order, zero, log, plus = spec.q - 1, spec.log_zero, spec.log, spec.plus
-    terms = [(_norm_exponent(spec, k), log[c.code]) for k, c in enumerate(f.coeffs) if not c.is_zero]
-    out = [0] if f.coeff(0).is_zero else []
+    terms = [(_norm_exponent(spec, k), l) for k, l in enumerate(f) if l != zero]
+    out = [0] if f[0] == zero else []
     for code in range(1, spec.q):
         log_a, rem = log[spec.neg[code]], zero
         for e_k, log_fk in terms:
@@ -498,100 +495,97 @@ def _binomial_cofactor_codes(spec: FieldSpec, n: int, roots):
     return sorted(out)
 
 
-def _monic_divisors(spec: FieldSpec, found):
-    """The monic polynomials whose CRT components have the low coefficient
-    codes listed in `found`, one list per component: over F_q (one list)
-    in its order, over R (four lists) every combination, in lexicographic
-    coefficient order by the (a, b, c, d) codes of ascending powers."""
-    polys = [[SkewPoly(spec, "fq", [spec.from_int(c) for c in codes] + [spec.one]) for codes in part]
-             for part in found]
-    if len(polys) == 1:
-        return polys[0]
-    out = [from_components(*parts) for parts in itertools.product(*polys)]
-    out.sort(key=lambda g: [(c.a.code, c.b.code, c.c.code, c.d.code) for c in g.coeffs])
-    return out
+def _divisor_codes(spec: FieldSpec, found):
+    """Every choice of one entry from each list in `found`, the low
+    coefficient codes of monic divisors, one list per CRT component, as a
+    tuple of code tuples, one per component: over F_q (one list) in its
+    order, over R (four lists) in lexicographic order of the (a, b, c, d)
+    codes of ascending powers."""
+    choices = list(itertools.product(*found))
+    if len(found) > 1:
+        choices.sort(key=lambda choice: [(c.a.code, c.b.code, c.c.code, c.d.code)
+                                         for c in join_word([map(spec.from_int, codes) for codes in choice])])
+    return choices
 
 
-def _monic_right_factors(f: SkewPoly, degree: int):
-    """The monic degree-`degree` right divisors of an arbitrary polynomial f
-    that the screen finds, in the order of _monic_divisors: ascending
-    powers, each coefficient by its integer element code, or over R by its
-    (a, b, c, d) codes.
-
-    Each CRT component f_i (f itself over F_q) is screened on its own
-    (_batched_divisor_codes), since a monic g right-divides f exactly when
-    each component g_i right-divides f_i. Nothing is certified here: a
-    caller certifies a divisor by the right remainder or division it makes
-    with it.
-    """
-    parts = component_polys(f) if f.ring == "R" else (f,)
-    return _monic_divisors(f.spec, [list(_batched_divisor_codes(fi, degree)) for fi in parts])
+def _binomial_logs(spec: FieldSpec, n: int, beta: FieldElement):
+    """The logarithm list of x^n - beta over F_q."""
+    return [spec.log[(-beta).code]] + [spec.log_zero] * (n - 1) + [0]
 
 
-def _check_certificate(f: SkewPoly, g: SkewPoly, rem: SkewPoly):
-    """Raise VerificationError unless rem, the right remainder of f by the
-    screened divisor g, is zero."""
-    if not rem.is_zero:
-        raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
+def _monic_logs(spec: FieldSpec, choice):
+    """The logarithm lists of the monic polynomials whose low coefficient
+    codes are the tuples of `choice`, one per CRT component."""
+    log = spec.log
+    return [[log[c] for c in codes] + [0] for codes in choice]
 
 
-def _certify(f: SkewPoly, g: SkewPoly):
-    """The quotient of f by a screened monic divisor g, by right division;
-    a nonzero remainder raises."""
-    quot, rem = right_divmod(f, g)
-    _check_certificate(f, g, rem)
-    return quot
-
-
-def _part_logs(f: SkewPoly):
-    """f as logarithm lists (see gf), one per CRT component: one list over
-    F_q and four over R, ascending powers."""
-    log = f.spec.log
-    comps = split_word(f.coeffs) if f.ring == "R" else (f.coeffs,)
-    return [[log[c.code] for c in comp] for comp in comps]
-
-
-def _from_part_logs(spec: FieldSpec, ring: str, parts) -> SkewPoly:
+def _poly_of_logs(spec: FieldSpec, ring: str, parts) -> SkewPoly:
     """The polynomial whose CRT components have the logarithm lists `parts`,
-    all of one length: the inverse of _part_logs."""
+    all of one length: one list over F_q and four over R."""
     exp = spec.exp
     words = [[exp[l] for l in part] for part in parts]
     return SkewPoly(spec, ring, join_word(words) if ring == "R" else words[0])
 
 
-def _linear_divmod(spec: FieldSpec, f, g):
-    """right_divmod(f, g) on logarithm lists, for a monic linear g = x - a,
-    in closed form: f = quot * (x - a) + rem gives, from the top,
-    quot_(i-1) = f_i + quot_i theta^i(a), and rem = f_0 + quot_0 a. Returns
-    the quotient's list and the remainder's logarithm. theta^j multiplies a
-    nonzero logarithm by p^(tj) mod (q - 1)."""
-    order, zero, plus, k = spec.q - 1, spec.log_zero, spec.plus, spec.k
-    if g[0] == zero:
-        twists = [zero] * k
-    else:
-        a = (g[0] + order // 2) % order  # log(-x) = log x + (q - 1)/2
-        twists = [a * pow(spec.p, spec.t * j, order) % order for j in range(k)]  # theta^j(a)
-    quot = [zero]
-    for i in range(len(f) - 1, -1, -1):
-        # quot_i theta^i(a): the two logarithms add up to less than 2(q - 1)
-        # exactly when neither factor is zero
-        term = quot[-1] + twists[i % k]
-        term = term % order if term < zero else zero
-        total = f[i] + plus[term - f[i] + zero]
-        quot.append(total % order if total < zero else zero)
-    return quot[-2:0:-1], quot[-1]
+def _monic_divisors(spec: FieldSpec, found):
+    """The monic polynomials of _divisor_codes(spec, found), in its order."""
+    ring = "R" if len(found) > 1 else "fq"
+    return [_poly_of_logs(spec, ring, _monic_logs(spec, choice)) for choice in _divisor_codes(spec, found)]
+
+
+def _monic_right_factors(spec: FieldSpec, parts, degree: int):
+    """The monic degree-`degree` right divisors that the screen finds of the
+    polynomial whose CRT components (itself over F_q) have the logarithm
+    lists `parts`, as _divisor_codes' code tuples, in its order: ascending
+    powers, each coefficient by its integer element code, or over R by its
+    (a, b, c, d) codes. No polynomial is built.
+
+    Each component f_i is screened on its own (_batched_divisor_codes),
+    since a monic g right-divides f exactly when each component g_i
+    right-divides f_i. Nothing is certified here: a caller certifies a
+    divisor by the right remainder or division it makes with it.
+    """
+    return _divisor_codes(spec, [_batched_divisor_codes(spec, f, degree) for f in parts])
+
+
+def _log_divmod(spec: FieldSpec, f, g):
+    """right_divmod(f, g) for a monic g, on logarithm lists, one per CRT
+    component of each: the quotient's lists and the remainder's, deg g
+    logarithms each (f's own where deg f < deg g). From the top, step d
+    reads quot_d, the x^(d + deg g) coefficient left, and adds
+    quot_d theta^d(-g_j) to the x^(d + j) one, j < deg g."""
+    order, zero, plus, mult, k = spec.q - 1, spec.log_zero, spec.plus, spec._frob_mult, spec.k
+    quots, rems = [], []
+    for rem, gi in zip(f, g):
+        rem, low, quot = list(rem), len(gi) - 1, []
+        neg = [(l + order // 2) % order if l != zero else zero for l in gi[:-1]]  # log(-x) = log x + (q - 1)/2
+        for d in range(len(rem) - 1 - low, -1, -1):
+            c = rem.pop()
+            quot.append(c)
+            if c == zero:
+                continue
+            twist = mult[d % k]
+            for j, l in enumerate(neg, d):
+                if l != zero:
+                    term = (c + l * twist) % order
+                    total = rem[j] + plus[term - rem[j] + zero]
+                    rem[j] = total % order if total < zero else zero
+        quots.append(quot[::-1])
+        rems.append(rem)
+    return quots, rems
 
 
 def _log_product(spec: FieldSpec, f, g):
     """The skew product f * g of two polynomials over F_q as logarithm
     lists: sum f_i theta^i(g_j) x^(i+j), theta^i multiplying a nonzero
-    logarithm by p^(ti) mod (q - 1)."""
-    order, zero, plus = spec.q - 1, spec.log_zero, spec.plus
+    logarithm by spec._frob_mult[i mod k], p^(ti) mod (q - 1)."""
+    order, zero, plus, mult, k = spec.q - 1, spec.log_zero, spec.plus, spec._frob_mult, spec.k
     out = [zero] * (len(f) + len(g) - 1)
     for i, lf in enumerate(f):
         if lf == zero:
             continue
-        twist = pow(spec.p, spec.t * i, order)
+        twist = mult[i % k]
         for j, lg in enumerate(g, i):
             if lg != zero:
                 term = (lf + lg * twist) % order
@@ -609,40 +603,36 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     intermediate divisor a genuine right divisor: the remainder of the
     next cofactor certifies the factor picked, and only that one.
 
-    The cofactor and the divisor are kept as logarithm lists, one per CRT
-    component (_part_logs). A linear pick's cofactor and remainder come in
-    closed form (_linear_divmod), a degree-2 pick's by right division
-    (_certify), and the divisor grows by one product on the lists
-    (_log_product). The candidates are _monic_right_factors' list of the
-    cofactor, from which rng picks.
+    It runs on logarithm lists, one per CRT component, from start to end.
+    _monic_right_factors screens the cofactor's lists, rng picks from its
+    code tuples, and only the pick becomes lists (_monic_logs). One right
+    division on the lists (_log_divmod) gives the next cofactor, and its
+    all-zero remainder is the pick's certificate. The pick is multiplied
+    onto the divisor on the lists (_log_product), and the divisor is the
+    one polynomial built. A nonzero remainder raises VerificationError.
     """
     spec, ring, n = mod.spec, mod.ring, mod.n
     # x^n - beta_i for each CRT constant beta_i of alpha
     betas = mod.alpha.crt() if ring == "R" else (mod.alpha,)
-    parts = [[spec.log[(-beta).code]] + [spec.log_zero] * (n - 1) + [0] for beta in betas]
+    parts = [_binomial_logs(spec, n, beta) for beta in betas]
     divisor = [[0]] * len(parts)  # the logarithm of 1
     while len(divisor[0]) <= degree and len(parts[0]) > 1:
-        cofactor = _from_part_logs(spec, ring, parts)
         remaining = degree + 1 - len(divisor[0])
         candidates = []
-        for d in (1, 2):
-            if d > remaining or d > cofactor.degree:
-                continue
-            candidates = _monic_right_factors(cofactor, d)
+        for d in range(1, min(2, remaining, len(parts[0]) - 1) + 1):
+            candidates = _monic_right_factors(spec, parts, d)
             if candidates:
                 break
         if not candidates:
             break
-        g = rng.choice(candidates)
-        factor = _part_logs(g)
-        if g.degree == 1:
-            pairs = [_linear_divmod(spec, h, gi) for h, gi in zip(parts, factor)]
-            parts = [quot for quot, _ in pairs]
-            _check_certificate(cofactor, g, _from_part_logs(spec, ring, [[rem] for _, rem in pairs]))
-        else:
-            parts = _part_logs(_certify(cofactor, g))
+        factor = _monic_logs(spec, rng.choice(candidates))
+        quot, rem = _log_divmod(spec, parts, factor)
+        if any(l != spec.log_zero for part in rem for l in part):
+            raise VerificationError(f"candidate divisor {_poly_of_logs(spec, ring, factor)!r}"
+                                    f" does not right-divide {_poly_of_logs(spec, ring, parts)!r}")
+        parts = quot
         divisor = [_log_product(spec, gi, di) for gi, di in zip(factor, divisor)]
-    return _from_part_logs(spec, ring, divisor)
+    return _poly_of_logs(spec, ring, divisor)
 
 
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BUDGET):
@@ -689,7 +679,7 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
             candidates = len(betas) * q ** degree
             screened = candidates * certificate
             charge(budget, screened, f"{candidates} candidates * (n - degree + 1)(degree + 1)", "division steps")
-        found = [list(_batched_divisor_codes(ModulusSpec(n, beta).poly(), degree)) for beta in betas]
+        found = [_batched_divisor_codes(spec, _binomial_logs(spec, n, beta), degree) for beta in betas]
     count = math.prod(map(len, found))
     needs = f"{count} divisors * (n - degree + 1)(degree + 1)"
     charge(budget, screened + count * certificate, f"{screened} + {needs}" if screened else needs, "division steps")
@@ -700,7 +690,8 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     f = mod.poly()
     divisors = _monic_divisors(spec, found)
     for g in divisors:
-        _check_certificate(f, g, right_remainder(f, g))
+        if not right_remainder(f, g).is_zero:
+            raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
     return divisors
 
 
@@ -886,10 +877,3 @@ def from_components(f1: SkewPoly, f2: SkewPoly, f3: SkewPoly, f4: SkewPoly) -> S
         raise MixedRingsError("components must be base-field polynomials over one field")
     top = max(len(f.coeffs) for f in parts)
     return SkewPoly(f1.spec, "R", join_word(poly_to_word(f, top) for f in parts))
-
-
-def component_polys(f: SkewPoly):
-    """The four CRT component polynomials of an R-polynomial."""
-    if f.ring != "R":
-        raise MixedRingsError("expected a polynomial over R")
-    return tuple(SkewPoly(f.spec, "fq", comp) for comp in split_word(f.coeffs))

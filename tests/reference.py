@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from skewcodes import distance
+from skewcodes import distance, skewpoly
 from skewcodes.cli import main
 from skewcodes.decomp import extract_components
 from skewcodes.distance import DistanceResult, words_to_array
@@ -47,7 +47,8 @@ from skewcodes.serial import field_to_json, poly_to_json, ring_to_json
 from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
-    _monic_right_factors,
+    _monic_logs,
+    _poly_of_logs,
     reduce_mod,
     residue_sum,
     residues,
@@ -402,10 +403,34 @@ def full_divisor_screen(f: SkewPoly, degree: int):
     return list(map(tuple, codes[(rem == zero).all(axis=1)].tolist()))
 
 
+def component_polys(f: SkewPoly):
+    """The four CRT component polynomials of an R-polynomial: the inverse
+    of skewpoly.from_components."""
+    if f.ring != "R":
+        raise MixedRingsError("expected a polynomial over R")
+    return tuple(SkewPoly(f.spec, "fq", comp) for comp in split_word(f.coeffs))
+
+
+def component_logs(f: SkewPoly):
+    """f as logarithm lists (see gf), one per CRT component: one list over
+    F_q and four over R, ascending powers."""
+    log = f.spec.log
+    comps = split_word(f.coeffs) if f.ring == "R" else (f.coeffs,)
+    return [[log[c.code] for c in comp] for comp in comps]
+
+
+def monic_right_factors(f: SkewPoly, degree: int):
+    """skewpoly._monic_right_factors of f, looked up at each call so that a
+    spy on it sees these calls too, with its code tuples built into monic
+    polynomials, in its order."""
+    choices = skewpoly._monic_right_factors(f.spec, component_logs(f), degree)
+    return [_poly_of_logs(f.spec, f.ring, _monic_logs(f.spec, choice)) for choice in choices]
+
+
 def object_random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     """skewpoly.random_right_divisor on polynomial objects: the cofactor
     divided by each pick, and the pick multiplied onto the divisor, with
-    the same candidate lists (_monic_right_factors) and the same picks."""
+    the same candidate lists (monic_right_factors) and the same picks."""
     cofactor = mod.poly()
     divisor = SkewPoly(mod.spec, mod.ring, [cofactor._one_coeff()])
     while (divisor.degree or 0) < degree and cofactor.degree > 0:
@@ -414,7 +439,7 @@ def object_random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
         for d in (1, 2):
             if d > remaining or d > cofactor.degree:
                 continue
-            candidates = _monic_right_factors(cofactor, d)
+            candidates = monic_right_factors(cofactor, d)
             if candidates:
                 break
         if not candidates:

@@ -323,17 +323,21 @@ def test_module_words_make_no_division(monkeypatch, capsys, f9, f25):
 
 
 def test_twenty_decomposition_runs_make_at_most_108_divisions(monkeypatch):
-    """Seeds 0-19 of the decomposition suite: the divisions left are the
-    ones whose quotient is used, one per degree-2 factor random_right_divisor
-    peels. A linear factor's cofactor comes in closed form, and building and
-    verifying a code reads its remainders off its residue rows."""
+    """Seeds 0-19 of the decomposition suite divide no polynomial. The
+    divisions left are random_right_divisor's, one on logarithm lists per
+    factor it peels, whose quotient is the next cofactor; at most 108 of
+    them are by degree-2 factors. Building and verifying a code reads its
+    remainders off its residue rows."""
     from skewcodes.cli import SUITES
 
     divisions = spy_divisions(monkeypatch)
+    peeled = []
+    divide = skewpoly._log_divmod
+    monkeypatch.setattr(skewpoly, "_log_divmod", lambda spec, f, g: peeled.append(g) or divide(spec, f, g))
     for seed in range(20):
         assert SUITES["decomposition"](seed, DEFAULT_BUDGET)["pass"]
-    assert 0 < len(divisions) <= 108
-    assert all(g.degree == 2 for g in divisions)
+    assert divisions == []
+    assert 0 < sum(len(g[0]) == 3 for g in peeled) <= 108
 
 
 def test_verify_decomposition_on_examples():

@@ -13,7 +13,14 @@ import random
 import time
 
 import pytest
-from reference import full_divisor_screen, object_random_right_divisor, random_ring_element
+from reference import (
+    component_logs,
+    component_polys,
+    full_divisor_screen,
+    monic_right_factors,
+    object_random_right_divisor,
+    random_ring_element,
+)
 from test_kernel import FIELDS
 
 import skewcodes.skewpoly as skewpoly
@@ -23,8 +30,6 @@ from skewcodes.ring4 import RingElement
 from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
-    _monic_right_factors,
-    component_polys,
     from_components,
     r_poly,
     random_right_divisor,
@@ -73,6 +78,11 @@ def codes_of(g):
     return tuple(c.code for c in g.coeffs[:-1])
 
 
+def screen_codes(f, degree):
+    """skewpoly._batched_divisor_codes of a polynomial f over F_q."""
+    return list(skewpoly._batched_divisor_codes(f.spec, component_logs(f)[0], degree))
+
+
 def test_field_arrays_match_element_arithmetic():
     for name in ("F81t2", "F7", "F125"):
         spec = make_field(*FIELDS[name])
@@ -102,7 +112,7 @@ def test_batched_search_matches_the_division_loop(name):
             continue
         for n in (max(degree - 1, 1), degree + 1, degree + 3):
             for f, known in dividends(spec, rng, n, degree):
-                found = _monic_right_factors(f, degree)
+                found = monic_right_factors(f, degree)
                 if known is not None:
                     assert known in found
                 if count <= FULL:
@@ -179,7 +189,7 @@ def screened_dividends(spec, rng, degree):
         for alpha in alphas:
             f = ModulusSpec(n, alpha).poly()
             out.append(f)
-            linear = _monic_right_factors(f, 1)[:1]
+            linear = monic_right_factors(f, 1)[:1]
             out += [right_divmod(f, g)[0] for g in linear if n - 1 > degree]
     for half in (degree, degree + 1):
         coeffs = [spec.from_int(rng.randrange(1, spec.q)) if i % 2 == 0 else spec.zero for i in range(2 * half)]
@@ -201,7 +211,7 @@ def test_the_orbit_screen_is_the_full_screen(name):
         if degree == 3 and spec.q ** 3 > DEGREE_3:
             continue
         for f in screened_dividends(spec, rng, degree):
-            found = list(skewpoly._batched_divisor_codes(f, degree))
+            found = screen_codes(f, degree)
             assert found == full_divisor_screen(f, degree)
             orbits = orbits or (any(codes[-1] for codes in found) and scaling_group(f) > 1)
     assert orbits
@@ -217,7 +227,7 @@ def test_the_orbit_screen_over_r_is_the_full_screen(name):
     for n in range(3, 7):
         for alpha in signs_and_random_constants(spec, rng):
             for fi in component_polys(ModulusSpec(n, alpha).poly()):
-                found = list(skewpoly._batched_divisor_codes(fi, 2))
+                found = screen_codes(fi, 2)
                 assert found == full_divisor_screen(fi, 2)
                 hits += len(found)
     assert hits
@@ -233,7 +243,9 @@ def spy_screened_rows(monkeypatch):
         return stepped(spec, neg_g, terms)
 
     monkeypatch.setattr("skewcodes.skewpoly._stepped_terms", spied)
-    monkeypatch.setattr("skewcodes.skewpoly._batched_divisor_codes", lambda f, degree: rows.append(0) or screen(f, degree))
+    monkeypatch.setattr(
+        "skewcodes.skewpoly._batched_divisor_codes", lambda spec, f, degree: rows.append(0) or screen(spec, f, degree)
+    )
     return rows
 
 
@@ -260,7 +272,7 @@ def test_the_screen_tries_one_candidate_per_orbit(monkeypatch):
     for f, group in ((sparse, 8), (dense, 1)):
         assert scaling_group(f) == group
         rows.clear()
-        assert _monic_right_factors(f, 2) == loop_divisors(f, 2)
+        assert monic_right_factors(f, 2) == loop_divisors(f, 2)
         assert rows == [49 * (1 + 48 // group)]
 
 
@@ -269,10 +281,8 @@ def with_false_hit(monkeypatch, only=False):
     for a unit alpha, before its true hits, or (only=True) in their place."""
     screen = skewpoly._batched_divisor_codes
 
-    def screened(f, degree):
-        yield (0,) * degree
-        if not only:
-            yield from screen(f, degree)
+    def screened(spec, f, degree):
+        return [(0,) * degree] + ([] if only else screen(spec, f, degree))
 
     monkeypatch.setattr("skewcodes.skewpoly._batched_divisor_codes", screened)
 
@@ -327,38 +337,40 @@ class CountingRandom(random.Random):
         return super().choice(seq)
 
 
-def spy_certificate_checks(monkeypatch):
-    """The divisor of every certificate checked, in order."""
+def spy_log_divisions(monkeypatch):
+    """The divisor of every division on logarithm lists, as its lists, in
+    order: the certificates of the random divisor's picks."""
     calls = []
-    check = skewpoly._check_certificate
+    divide = skewpoly._log_divmod
     monkeypatch.setattr(
-        "skewcodes.skewpoly._check_certificate",
-        lambda f, g, rem: calls.append(g) or check(f, g, rem),
+        "skewcodes.skewpoly._log_divmod",
+        lambda spec, f, g: calls.append(g) or divide(spec, f, g),
     )
     return calls
 
 
 def test_a_random_divisor_divides_once_per_factor(monkeypatch):
-    """One certificate per factor peeled: a linear pick by the remainder of
-    its closed-form cofactor, with no right division, and a degree-2 pick by
-    the right division that gives its cofactor."""
+    """One certificate per factor peeled, linear or of degree 2: the
+    all-zero remainder of the division on logarithm lists that gives its
+    cofactor. No polynomial is divided."""
     divisions = spy_divisions(monkeypatch)
-    certified = spy_certificate_checks(monkeypatch)
+    certified = spy_log_divisions(monkeypatch)
     f3, f9, f25 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1]), make_field(5, 2, [1, 1, 1])
     cases = [(spec, n, spec.constant(s)) for spec in (f9, f25) for n in (2, 4, 6) for s in (1, -1)]
     cases += [(f3, n, RingElement.from_crt(f3, 1, -1, -1, 1)) for n in (2, 3, 4)]
-    peeled = linear = 0
+    peeled = linear = quadratic = 0
     for seed, (spec, n, alpha) in enumerate(cases):
         rng = CountingRandom(seed)
         divisions.clear()
         certified.clear()
         g = random_right_divisor(ModulusSpec(n, alpha), rng, n)
         assert len(certified) == rng.picks
-        assert divisions == [h for h in certified if h.degree == 2]
         assert g.degree >= rng.picks
         peeled += rng.picks
-        linear += rng.picks - len(divisions)
-    assert peeled > len(cases) and linear > len(cases)
+        linear += sum(len(h[0]) == 2 for h in certified)
+        quadratic += sum(len(h[0]) == 3 for h in certified)
+    assert divisions == []
+    assert peeled > len(cases) and linear > len(cases) and quadratic
 
 
 def spy_certificates(monkeypatch):
@@ -424,49 +436,41 @@ def test_the_linear_screen_is_the_division_loop(name):
     rng = random.Random(name)
     hits = 0
     for f in linear_screens(spec, rng):
-        found = _monic_right_factors(f, 1)
+        found = monic_right_factors(f, 1)
         assert found == loop_divisors(f, 1)
         hits += len(found)
     assert hits
 
 
-def linear_divmod(f, g):
-    """skewpoly._linear_divmod on the logarithm lists of f and of a monic
-    linear g, one CRT component at a time, read back as (quot, rem)."""
+def log_divmod(f, g):
+    """skewpoly._log_divmod of f by a monic g on their logarithm lists, one
+    per CRT component, read back as (quot, rem)."""
     spec = f.spec
-    pairs = [skewpoly._linear_divmod(spec, h, gi) for h, gi in zip(skewpoly._part_logs(f), skewpoly._part_logs(g))]
-    quot = skewpoly._from_part_logs(spec, f.ring, [q for q, _ in pairs])
-    return quot, skewpoly._from_part_logs(spec, f.ring, [[r] for _, r in pairs])
+    quot, rem = skewpoly._log_divmod(spec, component_logs(f), component_logs(g))
+    return skewpoly._poly_of_logs(spec, f.ring, quot), skewpoly._poly_of_logs(spec, f.ring, rem)
 
 
 @pytest.mark.parametrize("name", sorted(LINEAR_FIELDS))
 def test_the_linear_cofactor_is_the_right_division(name):
-    """The closed-form quotient and remainder of a monic linear divisor, on
-    logarithm lists, against right_divmod, for every candidate x + c of
-    each dividend with at most 81 candidates and for the screen's hits and
-    a sample otherwise; the hits' remainders pass their certificate check
-    and any other candidate's is refused."""
+    """The quotient and remainder of a monic linear divisor on logarithm
+    lists against right_divmod, for every candidate x + c of each dividend
+    with at most 81 candidates, and for the screen's hits and a sample
+    otherwise: the remainder is zero exactly for the hits."""
     spec = make_field(*LINEAR_FIELDS[name])
     rng = random.Random(name)
     hits = 0
     for n in (1, 2, 4, 7):
         for f, _known in dividends(spec, rng, n, 1):
-            found = _monic_right_factors(f, 1)
+            found = monic_right_factors(f, 1)
             codes = range(spec.q)
             if spec.q > 81:
                 codes = {codes_of(g)[0] for g in found} | {rng.randrange(spec.q) for _ in range(8)}
             for code in sorted(codes):
                 g = SkewPoly(spec, "fq", [spec.from_int(code), spec.one])
                 quot, rem = right_divmod(f, g)
-                assert linear_divmod(f, g) == (quot, rem)
-                if g in found:
-                    assert rem.is_zero
-                    skewpoly._check_certificate(f, g, linear_divmod(f, g)[1])
-                    hits += 1
-                else:
-                    assert not rem.is_zero
-                    with pytest.raises(VerificationError):
-                        skewpoly._check_certificate(f, g, linear_divmod(f, g)[1])
+                assert log_divmod(f, g) == (quot, rem)
+                assert rem.is_zero == (g in found)
+                hits += g in found
     assert hits
 
 
@@ -475,8 +479,8 @@ def test_the_linear_cofactor_over_r_is_the_right_division(name):
     """x^n - alpha over R and the cofactor of its first linear right
     factor, which is not a binomial: the linear right factors the screen
     finds (up to 64 of each, spread through its list) give right_divmod's
-    quotient in closed form, component by component on logarithm lists,
-    and x, where it is no factor, is refused by its remainder."""
+    quotient and zero remainder on logarithm lists, component by component,
+    and x, where it is no factor, its nonzero remainder."""
     spec = make_field(*RING_FIELDS[name])
     rng = random.Random(name)
     x = r_poly(spec, [0, 1])
@@ -484,21 +488,42 @@ def test_the_linear_cofactor_over_r_is_the_right_division(name):
     for n in range(2, 5):
         for alpha in signs_and_random_constants(spec, rng):
             f = ModulusSpec(n, alpha).poly()
-            for h in [f] + [right_divmod(f, g)[0] for g in _monic_right_factors(f, 1)[:1]]:
-                found = _monic_right_factors(h, 1)
+            for h in [f] + [right_divmod(f, g)[0] for g in monic_right_factors(f, 1)[:1]]:
+                found = monic_right_factors(h, 1)
                 for g in found[::max(1, len(found) // 32)]:
                     quot, rem = right_divmod(h, g)
                     assert rem.is_zero
-                    assert linear_divmod(h, g) == (quot, rem)
-                    skewpoly._check_certificate(h, g, linear_divmod(h, g)[1])
+                    assert log_divmod(h, g) == (quot, rem)
                     checked += h is not f
                 quot, rem = right_divmod(h, x)
-                assert linear_divmod(h, x) == (quot, rem)
-                if not rem.is_zero:
-                    with pytest.raises(VerificationError):
-                        skewpoly._check_certificate(h, x, linear_divmod(h, x)[1])
-                    refused += 1
+                assert log_divmod(h, x) == (quot, rem)
+                refused += not rem.is_zero
     assert checked and refused
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_FIELDS))
+def test_the_log_division_is_the_right_division(name):
+    """_log_divmod against right_divmod, quotient and remainder: monic g of
+    degree 1 to 3, x^d among them, with zero coefficients in g and in f, f
+    of every length from 0 (f = 0) to deg g + 5, so deg f < deg g too, and
+    f = h * g + r, whose quotient h and remainder r are known."""
+    spec = make_field(*SCREEN_FIELDS[name])
+    rng = random.Random(name)
+
+    def sparse(count):
+        return [spec.zero if rng.random() < 0.3 else spec.from_int(rng.randrange(1, spec.q)) for _ in range(count)]
+
+    zeros = 0
+    for degree in (1, 2, 3):
+        divisors = [[spec.zero] * degree] + [sparse(degree) for _ in range(5)]
+        for g in (SkewPoly(spec, "fq", low + [spec.one]) for low in divisors):
+            for length in range(degree + 6):
+                f = SkewPoly(spec, "fq", sparse(length))
+                assert log_divmod(f, g) == right_divmod(f, g)
+                zeros += any(c.is_zero for c in f.coeffs) and any(c.is_zero for c in g.coeffs)
+            h, r = random_poly(spec, rng, 3), SkewPoly(spec, "fq", sparse(degree))
+            assert log_divmod(h * g + r, g) == (h, r)
+    assert zeros
 
 
 def test_search_over_a_field_too_large_for_the_square_tables(monkeypatch):
@@ -548,7 +573,7 @@ def test_the_binomial_closed_form_is_the_division_loop(name):
             f = ModulusSpec(n, c).poly()
             if spec.q <= LOOPED:
                 assert want == loop_divisors(f, 1)
-            assert _monic_right_factors(f, 1) == want
+            assert monic_right_factors(f, 1) == want
             counts.add(len(want))
     # root counts other than 0 and 1: the gcd(e_n, q - 1) solutions
     assert max(counts) > 1 and 0 in counts
@@ -575,7 +600,7 @@ def test_the_cofactor_closed_form_is_the_division_loop(name):
             expected = binomial_divisors(spec, n, n - 1)
         elif candidates <= SAMPLED:
             constants = (spec.zero, spec.one, -spec.one, spec.root())
-            expected = {c: _monic_right_factors(ModulusSpec(n, c).poly(), n - 1) for c in constants}
+            expected = {c: monic_right_factors(ModulusSpec(n, c).poly(), n - 1) for c in constants}
         else:
             continue
         for c, want in expected.items():
@@ -616,7 +641,7 @@ def test_linear_factors_over_r_are_the_combinations_of_the_component_loops(name)
             parts = [loop_divisors(fi, 1) for fi in component_polys(f)]
             expected = [from_components(*gs) for gs in itertools.product(*parts)]
             expected.sort(key=lambda g: [(c.a.code, c.b.code, c.c.code, c.d.code) for c in g.coeffs])
-            assert _monic_right_factors(f, 1) == expected
+            assert monic_right_factors(f, 1) == expected
             combined += len(expected) > 1
     assert combined
 
@@ -639,7 +664,7 @@ def spy_linear_screens(monkeypatch):
     screen = skewpoly._linear_root_codes
     monkeypatch.setattr(
         "skewcodes.skewpoly._linear_root_codes",
-        lambda f: calls.append(f) or screen(f),
+        lambda spec, f: calls.append(f) or screen(spec, f),
     )
     return calls
 
@@ -651,11 +676,11 @@ def test_binomials_are_solved_without_a_screen(monkeypatch):
     f3, f9 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1])
     for n in range(1, 7):
         for c in f9.elements():
-            _monic_right_factors(ModulusSpec(n, c).poly(), 1)
+            monic_right_factors(ModulusSpec(n, c).poly(), 1)
         right_divisor_search(ModulusSpec(n, RingElement.from_crt(f3, 1, -1, 1, -1)), 1)
     assert screens == []
     dense = SkewPoly(f9, "fq", [f9.one] * 4)
-    assert _monic_right_factors(dense, 1) == loop_divisors(dense, 1)
+    assert monic_right_factors(dense, 1) == loop_divisors(dense, 1)
     assert len(screens) == 1
     # the first peel is of x^4 - 1 itself; the second, of its cofactor of
     # degree 3 with every coefficient nonzero, is screened
@@ -672,7 +697,8 @@ def test_degree_n_minus_one_is_solved_without_a_screen(monkeypatch):
     screens = []
     batched = skewpoly._batched_divisor_codes
     monkeypatch.setattr(
-        "skewcodes.skewpoly._batched_divisor_codes", lambda f, degree: screens.append(degree) or batched(f, degree)
+        "skewcodes.skewpoly._batched_divisor_codes",
+        lambda spec, f, degree: screens.append(degree) or batched(spec, f, degree),
     )
     certified = spy_certificates(monkeypatch)
     f3, f27 = make_field(3, 1, [0, 1]), make_field(3, 3, [1, 2, 0, 1])
@@ -719,13 +745,48 @@ def test_degree_deg_f_is_lead_inverse_times_f(monkeypatch):
     for degree in (2, 3):
         f = random_poly(f9, rng, degree)
         assert not f.is_monic
-        assert _monic_right_factors(f, degree) == [f.monic()] == loop_divisors(f, degree)
+        assert monic_right_factors(f, degree) == [f.monic()] == loop_divisors(f, degree)
         unit = RingElement.from_crt(f3, -1, 1, -1, -1)
         f = r_poly(f3, [random_ring_element(f3, rng) for _ in range(degree)] + [unit])
-        assert _monic_right_factors(f, degree) == [f.monic()]
+        assert monic_right_factors(f, degree) == [f.monic()]
     mod = ModulusSpec(2, f9.root())
     assert random_right_divisor(mod, rng, 2) == mod.poly()
     assert rows and not any(rows) and linear == []
+
+
+def test_a_random_divisor_builds_one_polynomial(monkeypatch):
+    """One random_right_divisor call builds one SkewPoly, the divisor it
+    returns, over F_q and over R, and calls _monic_right_factors once per
+    screen it tries: those of the loop on polynomial objects, at the same
+    degrees and with the same candidate counts, degree-2 screens and
+    screens that find nothing among them."""
+    built, screens = [], []
+    init = SkewPoly.__init__
+    monkeypatch.setattr(SkewPoly, "__init__", lambda self, *args: built.append(args[1]) or init(self, *args))
+    factors = skewpoly._monic_right_factors
+
+    def spied(spec, parts, degree):
+        found = factors(spec, parts, degree)
+        screens.append((degree, len(found)))
+        return found
+
+    monkeypatch.setattr("skewcodes.skewpoly._monic_right_factors", spied)
+    f3, f9, f25 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1]), make_field(5, 2, [1, 1, 1])
+    mods = [ModulusSpec(n, spec.constant(s)) for spec in (f9, f25) for n in range(2, 7) for s in (1, -1)]
+    mods += [ModulusSpec(n, RingElement.from_crt(f3, 1, -1, -1, 1)) for n in (2, 3, 4)]
+    seen = set()
+    for seed, mod in enumerate(mods):
+        for degree in (1, mod.n):
+            screens.clear()
+            object_random_right_divisor(mod, random.Random(seed), degree)
+            expected = list(screens)
+            screens.clear()
+            built.clear()
+            random_right_divisor(mod, random.Random(seed), degree)
+            assert built == [mod.ring]
+            assert screens == expected
+            seen |= {(mod.ring, d, count > 0) for d, count in screens}
+    assert {("fq", 2, True), ("R", 2, True), ("fq", 1, False)} <= seen
 
 
 def test_the_random_divisor_is_the_object_loop(monkeypatch):
@@ -734,9 +795,7 @@ def test_the_random_divisor_is_the_object_loop(monkeypatch):
     each draw, over F9, F25, F27 and F81 (t = 2) and over R over F3 and F5,
     with non-unit and zero constants, degrees from -1 to n + 2, and
     degree-2 picks among them."""
-    quadratic = []
-    certify = skewpoly._certify
-    monkeypatch.setattr("skewcodes.skewpoly._certify", lambda f, g: quadratic.append(g) or certify(f, g))
+    certified = spy_log_divisions(monkeypatch)
     cases = []
     for name in STREAM_FIELDS:
         spec = make_field(*STREAM_FIELDS[name])
@@ -755,7 +814,8 @@ def test_the_random_divisor_is_the_object_loop(monkeypatch):
             assert ours.getstate() == theirs.getstate()
             draws += 1
     assert draws > 1000
-    assert quadratic and {g.ring for g in quadratic} == {"fq", "R"}
+    # degree-2 picks, of one component over F_q and four over R
+    assert {len(g) for g in certified if len(g[0]) == 3} == {1, 4}
 
 
 STREAM_FIELDS = {name: COFACTOR_FIELDS[name] for name in ("F9", "F25", "F27", "F81t2")}

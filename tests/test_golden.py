@@ -10,6 +10,7 @@ and review the diff of tests/golden/ like any other change.
 """
 
 import hashlib
+import inspect
 import json
 import pathlib
 import sys
@@ -156,6 +157,20 @@ def test_the_band_seed_generators_are_pinned(monkeypatch):
         assert code == 0
     assert len(built) == 10 * len(BAND_SEEDS)
     assert hashlib.sha256(json.dumps(built).encode()).hexdigest() == BAND_GENERATORS
+
+
+def test_a_band_seed_request_reaches_the_traced_divisor_screen(monkeypatch):
+    """The traced verify benchmark reads skewpoly.divisor_candidates off the
+    calls of skewpoly._monic_right_factors, a plain function whose result
+    has a len: a band-seed decomposition request makes such calls."""
+    from skewcodes import skewpoly
+
+    factors, found = skewpoly._monic_right_factors, []
+    assert inspect.isfunction(factors) and not inspect.isgeneratorfunction(factors)
+    monkeypatch.setattr(skewpoly, "_monic_right_factors", lambda *args: found.append(factors(*args)) or found[-1])
+    code, _ = run(["verify", "decomposition", "--seed", str(BAND_SEEDS[0]), "--trials", "20"])
+    assert code == 0
+    assert found and sum(map(len, found))
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

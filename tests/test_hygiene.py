@@ -190,15 +190,12 @@ def _functions(body, prefix=""):
 
 
 def _discarded_quotients(func):
-    """The right_divmod(...)[1] expressions and bare _certify(...)
-    statements in func."""
+    """The right_divmod(...)[1] and _log_divmod(...)[1] expressions in func."""
     return sum(
         1 for sub in ast.walk(func)
-        if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Call)
-            and _callee(sub.value) == "right_divmod"
-            and isinstance(sub.slice, ast.Constant) and sub.slice.value == 1)
-        or (isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Call)
-            and _callee(sub.value) == "_certify")
+        if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Call)
+        and _callee(sub.value) in ("right_divmod", "_log_divmod")
+        and isinstance(sub.slice, ast.Constant) and sub.slice.value == 1
     )
 
 

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ModuleSpan, Span, commutative_remainder, run_main
+from reference import ModuleSpan, Span, commutative_remainder, component_polys, run_main
 from test_kernel import FIELDS
 
 from skewcodes.errors import (
@@ -28,7 +28,6 @@ from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
     c_mul,
-    component_polys,
     dual_generator,
     dual_idempotent,
     fq_poly,
@@ -483,7 +482,8 @@ def test_divisor_search_over_r_never_lists_r(monkeypatch):
     screens = []
     batched = skewpoly._batched_divisor_codes
     monkeypatch.setattr(
-        skewpoly, "_batched_divisor_codes", lambda f, degree: screens.append(f.ring) or batched(f, degree)
+        skewpoly, "_batched_divisor_codes",
+        lambda spec, f, degree: screens.append(len(f)) or batched(spec, f, degree),
     )
     f5 = make_field(5, 1, [0, 1])
     constants = [f5.constant(c) for c in (1, 2, 3, 4)]
@@ -498,7 +498,8 @@ def test_divisor_search_over_r_never_lists_r(monkeypatch):
     assert screens == []
     # x^4 - 1 and x^4 + 1 = (x^2 + 2)(x^2 + 3) each have degree-2 divisors over F_5
     assert right_divisor_search(ModulusSpec(4, RingElement.from_crt(f5, 1, -1, -1, 1)), 2)
-    assert screens == ["fq"] * 4
+    # one screen per component, each of the 5 logarithms of x^4 - beta_i
+    assert screens == [5] * 4
 
 
 def test_divisor_search_is_sorted(f9):
