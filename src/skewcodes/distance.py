@@ -283,7 +283,7 @@ class _Summand:
         if self._lookup is None:
             # log(c*h_j), c = 1 .. q-1, of the summand's own H, read off its own pivots
             H = np.array(nullspace(self.basis, self.width, self.spec, self.pivots, logs=True), dtype=np.intp)
-            scaled = arrays.wrap[arrays.log[1:, None] + H.T[:, None, :]].astype(np.intp)
+            scaled = arrays.wrap[arrays.log[1:, None] + H.T[:, None, :]]
             self._lookup = scaled, _column_table(scaled)
         scaled, table = self._lookup
         q = self.spec.q

@@ -15,18 +15,26 @@ case for zero:
                     log(1 + g^k) when x and y are nonzero (Z where
                     1 + g^k = 0), k when x = 0 and 0 when y = 0, so
                     exp[log x + plus[log y - log x + Z]] = x + y,
+    wrap[k]         k mod (q-1) for k < Z, Z up to k = 2Z, so
+                    wrap[log x + log y] = log(x*y) and
+                    wrap[log x + plus[log y - log x + Z]] = log(x + y),
     neg[c]          code of -c,
 
-plus one FieldElement per code. Every operation is then a few list lookups
-on codes, with no branch on zero, and allocates nothing. Inverses, powers
-and the twist x -> x^(p^(t*i)) multiply logarithms modulo q - 1.
+plus one FieldElement per code. Every index into exp or wrap is a sum of
+two table values, each below q-1 or equal to Z, so it is at most 2Z = 4(q-1)
+(plus reads a negative value only where log x = Z, and the sum is then
+log y). With half = (q-1)/2, the logarithm of -1, wrap[l + half] = log(-x).
+Every operation is then a few list lookups on codes, with no branch on
+zero, and allocates nothing. Inverses and powers multiply logarithms modulo
+q - 1, and so does the twist x -> x^(p^(t*i)): FieldSpec.twist applies it
+to a list of logarithms, the one place outside FieldElement that does.
 
 make_field interns fields: equal (p, m, modulus, t) give the same FieldSpec,
 so a same-field check is an identity test (FieldSpec.__eq__ stays the
 structural fallback). The tables take O(q) memory, so make_field refuses
 q = p^m above MAX_Q before it builds anything. FieldSpec.arrays() gives the
-same log and plus tables as numpy arrays (FieldArrays), built on first use,
-for arithmetic on many elements at once.
+same tables as numpy arrays (FieldArrays), built on first use, for
+arithmetic on many elements at once.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ from .errors import (
 )
 
 # The largest field make_field builds: 3^11. Building its tables takes about
-# 0.5 s and keeps about 52 MB (85 MB at the peak of the build, by tracemalloc;
-# the process peaks at about 120 MB).
+# 0.35 s and keeps about 64 MB (98 MB at the peak of the build, by
+# tracemalloc; the process peaks at about 130 MB), on a 2-core x86-64 VM.
 MAX_Q = 3 ** 11
 
 
@@ -149,12 +157,12 @@ class FieldSpec:
     """Immutable description of F_{p^m} with twist x -> x^(p^t).
 
     Build it with make_field. Its tables (see the module docstring) are
-    `exp` (FieldElements, length 4(q-1) + 1), `log`, `plus` (logarithms,
-    log_zero = 2(q-1) standing for log 0) and `neg` (codes).
+    `exp` (FieldElements, length 4(q-1) + 1), `log`, `plus`, `wrap`
+    (logarithms, log_zero = 2(q-1) standing for log 0) and `neg` (codes).
     """
 
     __slots__ = (
-        "p", "m", "modulus", "t", "q", "k", "log_zero", "exp", "log", "plus", "neg",
+        "p", "m", "modulus", "t", "q", "k", "log_zero", "exp", "log", "plus", "wrap", "neg",
         "_elems", "_frob_mult", "_arrays",
     )
 
@@ -208,11 +216,20 @@ class FieldSpec:
         # Slices of one list, so the two zech copies share their ints.
         self.plus = list(range(-zero, -order)) + [0] + zech[1:] + zech + [0] * (order + 1)
         self.log = log.tolist()
+        residues = list(range(order))
+        self.wrap = residues + residues + [zero] * (zero + 1)
         self.neg = ((-digits) % p @ weights).tolist()
         self._elems = [FieldElement(self, c) for c in range(q)]
         powers = [self._elems[c] for c in exp]
         self.exp = [*powers, *powers, *itertools.repeat(self._elems[0], zero + 1)]
         self._frob_mult = [pow(p, self.t * i, q - 1) for i in range(self.k)]
+
+    def twist(self, logs, i: int = 1):
+        """The logarithms of theta^i (i any integer) of the elements with
+        logarithms `logs`: each nonzero one times p^(ti) mod (q - 1), and
+        log_zero kept."""
+        mult, order, zero = self._frob_mult[i % self.k], self.q - 1, self.log_zero
+        return [l * mult % order if l != zero else zero for l in logs]
 
     def arrays(self) -> "FieldArrays":
         """The tables as numpy arrays, built on first use."""
@@ -268,42 +285,22 @@ class FieldSpec:
 
 
 class FieldArrays:
-    """A field's tables as int32 numpy arrays, for batched arithmetic.
-
-    Arithmetic runs on logarithms, with zero = 2(q-1) standing for the
-    logarithm of 0, as in the FieldSpec tables:
-
-        log[c]           the spec's log: logarithm of the element with
-                         code c (log[0] = zero)
-        exp[k]           code of the spec's exp[k]: g^k for k < 2(q-1),
-                         code 0 up to k = 4(q-1)
-        wrap[k]          k mod (q-1) for k < 2(q-1), zero up to k = 4(q-1):
-                         wrap[log x + log y] = log(x*y)
-        plus[k + zero]   the spec's plus, for k = log y - log x:
-                         wrap[log x + plus[log y - log x + zero]] = log(x+y)
-        frob[l]          logarithm of the twist x -> x^(p^t) of the element
-                         with logarithm l (frob[zero] = zero)
-
-    and half = (q-1)/2, the logarithm of -1: wrap[l + half] = log(-x).
-    """
+    """The FieldSpec's tables as numpy arrays of intp, the type numpy indexes
+    with, for batched arithmetic on logarithms (zero = 2(q-1) standing for
+    the logarithm of 0): log, wrap and plus are the spec's lists, exp[k] is
+    the code of the spec's exp[k], half = (q-1)/2 is the logarithm of -1,
+    and frob[l] = twist([l])[0] is the logarithm of x^(p^t) for the element
+    x with logarithm l < q-1 or l = zero (zero in between)."""
 
     __slots__ = ("zero", "half", "log", "exp", "wrap", "plus", "frob")
 
     def __init__(self, spec: FieldSpec):
-        q = spec.q
+        order = spec.q - 1
         zero = self.zero = spec.log_zero
-        self.half = (q - 1) // 2
-        top = 2 * zero + 1  # log x + log y <= 4(q-1)
-        log = self.log = np.array(spec.log, dtype=np.int32)
-        exp = self.exp = np.zeros(top, dtype=np.int32)
-        exp[log[1:]] = np.arange(1, q)
-        exp[q - 1:zero] = exp[:q - 1]
-        wrap = self.wrap = np.arange(top, dtype=np.int32)
-        wrap[:zero] %= q - 1
-        wrap[zero:] = zero
-        self.plus = np.array(spec.plus, dtype=np.int32)
-        frob = self.frob = np.full(zero + 1, zero, dtype=np.int32)
-        frob[:q - 1] = np.arange(q - 1, dtype=np.int64) * pow(spec.p, spec.t, q - 1) % (q - 1)
+        self.half = order // 2
+        self.log, self.wrap, self.plus = (np.array(table, dtype=np.intp) for table in (spec.log, spec.wrap, spec.plus))
+        self.exp = np.array([x.code for x in spec.exp], dtype=np.intp)
+        self.frob = np.array(spec.twist(spec.wrap[:order] + [zero] * (order + 1)), dtype=np.intp)
 
 
 _FIELDS = {}  # (p, m, modulus, t) -> the one FieldSpec built for it

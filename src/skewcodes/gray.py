@@ -146,16 +146,15 @@ class _Column:
         spec = self.spec
         if factors[0].spec is not spec and factors[0].spec != spec:
             raise MixedRingsError("constant and word over different fields")
-        codes = [b.code for b in factors]
-        if codes == [1] * len(self.terms):  # 1 * x = x
+        log, wrap, zero = spec.log, spec.wrap, spec.log_zero
+        logs = [log[b.code] for b in factors]
+        if logs == [0] * len(self.terms):  # 1 * x = x
             return self
         # an R constant times an entry in F_q is in R: its one place repeats
-        terms = self.terms * (len(codes) // len(self.terms))
-        # theta^-e(b) = b^(p^(t(k-e))): its logarithm is log b times p^(t(k-e))
-        log, order, power = spec.log, spec.q - 1, spec._frob_mult[-self.e % spec.k]
+        terms = self.terms * (len(logs) // len(self.terms))
         scaled = tuple([
-            None if t is None or not b else (t[0], (t[1] + log[b] * power) % order)
-            for t, b in zip(terms, codes)
+            None if t is None or l == zero else (t[0], wrap[t[1] + l])
+            for t, l in zip(terms, spec.twist(logs, -self.e))  # theta^-e(b)
         ])
         return _Column(spec, scaled, self.e)
 

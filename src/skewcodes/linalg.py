@@ -1,18 +1,19 @@
 """Exact Gaussian elimination over F_q.
 
-Desk-scale only: everything is dense and exact. The elimination runs in
-pure Python on lists of logarithms, with the field's own tables (gf's
-module docstring): spec.log reads an element's logarithm, spec.plus adds
-two logarithms, and spec.exp gives the element back, with log_zero standing
-for 0, so no entry needs a zero branch and no FieldElement is operated on.
-rref and nullspace take rows of field elements and return tuples of them,
-or, for a caller that keeps logarithms (the distance sweep), take and
-return logarithms.
+Desk-scale only: everything is dense and exact. The elimination and the
+inner product run in pure Python on lists of logarithms, with the field's
+own tables (gf's module docstring): spec.log reads an element's logarithm,
+spec.plus adds two logarithms and spec.wrap reduces the sum, and spec.exp
+gives the element back, with log_zero standing for 0, so no entry needs a
+zero branch and no FieldElement is operated on. rref and nullspace take
+rows of field elements and return tuples of them, or, for a caller that
+keeps logarithms (the distance sweep), take and return logarithms.
 """
 
 from __future__ import annotations
 
-from .gf import FieldSpec
+from .gf import FieldElement, FieldSpec
+from .ring4 import join_word, split_word
 
 
 def rref(rows, spec: FieldSpec | None = None):
@@ -32,7 +33,7 @@ def rref(rows, spec: FieldSpec | None = None):
         rows = [[log[c.code] for c in r] for r in rows]
     else:
         rows = [list(r) for r in rows]
-    order, zero, plus = spec.q - 1, spec.log_zero, spec.plus
+    order, zero, plus, wrap = spec.q - 1, spec.log_zero, spec.plus, spec.wrap
     half = order // 2  # the logarithm of -1
     rows = [r for r in rows if r.count(zero) < len(r)]
     pivots = []
@@ -43,8 +44,8 @@ def rref(rows, spec: FieldSpec | None = None):
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         # scale the pivot row by the inverse of its pivot: add q - 1 - log
-        inv = order - rows[rank][col]
-        row = rows[rank] = [(x + inv) % order if x < zero else zero for x in rows[rank]]
+        inv = wrap[order - rows[rank][col]]
+        row = rows[rank] = [wrap[x + inv] for x in rows[rank]]
         # its entries left of col are zero: earlier pivots cleared them
         terms = [(j, x) for j, x in enumerate(row[col:], col) if x != zero]
         for i, other in enumerate(rows):
@@ -52,12 +53,10 @@ def rref(rows, spec: FieldSpec | None = None):
             if i == rank or factor == zero:
                 continue
             # other - factor * row, term by term: log(-factor * x) is x + log factor + half
-            factor += half
+            factor = wrap[factor + half]
             for j, x in terms:
-                term = (x + factor) % order
                 y = other[j]
-                total = y + plus[term - y + zero]
-                other[j] = total % order if total < zero else zero
+                other[j] = wrap[y + plus[wrap[x + factor] - y + zero]]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -76,8 +75,8 @@ def nullspace(rows, ncols: int, spec: FieldSpec, pivots=None, logs: bool = False
     the rows and the basis are of logarithms in spec, as rref(rows, spec)
     gives them; otherwise both are of field elements.
     """
-    order, zero = spec.q - 1, spec.log_zero
-    half = order // 2
+    zero, wrap = spec.log_zero, spec.wrap
+    half = (spec.q - 1) // 2
     if not logs:
         log = spec.log
         rows = [[log[c.code] for c in r] for r in rows]
@@ -90,9 +89,7 @@ def nullspace(rows, ncols: int, spec: FieldSpec, pivots=None, logs: bool = False
         vec = [zero] * ncols
         vec[fc] = 0  # the logarithm of 1
         for row, pc in zip(reduced, pivots):
-            # log(-x) = log x + half; log 0 reads zero
-            total = row[fc] + half
-            vec[pc] = total % order if total < zero else zero
+            vec[pc] = wrap[row[fc] + half]  # log(-x)
         basis.append(tuple(vec))
     if logs:
         return basis
@@ -101,8 +98,13 @@ def nullspace(rows, ncols: int, spec: FieldSpec, pivots=None, logs: bool = False
 
 
 def inner_product(x, y):
+    """sum x_i * y_i of two words of one length over F_q, or over R, where
+    each of the four CRT components is an inner product over F_q."""
+    if x[0].__class__ is not FieldElement:
+        return join_word([inner_product(a, b)] for a, b in zip(split_word(x), split_word(y)))[0]
     spec = x[0].spec
-    acc = spec.zero
+    log, plus, wrap, zero = spec.log, spec.plus, spec.wrap, spec.log_zero
+    acc = zero
     for a, b in zip(x, y):
-        acc = acc + a * b
-    return acc
+        acc = wrap[acc + plus[wrap[log[a.code] + log[b.code]] - acc + zero]]
+    return spec.exp[acc]

@@ -363,8 +363,7 @@ def _batched_divisor_codes(spec: FieldSpec, f, degree: int):
         return [(code,) for code in roots]
     q = spec.q
     arrays = spec.arrays()
-    zero = arrays.zero
-    log, wrap, plus = (table.astype(np.intp) for table in (arrays.log, arrays.wrap, arrays.plus))
+    zero, log, wrap, plus = arrays.zero, arrays.log, arrays.wrap, arrays.plus
     terms = [(j, l) for j, l in enumerate(f) if l != zero]
     norms = [_norm_exponent(spec, j) for j, _ in terms]
     group = math.gcd(q - 1, *(e - norms[0] for e in norms))
@@ -396,8 +395,7 @@ def _stepped_terms(spec: FieldSpec, neg_g, terms):
     from x^0 = 1. Arrays and tables are intp, the type numpy indexes with,
     so that no lookup converts its index."""
     arrays = spec.arrays()
-    zero = arrays.zero
-    wrap, plus, frob = (table.astype(np.intp) for table in (arrays.wrap, arrays.plus, arrays.frob))
+    zero, wrap, plus, frob = arrays.zero, arrays.wrap, arrays.plus, arrays.frob
     power = np.full(neg_g.shape, zero)
     power[0] = 0  # x^0 = 1
     j = 0
@@ -443,14 +441,13 @@ def _linear_root_codes(spec: FieldSpec, f):
     a = -g_0, x^k mod (x - a) is the norm N_k(a) = a^(e_k) (_norm_exponent),
     so the remainder sum_k f_k a^(e_k) is f_0 at a = 0, and otherwise one
     exponent and one Zech addition per term."""
-    order, zero, log, plus = spec.q - 1, spec.log_zero, spec.log, spec.plus
+    order, zero, log, plus, wrap = spec.q - 1, spec.log_zero, spec.log, spec.plus, spec.wrap
     terms = [(_norm_exponent(spec, k), l) for k, l in enumerate(f) if l != zero]
     out = [0] if f[0] == zero else []
     for code in range(1, spec.q):
         log_a, rem = log[spec.neg[code]], zero
         for e_k, log_fk in terms:
-            total = rem + plus[(log_a * e_k + log_fk) % order - rem + zero]
-            rem = total % order if total < zero else zero
+            rem = wrap[rem + plus[(log_a * e_k + log_fk) % order - rem + zero]]
         if rem == zero:
             out.append(code)
     return out
@@ -554,23 +551,22 @@ def _log_divmod(spec: FieldSpec, f, g):
     component of each: the quotient's lists and the remainder's, deg g
     logarithms each (f's own where deg f < deg g). From the top, step d
     reads quot_d, the x^(d + deg g) coefficient left, and adds
-    quot_d theta^d(-g_j) to the x^(d + j) one, j < deg g."""
-    order, zero, plus, mult, k = spec.q - 1, spec.log_zero, spec.plus, spec._frob_mult, spec.k
+    quot_d theta^d(-g_j) to the x^(d + j) one, j < deg g. theta^d depends
+    only on d mod k, so each twisted -g is built once."""
+    zero, plus, wrap, half, k = spec.log_zero, spec.plus, spec.wrap, (spec.q - 1) // 2, spec.k
     quots, rems = [], []
     for rem, gi in zip(f, g):
         rem, low, quot = list(rem), len(gi) - 1, []
-        neg = [(l + order // 2) % order if l != zero else zero for l in gi[:-1]]  # log(-x) = log x + (q - 1)/2
+        neg = [wrap[l + half] for l in gi[:-1]]  # log(-x) = log x + (q - 1)/2
+        twists = [neg] + [spec.twist(neg, r) for r in range(1, min(k, len(rem) - low))]
         for d in range(len(rem) - 1 - low, -1, -1):
             c = rem.pop()
             quot.append(c)
             if c == zero:
                 continue
-            twist = mult[d % k]
-            for j, l in enumerate(neg, d):
+            for j, l in enumerate(twists[d % k], d):
                 if l != zero:
-                    term = (c + l * twist) % order
-                    total = rem[j] + plus[term - rem[j] + zero]
-                    rem[j] = total % order if total < zero else zero
+                    rem[j] = wrap[rem[j] + plus[wrap[c + l] - rem[j] + zero]]
         quots.append(quot[::-1])
         rems.append(rem)
     return quots, rems
@@ -578,19 +574,17 @@ def _log_divmod(spec: FieldSpec, f, g):
 
 def _log_product(spec: FieldSpec, f, g):
     """The skew product f * g of two polynomials over F_q as logarithm
-    lists: sum f_i theta^i(g_j) x^(i+j), theta^i multiplying a nonzero
-    logarithm by spec._frob_mult[i mod k], p^(ti) mod (q - 1)."""
-    order, zero, plus, mult, k = spec.q - 1, spec.log_zero, spec.plus, spec._frob_mult, spec.k
+    lists: sum f_i theta^i(g_j) x^(i+j), with theta^i(g) built once per
+    residue of i mod k."""
+    zero, plus, wrap, k = spec.log_zero, spec.plus, spec.wrap, spec.k
+    twists = [g] + [spec.twist(g, r) for r in range(1, min(k, len(f)))]
     out = [zero] * (len(f) + len(g) - 1)
     for i, lf in enumerate(f):
         if lf == zero:
             continue
-        twist = mult[i % k]
-        for j, lg in enumerate(g, i):
+        for j, lg in enumerate(twists[i % k], i):
             if lg != zero:
-                term = (lf + lg * twist) % order
-                total = out[j] + plus[term - out[j] + zero]
-                out[j] = total % order if total < zero else zero
+                out[j] = wrap[out[j] + plus[wrap[lf + lg] - out[j] + zero]]
     return out
 
 

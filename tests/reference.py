@@ -10,8 +10,9 @@ maps on every basis word in one numpy pass, the idempotent check is made
 by a rank, the self-dual constants are listed one by one, and the minimum
 distance sweep tries every support on q x q tables of element codes filled
 element by element, or every coefficient vector of each prefix, and the
-divisor screen tries all q^d candidates. Row reduction runs on field
-elements, with their arithmetic. The
+divisor screen tries all q^d candidates. Row reduction and the inner
+product run on field elements, with their arithmetic, and the field's
+numpy tables are written out from their definitions. The
 random divisor is peeled on polynomial objects, closure tests every shifted
 basis word and a minimal generator sums a remainder per echelon row, as the
 package did before it worked on logarithm lists and on what it already
@@ -257,6 +258,35 @@ def object_nullspace(rows, ncols: int, spec: FieldSpec, pivots=None):
             vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
+
+
+def object_inner_product(x, y):
+    """linalg.inner_product with the words' own arithmetic, over F_q or R."""
+    acc = x[0].spec.zero if isinstance(x[0], FieldElement) else RingElement.from_ints(x[0].spec)
+    for a, b in zip(x, y):
+        acc = acc + a * b
+    return acc
+
+
+def formula_field_arrays(spec: FieldSpec):
+    """gf.FieldArrays' tables (log, exp, wrap, plus, frob) as the package
+    built them with formulas of their own, before they were the spec's
+    lists: exp inverts log, wrap reduces modulo q - 1 and frob multiplies
+    by p^t modulo q - 1."""
+    q = spec.q
+    zero = spec.log_zero
+    top = 2 * zero + 1
+    log = np.array(spec.log, dtype=np.int32)
+    exp = np.zeros(top, dtype=np.int32)
+    exp[log[1:]] = np.arange(1, q)
+    exp[q - 1:zero] = exp[:q - 1]
+    wrap = np.arange(top, dtype=np.int32)
+    wrap[:zero] %= q - 1
+    wrap[zero:] = zero
+    plus = np.array(spec.plus, dtype=np.int32)
+    frob = np.full(zero + 1, zero, dtype=np.int32)
+    frob[:q - 1] = np.arange(q - 1, dtype=np.int64) * pow(spec.p, spec.t, q - 1) % (q - 1)
+    return log, exp, wrap, plus, frob
 
 
 def full_prefix_sums(scaled, arrays, prefixes):

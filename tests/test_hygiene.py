@@ -259,6 +259,34 @@ def test_r_words_are_joined_from_their_components_in_one_place():
     assert _callers("from_crt") == {("serial", "ring_from_json"), ("cli", "_suite_decomposition")}
 
 
+def test_logarithms_are_reduced_and_twisted_only_in_gf():
+    """gf's tables reduce every logarithm: wrap[l] folds a sum l of two
+    logarithms to l mod (q - 1), or to log_zero when it stands for 0, and
+    the negation is wrap[l + half]. So no src module writes the fold
+    `total % order if total < zero else zero` or the negation
+    `(l + half) % order if l != zero else zero`: the one conditional
+    expression with a remainder in a branch is gf.FieldSpec.twist, which
+    keeps log_zero as it is. theta^i on a logarithm multiplies it by
+    p^(ti) mod (q - 1), which only gf reads (FieldSpec._frob_mult) or
+    computes (a three-argument pow of an exponent in t)."""
+    nodes = [(path.stem, name, sub) for path in MODULES for name, func in _functions(parse(path).body) for sub in ast.walk(func)]
+    folds = {
+        (module, name)
+        for module, name, sub in nodes
+        if isinstance(sub, ast.IfExp)
+        and any(isinstance(branch, ast.BinOp) and isinstance(branch.op, ast.Mod) for branch in (sub.body, sub.orelse))
+    }
+    assert folds == {("gf", "FieldSpec.twist")}
+    readers = {module for module, _, sub in nodes if isinstance(sub, ast.Attribute) and sub.attr == "_frob_mult"}
+    powers = {
+        module
+        for module, _, sub in nodes
+        if isinstance(sub, ast.Call) and _callee(sub) == "pow" and len(sub.args) == 3
+        and any(getattr(t, "id", getattr(t, "attr", None)) == "t" for t in ast.walk(sub.args[1]))
+    }
+    assert readers | powers == {"gf"}
+
+
 def test_words_are_cut_into_blocks_in_one_place():
     """skewpoly._blocks cuts a word into a number of blocks;
     skewpoly.quasi_twist_shift checks a block size of its own."""

@@ -6,9 +6,11 @@ and the full Frobenius (1 < t < m).
 """
 
 import itertools
+import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +25,12 @@ from sympy.polys.galoistools import (
     gf_sub,
 )
 
+from reference import formula_field_arrays, object_inner_product, random_ring_element
+
 from skewcodes.errors import DivisionByZeroError, FieldTooLargeError, MixedRingsError
 from skewcodes.gf import MAX_Q, FieldSpec, _is_irreducible, make_field
+from skewcodes.linalg import inner_product
+from skewcodes.ring4 import RingElement, join_word
 
 # (p, m, modulus ascending, t)
 FIELDS = {
@@ -165,6 +171,85 @@ def test_field_arrays_are_built_on_first_use():
     spec = FieldSpec(*SMALL_FIELDS["F9"])
     assert spec._arrays is None
     assert spec.arrays() is spec.arrays()
+
+
+# the fields of the logarithm-table properties: every pair is checked
+TABLE_FIELDS = {**FIELDS, **SMALL_FIELDS, "F49": (7, 2, [3, 6, 1], 1)}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_wrap_reduces_every_index(name):
+    """wrap[k], 0 <= k <= 4(q-1), is the one logarithm of g^k (log 0 = Z
+    from Z up), and reducing it again changes nothing."""
+    spec = make_field(*TABLE_FIELDS[name])
+    order, zero = spec.q - 1, spec.log_zero
+    assert len(spec.wrap) == 4 * order + 1 == 2 * zero + 1
+    for k, l in enumerate(spec.wrap):
+        assert l == (k % order if k < zero else zero)
+        assert spec.exp[l] is spec.exp[k] and spec.wrap[l] == l
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_logarithm_sums_products_and_negations_are_the_field_operations(name):
+    """On every pair (x, y), zeros included: wrap[x + plus[y - x + Z]] is
+    log(x + y) and wrap[x + y] is log(x * y) on logarithms x, y, and
+    wrap[x + half] is log(-x)."""
+    spec = make_field(*TABLE_FIELDS[name])
+    log, plus, wrap, zero = spec.log, spec.plus, spec.wrap, spec.log_zero
+    half = (spec.q - 1) // 2
+    elems = list(spec.elements())
+    for x in elems:
+        lx = log[x.code]
+        assert wrap[lx + half] == log[(-x).code]
+        assert [wrap[lx + plus[log[y.code] - lx + zero]] for y in elems] == [log[(x + y).code] for y in elems]
+        assert [wrap[lx + log[y.code]] for y in elems] == [log[(x * y).code] for y in elems]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_twist_is_the_frobenius_power_on_logarithms(name):
+    """FieldSpec.twist(logs, i) is theta^i on every element, zero included,
+    for i from -k to 2k."""
+    spec = make_field(*TABLE_FIELDS[name])
+    elems = list(spec.elements())
+    for i in range(-spec.k, 2 * spec.k + 1):
+        assert spec.twist(spec.log, i) == [spec.log[x.frob(i).code] for x in elems]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_field_arrays_are_the_spec_lists_and_the_table_formulas(name):
+    """FieldArrays holds the spec's lists as intp arrays, entry by entry
+    equal to the tables written out from their definitions."""
+    spec = make_field(*TABLE_FIELDS[name])
+    arrays = spec.arrays()
+    built = (arrays.log, arrays.exp, arrays.wrap, arrays.plus, arrays.frob)
+    for table, formula in zip(built, formula_field_arrays(spec)):
+        assert table.dtype == np.intp
+        assert table.tolist() == formula.tolist()
+    assert arrays.wrap.tolist() == spec.wrap and arrays.exp.tolist() == [x.code for x in spec.exp]
+    assert (arrays.zero, arrays.half) == (spec.log_zero, (spec.q - 1) // 2)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_inner_product_is_the_sum_of_products(name):
+    """linalg.inner_product against the sum with the words' own arithmetic,
+    over F_q and over R, on random words, sparse words and zero words."""
+    spec = make_field(*TABLE_FIELDS[name])
+    rng = random.Random(42)
+    for n in (1, 2, 6, 13):
+        sparse = [spec.zero if rng.random() < 0.5 else spec.random_element(rng) for _ in range(n)]
+        words = [
+            [spec.random_element(rng) for _ in range(n)],
+            [spec.random_element(rng) for _ in range(n)],
+            sparse,
+            [spec.zero] * n,
+        ]
+        for x in words:
+            for y in words:
+                assert inner_product(x, y) == object_inner_product(x, y)
+        x, y = ([random_ring_element(spec, rng) for _ in range(n)] for _ in range(2))
+        for word in (y, join_word([[spec.zero] * n] * 4)):
+            product = inner_product(x, word)
+            assert product.__class__ is RingElement and product == object_inner_product(x, word)
 
 
 @settings(max_examples=200, deadline=None)

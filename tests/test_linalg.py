@@ -1,13 +1,14 @@
-"""Row reduction and nullspaces on logarithm lists against the elimination
-with field-element arithmetic (reference.object_rref, object_nullspace)."""
+"""Row reduction, nullspaces and inner products on logarithm lists against
+the same with field-element arithmetic (reference.object_rref,
+object_nullspace, object_inner_product)."""
 
 import random
 
-from reference import object_nullspace, object_rref
+from reference import object_inner_product, object_nullspace, object_rref
 from test_kernel import FIELDS as KERNEL_FIELDS
 
 from skewcodes.gf import FieldElement, make_field
-from skewcodes.linalg import nullspace, rref
+from skewcodes.linalg import inner_product, nullspace, rref
 
 # the kernel's fields (F7, F125, F243, F81 and F729 with the twist t = 2)
 # and the fields the codes of the examples and the benchmark use
@@ -82,9 +83,18 @@ def test_rref_and_nullspace_are_the_elimination_on_field_elements():
 
 
 def test_elimination_makes_no_field_element_arithmetic(monkeypatch):
-    """With FieldElement's +, -, * and inverse refused, rref and nullspace
-    still give the references' results: they compute on logarithms."""
+    """With FieldElement's +, -, * and inverse refused, rref, nullspace and
+    inner_product still give the references' results and verdicts: they
+    compute on logarithms. The inner products are of each matrix's rows,
+    each row with itself and with the next, and of its nullspace basis
+    words with its rows, which are all zero."""
     cases = [(spec, rows, object_rref(rows), object_nullspace(rows, len(rows[0]), spec)) for spec, rows in elimination_cases()]
+    products = [
+        (x, y, object_inner_product(x, y))
+        for _, rows, _, dual in cases
+        for x, y in [*zip(rows, rows), *zip(rows, rows[1:]), *((h, r) for h in dual for r in rows)]
+    ]
+    assert {z.is_zero for _, _, z in products} == {True, False}
 
     def refuse(*args):
         raise AssertionError("FieldElement arithmetic")
@@ -95,3 +105,6 @@ def test_elimination_makes_no_field_element_arithmetic(monkeypatch):
         assert rref(rows) == (reduced, pivots)
         assert nullspace(rows, len(rows[0]), spec) == dual
         assert nullspace(reduced, len(rows[0]), spec, pivots) == dual
+    for x, y, z in products:
+        product = inner_product(x, y)
+        assert product == z and product.is_zero == z.is_zero
