@@ -54,8 +54,8 @@ from .errors import (
 )
 
 # The largest field make_field builds: 3^11. Building its tables takes about
-# 0.35 s and keeps about 64 MB (98 MB at the peak of the build, by
-# tracemalloc; the process peaks at about 130 MB), on a 2-core x86-64 VM.
+# 0.35 s and keeps about 53 MB (87 MB at the peak of the build, by
+# tracemalloc; the process peaks at about 122 MB), on a 2-core x86-64 VM.
 MAX_Q = 3 ** 11
 
 
@@ -208,16 +208,17 @@ class FieldSpec:
         exp_codes = np.array(exp, dtype=np.int64)
         log = np.full(q, zero, dtype=np.int64)
         log[exp_codes] = np.arange(order)
+        residues = list(range(order))
+        self.wrap = residues + residues + [zero] * (zero + 1)
+        # log, and zech through it, hold wrap's int objects, not copies
+        self.log = list(map(self.wrap.__getitem__, log.tolist()))
         # adding 1 changes only the constant digit; 1 + g^k = 0 reads log 0
         one_plus = np.where(exp_codes % p == p - 1, exp_codes + 1 - p, exp_codes + 1)
-        zech = log[one_plus].tolist()
+        zech = list(map(self.log.__getitem__, one_plus.tolist()))
         # index k + zero, k = log y - log x: k < -(q-2) means x = 0 (the sum
         # is y), |k| <= q-2 reads zech[k mod (q-1)], k > q-2 means y = 0.
         # Slices of one list, so the two zech copies share their ints.
         self.plus = list(range(-zero, -order)) + [0] + zech[1:] + zech + [0] * (order + 1)
-        self.log = log.tolist()
-        residues = list(range(order))
-        self.wrap = residues + residues + [zero] * (zero + 1)
         self.neg = ((-digits) % p @ weights).tolist()
         self._elems = [FieldElement(self, c) for c in range(q)]
         powers = [self._elems[c] for c in exp]

@@ -6,6 +6,13 @@ where theta is the configured power of Frobenius. Division is always by a
 divisor on the RIGHT with the quotient on the LEFT, matching the single
 factorization shape used by every construction in this package:
 x^n - alpha = h(x) * f(x).
+
+_log_divmod is the one division, on logarithm lists (see gf): right_divmod
+is its adapter for polynomials, and random_right_divisor peels with it. A
+question that needs only a remainder reads it off the streamed residues
+x^D mod g instead (right_remainder, residue_sum), which measured faster
+than a division on the lists for the membership, search and certificate
+reads that ask it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec
 from .linalg import nullspace
-from .ring4 import RingElement, join_word, ring_one, ring_zero
+from .ring4 import RingElement, join_word, ring_one, ring_zero, split_word
 
 
 def is_theta_fixed(c) -> bool:
@@ -217,12 +224,17 @@ class ModulusSpec:
     def spec(self) -> FieldSpec:
         return self.alpha.spec
 
+    @property
+    def coeffs(self):
+        """The coefficients of x^n - alpha, ascending powers."""
+        spec = self.spec
+        zero = ring_zero(spec) if self.ring == "R" else spec.zero
+        one = ring_one(spec) if self.ring == "R" else spec.one
+        return [-self.alpha] + [zero] * (self.n - 1) + [one]
+
     def poly(self) -> SkewPoly:
         """x^n - alpha in the coefficient ring of alpha."""
-        spec, ring = self.spec, self.ring
-        zero = ring_zero(spec) if ring == "R" else spec.zero
-        one = ring_one(spec) if ring == "R" else spec.one
-        return SkewPoly(spec, ring, [-self.alpha] + [zero] * (self.n - 1) + [one])
+        return SkewPoly(self.spec, self.ring, self.coeffs)
 
 
 # --- division ---
@@ -239,34 +251,16 @@ def _check_divisor(f: SkewPoly, g: SkewPoly):
         )
 
 
-def _divmod(f: SkewPoly, g: SkewPoly):
-    """(quot, rem) with f = quot * g + rem and deg rem < deg g."""
-    _check_divisor(f, g)
-    # In place: step d subtracts (c x^d) * g = x^d * (c * theta^d(g)) from
-    # rem[d:], so it costs O(deg g) and not O(deg f). theta^d depends only on
-    # d mod k, so each twisted divisor and its lead's inverse is built once.
-    dg = g.degree
-    rem = list(f.coeffs)
-    quot = [f._zero_coeff()] * max(len(rem) - dg, 0)
-    twists = {}
-    while len(rem) > dg:
-        d = len(rem) - 1 - dg
-        r = d % g.spec.k
-        if r not in twists:
-            gd = SkewPoly(g.spec, g.ring, [b.frob(r) for b in g.coeffs]) if r else g
-            twists[r] = gd, gd.lead.inverse()
-        gd, lead_inv = twists[r]
-        c = quot[d] = rem[-1] * lead_inv
-        for j, s in enumerate((SkewPoly(f.spec, f.ring, [c]) * gd).coeffs, d):
-            rem[j] = rem[j] - s
-        while rem and rem[-1].is_zero:
-            rem.pop()
-    return SkewPoly(f.spec, f.ring, quot), SkewPoly(f.spec, f.ring, rem)
-
-
 def right_divmod(f: SkewPoly, g: SkewPoly):
-    """(quot, rem) with f = quot * g + rem and deg rem < deg g."""
-    return _divmod(f, g)
+    """(quot, rem) with f = quot * g + rem and deg rem < deg g.
+
+    With c = lead(g)^-1, _log_divmod divides f's logarithm lists by those
+    of the monic c * g: f = quot' * (c * g) + rem, so quot = quot' * c, one
+    skew product."""
+    _check_divisor(f, g)
+    c = g.lead.inverse()
+    quot, rem = _log_divmod(f.spec, _logs(f), _logs(g.scale_left(c)))
+    return _poly_of_logs(f.spec, f.ring, quot) * SkewPoly(f.spec, f.ring, [c]), _poly_of_logs(f.spec, f.ring, rem)
 
 
 def residues(g: SkewPoly):
@@ -505,9 +499,12 @@ def _divisor_codes(spec: FieldSpec, found):
     return choices
 
 
-def _binomial_logs(spec: FieldSpec, n: int, beta: FieldElement):
-    """The logarithm list of x^n - beta over F_q."""
-    return [spec.log[(-beta).code]] + [spec.log_zero] * (n - 1) + [0]
+def _logs(f):
+    """The logarithm lists of the CRT components of f, a SkewPoly or the
+    ModulusSpec of x^n - alpha (it reads .spec, .ring and .coeffs), ascending
+    powers: one list over F_q and four over R. The inverse of _poly_of_logs."""
+    log = f.spec.log
+    return [[log[c.code] for c in part] for part in (split_word(f.coeffs) if f.ring == "R" else (f.coeffs,))]
 
 
 def _monic_logs(spec: FieldSpec, choice):
@@ -547,12 +544,13 @@ def _monic_right_factors(spec: FieldSpec, parts, degree: int):
 
 
 def _log_divmod(spec: FieldSpec, f, g):
-    """right_divmod(f, g) for a monic g, on logarithm lists, one per CRT
-    component of each: the quotient's lists and the remainder's, deg g
+    """The right division of f by a monic g, on logarithm lists, one per
+    CRT component of each: the quotient's lists and the remainder's, deg g
     logarithms each (f's own where deg f < deg g). From the top, step d
     reads quot_d, the x^(d + deg g) coefficient left, and adds
     quot_d theta^d(-g_j) to the x^(d + j) one, j < deg g. theta^d depends
-    only on d mod k, so each twisted -g is built once."""
+    only on d mod k, so each twisted -g is built once. It is the one loop
+    that divides: right_divmod and random_right_divisor's peel call it."""
     zero, plus, wrap, half, k = spec.log_zero, spec.plus, spec.wrap, (spec.q - 1) // 2, spec.k
     quots, rems = [], []
     for rem, gi in zip(f, g):
@@ -605,10 +603,8 @@ def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
     onto the divisor on the lists (_log_product), and the divisor is the
     one polynomial built. A nonzero remainder raises VerificationError.
     """
-    spec, ring, n = mod.spec, mod.ring, mod.n
-    # x^n - beta_i for each CRT constant beta_i of alpha
-    betas = mod.alpha.crt() if ring == "R" else (mod.alpha,)
-    parts = [_binomial_logs(spec, n, beta) for beta in betas]
+    spec, ring = mod.spec, mod.ring
+    parts = _logs(mod)
     divisor = [[0]] * len(parts)  # the logarithm of 1
     while len(divisor[0]) <= degree and len(parts[0]) > 1:
         remaining = degree + 1 - len(divisor[0])
@@ -665,15 +661,16 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     elif cofactors:
         # one divisor per left root, counted here and built once charged
         found = [_binomial_root_codes(spec, n, beta.frob(n - 1)) for beta in betas]
-    else:
-        if degree < n:  # at degree n, x^n - beta itself, with no screen
-            # q >= 3, so q^degree > budget once degree reaches budget's bit length
-            if degree >= budget.bit_length() or q ** degree > budget:
-                raise BudgetExceededError(f"{q}^{degree} candidates per component exceed the budget of {budget}")
-            candidates = len(betas) * q ** degree
-            screened = candidates * certificate
-            charge(budget, screened, f"{candidates} candidates * (n - degree + 1)(degree + 1)", "division steps")
-        found = [_batched_divisor_codes(spec, _binomial_logs(spec, n, beta), degree) for beta in betas]
+    elif degree < n:
+        # q >= 3, so q^degree > budget once degree reaches budget's bit length
+        if degree >= budget.bit_length() or q ** degree > budget:
+            raise BudgetExceededError(f"{q}^{degree} candidates per component exceed the budget of {budget}")
+        candidates = len(betas) * q ** degree
+        screened = candidates * certificate
+        charge(budget, screened, f"{candidates} candidates * (n - degree + 1)(degree + 1)", "division steps")
+        found = [_batched_divisor_codes(spec, part, degree) for part in _logs(mod)]
+    else:  # degree n: x^n - alpha itself, one divisor per component, built once charged
+        found = [[()]] * len(betas)
     count = math.prod(map(len, found))
     needs = f"{count} divisors * (n - degree + 1)(degree + 1)"
     charge(budget, screened + count * certificate, f"{screened} + {needs}" if screened else needs, "division steps")
@@ -682,7 +679,7 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
     if cofactors:
         found = [_binomial_cofactor_codes(spec, n, roots) for roots in found]
     f = mod.poly()
-    divisors = _monic_divisors(spec, found)
+    divisors = [f] if degree == n else _monic_divisors(spec, found)
     for g in divisors:
         if not right_remainder(f, g).is_zero:
             raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")

@@ -12,8 +12,8 @@ distance sweep tries every support on q x q tables of element codes filled
 element by element, or every coefficient vector of each prefix, and the
 divisor screen tries all q^d candidates. Row reduction and the inner
 product run on field elements, with their arithmetic, and the field's
-numpy tables are written out from their definitions. The
-random divisor is peeled on polynomial objects, closure tests every shifted
+numpy tables are written out from their definitions. Right division and
+the random divisor's peel run on polynomial objects, closure tests every shifted
 basis word and a minimal generator sums a remainder per echelon row, as the
 package did before it worked on logarithm lists and on what it already
 knew. Nothing in src/ imports this module.
@@ -21,10 +21,12 @@ knew. Nothing in src/ imports this module.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import io
 import random
+import sys
 from itertools import combinations, islice
 from math import comb
 
@@ -48,12 +50,13 @@ from skewcodes.serial import field_to_json, poly_to_json, ring_to_json
 from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
+    _check_divisor,
+    _logs,
     _monic_logs,
     _poly_of_logs,
     reduce_mod,
     residue_sum,
     residues,
-    right_divmod,
     right_remainder,
     span_words,
 )
@@ -401,6 +404,51 @@ def ring_elements(spec: FieldSpec):
                     yield RingElement(a, b, c, d)
 
 
+# --- right division ---
+
+def object_divmod(f: SkewPoly, g: SkewPoly):
+    """(quot, rem) with f = quot * g + rem and deg rem < deg g, on
+    polynomial objects: the package's right division before it ran on
+    logarithm lists."""
+    _check_divisor(f, g)
+    # In place: step d subtracts (c x^d) * g = x^d * (c * theta^d(g)) from
+    # rem[d:], so it costs O(deg g) and not O(deg f). theta^d depends only on
+    # d mod k, so each twisted divisor and its lead's inverse is built once.
+    dg = g.degree
+    rem = list(f.coeffs)
+    quot = [f._zero_coeff()] * max(len(rem) - dg, 0)
+    twists = {}
+    while len(rem) > dg:
+        d = len(rem) - 1 - dg
+        r = d % g.spec.k
+        if r not in twists:
+            gd = SkewPoly(g.spec, g.ring, [b.frob(r) for b in g.coeffs]) if r else g
+            twists[r] = gd, gd.lead.inverse()
+        gd, lead_inv = twists[r]
+        c = quot[d] = rem[-1] * lead_inv
+        for j, s in enumerate((SkewPoly(f.spec, f.ring, [c]) * gd).coeffs, d):
+            rem[j] = rem[j] - s
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    return SkewPoly(f.spec, f.ring, quot), SkewPoly(f.spec, f.ring, rem)
+
+
+def spy_log_divisions(monkeypatch):
+    """{name of the calling function: [(dividend, divisor), ...]}: the
+    logarithm lists of every skewpoly._log_divmod call, in order. Its
+    callers are right_divmod, which divides polynomials, and
+    random_right_divisor, whose divisions peel its factors."""
+    calls = collections.defaultdict(list)
+    divide = skewpoly._log_divmod
+
+    def spy(spec, f, g):
+        calls[sys._getframe(1).f_code.co_name].append((f, g))
+        return divide(spec, f, g)
+
+    monkeypatch.setattr(skewpoly, "_log_divmod", spy)
+    return calls
+
+
 # --- right divisors ---
 
 def full_divisor_screen(f: SkewPoly, degree: int):
@@ -441,19 +489,11 @@ def component_polys(f: SkewPoly):
     return tuple(SkewPoly(f.spec, "fq", comp) for comp in split_word(f.coeffs))
 
 
-def component_logs(f: SkewPoly):
-    """f as logarithm lists (see gf), one per CRT component: one list over
-    F_q and four over R, ascending powers."""
-    log = f.spec.log
-    comps = split_word(f.coeffs) if f.ring == "R" else (f.coeffs,)
-    return [[log[c.code] for c in comp] for comp in comps]
-
-
 def monic_right_factors(f: SkewPoly, degree: int):
     """skewpoly._monic_right_factors of f, looked up at each call so that a
     spy on it sees these calls too, with its code tuples built into monic
     polynomials, in its order."""
-    choices = skewpoly._monic_right_factors(f.spec, component_logs(f), degree)
+    choices = skewpoly._monic_right_factors(f.spec, _logs(f), degree)
     return [_poly_of_logs(f.spec, f.ring, _monic_logs(f.spec, choice)) for choice in choices]
 
 
@@ -475,7 +515,7 @@ def object_random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
         if not candidates:
             break
         g = rng.choice(candidates)
-        cofactor, rem = right_divmod(cofactor, g)
+        cofactor, rem = object_divmod(cofactor, g)
         if not rem.is_zero:
             raise VerificationError(f"candidate divisor {g!r} does not right-divide")
         divisor = g * divisor

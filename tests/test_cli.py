@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from reference import spy_log_divisions
 
 import skewcodes
 from skewcodes.cli import main
@@ -13,7 +14,7 @@ from skewcodes.codes import SkewCode
 from skewcodes.distance import DEFAULT_BUDGET
 from skewcodes.gf import FieldElement
 from skewcodes.serial import code_from_json
-from skewcodes.skewpoly import ModulusSpec
+from skewcodes.skewpoly import ModulusSpec, _logs
 
 
 def run_cli(capsys, *argv):
@@ -523,6 +524,22 @@ def test_degree_one_search_over_r_is_bounded_in_n(capsys):
     )
 
 
+@pytest.mark.parametrize("alpha", [1, {"crt": [1, 2, 1, 2]}], ids=["fq", "R"])
+def test_degree_n_search_is_bounded_in_n(capsys, alpha):
+    """At degree n = 10^9 the one divisor, x^n - alpha itself, is counted
+    and its certificate of n + 1 steps refused before any list of n terms
+    is built, over F3 and over R over F3."""
+    obj = {**SEARCH_F3, "n": 10**9, "degree": 10**9, "alpha": alpha}
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert report["result"]["error"] == (
+        f"1 divisors * (n - degree + 1)(degree + 1) = {10**9 + 1} division steps,"
+        f" over the budget of {DEFAULT_BUDGET}"
+    )
+
+
 def test_divisor_search_step_charge_is_exact(capsys):
     """SEARCH_F3 at degree 1, solved in closed form: its 2 divisors are
     charged 2 * 4 * 2 = 16 certificate steps."""
@@ -980,30 +997,17 @@ def test_deep_params_reduce_and_sweep_no_row_longer_than_n(capsys, monkeypatch, 
     assert tables and max(tables) == 6
 
 
-def spy_divisions(monkeypatch):
-    """The dividend of every right division."""
-    import skewcodes.skewpoly
-
-    dividends = []
-    divmod_ = skewcodes.skewpoly._divmod
-    monkeypatch.setattr(
-        "skewcodes.skewpoly._divmod",
-        lambda f, g: dividends.append(f) or divmod_(f, g),
-    )
-    return dividends
-
-
 @pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
 def test_params_divides_no_modulus(capsys, monkeypatch, betas):
     """build_code and the closures read each remainder of x^n - beta_i off
     the code's residue rows: no modulus is divided."""
     spec = deep_f9(betas)
     _, n, alpha, _ = code_from_json(json.loads(spec))
-    moduli = [ModulusSpec(n, beta).poly() for beta in alpha.crt()]
-    dividends = spy_divisions(monkeypatch)
+    moduli = [_logs(ModulusSpec(n, beta)) for beta in alpha.crt()]
+    divisions = spy_log_divisions(monkeypatch)
     code, report = run_cli(capsys, "params", "--input", spec)
     assert code == 0
-    assert sum(f in moduli for f in dividends) == 0
+    assert sum(f in moduli for calls in divisions.values() for f, _ in calls) == 0
 
 
 def test_dual_divides_only_for_its_cofactors(capsys, monkeypatch):
@@ -1011,7 +1015,8 @@ def test_dual_divides_only_for_its_cofactors(capsys, monkeypatch):
     x^n - beta_i: building the code and its dual makes none."""
     import skewcodes.codes
 
-    dividends = spy_divisions(monkeypatch)
+    divisions = spy_log_divisions(monkeypatch)
+    dividends = divisions["right_divmod"]
     spans = []
     cofactors = skewcodes.codes.cofactors
 
@@ -1025,7 +1030,7 @@ def test_dual_divides_only_for_its_cofactors(capsys, monkeypatch):
     code, report = run_cli(capsys, "dual", "--input", CODESPEC)
     assert code == 0
     assert spans == [(0, 4)]
-    assert len(dividends) == 4
+    assert len(dividends) == 4 and list(divisions) == ["right_divmod"]
 
 
 def test_dual_of_length_1000_takes_four_products(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ModuleSpan, Span, constacyclic_shift, per_row_minimal_generator
+from reference import ModuleSpan, Span, constacyclic_shift, per_row_minimal_generator, spy_log_divisions
 from test_kernel import FIELDS
 
 import skewcodes.decomp as decomp
@@ -277,18 +277,10 @@ def test_minimal_generator_makes_one_elimination(monkeypatch, f9, f25):
     assert verdicts == [True, False, True, True, True]
 
 
-def spy_divisions(monkeypatch):
-    """The divisor of every right division, in order."""
-    divisors = []
-    divmod_ = skewpoly._divmod
-    monkeypatch.setattr(skewpoly, "_divmod", lambda f, g: divisors.append(g) or divmod_(f, g))
-    return divisors
-
-
 def test_minimal_generator_makes_no_division(monkeypatch, f9, f25):
     """Its remainders, of x^n - beta and of every echelon row, are read off
     the generator's residues."""
-    divisions = spy_divisions(monkeypatch)
+    divisions = spy_log_divisions(monkeypatch)
     rng = random.Random(11)
     for spec, n in ((f9, 4), (f25, 6), (f9, 6), (f25, 1)):
         for sign in (1, -1):
@@ -297,7 +289,7 @@ def test_minimal_generator_makes_no_division(monkeypatch, f9, f25):
             vectors = span_words(gen, mod)
             divisions.clear()
             assert minimal_generator(vectors, n, spec.constant(sign)) == gen
-            assert divisions == []
+            assert not divisions
 
 
 def test_module_words_make_no_division(monkeypatch, capsys, f9, f25):
@@ -306,7 +298,7 @@ def test_module_words_make_no_division(monkeypatch, capsys, f9, f25):
     words of the length-7 module."""
     from skewcodes.cli import SUITES, main
 
-    divisions = spy_divisions(monkeypatch)
+    divisions = spy_log_divisions(monkeypatch)
     rng = random.Random(5)
     for spec, n in ((f9, 4), (f25, 6)):
         mod = ModulusSpec(n, spec.constant(-1))
@@ -315,11 +307,11 @@ def test_module_words_make_no_division(monkeypatch, capsys, f9, f25):
         divisions.clear()
         assert len(span_words(long, mod)) == n
         assert len(generator_basis_words(gen, mod)) == n - gen.degree
-        assert divisions == []
+        assert not divisions
     assert main(["example", "4"]) == 0
     capsys.readouterr()
     assert SUITES["ret1"](0, DEFAULT_BUDGET)["pass"]
-    assert divisions == []
+    assert not divisions
 
 
 def test_twenty_decomposition_runs_make_at_most_108_divisions(monkeypatch):
@@ -330,14 +322,11 @@ def test_twenty_decomposition_runs_make_at_most_108_divisions(monkeypatch):
     remainders off its residue rows."""
     from skewcodes.cli import SUITES
 
-    divisions = spy_divisions(monkeypatch)
-    peeled = []
-    divide = skewpoly._log_divmod
-    monkeypatch.setattr(skewpoly, "_log_divmod", lambda spec, f, g: peeled.append(g) or divide(spec, f, g))
+    divisions = spy_log_divisions(monkeypatch)
     for seed in range(20):
         assert SUITES["decomposition"](seed, DEFAULT_BUDGET)["pass"]
-    assert divisions == []
-    assert 0 < sum(len(g[0]) == 3 for g in peeled) <= 108
+    assert list(divisions) == ["random_right_divisor"]
+    assert 0 < sum(len(g[0]) == 3 for _, g in divisions["random_right_divisor"]) <= 108
 
 
 def test_verify_decomposition_on_examples():

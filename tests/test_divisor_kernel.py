@@ -14,12 +14,13 @@ import time
 
 import pytest
 from reference import (
-    component_logs,
     component_polys,
     full_divisor_screen,
     monic_right_factors,
+    object_divmod,
     object_random_right_divisor,
     random_ring_element,
+    spy_log_divisions,
 )
 from test_kernel import FIELDS
 
@@ -80,7 +81,7 @@ def codes_of(g):
 
 def screen_codes(f, degree):
     """skewpoly._batched_divisor_codes of a polynomial f over F_q."""
-    return list(skewpoly._batched_divisor_codes(f.spec, component_logs(f)[0], degree))
+    return list(skewpoly._batched_divisor_codes(f.spec, skewpoly._logs(f)[0], degree))
 
 
 def test_field_arrays_match_element_arithmetic():
@@ -316,17 +317,6 @@ def test_a_false_pick_fails_the_division_that_peels_it(monkeypatch, ring):
         random_right_divisor(ModulusSpec(3, alpha), random.Random(0), 2)
 
 
-def spy_divisions(monkeypatch):
-    """The divisor of every right division, in order."""
-    calls = []
-    divmod_ = skewpoly._divmod
-    monkeypatch.setattr(
-        "skewcodes.skewpoly._divmod",
-        lambda f, g: calls.append(g) or divmod_(f, g),
-    )
-    return calls
-
-
 class CountingRandom(random.Random):
     """random.Random that counts its choice calls: one per factor peeled."""
 
@@ -337,24 +327,11 @@ class CountingRandom(random.Random):
         return super().choice(seq)
 
 
-def spy_log_divisions(monkeypatch):
-    """The divisor of every division on logarithm lists, as its lists, in
-    order: the certificates of the random divisor's picks."""
-    calls = []
-    divide = skewpoly._log_divmod
-    monkeypatch.setattr(
-        "skewcodes.skewpoly._log_divmod",
-        lambda spec, f, g: calls.append(g) or divide(spec, f, g),
-    )
-    return calls
-
-
 def test_a_random_divisor_divides_once_per_factor(monkeypatch):
     """One certificate per factor peeled, linear or of degree 2: the
     all-zero remainder of the division on logarithm lists that gives its
     cofactor. No polynomial is divided."""
-    divisions = spy_divisions(monkeypatch)
-    certified = spy_log_divisions(monkeypatch)
+    divisions = spy_log_divisions(monkeypatch)
     f3, f9, f25 = make_field(3, 1, [0, 1]), make_field(3, 2, [1, 0, 1]), make_field(5, 2, [1, 1, 1])
     cases = [(spec, n, spec.constant(s)) for spec in (f9, f25) for n in (2, 4, 6) for s in (1, -1)]
     cases += [(f3, n, RingElement.from_crt(f3, 1, -1, -1, 1)) for n in (2, 3, 4)]
@@ -362,14 +339,14 @@ def test_a_random_divisor_divides_once_per_factor(monkeypatch):
     for seed, (spec, n, alpha) in enumerate(cases):
         rng = CountingRandom(seed)
         divisions.clear()
-        certified.clear()
         g = random_right_divisor(ModulusSpec(n, alpha), rng, n)
+        assert "right_divmod" not in divisions
+        certified = [h for _, h in divisions["random_right_divisor"]]
         assert len(certified) == rng.picks
         assert g.degree >= rng.picks
         peeled += rng.picks
         linear += sum(len(h[0]) == 2 for h in certified)
         quadratic += sum(len(h[0]) == 3 for h in certified)
-    assert divisions == []
     assert peeled > len(cases) and linear > len(cases) and quadratic
 
 
@@ -387,7 +364,7 @@ def spy_certificates(monkeypatch):
 def test_a_search_over_r_certifies_once_per_divisor(monkeypatch):
     """Each divisor returned has one certificate, the remainder of
     x^n - alpha read off its residues, and no division is made."""
-    divisions = spy_divisions(monkeypatch)
+    divisions = spy_log_divisions(monkeypatch)
     certified = spy_certificates(monkeypatch)
     f3, f5 = make_field(3, 1, [0, 1]), make_field(5, 1, [0, 1])
     for spec, n, signs, degree in ((f3, 4, (1, 1, 1, 1), 1), (f3, 4, (1, -1, -1, 1), 2), (f5, 4, (1, 1, 1, 1), 1)):
@@ -395,17 +372,17 @@ def test_a_search_over_r_certifies_once_per_divisor(monkeypatch):
         found = right_divisor_search(ModulusSpec(n, RingElement.from_crt(spec, *signs)), degree)
         assert found
         assert certified == found
-    assert divisions == []
+    assert not divisions
 
 
 @pytest.mark.parametrize("ring", ["fq", "R"])
 def test_a_divisor_search_makes_no_division(monkeypatch, ring):
-    divisions = spy_divisions(monkeypatch)
+    divisions = spy_log_divisions(monkeypatch)
     spec = make_field(3, 2, [1, 0, 1]) if ring == "fq" else make_field(3, 1, [0, 1])
     for n, signs, degree in ((4, (1, 1, 1, 1), 1), (3, (1, 1, -1, -1), 1), (4, (-1, -1, 1, 1), 2)):
         alpha = RingElement.from_crt(spec, *signs) if ring == "R" else spec.constant(signs[1])
         assert right_divisor_search(ModulusSpec(n, alpha), degree)
-    assert divisions == []
+    assert not divisions
 
 
 LINEAR_FIELDS = {**FIELDS, "F3": (3, 1, [0, 1], 1), "F9": (3, 2, [1, 0, 1], 1), "F25": (5, 2, [1, 1, 1], 1)}
@@ -446,14 +423,14 @@ def log_divmod(f, g):
     """skewpoly._log_divmod of f by a monic g on their logarithm lists, one
     per CRT component, read back as (quot, rem)."""
     spec = f.spec
-    quot, rem = skewpoly._log_divmod(spec, component_logs(f), component_logs(g))
+    quot, rem = skewpoly._log_divmod(spec, skewpoly._logs(f), skewpoly._logs(g))
     return skewpoly._poly_of_logs(spec, f.ring, quot), skewpoly._poly_of_logs(spec, f.ring, rem)
 
 
 @pytest.mark.parametrize("name", sorted(LINEAR_FIELDS))
 def test_the_linear_cofactor_is_the_right_division(name):
     """The quotient and remainder of a monic linear divisor on logarithm
-    lists against right_divmod, for every candidate x + c of each dividend
+    lists against object_divmod, for every candidate x + c of each dividend
     with at most 81 candidates, and for the screen's hits and a sample
     otherwise: the remainder is zero exactly for the hits."""
     spec = make_field(*LINEAR_FIELDS[name])
@@ -467,7 +444,7 @@ def test_the_linear_cofactor_is_the_right_division(name):
                 codes = {codes_of(g)[0] for g in found} | {rng.randrange(spec.q) for _ in range(8)}
             for code in sorted(codes):
                 g = SkewPoly(spec, "fq", [spec.from_int(code), spec.one])
-                quot, rem = right_divmod(f, g)
+                quot, rem = object_divmod(f, g)
                 assert log_divmod(f, g) == (quot, rem)
                 assert rem.is_zero == (g in found)
                 hits += g in found
@@ -478,7 +455,7 @@ def test_the_linear_cofactor_is_the_right_division(name):
 def test_the_linear_cofactor_over_r_is_the_right_division(name):
     """x^n - alpha over R and the cofactor of its first linear right
     factor, which is not a binomial: the linear right factors the screen
-    finds (up to 64 of each, spread through its list) give right_divmod's
+    finds (up to 64 of each, spread through its list) give object_divmod's
     quotient and zero remainder on logarithm lists, component by component,
     and x, where it is no factor, its nonzero remainder."""
     spec = make_field(*RING_FIELDS[name])
@@ -488,14 +465,14 @@ def test_the_linear_cofactor_over_r_is_the_right_division(name):
     for n in range(2, 5):
         for alpha in signs_and_random_constants(spec, rng):
             f = ModulusSpec(n, alpha).poly()
-            for h in [f] + [right_divmod(f, g)[0] for g in monic_right_factors(f, 1)[:1]]:
+            for h in [f] + [object_divmod(f, g)[0] for g in monic_right_factors(f, 1)[:1]]:
                 found = monic_right_factors(h, 1)
                 for g in found[::max(1, len(found) // 32)]:
-                    quot, rem = right_divmod(h, g)
+                    quot, rem = object_divmod(h, g)
                     assert rem.is_zero
                     assert log_divmod(h, g) == (quot, rem)
                     checked += h is not f
-                quot, rem = right_divmod(h, x)
+                quot, rem = object_divmod(h, x)
                 assert log_divmod(h, x) == (quot, rem)
                 refused += not rem.is_zero
     assert checked and refused
@@ -503,7 +480,7 @@ def test_the_linear_cofactor_over_r_is_the_right_division(name):
 
 @pytest.mark.parametrize("name", sorted(SCREEN_FIELDS))
 def test_the_log_division_is_the_right_division(name):
-    """_log_divmod against right_divmod, quotient and remainder: monic g of
+    """_log_divmod against object_divmod, quotient and remainder: monic g of
     degree 1 to 3, x^d among them, with zero coefficients in g and in f, f
     of every length from 0 (f = 0) to deg g + 5, so deg f < deg g too, and
     f = h * g + r, whose quotient h and remainder r are known."""
@@ -519,7 +496,7 @@ def test_the_log_division_is_the_right_division(name):
         for g in (SkewPoly(spec, "fq", low + [spec.one]) for low in divisors):
             for length in range(degree + 6):
                 f = SkewPoly(spec, "fq", sparse(length))
-                assert log_divmod(f, g) == right_divmod(f, g)
+                assert log_divmod(f, g) == object_divmod(f, g)
                 zeros += any(c.is_zero for c in f.coeffs) and any(c.is_zero for c in g.coeffs)
             h, r = random_poly(spec, rng, 3), SkewPoly(spec, "fq", sparse(degree))
             assert log_divmod(h * g + r, g) == (h, r)
@@ -795,7 +772,7 @@ def test_the_random_divisor_is_the_object_loop(monkeypatch):
     each draw, over F9, F25, F27 and F81 (t = 2) and over R over F3 and F5,
     with non-unit and zero constants, degrees from -1 to n + 2, and
     degree-2 picks among them."""
-    certified = spy_log_divisions(monkeypatch)
+    divisions = spy_log_divisions(monkeypatch)
     cases = []
     for name in STREAM_FIELDS:
         spec = make_field(*STREAM_FIELDS[name])
@@ -815,7 +792,8 @@ def test_the_random_divisor_is_the_object_loop(monkeypatch):
             draws += 1
     assert draws > 1000
     # degree-2 picks, of one component over F_q and four over R
-    assert {len(g) for g in certified if len(g[0]) == 3} == {1, 4}
+    assert list(divisions) == ["random_right_divisor"]
+    assert {len(g) for _, g in divisions["random_right_divisor"] if len(g[0]) == 3} == {1, 4}
 
 
 STREAM_FIELDS = {name: COFACTOR_FIELDS[name] for name in ("F9", "F25", "F27", "F81t2")}

@@ -319,7 +319,10 @@ def test_every_word_shift_is_defined_in_skewpoly():
 
 def test_one_division_and_one_commutative_product():
     """Right division is the one division: no function in src/ but
-    SkewPoly._mul takes a `twisted` parameter. The commutative product
+    SkewPoly._mul takes a `twisted` parameter, and the one loop that divides
+    is _log_divmod, called by right_divmod and by random_right_divisor's
+    peel; the object division _divmod and _binomial_logs, x^n - beta's
+    lists, are gone. The commutative product
     c_mul serves only the idempotent's square and its e, and stays a
     function of its own because perfbench/tracer.py counts its calls as
     skewpoly.c_mul."""
@@ -331,6 +334,10 @@ def test_one_division_and_one_commutative_product():
     }
     assert twisted == {("skewpoly", "SkewPoly._mul")}
     assert _callers("c_mul") == {("skewpoly", "idempotent_generator")}
+    assert _callers("_log_divmod") == {("skewpoly", "right_divmod"), ("skewpoly", "random_right_divisor")}
+    defined = {node.name for path in MODULES for node in ast.walk(parse(path)) if isinstance(node, ast.FunctionDef)}
+    named = set().union(*(references(parse(path)) for path in MODULES))
+    assert {"_divmod", "_binomial_logs"} & (defined | named) == set()
 
 
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"

@@ -189,6 +189,16 @@ def test_wrap_reduces_every_index(name):
         assert spec.exp[l] is spec.exp[k] and spec.wrap[l] == l
 
 
+def test_log_and_plus_hold_the_ints_of_wrap():
+    """log, and the Zech entries of plus, hold wrap's int objects rather
+    than equal copies, so each logarithm is kept once: on F_(3^7), whose
+    logarithms above 256 are not the interpreter's cached small ints."""
+    spec = make_field(3, 7, [1, 0, 2, 0, 0, 0, 0, 1])
+    wrap, zero, order = spec.wrap, spec.log_zero, spec.q - 1
+    assert all(l is wrap[l] for l in spec.log)
+    assert all(l is wrap[l] for l in spec.plus[zero - order + 1:zero + order])
+
+
 @pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
 def test_logarithm_sums_products_and_negations_are_the_field_operations(name):
     """On every pair (x, y), zeros included: wrap[x + plus[y - x + Z]] is

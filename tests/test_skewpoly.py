@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ModuleSpan, Span, commutative_remainder, component_polys, run_main
+from reference import ModuleSpan, Span, commutative_remainder, component_polys, object_divmod, run_main
 from test_kernel import FIELDS
 
 from skewcodes.errors import (
@@ -147,8 +147,8 @@ def test_divmod_examples(f25, f9):
 
 
 def reference_divmod(f, g):
-    """The allocating loop that _divmod replaced: every quotient term is a
-    full-length SkewPoly, and every step rebuilds quot and rem."""
+    """The allocating loop that object_divmod replaced: every quotient term
+    is a full-length SkewPoly, and every step rebuilds quot and rem."""
     quot = SkewPoly.zero(f.spec, f.ring)
     rem = f
     dg = g.degree
@@ -185,6 +185,42 @@ def division_cases(draw):
 def test_division_matches_the_allocating_loop(case):
     f, g = case
     assert right_divmod(f, g) == reference_divmod(f, g)
+
+
+OBJECT_DIVISION_FIELDS = {
+    **DIVISION_FIELDS,
+    "F25": (5, 2, [1, 1, 1], 1),
+    "F27": (3, 3, [1, 2, 0, 1], 1),
+    "F49": (7, 2, [3, 6, 1], 1),
+}
+
+
+@pytest.mark.parametrize(
+    "name, ring", [(name, "fq") for name in sorted(OBJECT_DIVISION_FIELDS)] + [("F3", "R"), ("F9", "R")]
+)
+def test_right_division_is_the_object_division(name, ring):
+    """right_divmod, on logarithm lists, against object_divmod, on
+    polynomial objects: f = 0 and f of every degree up to deg g + 6, by g of
+    degree 0 to 4 with a non-monic unit lead, so deg f < deg g among them,
+    and quot * g + rem == f."""
+    spec = make_field(*OBJECT_DIVISION_FIELDS[name])
+    rng = random.Random(f"{name}:{ring}")
+
+    def element(unit=False):
+        codes = [rng.randrange(unit, spec.q) for _ in range(4 if ring == "R" else 1)]
+        return RingElement.from_crt(spec, *map(spec.from_int, codes)) if ring == "R" else spec.from_int(codes[0])
+
+    leads = set()
+    for degree in range(5):
+        for _ in range(3):
+            g = SkewPoly(spec, ring, [element() for _ in range(degree)] + [element(unit=True)])
+            leads.add(g.is_monic)
+            for length in range(degree + 8):
+                f = SkewPoly(spec, ring, [element() for _ in range(length)])
+                quot, rem = right_divmod(f, g)
+                assert (quot, rem) == object_divmod(f, g)
+                assert quot * g + rem == f
+    assert False in leads
 
 
 @settings(max_examples=300, deadline=None)
