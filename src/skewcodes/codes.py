@@ -75,8 +75,17 @@ class SkewCode:
     def cardinality(self) -> int:
         return self.field.q ** sum(self.dims)
 
+    @functools.cached_property
+    def _component_bases(self):
+        return [None] * len(self.gens)
+
     def component_basis(self, i: int):
-        return generator_basis_words(self.gens[i], self.modulus(i))
+        """The words x^j * g_i, j < n - deg g_i, of component i: built once
+        per code, when first asked for, and returned as a new list."""
+        bases = self._component_bases
+        if bases[i] is None:
+            bases[i] = tuple(generator_basis_words(self.gens[i], self.modulus(i)))
+        return list(bases[i])
 
     def lift(self, i: int, word):
         """The R-word e_i * word of an F_q word: word in CRT place i and

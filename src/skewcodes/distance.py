@@ -18,13 +18,16 @@ candidates. The sweep runs in numpy on the field's logarithm arrays
 
 The rows are split into contiguous direct summands first: a cut falls
 before a column where a row starts and no row has nonzero entries on both
-sides, as between the four CRT blocks of a Gray image. The row reduction and
-every level of the sweep are then made summand by summand, with the whole
-code's bound, budget gate and counts, so a code that splits is never
-reduced or swept as one length-n matrix; a matrix that does not split is the
-one-summand case. A summand keeps its RREF and parity checks as logarithm
-lists (linalg on logarithms) up to its lookup table; field elements are made
-only for a reported row.
+sides, as between the four CRT blocks of a Gray image. The row reduction is
+made summand by summand, and each summand's H is read off its own RREF, so
+a code that splits is never reduced as one length-n matrix; a matrix that
+does not split is the one-summand case. The sweep then decides each level
+for all summands at once (_Lookup): one table of every summand's scaled
+columns, each key tagged with its summand, and one stream of the summands'
+prefixes through the batches, with the whole code's bound, budget gate and
+counts. A summand keeps its RREF and parity checks as logarithm lists
+(linalg on logarithms) up to the table; field elements are made only for a
+reported row.
 """
 
 from __future__ import annotations
@@ -202,19 +205,17 @@ def _row_keys(rows, q) -> np.ndarray:
     return rows.view(np.dtype((np.void, 4 * width))).ravel()
 
 
-def _column_table(scaled):
-    """(keys, last): the distinct keys of the scaled columns c*h_j, given
-    as the (n, q-1, n-k) array `scaled` of their logarithms, sorted, and for
-    each key the largest j that gives it."""
-    keys = _row_keys(scaled, scaled.shape[1] + 1)  # column j's rows come j-th
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    run_end = np.append(keys[1:] != keys[:-1], True)
-    return keys[run_end], order[run_end] // scaled.shape[1]
+def _tagged(rows, tags):
+    """The (A, B, m) array `rows` as A*B rows, each row of rows[a] followed
+    by the digits tags[a]; `rows` itself when there are no digits."""
+    if not tags.shape[1]:
+        return rows
+    a, b, m = rows.shape
+    return np.concatenate((rows.reshape(a * b, m), np.repeat(tags, b, axis=0)), axis=1)
 
 
 def _prefix_sums(scaled, arrays, prefixes):
-    """(P, (q-1)^(w-2), n-k) logarithms of sums: for each of the P prefixes
+    """(P, (q-1)^(w-2), m) logarithms of sums: for each of the P prefixes
     (rows of w-1 positions), the sums of its scaled columns over every
     coefficient vector whose first coefficient is 1, in product order of
     the others."""
@@ -228,73 +229,102 @@ def _prefix_sums(scaled, arrays, prefixes):
     return sums
 
 
-def _first_completable_prefix(scaled, arrays, table, w):
-    """The first (w-1)-position prefix P, in combinations order, with a sum
-    over P equal to some c*h_j with j > max(P); None when there is none.
-    Only sums with first coefficient 1 are tried: a multiple of a sum hits
-    the same columns (_bounded_weight_sweep).
-
-    Whole prefixes are tested a batch at a time, _CHUNK sums per batch, or
-    one prefix when its (q-1)^(w-2) sums are more: one key per sum and one
-    searchsorted against the column table per batch.
-    """
-    keys, last = table
-    q = scaled.shape[1] + 1
-    count = (q - 1) ** (w - 2)
-    prefixes = combinations(range(len(scaled) - 1), w - 1)
-    per_batch = max(1, _CHUNK // count)
-    while True:
-        batch = np.fromiter(chain.from_iterable(islice(prefixes, per_batch)), dtype=np.intp)
-        if not batch.size:
-            return None
-        batch = batch.reshape(-1, w - 1)
-        wanted = _row_keys(_prefix_sums(scaled, arrays, batch), q)
-        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
-        if hit.any():
-            return tuple(int(j) for j in batch[hit.argmax() // count])
-
-
 class _Summand:
     """One contiguous direct summand, columns [lo, hi), of a code: the RREF
-    of its rows cut to its columns, given and kept as logarithm lists, and
-    its parity checks H, the logarithms of its scaled columns and its
-    column table, built when a level of the sweep first asks this summand
-    for a word."""
+    of its rows cut to its columns, given and kept as logarithm lists."""
 
     def __init__(self, spec, lo, hi, rows):
-        self.spec, self.lo, self.width = spec, lo, hi - lo
+        self.spec, self.lo, self.hi = spec, lo, hi
         self.basis, self.pivots = rref(rows, spec)
-        self._lookup = None
 
     def placed(self, row, n):
         """The basis row `row` (logarithms) at the summand's columns in
         length n, as field elements."""
         spec = self.spec
-        return (spec.zero,) * self.lo + tuple(spec.exp[x] for x in row) + (spec.zero,) * (n - self.lo - self.width)
+        return (spec.zero,) * self.lo + tuple(spec.exp[x] for x in row) + (spec.zero,) * (n - self.hi)
 
-    def first_word(self, w, arrays):
-        """The summand's first word of weight w >= 2 in (support,
-        coefficient) order, as (column in the summand, coefficient code)
-        pairs, or None; asked for w = 2, 3, .. in turn, each only once no
-        lighter word was found. The summand has no weight-1 word and is not
-        the full space, or its RREF would hold a unit row. The word's first
-        coefficient is 1 (_bounded_weight_sweep)."""
-        if self._lookup is None:
-            # log(c*h_j), c = 1 .. q-1, of the summand's own H, read off its own pivots
-            H = np.array(nullspace(self.basis, self.width, self.spec, self.pivots, logs=True), dtype=np.intp)
-            scaled = arrays.wrap[arrays.log[1:, None] + H.T[:, None, :]]
-            self._lookup = scaled, _column_table(scaled)
-        scaled, table = self._lookup
-        q = self.spec.q
-        prefix = _first_completable_prefix(scaled, arrays, table, w)
+
+class _Lookup:
+    """The sweep's lookup, one for all the summands of a code: the scaled
+    columns c*h_j of each summand's own parity checks H, read off its own
+    RREF, side by side as one (n, q-1, m) array `scaled` of logarithms, each
+    H padded with zero rows to the tallest summand's m rows; and one sorted
+    table of their distinct keys, each tagged with its summand's index, with
+    the largest column j that gives it. The tag is the index read as
+    ceil(log_q s) base-q digits after the m entries, least significant
+    first, for s summands: an int64 key gains index * q^m, a byte key the
+    digits' bytes, and a one-summand code has no tag. A sum is tagged with
+    its prefix's summand, so it matches only columns of that summand.
+
+    Made when the sweep reaches weight 2, that is when no summand has a
+    weight-1 word or is the full space: each H has a row and no zero column.
+    """
+
+    def __init__(self, parts, spec, arrays):
+        q = self.q = spec.q
+        self.parts, self.arrays = parts, arrays
+        checks = [nullspace(p.basis, p.hi - p.lo, spec, p.pivots, logs=True) for p in parts]
+        height = max(map(len, checks))
+        # the columns h_j of every H, each padded with the logarithm of 0 to `height`
+        columns = [h_j + (spec.log_zero,) * (height - len(h)) for h in checks for h_j in zip(*h)]
+        columns = np.array(columns, dtype=np.intp)
+        self.scaled = arrays.wrap[arrays.log[1:, None] + columns[:, None, :]]  # log(c*h_j), c = 1 .. q-1
+        digits = 0
+        while q ** digits < len(parts):
+            digits += 1
+        self.owner = np.repeat(np.arange(len(parts)), [part.hi - part.lo for part in parts])
+        self.tags = self.owner[:, None] // q ** np.arange(digits) % q
+        keys = _row_keys(_tagged(self.scaled, self.tags), q)  # column j's rows come j-th
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        run_end = np.append(keys[1:] != keys[:-1], True)
+        self.keys, self.last = keys[run_end], order[run_end] // (q - 1)
+
+    def first_prefix(self, w):
+        """The first (w-1)-position prefix P, in (summand, combinations)
+        order, with a sum over P equal to some c*h_j of P's summand with
+        j > max(P); None when there is none. Only sums with first
+        coefficient 1 are tried: a multiple of a sum hits the same columns
+        (_bounded_weight_sweep).
+
+        The prefixes of all summands are tested a batch at a time, _CHUNK
+        sums per batch, or one prefix when its (q-1)^(w-2) sums are more:
+        one key per sum and one searchsorted against the table per batch.
+        A batch may hold prefixes of several summands.
+        """
+        keys, last, q = self.keys, self.last, self.q
+        count = (q - 1) ** (w - 2)
+        prefixes = chain.from_iterable(combinations(range(part.lo, part.hi - 1), w - 1) for part in self.parts)
+        per_batch = max(1, _CHUNK // count)
+        while True:
+            batch = np.fromiter(chain.from_iterable(islice(prefixes, per_batch)), dtype=np.intp)
+            if not batch.size:
+                return None
+            batch = batch.reshape(-1, w - 1)
+            sums = _prefix_sums(self.scaled, self.arrays, batch)
+            wanted = _row_keys(_tagged(sums, self.tags[batch[:, 0]]), q)
+            pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+            hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
+            if hit.any():
+                return tuple(int(j) for j in batch[hit.argmax() // count])
+            if len(batch) < per_batch:
+                return None
+
+    def first_word(self, w):
+        """The code's first word of weight w >= 2 in (support, coefficient)
+        order, as (column, coefficient code) pairs, or None; asked for
+        w = 2, 3, .. in turn, each only once no lighter word was found. Its
+        first coefficient is 1 (_bounded_weight_sweep). The completion runs
+        on the columns of the prefix's own summand, with no tag."""
+        prefix = self.first_prefix(w)
         if prefix is None:
             return None
+        arrays, q, scaled = self.arrays, self.q, self.scaled
         # the keys of the prefix's sums, negated (log(-x) = log x + (q-1)/2),
         # one per coefficient vector (1, c_2, .., c_(w-1)) in product order
         T = _prefix_sums(scaled, arrays, np.array([prefix]))[0]
         wanted = _row_keys(arrays.wrap[T + arrays.half], q)
-        for j in range(prefix[-1] + 1, self.width):
+        for j in range(prefix[-1] + 1, self.parts[self.owner[prefix[0]]].hi):
             column = _row_keys(scaled[j], q)
             hits = np.isin(wanted, column)
             if hits.any():
@@ -313,9 +343,9 @@ def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
     equals -c_j h_j. The scaled columns {c*h_j : c != 0} are closed under
     negation, so each prefix P of w - 1 positions has a weight-w completion
     iff one of its (q-1)^(w-1) sums is a scaled column c*h_j with j > max(P).
-    A level's sums are looked up in a sorted table of the summand's scaled
-    columns, one searchsorted per batch of about _CHUNK sums, instead of
-    adding every last column.
+    A level's sums are looked up in a sorted table of the scaled columns,
+    one searchsorted per batch of about _CHUNK sums, instead of adding
+    every last column.
     Supports in combinations order are ordered by (prefix, last column), so
     enumerating the completions of the first prefix that has one gives the
     word a full enumeration meets first.
@@ -334,17 +364,20 @@ def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
     the count: candidates_swept is a level's C(n, w) (q-1)^w candidates,
     all of them decided, whatever the sums made to decide them.
 
-    Each level asks each summand in column order for a word of weight w, on
-    the summand's own H. At the first level w that has a word, every lighter
+    Each level is decided for all summands in one pass (_Lookup), on each
+    summand's own H. At the first level w that has a word, every lighter
     level has none, so w is the least summand distance and each weight-w
-    word lies in one summand (two nonzero parts weigh at least 2w). Every
-    support in a summand precedes those in later ones, so the first summand
-    that has a word holds the word the whole sweep meets first: its first
-    word, placed at its columns. The bound (the first lightest presented
-    row, the rows before their RREF), the budget gate and candidates_swept
-    stay the whole code's: each level still counts its C(n, w) (q-1)^w
-    candidates. A weight-1 codeword e_j is the RREF row with pivot j, so
-    level 1, below a bound of 2 or more, has no word to find.
+    word lies in one summand (two nonzero parts weigh at least 2w). A sum
+    is matched only against columns of its own summand, by its tag, and
+    the prefixes run in (summand, combinations) order: every support in a
+    summand precedes those in later ones, so the first hit is in the first
+    summand that has a word, at its first completable prefix, and gives
+    the word the whole sweep meets first. The bound (the first lightest
+    presented row, the rows before their RREF), the budget gate and
+    candidates_swept stay the whole code's: each level still counts its
+    C(n, w) (q-1)^w candidates. A weight-1 codeword e_j is the RREF row
+    with pivot j, so level 1, below a bound of 2 or more, has no word to
+    find, and the table is made at level 2.
     """
     n, q = words.shape[1], spec.q
     # upper bound and witness candidate: the first lightest presented row,
@@ -360,18 +393,19 @@ def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
         part, row = basis[best - len(rows)]
         best_row = part.placed(row, n)
 
-    swept = 0
+    swept, lookup = 0, None
     for w in range(1, best_w):
         level = comb(n, w) * (q - 1) ** w
         if swept + level > budget:
             return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
         arrays = field_tables(spec)
-        for part in parts if w > 1 else ():
-            found = part.first_word(w, arrays)
+        if w > 1:
+            lookup = lookup or _Lookup(parts, spec, arrays)
+            found = lookup.first_word(w)
             if found is not None:
                 word = [spec.zero] * n
                 for pos, c in found:
-                    word[part.lo + pos] = spec.from_int(c)
+                    word[pos] = spec.from_int(c)
                 return DistanceResult(w, None, tuple(word), swept, "sweep-found-lighter")
         swept += level
     return DistanceResult(best_w, None, best_row, swept, "sweep-certified")

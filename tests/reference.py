@@ -9,7 +9,8 @@ Gray map) are written out. The Gray-commutation proof evaluates the word
 maps on every basis word in one numpy pass, the idempotent check is made
 by a rank, the self-dual constants are listed one by one, and the minimum
 distance sweep tries every support on q x q tables of element codes filled
-element by element, or every coefficient vector of each prefix, and the
+element by element, or asks each direct summand in turn on a column table
+of its own, with one or every coefficient vector of each prefix, and the
 divisor screen tries all q^d candidates. Row reduction and the inner
 product run on field elements, with their arithmetic, and the field's
 numpy tables are written out from their definitions. Right division and
@@ -305,53 +306,73 @@ def full_prefix_sums(scaled, arrays, prefixes):
     return sums
 
 
-def full_first_completable_prefix(scaled, arrays, table, w):
-    """distance._first_completable_prefix trying all (q-1)^(w-1) sums of
-    each prefix, in batches of distance._CHUNK sums."""
+def column_table(scaled):
+    """(keys, last) of one summand's scaled columns c*h_j, given as the
+    (width, q-1, n-k) array `scaled` of their logarithms: the distinct keys,
+    sorted, and for each key the largest j that gives it."""
+    keys = distance._row_keys(scaled, scaled.shape[1] + 1)  # column j's rows come j-th
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    run_end = np.append(keys[1:] != keys[:-1], True)
+    return keys[run_end], order[run_end] // scaled.shape[1]
+
+
+def first_completable_prefix(scaled, arrays, table, w, full=False):
+    """The first (w-1)-position prefix P of one summand's columns, in
+    combinations order, with a sum over P equal to some c*h_j with
+    j > max(P), or None: the sums of each prefix with first coefficient 1
+    (distance._prefix_sums), or with full all (q-1)^(w-1) of them
+    (full_prefix_sums), in batches of distance._CHUNK sums, one
+    searchsorted against the summand's own column table per batch."""
     keys, last = table
     q = scaled.shape[1] + 1
-    count = (q - 1) ** (w - 1)
+    count = (q - 1) ** (w - 1 if full else w - 2)
+    prefix_sums = full_prefix_sums if full else distance._prefix_sums
     prefixes = combinations(range(len(scaled) - 1), w - 1)
     per_batch = max(1, distance._CHUNK // count)
     while True:
         batch = np.array(list(islice(prefixes, per_batch)), dtype=np.intp).reshape(-1, w - 1)
         if not batch.size:
             return None
-        wanted = distance._row_keys(full_prefix_sums(scaled, arrays, batch), q)
+        wanted = distance._row_keys(prefix_sums(scaled, arrays, batch), q)
         pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
         if hit.any():
             return tuple(int(j) for j in batch[hit.argmax() // count])
 
 
-def full_first_word(basis, pivots, width, spec, w):
-    """distance._Summand.first_word over every coefficient vector, on the
-    RREF `basis` (field elements) with its pivots: the first word of weight
-    w in (support, coefficient) order, as (column, coefficient code) pairs,
-    or None."""
+def summand_first_word(basis, pivots, width, spec, w, full=False):
+    """The first word of weight w in (support, coefficient) order of one
+    summand, given its RREF `basis` (field elements) and pivots, as
+    (column, coefficient code) pairs, or None: the summand swept on its own
+    H and its own column table, as distance swept each summand before it
+    decided a level for all of them in one pass; with full over every
+    coefficient vector of each prefix."""
     arrays = spec.arrays()
     H = words_to_array(object_nullspace(basis, width, spec, pivots))
     scaled = arrays.wrap[arrays.log[1:, None] + arrays.log[H.T][:, None, :]].astype(np.intp)
     q = spec.q
-    prefix = full_first_completable_prefix(scaled, arrays, distance._column_table(scaled), w)
+    prefix = first_completable_prefix(scaled, arrays, column_table(scaled), w, full)
     if prefix is None:
         return None
-    T = full_prefix_sums(scaled, arrays, np.array([prefix]))[0]
+    lead, prefix_sums = ((), full_prefix_sums) if full else ((0,), distance._prefix_sums)  # (0,): c_1 is 1
+    T = prefix_sums(scaled, arrays, np.array([prefix]))[0]
     wanted = distance._row_keys(arrays.wrap[T + arrays.half], q)
     for j in range(prefix[-1] + 1, width):
         column = distance._row_keys(scaled[j], q)
         hits = np.isin(wanted, column)
         if hits.any():
             i = int(hits.argmax())
-            coefs = (*np.unravel_index(i, (q - 1,) * (w - 1)), np.flatnonzero(column == wanted[i])[0])
+            coefs = (*lead, *np.unravel_index(i, (q - 1,) * (w - 1 - len(lead))), np.flatnonzero(column == wanted[i])[0])
             return tuple(zip(prefix + (j,), (int(c) + 1 for c in coefs)))
 
 
-def full_coefficient_min_distance(rows, spec, budget):
+def per_summand_min_distance(rows, spec, budget, full=False):
     """distance.min_distance with each summand row-reduced on field elements
-    (object_rref) and each sweep level trying every coefficient vector of
-    every prefix (full_first_word); the split, the enumeration and the
-    budget gate are the package's."""
+    (object_rref) and each sweep level asking the summands in column order
+    for a word (summand_first_word), each on its own column table; with
+    full each level tries every coefficient vector of every prefix. The
+    split, the enumeration and the budget gate are the package's."""
     rows = list(rows)
     words = words_to_array(rows)
     parts = [
@@ -376,7 +397,7 @@ def full_coefficient_min_distance(rows, spec, budget):
         if swept + level > budget:
             return DistanceResult(None, (w, best_w), best_row, swept, "sweep-budget-exhausted")
         for lo, hi, basis, pivots in parts if w > 1 else ():
-            found = full_first_word(basis, pivots, hi - lo, spec, w)
+            found = summand_first_word(basis, pivots, hi - lo, spec, w, full)
             if found is not None:
                 word = [spec.zero] * n
                 for pos, c in found:
@@ -384,6 +405,11 @@ def full_coefficient_min_distance(rows, spec, budget):
                 return DistanceResult(w, None, tuple(word), swept, "sweep-found-lighter")
         swept += level
     return DistanceResult(best_w, None, best_row, swept, "sweep-certified")
+
+
+def full_coefficient_min_distance(rows, spec, budget):
+    """per_summand_min_distance over every coefficient vector."""
+    return per_summand_min_distance(rows, spec, budget, full=True)
 
 
 # --- elements of R ---

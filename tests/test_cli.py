@@ -10,7 +10,7 @@ from reference import spy_log_divisions
 
 import skewcodes
 from skewcodes.cli import main
-from skewcodes.codes import SkewCode
+from skewcodes.codes import SkewCode, build_code
 from skewcodes.distance import DEFAULT_BUDGET
 from skewcodes.gf import FieldElement
 from skewcodes.serial import code_from_json
@@ -979,22 +979,48 @@ def test_params_past_the_budget_keeps_the_whole_sweeps_report(capsys):
 
 @pytest.mark.parametrize("spec", [deep_f9((1, 1, 1, 1)), deep_f9((1, -1, -1, 1)), DEEP_OVER_BUDGET])
 def test_deep_params_reduce_and_sweep_no_row_longer_than_n(capsys, monkeypatch, spec):
-    """min_distance row-reduces and sweeps the length-24 image block by
-    block: none of its rrefs and none of its column tables sees a row longer
-    than n = 6."""
+    """min_distance row-reduces the length-24 image block by block and
+    reads each block's parity checks off its own RREF: none of its rrefs
+    and none of its nullspaces sees a row longer than n = 6. The sweep's
+    one column table holds all 24 columns, but none of its key rows is
+    longer than 6 entries plus the one digit of the summand's tag."""
     import skewcodes.distance
 
-    widths, tables = [], []
-    rref, column_table = skewcodes.distance.rref, skewcodes.distance._column_table
+    widths, checks, keys = [], [], []
+    rref, nullspace, row_keys = skewcodes.distance.rref, skewcodes.distance.nullspace, skewcodes.distance._row_keys
     monkeypatch.setattr(skewcodes.distance, "rref", lambda rows, *spec: widths.append(len(rows[0])) or rref(rows, *spec))
     monkeypatch.setattr(
-        skewcodes.distance, "_column_table", lambda scaled: tables.append(len(scaled)) or column_table(scaled)
+        skewcodes.distance,
+        "nullspace",
+        lambda rows, ncols, *args, **kw: checks.append(ncols) or nullspace(rows, ncols, *args, **kw),
     )
+    monkeypatch.setattr(skewcodes.distance, "_row_keys", lambda rows, q: keys.append(rows.shape[-1]) or row_keys(rows, q))
     code, report = run_cli(capsys, "params", "--input", spec)
     assert code == 0
     assert report["result"]["distance"]["candidates_swept"] >= 17856  # weights 1 and 2 swept
     assert widths == [6, 6, 6, 6]
-    assert tables and max(tables) == 6
+    assert checks == [6, 6, 6, 6]
+    assert keys and max(keys) <= 6 + 1
+
+
+@pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
+def test_params_builds_each_component_basis_once(capsys, monkeypatch, betas):
+    """The Gray image and the closure test both read the component bases:
+    each is built once per code, where a params request built them twice,
+    and each call returns a list of its own."""
+    import skewcodes.codes
+
+    built = []
+    basis = skewcodes.codes.generator_basis_words
+    monkeypatch.setattr(skewcodes.codes, "generator_basis_words", lambda f, mod: built.append(f) or basis(f, mod))
+    code, report = run_cli(capsys, "params", "--input", deep_f9(betas))
+    assert code == 0
+    assert len(built) == 4
+    field, n, alpha, gens = code_from_json(json.loads(deep_f9(betas)))
+    ours = build_code(field, n, alpha, gens)
+    first = ours.component_basis(0)
+    first.clear()
+    assert ours.component_basis(0) == basis(gens[0], ours.modulus(0)) != []
 
 
 @pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])

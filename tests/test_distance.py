@@ -8,7 +8,15 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Span, code_tables, full_coefficient_min_distance, hamming_weight, reference_sweep
+from reference import (
+    Span,
+    code_tables,
+    full_coefficient_min_distance,
+    hamming_weight,
+    per_summand_min_distance,
+    reference_sweep,
+)
+from test_kernel import FIELDS as KERNEL_FIELDS
 from test_linalg import DIFFERENTIAL_FIELDS
 
 from skewcodes import distance
@@ -348,9 +356,11 @@ def test_witness_prefix_in_a_later_batch(f3, chunk):
 
 def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
     """On the example-2 image (distance 4, certified by sweeping weights 1
-    to 3) each of the four length-6 summands makes one key lookup per batch
-    and one for its column table, where the per-prefix form made one per
-    prefix."""
+    to 3) the sweep makes one key pass for its one column table of all four
+    length-6 summands, and one per batch at each level, the batches taking
+    the prefixes of all four summands in turn. The per-summand sweep made
+    a table and its own batches for each summand, and the per-prefix form
+    one lookup per prefix."""
     code = example_code(2)
     rows = gray_image_code(code).rows
     calls = []
@@ -361,12 +371,10 @@ def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
     q = code.field.q
     summands = distance._summands(words_to_array(rows))[0]
     assert summands == [(0, 6), (6, 12), (12, 18), (18, 24)]
-    prefixes = {(lo, w): comb(hi - lo - 1, w - 1) for lo, hi in summands for w in (2, 3)}
-    batches = {
-        (lo, w): -(-count // max(1, distance._CHUNK // (q - 1) ** (w - 1)))
-        for (lo, w), count in prefixes.items()
-    }
-    assert len(calls) <= sum(batches.values()) + len(summands)
+    prefixes = {w: sum(comb(hi - lo - 1, w - 1) for lo, hi in summands) for w in (2, 3)}
+    batches = {w: -(-count // max(1, distance._CHUNK // (q - 1) ** (w - 2))) for w, count in prefixes.items()}
+    assert batches == {2: 1, 3: 1}
+    assert len(calls) == 1 + sum(batches.values())
     assert len(calls) < sum(prefixes.values())
 
 
@@ -846,6 +854,230 @@ def test_each_prefix_sums_one_vector_per_projective_class(f9, f25, monkeypatch):
             while (spec.q, 4) not in seen:
                 min_distance(random_rows(spec, rng, 4, 8), spec, budget=10 ** 8)
     assert seen == {(q, w): {(q - 1) ** (w - 2)} for q in (9, 25) for w in (2, 3, 4)}
+
+
+# --- one column table and one pass per level for all summands ---
+
+SPLIT_FIELDS = {**KERNEL_FIELDS, "F3": (3, 1, [0, 1], 1), "F9": (3, 2, [1, 0, 1], 1), "F25": (5, 2, [1, 1, 1], 1)}
+
+
+def planted_block(spec, rng, width, weight):
+    """(width, rows) of a block that hides a word of the given weight under
+    one or two masks."""
+    support = rng.sample(range(width), weight)
+    planted = [rng.randint(1, spec.q - 1) if i in support else 0 for i in range(width)]
+    masks = [[rng.randrange(spec.q) for _ in range(width)] for _ in range(rng.choice((1, 2)))]
+    return width, planted_rows(spec, planted, masks)
+
+
+def split_blocks(spec, rng, kinds):
+    """Blocks laid out in the order of `kinds`: a hidden block (heights 3 to
+    5 by its weight), a planted one, a copy of the block before (identical
+    summands, whose untagged keys collide), a width-1 block of one unit
+    (a full-space summand: weight 1) or a column no row reaches (it joins
+    the summand before it, or the first)."""
+    blocks = []
+    for kind in kinds:
+        if kind == "hidden":
+            blocks.append(hidden_block(spec, rng, rng.randint(2, 4)))
+        elif kind == "planted":
+            width = rng.randint(3, 6)
+            blocks.append(planted_block(spec, rng, width, rng.randint(2, width)))
+        elif kind == "copy" and blocks:
+            blocks.append(blocks[-1])
+        elif kind == "unit":
+            blocks.append((1, [(spec.from_int(rng.randint(1, spec.q - 1)),)]))
+        elif kind == "unreached":
+            blocks.append((1, []))
+    if not any(rows for _, rows in blocks):
+        blocks.append(hidden_block(spec, rng, 2))
+    return blocks
+
+
+def split_cost_ok(spec, n, budget):
+    """Whether the per-support loop of reference_min_distance stays quick:
+    it sums every support of a level on (q-1)^w coefficient vectors."""
+    total, w = 0, 1
+    while w < n and total + comb(n, w) * (spec.q - 1) ** w <= budget:
+        total += comb(n, w) * (spec.q - 1) ** w
+        w += 1
+    return comb(n, w - 1) * (spec.q - 1) ** (w - 1) <= 10 ** 6
+
+
+@st.composite
+def split_codes(draw):
+    """(spec, rows, budget): two to four blocks of split_blocks' kinds over
+    SPLIT_FIELDS, rows shuffled, at a level boundary of the budget or a
+    drawn one."""
+    spec = make_field(*SPLIT_FIELDS[draw(st.sampled_from(sorted(SPLIT_FIELDS)))])
+    kinds = draw(st.lists(st.sampled_from(("hidden", "hidden", "planted", "copy", "unit", "unreached")), min_size=2, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = laid_out(spec, split_blocks(spec, rng, kinds))
+    budget = draw(st.one_of(
+        st.sampled_from(level_boundaries(len(rows[0]), spec.q)),
+        st.integers(0, 3000),
+        st.just(distance.DEFAULT_BUDGET),
+    ))
+    return spec, draw(st.permutations(rows)), budget
+
+
+def assert_split_results_agree(spec, rows, budget):
+    """min_distance against the per-summand sweep, with the enumeration
+    allowed and denied, and with it denied against the whole-matrix
+    per-support loop, where that loop is quick: the DistanceResult, or the
+    refusal. Returns the result with the enumeration denied."""
+    for cap in (distance.ENUM_CAP, 0):
+        with enumeration_cap(cap):
+            ours = outcome(min_distance, rows, spec, budget)
+            assert ours == outcome(per_summand_min_distance, rows, spec, budget)
+    if split_cost_ok(spec, len(rows[0]), budget):
+        with enumeration_cap(0):
+            assert ours == outcome(reference_min_distance, rows, spec, budget)
+    return ours
+
+
+@settings(max_examples=120, deadline=None)
+@given(split_codes())
+def test_one_pass_sweep_is_the_per_summand_sweep(case):
+    assert_split_results_agree(*case)
+
+
+def seeded_split_cases():
+    """(spec, rows, kinds) over every field of SPLIT_FIELDS: each kind of
+    split_blocks next to hidden blocks, two different hidden blocks of one
+    weight (hits in two summands at one level), and a heavy block of one
+    full-weight row before a hidden block (the first hit in a later
+    summand)."""
+    rng = random.Random(44)
+    layouts = (
+        ("hidden", "copy"), ("hidden", "hidden", "hidden"), ("planted", "hidden", "unreached"),
+        ("unreached", "hidden", "planted"), ("hidden", "unit"), ("copy", "hidden", "copy", "planted"),
+    )
+    for name in sorted(SPLIT_FIELDS):
+        spec = make_field(*SPLIT_FIELDS[name])
+        for kinds in layouts:
+            yield spec, laid_out(spec, split_blocks(spec, rng, kinds)), kinds
+        heavy = (5, [tuple(spec.from_int(rng.randint(1, spec.q - 1)) for _ in range(5))])
+        for weight in (2, 3):
+            later = [heavy, hidden_block(spec, rng, weight)]
+            yield spec, laid_out(spec, later), ("heavy", "hidden")
+            twins = [hidden_block(spec, rng, weight), hidden_block(spec, rng, weight)]
+            yield spec, laid_out(spec, twins), ("hidden", "hidden")
+
+
+def test_one_pass_sweep_meets_every_split_case():
+    """Seeded split codes over every field of SPLIT_FIELDS, at every level
+    boundary of the budget and the default: min_distance equals the
+    per-summand sweep and the whole-matrix loop. Between them the cases
+    find a lighter word in the first and in a later summand, hits in two
+    summands at one level, certify weight 1 by a width-1 summand and
+    weight 2 or more, and run out of budget."""
+    seen = set()
+    for spec, rows, kinds in seeded_split_cases():
+        n = len(rows[0])
+        for budget in level_boundaries(n, spec.q) + [distance.DEFAULT_BUDGET]:
+            ours = assert_split_results_agree(spec, rows, budget)
+            if not isinstance(ours, DistanceResult):
+                continue
+            if ours.method == "sweep-found-lighter":
+                first = next(i for i, c in enumerate(ours.witness) if not c.is_zero)
+                seen.add(("lighter", "later" if first >= 5 and kinds[0] == "heavy" else "first"))
+                if kinds == ("hidden", "hidden") or "copy" in kinds:
+                    seen.add("two summands hit")
+            elif ours.method == "sweep-certified":
+                seen.add((ours.method, min(ours.exact, 2)))
+            else:
+                seen.add(ours.method)
+    assert seen >= {
+        ("lighter", "first"), ("lighter", "later"), "two summands hit",
+        ("sweep-certified", 1), ("sweep-certified", 2), "sweep-budget-exhausted",
+    }
+
+
+def tall_block(f3, rng, n, weight):
+    """(n, rows) of an [n, 2] block over F3 holding a word of the given
+    weight that neither its rows nor its RREF present, nor anything as
+    light, as in test_keys_are_int64_below_2_63_and_bytes_above. The word
+    starts at column 0, so the block is one summand and its H has n - 2
+    rows."""
+    support = [0] + sorted(rng.sample(range(1, n // 2), weight - 1))
+    planted = [rng.randint(1, 2) if i in support else 0 for i in range(n)]
+    tail = [rng.randrange(3) for _ in range(n - support[1] - 1)]
+    rows = planted_rows(f3, planted, [[0] * support[1] + [rng.randint(1, 2)] + tail])
+    assert min(hamming_weight(row) for row in rows + rref(rows)[0]) > weight
+    return n, rows
+
+
+@pytest.mark.parametrize("tall_first", [True, False])
+@pytest.mark.parametrize("height, kind", [(38, "i"), (39, "V")])
+def test_tagged_keys_are_int64_below_2_63_and_bytes_above(f3, monkeypatch, height, kind, tall_first):
+    """Two summands over F3: a tall block, whose H has `height` rows, with
+    a word of weight 3, and a [5, 1] block of one row of weight 5, first or
+    second. The tag is one base-3 digit after the tallest H's entries, so
+    3^(height + 1) < 2^63 gives int64 keys at height 38 and byte keys at 39,
+    for the table and every batch, where one summand of height 39 still
+    had int64 keys. Either way the sweep finds the word the whole-matrix
+    loop and the per-summand sweep find, in the first or the later
+    summand."""
+    assert (3 ** (height + 1) < 2 ** 63) == (kind == "i") and 3 ** height < 2 ** 63
+    rng = random.Random(height)
+    blocks = [tall_block(f3, rng, height + 2, 3), (5, [(f3.one, f3.one, f3.one, f3.one, f3.one)])]
+    rows = laid_out(f3, blocks if tall_first else blocks[::-1])
+    assert [part.hi - part.lo - len(part.basis) for part in distance._reduce_by_summand(rows, f3)[1]] == (
+        [height, 4] if tall_first else [4, height]
+    )
+    kinds = set()
+    row_keys = distance._row_keys
+
+    def spy(rows, q):
+        keys = row_keys(rows, q)
+        kinds.add((rows.shape[-1], keys.dtype.kind))
+        return keys
+
+    monkeypatch.setattr(distance, "_row_keys", spy)
+    budget = distance.DEFAULT_BUDGET
+    with enumeration_cap(0):  # 3^3 messages
+        expected = reference_min_distance(rows, f3, budget)
+        assert (expected.exact, expected.method) == (3, "sweep-found-lighter")
+        assert min_distance(rows, f3, budget) == expected == per_summand_min_distance(rows, f3, budget)
+    assert {k for width, k in kinds if width == height + 1} == {kind}
+
+
+def test_split_sweep_batches_and_memory_are_bounded(f3, monkeypatch):
+    """Random [24, 12] and [20, 10] blocks over F3, side by side, have no
+    word of weight 4 or less; the sweep finishes weight 4, 10960 prefix
+    sums in batches of at most _CHUNK, one of which holds prefixes of both
+    summands, before the budget stops it at weight 5. The traced peak stays
+    within the bound of test_sweep_memory_is_bounded_by_the_batch."""
+    rng = random.Random(5)
+    rows = laid_out(f3, [(24, random_rows(f3, rng, 12, 24)), (20, random_rows(f3, rng, 10, 20))])
+    n, k = 44, 22
+    words, parts = distance._reduce_by_summand(rows, f3)
+    assert [(part.lo, part.hi, len(part.basis)) for part in parts] == [(0, 24, 12), (24, 44, 10)]
+    sums, straddle = [], []
+    prefix_sums = distance._prefix_sums
+
+    def spy(scaled, arrays, prefixes):
+        out = prefix_sums(scaled, arrays, prefixes)
+        sums.append((prefixes.shape[1] + 1, out.shape[0] * out.shape[1]))
+        straddle.append(prefixes[0, 0] < 24 <= prefixes[-1, 0])
+        return out
+
+    monkeypatch.setattr(distance, "_prefix_sums", spy)
+    field_tables(f3)
+    tracemalloc.start()
+    try:
+        res = distance._bounded_weight_sweep(rows, words, parts, f3, distance.DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.method == "sweep-budget-exhausted"
+    assert res.bounds[0] == 5
+    level = [count for w, count in sums if w == 4]
+    assert sum(level) == (comb(23, 3) + comb(19, 3)) * 2 ** 2 == 10960
+    assert len(level) >= 3 and max(count for _, count in sums) <= distance._CHUNK
+    assert any(straddle)
+    assert peak < 32 * distance._CHUNK * (n - k)
 
 
 # --- rows that are no matrix over spec ---
