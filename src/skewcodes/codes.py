@@ -28,6 +28,7 @@ from .linalg import inner_product
 from .ring4 import RingElement, join_word, split_word
 from .skewpoly import (
     ModulusSpec,
+    SkewPoly,
     dual_generator,
     generator_basis_words,
     is_theta_fixed,
@@ -111,13 +112,14 @@ class SkewCode:
 
     @functools.cached_property
     def remainders(self):
-        """r_i = (x^n - beta_i) mod g_i on the right, read off residue_rows:
-        x^n - beta_i has two nonzero coefficients, so each costs at most one
-        row combination and no division. g_i right-divides x^n - beta_i, so
-        C_i is tau-closed, exactly when r_i is zero."""
+        """r_i = (x^n - beta_i) mod g_i on the right: the last row of
+        residue_rows, x^n mod g_i, with beta_i subtracted from its constant
+        term, and 0 when deg g_i = 0. No arithmetic but that subtraction,
+        and no division. g_i right-divides x^n - beta_i, so C_i is
+        tau-closed, exactly when r_i is zero."""
         return tuple(
-            residue_sum(self.modulus(i).poly().coeffs, g, rows)
-            for i, (g, rows) in enumerate(zip(self.gens, self.residue_rows))
+            SkewPoly(g.spec, g.ring, [rows[-1][0] - beta, *rows[-1][1:]] if g.degree else [])
+            for g, beta, rows in zip(self.gens, self.component_constants, self.residue_rows)
         )
 
     def contains(self, word) -> bool:

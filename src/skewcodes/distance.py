@@ -16,18 +16,21 @@ in (support, coefficient) order has first coefficient 1 already
 candidates. The sweep runs in numpy on the field's logarithm arrays
 (gf.FieldArrays), which are exact.
 
-The rows are split into contiguous direct summands first: a cut falls
-before a column where a row starts and no row has nonzero entries on both
-sides, as between the four CRT blocks of a Gray image. The row reduction is
-made summand by summand, and each summand's H is read off its own RREF, so
-a code that splits is never reduced as one length-n matrix; a matrix that
-does not split is the one-summand case. The sweep then decides each level
-for all summands at once (_Lookup): one table of every summand's scaled
-columns, each key tagged with its summand, and one stream of the summands'
-prefixes through the batches, with the whole code's bound, budget gate and
-counts. A summand keeps its RREF and parity checks as logarithm lists
-(linalg on logarithms) up to the table; field elements are made only for a
-reported row.
+The rows are read once into logarithm lists, the one conversion from
+field elements (_reduce_by_summand), and split into contiguous direct
+summands: a cut falls before a column where a row starts and no row has
+nonzero entries on both sides, as between the four CRT blocks of a Gray
+image. The row reduction is made summand by summand, and each summand's H
+is read off its own RREF, so a code that splits is never reduced as one
+length-n matrix; a matrix that does not split is the one-summand case. The
+sweep then decides each level for all summands at once (_Lookup): one
+table of every summand's scaled columns, each key carrying its summand's
+index as an offset (_row_keys), and one stream of the summands' prefixes
+through the batches, with the whole code's bound, budget gate and counts.
+The enumeration places the summands' RREF rows in one logarithm array. A
+summand keeps its RREF and parity checks as logarithm lists (linalg on
+logarithms) up to the table; field elements are made only for a reported
+row.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ from .linalg import nullspace, rref
 
 ENUM_CAP = 200_000
 # Prefix sums tested per numpy batch of the distance sweep. A batch's
-# working memory is about 18 bytes per sum and parity check (traced), so
-# this bounds it whatever the number of prefixes in a level.
+# working memory is about 30 bytes per sum and parity check (tracemalloc
+# peaks of F3 sweeps through weight 4: 29.9 on one [48, 24] summand, 31.7
+# on [24, 12] + [20, 10]), so this bounds it whatever the number of
+# prefixes in a level.
 _CHUNK = 1 << 12
 
 
@@ -55,11 +60,6 @@ def field_tables(spec: FieldSpec) -> FieldArrays:
     made. The traced benchmark (perfbench/tracer.py) times this call by
     name, until its revision (ROADMAP item 1a)."""
     return spec.arrays()
-
-
-def words_to_array(words) -> np.ndarray:
-    # int32: a code of F_q reaches q - 1, which is 2^15 or more above 3^9
-    return np.array([[c.code for c in w] for w in words], dtype=np.int32)
 
 
 def array_to_word(row, spec: FieldSpec):
@@ -105,7 +105,7 @@ def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> Distanc
         isinstance(c, FieldElement) and c.spec == spec for row in rows for c in row
     ):
         raise MixedRingsError(f"rows hold an entry that is not an element of {spec!r}")
-    words, parts = _reduce_by_summand(rows, spec)
+    nonzero, parts = _reduce_by_summand(rows, spec)
     k = sum(len(part.basis) for part in parts)
     if k == 0:
         return DistanceResult(None, None, None, 0, "zero-code", defined=False)
@@ -116,22 +116,21 @@ def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> Distanc
         witness[0] = spec.one
         return DistanceResult(1, None, tuple(witness), 0, "full-space")
     if q ** k <= min(budget, ENUM_CAP):
-        return _enumerate_messages(_placed(parts, n), spec, budget)
-    return _bounded_weight_sweep(rows, words, parts, spec, budget)
+        return _enumerate_messages(parts, n, spec, budget)
+    return _bounded_weight_sweep(rows, nonzero, parts, spec, budget)
 
 
-def _summands(words):
-    """(summands, parts) of an (r, n) array of element codes: the column
-    ranges (lo, hi) of the contiguous direct summands of its row space, in
-    column order, and for each summand the indices of its rows (zero rows
-    are in none). A cut falls before column c when a row starts at c and no
-    row has nonzero entries on both sides of it. A column no row reaches
-    stays in the summand before it (leading ones in the first), so every
-    summand holds a row and the summands cover all n columns."""
-    nonzero = words != 0
+def _summands(nonzero):
+    """(summands, parts) of the (r, n) mask of a matrix's nonzero entries:
+    the column ranges (lo, hi) of the contiguous direct summands of its row
+    space, in column order, and for each summand the indices of its rows
+    (zero rows are in none). A cut falls before column c when a row starts
+    at c and no row has nonzero entries on both sides of it. A column no
+    row reaches stays in the summand before it (leading ones in the first),
+    so every summand holds a row and the summands cover all n columns."""
     if not nonzero.any():
         return [], []
-    n = words.shape[1]
+    n = nonzero.shape[1]
     held = nonzero.any(axis=1).tolist()
     first = nonzero.argmax(axis=1).tolist()
     last = (n - 1 - nonzero[:, ::-1].argmax(axis=1)).tolist()
@@ -149,34 +148,33 @@ def _summands(words):
 
 
 def _reduce_by_summand(rows, spec):
-    """(words, parts): the rows as an array of element codes, which the
+    """(nonzero, parts): the mask of the rows' nonzero entries, which the
     sweep reuses for its bound, and a _Summand for each contiguous direct
     summand, in column order, each given the logarithms of its rows cut to
-    its columns."""
-    words = words_to_array(rows)
+    its columns. The rows are read into logarithm lists here, once: this
+    is the only place the module reads an element's code."""
     log = spec.log
-    return words, [
-        _Summand(spec, lo, hi, [[log[c.code] for c in rows[i][lo:hi]] for i in part])
-        for (lo, hi), part in zip(*_summands(words))
+    logs = [[log[c.code] for c in row] for row in rows]
+    nonzero = np.array(logs, dtype=np.intp) != spec.log_zero
+    return nonzero, [
+        _Summand(spec, lo, hi, [logs[i][lo:hi] for i in part]) for (lo, hi), part in zip(*_summands(nonzero))
     ]
 
 
-def _placed(parts, n):
-    """The summands' bases at their columns in length n, in summand order,
-    as field elements: rref of the whole matrix, since the RREF is unique
-    and the RREF of a direct sum is its summands' RREFs side by side."""
-    return [part.placed(row, n) for part in parts for row in part.basis]
-
-
-def _enumerate_messages(basis, spec, budget) -> DistanceResult:
-    """Every word of the row space of `basis`, as element codes, in the order
-    of the messages read in base q, first row most significant: q^k words of
-    n entries each, charged against the budget before the first is built."""
-    k, n, q = len(basis), len(basis[0]), spec.q
+def _enumerate_messages(parts, n, spec, budget) -> DistanceResult:
+    """Every word of the row space of the summands' bases, as element codes,
+    in the order of the messages read in base q, first row most
+    significant: q^k words of n entries each, charged against the budget
+    before the first is built. The bases are placed at their columns in
+    one (k, n) logarithm array: the RREF of the whole matrix, which is its
+    summands' RREFs side by side."""
+    zero = spec.log_zero
+    basis = [(zero,) * part.lo + row + (zero,) * (n - part.hi) for part in parts for row in part.basis]
+    k, q = len(basis), spec.q
     charge(budget, q ** k * n, f"message enumeration needs q^k * n = {q}^{k} * {n}", "entries")
     arrays = field_tables(spec)
     # multiples[c, r] = c*g_r for the element c with code c
-    multiples = arrays.exp[arrays.log[:, None, None] + arrays.log[words_to_array(basis)]]
+    multiples = arrays.exp[arrays.log[:, None, None] + np.array(basis, dtype=np.intp)]
     words = multiples[:, 0]
     if k > 1:
         # q^2 <= ENUM_CAP, so q <= 447: one q x q table of int16 sums
@@ -192,26 +190,21 @@ def _enumerate_messages(basis, spec, budget) -> DistanceResult:
     return DistanceResult(d, None, array_to_word(words[idx], spec), int(len(words)), "message-enumeration")
 
 
-def _row_keys(rows, q) -> np.ndarray:
-    """One key per row (the last axis) of logarithms, equal exactly when the
-    rows are. The logarithm of 0, 2(q-1), is folded to q - 1, so every entry
-    is in [0, q): the key is the row read in base q as an int64 when
-    q^width < 2^63, else an np.void of its int32 bytes."""
+def _row_keys(rows, q, tags, count) -> np.ndarray:
+    """One key per row (the last axis) of m logarithms and its tag, a
+    summand index below `count` that broadcasts against the leading axes;
+    keys are equal exactly when rows and tags are. The logarithm of 0,
+    2(q-1), is folded to q - 1, so every entry is in [0, q): the key is the
+    row read in base q plus tag * q^m, an int64 when count * q^m < 2^63,
+    else an np.void of the row's int32 bytes and the tag's. The kind
+    depends on q, m and count only, so a table and its batches agree."""
     width = rows.shape[-1]
-    rows = np.minimum(rows.reshape(-1, width), q - 1)
-    if q ** width < 1 << 63:
-        return rows @ q ** np.arange(width, dtype=np.int64)
-    rows = np.ascontiguousarray(rows, dtype=np.int32)
-    return rows.view(np.dtype((np.void, 4 * width))).ravel()
-
-
-def _tagged(rows, tags):
-    """The (A, B, m) array `rows` as A*B rows, each row of rows[a] followed
-    by the digits tags[a]; `rows` itself when there are no digits."""
-    if not tags.shape[1]:
-        return rows
-    a, b, m = rows.shape
-    return np.concatenate((rows.reshape(a * b, m), np.repeat(tags, b, axis=0)), axis=1)
+    rows = np.minimum(rows, q - 1)
+    if count * q ** width < 1 << 63:
+        return (rows @ q ** np.arange(width, dtype=np.int64) + tags * q ** width).ravel()
+    tags = np.broadcast_to(tags, rows.shape[:-1])[..., None]
+    rows = np.concatenate((rows, tags), axis=-1).astype(np.int32).reshape(-1, width + 1)
+    return rows.view(np.dtype((np.void, 4 * (width + 1)))).ravel()
 
 
 def _prefix_sums(scaled, arrays, prefixes):
@@ -234,14 +227,8 @@ class _Summand:
     of its rows cut to its columns, given and kept as logarithm lists."""
 
     def __init__(self, spec, lo, hi, rows):
-        self.spec, self.lo, self.hi = spec, lo, hi
+        self.lo, self.hi = lo, hi
         self.basis, self.pivots = rref(rows, spec)
-
-    def placed(self, row, n):
-        """The basis row `row` (logarithms) at the summand's columns in
-        length n, as field elements."""
-        spec = self.spec
-        return (spec.zero,) * self.lo + tuple(spec.exp[x] for x in row) + (spec.zero,) * (n - self.hi)
 
 
 class _Lookup:
@@ -249,12 +236,12 @@ class _Lookup:
     columns c*h_j of each summand's own parity checks H, read off its own
     RREF, side by side as one (n, q-1, m) array `scaled` of logarithms, each
     H padded with zero rows to the tallest summand's m rows; and one sorted
-    table of their distinct keys, each tagged with its summand's index, with
-    the largest column j that gives it. The tag is the index read as
-    ceil(log_q s) base-q digits after the m entries, least significant
-    first, for s summands: an int64 key gains index * q^m, a byte key the
-    digits' bytes, and a one-summand code has no tag. A sum is tagged with
-    its prefix's summand, so it matches only columns of that summand.
+    table of their distinct keys, each carrying its summand's index as its
+    tag (_row_keys, for s summands: index * q^m added to an int64 key while
+    s * q^m < 2^63, one more int32 entry in a byte key past it), with the
+    largest column j that gives it. A sum carries its prefix's summand, so
+    it matches only columns of that summand; a one-summand code's tags are
+    all 0 and its int64 keys are the rows read in base q.
 
     Made when the sweep reaches weight 2, that is when no summand has a
     weight-1 word or is the full space: each H has a row and no zero column.
@@ -269,12 +256,8 @@ class _Lookup:
         columns = [h_j + (spec.log_zero,) * (height - len(h)) for h in checks for h_j in zip(*h)]
         columns = np.array(columns, dtype=np.intp)
         self.scaled = arrays.wrap[arrays.log[1:, None] + columns[:, None, :]]  # log(c*h_j), c = 1 .. q-1
-        digits = 0
-        while q ** digits < len(parts):
-            digits += 1
         self.owner = np.repeat(np.arange(len(parts)), [part.hi - part.lo for part in parts])
-        self.tags = self.owner[:, None] // q ** np.arange(digits) % q
-        keys = _row_keys(_tagged(self.scaled, self.tags), q)  # column j's rows come j-th
+        keys = _row_keys(self.scaled, q, self.owner[:, None], len(parts))  # column j's rows come j-th
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         run_end = np.append(keys[1:] != keys[:-1], True)
@@ -302,7 +285,7 @@ class _Lookup:
                 return None
             batch = batch.reshape(-1, w - 1)
             sums = _prefix_sums(self.scaled, self.arrays, batch)
-            wanted = _row_keys(_tagged(sums, self.tags[batch[:, 0]]), q)
+            wanted = _row_keys(sums, q, self.owner[batch[:, :1]], len(self.parts))
             pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
             hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
             if hit.any():
@@ -323,9 +306,9 @@ class _Lookup:
         # the keys of the prefix's sums, negated (log(-x) = log x + (q-1)/2),
         # one per coefficient vector (1, c_2, .., c_(w-1)) in product order
         T = _prefix_sums(scaled, arrays, np.array([prefix]))[0]
-        wanted = _row_keys(arrays.wrap[T + arrays.half], q)
+        wanted = _row_keys(arrays.wrap[T + arrays.half], q, 0, 1)
         for j in range(prefix[-1] + 1, self.parts[self.owner[prefix[0]]].hi):
-            column = _row_keys(scaled[j], q)
+            column = _row_keys(scaled[j], q, 0, 1)
             hits = np.isin(wanted, column)
             if hits.any():
                 i = int(hits.argmax())
@@ -333,14 +316,14 @@ class _Lookup:
                 return tuple(zip(prefix + (j,), (int(c) + 1 for c in coefs)))
 
 
-def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
+def _bounded_weight_sweep(rows, nonzero, parts, spec, budget) -> DistanceResult:
     """Sweep weights 1, 2, .. below the lightest presented row for a codeword.
 
-    `words` are the rows as element codes and `parts` their summands, as
-    _reduce_by_summand gives them. A word with support P + (j,), j > max(P),
-    and nonzero coefficients is a codeword iff its prefix sum
-    T = sum_{i in P} c_i h_i over the columns of the parity-check matrix H
-    equals -c_j h_j. The scaled columns {c*h_j : c != 0} are closed under
+    `nonzero` is the mask of the rows' nonzero entries and `parts` their
+    summands, as _reduce_by_summand gives them. A word with support
+    P + (j,), j > max(P), and nonzero coefficients is a codeword iff its
+    prefix sum T = sum_{i in P} c_i h_i over the columns of the
+    parity-check matrix H equals -c_j h_j. The scaled columns {c*h_j : c != 0} are closed under
     negation, so each prefix P of w - 1 positions has a weight-w completion
     iff one of its (q-1)^(w-1) sums is a scaled column c*h_j with j > max(P).
     A level's sums are looked up in a sorted table of the scaled columns,
@@ -379,19 +362,19 @@ def _bounded_weight_sweep(rows, words, parts, spec, budget) -> DistanceResult:
     with pivot j, so level 1, below a bound of 2 or more, has no word to
     find, and the table is made at level 2.
     """
-    n, q = words.shape[1], spec.q
+    n, q = nonzero.shape[1], spec.q
     # upper bound and witness candidate: the first lightest presented row,
     # made of field elements only if it is an RREF row
     basis = [(part, row) for part in parts for row in part.basis]
     zero = spec.log_zero
-    weights = np.count_nonzero(words, axis=1).tolist() + [len(row) - row.count(zero) for _, row in basis]
+    weights = np.count_nonzero(nonzero, axis=1).tolist() + [len(row) - row.count(zero) for _, row in basis]
     best_w = min(w for w in weights if w)
     best = weights.index(best_w)
     if best < len(rows):
         best_row = tuple(rows[best])
     else:
         part, row = basis[best - len(rows)]
-        best_row = part.placed(row, n)
+        best_row = (spec.zero,) * part.lo + tuple(spec.exp[x] for x in row) + (spec.zero,) * (n - part.hi)
 
     swept, lookup = 0, None
     for w in range(1, best_w):

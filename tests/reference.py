@@ -36,7 +36,7 @@ import numpy as np
 from skewcodes import distance, skewpoly
 from skewcodes.cli import main
 from skewcodes.decomp import extract_components
-from skewcodes.distance import DistanceResult, words_to_array
+from skewcodes.distance import DistanceResult
 from skewcodes.errors import (
     HypothesisViolatedError,
     LengthMismatchError,
@@ -170,6 +170,22 @@ def basis_commutation(lhs, rhs, field: FieldSpec, n: int):
 
 
 # --- the minimum distance on q x q code tables ---
+
+def words_to_array(words) -> np.ndarray:
+    """The words as an array of element codes, as distance held a matrix
+    before it read its rows into logarithms: int32, since a code of F_q
+    reaches q - 1."""
+    return np.array([[c.code for c in w] for w in words], dtype=np.int32)
+
+
+LogSummand = collections.namedtuple("LogSummand", "lo hi basis")
+
+
+def log_summands(parts, spec):
+    """(lo, hi, basis) triples, bases of field elements, as the summands
+    distance._enumerate_messages places: their bases as logarithm rows."""
+    return [LogSummand(lo, hi, [tuple(spec.log[c.code] for c in row) for row in basis]) for lo, hi, basis in parts]
+
 
 @functools.lru_cache(maxsize=None)
 def code_tables(spec: FieldSpec):
@@ -310,7 +326,7 @@ def column_table(scaled):
     """(keys, last) of one summand's scaled columns c*h_j, given as the
     (width, q-1, n-k) array `scaled` of their logarithms: the distinct keys,
     sorted, and for each key the largest j that gives it."""
-    keys = distance._row_keys(scaled, scaled.shape[1] + 1)  # column j's rows come j-th
+    keys = distance._row_keys(scaled, scaled.shape[1] + 1, 0, 1)  # column j's rows come j-th
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     run_end = np.append(keys[1:] != keys[:-1], True)
@@ -334,7 +350,7 @@ def first_completable_prefix(scaled, arrays, table, w, full=False):
         batch = np.array(list(islice(prefixes, per_batch)), dtype=np.intp).reshape(-1, w - 1)
         if not batch.size:
             return None
-        wanted = distance._row_keys(prefix_sums(scaled, arrays, batch), q)
+        wanted = distance._row_keys(prefix_sums(scaled, arrays, batch), q, 0, 1)
         pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         hit = (keys[pos] == wanted) & (last[pos] > np.repeat(batch[:, -1], count))
         if hit.any():
@@ -357,9 +373,9 @@ def summand_first_word(basis, pivots, width, spec, w, full=False):
         return None
     lead, prefix_sums = ((), full_prefix_sums) if full else ((0,), distance._prefix_sums)  # (0,): c_1 is 1
     T = prefix_sums(scaled, arrays, np.array([prefix]))[0]
-    wanted = distance._row_keys(arrays.wrap[T + arrays.half], q)
+    wanted = distance._row_keys(arrays.wrap[T + arrays.half], q, 0, 1)
     for j in range(prefix[-1] + 1, width):
-        column = distance._row_keys(scaled[j], q)
+        column = distance._row_keys(scaled[j], q, 0, 1)
         hits = np.isin(wanted, column)
         if hits.any():
             i = int(hits.argmax())
@@ -377,7 +393,7 @@ def per_summand_min_distance(rows, spec, budget, full=False):
     words = words_to_array(rows)
     parts = [
         (lo, hi, *object_rref([rows[i][lo:hi] for i in members]))
-        for (lo, hi), members in zip(*distance._summands(words))
+        for (lo, hi), members in zip(*distance._summands(words != 0))
     ]
     k = sum(len(basis) for _, _, basis, _ in parts)
     if k == 0:
@@ -387,7 +403,7 @@ def per_summand_min_distance(rows, spec, budget, full=False):
         return DistanceResult(1, None, (spec.one,) + (spec.zero,) * (n - 1), 0, "full-space")
     placed = [(spec.zero,) * lo + row + (spec.zero,) * (n - hi) for lo, hi, basis, _ in parts for row in basis]
     if q ** k <= min(budget, distance.ENUM_CAP):
-        return distance._enumerate_messages(placed, spec, budget)
+        return distance._enumerate_messages(log_summands([part[:3] for part in parts], spec), n, spec, budget)
     weights = np.count_nonzero(np.vstack((words, words_to_array(placed))), axis=1)
     best_w = int(weights[weights > 0].min())
     best_row = tuple((rows + placed)[int(np.argmax(weights == best_w))])

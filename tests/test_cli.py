@@ -983,7 +983,8 @@ def test_deep_params_reduce_and_sweep_no_row_longer_than_n(capsys, monkeypatch, 
     reads each block's parity checks off its own RREF: none of its rrefs
     and none of its nullspaces sees a row longer than n = 6. The sweep's
     one column table holds all 24 columns, but none of its key rows is
-    longer than 6 entries plus the one digit of the summand's tag."""
+    longer than 6 entries: the summand's tag is an offset inside the int64
+    key, not an entry of its row."""
     import skewcodes.distance
 
     widths, checks, keys = [], [], []
@@ -994,13 +995,17 @@ def test_deep_params_reduce_and_sweep_no_row_longer_than_n(capsys, monkeypatch, 
         "nullspace",
         lambda rows, ncols, *args, **kw: checks.append(ncols) or nullspace(rows, ncols, *args, **kw),
     )
-    monkeypatch.setattr(skewcodes.distance, "_row_keys", lambda rows, q: keys.append(rows.shape[-1]) or row_keys(rows, q))
+    monkeypatch.setattr(
+        skewcodes.distance,
+        "_row_keys",
+        lambda rows, q, tags, count: keys.append(rows.shape[-1]) or row_keys(rows, q, tags, count),
+    )
     code, report = run_cli(capsys, "params", "--input", spec)
     assert code == 0
     assert report["result"]["distance"]["candidates_swept"] >= 17856  # weights 1 and 2 swept
     assert widths == [6, 6, 6, 6]
     assert checks == [6, 6, 6, 6]
-    assert keys and max(keys) <= 6 + 1
+    assert keys and max(keys) <= 6
 
 
 @pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])

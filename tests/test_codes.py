@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     EvenLengthError,
     Span,
@@ -14,6 +16,7 @@ from reference import (
     ring_elements,
     self_dual_constant_list,
 )
+from test_kernel import FIELDS as KERNEL_FIELDS
 
 from skewcodes.catalog import example_code
 from skewcodes.codes import (
@@ -46,6 +49,7 @@ from skewcodes.skewpoly import (
     random_right_divisor,
     right_divisor_search,
     right_divmod,
+    right_remainder,
     skew_constacyclic_shift,
     span_words,
 )
@@ -198,6 +202,22 @@ def test_residue_rows_are_kept_per_code(f9, monkeypatch):
     assert first.contains(word) and first.contains(word)
     assert not second.contains(word)
     assert len(built) == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_FIELDS)), st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_remainders_are_the_right_remainders_of_the_moduli(name, n, seed):
+    """r_i, read off the last row of residue_rows, is
+    right_remainder(x^n - beta_i, g_i) on monic g_i of degree 0, n and two
+    drawn degrees, most of them no divisor, with beta_i = 0, 1 and drawn
+    constants, over fields with m from 1 to 6 and twists 1 and 2."""
+    spec = make_field(*KERNEL_FIELDS[name])
+    rng = random.Random(seed)
+    degrees = [0, n, rng.randint(0, n), rng.randint(0, n)]
+    betas = [spec.zero, spec.one, spec.random_element(rng), rng.choice((spec.zero, spec.random_element(rng)))]
+    rng.shuffle(betas)
+    code = SkewCode(spec, n, RingElement.from_crt(spec, *betas), tuple(random_monic(spec, rng, d) for d in degrees))
+    assert code.remainders == tuple(right_remainder(code.modulus(i).poly(), g) for i, g in enumerate(code.gens))
 
 
 # --- shifts ---

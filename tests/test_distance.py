@@ -2,7 +2,7 @@ import random
 import time
 import tracemalloc
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -13,8 +13,10 @@ from reference import (
     code_tables,
     full_coefficient_min_distance,
     hamming_weight,
+    log_summands,
     per_summand_min_distance,
     reference_sweep,
+    words_to_array,
 )
 from test_kernel import FIELDS as KERNEL_FIELDS
 from test_linalg import DIFFERENTIAL_FIELDS
@@ -22,7 +24,7 @@ from test_linalg import DIFFERENTIAL_FIELDS
 from skewcodes import distance
 from skewcodes.catalog import example_code, get_example
 from skewcodes.codes import build_code
-from skewcodes.distance import DistanceResult, field_tables, min_distance, words_to_array
+from skewcodes.distance import DistanceResult, field_tables, min_distance
 from skewcodes.errors import BudgetExceededError, LengthMismatchError, MixedRingsError
 from skewcodes.gf import make_field
 from skewcodes.gray import gray_image_code
@@ -365,11 +367,11 @@ def test_lookups_are_per_batch_not_per_prefix(f9, monkeypatch):
     rows = gray_image_code(code).rows
     calls = []
     row_keys = distance._row_keys
-    monkeypatch.setattr(distance, "_row_keys", lambda r, q: calls.append(1) or row_keys(r, q))
+    monkeypatch.setattr(distance, "_row_keys", lambda r, q, *tag: calls.append(1) or row_keys(r, q, *tag))
     res = min_distance(rows, code.field)
     assert (res.exact, res.method) == (4, "sweep-certified")
     q = code.field.q
-    summands = distance._summands(words_to_array(rows))[0]
+    summands = distance._summands(words_to_array(rows) != 0)[0]
     assert summands == [(0, 6), (6, 12), (12, 18), (18, 24)]
     prefixes = {w: sum(comb(hi - lo - 1, w - 1) for lo, hi in summands) for w in (2, 3)}
     batches = {w: -(-count // max(1, distance._CHUNK // (q - 1) ** (w - 2))) for w, count in prefixes.items()}
@@ -422,8 +424,8 @@ def test_keys_are_int64_below_2_63_and_bytes_above(f3, monkeypatch, weight, n, k
     kinds = set()
     row_keys = distance._row_keys
 
-    def spy(rows, q):
-        keys = row_keys(rows, q)
+    def spy(rows, q, tags, count):
+        keys = row_keys(rows, q, tags, count)
         kinds.add(keys.dtype.kind)
         return keys
 
@@ -471,7 +473,7 @@ def reference_min_distance(rows, spec, budget):
     if k == n:
         return DistanceResult(1, None, (spec.one,) + (spec.zero,) * (n - 1), 0, "full-space")
     if spec.q ** k <= min(budget, distance.ENUM_CAP):
-        return distance._enumerate_messages(basis, spec, budget)
+        return distance._enumerate_messages(log_summands([(0, n, basis)], spec), n, spec, budget)
     return reference_sweep(rows, basis, spec, n, budget)
 
 
@@ -702,14 +704,14 @@ def test_a_straddling_row_joins_two_blocks(f9):
     el = f9.from_int
     blocks = [(3, [(el(1), el(2), el(1))]), (3, [(el(4), el(1), el(0)), (el(0), el(1), el(1))]), (2, [])]
     rows = laid_out(f9, blocks) + [(f9.zero,) * 8]
-    assert distance._summands(words_to_array(rows)) == ([(0, 3), (3, 8)], [[0], [1, 2]])
+    assert distance._summands(words_to_array(rows) != 0) == ([(0, 3), (3, 8)], [[0], [1, 2]])
     rows.append(straddling_row(f9, blocks, 0, [1, 1]))
-    assert distance._summands(words_to_array(rows)) == ([(0, 8)], [[0, 1, 2, 4]])
-    assert distance._summands(words_to_array([(f9.zero,) * 8])) == ([], [])
+    assert distance._summands(words_to_array(rows) != 0) == ([(0, 8)], [[0, 1, 2, 4]])
+    assert distance._summands(words_to_array([(f9.zero,) * 8]) != 0) == ([], [])
     inner = laid_out(f9, [blocks[0], (2, []), (3, [(el(4), el(1), el(0))])])
-    assert distance._summands(words_to_array(inner)) == ([(0, 5), (5, 8)], [[0], [1]])
+    assert distance._summands(words_to_array(inner) != 0) == ([(0, 5), (5, 8)], [[0], [1]])
     leading = laid_out(f9, [(2, []), blocks[0]])
-    assert distance._summands(words_to_array(leading)) == ([(0, 5)], [[0]])
+    assert distance._summands(words_to_array(leading) != 0) == ([(0, 5)], [[0]])
 
 
 def example_and_golden_images():
@@ -739,9 +741,15 @@ def example_and_golden_images():
 
 
 def merged_rref(rows, spec):
-    """The summands' bases placed at their columns, and their pivots."""
+    """The summands' bases placed at their columns, as field elements, and
+    their pivots."""
     _, parts = distance._reduce_by_summand(rows, spec)
-    basis = distance._placed(parts, len(rows[0]) if rows else 0)
+    zero, n = spec.zero, len(rows[0]) if rows else 0
+    basis = [
+        (zero,) * part.lo + tuple(spec.exp[x] for x in row) + (zero,) * (n - part.hi)
+        for part in parts
+        for row in part.basis
+    ]
     return basis, [part.lo + p for part in parts for p in part.pivots]
 
 
@@ -1009,38 +1017,101 @@ def tall_block(f3, rng, n, weight):
 
 
 @pytest.mark.parametrize("tall_first", [True, False])
-@pytest.mark.parametrize("height, kind", [(38, "i"), (39, "V")])
-def test_tagged_keys_are_int64_below_2_63_and_bytes_above(f3, monkeypatch, height, kind, tall_first):
-    """Two summands over F3: a tall block, whose H has `height` rows, with
-    a word of weight 3, and a [5, 1] block of one row of weight 5, first or
-    second. The tag is one base-3 digit after the tallest H's entries, so
-    3^(height + 1) < 2^63 gives int64 keys at height 38 and byte keys at 39,
-    for the table and every batch, where one summand of height 39 still
-    had int64 keys. Either way the sweep finds the word the whole-matrix
-    loop and the per-summand sweep find, in the first or the later
-    summand."""
-    assert (3 ** (height + 1) < 2 ** 63) == (kind == "i") and 3 ** height < 2 ** 63
+@pytest.mark.parametrize("height, summands, kind", [(39, 2, "i"), (40, 2, "V"), (38, 4, "i"), (39, 4, "V")])
+def test_tagged_keys_are_int64_below_2_63_and_bytes_above(f3, monkeypatch, height, summands, kind, tall_first):
+    """`summands` summands over F3: a tall block, whose H has `height`
+    rows, with a word of weight 3, and one or three [5, 1] blocks of one
+    row of weight 5, the tall block first or last. The tag is the
+    summand's index times 3^height, so 3^height * summands < 2^63 gives
+    int64 keys, at height 39 for two summands and 38 for four, and byte
+    keys with one tag entry at 40 and 39, for the table and every batch.
+    Either way the sweep finds the word the whole-matrix loop and the
+    per-summand sweep find, in the first or the last summand."""
+    assert (3 ** height * summands < 2 ** 63) == (kind == "i")
     rng = random.Random(height)
-    blocks = [tall_block(f3, rng, height + 2, 3), (5, [(f3.one, f3.one, f3.one, f3.one, f3.one)])]
-    rows = laid_out(f3, blocks if tall_first else blocks[::-1])
-    assert [part.hi - part.lo - len(part.basis) for part in distance._reduce_by_summand(rows, f3)[1]] == (
-        [height, 4] if tall_first else [4, height]
-    )
+    tall = tall_block(f3, rng, height + 2, 3)
+    others = [(5, [(f3.one,) * 5])] * (summands - 1)
+    rows = laid_out(f3, [tall, *others] if tall_first else [*others, tall])
+    checks = [part.hi - part.lo - len(part.basis) for part in distance._reduce_by_summand(rows, f3)[1]]
+    assert checks == ([height] + [4] * (summands - 1) if tall_first else [4] * (summands - 1) + [height])
     kinds = set()
     row_keys = distance._row_keys
 
-    def spy(rows, q):
-        keys = row_keys(rows, q)
-        kinds.add((rows.shape[-1], keys.dtype.kind))
+    def spy(rows, q, tags, count):
+        keys = row_keys(rows, q, tags, count)
+        kinds.add((rows.shape[-1], count, keys.dtype.kind))
         return keys
 
     monkeypatch.setattr(distance, "_row_keys", spy)
     budget = distance.DEFAULT_BUDGET
-    with enumeration_cap(0):  # 3^3 messages
+    with enumeration_cap(0):  # 3^(summands + 1) messages
         expected = reference_min_distance(rows, f3, budget)
         assert (expected.exact, expected.method) == (3, "sweep-found-lighter")
         assert min_distance(rows, f3, budget) == expected == per_summand_min_distance(rows, f3, budget)
-    assert {k for width, k in kinds if width == height + 1} == {kind}
+    assert {(width, k) for width, count, k in kinds if count == summands} == {(height, kind)}
+
+
+@pytest.mark.parametrize("summands", [4, 5])
+def test_more_summands_than_q(f3, summands):
+    """F3 codes of 4 and 5 one-row summands, alone and before a hidden
+    block: the tags reach q = 3 and pass it, so index * 3^m carries into
+    the base-3 digit above the tag's first, and the hidden block's words
+    must not complete on the columns of the summand whose index it shares
+    modulo 3. min_distance equals the per-summand sweep and the
+    whole-matrix forms, refusals included, with the enumeration allowed
+    and denied, at every level boundary of the budget and the default."""
+    rng = random.Random(summands)
+    seen = set()
+    for _ in range(6):
+        blocks = []
+        for _ in range(summands):
+            width = rng.randint(4, 5)
+            blocks.append((width, [tuple(f3.from_int(rng.randint(1, 2)) for _ in range(width))]))
+        for layout in (blocks, blocks + [hidden_block(f3, rng, rng.randint(2, 3))]):
+            rows = laid_out(f3, layout)
+            assert len(distance._reduce_by_summand(rows, f3)[1]) == len(layout)
+            for budget in level_boundaries(len(rows[0]), 3) + [distance.DEFAULT_BUDGET]:
+                for cap in (distance.ENUM_CAP, 0):
+                    with enumeration_cap(cap):
+                        ours = outcome(min_distance, rows, f3, budget)
+                        assert ours == outcome(per_summand_min_distance, rows, f3, budget)
+                        assert ours == outcome(reference_min_distance, rows, f3, budget)
+                    seen.add(ours.method if isinstance(ours, DistanceResult) else ours[0])
+    assert seen >= {"message-enumeration", "sweep-certified", "sweep-found-lighter", "sweep-budget-exhausted"}
+
+
+def enumerated_by_hand(rows, spec):
+    """The message enumeration on field elements: every combination of the
+    RREF rows, coefficient codes in base q with the first row most
+    significant, and the first word of least nonzero weight."""
+    basis = rref(rows)[0]
+    best = None
+    for message in product(range(spec.q), repeat=len(basis)):
+        word = [spec.zero] * len(rows[0])
+        for c, row in zip(message, basis):
+            word = [a + spec.from_int(c) * b for a, b in zip(word, row)]
+        weight = hamming_weight(word)
+        if weight and (best is None or weight < best[0]):
+            best = (weight, tuple(word))
+    return DistanceResult(best[0], None, best[1], spec.q ** len(basis), "message-enumeration")
+
+
+def test_enumeration_places_each_summand_at_its_columns():
+    """The enumeration places each summand's RREF rows at its columns in one
+    logarithm array: on split codes with columns no row reaches, leading
+    and inner, and zero rows, over F3, F5 and F9, it meets the words the
+    enumeration on field elements meets, in the same order."""
+    rng = random.Random(45)
+    layouts = (("unreached", "hidden", "planted"), ("hidden", "unreached", "hidden"), ("planted", "unit", "unreached"))
+    for name in ("F3", "F5", "F9"):
+        spec = make_field(*SWEEP_FIELDS[name])
+        for kinds in layouts:
+            rows = laid_out(spec, split_blocks(spec, rng, kinds))
+            rows.insert(rng.randint(0, len(rows)), (spec.zero,) * len(rows[0]))
+            rng.shuffle(rows)
+            if spec.q ** Span(rows).dim > distance.ENUM_CAP:
+                continue
+            assert min_distance(rows, spec) == enumerated_by_hand(rows, spec)
 
 
 def test_split_sweep_batches_and_memory_are_bounded(f3, monkeypatch):
@@ -1087,7 +1158,6 @@ def refuse_building(monkeypatch):
     def refuse(*args):
         raise AssertionError("built")
 
-    monkeypatch.setattr(distance, "words_to_array", refuse)
     monkeypatch.setattr(distance, "_reduce_by_summand", refuse)
 
 

@@ -241,6 +241,25 @@ def test_rank_is_taken_only_by_the_solve_the_generator_and_the_sweep():
     }
 
 
+def test_distance_reads_its_rows_once_and_joins_keys_in_one_place():
+    """distance holds a matrix in one form: its rows are read into
+    logarithm lists once, so _reduce_by_summand is the one function that
+    reads an entry's .code, and the enumeration places the summands' RREF
+    rows in a logarithm array of its own. A summand's tag is an offset
+    inside its key, so the one function that joins arrays is _row_keys,
+    whose byte keys take one tag entry. words_to_array, _placed and
+    _tagged are gone."""
+    functions = list(_functions(parse(SRC / "distance.py").body))
+    nodes = [(name, sub) for name, func in functions for sub in ast.walk(func)]
+    readers = {name for name, sub in nodes if isinstance(sub, ast.Attribute) and sub.attr == "code"}
+    joiners = {
+        name for name, sub in nodes if isinstance(sub, ast.Call) and _callee(sub) in ("concatenate", "column_stack")
+    }
+    assert readers == {"_reduce_by_summand"}
+    assert joiners == {"_row_keys"}
+    assert {"words_to_array", "_placed", "_tagged"} & {name for name, _ in functions} == set()
+
+
 def _callers(callee):
     """(module, qualified function) of each function in src/ that calls
     `callee`, by name or as an attribute."""
