@@ -8,7 +8,10 @@ the image equals Lee weight of the preimage.
 
 check_commutation proves identities lhs = rhs of word maps on all of R^n
 by running every map once on one shared symbolic word and comparing
-monomial terms.
+monomial terms. commutes_for_all proves a family of identities, one per
+shift constant alpha, for every alpha at once: it leaves alpha a symbol,
+whose CRT places scale a term as sorted factors (place, twist), so one run
+stands for the run with every concrete alpha substituted in.
 """
 
 from __future__ import annotations
@@ -102,18 +105,48 @@ def permuted_sigma4(field: FieldSpec):
     )
 
 
+class _Constant:
+    """A shift constant alpha left as a symbol: CRT place j (places 0..3 of
+    an R constant, or the one place j of crt()'s component j) stands for
+    theta^r(alpha_j), alpha_j unknown. frob adds to r and crt splits; the
+    only other use is scaling a _Column, which records the factor. Reading,
+    adding, multiplying, comparing or branching on it raises, so a map that
+    runs on it treats every alpha alike.
+    """
+
+    __slots__ = ("spec", "places", "r")
+    __bool__ = __eq__ = None
+
+    def __init__(self, spec: FieldSpec, places=(0, 1, 2, 3), r: int = 0):
+        self.spec = spec
+        self.places = places
+        self.r = r
+
+    def frob(self, i: int = 1) -> "_Constant":
+        return _Constant(self.spec, self.places, (self.r + i) % self.spec.k)
+
+    def crt(self):
+        if len(self.places) != 4:
+            raise TypeError("a constant in F_q has no CRT components")
+        return tuple([_Constant(self.spec, (j,), self.r) for j in self.places])
+
+
 class _Column:
     """Entry i of a symbolic word: each CRT place (four in R, one in F_q) is
     0 (None) or the map x -> theta^e(a * x_s) (term (s, log a), log on the
     field's logarithm list) of an input word x, with x_s its CRT component
     s % 4 of entry s // 4; the places share e mod k. frob adds to e; a
     constant b on the left (whose __mul__ returns NotImplemented for a
-    column) adds log theta^-e(b) to each log a, and 1 returns the column;
-    crt splits. frob and crt are pure functions of the column's value,
-    which never changes, so each column keeps their results, and the split
-    of theta(x) is theta of the split of x: maps run on one word share every
-    entry they leave untouched, whichever order they twist and split in.
-    Reading, adding, comparing or branching on an entry raises.
+    column) adds log theta^-e(b) to each log a, and a b that is 1 in each
+    of the column's places returns the column; crt splits. A symbolic
+    _Constant in place j, theta^r(alpha_j), appends the factor (j, r - e mod
+    k) to each nonzero term, the factors kept sorted: the term (s, log a,
+    (j_1, r_1), ...) is x -> theta^e(theta^r_1(alpha_j_1) ... a * x_s). frob
+    and crt are pure functions of the column's value, which never changes,
+    so each column keeps their results, and the split of theta(x) is theta
+    of the split of x: maps run on one word share every entry they leave
+    untouched, whichever order they twist and split in. Reading, adding,
+    comparing or branching on an entry raises.
     """
 
     __slots__ = ("spec", "terms", "e", "_source", "_frob", "_crt")
@@ -137,24 +170,35 @@ class _Column:
         return col
 
     def __rmul__(self, const):
-        if isinstance(const, RingElement):
-            factors = const.crt()
-        elif isinstance(const, FieldElement):
-            factors = (const,) * len(self.terms)
-        else:
+        if not isinstance(const, (RingElement, FieldElement, _Constant)):
             return NotImplemented
         spec = self.spec
-        if factors[0].spec is not spec and factors[0].spec != spec:
+        if const.spec is not spec and const.spec != spec:
             raise MixedRingsError("constant and word over different fields")
-        log, wrap, zero = spec.log, spec.wrap, spec.log_zero
-        logs = [log[b.code] for b in factors]
-        if logs == [0] * len(self.terms):  # 1 * x = x
+        if isinstance(const, _Constant):
+            return self._times_symbol(const)
+        factors = const.crt() if isinstance(const, RingElement) else (const,) * len(self.terms)
+        if len(factors) == len(self.terms) and all(b.code == 1 for b in factors):  # 1 * x = x
             return self
         # an R constant times an entry in F_q is in R: its one place repeats
-        terms = self.terms * (len(logs) // len(self.terms))
+        terms = self.terms * (len(factors) // len(self.terms))
+        wrap, zero = spec.wrap, spec.log_zero
         scaled = tuple([
-            None if t is None or l == zero else (t[0], wrap[t[1] + l])
-            for t, l in zip(terms, spec.twist(logs, -self.e))  # theta^-e(b)
+            None if t is None or l == zero else (t[0], wrap[t[1] + l]) + t[2:]
+            for t, l in zip(terms, spec.twist([spec.log[b.code] for b in factors], -self.e))  # theta^-e(b)
+        ])
+        return _Column(spec, scaled, self.e)
+
+    def _times_symbol(self, const: _Constant) -> "_Column":
+        """alpha_j * theta^e(y) = theta^e(theta^-e(alpha_j) * y) in each place j."""
+        spec = self.spec
+        size = max(len(const.places), len(self.terms))  # one place repeats over four
+        terms = self.terms * (size // len(self.terms))
+        places = const.places * (size // len(const.places))
+        r = (const.r - self.e) % spec.k
+        scaled = tuple([
+            None if t is None else t[:2] + tuple(sorted(t[2:] + ((j, r),)))
+            for t, j in zip(terms, places)
         ])
         return _Column(spec, scaled, self.e)
 
@@ -167,6 +211,18 @@ class _Column:
             else:  # the split of theta(x) is theta of the split of x
                 self._crt = tuple([part.frob(1) for part in self._source.crt()])
         return self._crt
+
+
+def _symbolic_word(field: FieldSpec, n: int):
+    """n columns, CRT place s of entry s // 4 the map x -> x_s."""
+    return tuple(_Column(field, tuple((s, 0) for s in range(4 * i, 4 * i + 4))) for i in range(n))
+
+
+def _same_forms(left, right) -> bool:
+    """Whether two outputs of symbolic columns have one normal form."""
+    # entries the two sides share are one object
+    same = (x is y or x.e == y.e and x.terms == y.terms for x, y in zip(left, right))
+    return len(left) == len(right) and all(same)
 
 
 def _basis_words(field: FieldSpec, n: int):
@@ -196,16 +252,34 @@ def check_commutation(pairs, field: FieldSpec, n: int):
     different lengths or entry kinds differ on every basis word. The word,
     and the frob and crt results its columns keep, live for this call only.
     """
-    word = tuple(_Column(field, tuple((s, 0) for s in range(4 * i, 4 * i + 4))) for i in range(n))
+    word = _symbolic_word(field, n)
     witnesses = []
     for lhs, rhs in pairs:
         left, right = lhs(word), rhs(word)
-        # entries the two sides share are one object
-        same = (x is y or x.e == y.e and x.terms == y.terms for x, y in zip(left, right))
-        if len(left) == len(right) and all(same):
+        if _same_forms(left, right):
             witnesses.append(None)
         elif [len(x.terms) for x in left] != [len(y.terms) for y in right]:
             witnesses.append(next(_basis_words(field, n)))
         else:
             witnesses.append(next((w for w in _basis_words(field, n) if lhs(w) != rhs(w)), None))
     return witnesses
+
+
+def commutes_for_all(make_pair, field: FieldSpec, n: int) -> bool:
+    """Whether lhs = rhs on R^n for every constant alpha in R, where (lhs,
+    rhs) = make_pair(alpha): make_pair runs once, on a symbolic alpha, and
+    its lhs and rhs once each, on one symbolic word that lives for this call
+    only; True when their outputs have equal normal forms.
+
+    A map within check_commutation's contract can only frob alpha, split it
+    and scale columns by it, so running it on a concrete alpha is this run
+    with each factor (j, r) of a term replaced by theta^r(alpha_j): a term
+    with a factor alpha_j = 0 is 0 on both sides, and the others fold the
+    factors into their a. Equal forms stay equal under every such
+    substitution, so True is a proof for all alpha at once. False proves
+    nothing about a particular alpha: check_commutation gives each its own
+    verdict.
+    """
+    lhs, rhs = make_pair(_Constant(field))
+    word = _symbolic_word(field, n)
+    return _same_forms(lhs(word), rhs(word))

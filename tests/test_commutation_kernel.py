@@ -24,8 +24,9 @@ from test_kernel import FIELDS
 from skewcodes import cli, gray
 from skewcodes.errors import DEFAULT_BUDGET, MixedRingsError
 from skewcodes.gf import make_field
-from skewcodes.gray import check_commutation, gray_map, permuted_sigma4, tau_omega4
+from skewcodes.gray import check_commutation, commutes_for_all, gray_map, permuted_sigma4, tau_omega4
 from skewcodes.ring4 import RingElement, idempotents, ring_one, split_word
+from skewcodes.serial import ring_to_json
 from skewcodes.skewpoly import blockwise_constacyclic_shift, quasi_twist_shift, skew_constacyclic_shift
 
 CHECK_FIELDS = {
@@ -251,6 +252,219 @@ def test_a_holding_identity_is_proved_from_its_terms_alone(name):
         counted = lambda f: lambda w: runs.append(w) or f(w)
         assert check_commutation([(counted(lhs), counted(rhs))], spec, 5)[0] is None
         assert len(runs) == 2
+
+
+# --- one proof for every alpha: commutes_for_all on a symbolic constant ---
+
+def seeded_alphas(spec, rng):
+    """1, -1, 1 - 2uv, a unit the twist moves, and random constants, among
+    them ones with zero CRT components (non-units) and 0."""
+    alphas = [ring_one(spec), RingElement.from_ints(spec, -1), RingElement.from_ints(spec, 1, 0, 0, -2)]
+    alphas += [unfixed_constant(spec), ring_constant(spec, [0, 0, 0, 0])]
+    for _ in range(4):
+        codes = [rng.choice([0, rng.randrange(spec.q)]) for _ in range(4)]
+        alphas.append(RingElement.from_crt(spec, *map(spec.from_int, codes)))
+    return alphas
+
+
+def disagreeing_family(alpha):
+    """sigma against tau_alpha: they agree only for alpha = 1."""
+    one = alpha.spec.one
+    return lambda w: skew_constacyclic_shift(w, one), lambda w: skew_constacyclic_shift(w, alpha)
+
+
+# family name -> (alpha -> (lhs, rhs), whether lhs = rhs for every alpha given k)
+FAMILIES = {
+    "tau_omega4": (tau_omega4, lambda k: True),
+    "swapped gray blocks": (lambda a: mutated_pairs(a)[0], lambda k: False),
+    "untwisted block shifts": (lambda a: mutated_pairs(a)[1], lambda k: k == 1),
+    "wrapped entry twisted twice": (lambda a: mutated_pairs(a)[2], lambda k: k == 1),
+    "theta(alpha) theta(x), theta(alpha x)": (lambda a: scaling_pairs(a)[0], lambda k: True),
+    "alpha theta(x), theta(alpha x)": (lambda a: scaling_pairs(a)[1], lambda k: k == 1),
+    "F_q word scaled by the 1 of R": (lambda a: scaling_pairs(a)[2], lambda k: False),
+    "sigma, tau_alpha": (disagreeing_family, lambda k: False),
+    "alpha_0 x, alpha_1 x": (lambda a: (lambda w: (a.crt()[0] * w[0],), lambda w: (a.crt()[1] * w[0],)), lambda k: False),
+    "alpha_0 alpha_2 x in either order": (
+        lambda a: (lambda w: (a.crt()[0] * (a.crt()[2] * w[0]),), lambda w: (a.crt()[2] * (a.crt()[0] * w[0]),)),
+        lambda k: True,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("name", sorted(CHECK_FIELDS))
+def test_tau_omega4_is_proved_for_every_alpha_at_once(name, n):
+    """The symbolic proof of tau_omega4 holds, and so does the proof for
+    each seeded concrete alpha, which is the numpy pass's verdict."""
+    spec = make_field(*CHECK_FIELDS[name])
+    assert commutes_for_all(tau_omega4, spec, n)
+    for alpha in seeded_alphas(spec, random.Random(f"{name}-{n}")):
+        pair = tau_omega4(alpha)
+        assert check_commutation([pair], spec, n) == [basis_commutation(*pair, spec, n)] == [None]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("name", sorted(CHECK_FIELDS))
+def test_a_family_that_fails_for_some_alpha_is_not_proved(name, n):
+    """commutes_for_all is True exactly for the families that hold for
+    every alpha, and never when the numpy pass finds a seeded alpha they
+    fail for; the concrete proof then gives each alpha that pass's verdict,
+    also when the pairs of all the alphas share one word."""
+    spec = make_field(*CHECK_FIELDS[name])
+    alphas = seeded_alphas(spec, random.Random(f"{name}-{n}"))
+    for family, holds_for_all in FAMILIES.values():
+        expected = [basis_commutation(*family(alpha), spec, n) for alpha in alphas]
+        proved = commutes_for_all(family, spec, n)
+        assert proved == holds_for_all(spec.k) == all(w is None for w in expected)
+        assert check_commutation([family(alpha) for alpha in alphas], spec, n) == expected
+
+
+@pytest.mark.parametrize("family", sorted(name for name, (_, holds_for_all) in FAMILIES.items() if not holds_for_all(2)))
+def test_the_suite_falls_back_to_a_proof_per_alpha(family, monkeypatch):
+    """With tau_omega4 replaced by a family that fails for some alpha, every
+    run of the gray-commutation suite reports the numpy pass's verdict for
+    its own alpha, sigma/pi_4 that of alpha = 1."""
+    make_pair = FAMILIES[family][0]
+    monkeypatch.setattr(cli, "tau_omega4", make_pair)
+    runs = iter(cli._suite_gray_commutation(0, DEFAULT_BUDGET)["runs"])
+    verdicts = set()
+    for field in (cli.field_f9(), cli.field_f25()):
+        alphas = (ring_one(field), RingElement.from_ints(field, -1), RingElement.from_ints(field, 1, 0, 0, -2))
+        for n in (3, 4, 6):
+            passes = [basis_commutation(*make_pair(alpha), field, n) is None for alpha in alphas]
+            assert next(runs)["pass"] == passes[0]
+            for alpha, passed in zip(alphas, passes):
+                run = next(runs)
+                assert (run["alpha"], run["pass"]) == (ring_to_json(alpha), passed)
+            verdicts.add(tuple(passes))
+    assert next(runs)["identity"] == "permuted_sigma4"
+    if family in ("sigma, tau_alpha", "alpha theta(x), theta(alpha x)"):
+        assert verdicts & {(True, False, False), (True, True, True)}  # not every alpha fails
+
+
+def test_the_suite_runs_each_map_once_per_cell(monkeypatch):
+    """One symbolic proof per (field, n) cell: tau_omega4's lhs and rhs run
+    once each in each of the 6 cells, where one proof per alpha ran them 18
+    times each."""
+    runs = {"lhs": 0, "rhs": 0}
+
+    def counted(alpha):
+        lhs, rhs = tau_omega4(alpha)
+        count = lambda side, f: lambda w: runs.__setitem__(side, runs[side] + 1) or f(w)
+        return count("lhs", lhs), count("rhs", rhs)
+
+    monkeypatch.setattr(cli, "tau_omega4", counted)
+    assert cli._suite_gray_commutation(0, DEFAULT_BUDGET)["pass"]
+    assert runs == {"lhs": 6, "rhs": 6}
+
+
+def alpha_monomial_family(spec, sources, twists, consts, factors):
+    """alpha -> (w -> output_i): output i is theta^e_i(b_i * w[s_i]) times
+    its factors (j, r, before), each theta^r(alpha), or theta^r(alpha_j) for
+    j in 0..3, applied in order before the twist if `before`, else after."""
+    outputs = list(zip(sources, twists, [ring_constant(spec, c) for c in consts], factors))
+
+    def output(w, alpha, s, e, b, scalings):
+        y = b * w[s]
+        const = lambda j, r: (alpha if j is None else alpha.crt()[j]).frob(r)
+        for j, r, _ in filter(lambda f: f[2], scalings):
+            y = const(j, r) * y
+        y = y.frob(e)
+        for j, r, _ in itertools.filterfalse(lambda f: f[2], scalings):
+            y = const(j, r) * y
+        return y
+
+    return lambda alpha: lambda w: tuple(output(w, alpha, *out) for out in outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CHECK_FIELDS)), st.integers(1, 6), st.data())
+def test_a_symbolic_proof_holds_for_every_concrete_alpha(name, n, data):
+    """Random monomial maps that scale by alpha, its CRT components, their
+    twists and constants, in any order: when the symbolic forms agree, the
+    numpy pass finds every drawn alpha, zero components included, agreeing.
+    A pair of equal maps is proved, and so is one whose rhs scales in
+    another order or moves a factor across the twist with its own twist
+    adjusted; each other change of one factor is a change of the map."""
+    spec = make_field(*CHECK_FIELDS[name])
+    few = sorted({0, 1, 2, spec.p % spec.q})
+    codes = lambda: data.draw(st.lists(st.sampled_from(few), min_size=4, max_size=4))
+    size = data.draw(st.integers(1, n))
+    draw_list = lambda strategy, lo=size, hi=size: data.draw(st.lists(strategy, min_size=lo, max_size=hi))
+    factor = st.tuples(st.none() | st.integers(0, 3), st.integers(0, 3), st.booleans())
+    sources, twists = draw_list(st.integers(0, n - 1)), draw_list(st.integers(0, 3))
+    consts = [codes() for _ in range(size)]
+    factors = [draw_list(factor, 0, 2) for _ in range(size)]
+    lhs = alpha_monomial_family(spec, sources, twists, consts, factors)
+    i = data.draw(st.integers(0, size - 1))  # rhs changes output i, or nothing
+    changes = ["none", "order", "across", "component", "twist", "drop", "const"]
+    change = data.draw(st.sampled_from(changes if factors[i] else ["none", "const"]))
+    changed = list(factors[i])
+    j, r, before = changed[-1] if changed else (None, 0, True)
+    if change == "order":
+        changed.reverse()
+    elif change == "across":  # theta^e(theta^r(a) y) = theta^(r+e)(a) theta^e(y)
+        changed[-1] = (j, r + twists[i], False) if before else (j, r - twists[i], True)
+    elif change == "component":
+        changed[-1] = (data.draw(st.sampled_from([c for c in (None, 0, 1, 2, 3) if c != j])), r, before)
+    elif change == "twist":
+        changed[-1] = (j, r + 1, before)
+    elif change == "drop":
+        changed.pop()
+    factors[i] = changed
+    consts[i] = codes() if change == "const" else consts[i]
+    rhs = alpha_monomial_family(spec, sources, twists, consts, factors)
+    family = lambda alpha: (lhs(alpha), rhs(alpha))
+    proved = commutes_for_all(family, spec, n)
+    if change in ("none", "order", "across"):
+        assert proved
+    if proved:
+        for _ in range(3):
+            alpha = ring_constant(spec, codes())
+            assert basis_commutation(*family(alpha), spec, n) is None
+
+
+def test_a_unit_returns_the_column_only_with_as_many_places(f9):
+    """1 * x is x itself when the constant has one place per place of x; the
+    1 of R times an entry in F_q is an entry in R, with four places."""
+    (entry,) = gray._symbolic_word(f9, 1)
+    part = entry.crt()[2]
+    assert ring_one(f9) * entry is entry and f9.one * entry is entry and f9.one * part is part
+    scaled = ring_one(f9) * part
+    assert scaled is not part and scaled.terms == part.terms * 4
+
+
+# --- the contract of the symbolic constant: maps may frob, split and scale by it ---
+
+ALPHA_OUTSIDE_THE_CONTRACT = {
+    "reads is_zero": lambda a: (lambda w: w[:1] if a.is_zero else w[1:2]),
+    "reads a component's code": lambda a: (lambda w: w[:a.crt()[0].code % 1 + 1]),
+    "compares alpha": lambda a: (lambda w: w[:1] if a == ring_one(a.spec) else w[1:2]),
+    "compares with alpha": lambda a: (lambda w: w[:1] if ring_one(a.spec) == a else w[1:2]),
+    "branches on alpha": lambda a: (lambda w: w[:1] if a else w[1:2]),
+    "adds to alpha": lambda a: (lambda w: ((a + 1) * w[0],)),
+    "multiplies alpha": lambda a: (lambda w: ((a * a) * w[0],)),
+    "scales alpha": lambda a: (lambda w: ((ring_one(a.spec) * a) * w[0],)),
+    "crt of a component": lambda a: (lambda w: (a.crt()[0].crt()[0] * w[0],)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_OUTSIDE_THE_CONTRACT))
+def test_maps_that_use_alpha_outside_the_contract_raise(name, f9):
+    """A symbolic proof covers the maps that treat every alpha alike: one
+    that reads, compares, adds, multiplies or branches on alpha raises, on
+    either side."""
+    word_map = ALPHA_OUTSIDE_THE_CONTRACT[name]
+    for family in (lambda a: (word_map(a), lambda w: w[:1]), lambda a: (lambda w: w[:1], word_map(a))):
+        with pytest.raises((TypeError, AttributeError)):
+            commutes_for_all(family, f9, 2)
+
+
+def test_symbolic_constants_from_another_field_are_refused(f9, f25):
+    with pytest.raises(MixedRingsError):
+        commutes_for_all(lambda a: tau_omega4(gray._Constant(f25)), f9, 3)
+    with pytest.raises(MixedRingsError):
+        commutes_for_all(lambda a: (lambda w: (gray._Constant(f25).crt()[1] * w[0],), lambda w: w[:1]), f9, 3)
 
 
 @pytest.mark.parametrize("n, field", [(1, "F9"), (2, "F3")])
