@@ -278,9 +278,11 @@ def _suite_gray_commutation(seed, budget):
         field_json = field_to_json(field)
         alphas = (ring_one(field), RingElement.from_ints(field, -1), RingElement.from_ints(field, 1, 0, 0, -2))
         alpha_json = [ring_to_json(alpha) for alpha in alphas]
-        for n in (3, 4, 6):
-            # one proof for every alpha; unequal symbolic forms leave each alpha to its own proof
-            if commutes_for_all(tau_omega4, field, n):
+        lengths = (3, 4, 6)
+        # one proof for every alpha per n, on one symbolic word for the field;
+        # unequal symbolic forms leave each alpha to its own proof
+        for n, proved in zip(lengths, commutes_for_all(tau_omega4, field, lengths)):
+            if proved:
                 verdicts = [True] * len(alphas)
             else:
                 verdicts = [w is None for w in check_commutation([tau_omega4(a) for a in alphas], field, n)]

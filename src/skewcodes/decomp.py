@@ -41,14 +41,16 @@ def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     exactly when low = -(x^D mod g). Every check reads g's residues x^D mod
     g, D <= n, computed once: x^n - constant is right-divisible exactly when
     x^n mod g = constant. No division and no remainder sum is made. Raises
-    LengthMismatchError for a vector whose length is not n, before the
-    elimination, and VerificationError when the span is no such module.
+    LengthMismatchError for a vector whose length is not n, zero vectors
+    included, before the elimination, which drops the zero vectors, and
+    VerificationError when the span is no such module.
     """
     spec = constant.spec
     lengths = {len(v) for v in span_vectors} - {n}
     if lengths:
         raise LengthMismatchError(f"spanning vector length {min(lengths)} != code length {n}")
-    rows, _ = rref([v[::-1] for v in span_vectors])
+    # the other components' zero words span nothing
+    rows, _ = rref([v[::-1] for v in span_vectors if any(c.code for c in v)])
     gen = SkewPoly(spec, "fq", reversed(rows[-1])) if rows else ModulusSpec(n, constant).poly()
     d = gen.degree
     parity = list(itertools.islice(residues(gen), n + 1 - d))

@@ -11,7 +11,10 @@ by running every map once on one shared symbolic word and comparing
 monomial terms. commutes_for_all proves a family of identities, one per
 shift constant alpha, for every alpha at once: it leaves alpha a symbol,
 whose CRT places scale a term as sorted factors (place, twist), so one run
-stands for the run with every concrete alpha substituted in.
+stands for the run with every concrete alpha substituted in. It proves
+several lengths on the prefixes of one word, so the lengths share the
+twists and splits of the columns they have in common. Nothing symbolic
+outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -143,20 +146,23 @@ class _Column:
     k) to each nonzero term, the factors kept sorted: the term (s, log a,
     (j_1, r_1), ...) is x -> theta^e(theta^r_1(alpha_j_1) ... a * x_s). frob
     and crt are pure functions of the column's value, which never changes,
-    so each column keeps their results, and the split of theta(x) is theta
-    of the split of x: maps run on one word share every entry they leave
-    untouched, whichever order they twist and split in. Reading, adding,
+    so each column keeps their results: the theta-orbit of a column is
+    built once, a cycle of k columns since theta^k = 1, and the split of
+    theta^i(x) is theta^i of the split of x. Maps run on one word share
+    every entry they leave untouched, whichever order they twist and split
+    in, and k twists give back the column itself. A word and the columns
+    it reaches live as long as the call that built it. Reading, adding,
     comparing or branching on an entry raises.
     """
 
-    __slots__ = ("spec", "terms", "e", "_source", "_frob", "_crt")
+    __slots__ = ("spec", "terms", "e", "_root", "_frob", "_crt")
     __bool__ = __eq__ = None
 
-    def __init__(self, spec: FieldSpec, terms, e: int = 0, source=None):
+    def __init__(self, spec: FieldSpec, terms, e: int = 0, root=None):
         self.spec = spec
         self.terms = terms
         self.e = e
-        self._source = source  # the column this one is frob(1) of
+        self._root = root  # the first column of this theta-orbit, or None for that one
         self._frob = self._crt = None
 
     def frob(self, i: int = 1) -> "_Column":
@@ -165,7 +171,9 @@ class _Column:
         col = self
         for _ in range(i % self.spec.k):
             if col._frob is None:
-                col._frob = _Column(col.spec, col.terms, (col.e + 1) % col.spec.k, col)
+                root = col if col._root is None else col._root
+                e = (col.e + 1) % col.spec.k
+                col._frob = root if e == root.e else _Column(col.spec, col.terms, e, root)  # theta^k = 1
             col = col._frob
         return col
 
@@ -197,7 +205,9 @@ class _Column:
         places = const.places * (size // len(const.places))
         r = (const.r - self.e) % spec.k
         scaled = tuple([
-            None if t is None else t[:2] + tuple(sorted(t[2:] + ((j, r),)))
+            None if t is None
+            else t + ((j, r),) if len(t) == 2  # a first factor needs no sort
+            else t[:2] + tuple(sorted(t[2:] + ((j, r),)))
             for t, j in zip(terms, places)
         ])
         return _Column(spec, scaled, self.e)
@@ -206,10 +216,12 @@ class _Column:
         if self._crt is None:
             if len(self.terms) != 4:
                 raise TypeError("an entry in F_q has no CRT components")
-            if self._source is None:
+            root = self._root
+            if root is None:
                 self._crt = tuple([_Column(self.spec, (t,), self.e) for t in self.terms])
-            else:  # the split of theta(x) is theta of the split of x
-                self._crt = tuple([part.frob(1) for part in self._source.crt()])
+            else:  # the split of theta^i(x) is theta^i of the split of x
+                i = self.e - root.e
+                self._crt = tuple([part.frob(i) for part in root.crt()])
         return self._crt
 
 
@@ -265,11 +277,15 @@ def check_commutation(pairs, field: FieldSpec, n: int):
     return witnesses
 
 
-def commutes_for_all(make_pair, field: FieldSpec, n: int) -> bool:
-    """Whether lhs = rhs on R^n for every constant alpha in R, where (lhs,
-    rhs) = make_pair(alpha): make_pair runs once, on a symbolic alpha, and
-    its lhs and rhs once each, on one symbolic word that lives for this call
-    only; True when their outputs have equal normal forms.
+def commutes_for_all(make_pair, field: FieldSpec, lengths):
+    """For each n in lengths, in order, whether lhs = rhs on R^n for every
+    constant alpha in R, where (lhs, rhs) = make_pair(alpha): make_pair runs
+    once, on one symbolic alpha, and its lhs and rhs once each per n, on the
+    first n columns of one symbolic word of max(lengths) columns; True when
+    their outputs have equal normal forms. Those n columns are
+    _symbolic_word(field, n), so each verdict is that of a call for n alone,
+    and the lengths share the frob and crt results the columns keep. The
+    word lives for this call only.
 
     A map within check_commutation's contract can only frob alpha, split it
     and scale columns by it, so running it on a concrete alpha is this run
@@ -281,5 +297,5 @@ def commutes_for_all(make_pair, field: FieldSpec, n: int) -> bool:
     verdict.
     """
     lhs, rhs = make_pair(_Constant(field))
-    word = _symbolic_word(field, n)
-    return _same_forms(lhs(word), rhs(word))
+    word = _symbolic_word(field, max(lengths))
+    return [_same_forms(lhs(word[:n]), rhs(word[:n])) for n in lengths]

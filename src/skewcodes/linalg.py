@@ -20,8 +20,9 @@ def rref(rows, spec: FieldSpec | None = None):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped, before
-    the elimination. The rows are of field elements and so are the reduced
-    rows, or, given `spec`, both are of logarithms in spec.
+    the elimination, and rows of field elements before they are converted.
+    The rows are of field elements and so are the reduced rows, or, given
+    `spec`, both are of logarithms in spec.
     """
     rows = list(rows)
     if not rows or not rows[0]:
@@ -30,12 +31,11 @@ def rref(rows, spec: FieldSpec | None = None):
     if elements:
         spec = rows[0][0].spec
         log = spec.log
-        rows = [[log[c.code] for c in r] for r in rows]
+        rows = [[log[c.code] for c in r] for r in rows if any(c.code for c in r)]
     else:
-        rows = [list(r) for r in rows]
+        rows = [list(r) for r in rows if r.count(spec.log_zero) < len(r)]
     order, zero, plus, wrap = spec.q - 1, spec.log_zero, spec.plus, spec.wrap
     half = order // 2  # the logarithm of -1
-    rows = [r for r in rows if r.count(zero) < len(r)]
     pivots = []
     rank = 0
     for col in range(len(rows[0]) if rows else 0):

@@ -12,7 +12,9 @@ Fields include those of test_kernel.py, whose twists lie strictly between
 the identity and the full Frobenius (1 < t < m).
 """
 
+import gc
 import itertools
+import json
 import random
 
 import pytest
@@ -297,7 +299,7 @@ def test_tau_omega4_is_proved_for_every_alpha_at_once(name, n):
     """The symbolic proof of tau_omega4 holds, and so does the proof for
     each seeded concrete alpha, which is the numpy pass's verdict."""
     spec = make_field(*CHECK_FIELDS[name])
-    assert commutes_for_all(tau_omega4, spec, n)
+    assert commutes_for_all(tau_omega4, spec, (n,))[0]
     for alpha in seeded_alphas(spec, random.Random(f"{name}-{n}")):
         pair = tau_omega4(alpha)
         assert check_commutation([pair], spec, n) == [basis_commutation(*pair, spec, n)] == [None]
@@ -314,7 +316,7 @@ def test_a_family_that_fails_for_some_alpha_is_not_proved(name, n):
     alphas = seeded_alphas(spec, random.Random(f"{name}-{n}"))
     for family, holds_for_all in FAMILIES.values():
         expected = [basis_commutation(*family(alpha), spec, n) for alpha in alphas]
-        proved = commutes_for_all(family, spec, n)
+        proved = commutes_for_all(family, spec, (n,))[0]
         assert proved == holds_for_all(spec.k) == all(w is None for w in expected)
         assert check_commutation([family(alpha) for alpha in alphas], spec, n) == expected
 
@@ -356,6 +358,57 @@ def test_the_suite_runs_each_map_once_per_cell(monkeypatch):
     monkeypatch.setattr(cli, "tau_omega4", counted)
     assert cli._suite_gray_commutation(0, DEFAULT_BUDGET)["pass"]
     assert runs == {"lhs": 6, "rhs": 6}
+
+
+def test_the_suite_proves_each_field_in_one_call(monkeypatch):
+    """One commutes_for_all call per field, for all three of its lengths."""
+    calls = []
+    proof = gray.commutes_for_all
+    spy = lambda make_pair, field, lengths: calls.append((field, tuple(lengths))) or proof(make_pair, field, lengths)
+    monkeypatch.setattr(cli, "commutes_for_all", spy)
+    assert cli._suite_gray_commutation(0, DEFAULT_BUDGET)["pass"]
+    assert calls == [(cli.field_f9(), (3, 4, 6)), (cli.field_f25(), (3, 4, 6))]
+
+
+def test_no_symbolic_object_outlives_a_request(capsys):
+    """Nothing of a request is cached for the next: after gc.collect(), as
+    many symbolic columns and constants are alive after one verify
+    gray-commutation request as before it."""
+    def alive():
+        gc.collect()
+        return sum(isinstance(o, (gray._Column, gray._Constant)) for o in gc.get_objects())
+
+    before = alive()
+    assert cli.main(["verify", "gray-commutation"]) == 0
+    assert alive() == before
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+def wrong_at_five(alpha):
+    """tau_omega4(alpha) with the Gray blocks 2 and 3 swapped on the left,
+    on words of length 5 only."""
+    lhs, rhs = tau_omega4(alpha)
+    swapped = mutated_pairs(alpha)[0][0]
+    return (lambda w: (swapped if len(w) == 5 else lhs)(w)), rhs
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FIELDS))
+def test_a_proof_per_length_is_the_proof_of_a_call_per_length(name):
+    """One call for the lengths 1..8, in either order, gives each length
+    the verdict of a fresh call for it alone, which is the family's: a
+    length that fails stays False among lengths that hold and share its
+    columns."""
+    spec = make_field(*CHECK_FIELDS[name])
+    lengths = tuple(range(1, 9))
+    families = {**FAMILIES, "gray blocks swapped at n = 5": (wrong_at_five, None)}
+    for family, holds_for_all in families.values():
+        alone = [commutes_for_all(family, spec, (n,))[0] for n in lengths]
+        if holds_for_all is None:
+            assert alone == [n != 5 for n in lengths]
+        else:
+            assert alone == [holds_for_all(spec.k)] * len(lengths)
+        assert commutes_for_all(family, spec, lengths) == alone
+        assert commutes_for_all(family, spec, lengths[::-1]) == alone[::-1]
 
 
 def alpha_monomial_family(spec, sources, twists, consts, factors):
@@ -415,7 +468,7 @@ def test_a_symbolic_proof_holds_for_every_concrete_alpha(name, n, data):
     consts[i] = codes() if change == "const" else consts[i]
     rhs = alpha_monomial_family(spec, sources, twists, consts, factors)
     family = lambda alpha: (lhs(alpha), rhs(alpha))
-    proved = commutes_for_all(family, spec, n)
+    proved = commutes_for_all(family, spec, (n,))[0]
     if change in ("none", "order", "across"):
         assert proved
     if proved:
@@ -432,6 +485,51 @@ def test_a_unit_returns_the_column_only_with_as_many_places(f9):
     assert ring_one(f9) * entry is entry and f9.one * entry is entry and f9.one * part is part
     scaled = ring_one(f9) * part
     assert scaled is not part and scaled.terms == part.terms * 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(CHECK_FIELDS)),
+    st.sampled_from(["entry", "part", "scaled", "symbolic"]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_frob_walks_the_theta_orbit(name, kind, place, start, data):
+    """For i from -2k to 3k, frob(i) is i successive frob(1) calls (i + 2k
+    for i < 0) in terms and twist; frob(j k) is the column itself, however
+    reached, from any column of the orbit; and the split of theta^i(x) is
+    theta^i of x's split, so the split of theta^k(x) is x's."""
+    spec = make_field(*CHECK_FIELDS[name])
+    k = spec.k
+    entry = gray._symbolic_word(spec, 2)[1]
+    codes = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=4, max_size=4))
+    column = {
+        "entry": lambda: entry,
+        "part": lambda: entry.crt()[place],
+        "scaled": lambda: ring_constant(spec, codes) * entry,
+        "symbolic": lambda: gray._Constant(spec).frob(place) * entry,
+    }[kind]()
+    x = column.frob(start)
+    for i in range(-2 * k, 3 * k + 1):
+        y = x
+        for _ in range(i if i >= 0 else i + 2 * k):
+            y = y.frob(1)
+        twisted = x.frob(i)
+        assert (twisted.terms, twisted.e) == (y.terms, y.e) == (x.terms, (x.e + i) % k)
+        if i % k == 0:
+            assert twisted is x and y is x
+        if len(x.terms) == 4:
+            assert all(part is xpart.frob(i) for part, xpart in zip(twisted.crt(), x.crt()))
+
+
+def test_both_sides_of_sigma4_over_f27_are_one_word(f27):
+    """theta^4 = theta over F27 (k = 3), and theta^3 of a column is the
+    column: the two sides of permuted_sigma4 give the same columns."""
+    lhs, rhs = permuted_sigma4(f27)
+    word = gray._symbolic_word(f27, 5)
+    left, right = lhs(word), rhs(word)
+    assert len(left) == len(right) == 20 and all(x is y for x, y in zip(left, right))
 
 
 # --- the contract of the symbolic constant: maps may frob, split and scale by it ---
@@ -457,14 +555,14 @@ def test_maps_that_use_alpha_outside_the_contract_raise(name, f9):
     word_map = ALPHA_OUTSIDE_THE_CONTRACT[name]
     for family in (lambda a: (word_map(a), lambda w: w[:1]), lambda a: (lambda w: w[:1], word_map(a))):
         with pytest.raises((TypeError, AttributeError)):
-            commutes_for_all(family, f9, 2)
+            commutes_for_all(family, f9, (2,))[0]
 
 
 def test_symbolic_constants_from_another_field_are_refused(f9, f25):
     with pytest.raises(MixedRingsError):
-        commutes_for_all(lambda a: tau_omega4(gray._Constant(f25)), f9, 3)
+        commutes_for_all(lambda a: tau_omega4(gray._Constant(f25)), f9, (3,))[0]
     with pytest.raises(MixedRingsError):
-        commutes_for_all(lambda a: (lambda w: (gray._Constant(f25).crt()[1] * w[0],), lambda w: w[:1]), f9, 3)
+        commutes_for_all(lambda a: (lambda w: (gray._Constant(f25).crt()[1] * w[0],), lambda w: w[:1]), f9, (3,))[0]
 
 
 @pytest.mark.parametrize("n, field", [(1, "F9"), (2, "F3")])

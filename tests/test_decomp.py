@@ -277,6 +277,32 @@ def test_minimal_generator_makes_one_elimination(monkeypatch, f9, f25):
     assert verdicts == [True, False, True, True, True]
 
 
+def test_zero_span_vectors_are_dropped_before_the_elimination(monkeypatch, f9, f25):
+    """The other components' zero words, interleaved with a span or making
+    all of it, reach no elimination and change no generator; a zero vector
+    of another length is still refused first."""
+    eliminated = []
+    original = decomp.rref
+    monkeypatch.setattr(decomp, "rref", lambda rows: eliminated.append(rows) or original(rows))
+    rng = random.Random(47)
+    for spec, n in ((f9, 4), (f25, 6), (f9, 6)):
+        mod = ModulusSpec(n, -spec.one)
+        gen = random_right_divisor(mod, rng, n)
+        vectors = list(generator_basis_words(gen, mod))
+        interleaved = list(vectors)
+        for _ in range(5):
+            interleaved.insert(rng.randrange(len(interleaved) + 1), (spec.zero,) * n)
+        eliminated.clear()
+        assert minimal_generator(interleaved, n, -spec.one) == minimal_generator(vectors, n, -spec.one) == gen
+        assert eliminated[0] == eliminated[1] == [v[::-1] for v in vectors]
+        eliminated.clear()
+        assert minimal_generator([(spec.zero,) * n] * 3, n, -spec.one) == mod.poly()
+        assert eliminated == [[]]
+        with pytest.raises(LengthMismatchError):
+            minimal_generator(vectors + [(spec.zero,) * (n + 1)], n, -spec.one)
+        assert len(eliminated) == 1
+
+
 def test_minimal_generator_makes_no_division(monkeypatch, f9, f25):
     """Its remainders, of x^n - beta and of every echelon row, are read off
     the generator's residues."""
