@@ -51,8 +51,9 @@ class SkewCode:
     warnings: tuple = ()
 
     def __post_init__(self):
+        field = self.field
         for i, f in enumerate(self.gens, 1):
-            if f.spec != self.field or f.ring != "fq":
+            if (f.spec is not field and f.spec != field) or f.ring != "fq":
                 raise MixedRingsError("generators must be base-field polynomials over the code field")
             if f.is_zero or not f.is_monic:
                 raise ValueError(f"component {i}: generator {f!r} is not monic")
@@ -126,11 +127,16 @@ class SkewCode:
         """Whether each CRT component of word is right-divisible by g_i:
         its remainder is read off residue_rows, with no division. An
         all-zero component is a member without one. Entries must be ring
-        elements over the code's field."""
+        elements over the code's field: each is compared with it by class
+        and field identity first, and by the structural FieldSpec == only
+        when some entry fails that."""
         word = tuple(word)
         if len(word) != self.n:
             raise LengthMismatchError(f"word length {len(word)} != code length {self.n}")
-        if not all(isinstance(c, RingElement) and c.spec == self.field for c in word):
+        field = self.field
+        if not all(c.__class__ is RingElement and c.spec is field for c in word) and not all(
+            isinstance(c, RingElement) and c.spec == field for c in word
+        ):
             raise MixedRingsError("word entries must be ring elements over the code field")
         zero = self.field.zero
         return all(

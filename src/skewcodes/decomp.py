@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .codes import SkewCode, is_closed_under
 from .errors import DEFAULT_BUDGET, LengthMismatchError, VerificationError
 from .gf import FieldElement
-from .linalg import rref
+from .linalg import element_logs, rref
 from .ring4 import RingElement, split_word
 from .skewpoly import ModulusSpec, SkewPoly, residues, skew_constacyclic_shift
 
@@ -40,27 +40,37 @@ def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     row of degree D is x^D + low, deg low < d, and g right-divides it
     exactly when low = -(x^D mod g). Every check reads g's residues x^D mod
     g, D <= n, computed once: x^n - constant is right-divisible exactly when
-    x^n mod g = constant. No division and no remainder sum is made. Raises
-    LengthMismatchError for a vector whose length is not n, zero vectors
-    included, before the elimination, which drops the zero vectors, and
-    VerificationError when the span is no such module.
+    x^n mod g = constant. No division and no remainder sum is made.
+
+    The elimination runs on logarithms (rref's logarithm form): the zero
+    vectors, equal to the zero word, are dropped first, the others' codes
+    are read once (linalg.element_logs), and the echelon rows are compared
+    with g's residues read as logarithms. Raises LengthMismatchError for a
+    vector whose length is not n, zero vectors included, and
+    MixedRingsError for an entry of another field than constant's, both
+    before the elimination, and VerificationError when the span is no such
+    module.
     """
     spec = constant.spec
     lengths = {len(v) for v in span_vectors} - {n}
     if lengths:
         raise LengthMismatchError(f"spanning vector length {min(lengths)} != code length {n}")
     # the other components' zero words span nothing
-    rows, _ = rref([v[::-1] for v in span_vectors if any(c.code for c in v)])
-    gen = SkewPoly(spec, "fq", reversed(rows[-1])) if rows else ModulusSpec(n, constant).poly()
+    zero_word = (spec.zero,) * n
+    rows, _ = rref(element_logs([v[::-1] for v in span_vectors if v != zero_word], spec), spec)
+    exp, log, wrap, half = spec.exp, spec.log, spec.wrap, (spec.q - 1) // 2
+    gen = SkewPoly(spec, "fq", [exp[l] for l in reversed(rows[-1])]) if rows else ModulusSpec(n, constant).poly()
     d = gen.degree
     parity = list(itertools.islice(residues(gen), n + 1 - d))
     if parity[-1] != [constant, *[spec.zero] * d][:d]:
         raise VerificationError(
             f"minimal generator {gen!r} does not right-divide x^{n} - {constant!r}"
         )
-    # the row of degree D is reversed: its entries n - d .. n - 1 are low
+    # the row of degree D is reversed: its entries n - d .. n - 1 are
+    # low = -(x^D mod g), whose logarithms are those of x^D mod g plus half
     if len(rows) != n - d or any(
-        list(row[:n - d - 1:-1]) != [-c for c in parity[n - 1 - k - d]] for k, row in enumerate(rows)
+        row[:n - d - 1:-1] != tuple([wrap[log[c.code] + half] for c in parity[n - 1 - k - d]])
+        for k, row in enumerate(rows)
     ):
         raise VerificationError(
             "spanning set is not the single-generator module of its minimal element"

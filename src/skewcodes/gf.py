@@ -19,6 +19,7 @@ case for zero:
                     wrap[log x + log y] = log(x*y) and
                     wrap[log x + plus[log y - log x + Z]] = log(x + y),
     neg[c]          code of -c,
+    theta[c]        the FieldElement theta(c) = c^(p^t),
 
 plus one FieldElement per code. Every index into exp or wrap is a sum of
 two table values, each below q-1 or equal to Z, so it is at most 2Z = 4(q-1)
@@ -28,6 +29,8 @@ Every operation is then a few list lookups on codes, with no branch on
 zero, and allocates nothing. Inverses and powers multiply logarithms modulo
 q - 1, and so does the twist x -> x^(p^(t*i)): FieldSpec.twist applies it
 to a list of logarithms, the one place outside FieldElement that does.
+theta holds the twist once, x -> x^(p^t), by code, for FieldElement.frob(1)
+and ring4's RingElement.frob(1).
 
 make_field interns fields: equal (p, m, modulus, t) give the same FieldSpec,
 so a same-field check is an identity test (FieldSpec.__eq__ stays the
@@ -54,8 +57,9 @@ from .errors import (
 )
 
 # The largest field make_field builds: 3^11. Building its tables takes about
-# 0.35 s and keeps about 53 MB (87 MB at the peak of the build, by
-# tracemalloc; the process peaks at about 122 MB), on a 2-core x86-64 VM.
+# 0.3 s and keeps about 54 MB, 1.4 MB of it the theta table's q pointers
+# (87 MB at the peak of the build, by tracemalloc; the process peaks at
+# about 122 MB), on a 2-core x86-64 VM.
 MAX_Q = 3 ** 11
 
 
@@ -158,11 +162,12 @@ class FieldSpec:
 
     Build it with make_field. Its tables (see the module docstring) are
     `exp` (FieldElements, length 4(q-1) + 1), `log`, `plus`, `wrap`
-    (logarithms, log_zero = 2(q-1) standing for log 0) and `neg` (codes).
+    (logarithms, log_zero = 2(q-1) standing for log 0), `neg` (codes) and
+    `theta` (FieldElements, one per code).
     """
 
     __slots__ = (
-        "p", "m", "modulus", "t", "q", "k", "log_zero", "exp", "log", "plus", "wrap", "neg",
+        "p", "m", "modulus", "t", "q", "k", "log_zero", "exp", "log", "plus", "wrap", "neg", "theta",
         "_elems", "_frob_mult", "_arrays",
     )
 
@@ -220,10 +225,14 @@ class FieldSpec:
         # Slices of one list, so the two zech copies share their ints.
         self.plus = list(range(-zero, -order)) + [0] + zech[1:] + zech + [0] * (order + 1)
         self.neg = ((-digits) % p @ weights).tolist()
+        del digits  # q * m int64s, freed before the element lists are built
         self._elems = [FieldElement(self, c) for c in range(q)]
         powers = [self._elems[c] for c in exp]
         self.exp = [*powers, *powers, *itertools.repeat(self._elems[0], zero + 1)]
         self._frob_mult = [pow(p, self.t * i, q - 1) for i in range(self.k)]
+        # theta(g^l) = g^(l p^t); code 0 reads log_zero, whose exp is 0
+        twisted = np.where(log == zero, zero, log * pow(p, self.t, order) % order)
+        self.theta = list(map(self.exp.__getitem__, twisted.tolist()))
 
     def twist(self, logs, i: int = 1):
         """The logarithms of theta^i (i any integer) of the elements with
@@ -445,8 +454,11 @@ class FieldElement:
     __pow__ = pow_int
 
     def frob(self, i: int = 1) -> "FieldElement":
-        """Apply x -> x^(p^t) i times (i may be any integer)."""
+        """Apply x -> x^(p^t) i times (i may be any integer); once is a
+        lookup in the spec's theta table."""
         spec = self.spec
+        if i == 1:
+            return spec.theta[self.code]
         i %= spec.k
         if not (i and self.code):
             return self

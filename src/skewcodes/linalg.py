@@ -7,22 +7,40 @@ spec.plus adds two logarithms and spec.wrap reduces the sum, and spec.exp
 gives the element back, with log_zero standing for 0, so no entry needs a
 zero branch and no FieldElement is operated on. rref and nullspace take
 rows of field elements and return tuples of them, or, for a caller that
-keeps logarithms (the distance sweep), take and return logarithms.
+keeps logarithms (the distance sweep, decomp.minimal_generator), take and
+return logarithms. element_logs gives the logarithm rows of element rows,
+and refuses an entry of another field before anything is eliminated.
 """
 
 from __future__ import annotations
 
+from .errors import MixedRingsError
 from .gf import FieldElement, FieldSpec
 from .ring4 import join_word, split_word
+
+
+def element_logs(rows, spec: FieldSpec):
+    """The logarithm rows, in spec, of rows of elements of spec. An entry of
+    another field raises MixedRingsError, and no logarithm of it is read:
+    each entry's field is compared with spec by identity first, and only
+    when some entry fails that, every entry by the structural FieldSpec ==."""
+    rows = list(rows)
+    log = spec.log
+    logs = [[log[c.code] for c in r if c.spec is spec] for r in rows]
+    if sum(map(len, logs)) != sum(map(len, rows)):
+        if not all(c.spec == spec for r in rows for c in r):
+            raise MixedRingsError(f"rows hold an entry that is not an element of {spec!r}")
+        logs = [[log[c.code] for c in r] for r in rows]
+    return logs
 
 
 def rref(rows, spec: FieldSpec | None = None):
     """Reduced row echelon form.
 
-    Returns (reduced_rows, pivot_columns); zero rows are dropped, before
-    the elimination, and rows of field elements before they are converted.
-    The rows are of field elements and so are the reduced rows, or, given
-    `spec`, both are of logarithms in spec.
+    Returns (reduced_rows, pivot_columns); zero rows are dropped before
+    the elimination. The rows are of field elements, all of the first
+    entry's field (element_logs refuses any other), and so are the reduced
+    rows, or, given `spec`, both are of logarithms in spec.
     """
     rows = list(rows)
     if not rows or not rows[0]:
@@ -30,10 +48,8 @@ def rref(rows, spec: FieldSpec | None = None):
     elements = spec is None
     if elements:
         spec = rows[0][0].spec
-        log = spec.log
-        rows = [[log[c.code] for c in r] for r in rows if any(c.code for c in r)]
-    else:
-        rows = [list(r) for r in rows if r.count(spec.log_zero) < len(r)]
+        rows = element_logs(rows, spec)
+    rows = [list(r) for r in rows if r.count(spec.log_zero) < len(r)]
     order, zero, plus, wrap = spec.q - 1, spec.log_zero, spec.plus, spec.wrap
     half = order // 2  # the logarithm of -1
     pivots = []
@@ -73,13 +89,13 @@ def nullspace(rows, ncols: int, spec: FieldSpec, pivots=None, logs: bool = False
     Given `pivots`, the rows are taken to be in RREF with those pivot
     columns, as rref returns them, and are not reduced again. With `logs`,
     the rows and the basis are of logarithms in spec, as rref(rows, spec)
-    gives them; otherwise both are of field elements.
+    gives them; otherwise both are of field elements of spec (element_logs
+    refuses any other).
     """
     zero, wrap = spec.log_zero, spec.wrap
     half = (spec.q - 1) // 2
     if not logs:
-        log = spec.log
-        rows = [[log[c.code] for c in r] for r in rows]
+        rows = element_logs(rows, spec)
     reduced, pivots = rref(rows, spec) if pivots is None else (rows, pivots)
     basis = []
     pivot_set = set(pivots)

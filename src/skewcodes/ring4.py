@@ -150,7 +150,11 @@ class RingElement:
         return _of(tuple(comp.inverse() for comp in self._crt))
 
     def frob(self, i: int = 1) -> "RingElement":
+        """theta^i componentwise; once reads the spec's theta table."""
         s1, s2, s3, s4 = self._crt
+        if i == 1:
+            theta = s1.spec.theta
+            return _of((theta[s1.code], theta[s2.code], theta[s3.code], theta[s4.code]))
         return _of((s1.frob(i), s2.frob(i), s3.frob(i), s4.frob(i)))
 
     def crt_ints(self):
@@ -159,7 +163,7 @@ class RingElement:
     # --- comparisons / display ---
 
     def __eq__(self, other):
-        if isinstance(other, RingElement):
+        if other.__class__ is RingElement or isinstance(other, RingElement):
             return self._crt == other._crt
         if isinstance(other, (FieldElement, int)):
             other = self._coerce(other)

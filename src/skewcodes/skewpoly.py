@@ -8,11 +8,11 @@ factorization shape used by every construction in this package:
 x^n - alpha = h(x) * f(x).
 
 _log_divmod is the one division, on logarithm lists (see gf): right_divmod
-is its adapter for polynomials, and random_right_divisor peels with it. A
-question that needs only a remainder reads it off the streamed residues
-x^D mod g instead (right_remainder, residue_sum), which measured faster
-than a division on the lists for the membership, search and certificate
-reads that ask it.
+is its adapter for polynomials, and DivisorSampler.random_right_divisor
+peels with it. A question that needs only a remainder reads it off the
+streamed residues x^D mod g instead (right_remainder, residue_sum), which
+measured faster than a division on the lists for the membership, search
+and certificate reads that ask it.
 """
 
 from __future__ import annotations
@@ -550,7 +550,8 @@ def _log_divmod(spec: FieldSpec, f, g):
     reads quot_d, the x^(d + deg g) coefficient left, and adds
     quot_d theta^d(-g_j) to the x^(d + j) one, j < deg g. theta^d depends
     only on d mod k, so each twisted -g is built once. It is the one loop
-    that divides: right_divmod and random_right_divisor's peel call it."""
+    that divides: right_divmod and DivisorSampler.random_right_divisor's
+    peel call it."""
     zero, plus, wrap, half, k = spec.log_zero, spec.plus, spec.wrap, (spec.q - 1) // 2, spec.k
     quots, rems = [], []
     for rem, gi in zip(f, g):
@@ -586,43 +587,72 @@ def _log_product(spec: FieldSpec, f, g):
     return out
 
 
-def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
-    """A random monic right divisor of x^n - alpha of degree at most `degree`.
+class DivisorSampler:
+    """Random monic right divisors whose draws share their screens.
 
-    Peels random factors of degree 1 (or 2 when no linear factor exists) off
-    the successive cofactors; stops early if the cofactor has no small right
-    factor. The chain x^n - alpha = cofactor * divisor makes every
-    intermediate divisor a genuine right divisor: the remainder of the
-    next cofactor certifies the factor picked, and only that one.
-
-    It runs on logarithm lists, one per CRT component, from start to end.
-    _monic_right_factors screens the cofactor's lists, rng picks from its
-    code tuples, and only the pick becomes lists (_monic_logs). One right
-    division on the lists (_log_divmod) gives the next cofactor, and its
-    all-zero remainder is the pick's certificate. The pick is multiplied
-    onto the divisor on the lists (_log_product), and the divisor is the
-    one polynomial built. A nonzero remainder raises VerificationError.
+    Each draw's screens, _monic_right_factors's lists of the monic right
+    factors of a cofactor, are kept in a table keyed by (field, the
+    cofactor's logarithm lists, degree): a later draw that meets the same
+    cofactor reads the list instead of screening again, and so picks from
+    the same list: a draw with a new sampler is the same draw. The table
+    lives as long as the sampler: the decomposition suite makes one per
+    request, and there is none at module level.
     """
-    spec, ring = mod.spec, mod.ring
-    parts = _logs(mod)
-    divisor = [[0]] * len(parts)  # the logarithm of 1
-    while len(divisor[0]) <= degree and len(parts[0]) > 1:
-        remaining = degree + 1 - len(divisor[0])
-        candidates = []
-        for d in range(1, min(2, remaining, len(parts[0]) - 1) + 1):
-            candidates = _monic_right_factors(spec, parts, d)
-            if candidates:
+
+    __slots__ = ("_screens",)
+
+    def __init__(self):
+        self._screens = {}
+
+    def _factors(self, spec: FieldSpec, parts, degree: int):
+        """_monic_right_factors(spec, parts, degree), screened once per key;
+        called through the module attribute, which a tracer may wrap."""
+        key = (spec, tuple(map(tuple, parts)), degree)
+        found = self._screens.get(key)
+        if found is None:
+            found = self._screens[key] = _monic_right_factors(spec, parts, degree)
+        return found
+
+    def random_right_divisor(self, mod: ModulusSpec, rng, degree: int) -> SkewPoly:
+        """A random monic right divisor of x^n - alpha of degree at most
+        `degree`.
+
+        Peels random factors of degree 1 (or 2 when no linear factor
+        exists) off the successive cofactors; stops early if the cofactor
+        has no small right factor. The chain x^n - alpha = cofactor *
+        divisor makes every intermediate divisor a genuine right divisor:
+        the remainder of the next cofactor certifies the factor picked, and
+        only that one.
+
+        It runs on logarithm lists, one per CRT component, from start to
+        end. The sampler's table gives the cofactor's screen (_factors),
+        rng picks from its code tuples, and only the pick becomes lists
+        (_monic_logs). One right division on the lists (_log_divmod) gives
+        the next cofactor, and its all-zero remainder is the pick's
+        certificate. The pick is multiplied onto the divisor on the lists
+        (_log_product), and the divisor is the one polynomial built. A
+        nonzero remainder raises VerificationError.
+        """
+        spec, ring = mod.spec, mod.ring
+        parts = _logs(mod)
+        divisor = [[0]] * len(parts)  # the logarithm of 1
+        while len(divisor[0]) <= degree and len(parts[0]) > 1:
+            remaining = degree + 1 - len(divisor[0])
+            candidates = []
+            for d in range(1, min(2, remaining, len(parts[0]) - 1) + 1):
+                candidates = self._factors(spec, parts, d)
+                if candidates:
+                    break
+            if not candidates:
                 break
-        if not candidates:
-            break
-        factor = _monic_logs(spec, rng.choice(candidates))
-        quot, rem = _log_divmod(spec, parts, factor)
-        if any(l != spec.log_zero for part in rem for l in part):
-            raise VerificationError(f"candidate divisor {_poly_of_logs(spec, ring, factor)!r}"
-                                    f" does not right-divide {_poly_of_logs(spec, ring, parts)!r}")
-        parts = quot
-        divisor = [_log_product(spec, gi, di) for gi, di in zip(factor, divisor)]
-    return _poly_of_logs(spec, ring, divisor)
+            factor = _monic_logs(spec, rng.choice(candidates))
+            quot, rem = _log_divmod(spec, parts, factor)
+            if any(l != spec.log_zero for part in rem for l in part):
+                raise VerificationError(f"candidate divisor {_poly_of_logs(spec, ring, factor)!r}"
+                                        f" does not right-divide {_poly_of_logs(spec, ring, parts)!r}")
+            parts = quot
+            divisor = [_log_product(spec, gi, di) for gi, di in zip(factor, divisor)]
+        return _poly_of_logs(spec, ring, divisor)
 
 
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BUDGET):
@@ -698,7 +728,7 @@ def skew_constacyclic_shift(word, alpha):
     """tau_alpha: (c_0..c_{n-1}) -> (alpha * theta(c_{n-1}), theta(c_0), ..,
     theta(c_{n-2})). The skew cyclic shift sigma is tau with alpha = 1."""
     word = tuple(word)
-    return (alpha * word[-1].frob(1),) + tuple(c.frob(1) for c in word[:-1])
+    return (alpha * word[-1].frob(1),) + tuple([c.frob(1) for c in word[:-1]])
 
 
 def _blocks(word, count: int):
@@ -751,9 +781,19 @@ def span_words(f: SkewPoly, mod: ModulusSpec):
 
 def generator_basis_words(f: SkewPoly, mod: ModulusSpec):
     """The nominal basis x^j * f, j < n - deg f, of a right-divisor
-    generator: the head of the shift orbit, and [] for f = 0."""
-    count = 0 if f.is_zero else max(mod.n - f.degree, 0)
-    return list(itertools.islice(_shift_orbit(f, mod), count))
+    generator, and [] for f = 0 or deg f >= n. Below degree n nothing is
+    reduced, so word j is the head of the shift orbit in closed form:
+    x^j * f = sum_i theta^j(f_i) x^(i + j), f's coefficients twisted j times
+    (each twist one theta-table lookup per coefficient, see gf) and shifted
+    j places. Mixed rings are refused at once, as _shift_orbit refuses
+    them."""
+    f._check_compatible(mod)  # reads only .spec and .ring, which mod has
+    n, pad, coeffs = mod.n, (f._zero_coeff(),), f.coeffs
+    words = []
+    for j in range(0 if f.is_zero else max(n - f.degree, 0)):
+        words.append(pad * j + coeffs + pad * (n - j - len(coeffs)))
+        coeffs = tuple([c.frob(1) for c in coeffs])
+    return words
 
 
 # --- dual cofactor generator ---

@@ -49,6 +49,7 @@ from skewcodes.linalg import nullspace, rref
 from skewcodes.ring4 import RingElement, join_word, split_word
 from skewcodes.serial import field_to_json, poly_to_json, ring_to_json
 from skewcodes.skewpoly import (
+    DivisorSampler,
     ModulusSpec,
     SkewPoly,
     _check_divisor,
@@ -479,7 +480,7 @@ def spy_log_divisions(monkeypatch):
     """{name of the calling function: [(dividend, divisor), ...]}: the
     logarithm lists of every skewpoly._log_divmod call, in order. Its
     callers are right_divmod, which divides polynomials, and
-    random_right_divisor, whose divisions peel its factors."""
+    DivisorSampler.random_right_divisor, whose divisions peel its factors."""
     calls = collections.defaultdict(list)
     divide = skewpoly._log_divmod
 
@@ -489,6 +490,14 @@ def spy_log_divisions(monkeypatch):
 
     monkeypatch.setattr(skewpoly, "_log_divmod", spy)
     return calls
+
+
+def orbit_basis_words(f: SkewPoly, mod: ModulusSpec):
+    """skewpoly.generator_basis_words as the head of f's shift orbit: the
+    words of x^j * f mod (x^n - alpha), j < n - deg f, each the skew
+    constacyclic shift of the one before it, and [] for f = 0."""
+    count = 0 if f.is_zero else max(mod.n - f.degree, 0)
+    return list(islice(skewpoly._shift_orbit(f, mod), count))
 
 
 # --- right divisors ---
@@ -539,8 +548,15 @@ def monic_right_factors(f: SkewPoly, degree: int):
     return [_poly_of_logs(f.spec, f.ring, _monic_logs(f.spec, choice)) for choice in choices]
 
 
+def random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
+    """One draw of a new skewpoly.DivisorSampler: a random monic right
+    divisor of x^n - alpha of degree at most `degree`, whose screens live
+    for this call only."""
+    return DivisorSampler().random_right_divisor(mod, rng, degree)
+
+
 def object_random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
-    """skewpoly.random_right_divisor on polynomial objects: the cofactor
+    """random_right_divisor on polynomial objects: the cofactor
     divided by each pick, and the pick multiplied onto the divisor, with
     the same candidate lists (monic_right_factors) and the same picks."""
     cofactor = mod.poly()

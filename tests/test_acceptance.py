@@ -12,7 +12,7 @@ import random
 import time
 
 import pytest
-from reference import ModuleSpan, Span, constacyclic_shift, hamming_weight
+from reference import ModuleSpan, Span, constacyclic_shift, hamming_weight, random_right_divisor
 
 from skewcodes.catalog import example_code, get_example
 from skewcodes.codes import (
@@ -41,7 +41,6 @@ from skewcodes.skewpoly import (
     idempotent_generator,
     is_right_divisor,
     quasi_twist_shift,
-    random_right_divisor,
     reduce_mod,
     right_divisor_search,
     right_divmod,

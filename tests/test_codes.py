@@ -12,6 +12,7 @@ from reference import (
     per_word_closure,
     power_scale_poly,
     power_scale_word,
+    random_right_divisor,
     random_ring_element,
     ring_elements,
     self_dual_constant_list,
@@ -37,7 +38,7 @@ from skewcodes.errors import (
     NotADivisorError,
     NotAUnitError,
 )
-from skewcodes.gf import make_field
+from skewcodes.gf import FieldSpec, make_field
 from skewcodes.linalg import inner_product, nullspace
 from skewcodes.ring4 import RingElement, ring_one, ring_zero
 from skewcodes.skewpoly import (
@@ -46,7 +47,6 @@ from skewcodes.skewpoly import (
     blockwise_constacyclic_shift,
     fq_poly,
     quasi_twist_shift,
-    random_right_divisor,
     right_divisor_search,
     right_divmod,
     right_remainder,
@@ -128,6 +128,27 @@ def test_membership_refuses_entries_that_are_not_ring_elements_over_the_field(f9
     with pytest.raises(MixedRingsError):
         code.contains((ring_zero(f25),) * code.n)
     assert code.contains((zero,) * code.n)
+
+
+def test_a_separately_built_equal_field_is_the_code_field(f9, f25):
+    """Entries and generators are compared with the code field by identity
+    first and by the structural FieldSpec == only when that fails: a field
+    built apart from make_field, equal to the code's, is accepted in words
+    and generators, with the verdicts of the code field's own elements."""
+    code = example_code(2)
+    separate = FieldSpec(3, 2, [1, 0, 1], 1)
+    assert separate is not f9 and separate == f9
+    moved = lambda x: separate.from_int(x.code)
+    verdicts = set()
+    for word in code.basis_words() + [skew_constacyclic_shift(w, -ring_one(f9)) for w in code.basis_words()]:
+        apart = tuple(RingElement.from_crt(separate, *map(moved, c.crt())) for c in word)
+        verdicts.add(code.contains(apart))
+        assert code.contains(apart) == code.contains(word)
+    assert verdicts == {True, False}
+    gens = [SkewPoly(separate, "fq", map(moved, g.coeffs)) for g in code.gens]
+    assert SkewCode(f9, code.n, code.alpha, tuple(gens)).remainders == code.remainders
+    with pytest.raises(MixedRingsError):
+        SkewCode(f9, code.n, code.alpha, (SkewPoly(f25, "fq", [f25.one]),) * 4)
 
 
 def test_a_generator_longer_than_the_code_is_refused(f9):

@@ -4,7 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ModuleSpan, Span, constacyclic_shift, per_row_minimal_generator, spy_log_divisions
+from reference import (
+    ModuleSpan,
+    Span,
+    constacyclic_shift,
+    per_row_minimal_generator,
+    random_right_divisor,
+    spy_log_divisions,
+)
 from test_kernel import FIELDS
 
 import skewcodes.decomp as decomp
@@ -34,7 +41,7 @@ from skewcodes.errors import (
     NotAUnitError,
     VerificationError,
 )
-from skewcodes.gf import make_field
+from skewcodes.gf import FieldSpec, make_field
 from skewcodes.linalg import nullspace, rref
 from skewcodes.ring4 import RingElement, ring_one
 from skewcodes.skewpoly import (
@@ -43,7 +50,6 @@ from skewcodes.skewpoly import (
     fq_poly,
     from_components,
     generator_basis_words,
-    random_right_divisor,
     right_divmod,
     skew_constacyclic_shift,
     span_words,
@@ -251,10 +257,38 @@ def test_vectors_of_another_length_are_refused_before_the_elimination(monkeypatc
             components_from_words(words, n, ring_one(f9))
 
 
+def test_words_over_another_field_are_refused_before_the_elimination(monkeypatch, f9, f25):
+    """minimal_generator and components_from_words refuse vectors and words
+    over another field than the constant's with MixedRingsError, a zero
+    vector of that field included, with no elimination; vectors over a
+    separately built but equal field give the interned field's generator."""
+    code = build_code(f25, 3, ring_one(f25), [fq_poly(f25, [-1, 1])] * 4)
+    words = code.basis_words()
+    vectors = extract_components(words)[0]
+    eliminated = []
+    original = decomp.rref
+    monkeypatch.setattr(decomp, "rref", lambda rows, spec: eliminated.append(rows) or original(rows, spec))
+    cases = [
+        (components_from_words, words),
+        (minimal_generator, vectors),
+        (minimal_generator, [(f25.zero,) * 3]),
+        (minimal_generator, [(f9.one, f9.zero, f9.zero), (f9.one, f25.zero, f9.one)]),
+    ]
+    for fn, given in cases:
+        with pytest.raises(MixedRingsError):
+            fn(given, 3, ring_one(f9) if fn is components_from_words else f9.one)
+    assert eliminated == []
+    separate = FieldSpec(3, 2, [1, 0, 1], 1)
+    mod = ModulusSpec(4, f9.one)
+    basis = generator_basis_words(fq_poly(f9, [-1, 1]), mod)
+    moved = [tuple(separate.from_int(c.code) for c in v) for v in basis]
+    assert minimal_generator(moved, 4, f9.one) == minimal_generator(basis, 4, f9.one) == fq_poly(f9, [-1, 1])
+
+
 def test_minimal_generator_makes_one_elimination(monkeypatch, f9, f25):
     eliminations = []
     original = linalg.rref
-    counted = lambda rows: eliminations.append(1) or original(rows)
+    counted = lambda rows, spec=None: eliminations.append(1) or original(rows, spec)
     monkeypatch.setattr(linalg, "rref", counted)
     monkeypatch.setattr(decomp, "rref", counted)
 
@@ -283,7 +317,7 @@ def test_zero_span_vectors_are_dropped_before_the_elimination(monkeypatch, f9, f
     of another length is still refused first."""
     eliminated = []
     original = decomp.rref
-    monkeypatch.setattr(decomp, "rref", lambda rows: eliminated.append(rows) or original(rows))
+    monkeypatch.setattr(decomp, "rref", lambda rows, spec: eliminated.append(rows) or original(rows, spec))
     rng = random.Random(47)
     for spec, n in ((f9, 4), (f25, 6), (f9, 6)):
         mod = ModulusSpec(n, -spec.one)
@@ -294,7 +328,7 @@ def test_zero_span_vectors_are_dropped_before_the_elimination(monkeypatch, f9, f
             interleaved.insert(rng.randrange(len(interleaved) + 1), (spec.zero,) * n)
         eliminated.clear()
         assert minimal_generator(interleaved, n, -spec.one) == minimal_generator(vectors, n, -spec.one) == gen
-        assert eliminated[0] == eliminated[1] == [v[::-1] for v in vectors]
+        assert eliminated[0] == eliminated[1] == [[spec.log[c.code] for c in v[::-1]] for v in vectors]
         eliminated.clear()
         assert minimal_generator([(spec.zero,) * n] * 3, n, -spec.one) == mod.poly()
         assert eliminated == [[]]

@@ -7,33 +7,41 @@ Fields are those of test_kernel.py, which include twists strictly between
 the identity and the full Frobenius (1 < t < m).
 """
 
+import contextlib
+import gc
 import hashlib
+import io
 import itertools
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     component_polys,
     full_divisor_screen,
     monic_right_factors,
     object_divmod,
     object_random_right_divisor,
+    random_right_divisor,
     random_ring_element,
     spy_log_divisions,
 )
 from test_kernel import FIELDS
 
 import skewcodes.skewpoly as skewpoly
+from skewcodes import cli
 from skewcodes.errors import BudgetExceededError, VerificationError
-from skewcodes.gf import make_field
+from skewcodes.gf import FieldSpec, make_field
 from skewcodes.ring4 import RingElement
 from skewcodes.skewpoly import (
+    DivisorSampler,
     ModulusSpec,
     SkewPoly,
     from_components,
     r_poly,
-    random_right_divisor,
     right_divisor_search,
     right_divmod,
 )
@@ -837,3 +845,85 @@ def test_the_random_divisor_stream_is_pinned():
         draws += 1
     assert draws == 640
     assert digest.hexdigest() == RANDOM_DIVISOR_STREAM
+
+
+# --- the screens shared by one sampler ---
+
+class CheckedSampler(DivisorSampler):
+    """A DivisorSampler that checks each list its table gives against a
+    fresh _monic_right_factors call."""
+
+    def _factors(self, spec, parts, degree):
+        found = super()._factors(spec, parts, degree)
+        assert found == skewpoly._monic_right_factors(spec, parts, degree)
+        return found
+
+
+@st.composite
+def draw_batches(draw):
+    """[(modulus, degree), ...] of x^n - beta over one field of test_kernel
+    (F81 with t = 2 among them), n <= 5 (n <= 3 over F729), beta among 1,
+    -1, a generator and 0, so that cofactors repeat."""
+    spec = make_field(*FIELDS[draw(st.sampled_from(sorted(FIELDS)))])
+    betas = (spec.one, -spec.one, spec.exp[1], spec.zero)
+    top = 3 if spec.q > 300 else 5
+    mods = st.builds(ModulusSpec, st.integers(1, top), st.sampled_from(betas))
+    return draw(st.lists(st.tuples(mods, st.integers(-1, top + 1)), min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw_batches(), st.integers(0, 2 ** 32))
+def test_a_shared_table_gives_each_draw_the_fresh_screen(batch, seed):
+    """One sampler for a batch of draws gives each draw the list that a
+    fresh _monic_right_factors call gives, so the divisors and the rng
+    state after each draw are those of a new sampler per draw."""
+    shared, ours, theirs = CheckedSampler(), random.Random(seed), random.Random(seed)
+    for mod, degree in batch:
+        assert shared.random_right_divisor(mod, ours, degree) == DivisorSampler().random_right_divisor(mod, theirs, degree)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_no_screen_table_outlives_a_request(monkeypatch, capsys):
+    """After gc.collect(), as many samplers and as many screen tables (dicts
+    keyed by (field, logarithm lists, degree)) are alive after one verify
+    decomposition request as before it, which made one of each."""
+    def alive():
+        gc.collect()
+        objects = gc.get_objects()
+        tables = [o for o in objects if o.__class__ is dict and any(
+            key.__class__ is tuple and len(key) == 3 and isinstance(key[0], FieldSpec) for key in o)]
+        return sum(isinstance(o, DivisorSampler) for o in objects), len(tables)
+
+    before = alive()
+    made, init = [], DivisorSampler.__init__
+    monkeypatch.setattr(DivisorSampler, "__init__", lambda self: made.append(1) or init(self))
+    assert cli.main(["verify", "decomposition"]) == 0
+    assert made == [1]
+    assert alive() == before
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+def test_a_request_screens_each_key_once_through_the_module_attribute(monkeypatch):
+    """A verify decomposition request screens through
+    skewpoly._monic_right_factors as the module attribute, which the traced
+    benchmark wraps: it sees each key once, the first screen of each key
+    that the request would make with no table, and the report is the same."""
+    factors, keys = skewpoly._monic_right_factors, []
+    monkeypatch.setattr(
+        skewpoly, "_monic_right_factors",
+        lambda spec, parts, degree: keys.append((spec, tuple(map(tuple, parts)), degree)) or factors(spec, parts, degree),
+    )
+
+    def request():
+        keys.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["verify", "decomposition", "--seed", "1"]) == 0
+        return out.getvalue(), list(keys)
+
+    report, shared = request()
+    monkeypatch.setattr(DivisorSampler, "_factors", lambda self, *args: skewpoly._monic_right_factors(*args))
+    unshared_report, unshared = request()
+    assert report == unshared_report
+    assert len(shared) == len(set(shared)) == len(set(unshared)) < len(unshared)
+    assert set(shared) == set(unshared)

@@ -287,7 +287,10 @@ def test_logarithms_are_reduced_and_twisted_only_in_gf():
     expression with a remainder in a branch is gf.FieldSpec.twist, which
     keeps log_zero as it is. theta^i on a logarithm multiplies it by
     p^(ti) mod (q - 1), which only gf reads (FieldSpec._frob_mult) or
-    computes (a three-argument pow of an exponent in t)."""
+    computes (a three-argument pow of an exponent in t). theta once is the
+    spec's theta table, which only gf builds and only gf and ring4 (the
+    frob(1) of FieldElement and RingElement) read: any other module twists
+    through those."""
     nodes = [(path.stem, name, sub) for path in MODULES for name, func in _functions(parse(path).body) for sub in ast.walk(func)]
     folds = {
         (module, name)
@@ -304,6 +307,9 @@ def test_logarithms_are_reduced_and_twisted_only_in_gf():
         and any(getattr(t, "id", getattr(t, "attr", None)) == "t" for t in ast.walk(sub.args[1]))
     }
     assert readers | powers == {"gf"}
+    theta = [(module, sub.ctx.__class__) for module, _, sub in nodes if isinstance(sub, ast.Attribute) and sub.attr == "theta"]
+    assert {module for module, ctx in theta if ctx is ast.Store} == {"gf"}
+    assert {module for module, ctx in theta if ctx is ast.Load} == {"gf", "ring4"}
 
 
 def test_words_are_cut_into_blocks_in_one_place():
@@ -339,8 +345,8 @@ def test_every_word_shift_is_defined_in_skewpoly():
 def test_one_division_and_one_commutative_product():
     """Right division is the one division: no function in src/ but
     SkewPoly._mul takes a `twisted` parameter, and the one loop that divides
-    is _log_divmod, called by right_divmod and by random_right_divisor's
-    peel; the object division _divmod and _binomial_logs, x^n - beta's
+    is _log_divmod, called by right_divmod and by the peel of
+    DivisorSampler.random_right_divisor; the object division _divmod and _binomial_logs, x^n - beta's
     lists, are gone. The commutative product
     c_mul serves only the idempotent's square and its e, and stays a
     function of its own because perfbench/tracer.py counts its calls as
@@ -353,7 +359,7 @@ def test_one_division_and_one_commutative_product():
     }
     assert twisted == {("skewpoly", "SkewPoly._mul")}
     assert _callers("c_mul") == {("skewpoly", "idempotent_generator")}
-    assert _callers("_log_divmod") == {("skewpoly", "right_divmod"), ("skewpoly", "random_right_divisor")}
+    assert _callers("_log_divmod") == {("skewpoly", "right_divmod"), ("skewpoly", "DivisorSampler.random_right_divisor")}
     defined = {node.name for path in MODULES for node in ast.walk(parse(path)) if isinstance(node, ast.FunctionDef)}
     named = set().union(*(references(parse(path)) for path in MODULES))
     assert {"_divmod", "_binomial_logs"} & (defined | named) == set()

@@ -106,11 +106,19 @@ def test_inverse_division_and_powers_match_galoistools(args, e):
 @SETTINGS
 @given(elements(), st.integers(-20, 20))
 def test_frobenius_is_a_power_and_a_field_automorphism(args, i):
+    """frob(i) is x^(p^(ti)), i from -20 to 20 (beyond -2k and 3k on every
+    field); frob(1) reads the spec's theta table, and RingElement.frob(1)
+    is x^(p^t) place by place on its CRT view."""
     spec, x, y = args
     assert x.frob(i) == x.pow_int(spec.p ** (spec.t * (i % spec.k)))
     assert (x + y).frob(i) == x.frob(i) + y.frob(i)
     assert (x * y).frob(i) == x.frob(i) * y.frob(i)
     assert x.frob(spec.k) == x
+    assert spec.theta[x.code] is x.frob(1) is x.pow_int(spec.p ** spec.t)
+    view = (x, y, x + y, x * y)
+    r = RingElement.from_crt(spec, *view)
+    assert r.frob(1).crt() == tuple(c.pow_int(spec.p ** spec.t) for c in view)
+    assert r.frob(1) == r.frob(1 + spec.k) == RingElement.from_crt(spec, *(c.frob(1) for c in view))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

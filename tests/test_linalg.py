@@ -4,11 +4,13 @@ object_nullspace, object_inner_product)."""
 
 import random
 
+import pytest
 from reference import object_inner_product, object_nullspace, object_rref
 from test_kernel import FIELDS as KERNEL_FIELDS
 
-from skewcodes.gf import FieldElement, make_field
-from skewcodes.linalg import inner_product, nullspace, rref
+from skewcodes.errors import MixedRingsError
+from skewcodes.gf import FieldElement, FieldSpec, make_field
+from skewcodes.linalg import element_logs, inner_product, nullspace, rref
 
 # the kernel's fields (F7, F125, F243, F81 and F729 with the twist t = 2)
 # and the fields the codes of the examples and the benchmark use
@@ -108,3 +110,37 @@ def test_elimination_makes_no_field_element_arithmetic(monkeypatch):
     for x, y, z in products:
         product = inner_product(x, y)
         assert product == z and product.is_zero == z.is_zero
+
+
+def test_entries_of_another_field_are_refused_before_any_elimination():
+    """The element forms of rref and nullspace refuse an entry of another
+    field, a zero one included, with MixedRingsError before any logarithm
+    is read: an F25 code past F9's tables raises no IndexError. An element
+    of a separately built but equal field is accepted (the structural
+    FieldSpec == decides), with the result of the interned field's
+    elements."""
+    f9, f25 = make_field(3, 2, [1, 0, 1]), make_field(5, 2, [1, 1, 1])
+    row9, row25 = (f9.one, f9.zero, f9.root()), (f25.from_int(3), f25.zero, f25.one)
+    mixed = [
+        [row25, row9],
+        [row9, row25],
+        [row9, (f9.one, f25.zero, f9.one)],
+        [row9, (f25.zero,) * 3],
+    ]
+    for rows in mixed:
+        with pytest.raises(MixedRingsError):
+            rref(rows)
+        with pytest.raises(MixedRingsError):
+            nullspace(rows, 3, f9)
+        with pytest.raises(MixedRingsError):
+            element_logs(rows, f9)
+    with pytest.raises(MixedRingsError):
+        nullspace([(f25.from_int(20),) * 3], 3, f9)
+
+    separate = FieldSpec(3, 2, [1, 0, 1], 1)
+    assert separate is not f9 and separate == f9
+    rows = [row9, tuple(separate.from_int(c.code) for c in (f9.root(), f9.one, f9.zero))]
+    interned = [row9, (f9.root(), f9.one, f9.zero)]
+    assert element_logs(rows, f9) == element_logs(interned, f9)
+    assert rref(rows) == rref(interned)
+    assert nullspace(rows, 3, f9) == nullspace(interned, 3, f9)

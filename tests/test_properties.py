@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import Span, constacyclic_shift, hamming_weight
+from reference import Span, constacyclic_shift, hamming_weight, random_right_divisor
 from test_commutation_kernel import CHECK_FIELDS
 from test_kernel import FIELDS
 
@@ -33,7 +33,6 @@ from skewcodes.skewpoly import (
     SkewPoly,
     fq_poly,
     quasi_twist_shift,
-    random_right_divisor,
     right_divmod,
     skew_constacyclic_shift,
     span_words,

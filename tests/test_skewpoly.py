@@ -7,7 +7,16 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ModuleSpan, Span, commutative_remainder, component_polys, object_divmod, run_main
+from reference import (
+    ModuleSpan,
+    Span,
+    commutative_remainder,
+    component_polys,
+    object_divmod,
+    orbit_basis_words,
+    random_right_divisor,
+    run_main,
+)
 from test_kernel import FIELDS
 
 from skewcodes.errors import (
@@ -38,7 +47,6 @@ from skewcodes.skewpoly import (
     is_theta_fixed,
     poly_to_word,
     r_poly,
-    random_right_divisor,
     reduce_mod,
     right_divisor_search,
     right_divmod,
@@ -670,12 +678,36 @@ def module_word_cases(draw):
 @given(module_word_cases())
 def test_module_words_are_the_division_reference(case):
     """span_words walks the shift orbit of f's remainder; the division
-    reference reduces each x^j * f. A basis is the head of the orbit."""
+    reference reduces each x^j * f. A basis is the head of the orbit:
+    generator_basis_words, theta^j(f) shifted j places, is the reference
+    head of the shift orbit, over F_q and over R, on every field of
+    test_kernel (F81 with t = 2 among them), f = 0, deg f = 0, deg f = n
+    and deg f > n included."""
     f, mod = case
     words = span_words(f, mod)
     assert words == reference_span_words(f, mod)
     expected = [] if f.is_zero else words[: max(mod.n - f.degree, 0)]
-    assert generator_basis_words(f, mod) == expected
+    assert generator_basis_words(f, mod) == expected == orbit_basis_words(f, mod)
+
+
+@pytest.mark.parametrize("name", sorted(DIVISION_FIELDS))
+def test_basis_words_at_the_edge_degrees(name):
+    """deg f = 0 gives the n unit vectors scaled by theta^j(f_0), and
+    deg f >= n and f = 0 give no word, over F_q and over R."""
+    spec = make_field(*DIVISION_FIELDS[name])
+    c = spec.exp[1]
+    for n in (1, 2, 5):
+        for ring, lift in (("fq", lambda x: x), ("R", RingElement.from_field)):
+            mod = ModulusSpec(n, lift(-spec.one))
+            zero = lift(spec.zero)
+            constant = SkewPoly(spec, ring, [lift(c)])
+            words = generator_basis_words(constant, mod)
+            assert words == [(zero,) * j + (lift(c.frob(j)),) + (zero,) * (n - 1 - j) for j in range(n)]
+            assert words == orbit_basis_words(constant, mod)
+            for degree in (n, n + 1, n + 3):
+                f = SkewPoly(spec, ring, [lift(c)] * (degree + 1))
+                assert generator_basis_words(f, mod) == orbit_basis_words(f, mod) == []
+            assert generator_basis_words(SkewPoly.zero(spec, ring), mod) == []
 
 
 def test_module_words_refuse_mixed_rings(f9, f25):
@@ -687,11 +719,14 @@ def test_module_words_refuse_mixed_rings(f9, f25):
         (fq_poly(f9, [1, 0, 0, 1]), over_r),  # deg f = n: no basis word
         (SkewPoly.zero(f9), over_r),
     ]
+    cases.append((fq_poly(f9, [1, 0, 0, 0, 1]), over_r))  # deg f > n
     for f, mod in cases:
         with pytest.raises(MixedRingsError):
             span_words(f, mod)
         with pytest.raises(MixedRingsError):
             generator_basis_words(f, mod)
+        with pytest.raises(MixedRingsError):
+            orbit_basis_words(f, mod)
 
 
 # --- idempotents ---
