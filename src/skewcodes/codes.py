@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -51,9 +51,15 @@ class SkewCode:
     warnings: tuple = ()
 
     def __post_init__(self):
+        if len(self.gens) != 4:
+            raise InconsistentError("a code needs exactly four component generators")
+        if self.n < 1:
+            raise LengthMismatchError("code length must be positive")
         field = self.field
+        if not isinstance(self.alpha, RingElement) or self.alpha.spec is not field:
+            raise MixedRingsError("shift constant must be a ring element over the code field")
         for i, f in enumerate(self.gens, 1):
-            if (f.spec is not field and f.spec != field) or f.ring != "fq":
+            if f.spec is not field or f.ring != "fq":
                 raise MixedRingsError("generators must be base-field polynomials over the code field")
             if f.is_zero or not f.is_monic:
                 raise ValueError(f"component {i}: generator {f!r} is not monic")
@@ -127,16 +133,13 @@ class SkewCode:
         """Whether each CRT component of word is right-divisible by g_i:
         its remainder is read off residue_rows, with no division. An
         all-zero component is a member without one. Entries must be ring
-        elements over the code's field: each is compared with it by class
-        and field identity first, and by the structural FieldSpec == only
-        when some entry fails that."""
+        elements over the code's field: fields are interned, so each entry's
+        field check is `is`."""
         word = tuple(word)
         if len(word) != self.n:
             raise LengthMismatchError(f"word length {len(word)} != code length {self.n}")
         field = self.field
-        if not all(c.__class__ is RingElement and c.spec is field for c in word) and not all(
-            isinstance(c, RingElement) and c.spec == field for c in word
-        ):
+        if not all(c.__class__ is RingElement and c.spec is field for c in word):
             raise MixedRingsError("word entries must be ring elements over the code field")
         zero = self.field.zero
         return all(
@@ -152,21 +155,14 @@ class SkewCode:
 def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
     """Validate and build a SkewCode.
 
-    Every generator must be monic; each must right-divide x^n - beta_i for
-    its CRT component constant, or NotADivisorError names the component.
+    SkewCode checks the generators, n and alpha; each generator must also
+    right-divide x^n - beta_i for its CRT component constant, or
+    NotADivisorError names the component.
     """
-    gens = tuple(gens)
-    if len(gens) != 4:
-        raise InconsistentError("a code needs exactly four component generators")
-    if n < 1:
-        raise LengthMismatchError("code length must be positive")
-    if not isinstance(alpha, RingElement) or alpha.spec != field:
-        raise MixedRingsError("shift constant must be a ring element over the code field")
-    warnings = []
+    code = SkewCode(field, n, alpha, tuple(gens))
     if not alpha.is_unit:
-        warnings.append(f"shift constant is not a unit: crt={alpha.crt_ints()}")
-    code = SkewCode(field, n, alpha, gens, tuple(warnings))
-    for i, (f, beta, rem) in enumerate(zip(gens, code.component_constants, code.remainders)):
+        code = replace(code, warnings=(f"shift constant is not a unit: crt={alpha.crt_ints()}",))
+    for i, (f, beta, rem) in enumerate(zip(code.gens, code.component_constants, code.remainders)):
         if not rem.is_zero:
             raise NotADivisorError(
                 f"component {i + 1}: {f!r} does not right-divide"

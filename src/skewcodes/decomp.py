@@ -47,9 +47,9 @@ def minimal_generator(span_vectors, n: int, constant: FieldElement) -> SkewPoly:
     are read once (linalg.element_logs), and the echelon rows are compared
     with g's residues read as logarithms. Raises LengthMismatchError for a
     vector whose length is not n, zero vectors included, and
-    MixedRingsError for an entry of another field than constant's, both
-    before the elimination, and VerificationError when the span is no such
-    module.
+    MixedRingsError for an entry of another field than constant's (fields
+    are interned, so a field check is `is`), both before the elimination,
+    and VerificationError when the span is no such module.
     """
     spec = constant.spec
     lengths = {len(v) for v in span_vectors} - {n}

@@ -100,10 +100,8 @@ def min_distance(rows, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> Distanc
     rows = list(rows)
     if len({len(row) for row in rows}) > 1:
         raise LengthMismatchError(f"rows of lengths {sorted({len(row) for row in rows})} in one matrix")
-    # the identity test first: make_field builds one FieldSpec per field
-    if not all(c.__class__ is FieldElement and c.spec is spec for row in rows for c in row) and not all(
-        isinstance(c, FieldElement) and c.spec == spec for row in rows for c in row
-    ):
+    # fields are interned: a field check is `is`
+    if not all(c.__class__ is FieldElement and c.spec is spec for row in rows for c in row):
         raise MixedRingsError(f"rows hold an entry that is not an element of {spec!r}")
     nonzero, parts = _reduce_by_summand(rows, spec)
     k = sum(len(part.basis) for part in parts)

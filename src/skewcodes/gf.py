@@ -32,12 +32,12 @@ to a list of logarithms, the one place outside FieldElement that does.
 theta holds the twist once, x -> x^(p^t), by code, for FieldElement.frob(1)
 and ring4's RingElement.frob(1).
 
-make_field interns fields: equal (p, m, modulus, t) give the same FieldSpec,
-so a same-field check is an identity test (FieldSpec.__eq__ stays the
-structural fallback). The tables take O(q) memory, so make_field refuses
-q = p^m above MAX_Q before it builds anything. FieldSpec.arrays() gives the
-same tables as numpy arrays (FieldArrays), built on first use, for
-arithmetic on many elements at once.
+Fields are interned: FieldSpec builds one object per (p, m, modulus mod p,
+t), and make_field, copy and pickle return it, so a field check is `is`.
+The tables take O(q) memory, so make_field refuses q = p^m above MAX_Q
+before it builds anything. FieldSpec.arrays() gives the same tables as
+numpy arrays (FieldArrays), built on first use, for arithmetic on many
+elements at once.
 """
 
 from __future__ import annotations
@@ -157,10 +157,17 @@ def _digits(code: int, p: int, m: int):
     return out
 
 
+_FIELDS = {}  # (p, m, modulus mod p, t) -> the one FieldSpec built for it
+
+
 class FieldSpec:
     """Immutable description of F_{p^m} with twist x -> x^(p^t).
 
-    Build it with make_field. Its tables (see the module docstring) are
+    Build it with make_field, which validates its parameters. A field is
+    one object: FieldSpec(p, m, modulus, t), a copy and an unpickled spec
+    all return the one built for (p, m, modulus mod p, t), so FieldSpecs
+    compare and hash by identity. A new key is built only after Rabin's
+    test and the twist check pass. Its tables (see the module docstring) are
     `exp` (FieldElements, length 4(q-1) + 1), `log`, `plus`, `wrap`
     (logarithms, log_zero = 2(q-1) standing for log 0), `neg` (codes) and
     `theta` (FieldElements, one per code).
@@ -171,15 +178,26 @@ class FieldSpec:
         "_elems", "_frob_mult", "_arrays",
     )
 
-    def __init__(self, p: int, m: int, modulus, t: int):
-        self.p = p
-        self.m = m
-        self.modulus = tuple(c % p for c in modulus)
-        self.t = t
-        self.q = p ** m
-        self.k = m // t
-        self._arrays = None
-        self._build_tables()
+    def __new__(cls, p: int, m: int, modulus, t: int):
+        key = (p, m, tuple(c % p for c in modulus), t)
+        spec = _FIELDS.get(key)
+        if spec is None:
+            # checked before the cache entry: none may hold an invalid field
+            if not _is_irreducible(key[2], p):
+                raise ReducibleModulusError(f"modulus {list(key[2])} is reducible over F_{p}")
+            if t < 1 or m % t != 0:
+                raise BadTwistError(f"t = {t} does not divide m = {m}")
+            spec = object.__new__(cls)
+            spec.p, spec.m, spec.modulus, spec.t = key
+            spec.q = p ** m
+            spec.k = m // t
+            spec._arrays = None
+            spec._build_tables()
+            _FIELDS[key] = spec
+        return spec
+
+    def __reduce__(self):
+        return FieldSpec, (self.p, self.m, self.modulus, self.t)
 
     def _primitive_code(self) -> int:
         """Smallest code whose powers give every nonzero element."""
@@ -280,16 +298,6 @@ class FieldSpec:
     def random_element(self, rng: random.Random) -> "FieldElement":
         return self._elems[rng.randrange(self.q)]
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FieldSpec)
-            and (self.p, self.m, self.modulus, self.t)
-            == (other.p, other.m, other.modulus, other.t)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus, self.t))
-
     def __repr__(self):
         return f"GF({self.p}^{self.m}; t={self.t})"
 
@@ -313,14 +321,12 @@ class FieldArrays:
         self.frob = np.array(spec.twist(spec.wrap[:order] + [zero] * (order + 1)), dtype=np.intp)
 
 
-_FIELDS = {}  # (p, m, modulus, t) -> the one FieldSpec built for it
-
-
 def make_field(p: int, m: int, modulus, t: int = 1) -> FieldSpec:
     """Validate and build a FieldSpec, or return the one already built.
 
     modulus is the coefficient list of a monic degree-m polynomial over F_p,
     ascending (constant term first). q = p^m may be at most MAX_Q.
+    FieldSpec checks irreducibility and t | m when it builds.
     """
     if p < 3 or p % 2 == 0:
         raise NonPrimeError(f"p = {p} is not an odd prime")
@@ -338,16 +344,7 @@ def make_field(p: int, m: int, modulus, t: int = 1) -> FieldSpec:
         raise ReducibleModulusError(
             f"modulus must be monic of degree {m}, got {modulus}"
         )
-    key = (p, m, tuple(modulus), t)
-    spec = _FIELDS.get(key)
-    if spec is not None:
-        return spec
-    if not _is_irreducible(modulus, p):
-        raise ReducibleModulusError(f"modulus {modulus} is reducible over F_{p}")
-    if t < 1 or m % t != 0:
-        raise BadTwistError(f"t = {t} does not divide m = {m}")
-    spec = _FIELDS[key] = FieldSpec(p, m, modulus, t)
-    return spec
+    return FieldSpec(p, m, modulus, t)
 
 
 class FieldElement:
@@ -366,7 +363,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
+            if other.spec is not self.spec:
                 raise MixedRingsError("field elements from different fields")
             return other
         if isinstance(other, int):
@@ -468,7 +465,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.code == other.code and (self.spec is other.spec or self.spec == other.spec)
+            return self.code == other.code and self.spec is other.spec
         if isinstance(other, int):
             return self == self.spec.constant(other)
         return NotImplemented

@@ -181,7 +181,7 @@ class _Column:
         if not isinstance(const, (RingElement, FieldElement, _Constant)):
             return NotImplemented
         spec = self.spec
-        if const.spec is not spec and const.spec != spec:
+        if const.spec is not spec:
             raise MixedRingsError("constant and word over different fields")
         if isinstance(const, _Constant):
             return self._times_symbol(const)

@@ -22,15 +22,12 @@ from .ring4 import join_word, split_word
 def element_logs(rows, spec: FieldSpec):
     """The logarithm rows, in spec, of rows of elements of spec. An entry of
     another field raises MixedRingsError, and no logarithm of it is read:
-    each entry's field is compared with spec by identity first, and only
-    when some entry fails that, every entry by the structural FieldSpec ==."""
+    fields are interned, so a field check is `is`."""
     rows = list(rows)
     log = spec.log
     logs = [[log[c.code] for c in r if c.spec is spec] for r in rows]
     if sum(map(len, logs)) != sum(map(len, rows)):
-        if not all(c.spec == spec for r in rows for c in r):
-            raise MixedRingsError(f"rows hold an entry that is not an element of {spec!r}")
-        logs = [[log[c.code] for c in r] for r in rows]
+        raise MixedRingsError(f"rows hold an entry that is not an element of {spec!r}")
     return logs
 
 

@@ -85,14 +85,10 @@ class RingElement:
     # --- arithmetic ---
 
     def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.spec is not self.spec and other.spec != self.spec:
+        if isinstance(other, (RingElement, FieldElement)):
+            if other.spec is not self.spec:
                 raise MixedRingsError("ring elements over different fields")
-            return other
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise MixedRingsError("ring elements over different fields")
-            return RingElement.from_field(other)
+            return other if isinstance(other, RingElement) else RingElement.from_field(other)
         if isinstance(other, int):
             return RingElement.from_ints(self.spec, other)
         return NotImplemented

@@ -101,7 +101,7 @@ class SkewPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._zero_coeff()
 
     def _check_compatible(self, other: "SkewPoly"):
-        if (self.spec is not other.spec and self.spec != other.spec) or self.ring != other.ring:
+        if self.spec is not other.spec or self.ring != other.ring:
             raise MixedRingsError(
                 f"polynomials over different rings: {self.spec}/{self.ring}"
                 f" vs {other.spec}/{other.ring}"
@@ -156,11 +156,7 @@ class SkewPoly:
     def __eq__(self, other):
         if not isinstance(other, SkewPoly):
             return NotImplemented
-        return (
-            (self.spec is other.spec or self.spec == other.spec)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
+        return self.spec is other.spec and self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.spec, self.ring, self.coeffs))
@@ -904,7 +900,7 @@ def dual_idempotent(e: SkewPoly, mod: ModulusSpec) -> SkewPoly:
 def from_components(f1: SkewPoly, f2: SkewPoly, f3: SkewPoly, f4: SkewPoly) -> SkewPoly:
     """The R-polynomial whose CRT component polynomials are f1..f4."""
     parts = (f1, f2, f3, f4)
-    if any(f.spec != f1.spec or f.ring != "fq" for f in parts):
+    if any(f.spec is not f1.spec or f.ring != "fq" for f in parts):
         raise MixedRingsError("components must be base-field polynomials over one field")
     top = max(len(f.coeffs) for f in parts)
     return SkewPoly(f1.spec, "R", join_word(poly_to_word(f, top) for f in parts))

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -33,6 +35,7 @@ from skewcodes.errors import (
     BadIndexError,
     BudgetExceededError,
     HypothesisViolatedError,
+    InconsistentError,
     LengthMismatchError,
     MixedRingsError,
     NotADivisorError,
@@ -131,13 +134,13 @@ def test_membership_refuses_entries_that_are_not_ring_elements_over_the_field(f9
 
 
 def test_a_separately_built_equal_field_is_the_code_field(f9, f25):
-    """Entries and generators are compared with the code field by identity
-    first and by the structural FieldSpec == only when that fails: a field
-    built apart from make_field, equal to the code's, is accepted in words
-    and generators, with the verdicts of the code field's own elements."""
+    """Fields are interned, so a field check is `is`: FieldSpec built apart
+    from make_field with the code's parameters is the code field, and is
+    accepted in words and generators, with the verdicts of the code field's
+    own elements."""
     code = example_code(2)
     separate = FieldSpec(3, 2, [1, 0, 1], 1)
-    assert separate is not f9 and separate == f9
+    assert separate is f9
     moved = lambda x: separate.from_int(x.code)
     verdicts = set()
     for word in code.basis_words() + [skew_constacyclic_shift(w, -ring_one(f9)) for w in code.basis_words()]:
@@ -149,6 +152,47 @@ def test_a_separately_built_equal_field_is_the_code_field(f9, f25):
     assert SkewCode(f9, code.n, code.alpha, tuple(gens)).remainders == code.remainders
     with pytest.raises(MixedRingsError):
         SkewCode(f9, code.n, code.alpha, (SkewPoly(f25, "fq", [f25.one]),) * 4)
+
+
+def test_a_code_built_directly_is_checked_as_build_code_checks(f9, f25):
+    """SkewCode itself refuses other than four generators, a length below 1
+    and a shift constant that is not a ring element of the code field, in
+    that order, with build_code's errors: three generators once gave dims
+    (3, 3, 3), and basis_words() an IndexError."""
+    g, one = fq_poly(f9, [-1, 1]), ring_one(f9)
+    four = "^a code needs exactly four component generators$"
+    positive = "^code length must be positive$"
+    shift = "^shift constant must be a ring element over the code field$"
+    cases = [
+        ((f9, 4, one, (g,) * 3), InconsistentError, four),
+        ((f9, 4, one, (g,) * 5), InconsistentError, four),
+        ((f9, 0, ring_one(f25), (g,) * 3), InconsistentError, four),
+        ((f9, 0, one, (g,) * 4), LengthMismatchError, positive),
+        ((f9, 0, ring_one(f25), (g,) * 4), LengthMismatchError, positive),
+        ((f9, 4, ring_one(f25), (g,) * 4), MixedRingsError, shift),
+        ((f9, 4, f9.one, (g,) * 4), MixedRingsError, shift),
+        ((f9, 4, ring_one(f25), (fq_poly(f25, [-1, 1]),) * 4), MixedRingsError, shift),
+    ]
+    for args, error, message in cases:
+        for build in (SkewCode, build_code):
+            with pytest.raises(error, match=message):
+                build(*args)
+    assert SkewCode(f9, 4, one, (g,) * 4).dims == build_code(f9, 4, one, [g] * 4).dims == (3, 3, 3, 3)
+
+
+def test_copied_and_unpickled_codes_hold_the_one_field(f9):
+    """A copy of a code, its cached words included or not yet built, is
+    over the code field itself, and its basis words are members of the
+    original code."""
+    fresh = build_code(f9, 4, ring_one(f9), [fq_poly(f9, [-1, 1])] * 4)
+    for code in (example_code(2), fresh):
+        words = code.basis_words()
+        for copy_of in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+            copied = copy_of(code)
+            assert copied.field is code.field and copied.alpha.spec is code.field
+            assert all(g.spec is code.field for g in copied.gens)
+            assert copied.basis_words() == words and all(map(code.contains, copied.basis_words()))
+            assert all(map(copied.contains, words))
 
 
 def test_a_generator_longer_than_the_code_is_refused(f9):

@@ -261,7 +261,8 @@ def test_words_over_another_field_are_refused_before_the_elimination(monkeypatch
     """minimal_generator and components_from_words refuse vectors and words
     over another field than the constant's with MixedRingsError, a zero
     vector of that field included, with no elimination; vectors over a
-    separately built but equal field give the interned field's generator."""
+    separately built equal field, which is the interned F9 itself, give the
+    interned field's generator."""
     code = build_code(f25, 3, ring_one(f25), [fq_poly(f25, [-1, 1])] * 4)
     words = code.basis_words()
     vectors = extract_components(words)[0]
@@ -279,6 +280,7 @@ def test_words_over_another_field_are_refused_before_the_elimination(monkeypatch
             fn(given, 3, ring_one(f9) if fn is components_from_words else f9.one)
     assert eliminated == []
     separate = FieldSpec(3, 2, [1, 0, 1], 1)
+    assert separate is f9
     mod = ModulusSpec(4, f9.one)
     basis = generator_basis_words(fq_poly(f9, [-1, 1]), mod)
     moved = [tuple(separate.from_int(c.code) for c in v) for v in basis]

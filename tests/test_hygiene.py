@@ -312,6 +312,34 @@ def test_logarithms_are_reduced_and_twisted_only_in_gf():
     assert {module for module, ctx in theta if ctx is ast.Load} == {"gf", "ring4"}
 
 
+def _is_field(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "spec") or (
+        isinstance(node, ast.Name) and node.id in ("spec", "field")
+    )
+
+
+def test_a_field_check_is_an_identity_test():
+    """Fields are interned (FieldSpec returns the one object for its
+    parameters), so a field check is `is`: no == or != in src takes an
+    attribute .spec or a name spec or field as an operand, and FieldSpec
+    defines neither __eq__ nor __hash__, so it compares and hashes by
+    identity."""
+    structural = [
+        (path.stem, node.lineno)
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Compare)
+        for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators)
+        if isinstance(op, (ast.Eq, ast.NotEq)) and (_is_field(left) or _is_field(right))
+    ]
+    assert structural == []
+    (spec_class,) = [node for node in parse(SRC / "gf.py").body if isinstance(node, ast.ClassDef) and node.name == "FieldSpec"]
+    defined = {node.name for node in spec_class.body if isinstance(node, ast.FunctionDef)} | {
+        target.id for node in spec_class.body if isinstance(node, ast.Assign) for target in node.targets if isinstance(target, ast.Name)
+    }
+    assert not defined & {"__eq__", "__ne__", "__hash__"}
+
+
 def test_words_are_cut_into_blocks_in_one_place():
     """skewpoly._blocks cuts a word into a number of blocks;
     skewpoly.quasi_twist_shift checks a block size of its own."""

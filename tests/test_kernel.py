@@ -5,7 +5,9 @@ polynomials, over fields that include a twist strictly between the identity
 and the full Frobenius (1 < t < m).
 """
 
+import copy
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -27,7 +29,13 @@ from sympy.polys.galoistools import (
 
 from reference import formula_field_arrays, object_inner_product, random_ring_element
 
-from skewcodes.errors import DivisionByZeroError, FieldTooLargeError, MixedRingsError
+from skewcodes.errors import (
+    BadTwistError,
+    DivisionByZeroError,
+    FieldTooLargeError,
+    MixedRingsError,
+    ReducibleModulusError,
+)
 from skewcodes.gf import MAX_Q, FieldSpec, _is_irreducible, make_field
 from skewcodes.linalg import inner_product
 from skewcodes.ring4 import RingElement, join_word
@@ -176,7 +184,8 @@ def test_every_pair_matches_galoistools(name):
 
 
 def test_field_arrays_are_built_on_first_use():
-    spec = FieldSpec(*SMALL_FIELDS["F9"])
+    # F13 on the modulus x + 2: a field no other test builds
+    spec = FieldSpec(13, 1, [2, 1], 1)
     assert spec._arrays is None
     assert spec.arrays() is spec.arrays()
 
@@ -298,6 +307,32 @@ def test_make_field_interns_equal_specs():
     assert other_twist != spec
 
 
+def test_a_field_is_one_object_however_it_is_built():
+    """FieldSpec itself interns, on the modulus read mod p, and copies and
+    unpickled specs, elements and ring elements hold the one field."""
+    f9 = make_field(3, 2, [1, 0, 1])
+    assert FieldSpec(3, 2, [4, 3, 1], 1) is f9
+    assert FieldSpec(3, 2, (1, 0, 1), 2) is make_field(3, 2, [1, 0, 1], 2) is not f9
+    x = f9.root() + 1
+    r = RingElement.from_crt(f9, f9.root(), 0, 1, x)
+    for copy_of in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        assert copy_of(f9) is f9
+        y, s = copy_of(x), copy_of(r)
+        assert y.spec is f9 and y == x and y * x == x * x
+        assert all(c.spec is f9 for c in s.crt()) and s == r and s * r == r * r
+        assert copy_of([f9, x])[0] is f9
+
+
+def test_no_field_built_directly_leaves_make_field_an_invalid_one():
+    """FieldSpec refuses a reducible modulus and a twist t not dividing m
+    before it builds, so the cache that make_field reads holds no such
+    field: make_field refuses them after a direct attempt as before it."""
+    for args, error in (((3, 2, [0, 0, 1], 1), ReducibleModulusError), ((3, 2, [1, 0, 1], 3), BadTwistError)):
+        for build in (FieldSpec, make_field, FieldSpec, make_field):
+            with pytest.raises(error):
+                build(*args)
+
+
 def test_mixed_fields_rejected_across_twists_and_sizes(f9, f25):
     p, m, mod, _ = FIELDS["F81t2"]
     t1, t2 = make_field(p, m, mod, 1), make_field(p, m, mod, 2)
@@ -311,10 +346,11 @@ def test_mixed_fields_rejected_across_twists_and_sizes(f9, f25):
 
 
 def test_structurally_equal_spec_is_accepted():
+    """FieldSpec built directly returns the field make_field interned."""
     p, m, mod, t = FIELDS["F125"]
     interned = make_field(p, m, mod, t)
     separate = FieldSpec(p, m, mod, t)
-    assert separate is not interned and separate == interned
+    assert separate is interned
     x, y = interned.from_int(17), separate.from_int(99)
     assert (x * y).code == (y * x).code
     assert (x + y).code == (separate.from_int(17) + y).code
