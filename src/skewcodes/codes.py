@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -48,7 +48,6 @@ class SkewCode:
     n: int
     alpha: RingElement
     gens: tuple
-    warnings: tuple = ()
 
     def __post_init__(self):
         if len(self.gens) != 4:
@@ -66,6 +65,11 @@ class SkewCode:
         for f in self.gens:
             if f.degree > self.n:
                 raise LengthMismatchError(f"generator degree {f.degree} exceeds length {self.n}")
+
+    @property
+    def warnings(self):
+        """The one warning a code carries: its shift constant is not a unit."""
+        return () if self.alpha.is_unit else (f"shift constant is not a unit: crt={self.alpha.crt_ints()}",)
 
     @property
     def component_constants(self):
@@ -160,8 +164,6 @@ def build_code(field: FieldSpec, n: int, alpha: RingElement, gens) -> SkewCode:
     NotADivisorError names the component.
     """
     code = SkewCode(field, n, alpha, tuple(gens))
-    if not alpha.is_unit:
-        code = replace(code, warnings=(f"shift constant is not a unit: crt={alpha.crt_ints()}",))
     for i, (f, beta, rem) in enumerate(zip(code.gens, code.component_constants, code.remainders)):
         if not rem.is_zero:
             raise NotADivisorError(

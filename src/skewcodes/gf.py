@@ -2,7 +2,7 @@
 
 An element is its integer code: the power-basis coordinates of its residue
 modulo a user-supplied monic irreducible polynomial, read as base-p digits
-with the constant coefficient least significant. make_field builds, once per
+with the constant coefficient least significant. FieldSpec builds, once per
 field, tables on logarithms to the base g, the smallest code that generates
 the multiplicative group (Huber 1990, "Some comments on Zech's logarithms"),
 with Z = 2(q-1) standing for the logarithm of 0 so that no table needs a
@@ -34,10 +34,10 @@ and ring4's RingElement.frob(1).
 
 Fields are interned: FieldSpec builds one object per (p, m, modulus mod p,
 t), and make_field, copy and pickle return it, so a field check is `is`.
-The tables take O(q) memory, so make_field refuses q = p^m above MAX_Q
-before it builds anything. FieldSpec.arrays() gives the same tables as
-numpy arrays (FieldArrays), built on first use, for arithmetic on many
-elements at once.
+FieldSpec is the one constructor, and it validates: the tables take O(q)
+memory, so it refuses q = p^m above MAX_Q before it builds anything.
+FieldSpec.arrays() gives the same tables as numpy arrays (FieldArrays),
+built on first use, for arithmetic on many elements at once.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .errors import (
     ReducibleModulusError,
 )
 
-# The largest field make_field builds: 3^11. Building its tables takes about
+# The largest field FieldSpec builds: 3^11. Building its tables takes about
 # 0.3 s and keeps about 54 MB, 1.4 MB of it the theta table's q pointers
 # (87 MB at the peak of the build, by tracemalloc; the process peaks at
 # about 122 MB), on a 2-core x86-64 VM.
@@ -163,14 +163,15 @@ _FIELDS = {}  # (p, m, modulus mod p, t) -> the one FieldSpec built for it
 class FieldSpec:
     """Immutable description of F_{p^m} with twist x -> x^(p^t).
 
-    Build it with make_field, which validates its parameters. A field is
-    one object: FieldSpec(p, m, modulus, t), a copy and an unpickled spec
-    all return the one built for (p, m, modulus mod p, t), so FieldSpecs
-    compare and hash by identity. A new key is built only after Rabin's
-    test and the twist check pass. Its tables (see the module docstring) are
-    `exp` (FieldElements, length 4(q-1) + 1), `log`, `plus`, `wrap`
-    (logarithms, log_zero = 2(q-1) standing for log 0), `neg` (codes) and
-    `theta` (FieldElements, one per code).
+    modulus is a monic degree-m polynomial over F_p, ascending. A field is
+    one object: FieldSpec(p, m, modulus, t), make_field, a copy and an
+    unpickled spec all return the one built for (p, m, modulus mod p, t),
+    so FieldSpecs compare and hash by identity. A new key is built only
+    after every check: p odd, m >= 1, q <= MAX_Q, p prime, a monic degree-m
+    modulus, then Rabin's test and t | m. Its tables (see the module
+    docstring) are `exp` (FieldElements, length 4(q-1) + 1), `log`, `plus`,
+    `wrap` (logarithms, log_zero = 2(q-1) standing for log 0), `neg` (codes)
+    and `theta` (FieldElements, one per code).
     """
 
     __slots__ = (
@@ -179,17 +180,28 @@ class FieldSpec:
     )
 
     def __new__(cls, p: int, m: int, modulus, t: int):
-        key = (p, m, tuple(c % p for c in modulus), t)
+        if p < 3 or p % 2 == 0:
+            raise NonPrimeError(f"p = {p} is not an odd prime")
+        key = (p, m, tuple(int(c) % p for c in modulus), t)
         spec = _FIELDS.get(key)
         if spec is None:
             # checked before the cache entry: none may hold an invalid field
+            if m < 1:
+                raise ValueError("extension degree m must be positive")
+            q = p ** min(m, MAX_Q.bit_length())  # p^m if at most MAX_Q, else above it
+            if q > MAX_Q:
+                raise FieldTooLargeError(f"q = {p}^{m} exceeds MAX_Q = {MAX_Q}")
+            if _prime_factors(p) != [p]:
+                raise NonPrimeError(f"p = {p} is not an odd prime")
+            if len(key[2]) != m + 1 or key[2][-1] != 1:
+                raise ReducibleModulusError(f"modulus must be monic of degree {m}, got {list(key[2])}")
             if not _is_irreducible(key[2], p):
                 raise ReducibleModulusError(f"modulus {list(key[2])} is reducible over F_{p}")
             if t < 1 or m % t != 0:
                 raise BadTwistError(f"t = {t} does not divide m = {m}")
             spec = object.__new__(cls)
             spec.p, spec.m, spec.modulus, spec.t = key
-            spec.q = p ** m
+            spec.q = q
             spec.k = m // t
             spec._arrays = None
             spec._build_tables()
@@ -322,35 +334,14 @@ class FieldArrays:
 
 
 def make_field(p: int, m: int, modulus, t: int = 1) -> FieldSpec:
-    """Validate and build a FieldSpec, or return the one already built.
-
-    modulus is the coefficient list of a monic degree-m polynomial over F_p,
-    ascending (constant term first). q = p^m may be at most MAX_Q.
-    FieldSpec checks irreducibility and t | m when it builds.
-    """
-    if p < 3 or p % 2 == 0:
-        raise NonPrimeError(f"p = {p} is not an odd prime")
-    if m < 1:
-        raise ValueError("extension degree m must be positive")
-    q = 1
-    for _ in range(m):  # at most log_3(MAX_Q) + 1 steps, whatever m is
-        q *= p
-        if q > MAX_Q:
-            raise FieldTooLargeError(f"q = {p}^{m} exceeds MAX_Q = {MAX_Q}")
-    if _prime_factors(p) != [p]:
-        raise NonPrimeError(f"p = {p} is not an odd prime")
-    modulus = [int(c) % p for c in modulus]
-    if len(modulus) != m + 1 or modulus[-1] != 1:
-        raise ReducibleModulusError(
-            f"modulus must be monic of degree {m}, got {modulus}"
-        )
+    """FieldSpec(p, m, modulus, t), with the twist t = 1 by default."""
     return FieldSpec(p, m, modulus, t)
 
 
 class FieldElement:
     """Element of F_{p^m}, held as its integer code.
 
-    make_field builds one element per code; operations return those.
+    FieldSpec builds one element per code; operations return those.
     """
 
     __slots__ = ("spec", "code")

@@ -7,12 +7,13 @@ divisor on the RIGHT with the quotient on the LEFT, matching the single
 factorization shape used by every construction in this package:
 x^n - alpha = h(x) * f(x).
 
-_log_divmod is the one division, on logarithm lists (see gf): right_divmod
-is its adapter for polynomials, and DivisorSampler.random_right_divisor
-peels with it. A question that needs only a remainder reads it off the
-streamed residues x^D mod g instead (right_remainder, residue_sum), which
-measured faster than a division on the lists for the membership, search
-and certificate reads that ask it.
+_log_divmod is the one division and _log_product the one product, on
+logarithm lists (see gf): right_divmod and SkewPoly._mul (`*` and c_mul)
+are their adapters for polynomials, and DivisorSampler.random_right_divisor
+peels and multiplies with them. A question that needs only a remainder
+reads it off the streamed residues x^D mod g instead (right_remainder,
+residue_sum), which measured faster than a division on the lists for the
+membership, search and certificate reads that ask it.
 """
 
 from __future__ import annotations
@@ -127,18 +128,9 @@ class SkewPoly:
 
     def _mul(self, other: "SkewPoly", twisted: bool) -> "SkewPoly":
         self._check_compatible(other)
-        if self.is_zero or other.is_zero:
-            return SkewPoly.zero(self.spec, self.ring)
-        out = [self._zero_coeff()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                bb = b.frob(i) if twisted else b
-                out[i + j] = out[i + j] + a * bb
-        return SkewPoly(self.spec, self.ring, out)
+        spec = self.spec
+        k = spec.k if twisted else 1
+        return _poly_of_logs(spec, self.ring, [_log_product(spec, f, g, k) for f, g in zip(_logs(self), _logs(other))])
 
     def scale_left(self, c) -> "SkewPoly":
         """Left multiplication by a constant: c * f."""
@@ -207,10 +199,16 @@ def r_poly(spec: FieldSpec, coeffs) -> SkewPoly:
 
 @dataclass(frozen=True)
 class ModulusSpec:
-    """Quotient modulus x^n - alpha; alpha is a FieldElement or RingElement."""
+    """Quotient modulus x^n - alpha, n >= 1; alpha is a FieldElement or RingElement."""
 
     n: int
     alpha: object
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise LengthMismatchError(f"modulus length n = {self.n!r} is not a positive integer")
+        if not isinstance(self.alpha, (FieldElement, RingElement)):
+            raise MixedRingsError(f"shift constant {self.alpha!r} is not a field or ring element")
 
     @property
     def ring(self) -> str:
@@ -567,11 +565,12 @@ def _log_divmod(spec: FieldSpec, f, g):
     return quots, rems
 
 
-def _log_product(spec: FieldSpec, f, g):
-    """The skew product f * g of two polynomials over F_q as logarithm
-    lists: sum f_i theta^i(g_j) x^(i+j), with theta^i(g) built once per
-    residue of i mod k."""
-    zero, plus, wrap, k = spec.log_zero, spec.plus, spec.wrap, spec.k
+def _log_product(spec: FieldSpec, f, g, k: int):
+    """The product f * g of two polynomials over F_q as logarithm lists,
+    sum f_i theta^(i mod k)(g_j) x^(i+j): the skew product for the twist
+    period k = spec.k, the commutative one for k = 1. theta^r(g) is built
+    once per residue r. It is the one loop that multiplies."""
+    zero, plus, wrap = spec.log_zero, spec.plus, spec.wrap
     twists = [g] + [spec.twist(g, r) for r in range(1, min(k, len(f)))]
     out = [zero] * (len(f) + len(g) - 1)
     for i, lf in enumerate(f):
@@ -647,7 +646,7 @@ class DivisorSampler:
                 raise VerificationError(f"candidate divisor {_poly_of_logs(spec, ring, factor)!r}"
                                         f" does not right-divide {_poly_of_logs(spec, ring, parts)!r}")
             parts = quot
-            divisor = [_log_product(spec, gi, di) for gi, di in zip(factor, divisor)]
+            divisor = [_log_product(spec, gi, di, spec.k) for gi, di in zip(factor, divisor)]
         return _poly_of_logs(spec, ring, divisor)
 
 

@@ -447,6 +447,20 @@ def ring_elements(spec: FieldSpec):
                     yield RingElement(a, b, c, d)
 
 
+# --- products ---
+
+def object_product(f: SkewPoly, g: SkewPoly, twisted: bool) -> SkewPoly:
+    """f * g by the definition (a x^i)(b x^j) = a theta^i(b) x^(i+j), or
+    with twisted False the commutative product, on coefficient objects: the
+    package's SkewPoly._mul before it ran on logarithm lists."""
+    f._check_compatible(g)
+    out = [f._zero_coeff()] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * (b.frob(i) if twisted else b)
+    return SkewPoly(f.spec, f.ring, out)
+
+
 # --- right division ---
 
 def object_divmod(f: SkewPoly, g: SkewPoly):

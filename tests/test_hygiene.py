@@ -340,17 +340,45 @@ def test_a_field_check_is_an_identity_test():
     assert not defined & {"__eq__", "__ne__", "__hash__"}
 
 
-def test_words_are_cut_into_blocks_in_one_place():
-    """skewpoly._blocks cuts a word into a number of blocks;
-    skewpoly.quasi_twist_shift checks a block size of its own."""
-    raisers = {
+def _raisers(error):
+    """(module, qualified function) of each function in src/ that raises
+    `error`."""
+    return {
         (path.stem, name)
         for path in MODULES
         for name, func in _functions(parse(path).body)
         for sub in ast.walk(func)
-        if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and _callee(sub.exc) == "BadIndexError"
+        if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and _callee(sub.exc) == error
     }
-    assert raisers == {("skewpoly", "_blocks"), ("skewpoly", "quasi_twist_shift")}
+
+
+def test_words_are_cut_into_blocks_in_one_place():
+    """skewpoly._blocks cuts a word into a number of blocks;
+    skewpoly.quasi_twist_shift checks a block size of its own."""
+    assert _raisers("BadIndexError") == {("skewpoly", "_blocks"), ("skewpoly", "quasi_twist_shift")}
+
+
+def test_a_field_is_validated_in_one_constructor():
+    """FieldSpec.__new__ is the one constructor of a field and runs every
+    check, so FieldSpec(...) refuses what make_field refuses; make_field is
+    one `return FieldSpec(...)`."""
+    for error in ("NonPrimeError", "FieldTooLargeError", "ReducibleModulusError", "BadTwistError"):
+        assert _raisers(error) == {("gf", "FieldSpec.__new__")}, error
+    (make_field,) = [func for name, func in _functions(parse(SRC / "gf.py").body) if name == "make_field"]
+    body = [node for node in make_field.body if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    assert len(body) == 1 and isinstance(body[0], ast.Return) and _callee(body[0].value) == "FieldSpec"
+
+
+def test_one_product_loop():
+    """_log_product is the one loop that multiplies polynomials: SkewPoly._mul
+    (the skew product and c_mul) runs it on each CRT component's logarithm
+    list, with no loop over coefficient objects and no twist of its own,
+    and the divisor sampler multiplies its picks with it."""
+    assert _callers("_log_product") == {("skewpoly", "SkewPoly._mul"), ("skewpoly", "DivisorSampler.random_right_divisor")}
+    (mul,) = [func for name, func in _functions(parse(SRC / "skewpoly.py").body) if name == "SkewPoly._mul"]
+    loops = [sub for sub in ast.walk(mul) if isinstance(sub, (ast.For, ast.While))]
+    twists = [sub for sub in ast.walk(mul) if isinstance(sub, ast.Call) and _callee(sub) == "frob"]
+    assert loops == twists == []
 
 
 def test_every_word_shift_is_defined_in_skewpoly():

@@ -34,9 +34,10 @@ from skewcodes.errors import (
     DivisionByZeroError,
     FieldTooLargeError,
     MixedRingsError,
+    NonPrimeError,
     ReducibleModulusError,
 )
-from skewcodes.gf import MAX_Q, FieldSpec, _is_irreducible, make_field
+from skewcodes.gf import _FIELDS, MAX_Q, FieldSpec, _is_irreducible, make_field
 from skewcodes.linalg import inner_product
 from skewcodes.ring4 import RingElement, join_word
 
@@ -333,6 +334,30 @@ def test_no_field_built_directly_leaves_make_field_an_invalid_one():
                 build(*args)
 
 
+DIRECT_REFUSALS = {
+    "Z/9": ((9, 1, [0, 1], 1), NonPrimeError, "p = 9 is not an odd prime"),
+    "non-monic F9": ((3, 2, [2, 0, 2], 1), ReducibleModulusError, "modulus must be monic of degree 2, got [2, 0, 2]"),
+    "degree 3 for m = 2": ((3, 2, [1, 2, 0, 1], 1), ReducibleModulusError, "modulus must be monic of degree 2, got [1, 2, 0, 1]"),
+    "p = 1": ((1, 1, [0, 1], 1), NonPrimeError, "p = 1 is not an odd prime"),
+    "m = 0": ((3, 0, [1], 1), ValueError, "extension degree m must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_REFUSALS))
+def test_a_field_built_directly_is_checked_as_make_field_checks(name):
+    """FieldSpec runs make_field's cheap checks, with its classes and
+    messages: it used to intern Z/9 as a field and a second F9 under a
+    non-monic key, and to raise a bare ValueError or an AssertionError.
+    Nothing enters the cache."""
+    args, error, message = DIRECT_REFUSALS[name]
+    before = dict(_FIELDS)
+    for build in (FieldSpec, make_field, FieldSpec):
+        with pytest.raises(error) as raised:
+            build(*args)
+        assert str(raised.value) == message
+    assert _FIELDS == before
+
+
 def test_mixed_fields_rejected_across_twists_and_sizes(f9, f25):
     p, m, mod, _ = FIELDS["F81t2"]
     t1, t2 = make_field(p, m, mod, 1), make_field(p, m, mod, 2)
@@ -357,15 +382,15 @@ def test_structurally_equal_spec_is_accepted():
     assert x == separate.from_int(17)
 
 
-@pytest.mark.parametrize(
-    "p, m, mod",
-    [
-        (3, 12, [1] + [0] * 11 + [1]),
-        (3, 10 ** 9, [1]),
-        (10 ** 18 + 9, 1, [0, 1]),
-        (MAX_Q + 2, 1, [0, 1]),
-    ],
-)
+ABOVE_MAX_Q = [
+    (3, 12, [1] + [0] * 11 + [1]),
+    (3, 10 ** 9, [1]),
+    (10 ** 18 + 9, 1, [0, 1]),
+    (MAX_Q + 2, 1, [0, 1]),
+]
+
+
+@pytest.mark.parametrize("p, m, mod", ABOVE_MAX_Q)
 def test_fields_above_max_q_are_refused_quickly_without_allocating(p, m, mod):
     tracemalloc.start()
     start = time.perf_counter()
@@ -378,6 +403,18 @@ def test_fields_above_max_q_are_refused_quickly_without_allocating(p, m, mod):
         tracemalloc.stop()
     assert elapsed < 0.1
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("p, m, mod", ABOVE_MAX_Q)
+def test_a_field_above_max_q_built_directly_is_refused_before_any_table(p, m, mod, monkeypatch):
+    """FieldSpec refuses q above MAX_Q before it builds a table; it used to
+    build them with no bound."""
+    def build(spec):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(FieldSpec, "_build_tables", build)
+    with pytest.raises(FieldTooLargeError, match=r"^q = \d+\^\d+ exceeds MAX_Q = 177147$"):
+        FieldSpec(p, m, mod, 1)
 
 
 def test_a_field_of_size_max_q_is_built():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from reference import (
     commutative_remainder,
     component_polys,
     object_divmod,
+    object_product,
     orbit_basis_words,
     random_right_divisor,
     run_main,
@@ -23,6 +25,7 @@ from skewcodes.errors import (
     BudgetExceededError,
     DivisionByZeroPolyError,
     HypothesisViolatedError,
+    LengthMismatchError,
     MixedRingsError,
     NonUnitLeadingCoeffError,
     NotADivisorError,
@@ -120,6 +123,48 @@ def test_zero_polynomial_degree_sentinel(f9):
     assert z.is_zero
     assert z.degree is None
     assert (z * fq_poly(f9, [1, 1])).is_zero
+
+
+PRODUCT_FIELDS = {**FIELDS, "F9": (3, 2, [1, 0, 1], 1), "F25": (5, 2, [1, 1, 1], 1)}
+
+
+@st.composite
+def product_cases(draw):
+    """(f, g) over F_q or R, each possibly zero, with zero coefficients and,
+    over R, coefficients some of whose CRT components are zero."""
+    spec = make_field(*PRODUCT_FIELDS[draw(st.sampled_from(sorted(PRODUCT_FIELDS)))])
+    ring = draw(st.sampled_from(("fq", "R")))
+    value = st.one_of(st.just(spec.zero), st.integers(1, spec.q - 1).map(spec.from_int))
+    if ring == "R":
+        value = st.tuples(value, value, value, value).map(lambda crt: RingElement.from_crt(spec, *crt))
+    return tuple(SkewPoly(spec, ring, draw(st.lists(value, max_size=8))) for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+def test_products_are_the_definition(case):
+    """f * g and c_mul(f, g), on logarithm lists, against the coefficient
+    loop of the definition (a x^i)(b x^j) = a theta^i(b) x^(i+j) and its
+    commutative form. The fields include k = 3 and k = 5, where a product
+    twisted by theta^-1 would differ, which associativity alone would not
+    catch."""
+    f, g = case
+    assert f * g == object_product(f, g, twisted=True)
+    assert c_mul(f, g) == object_product(f, g, twisted=False)
+
+
+def test_products_of_zero_and_of_zero_components(f9):
+    """Zero polynomials, and R coefficients with zero CRT components, give
+    the definition's product, trimmed."""
+    a = f9.root()
+    f = SkewPoly(f9, "R", [RingElement.from_crt(f9, a, 0, 1, 0), RingElement.from_crt(f9, 1, a, 0, 0)])
+    g = SkewPoly(f9, "R", [RingElement.from_crt(f9, 1, 0, 0, 0), RingElement.from_crt(f9, a, 0, a, 0)])
+    for ring, h in (("fq", fq_poly(f9, [a, 0, 1])), ("R", f), ("R", g)):
+        zero = SkewPoly.zero(f9, ring)
+        for left, right in ((zero, h), (h, zero), (zero, zero)):
+            assert (left * right).is_zero and c_mul(left, right).is_zero
+    assert f * g == object_product(f, g, twisted=True) != c_mul(f, g) == object_product(f, g, twisted=False)
+    assert (f * g).degree == 2
 
 
 # --- division ---
@@ -352,6 +397,29 @@ def test_divisor_search_f25(f25):
 
 def test_divisor_search_degree_zero(f9):
     assert right_divisor_search(ModulusSpec(5, f9.one), 0) == [fq_poly(f9, [1])]
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.0, "3", None])
+def test_a_modulus_length_that_is_no_positive_int_is_refused(f9, n):
+    """ModulusSpec refuses n <= 0 and a non-int n when it is built, naming
+    the value: right_divisor_search(ModulusSpec(0, one), 0) used to return
+    [x + 2], and ModulusSpec(-3, one).poly() was x + 2."""
+    with pytest.raises(LengthMismatchError, match=f"^modulus length n = {re.escape(repr(n))} is not a positive integer$"):
+        ModulusSpec(n, f9.one)
+    with pytest.raises(LengthMismatchError):
+        right_divisor_search(ModulusSpec(n, f9.one), 0)
+    with pytest.raises(LengthMismatchError):
+        ModulusSpec(n, r_poly(f9, [1]).coeffs[0]).poly()
+
+
+@pytest.mark.parametrize("alpha", [1, None, "1"])
+def test_a_shift_constant_that_is_no_element_is_refused(f9, alpha):
+    """ModulusSpec(3, 1).poly() used to raise AttributeError; the constant
+    must be a FieldElement or a RingElement, and the refusal names it."""
+    with pytest.raises(MixedRingsError, match=f"^shift constant {re.escape(repr(alpha))} is not a field or ring element$"):
+        ModulusSpec(3, alpha).poly()
+    with pytest.raises(MixedRingsError):
+        ModulusSpec(3, fq_poly(f9, [1]))
 
 
 def test_divisor_search_f49(f49):
