@@ -13,6 +13,7 @@ from .skewpoly import (
     dual_idempotent,
     fq_poly,
     from_components,
+    generator_basis_words,
     idempotent_generator,
     is_right_divisor,
     r_poly,
@@ -49,6 +50,7 @@ __all__ = [
     "dual_idempotent",
     "fq_poly",
     "from_components",
+    "generator_basis_words",
     "idempotent_generator",
     "is_right_divisor",
     "r_poly",

@@ -329,23 +329,11 @@ def _suite_decomposition(seed, budget):
         n = rng.randint(2, 6)
         signs = [rng.choice((1, -1)) for _ in range(4)]
         alpha = RingElement.from_crt(field, *signs)
-        gens = [
-            draw(ModulusSpec(n, field.constant(signs[j])), rng, rng.randint(0, n))
-            for j in range(4)
-        ]
-        code = build_code(field, n, alpha, gens)
-        back = components_from_words(code.basis_words(), n, alpha)
-        round_trip = back.gens == code.gens
-        report = verify_decomposition_theorem(code, budget)
+        gens = [draw(ModulusSpec(n, field.constant(sign)), rng, rng.randint(0, n)) for sign in signs]
+        # the report's round trip and closure run on the code's logarithm lists
+        report = verify_decomposition_theorem(build_code(field, n, alpha, gens), budget)
         equivalences.append(report.equivalence_holds)
-        runs.append(
-            {
-                "field": field_to_json(field),
-                "n": n,
-                "round_trip": round_trip,
-                "closed": report.closed,
-            }
-        )
+        runs.append({"field": field_to_json(field), "n": n, "round_trip": report.round_trip, "closed": report.closed})
     return {"runs": runs, "pass": all(equivalences) and all(r["round_trip"] and r["closed"] for r in runs)}
 
 

@@ -4,7 +4,9 @@ A SkewCode of length n is stored by its four CRT component generators
 f1..f4 over F_q. Component i is the left submodule <f_i> of
 F_q[x; theta]/(x^n - beta_i), where (beta_1..beta_4) is the CRT view of the
 shift constant alpha. Membership, duals, orthogonality and closure checks
-all run in CRT coordinates.
+all run in CRT coordinates. Membership and closure run on logarithm lists
+(see gf): a code keeps its generators, residue rows and basis words as
+lists, built once, and converts words only at its public methods.
 """
 
 from __future__ import annotations
@@ -24,17 +26,16 @@ from .errors import (
     charge,
 )
 from .gf import FieldSpec
-from .linalg import inner_product
+from .linalg import element_logs, inner_product
 from .ring4 import RingElement, join_word, split_word
 from .skewpoly import (
     ModulusSpec,
     SkewPoly,
+    _log_basis_words,
     dual_generator,
-    generator_basis_words,
     is_theta_fixed,
     poly_to_word,
     quasi_twist_shift,
-    residue_sum,
     residues,
     right_divmod,
 )
@@ -44,6 +45,9 @@ from .skewpoly import (
 
 @dataclass(frozen=True)
 class SkewCode:
+    """A code over R stored by its four CRT component generators g_i; below
+    its public methods, their logarithm lists, rows and basis lists."""
+
     field: FieldSpec
     n: int
     alpha: RingElement
@@ -88,16 +92,26 @@ class SkewCode:
         return self.field.q ** sum(self.dims)
 
     @functools.cached_property
+    def _gen_logs(self):
+        """Each component generator's logarithm list, read once per code."""
+        log = self.field.log
+        return tuple([log[c.code] for c in g.coeffs] for g in self.gens)
+
+    @functools.cached_property
     def _component_bases(self):
         return [None] * len(self.gens)
 
-    def component_basis(self, i: int):
-        """The words x^j * g_i, j < n - deg g_i, of component i: built once
-        per code, when first asked for, and returned as a new list."""
+    def _basis_logs(self, i: int):
+        """Component i's basis words x^j * g_i as lists, built once, when asked."""
         bases = self._component_bases
         if bases[i] is None:
-            bases[i] = tuple(generator_basis_words(self.gens[i], self.modulus(i)))
-        return list(bases[i])
+            bases[i] = _log_basis_words(self.field, self._gen_logs[i], self.n)
+        return bases[i]
+
+    def component_basis(self, i: int):
+        """The words x^j * g_i of component i, read off _basis_logs(i)."""
+        exp = self.field.exp
+        return [tuple(map(exp.__getitem__, w)) for w in self._basis_logs(i)]
 
     def lift(self, i: int, word):
         """The R-word e_i * word of an F_q word: word in CRT place i and
@@ -115,11 +129,24 @@ class SkewCode:
         return list(self._basis_words)
 
     @functools.cached_property
+    def _basis_parts(self):
+        """The basis words as their four CRT logarithm lists, three of them
+        one shared all-zero list, in basis_words() order; built once."""
+        zeros = [self.field.log_zero] * self.n
+        return tuple([zeros] * i + [w] + [zeros] * (3 - i) for i in range(4) for w in self._basis_logs(i))
+
+    @functools.cached_property
     def residue_rows(self):
         """Per component, the rows x^D mod g_i for deg g_i <= D <= n, built
         once per code: (n + 1 - d_i) * d_i entries. They are each
         component's only source of right remainders by g_i."""
         return tuple(list(itertools.islice(residues(g), max(self.n + 1 - g.degree, 0))) for g in self.gens)
+
+    @functools.cached_property
+    def _row_logs(self):
+        """residue_rows as logarithm lists, converted once per code."""
+        log = self.field.log
+        return tuple([[log[c.code] for c in row] for row in rows] for rows in self.residue_rows)
 
     @functools.cached_property
     def remainders(self):
@@ -135,8 +162,7 @@ class SkewCode:
 
     def contains(self, word) -> bool:
         """Whether each CRT component of word is right-divisible by g_i:
-        its remainder is read off residue_rows, with no division. An
-        all-zero component is a member without one. Entries must be ring
+        _holds on the components' logarithm lists. Entries must be ring
         elements over the code's field: fields are interned, so each entry's
         field check is `is`."""
         word = tuple(word)
@@ -145,11 +171,25 @@ class SkewCode:
         field = self.field
         if not all(c.__class__ is RingElement and c.spec is field for c in word):
             raise MixedRingsError("word entries must be ring elements over the code field")
-        zero = self.field.zero
-        return all(
-            comp.count(zero) == self.n or residue_sum(comp, g, rows).is_zero
-            for comp, g, rows in zip(split_word(word), self.gens, self.residue_rows)
-        )
+        return self._holds(element_logs(split_word(word), field))
+
+    def _holds(self, parts) -> bool:
+        """contains on a word's CRT logarithm lists `parts`: each is all
+        zero, or its remainder by g_i, sum_D w_D * (x^D mod g_i), read off
+        the list rows, is zero. No division."""
+        spec = self.field
+        zero, plus, wrap = spec.log_zero, spec.plus, spec.wrap
+        for w, k, rows in zip(parts, self.dims, self._row_logs):
+            if w.count(zero) == len(w):
+                continue
+            d = self.n - k
+            rem = w[:d]
+            for c, row in zip(w[d:], rows):
+                if c != zero:
+                    rem = [wrap[r + plus[wrap[c + s] - r + zero]] for r, s in zip(rem, row)]
+            if rem.count(zero) != d:
+                return False
+        return True
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.gens)
@@ -180,23 +220,29 @@ def _charge_closure(code: SkewCode, budget: int):
     charge(budget, words * 4 * code.n, f"closure check needs {words} basis words * 4n")
 
 
-def is_closed_under(code: SkewCode, shift, budget: int = DEFAULT_BUDGET) -> bool:
-    """Check the image shift(w) of every basis word w for membership.
-
-    A basis word is a member, so an image equal to the next basis word
-    needs no test: for the skew constacyclic shift that is every word of a
-    component but its last, since word j + 1 is the shift of word j. Every
-    other image is tested by code.contains. Each of the sum(dims) images
-    costs at most four right remainders of length n, so the check counts
-    sum(dims) * 4n against the budget, an upper bound, and is refused
-    before the first membership test when that is over it.
-    """
+def _closure(code: SkewCode, shift, budget: int) -> bool:
+    """The one closure loop: whether shift maps every basis word into the
+    code, each word given and returned as its four CRT logarithm lists
+    (_basis_parts). An image equal to the next basis word is a member: for
+    tau that is every word of a component but its last. Every other image
+    is tested on the list rows (_holds). Each image costs at most four
+    right remainders of length n, so sum(dims) * 4n, an upper bound, is
+    charged before any basis word is built."""
     _charge_closure(code, budget)
-    words = code.basis_words()
+    words = code._basis_parts
     return all(
-        image == following or code.contains(image)
-        for image, following in zip(map(shift, words), words[1:] + [None])
+        image == following or code._holds(image)
+        for image, following in zip(map(shift, words), words[1:] + (None,))
     )
+
+
+def is_closed_under(code: SkewCode, shift, budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether shift, a map of R-words, maps every basis word into the code:
+    the closure loop (_closure), with each basis word's lists joined into
+    an R-word for shift and its image split back into lists."""
+    exp = code.field.exp
+    word = lambda parts: join_word([[exp[l] for l in w] for w in parts])
+    return _closure(code, lambda parts: element_logs(split_word(shift(word(parts))), code.field), budget)
 
 
 def shift_closures(code: SkewCode, budget: int = DEFAULT_BUDGET):

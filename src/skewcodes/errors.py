@@ -9,6 +9,10 @@ class NonPrimeError(SkewcodesError):
     """The field characteristic is not an odd prime."""
 
 
+class BadDegreeError(SkewcodesError):
+    """The extension degree m of a field is not positive."""
+
+
 class FieldTooLargeError(SkewcodesError):
     """q = p^m exceeds gf.MAX_Q, the largest field whose tables are built."""
 

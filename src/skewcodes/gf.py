@@ -48,6 +48,7 @@ import random
 import numpy as np
 
 from .errors import (
+    BadDegreeError,
     BadTwistError,
     DivisionByZeroError,
     FieldTooLargeError,
@@ -187,7 +188,7 @@ class FieldSpec:
         if spec is None:
             # checked before the cache entry: none may hold an invalid field
             if m < 1:
-                raise ValueError("extension degree m must be positive")
+                raise BadDegreeError("extension degree m must be positive")
             q = p ** min(m, MAX_Q.bit_length())  # p^m if at most MAX_Q, else above it
             if q > MAX_Q:
                 raise FieldTooLargeError(f"q = {p}^{m} exceeds MAX_Q = {MAX_Q}")

@@ -52,13 +52,19 @@ def rref(rows, spec: FieldSpec | None = None):
     pivots = []
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != zero), None)
-        if pivot is None:
+        for pivot in range(rank, len(rows)):
+            if rows[pivot][col] != zero:
+                break
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        # scale the pivot row by the inverse of its pivot: add q - 1 - log
-        inv = wrap[order - rows[rank][col]]
-        row = rows[rank] = [wrap[x + inv] for x in rows[rank]]
+        row = rows[pivot]
+        rows[pivot] = rows[rank]
+        # scale the pivot row by the inverse of its pivot, unless it is 1:
+        # add q - 1 - log
+        if row[col]:
+            inv = order - row[col]
+            row = [wrap[x + inv] for x in row]
+        rows[rank] = row
         # its entries left of col are zero: earlier pivots cleared them
         terms = [(j, x) for j, x in enumerate(row[col:], col) if x != zero]
         for i, other in enumerate(rows):

@@ -218,17 +218,20 @@ class ModulusSpec:
     def spec(self) -> FieldSpec:
         return self.alpha.spec
 
-    @property
-    def coeffs(self):
-        """The coefficients of x^n - alpha, ascending powers."""
+    def poly(self) -> SkewPoly:
+        """x^n - alpha in the coefficient ring of alpha."""
         spec = self.spec
         zero = ring_zero(spec) if self.ring == "R" else spec.zero
         one = ring_one(spec) if self.ring == "R" else spec.one
-        return [-self.alpha] + [zero] * (self.n - 1) + [one]
+        return SkewPoly(spec, self.ring, [-self.alpha] + [zero] * (self.n - 1) + [one])
 
-    def poly(self) -> SkewPoly:
-        """x^n - alpha in the coefficient ring of alpha."""
-        return SkewPoly(self.spec, self.ring, self.coeffs)
+    def logs(self):
+        """_logs of x^n - alpha, built with no coefficient object:
+        log(-beta), n - 1 log_zero and 0 = log 1 for each CRT component beta."""
+        spec = self.spec
+        log, neg, pad = spec.log, spec.neg, [spec.log_zero] * (self.n - 1)
+        betas = self.alpha.crt() if self.ring == "R" else (self.alpha,)
+        return [[log[neg[beta.code]], *pad, 0] for beta in betas]
 
 
 # --- division ---
@@ -493,10 +496,9 @@ def _divisor_codes(spec: FieldSpec, found):
     return choices
 
 
-def _logs(f):
-    """The logarithm lists of the CRT components of f, a SkewPoly or the
-    ModulusSpec of x^n - alpha (it reads .spec, .ring and .coeffs), ascending
-    powers: one list over F_q and four over R. The inverse of _poly_of_logs."""
+def _logs(f: SkewPoly):
+    """The logarithm lists of the CRT components of f, ascending powers: one
+    list over F_q and four over R. The inverse of _poly_of_logs."""
     log = f.spec.log
     return [[log[c.code] for c in part] for part in (split_word(f.coeffs) if f.ring == "R" else (f.coeffs,))]
 
@@ -586,10 +588,11 @@ class DivisorSampler:
     """Random monic right divisors whose draws share their screens.
 
     Each draw's screens, _monic_right_factors's lists of the monic right
-    factors of a cofactor, are kept in a table keyed by (field, the
-    cofactor's logarithm lists, degree): a later draw that meets the same
-    cofactor reads the list instead of screening again, and so picks from
-    the same list: a draw with a new sampler is the same draw. The table
+    factors of a cofactor, are kept in a table keyed by one flat tuple of
+    the field, the degree, the list length and the cofactor's logarithm
+    lists in turn: a later draw that meets the same cofactor reads the list
+    instead of screening again, and so picks from the same list: a draw
+    with a new sampler is the same draw. The table
     lives as long as the sampler: the decomposition suite makes one per
     request, and there is none at module level.
     """
@@ -602,7 +605,7 @@ class DivisorSampler:
     def _factors(self, spec: FieldSpec, parts, degree: int):
         """_monic_right_factors(spec, parts, degree), screened once per key;
         called through the module attribute, which a tracer may wrap."""
-        key = (spec, tuple(map(tuple, parts)), degree)
+        key = (spec, degree, len(parts[0]), *itertools.chain.from_iterable(parts))
         found = self._screens.get(key)
         if found is None:
             found = self._screens[key] = _monic_right_factors(spec, parts, degree)
@@ -619,17 +622,18 @@ class DivisorSampler:
         the remainder of the next cofactor certifies the factor picked, and
         only that one.
 
-        It runs on logarithm lists, one per CRT component, from start to
-        end. The sampler's table gives the cofactor's screen (_factors),
-        rng picks from its code tuples, and only the pick becomes lists
-        (_monic_logs). One right division on the lists (_log_divmod) gives
-        the next cofactor, and its all-zero remainder is the pick's
-        certificate. The pick is multiplied onto the divisor on the lists
-        (_log_product), and the divisor is the one polynomial built. A
-        nonzero remainder raises VerificationError.
+        It runs on logarithm lists, one per CRT component, from x^n -
+        alpha's (ModulusSpec.logs) to the end. The sampler's table gives the
+        cofactor's screen (_factors), rng picks from its code tuples, and
+        only the pick becomes lists (_monic_logs). One right division on the
+        lists (_log_divmod) gives the next cofactor, and its all-zero
+        remainder is the pick's certificate. The pick is multiplied onto the
+        divisor on the lists (_log_product), and the divisor is the one
+        polynomial built, at the end. A nonzero remainder raises
+        VerificationError.
         """
         spec, ring = mod.spec, mod.ring
-        parts = _logs(mod)
+        parts = mod.logs()
         divisor = [[0]] * len(parts)  # the logarithm of 1
         while len(divisor[0]) <= degree and len(parts[0]) > 1:
             remaining = degree + 1 - len(divisor[0])
@@ -642,7 +646,7 @@ class DivisorSampler:
                 break
             factor = _monic_logs(spec, rng.choice(candidates))
             quot, rem = _log_divmod(spec, parts, factor)
-            if any(l != spec.log_zero for part in rem for l in part):
+            if any(part.count(spec.log_zero) != len(part) for part in rem):
                 raise VerificationError(f"candidate divisor {_poly_of_logs(spec, ring, factor)!r}"
                                         f" does not right-divide {_poly_of_logs(spec, ring, parts)!r}")
             parts = quot
@@ -693,7 +697,7 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
         candidates = len(betas) * q ** degree
         screened = candidates * certificate
         charge(budget, screened, f"{candidates} candidates * (n - degree + 1)(degree + 1)", "division steps")
-        found = [_batched_divisor_codes(spec, part, degree) for part in _logs(mod)]
+        found = [_batched_divisor_codes(spec, part, degree) for part in mod.logs()]
     else:  # degree n: x^n - alpha itself, one divisor per component, built once charged
         found = [[()]] * len(betas)
     count = math.prod(map(len, found))
@@ -724,6 +728,21 @@ def skew_constacyclic_shift(word, alpha):
     theta(c_{n-2})). The skew cyclic shift sigma is tau with alpha = 1."""
     word = tuple(word)
     return (alpha * word[-1].frob(1),) + tuple([c.frob(1) for c in word[:-1]])
+
+
+def _log_constacyclic_shift(spec: FieldSpec, parts, constants):
+    """skew_constacyclic_shift on the logarithm lists `parts` of a word's CRT
+    components, `constants` those of alpha's: w goes to
+    (b + theta(w_{n-1}), theta(w_0), ..) for b its constant's logarithm,
+    and an all-zero list is its own image, returned as it is."""
+    zero, wrap = spec.log_zero, spec.wrap
+    images = []
+    for w, b in zip(parts, constants):
+        if w.count(zero) != len(w):
+            w = spec.twist(w)
+            w.insert(0, wrap[b + w.pop()])
+        images.append(w)
+    return images
 
 
 def _blocks(word, count: int):
@@ -776,18 +795,22 @@ def span_words(f: SkewPoly, mod: ModulusSpec):
 
 def generator_basis_words(f: SkewPoly, mod: ModulusSpec):
     """The nominal basis x^j * f, j < n - deg f, of a right-divisor
-    generator, and [] for f = 0 or deg f >= n. Below degree n nothing is
-    reduced, so word j is the head of the shift orbit in closed form:
-    x^j * f = sum_i theta^j(f_i) x^(i + j), f's coefficients twisted j times
-    (each twist one theta-table lookup per coefficient, see gf) and shifted
-    j places. Mixed rings are refused at once, as _shift_orbit refuses
-    them."""
+    generator, and [] for f = 0 or deg f >= n: _log_basis_words on each CRT
+    component's list. Mixed rings are refused at once, as in _shift_orbit."""
     f._check_compatible(mod)  # reads only .spec and .ring, which mod has
-    n, pad, coeffs = mod.n, (f._zero_coeff(),), f.coeffs
-    words = []
-    for j in range(0 if f.is_zero else max(n - f.degree, 0)):
-        words.append(pad * j + coeffs + pad * (n - j - len(coeffs)))
-        coeffs = tuple([c.frob(1) for c in coeffs])
+    exp, parts = f.spec.exp, [] if f.is_zero else _logs(f)
+    words = [[[exp[l] for l in w] for w in word] for word in zip(*[_log_basis_words(f.spec, g, mod.n) for g in parts])]
+    return [join_word(word) if f.ring == "R" else tuple(word[0]) for word in words]
+
+
+def _log_basis_words(spec: FieldSpec, g, n: int):
+    """The words x^j * g, j < n - deg g, of the polynomial over F_q with the
+    logarithm list g, as lists: below degree n nothing is reduced, so
+    x^j * g = sum_i theta^j(g_i) x^(i + j) is g twisted j times and shifted."""
+    zero, words = spec.log_zero, []
+    for j in range(n + 1 - len(g)):
+        words.append([zero] * j + g + [zero] * (n - j - len(g)))
+        g = spec.twist(g)
     return words
 
 

@@ -15,9 +15,9 @@ divisor screen tries all q^d candidates. Row reduction and the inner
 product run on field elements, with their arithmetic, and the field's
 numpy tables are written out from their definitions. Right division and
 the random divisor's peel run on polynomial objects, closure tests every shifted
-basis word and a minimal generator sums a remainder per echelon row, as the
-package did before it worked on logarithm lists and on what it already
-knew. Nothing in src/ imports this module.
+basis word, membership sums object remainders and a minimal generator sums
+a remainder per echelon row, as the package did before it worked on
+logarithm lists and on what it already knew. Nothing in src/ imports this module.
 """
 
 from __future__ import annotations
@@ -595,6 +595,18 @@ def object_random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
 
 
 # --- closure and minimal generators, remainder by remainder ---
+
+def object_contains(code, word) -> bool:
+    """codes.SkewCode.contains on coefficient objects: each CRT component
+    of word all zero, or with a zero remainder by g_i summed off the code's
+    object residue rows (skewpoly.residue_sum), as the package did before
+    membership ran on logarithm lists."""
+    zero = code.field.zero
+    return all(
+        comp.count(zero) == code.n or residue_sum(comp, g, rows).is_zero
+        for comp, g, rows in zip(split_word(word), code.gens, code.residue_rows)
+    )
+
 
 def per_word_closure(code, shift) -> bool:
     """codes.is_closed_under testing every shifted basis word: each of its

@@ -14,7 +14,7 @@ from skewcodes.codes import SkewCode, build_code
 from skewcodes.distance import DEFAULT_BUDGET
 from skewcodes.gf import FieldElement
 from skewcodes.serial import code_from_json
-from skewcodes.skewpoly import ModulusSpec, _logs
+from skewcodes.skewpoly import ModulusSpec, generator_basis_words
 
 
 def run_cli(capsys, *argv):
@@ -425,6 +425,18 @@ def test_json_booleans_are_not_integers(capsys, path):
     assert code == 2
     assert report["status"] == "input_error"
     assert "must be an integer" in report["result"]["error"]
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_a_field_degree_below_one_is_an_input_error(capsys, m):
+    """FieldSpec refuses m < 1 with a SkewcodesError (BadDegreeError), which
+    the CLI reports as it reported the bare ValueError before."""
+    obj = copy.deepcopy(SEARCH_F3)
+    obj["field"].update(m=m, modulus=[1])
+    code, report = run_cli(capsys, "divisor-search", "--input", json.dumps(obj))
+    assert code == 2
+    assert report["status"] == "input_error"
+    assert report["result"] == {"error": "extension degree m must be positive"}
 
 
 def test_json_boolean_coefficient_is_not_an_element_code(capsys):
@@ -1011,13 +1023,13 @@ def test_deep_params_reduce_and_sweep_no_row_longer_than_n(capsys, monkeypatch, 
 @pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
 def test_params_builds_each_component_basis_once(capsys, monkeypatch, betas):
     """The Gray image and the closure test both read the component bases:
-    each is built once per code, where a params request built them twice,
-    and each call returns a list of its own."""
+    each is built once per code, as logarithm lists, where a params
+    request built them twice, and each call returns a list of its own."""
     import skewcodes.codes
 
     built = []
-    basis = skewcodes.codes.generator_basis_words
-    monkeypatch.setattr(skewcodes.codes, "generator_basis_words", lambda f, mod: built.append(f) or basis(f, mod))
+    basis = skewcodes.codes._log_basis_words
+    monkeypatch.setattr(skewcodes.codes, "_log_basis_words", lambda spec, g, n: built.append(g) or basis(spec, g, n))
     code, report = run_cli(capsys, "params", "--input", deep_f9(betas))
     assert code == 0
     assert len(built) == 4
@@ -1025,7 +1037,7 @@ def test_params_builds_each_component_basis_once(capsys, monkeypatch, betas):
     ours = build_code(field, n, alpha, gens)
     first = ours.component_basis(0)
     first.clear()
-    assert ours.component_basis(0) == basis(gens[0], ours.modulus(0)) != []
+    assert ours.component_basis(0) == generator_basis_words(gens[0], ours.modulus(0)) != []
 
 
 @pytest.mark.parametrize("betas", [(1, 1, 1, 1), (1, -1, -1, 1)])
@@ -1034,7 +1046,7 @@ def test_params_divides_no_modulus(capsys, monkeypatch, betas):
     the code's residue rows: no modulus is divided."""
     spec = deep_f9(betas)
     _, n, alpha, _ = code_from_json(json.loads(spec))
-    moduli = [_logs(ModulusSpec(n, beta)) for beta in alpha.crt()]
+    moduli = [ModulusSpec(n, beta).logs() for beta in alpha.crt()]
     divisions = spy_log_divisions(monkeypatch)
     code, report = run_cli(capsys, "params", "--input", spec)
     assert code == 0
@@ -1075,10 +1087,10 @@ def test_dual_of_length_1000_takes_four_products(capsys, monkeypatch):
         "skewcodes.codes.inner_product", lambda x, y: products.append(x) or inner(x, y)
     )
     sizes = []
-    basis = skewcodes.codes.generator_basis_words
+    basis = skewcodes.codes._log_basis_words
     monkeypatch.setattr(
-        "skewcodes.codes.generator_basis_words",
-        lambda f, mod: sizes.append(mod.n - f.degree) or basis(f, mod),
+        "skewcodes.codes._log_basis_words",
+        lambda spec, g, n: sizes.append(n + 1 - len(g)) or basis(spec, g, n),
     )
     code, report = run_cli(capsys, "dual", "--input", dual_f25(1000))
     assert code == 0

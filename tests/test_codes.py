@@ -11,6 +11,7 @@ from reference import (
     EvenLengthError,
     Span,
     constacyclic_shift,
+    object_contains,
     per_word_closure,
     power_scale_poly,
     power_scale_word,
@@ -42,14 +43,18 @@ from skewcodes.errors import (
     NotAUnitError,
 )
 from skewcodes.gf import FieldSpec, make_field
+from skewcodes.decomp import verify_decomposition_theorem
 from skewcodes.linalg import inner_product, nullspace
-from skewcodes.ring4 import RingElement, ring_one, ring_zero
+from skewcodes.ring4 import RingElement, join_word, ring_one, ring_zero, split_word
 from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
+    _log_constacyclic_shift,
     blockwise_constacyclic_shift,
     fq_poly,
+    generator_basis_words,
     quasi_twist_shift,
+    residues,
     right_divisor_search,
     right_divmod,
     right_remainder,
@@ -285,6 +290,121 @@ def test_remainders_are_the_right_remainders_of_the_moduli(name, n, seed):
     assert code.remainders == tuple(right_remainder(code.modulus(i).poly(), g) for i, g in enumerate(code.gens))
 
 
+# --- logarithm lists ---
+
+def list_code(spec, n, rng):
+    """A code over the field built directly, with zero, one, minus one and
+    drawn constants beta_i: each generator a random right divisor of
+    x^n - beta_i or, as often, a random monic polynomial, rarely a divisor."""
+    betas = [rng.choice((spec.zero, spec.one, -spec.one, spec.random_element(rng))) for _ in range(4)]
+    gens = [
+        random_right_divisor(ModulusSpec(n, b), rng, rng.randint(0, n)) if rng.random() < 0.5
+        else random_monic(spec, rng, rng.randint(0, n))
+        for b in betas
+    ]
+    return SkewCode(spec, n, RingElement.from_crt(spec, *betas), tuple(gens))
+
+
+def word_logs(spec, word):
+    return [spec.log[c.code] for c in word]
+
+
+def random_r_word(spec, rng, n):
+    """A word over R whose CRT components are each, at random, zero, a
+    random word or a word with zeros in it."""
+    choices = (spec.zero, spec.random_element(rng), spec.random_element(rng))
+    return join_word(
+        [spec.zero] * n if rng.random() < 0.3 else [rng.choice(choices) for _ in range(n)] for _ in range(4)
+    )
+
+
+LIST_SETTINGS = settings(max_examples=40, deadline=None)
+LIST_CASES = (st.sampled_from(sorted(KERNEL_FIELDS)), st.integers(1, 6), st.integers(0, 2 ** 32))
+
+
+@LIST_SETTINGS
+@given(*LIST_CASES)
+def test_the_list_shift_is_the_object_shift(name, n, seed):
+    """_log_constacyclic_shift is skew_constacyclic_shift on an F_q word and
+    on an R-word, zero constants and zero components included, and returns
+    an all-zero list as it is."""
+    spec = make_field(*KERNEL_FIELDS[name])
+    rng = random.Random(seed)
+    exp = spec.exp
+    element = lambda: rng.choice((spec.zero, spec.one, spec.random_element(rng)))
+    word, beta = tuple(element() for _ in range(n)), element()
+    (image,) = _log_constacyclic_shift(spec, [word_logs(spec, word)], [spec.log[beta.code]])
+    assert tuple(exp[l] for l in image) == skew_constacyclic_shift(word, beta)
+    word, alpha = random_r_word(spec, rng, n), RingElement.from_crt(spec, *(element() for _ in range(4)))
+    parts = [word_logs(spec, comp) for comp in split_word(word)]
+    images = _log_constacyclic_shift(spec, parts, [spec.log[b.code] for b in alpha.crt()])
+    assert join_word([[exp[l] for l in w] for w in images]) == skew_constacyclic_shift(word, alpha)
+    assert all(w is part for w, part in zip(images, parts) if part.count(spec.log_zero) == n)
+
+
+@LIST_SETTINGS
+@given(*LIST_CASES)
+def test_a_codes_lists_are_its_objects(name, n, seed):
+    """A code's generator lists are its generators', its list rows
+    residues' rows x^D mod g_i, deg g_i <= D <= n, and its basis lists
+    generator_basis_words', with the three other components of each basis
+    word one all-zero list."""
+    spec = make_field(*KERNEL_FIELDS[name])
+    code = list_code(spec, n, random.Random(seed))
+    parts = iter(code._basis_parts)
+    for i, g in enumerate(code.gens):
+        assert code._gen_logs[i] == word_logs(spec, g.coeffs)
+        rows = itertools.islice(residues(g), n + 1 - g.degree)
+        assert code._row_logs[i] == [word_logs(spec, row) for row in rows]
+        basis = generator_basis_words(g, code.modulus(i))
+        assert code._basis_logs(i) == [word_logs(spec, w) for w in basis]
+        assert code.component_basis(i) == basis
+        for w in basis:
+            word = next(parts)
+            assert word[i] == word_logs(spec, w)
+            assert all(word[j] == [spec.log_zero] * n for j in range(4) if j != i)
+    assert next(parts, None) is None
+
+
+@LIST_SETTINGS
+@given(*LIST_CASES)
+def test_list_membership_is_the_object_membership(name, n, seed):
+    """contains, and _holds on the CRT lists, against the object residue
+    sums of tests/reference.py, on random words with zero components, on
+    the basis words and on their images under tau and the quasi-twist."""
+    spec = make_field(*KERNEL_FIELDS[name])
+    rng = random.Random(seed)
+    code = list_code(spec, n, rng)
+    basis = code.basis_words()
+    words = [random_r_word(spec, rng, n) for _ in range(4)] + basis
+    words += [skew_constacyclic_shift(w, code.alpha) for w in basis]
+    words += [quasi_twist_shift(w, code.alpha, math.gcd(n, spec.k)) for w in basis]
+    for word in words:
+        verdict = object_contains(code, word)
+        assert code.contains(word) == verdict
+        assert code._holds([word_logs(spec, comp) for comp in split_word(word)]) == verdict
+    assert all(map(code.contains, basis))
+
+
+@LIST_SETTINGS
+@given(*LIST_CASES)
+def test_closure_on_lists_is_the_per_word_check(name, n, seed):
+    """is_closed_under, on the closure loop's lists, against testing every
+    shifted basis word by its object remainders, under tau, the quasi-twist
+    rho_l (l = gcd(n, k)) and the untwisted constacyclic shift; the
+    decomposition report's `closed` is the tau verdict."""
+    spec = make_field(*KERNEL_FIELDS[name])
+    code = list_code(spec, n, random.Random(seed))
+    shifts = {
+        "tau": lambda w: skew_constacyclic_shift(w, code.alpha),
+        "rho": lambda w: quasi_twist_shift(w, code.alpha, math.gcd(n, spec.k)),
+        "untwisted": lambda w: constacyclic_shift(w, code.alpha),
+    }
+    verdicts = {name: is_closed_under(code, shift) for name, shift in shifts.items()}
+    assert verdicts == {name: per_word_closure(code, shift) for name, shift in shifts.items()}
+    assert verify_decomposition_theorem(code).closed == verdicts["tau"]
+
+
 # --- shifts ---
 
 def test_sigma_example_f9(f9):
@@ -349,11 +469,12 @@ def test_quasi_twist_closure_index_two(f49):
 
 
 def test_closure_check_is_refused_over_the_budget(f3, monkeypatch):
-    """sum(dims) * 4n is charged before the first membership test."""
-    def no_membership_test(self, word):
+    """sum(dims) * 4n is charged before the first membership test, which
+    the closure loop makes on logarithm lists (SkewCode._holds)."""
+    def no_membership_test(self, parts):
         raise AssertionError("membership tested before the budget check")
 
-    monkeypatch.setattr(SkewCode, "contains", no_membership_test)
+    monkeypatch.setattr(SkewCode, "_holds", no_membership_test)
     n = 5000  # four x - 1 generators: 4 * 4999 basis words
     code = SkewCode(f3, n, ring_one(f3), (fq_poly(f3, [-1, 1]),) * 4)
     with pytest.raises(BudgetExceededError, match=r"^closure check needs 19996 basis words \* 4n = 399920000 steps"):
@@ -407,10 +528,11 @@ def test_closure_is_the_per_word_check():
 
 def test_a_tau_closed_code_tests_one_word_per_nonzero_component(monkeypatch):
     """Word j + 1 of a component is the shift of word j, so only the last
-    word of each nonzero component is tested for membership."""
+    word of each nonzero component is tested for membership, on its
+    logarithm lists (SkewCode._holds)."""
     calls = []
-    contains = SkewCode.contains
-    monkeypatch.setattr(SkewCode, "contains", lambda self, word: calls.append(word) or contains(self, word))
+    holds = SkewCode._holds
+    monkeypatch.setattr(SkewCode, "_holds", lambda self, parts: calls.append(parts) or holds(self, parts))
     rng = random.Random(7)
     tested = 0
     for code in itertools.islice(closure_cases(rng), 0, None, 2):

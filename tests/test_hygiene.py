@@ -232,11 +232,12 @@ def test_reduce_mod_is_called_only_by_the_idempotent_check():
 def test_rank_is_taken_only_by_the_solve_the_generator_and_the_sweep():
     """No rank certifies a module: an idempotent is checked by two
     inclusions, and rref runs only inside linalg.nullspace, the one
-    elimination of decomp.minimal_generator and each direct summand of the
-    distance sweep."""
+    elimination of decomp._generator_of (the list body of
+    minimal_generator and of the decomposition report's round trip) and
+    each direct summand of the distance sweep."""
     assert _callers("rref") == {
         ("linalg", "nullspace"),
-        ("decomp", "minimal_generator"),
+        ("decomp", "_generator_of"),
         ("distance", "_Summand.__init__"),
     }
 
@@ -362,7 +363,7 @@ def test_a_field_is_validated_in_one_constructor():
     """FieldSpec.__new__ is the one constructor of a field and runs every
     check, so FieldSpec(...) refuses what make_field refuses; make_field is
     one `return FieldSpec(...)`."""
-    for error in ("NonPrimeError", "FieldTooLargeError", "ReducibleModulusError", "BadTwistError"):
+    for error in ("NonPrimeError", "BadDegreeError", "FieldTooLargeError", "ReducibleModulusError", "BadTwistError"):
         assert _raisers(error) == {("gf", "FieldSpec.__new__")}, error
     (make_field,) = [func for name, func in _functions(parse(SRC / "gf.py").body) if name == "make_field"]
     body = [node for node in make_field.body if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
@@ -463,3 +464,102 @@ def test_every_name_the_traced_benchmark_names_resolves():
         if not callable(obj):
             unresolved.append(label)
     assert unresolved == []
+
+
+def _readers(attr):
+    """(module, qualified function) of each function in src/ that reads the
+    attribute `attr`."""
+    return {
+        (path.stem, name)
+        for path in MODULES
+        for name, func in _functions(parse(path).body)
+        for sub in ast.walk(func)
+        if isinstance(sub, ast.Attribute) and sub.attr == attr and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_residue_rows_come_only_from_residues():
+    """skewpoly.residues streams the rows x^D mod g: a code's object rows
+    (SkewCode.residue_rows), whose logarithm lists SkewCode._row_logs
+    converts once, a minimal generator's (decomp._generator_of, unless
+    the code's lists are at hand) and right_remainder's. No second residue
+    loop reads or builds rows."""
+    assert _callers("residues") == {
+        ("skewpoly", "right_remainder"),
+        ("codes", "SkewCode.residue_rows"),
+        ("decomp", "_generator_of"),
+    }
+    assert _readers("residue_rows") == {("codes", "SkewCode._row_logs"), ("codes", "SkewCode.remainders")}
+    assert _readers("_row_logs") == {("codes", "SkewCode._holds"), ("decomp", "verify_decomposition_theorem")}
+
+
+def test_the_list_shift_is_called_only_by_the_closure_loop():
+    """tau on logarithm lists, skewpoly._log_constacyclic_shift, is defined
+    in skewpoly, called by no function directly and named only in
+    decomp.verify_decomposition_theorem, as the shift that a
+    functools.partial hands to the closure loop codes._closure; the loop is
+    run by that report and by is_closed_under alone."""
+    name = "_log_constacyclic_shift"
+    defined = {(path.stem, node.name) for path in MODULES for node in ast.walk(parse(path)) if isinstance(node, ast.FunctionDef)}
+    assert {module for module, function in defined if function == name} == {"skewpoly"}
+    assert _callers(name) == set()
+    named = {
+        (path.stem, function)
+        for path in MODULES
+        for function, func in _functions(parse(path).body)
+        for sub in ast.walk(func)
+        if isinstance(sub, ast.Name) and sub.id == name
+    }
+    assert named == {("decomp", "verify_decomposition_theorem")}
+    (verify,) = [func for function, func in _functions(parse(SRC / "decomp.py").body) if function == "verify_decomposition_theorem"]
+    handed = [
+        arg
+        for sub in ast.walk(verify)
+        if isinstance(sub, ast.Call) and _callee(sub) == "_closure"
+        for arg in sub.args
+        if isinstance(arg, ast.Call) and _callee(arg) == "partial" and getattr(arg.args[0], "id", None) == name
+    ]
+    assert len(handed) == 1
+    assert _callers("_closure") == {("codes", "is_closed_under"), ("decomp", "verify_decomposition_theorem")}
+
+
+def test_the_decomposition_report_builds_no_r_word(monkeypatch):
+    """verify_decomposition_theorem, on fresh codes (valid ones drawn as
+    the decomposition suite draws them, and corrupted ones), runs with
+    RingElement's frob and product and ring4's join_word and split_word
+    raising: its closure and round trip run on the CRT logarithm lists."""
+    import random
+
+    from skewcodes import ring4
+    from skewcodes.codes import SkewCode, build_code
+    from skewcodes.decomp import verify_decomposition_theorem
+    from skewcodes.gf import make_field
+    from skewcodes.ring4 import RingElement
+    from skewcodes.skewpoly import DivisorSampler, ModulusSpec, SkewPoly
+
+    rng = random.Random(52)
+    codes = []
+    for spec in (make_field(3, 2, [1, 0, 1]), make_field(5, 2, [1, 1, 1])):
+        draw = DivisorSampler().random_right_divisor
+        for n in range(1, 7):
+            signs = [rng.choice((1, -1)) for _ in range(4)]
+            gens = [draw(ModulusSpec(n, spec.constant(s)), rng, rng.randint(0, n)) for s in signs]
+            alpha = RingElement.from_crt(spec, *signs)
+            codes.append(build_code(spec, n, alpha, gens))
+            corrupted = [SkewPoly(spec, "fq", [spec.random_element(rng) for _ in range(n - 1)] + [spec.one])] + gens[1:]
+            codes.append(SkewCode(spec, n, alpha, tuple(corrupted)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("R-word arithmetic in the decomposition report")
+
+    for attr in ("frob", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RingElement, attr, refuse)
+    for path in MODULES:
+        module = __import__(f"skewcodes.{path.stem}", fromlist=["_"])
+        for attr in ("join_word", "split_word"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    assert ring4.join_word is refuse
+    reports = [verify_decomposition_theorem(code) for code in codes]
+    assert {(r.closed, r.round_trip) for r in reports} >= {(True, True), (False, False)}
+    assert all(r.equivalence_holds for r in reports)

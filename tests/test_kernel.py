@@ -30,6 +30,7 @@ from sympy.polys.galoistools import (
 from reference import formula_field_arrays, object_inner_product, random_ring_element
 
 from skewcodes.errors import (
+    BadDegreeError,
     BadTwistError,
     DivisionByZeroError,
     FieldTooLargeError,
@@ -339,7 +340,7 @@ DIRECT_REFUSALS = {
     "non-monic F9": ((3, 2, [2, 0, 2], 1), ReducibleModulusError, "modulus must be monic of degree 2, got [2, 0, 2]"),
     "degree 3 for m = 2": ((3, 2, [1, 2, 0, 1], 1), ReducibleModulusError, "modulus must be monic of degree 2, got [1, 2, 0, 1]"),
     "p = 1": ((1, 1, [0, 1], 1), NonPrimeError, "p = 1 is not an odd prime"),
-    "m = 0": ((3, 0, [1], 1), ValueError, "extension degree m must be positive"),
+    "m = 0": ((3, 0, [1], 1), BadDegreeError, "extension degree m must be positive"),
 }
 
 

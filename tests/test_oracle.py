@@ -372,3 +372,109 @@ def test_idempotent_is_the_oracle(code):
     name, n, betas, gens = code
     e = assert_f_idempotent_is_the_oracle(name, n, betas[0], gens[0])
     assert assert_gens_idempotent_is_the_oracle(name, n, betas, gens)[0] == e
+
+
+# --- the decomposition theorem ---
+
+# the longest code drawn over each field for verify_decomposition_theorem
+DECOMPOSITION_LENGTHS = {"F3": 3, "F9": 3}
+
+
+@st.composite
+def component_codes(draw):
+    """(field name, n, alpha as (a, b, c, d) codes, four monic component
+    generators): each g_i a right divisor of x^n - beta_i from the oracle's
+    list, x^n - beta_i itself (a zero component), 1 (a full-space one) or
+    any monic polynomial of degree at most n, rarely a divisor; zero
+    constants beta_i included."""
+    name = draw(st.sampled_from(sorted(DECOMPOSITION_LENGTHS)))
+    field = ring(name).field
+    n = draw(st.integers(1, DECOMPOSITION_LENGTHS[name]))
+    alpha = draw(st.tuples(*[st.integers(0, field.q - 1)] * 4))
+    gens = []
+    for beta in oracle.components(ring(name), alpha):
+        kind = draw(st.sampled_from(("divisor", "zero", "full", "any")))
+        if kind == "divisor":
+            gens.append(draw(st.sampled_from(divisors(name, n, beta))))
+        elif kind == "zero":
+            gens.append([field.neg(beta)] + [field.zero] * (n - 1) + [field.one])
+        elif kind == "full":
+            gens.append([field.one])
+        else:
+            low = draw(st.lists(st.integers(0, field.q - 1), max_size=n))
+            gens.append(low + [field.one])
+    return name, n, alpha, gens
+
+
+def nominal_basis(r, n, gens):
+    """The words e_i * (x^j * g_i), j < n - deg g_i, over R: the basis a
+    code stored by its component generators spans, from the oracle's skew
+    product (below degree n nothing is reduced)."""
+    zero = r.field.zero
+    words = []
+    for e, g in zip(oracle.idempotents(r), gens):
+        lifted = [r.mul(e, (c, zero, zero, zero)) for c in g]
+        for j in range(n + 1 - len(g)):
+            word = oracle.skew_mul(r, [r.zero] * j + [r.one], lifted)
+            words.append(tuple(word) + (r.zero,) * (n - len(word)))
+    return words
+
+
+def package_code(name, n, alpha, gens):
+    """The same code as a SkewCode, built directly, so that non-divisor
+    generators are kept."""
+    from skewcodes.codes import SkewCode
+    from skewcodes.gf import make_field
+    from skewcodes.ring4 import RingElement
+    from skewcodes.skewpoly import SkewPoly
+
+    p, m, modulus, t = FIELDS[name]
+    spec = make_field(p, m, list(modulus), t)
+    poly = lambda g: SkewPoly(spec, "fq", [spec.from_int(c) for c in g])
+    return SkewCode(spec, n, RingElement(*map(spec.from_int, alpha)), tuple(map(poly, gens)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(component_codes())
+@example(("F9", 2, (1, 0, 0, 0), [[2, 1], [3, 1], [6, 1], [1]]))  # SKEW_F9: theta moves two roots
+@example(("F3", 3, (1, 0, 0, 0), [[1, 0, 1], [2, 0, 0, 1], [1], [1, 1]]))  # a non-divisor, a zero and a full component
+@example(("F9", 3, (0, 1, 0, 0), [[0, 0, 0, 1], [1], [2, 1], [0, 1]]))  # alpha = u: beta = (0, 1, 0, 1)
+def test_the_decomposition_report_is_the_oracle(code):
+    """verify_decomposition_theorem on a code stored by its component
+    generators, against the oracle, which makes no CRT split: `closed` is
+    whether tau_alpha maps the code, the F_q-span of its nominal basis over
+    R, into itself, and `round_trip` whether every g_i right-divides
+    x^n - beta_i. tau(lambda w + w') = theta(lambda) tau(w) + tau(w'), so
+    the code is tau-closed exactly when the image of each basis word is in
+    it. For divisor generators the basis spans the module <sum e_i g_i>
+    (oracle.code_words), and the round trip's components are the oracle's
+    e_i * C."""
+    from skewcodes.decomp import components_from_words, verify_decomposition_theorem
+
+    name, n, alpha, gens = code
+    r = ring(name)
+    field = r.field
+    words = nominal_basis(r, n, gens)
+    rank = len(oracle.rref(field, map(oracle.flat, words)))
+    closed = all(
+        len(oracle.rref(field, map(oracle.flat, words + [oracle.tau(r, w, alpha)]))) == rank for w in words
+    )
+    betas = oracle.components(r, alpha)
+    divide = all(
+        all(c == field.zero for c in oracle.right_remainder(field, [field.neg(b)] + [field.zero] * (n - 1) + [field.one], g))
+        for b, g in zip(betas, gens)
+    )
+    ours = package_code(name, n, alpha, gens)
+    report = verify_decomposition_theorem(ours)
+    assert report.closed == closed
+    assert report.equivalence_holds
+    assert report.round_trip == divide
+    if not divide:
+        return
+    assert closed
+    module = oracle.rref(field, map(oracle.flat, oracle.code_words(r, n, alpha, gens)))
+    assert oracle.rref(field, map(oracle.flat, words)) == module
+    back = components_from_words(ours.basis_words(), n, ours.alpha)
+    for i in range(4):
+        component = [[oracle.components(r, x)[i] for x in w] for w in words]
+        assert oracle.rref(field, [[c.code for c in w] for w in back.component_basis(i)]) == oracle.rref(field, component)

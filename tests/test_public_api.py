@@ -31,6 +31,7 @@ PUBLIC_API = [
     "extract_components",
     "fq_poly",
     "from_components",
+    "generator_basis_words",
     "gray_image_code",
     "gray_map",
     "gray_permuted",
