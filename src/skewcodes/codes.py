@@ -4,9 +4,9 @@ A SkewCode of length n is stored by its four CRT component generators
 f1..f4 over F_q. Component i is the left submodule <f_i> of
 F_q[x; theta]/(x^n - beta_i), where (beta_1..beta_4) is the CRT view of the
 shift constant alpha. Membership, duals, orthogonality and closure checks
-all run in CRT coordinates. Membership and closure run on logarithm lists
-(see gf): a code keeps its generators, residue rows and basis words as
-lists, built once, and converts words only at its public methods.
+all run in CRT coordinates. Membership, closure and orthogonality run on
+logarithm lists (see gf): a code keeps its generators, residue rows and
+basis words as lists, built once, and converts only at its public methods.
 """
 
 from __future__ import annotations
@@ -21,22 +21,24 @@ from .errors import (
     InconsistentError,
     LengthMismatchError,
     MixedRingsError,
+    NonMonicGeneratorError,
     NotADivisorError,
     NotAUnitError,
     charge,
 )
 from .gf import FieldSpec
-from .linalg import element_logs, inner_product
+from .linalg import _log_inner_product, element_logs
 from .ring4 import RingElement, join_word, split_word
 from .skewpoly import (
     ModulusSpec,
     SkewPoly,
     _log_basis_words,
+    _log_residue_sum,
+    _log_residues,
     dual_generator,
     is_theta_fixed,
     poly_to_word,
     quasi_twist_shift,
-    residues,
     right_divmod,
 )
 
@@ -56,7 +58,7 @@ class SkewCode:
     def __post_init__(self):
         if len(self.gens) != 4:
             raise InconsistentError("a code needs exactly four component generators")
-        if self.n < 1:
+        if not isinstance(self.n, int) or self.n < 1:
             raise LengthMismatchError("code length must be positive")
         field = self.field
         if not isinstance(self.alpha, RingElement) or self.alpha.spec is not field:
@@ -65,7 +67,7 @@ class SkewCode:
             if f.spec is not field or f.ring != "fq":
                 raise MixedRingsError("generators must be base-field polynomials over the code field")
             if f.is_zero or not f.is_monic:
-                raise ValueError(f"component {i}: generator {f!r} is not monic")
+                raise NonMonicGeneratorError(f"component {i}: generator {f!r} is not monic")
         for f in self.gens:
             if f.degree > self.n:
                 raise LengthMismatchError(f"generator degree {f.degree} exceeds length {self.n}")
@@ -136,28 +138,24 @@ class SkewCode:
         return tuple([zeros] * i + [w] + [zeros] * (3 - i) for i in range(4) for w in self._basis_logs(i))
 
     @functools.cached_property
-    def residue_rows(self):
-        """Per component, the rows x^D mod g_i for deg g_i <= D <= n, built
-        once per code: (n + 1 - d_i) * d_i entries. They are each
-        component's only source of right remainders by g_i."""
-        return tuple(list(itertools.islice(residues(g), max(self.n + 1 - g.degree, 0))) for g in self.gens)
-
-    @functools.cached_property
     def _row_logs(self):
-        """residue_rows as logarithm lists, converted once per code."""
-        log = self.field.log
-        return tuple([[log[c.code] for c in row] for row in rows] for rows in self.residue_rows)
+        """Per component, the rows x^D mod g_i for deg g_i <= D <= n as
+        logarithm lists (_log_residues), built once per code:
+        (n + 1 - d_i) * d_i entries. They are each component's only source
+        of right remainders by g_i."""
+        return tuple(list(itertools.islice(_log_residues(self.field, g), self.n + 2 - len(g))) for g in self._gen_logs)
 
     @functools.cached_property
     def remainders(self):
         """r_i = (x^n - beta_i) mod g_i on the right: the last row of
-        residue_rows, x^n mod g_i, with beta_i subtracted from its constant
+        _row_logs, x^n mod g_i, with beta_i subtracted from its constant
         term, and 0 when deg g_i = 0. No arithmetic but that subtraction,
         and no division. g_i right-divides x^n - beta_i, so C_i is
         tau-closed, exactly when r_i is zero."""
+        exp = self.field.exp
         return tuple(
-            SkewPoly(g.spec, g.ring, [rows[-1][0] - beta, *rows[-1][1:]] if g.degree else [])
-            for g, beta, rows in zip(self.gens, self.component_constants, self.residue_rows)
+            SkewPoly(self.field, "fq", [exp[row[0]] - beta, *map(exp.__getitem__, row[1:])] if row else [])
+            for beta, row in zip(self.component_constants, (rows[-1] for rows in self._row_logs))
         )
 
     def contains(self, word) -> bool:
@@ -175,21 +173,13 @@ class SkewCode:
 
     def _holds(self, parts) -> bool:
         """contains on a word's CRT logarithm lists `parts`: each is all
-        zero, or its remainder by g_i, sum_D w_D * (x^D mod g_i), read off
-        the list rows, is zero. No division."""
-        spec = self.field
-        zero, plus, wrap = spec.log_zero, spec.plus, spec.wrap
-        for w, k, rows in zip(parts, self.dims, self._row_logs):
-            if w.count(zero) == len(w):
-                continue
-            d = self.n - k
-            rem = w[:d]
-            for c, row in zip(w[d:], rows):
-                if c != zero:
-                    rem = [wrap[r + plus[wrap[c + s] - r + zero]] for r, s in zip(rem, row)]
-            if rem.count(zero) != d:
-                return False
-        return True
+        zero, or its remainder by g_i, read off the list rows
+        (_log_residue_sum), is zero. No division."""
+        spec, n, zero = self.field, self.n, self.field.log_zero
+        return all(
+            w.count(zero) == n or _log_residue_sum(spec, w, n - k, rows).count(zero) == n - k
+            for w, k, rows in zip(parts, self.dims, self._row_logs)
+        )
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.gens)
@@ -328,20 +318,19 @@ def component_orthogonality(code: SkewCode, other: SkewCode):
     against the basis of C'_i decides it, and symmetrically g'_i against the
     basis of C_i. The generator of the larger side is tested against the
     basis of the smaller, the only basis built. Otherwise every pair of
-    basis words is tested.
+    basis words is tested. Generators and bases are read as logarithm
+    lists (_gen_logs, _basis_logs), with a list inner product.
     """
+    spec, zero = code.field, code.field.log_zero
     out = []
     for i, (beta, beta2) in enumerate(zip(code.component_constants, other.component_constants)):
         small, large = sorted((code, other), key=lambda c: c.dims[i])
         if small.dims[i] == 0:
             out.append(True)
             continue
-        if beta * beta2 == code.field.one:
-            ours = [poly_to_word(large.gens[i], code.n)]
-        else:
-            ours = large.component_basis(i)
-        theirs = small.component_basis(i)
-        out.append(all(inner_product(x, y).is_zero for x in ours for y in theirs))
+        ours = [large._gen_logs[i] + [zero] * (large.dims[i] - 1)] if beta * beta2 == spec.one else large._basis_logs(i)
+        theirs = small._basis_logs(i)
+        out.append(all(_log_inner_product(spec, x, y) == zero for x in ours for y in theirs))
     return tuple(out)
 
 

@@ -23,7 +23,7 @@ from .errors import DEFAULT_BUDGET, LengthMismatchError, VerificationError
 from .gf import FieldElement
 from .linalg import element_logs, rref
 from .ring4 import RingElement, split_word
-from .skewpoly import ModulusSpec, SkewPoly, _log_constacyclic_shift, _poly_of_logs, residues
+from .skewpoly import ModulusSpec, SkewPoly, _log_constacyclic_shift, _log_residues, _poly_of_logs
 
 
 def extract_components(words):
@@ -63,7 +63,7 @@ def _generator_of(span, n: int, constant: FieldElement, known=((), ())):
     x^D + low, deg low < d, and g right-divides it exactly when
     low = -(x^D mod g). Every check reads g's residues x^D mod g, D <= n,
     as lists: `known` = (a list, its rows) when g is that list, as a code
-    has them for its generators, and otherwise from skewpoly.residues.
+    has them for its generators, and otherwise from skewpoly._log_residues.
     x^n - constant is right-divisible exactly when x^n mod g = constant.
     No division and no remainder sum is made. All-zero lists (the other
     components' words) are dropped before the elimination (rref's
@@ -76,11 +76,7 @@ def _generator_of(span, n: int, constant: FieldElement, known=((), ())):
     # the last row from its pivot on, reversed: g's list, ascending
     gen = list(rows[-1][pivots[-1]:][::-1]) if rows else ModulusSpec(n, constant).logs()[0]
     d = len(gen) - 1
-    if known[0] == gen:
-        parity = known[1]
-    else:
-        rows_of_g = itertools.islice(residues(_poly_of_logs(spec, "fq", [gen])), n + 1 - d)
-        parity = [[spec.log[c.code] for c in row] for row in rows_of_g]
+    parity = known[1] if known[0] == gen else list(itertools.islice(_log_residues(spec, gen), n + 1 - d))
     if parity[-1] != [spec.log[constant.code], *[zero] * d][:d]:
         gen = _poly_of_logs(spec, "fq", [gen])
         raise VerificationError(f"minimal generator {gen!r} does not right-divide x^{n} - {constant!r}")

@@ -79,6 +79,10 @@ class NotADivisorError(SkewcodesError):
         self.component = component
 
 
+class NonMonicGeneratorError(SkewcodesError):
+    """A code's component generator is zero or not monic."""
+
+
 class LengthMismatchError(SkewcodesError):
     """Vector or polynomial length does not match the code length."""
 

@@ -7,16 +7,16 @@ spec.plus adds two logarithms and spec.wrap reduces the sum, and spec.exp
 gives the element back, with log_zero standing for 0, so no entry needs a
 zero branch and no FieldElement is operated on. rref and nullspace take
 rows of field elements and return tuples of them, or, for a caller that
-keeps logarithms (the distance sweep, decomp.minimal_generator), take and
+keeps logarithms (the distance sweep, decomp._generator_of), take and
 return logarithms. element_logs gives the logarithm rows of element rows,
 and refuses an entry of another field before anything is eliminated.
+The inner product, _log_inner_product, has only the logarithm form.
 """
 
 from __future__ import annotations
 
 from .errors import MixedRingsError
-from .gf import FieldElement, FieldSpec
-from .ring4 import join_word, split_word
+from .gf import FieldSpec
 
 
 def element_logs(rows, spec: FieldSpec):
@@ -116,14 +116,11 @@ def nullspace(rows, ncols: int, spec: FieldSpec, pivots=None, logs: bool = False
     return [tuple(exp[x] for x in vec) for vec in basis]
 
 
-def inner_product(x, y):
-    """sum x_i * y_i of two words of one length over F_q, or over R, where
-    each of the four CRT components is an inner product over F_q."""
-    if x[0].__class__ is not FieldElement:
-        return join_word([inner_product(a, b)] for a, b in zip(split_word(x), split_word(y)))[0]
-    spec = x[0].spec
-    log, plus, wrap, zero = spec.log, spec.plus, spec.wrap, spec.log_zero
+def _log_inner_product(spec: FieldSpec, x, y):
+    """The logarithm of sum x_i * y_i for two words over F_q of one length,
+    given and read as logarithm lists."""
+    plus, wrap, zero = spec.plus, spec.wrap, spec.log_zero
     acc = zero
     for a, b in zip(x, y):
-        acc = wrap[acc + plus[wrap[log[a.code] + log[b.code]] - acc + zero]]
-    return spec.exp[acc]
+        acc = wrap[acc + plus[wrap[a + b] - acc + zero]]
+    return acc

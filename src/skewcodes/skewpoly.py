@@ -11,9 +11,9 @@ _log_divmod is the one division and _log_product the one product, on
 logarithm lists (see gf): right_divmod and SkewPoly._mul (`*` and c_mul)
 are their adapters for polynomials, and DivisorSampler.random_right_divisor
 peels and multiplies with them. A question that needs only a remainder
-reads it off the streamed residues x^D mod g instead (right_remainder,
-residue_sum), which measured faster than a division on the lists for the
-membership, search and certificate reads that ask it.
+reads it off the residues x^D mod g instead (_log_residues, the one
+residue loop, and _log_residue_sum), which measured faster than a division
+on the lists for the membership, search and certificate reads that ask it.
 """
 
 from __future__ import annotations
@@ -219,11 +219,8 @@ class ModulusSpec:
         return self.alpha.spec
 
     def poly(self) -> SkewPoly:
-        """x^n - alpha in the coefficient ring of alpha."""
-        spec = self.spec
-        zero = ring_zero(spec) if self.ring == "R" else spec.zero
-        one = ring_one(spec) if self.ring == "R" else spec.one
-        return SkewPoly(spec, self.ring, [-self.alpha] + [zero] * (self.n - 1) + [one])
+        """x^n - alpha in the coefficient ring of alpha, built from its lists."""
+        return _poly_of_logs(self.spec, self.ring, self.logs())
 
     def logs(self):
         """_logs of x^n - alpha, built with no coefficient object:
@@ -260,44 +257,58 @@ def right_divmod(f: SkewPoly, g: SkewPoly):
     return _poly_of_logs(f.spec, f.ring, quot) * SkewPoly(f.spec, f.ring, [c]), _poly_of_logs(f.spec, f.ring, rem)
 
 
-def residues(g: SkewPoly):
-    """The rows x^D mod g on the right, D = deg g, deg g + 1, ..., each as
-    deg g coefficients (below deg g, x^D mod g is x^D itself).
+def _log_residues(spec: FieldSpec, g):
+    """The rows x^D mod g on the right, D = deg g, deg g + 1, ..., of the
+    monic g over F_q with the logarithm list g, each as deg g logarithms
+    (below deg g, x^D mod g is x^D itself): the one residue loop.
 
     They form the systematic parity check of <g>: right division is
-    left-linear, so f mod g = sum_D f_D * (x^D mod g). x^(D+1) mod g is
-    x * (x^D mod g): the row twisted by theta and shifted up one degree,
-    its new x^d term c reduced to c * (x^d mod g) = -c * lead^-1 * g_low.
+    left-linear, so f mod g = sum_D f_D * (x^D mod g) (_log_residue_sum).
+    x^(D+1) mod g is x * (x^D mod g): the row twisted by theta and shifted
+    up one degree, its new x^d term c reduced to c * (x^d mod g) = -c g_low.
     """
-    lead_inv = g.lead.inverse()
-    top = [-(lead_inv * b) for b in g.coeffs[:-1]]  # x^d mod g
-    row = top
+    zero, plus, wrap, half, k = spec.log_zero, spec.plus, spec.wrap, (spec.q - 1) // 2, spec.k
+    top = [wrap[l + half] for l in g[:-1]]  # x^d mod g = -g_low
+    if not top:  # deg g = 0: every row is empty
+        yield from itertools.repeat(top)
+    row, head, tail = top, top[0], top[1:]
     while True:
         yield row
-        if top:
-            c = row[-1].frob(1)
-            row = [c * top[0]] + [r.frob(1) + c * t for r, t in zip(row, top[1:])]
+        row = spec.twist(row) if k > 1 else row  # theta is the identity when k = 1
+        c = row[-1]
+        low = [wrap[r + plus[wrap[c + t] - r + zero]] for r, t in zip(row, tail)] if tail else []
+        row = [wrap[c + head], *low]
 
 
-def residue_sum(coeffs, g: SkewPoly, rows) -> SkewPoly:
-    """sum_D coeffs_D * (x^D mod g), the right remainder by g of the
-    polynomial with these coefficients, given rows = residues(g) or at
-    least its first len(coeffs) - deg g rows. Zero coefficients cost no
-    arithmetic."""
-    d = g.degree
-    rem = list(coeffs[:d]) + [g._zero_coeff()] * (d - len(coeffs))
-    for c, row in zip(coeffs[d:], rows):
-        if not c.is_zero:
-            rem = [r + c * s for r, s in zip(rem, row)]
-    return SkewPoly(g.spec, g.ring, rem)
+def _log_residue_sum(spec: FieldSpec, f, d: int, rows):
+    """sum_D f_D * (x^D mod g) on logarithm lists: the right remainder's
+    list, deg g = d logarithms, of the polynomial over F_q with the
+    logarithm list f by the monic g whose rows (_log_residues) are `rows`,
+    at least its first len(f) - d. Zero coefficients cost nothing."""
+    zero, plus, wrap = spec.log_zero, spec.plus, spec.wrap
+    rem = f[:d] + [zero] * (d - len(f))
+    for c, row in zip(f[d:], rows):
+        if c != zero:
+            rem = [wrap[r + plus[wrap[c + s] - r + zero]] for r, s in zip(rem, row)]
+    return rem
+
+
+def _log_remainder(g: SkewPoly, parts):
+    """The remainder lists of the right division by g of the polynomial
+    whose CRT components have the logarithm lists `parts`, one per
+    component. The monic lead(g)^-1 * g generates the same left ideal, so
+    each component is summed off its residues."""
+    spec = g.spec
+    monic = _logs(g.scale_left(g.lead.inverse()))
+    return [_log_residue_sum(spec, f, len(h) - 1, _log_residues(spec, h)) for f, h in zip(parts, monic)]
 
 
 def right_remainder(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    """right_divmod(f, g)[1], read off the streamed residues x^D mod g:
-    O(deg f * deg g) ring operations in O(deg g) memory, and no quotient.
-    Refuses what right_divmod refuses."""
+    """right_divmod(f, g)[1], read off the streamed residues x^D mod g
+    (_log_remainder): O(deg f * deg g) steps in O(deg g) memory, and no
+    quotient. Refuses what right_divmod refuses."""
     _check_divisor(f, g)
-    return residue_sum(f.coeffs, g, residues(g))
+    return _poly_of_logs(f.spec, f.ring, _log_remainder(g, _logs(f)))
 
 
 def reduce_mod(f: SkewPoly, mod: ModulusSpec) -> SkewPoly:
@@ -327,9 +338,9 @@ def _batched_divisor_codes(spec: FieldSpec, f, degree: int):
     degree 1, a binomial f = x^n - c (monic, n >= 1, no other nonzero term)
     is solved in closed form (_binomial_root_codes), and any other f is
     screened on the spec's lists (_linear_root_codes). At other degrees d
-    the remainder of f is sum_k f_k * (x^k mod g) (see residues), added up
-    for every candidate at once on logarithms (gf.FieldArrays), chunk by
-    chunk, one row per coefficient; _stepped_terms gives its terms.
+    the remainder of f is sum_k f_k * (x^k mod g) (see _log_residues),
+    added up for every candidate at once on logarithms (gf.FieldArrays),
+    chunk by chunk, one row per coefficient; _stepped_terms gives its terms.
 
     That screen tries one candidate per orbit of the scalings that fix f up
     to a constant. phi_c: x -> cx (c != 0) is a ring automorphism with
@@ -657,7 +668,7 @@ class DivisorSampler:
 def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BUDGET):
     """All monic right divisors of x^n - alpha of the given degree, in the
     order of _monic_divisors, each certified by the right remainder of
-    x^n - alpha (right_remainder: streamed residues, no division).
+    x^n - alpha's lists, read once (_log_remainder, no division).
 
     A monic g right-divides x^n - alpha exactly when each CRT component g_i
     right-divides x^n - beta_i, (beta_1, ..., beta_4) = alpha.crt(); over
@@ -707,11 +718,11 @@ def right_divisor_search(mod: ModulusSpec, degree: int, budget: int = DEFAULT_BU
         return []
     if cofactors:
         found = [_binomial_cofactor_codes(spec, n, roots) for roots in found]
-    f = mod.poly()
-    divisors = [f] if degree == n else _monic_divisors(spec, found)
+    parts = mod.logs()
+    divisors = [mod.poly()] if degree == n else _monic_divisors(spec, found)
     for g in divisors:
-        if not right_remainder(f, g).is_zero:
-            raise VerificationError(f"candidate divisor {g!r} does not right-divide {f!r}")
+        if _log_remainder(g, parts) != [[spec.log_zero] * degree] * len(parts):
+            raise VerificationError(f"candidate divisor {g!r} does not right-divide {mod.poly()!r}")
     return divisors
 
 

@@ -17,7 +17,9 @@ numpy tables are written out from their definitions. Right division and
 the random divisor's peel run on polynomial objects, closure tests every shifted
 basis word, membership sums object remainders and a minimal generator sums
 a remainder per echelon row, as the package did before it worked on
-logarithm lists and on what it already knew. Nothing in src/ imports this module.
+logarithm lists and on what it already knew; the residue rows x^D mod g
+and their sums (residues, residue_sum) are on coefficient objects. Nothing
+in src/ imports this module.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ from skewcodes.skewpoly import (
     _monic_logs,
     _poly_of_logs,
     reduce_mod,
-    residue_sum,
-    residues,
     right_remainder,
     span_words,
 )
@@ -463,6 +463,34 @@ def object_product(f: SkewPoly, g: SkewPoly, twisted: bool) -> SkewPoly:
 
 # --- right division ---
 
+def residues(g: SkewPoly):
+    """skewpoly._log_residues on coefficient objects: the rows x^D mod g on
+    the right, D = deg g, deg g + 1, ..., each as deg g coefficients, of a
+    g with a unit lead. x^(D+1) mod g is x * (x^D mod g): the row twisted
+    by theta and shifted up one degree, its new x^d term c reduced to
+    c * (x^d mod g) = -c * lead^-1 * g_low."""
+    lead_inv = g.lead.inverse()
+    top = [-(lead_inv * b) for b in g.coeffs[:-1]]  # x^d mod g
+    row = top
+    while True:
+        yield row
+        if top:
+            c = row[-1].frob(1)
+            row = [c * top[0]] + [r.frob(1) + c * t for r, t in zip(row, top[1:])]
+
+
+def residue_sum(coeffs, g: SkewPoly, rows) -> SkewPoly:
+    """skewpoly._log_residue_sum on coefficient objects: sum_D coeffs_D *
+    (x^D mod g), the right remainder by g, given rows = residues(g) or at
+    least its first len(coeffs) - deg g rows."""
+    d = g.degree
+    rem = list(coeffs[:d]) + [g._zero_coeff()] * (d - len(coeffs))
+    for c, row in zip(coeffs[d:], rows):
+        if not c.is_zero:
+            rem = [r + c * s for r, s in zip(rem, row)]
+    return SkewPoly(g.spec, g.ring, rem)
+
+
 def object_divmod(f: SkewPoly, g: SkewPoly):
     """(quot, rem) with f = quot * g + rem and deg rem < deg g, on
     polynomial objects: the package's right division before it ran on
@@ -599,12 +627,12 @@ def object_random_right_divisor(mod: ModulusSpec, rng, degree: int) -> SkewPoly:
 def object_contains(code, word) -> bool:
     """codes.SkewCode.contains on coefficient objects: each CRT component
     of word all zero, or with a zero remainder by g_i summed off the code's
-    object residue rows (skewpoly.residue_sum), as the package did before
+    object residue rows (residue_sum), as the package did before
     membership ran on logarithm lists."""
     zero = code.field.zero
     return all(
-        comp.count(zero) == code.n or residue_sum(comp, g, rows).is_zero
-        for comp, g, rows in zip(split_word(word), code.gens, code.residue_rows)
+        comp.count(zero) == code.n or residue_sum(comp, g, residues(g)).is_zero
+        for comp, g in zip(split_word(word), code.gens)
     )
 
 

@@ -12,7 +12,6 @@ import skewcodes
 from skewcodes.cli import main
 from skewcodes.codes import SkewCode, build_code
 from skewcodes.distance import DEFAULT_BUDGET
-from skewcodes.gf import FieldElement
 from skewcodes.serial import code_from_json
 from skewcodes.skewpoly import ModulusSpec, generator_basis_words
 
@@ -748,7 +747,7 @@ def dual_f25(n):
 
 def test_dual_is_bounded_by_the_budget(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("skewcodes.codes.inner_product", lambda x, y: calls.append(x))
+    monkeypatch.setattr("skewcodes.codes._log_inner_product", lambda spec, x, y: calls.append(x))
     start = time.perf_counter()
     code, report = run_cli(capsys, "dual", "--input", dual_f25(500), "--budget", "200000")
     assert time.perf_counter() - start < 1
@@ -774,22 +773,22 @@ def test_dual_budget_is_exact(capsys):
 def test_dual_takes_inner_products_over_the_base_field(capsys, monkeypatch):
     """Orthogonality is decided per CRT component: every inner product is of
     two F_q words, none of two R-words, one per component (the code's
-    generator against the dual's one basis word)."""
+    generator against the dual's one basis word), each word given as its
+    length-n logarithm list."""
     import skewcodes.codes
 
     seen = []
-    inner = skewcodes.codes.inner_product
+    inner = skewcodes.codes._log_inner_product
 
-    def spy(x, y):
-        seen.append({type(c) for c in x + y})
-        return inner(x, y)
+    def spy(spec, x, y):
+        seen.append((len(x), len(y), {type(l) for l in x + y}))
+        return inner(spec, x, y)
 
-    monkeypatch.setattr("skewcodes.codes.inner_product", spy)
+    monkeypatch.setattr("skewcodes.codes._log_inner_product", spy)
     code, report = run_cli(capsys, "dual", "--input", dual_f25(6))
     assert code == 0
     assert report["result"]["orthogonal"] is True
-    assert len(seen) == 4 * 1
-    assert all(types == {FieldElement} for types in seen)
+    assert seen == [(6, 6, {int})] * 4
 
 
 def test_field_above_max_q_is_an_input_error(capsys):
@@ -1082,9 +1081,9 @@ def test_dual_of_length_1000_takes_four_products(capsys, monkeypatch):
     import skewcodes.codes
 
     products = []
-    inner = skewcodes.codes.inner_product
+    inner = skewcodes.codes._log_inner_product
     monkeypatch.setattr(
-        "skewcodes.codes.inner_product", lambda x, y: products.append(x) or inner(x, y)
+        "skewcodes.codes._log_inner_product", lambda spec, x, y: products.append(x) or inner(spec, x, y)
     )
     sizes = []
     basis = skewcodes.codes._log_basis_words

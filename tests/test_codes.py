@@ -12,11 +12,13 @@ from reference import (
     Span,
     constacyclic_shift,
     object_contains,
+    object_inner_product,
     per_word_closure,
     power_scale_poly,
     power_scale_word,
     random_right_divisor,
     random_ring_element,
+    residues,
     ring_elements,
     self_dual_constant_list,
 )
@@ -39,12 +41,13 @@ from skewcodes.errors import (
     InconsistentError,
     LengthMismatchError,
     MixedRingsError,
+    NonMonicGeneratorError,
     NotADivisorError,
     NotAUnitError,
 )
 from skewcodes.gf import FieldSpec, make_field
 from skewcodes.decomp import verify_decomposition_theorem
-from skewcodes.linalg import inner_product, nullspace
+from skewcodes.linalg import nullspace
 from skewcodes.ring4 import RingElement, join_word, ring_one, ring_zero, split_word
 from skewcodes.skewpoly import (
     ModulusSpec,
@@ -54,7 +57,6 @@ from skewcodes.skewpoly import (
     fq_poly,
     generator_basis_words,
     quasi_twist_shift,
-    residues,
     right_divisor_search,
     right_divmod,
     right_remainder,
@@ -103,7 +105,7 @@ def test_build_warns_on_non_unit_constant(f9):
 
 
 def test_build_rejects_non_monic(f9):
-    with pytest.raises(ValueError):
+    with pytest.raises(NonMonicGeneratorError):
         build_code(f9, 4, ring_one(f9), [fq_poly(f9, [1, 2])] * 4)
 
 
@@ -160,10 +162,12 @@ def test_a_separately_built_equal_field_is_the_code_field(f9, f25):
 
 
 def test_a_code_built_directly_is_checked_as_build_code_checks(f9, f25):
-    """SkewCode itself refuses other than four generators, a length below 1
-    and a shift constant that is not a ring element of the code field, in
-    that order, with build_code's errors: three generators once gave dims
-    (3, 3, 3), and basis_words() an IndexError."""
+    """SkewCode itself refuses other than four generators, a length that is
+    not an integer of at least 1 and a shift constant that is not a ring
+    element of the code field, in that order, with build_code's errors:
+    three generators once gave dims (3, 3, 3), and basis_words() an
+    IndexError, a length 3.0 the dims (2.0, 3.0, 3.0, 3.0), and a length
+    "3" a TypeError."""
     g, one = fq_poly(f9, [-1, 1]), ring_one(f9)
     four = "^a code needs exactly four component generators$"
     positive = "^code length must be positive$"
@@ -174,6 +178,9 @@ def test_a_code_built_directly_is_checked_as_build_code_checks(f9, f25):
         ((f9, 0, ring_one(f25), (g,) * 3), InconsistentError, four),
         ((f9, 0, one, (g,) * 4), LengthMismatchError, positive),
         ((f9, 0, ring_one(f25), (g,) * 4), LengthMismatchError, positive),
+        ((f9, 3.0, one, (g,) * 4), LengthMismatchError, positive),
+        ((f9, "3", one, (g,) * 4), LengthMismatchError, positive),
+        ((f9, None, one, (g,) * 4), LengthMismatchError, positive),
         ((f9, 4, ring_one(f25), (g,) * 4), MixedRingsError, shift),
         ((f9, 4, f9.one, (g,) * 4), MixedRingsError, shift),
         ((f9, 4, ring_one(f25), (fq_poly(f25, [-1, 1]),) * 4), MixedRingsError, shift),
@@ -215,9 +222,9 @@ def test_a_zero_or_non_monic_generator_is_refused(f9, coeffs):
     one. build_code gives the same message."""
     one = fq_poly(f9, [1])
     gens = (fq_poly(f9, coeffs), one, one, one)
-    with pytest.raises(ValueError, match="is not monic"):
+    with pytest.raises(NonMonicGeneratorError, match="is not monic"):
         SkewCode(f9, 3, ring_one(f9), gens)
-    with pytest.raises(ValueError, match="is not monic"):
+    with pytest.raises(NonMonicGeneratorError, match="is not monic"):
         build_code(f9, 3, ring_one(f9), gens)
 
 
@@ -226,10 +233,10 @@ def test_a_generator_that_is_not_monic_names_its_component(f9, component):
     one = fq_poly(f9, [1])
     gens = [one] * 4
     gens[component - 1] = fq_poly(f9, [1, 2])
-    with pytest.raises(ValueError, match=f"^component {component}: generator 2\\*x \\+ 1 is not monic$"):
+    with pytest.raises(NonMonicGeneratorError, match=f"^component {component}: generator 2\\*x \\+ 1 is not monic$"):
         SkewCode(f9, 3, ring_one(f9), tuple(gens))
     gens[component - 1] = fq_poly(f9, [])
-    with pytest.raises(ValueError, match=f"^component {component}: generator 0 is not monic$"):
+    with pytest.raises(NonMonicGeneratorError, match=f"^component {component}: generator 0 is not monic$"):
         build_code(f9, 3, ring_one(f9), gens)
 
 
@@ -261,8 +268,8 @@ def test_residue_rows_are_kept_per_code(f9, monkeypatch):
     import skewcodes.codes
 
     built = []
-    residues = skewcodes.codes.residues
-    monkeypatch.setattr(skewcodes.codes, "residues", lambda g: built.append(g) or residues(g))
+    log_residues = skewcodes.codes._log_residues
+    monkeypatch.setattr(skewcodes.codes, "_log_residues", lambda spec, g: built.append(g) or log_residues(spec, g))
     alpha = ring_one(f9)
     one, x_minus_one = fq_poly(f9, [1]), fq_poly(f9, [-1, 1])
     x_plus_one = fq_poly(f9, [1, 1])
@@ -277,7 +284,7 @@ def test_residue_rows_are_kept_per_code(f9, monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(KERNEL_FIELDS)), st.integers(1, 6), st.integers(0, 2 ** 32))
 def test_remainders_are_the_right_remainders_of_the_moduli(name, n, seed):
-    """r_i, read off the last row of residue_rows, is
+    """r_i, read off the last row of _row_logs, is
     right_remainder(x^n - beta_i, g_i) on monic g_i of degree 0, n and two
     drawn degrees, most of them no divisor, with beta_i = 0, 1 and drawn
     constants, over fields with m from 1 to 6 and twists 1 and 2."""
@@ -345,8 +352,9 @@ def test_the_list_shift_is_the_object_shift(name, n, seed):
 @LIST_SETTINGS
 @given(*LIST_CASES)
 def test_a_codes_lists_are_its_objects(name, n, seed):
-    """A code's generator lists are its generators', its list rows
-    residues' rows x^D mod g_i, deg g_i <= D <= n, and its basis lists
+    """A code's generator lists are its generators', its list rows the
+    object reference residues' rows x^D mod g_i, deg g_i <= D <= n, and its
+    basis lists
     generator_basis_words', with the three other components of each basis
     word one all-zero list."""
     spec = make_field(*KERNEL_FIELDS[name])
@@ -561,7 +569,7 @@ def test_dual_example_one(f25):
     assert code.cardinality * dual.cardinality == 25 ** 16
     for x in code.basis_words():
         for y in dual.basis_words():
-            assert inner_product(x, y).is_zero
+            assert object_inner_product(x, y).is_zero
 
 
 def test_dual_cardinality_identity_all_examples():

@@ -359,12 +359,12 @@ def test_a_random_divisor_divides_once_per_factor(monkeypatch):
 
 
 def spy_certificates(monkeypatch):
-    """The divisor of every right_remainder certificate, in order."""
+    """The divisor of every _log_remainder certificate, in order."""
     calls = []
-    remainder = skewpoly.right_remainder
+    remainder = skewpoly._log_remainder
     monkeypatch.setattr(
-        "skewcodes.skewpoly.right_remainder",
-        lambda f, g: calls.append(g) or remainder(f, g),
+        "skewcodes.skewpoly._log_remainder",
+        lambda g, parts: calls.append(g) or remainder(g, parts),
     )
     return calls
 

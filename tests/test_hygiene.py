@@ -478,19 +478,28 @@ def _readers(attr):
     }
 
 
-def test_residue_rows_come_only_from_residues():
-    """skewpoly.residues streams the rows x^D mod g: a code's object rows
-    (SkewCode.residue_rows), whose logarithm lists SkewCode._row_logs
-    converts once, a minimal generator's (decomp._generator_of, unless
-    the code's lists are at hand) and right_remainder's. No second residue
-    loop reads or builds rows."""
-    assert _callers("residues") == {
-        ("skewpoly", "right_remainder"),
-        ("codes", "SkewCode.residue_rows"),
+def test_residue_rows_come_only_from_the_list_residue_loop():
+    """skewpoly._log_residues streams the rows x^D mod g as logarithm lists,
+    the one residue loop: a code's rows (SkewCode._row_logs), a minimal
+    generator's (decomp._generator_of, unless the code's rows are at hand)
+    and every right remainder's (skewpoly._log_remainder, behind
+    right_remainder and the divisor certificates). _log_residue_sum is the
+    one sum over the rows. No module defines the object pair residues and
+    residue_sum, nor reads residue_rows."""
+    assert _callers("_log_residues") == {
+        ("codes", "SkewCode._row_logs"),
         ("decomp", "_generator_of"),
+        ("skewpoly", "_log_remainder"),
     }
-    assert _readers("residue_rows") == {("codes", "SkewCode._row_logs"), ("codes", "SkewCode.remainders")}
-    assert _readers("_row_logs") == {("codes", "SkewCode._holds"), ("decomp", "verify_decomposition_theorem")}
+    assert _callers("_log_residue_sum") == {("codes", "SkewCode._holds"), ("skewpoly", "_log_remainder")}
+    defined = {name.rsplit(".", 1)[-1] for path in MODULES for name, _ in _functions(parse(path).body)}
+    assert not {"residues", "residue_sum", "residue_rows"} & defined
+    assert _readers("residue_rows") == set()
+    assert _readers("_row_logs") == {
+        ("codes", "SkewCode._holds"),
+        ("codes", "SkewCode.remainders"),
+        ("decomp", "verify_decomposition_theorem"),
+    }
 
 
 def test_the_list_shift_is_called_only_by_the_closure_loop():

@@ -6,7 +6,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
     ModuleSpan,
@@ -14,9 +14,12 @@ from reference import (
     commutative_remainder,
     component_polys,
     object_divmod,
+    object_inner_product,
     object_product,
     orbit_basis_words,
     random_right_divisor,
+    residue_sum,
+    residues,
     run_main,
 )
 from test_kernel import FIELDS
@@ -34,11 +37,14 @@ from skewcodes.errors import (
     ZeroPolynomialError,
 )
 from skewcodes.gf import FieldElement, make_field
-from skewcodes.linalg import inner_product, nullspace
+from skewcodes.linalg import nullspace
 from skewcodes.ring4 import RingElement
 from skewcodes.skewpoly import (
     ModulusSpec,
     SkewPoly,
+    _log_remainder,
+    _logs,
+    _poly_of_logs,
     c_mul,
     dual_generator,
     dual_idempotent,
@@ -283,6 +289,50 @@ def test_right_remainder_is_the_division_remainder(case):
     and zero f among the cases."""
     f, g = case
     assert right_remainder(f, g) == right_divmod(f, g)[1]
+
+
+@st.composite
+def remainder_cases(draw):
+    """(f, g) over a field of test_kernel.FIELDS (F81 and F729 with t = 2,
+    so theta has order k > 1), over F_q or R: g of degree 0 to 5 with a unit
+    lead, monic or not, and f with up to 14 coefficients, zero f included.
+    Zero is drawn as often as all other entries together, so over R many
+    coefficients have zero CRT components."""
+    spec = make_field(*FIELDS[draw(st.sampled_from(sorted(FIELDS)))])
+    ring = draw(st.sampled_from(("fq", "R")))
+    value = st.one_of(st.just(0), st.integers(1, spec.q - 1)).map(spec.from_int)
+    unit = st.one_of(st.just(1), st.integers(1, spec.q - 1)).map(spec.from_int)
+    if ring == "R":
+        value = st.tuples(value, value, value, value).map(lambda crt: RingElement.from_crt(spec, *crt))
+        unit = st.tuples(unit, unit, unit, unit).map(lambda crt: RingElement.from_crt(spec, *crt))
+    f = draw(st.lists(value, max_size=14))
+    g = draw(st.lists(value, max_size=5)) + [draw(unit)]
+    return SkewPoly(spec, ring, f), SkewPoly(spec, ring, g)
+
+
+F81 = make_field(*FIELDS["F81t2"])
+R81 = lambda *crt: RingElement.from_crt(F81, *map(F81.from_int, crt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(remainder_cases())
+@example((SkewPoly.zero(F81), fq_poly(F81, [F81.from_int(5), 1])))  # zero f
+@example((fq_poly(F81, [F81.from_int(7)] * 3), fq_poly(F81, [F81.from_int(2)])))  # deg g = 0, not monic
+@example((fq_poly(F81, [1, F81.from_int(9)]), fq_poly(F81, [2, 0, 1, F81.from_int(40)])))  # deg f < deg g
+@example((r_poly(F81, [R81(0, 3, 0, 1)] * 9 + [R81(5, 0, 0, 7)]), r_poly(F81, [R81(1, 0, 2, 0), R81(1, 2, 3, 4)])))
+def test_the_list_remainder_is_the_object_residue_sum(case):
+    """right_remainder and _log_remainder, on logarithm lists, against the
+    object reference residue_sum(f, g, residues(g)), which sums the rows
+    x^D mod g of coefficient objects: non-monic unit leads, deg g = 0,
+    deg f < deg g, zero f and R coefficients with zero CRT components are
+    among the cases. _log_remainder gives one list of deg g logarithms per
+    CRT component."""
+    f, g = case
+    expected = residue_sum(f.coeffs, g, residues(g))
+    assert right_remainder(f, g) == expected
+    parts = _log_remainder(g, _logs(f))
+    assert [len(part) for part in parts] == [g.degree] * (4 if f.ring == "R" else 1)
+    assert _poly_of_logs(f.spec, f.ring, parts) == expected
 
 
 def test_right_remainder_edge_cases(f9):
@@ -709,7 +759,7 @@ def test_dual_generator_orthogonality(f25):
     hhat = dual_generator(h, mod.n)
     for x in generator_basis_words(f, mod):
         for y in generator_basis_words(hhat.monic(), mod):
-            assert inner_product(x, y).is_zero
+            assert object_inner_product(x, y).is_zero
 
 
 # --- module words ---
